@@ -12,7 +12,8 @@ Two entry points:
 * ``pytest benchmarks/bench_nondet_fast.py -m perfsmoke`` — tier-2
   smoke floor: the fast path must hold ≥5× over the object engine at
   scale 10 (the JSON artifact targets ≥10×; the floor is deliberately
-  looser so CI noise does not flake it).
+  looser so CI noise does not flake it), and slice-path repair must
+  hold ≥1.5× over all-dense repair on grid SSSP.
 
 Both paths benchmark *identical work*: the engines are bit-for-bit
 equivalent (see tests/test_nondet_vectorized.py), so a speedup here is
@@ -45,13 +46,13 @@ SCALES = (8, 10, 12)
 CONFIG = dict(threads=8, seed=0, jitter=0.5)
 
 
-def _timed(factory, graph, *, vectorized, direction="pull"):
+def _timed(factory, graph, *, vectorized, direction="pull", **config):
     t0 = time.perf_counter()
     res = run(
         factory(),
         graph,
         mode="nondeterministic",
-        config=EngineConfig(**CONFIG),
+        config=EngineConfig(**{**CONFIG, **config}),
         vectorized="require" if vectorized else False,
         direction=direction,
     )
@@ -146,6 +147,31 @@ def test_direction_auto_floor_scale12_bfs():
         f"auto {cells['auto']['seconds']:.3f}s fell below 0.9x of the best "
         f"fixed direction ({best:.3f}s; pull {cells['pull']['seconds']:.3f}s, "
         f"push {cells['push']['seconds']:.3f}s)"
+    )
+
+
+@pytest.mark.perfsmoke
+def test_sparse_repair_floor_grid100_sssp():
+    """Tier-2 floor for dirty-proportional repair: pull-direction SSSP
+    on a 100x100 grid (long repair chains over thin dirty sets) must run
+    at >= 1.5x the throughput of the same run with every repair pass
+    forced dense (``direction_alpha=1e18`` fails the slice test for any
+    dirty set).  Same process, back to back, identical work — the runs
+    are bit-identical (tests/test_sparse_repair.py) — so host load
+    cancels; no absolute seconds.
+    """
+    graph = generators.grid_graph(100, 100)
+    _timed(ALGORITHMS["sssp"], graph, vectorized=True)  # warm caches
+    dense = _timed(ALGORITHMS["sssp"], graph, vectorized=True,
+                   direction_alpha=1e18)
+    sliced = _timed(ALGORITHMS["sssp"], graph, vectorized=True)
+    assert dense["converged"] and sliced["converged"]
+    assert sliced["updates"] == dense["updates"]
+    ratio = sliced["updates_per_s"] / dense["updates_per_s"]
+    assert ratio >= 1.5, (
+        f"slice-path repair only {ratio:.2f}x the all-dense throughput "
+        f"({sliced['seconds']:.3f}s vs {dense['seconds']:.3f}s): are "
+        f"repair passes taking the slice path (extra['repair_slice_passes'])?"
     )
 
 

@@ -282,8 +282,8 @@ class _WCCNondetKernel(NondetKernel):
     # identical values over the frontier's touched edges only.
     push_combines = {"label": CombineOp.MIN}
 
-    def run_push_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
-                      es: np.ndarray, ed: np.ndarray) -> None:
+    def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
+                       es: np.ndarray, ed: np.ndarray) -> None:
         src, dst = ctx.src, ctx.dst
         seen_s, seen_d = ctx.seen_s["label"], ctx.seen_d["label"]
         # Same gather as run_pass restricted to the touched edge slices:
@@ -335,6 +335,31 @@ class _PageRankNondetKernel(NondetKernel):
         ctx.wvs["value"][sub_s] = quotient[src[sub_s]]
         ctx.wd["value"][sub_d] = False  # pull mode: only the source writes
 
+    # push_combines stays None: a float ADD scatter is not an idempotent
+    # combine, so PageRank never runs in the push *direction* — the slice
+    # pass only makes a repair pass cost its dirty set.
+    def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
+                       es: np.ndarray, ed: np.ndarray) -> None:
+        src, dst = ctx.src, ctx.dst
+        seen_d = ctx.seen_d["value"]
+        # ``ed`` is graph.in_edge_ids(sub_ids): each vertex's in-edges in
+        # ctx.in_order's relative order, so the sequential float32 adds
+        # per destination are the ones run_pass makes — same bits.
+        total = np.zeros(ctx.n, dtype=np.float32)
+        np.add.at(total, dst[ed], seen_d[ed])
+        new_rank = (self.base + self.damping * total).astype(np.float32)
+        ctx.vout["rank"][sub_ids] = new_rank[sub_ids]
+        ctx.rd["value"][ed] = 1
+        # Scatter side per out-edge (src[es] all lie in sub_ids; an edge
+        # in es implies out-degree > 0).
+        s = src[es]
+        rank_s = new_rank[s]
+        ctx.ws["value"][es] = np.abs(rank_s - ctx.v0["rank"][s]) >= self.epsilon
+        ctx.wvs["value"][es] = (
+            rank_s / ctx.out_degrees[s].astype(np.float32)
+        ).astype(np.float32)
+        ctx.wd["value"][ed] = False  # pull mode: only the source writes
+
 
 class _SSSPNondetKernel(NondetKernel):
     """Racy relaxation pass for SSSP (and BFS, its unit-weight subclass)."""
@@ -370,8 +395,8 @@ class _SSSPNondetKernel(NondetKernel):
     # idempotent atomic combine; see _WCCNondetKernel.push_combines.
     push_combines = {"dist": CombineOp.MIN}
 
-    def run_push_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
-                      es: np.ndarray, ed: np.ndarray) -> None:
+    def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
+                       es: np.ndarray, ed: np.ndarray) -> None:
         src, dst = ctx.src, ctx.dst
         seen_in = ctx.seen_d["dist"]
         weight = ctx.committed["weight"]
@@ -421,6 +446,25 @@ class _SpMVNondetKernel(NondetKernel):
         ctx.ws["term"][sub_s] = crit[sub_s]
         ctx.wvs["term"][sub_s] = (ctx.committed["a"] * new_x[src])[sub_s]
         ctx.wd["term"][sub_d] = False  # only the source endpoint writes
+
+    # Pull-only like PageRank (push_combines is None): see there for why
+    # the CSC-ordered ``ed`` slice reproduces run_pass's float sums.
+    def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
+                       es: np.ndarray, ed: np.ndarray) -> None:
+        src, dst = ctx.src, ctx.dst
+        seen_term = ctx.seen_d["term"]
+        total = np.zeros(ctx.n, dtype=np.float64)
+        np.add.at(total, dst[ed], seen_term[ed])
+        new_x = self.b + total
+        ctx.vout["x"][sub_ids] = new_x[sub_ids]
+        ctx.rd["term"][ed] = 1
+        s = src[es]
+        x_s = new_x[s]
+        crit = np.abs(x_s - ctx.v0["x"][s]) >= self.epsilon
+        ctx.rs["a"][es] = crit
+        ctx.ws["term"][es] = crit
+        ctx.wvs["term"][es] = ctx.committed["a"][es] * x_s
+        ctx.wd["term"][ed] = False  # only the source endpoint writes
 
 
 register_nondet_kernel(WeaklyConnectedComponents, _WCCNondetKernel)

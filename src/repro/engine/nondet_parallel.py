@@ -84,6 +84,7 @@ from .nondet_vectorized import (
     VectorizedNondetEngine,
     choose_direction,
     fallback_reasons,
+    incident_mass,
     push_fallback_reasons,
     resolve_nondet_kernel,
 )
@@ -196,6 +197,7 @@ class _Worker:
         self.edge_fields = tuple(committed)
         self.n = graph.num_vertices
         self.m = graph.num_edges
+        self.in_degrees = graph.in_degrees()
 
         ctx = NondetPassContext.__new__(NondetPassContext)
         ctx.graph = graph
@@ -294,7 +296,7 @@ class _Worker:
         dt = both & (th_s != th_d)
         return vis_s2d, vis_d2s, lex_sd, lex_ds, dt
 
-    def iterate(self, dm, push: bool = False, iteration: int = 0) -> None:
+    def iterate(self, dm, push: bool, iteration: int, alpha: float) -> None:
         wid, ctx = self.wid, self.ctx
         src, dst = self.src, self.dst
         clock = PhaseClock() if self._profile else None
@@ -333,7 +335,7 @@ class _Worker:
         if clock is not None:
             clock.lap("plan_build")
         if push:
-            self.kernel.run_push_pass(ctx, owned_ids, es, ed)
+            self.kernel.run_slice_pass(ctx, owned_ids, es, ed)
         else:
             self.kernel.run_pass(ctx, owned)
         if clock is not None:
@@ -378,16 +380,19 @@ class _Worker:
                 break
             passes += 1
             if dirty is not None:
-                if push:
-                    dirty_ids = np.flatnonzero(dirty).astype(np.int64)
-                    repaired += int(dirty_ids.size)
-                    self.kernel.run_push_pass(
+                dirty_ids = np.flatnonzero(dirty)
+                repaired += int(dirty_ids.size)
+                # Same per-pass choice as VectorizedNondetEngine._repair:
+                # a small dirty set costs its edge slices, not m.
+                if push or incident_mass(
+                        dirty_ids, ctx.out_degrees, self.in_degrees
+                ) * alpha < self.m:
+                    self.kernel.run_slice_pass(
                         ctx, dirty_ids,
                         self.graph.out_edge_ids(dirty_ids),
                         self.graph.in_edge_ids(dirty_ids),
                     )
                 else:
-                    repaired += int(np.count_nonzero(dirty))
                     self.kernel.run_pass(ctx, dirty)
             if clock is not None:
                 clock.lap("repair_pass")
@@ -461,15 +466,11 @@ def _worker_main(wid: int, seg_name: str, layout: ArrayLayout,
             msg = conn.recv()
             if msg[0] == "stop":
                 return
-            if msg[1] is not None:  # delay model shipped only on change
-                dm = msg[1]
-            if len(msg) > 4 and msg[4] is not None:
-                worker.configure_profile(msg[4])
-            worker.iterate(
-                dm,
-                push=bool(msg[2]) if len(msg) > 2 else False,
-                iteration=int(msg[3]) if len(msg) > 3 else 0,
-            )
+            _, payload, push, iteration, prof, alpha = msg
+            if payload is not None:  # delay model shipped only on change
+                dm = payload
+            worker.configure_profile(prof)
+            worker.iterate(dm, push, iteration, alpha)
     except threading.BrokenBarrierError:
         # Master aborted (its timeout, its shutdown, or a sibling died):
         # nothing to report, just leave.
@@ -878,7 +879,7 @@ class ParallelEngine:
                 for conn in self._conns:
                     try:
                         conn.send(("iter", payload, dir_i == "push",
-                                   iteration, prof))
+                                   iteration, prof, config.direction_alpha))
                     except (BrokenPipeError, OSError):
                         self._raise_worker_failure(iteration)
                 if clock is not None:

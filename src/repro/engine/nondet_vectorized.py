@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import abc
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,12 @@ __all__ = [
 DIRECTIONS = ("pull", "push", "auto")
 
 
+def incident_mass(ids: np.ndarray, out_degrees: np.ndarray,
+                  in_degrees: np.ndarray) -> int:
+    """Out- plus in-edge count of the vertices ``ids`` (Beamer's mass)."""
+    return int(out_degrees[ids].sum()) + int(in_degrees[ids].sum())
+
+
 def choose_direction(direction: str, active_ids: np.ndarray,
                      out_degrees: np.ndarray, in_degrees: np.ndarray,
                      num_edges: int, num_vertices: int,
@@ -104,8 +111,7 @@ def choose_direction(direction: str, active_ids: np.ndarray,
         return "pull"
     if direction == "push":
         return "push"
-    touched = int(out_degrees[active_ids].sum()) + int(
-        in_degrees[active_ids].sum())
+    touched = incident_mass(active_ids, out_degrees, in_degrees)
     if (touched * config.direction_alpha < num_edges
             and active_ids.size * config.direction_beta < num_vertices):
         return "push"
@@ -338,13 +344,16 @@ class NondetPassContext:
     def __init__(self, graph: DiGraph, state: State, active: np.ndarray,
                  written_fields: tuple[str, ...], *,
                  in_order: np.ndarray | None = None,
-                 out_degrees: np.ndarray | None = None):
+                 out_degrees: np.ndarray | None = None,
+                 selfloop: np.ndarray | None = None):
         self.graph = graph
         self.src = graph.edge_src
         self.dst = graph.edge_dst
         self.n = graph.num_vertices
         self.m = graph.num_edges
-        self.selfloop = self.src == self.dst
+        self.selfloop = (
+            selfloop if selfloop is not None else self.src == self.dst
+        )
         # CSC permutation: edges grouped by destination, ascending source
         # — the order the scalar gather loops read in-edges, which float
         # kernels must accumulate in to match bit for bit.
@@ -410,21 +419,21 @@ class NondetKernel(abc.ABC):
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray) -> None:
         ...
 
-    def run_push_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
-                      es: np.ndarray, ed: np.ndarray) -> None:
-        """Sparse (push-direction) equivalent of :meth:`run_pass`.
+    @abc.abstractmethod
+    def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
+                       es: np.ndarray, ed: np.ndarray) -> None:
+        """:meth:`run_pass` evaluated on CSR/CSC edge-id slices.
 
         ``sub_ids`` are the sorted vertex ids to (re)compute; ``es`` /
         ``ed`` are their out- / in-edge ids (``graph.out_edge_ids`` /
         ``graph.in_edge_ids``).  The kernel must write exactly the
         positions a dense :meth:`run_pass` over the same vertices would
         — ``vout[sub_ids]``, ``ws/wvs/rs`` at ``es``, ``wd/wvd/rd`` at
-        ``ed`` — with bitwise-identical values.  Only kernels declaring
-        :attr:`push_combines` implement this.
+        ``ed`` — with bitwise-identical values, at a cost proportional
+        to the slices instead of ``m``.  Every kernel has one: repair
+        passes over small dirty sets take it in either direction; the
+        push *direction* additionally needs :attr:`push_combines`.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} is pull-only (push_combines is None)"
-        )
 
 
 # -- kernel registry ------------------------------------------------------
@@ -646,10 +655,119 @@ def emit_edge_provenance(
         )
 
 
+class _RunConstants(NamedTuple):
+    """Per-run graph-derived arrays, computed once in ``run``."""
+
+    in_order: np.ndarray
+    out_degrees: np.ndarray
+    in_degrees: np.ndarray
+    selfloop: np.ndarray
+    #: ``config.direction_alpha``: a repair pass takes the slice path
+    #: when its dirty set's incident mass passes the same Beamer test
+    #: that picks the push direction.
+    alpha: float
+
+
 class VectorizedNondetEngine:
     """Whole-graph racy iterations, bit-for-bit equal to the object engine."""
 
     mode = "nondeterministic"
+
+    @staticmethod
+    def _repair(kernel, graph, ctx, written, topo, num_active, plan,
+                eidx=None):
+        """Stale-read repair by chaotic iteration, shared by both directions.
+
+        Pass 1 ran against the committed snapshot; each round here
+        re-derives what every endpoint *sees* (committed, overridden by
+        the far endpoint's write where Defs. 1–3 make it visible), marks
+        the vertices whose seen inputs changed, and recomputes exactly
+        those.  Visibility implies strict precedence in the execution
+        order, so the dependence relation is a DAG and the iteration
+        reaches the exact per-access semantics in at most depth+1
+        passes.
+
+        A round costs what its dirty set costs.  Detection is *wide*
+        (all ``m`` edges in pull; ``eidx``, the frontier's touched
+        edges with ``plan`` aligned to it, in push) after pass 1 and
+        after a wide repair pass.  When the dirty set's incident mass
+        passes the Beamer test the repair pass runs on its CSR/CSC
+        slices ``(es, ed)`` instead, and the next detection is
+        *slot-local*: a pass over ``S`` can only change ``ws/wvs`` on
+        out-edges of ``S`` and ``wd/wvd`` on in-edges of ``S``, so only
+        ``seen_d`` on ``es`` and ``seen_s`` on ``ed`` can differ from
+        the private seen buffers, which are patched in place.  Dirty
+        sets, pass order and every value are the same either way.
+
+        Returns ``(repair passes, how many of them took the slice path)``.
+        """
+        n, m = graph.num_vertices, graph.num_edges
+        src, dst = ctx.src, ctx.dst
+        dense = eidx is None
+        everything = slice(None)
+        wide = everything if dense else eidx
+        touched = None  # (es, ed) of the previous pass if it was a slice pass
+        passes = slice_passes = 0
+        for _ in range(num_active + 2):
+            # e_*: edge ids to re-derive seen_d / seen_s on; p_*: their
+            # positions in ``plan``'s (eidx-aligned when sparse) arrays.
+            if touched is None:
+                e_d = e_s = wide
+                p_d = p_s = everything
+            elif dense:
+                e_d, e_s = p_d, p_s = touched
+            else:
+                e_d, e_s = touched
+                p_d = np.searchsorted(eidx, e_d)
+                p_s = np.searchsorted(eidx, e_s)
+            swap = dense and touched is None
+            dirty = np.zeros(n, dtype=bool)
+            changed_any = False
+            for f in written:
+                com = ctx.committed[f]
+                seen_d = np.where(
+                    plan.vis_s2d[p_d] & ctx.ws[f][e_d], ctx.wvs[f][e_d], com[e_d]
+                )
+                seen_s = np.where(
+                    plan.vis_d2s[p_s] & ctx.wd[f][e_s], ctx.wvd[f][e_s], com[e_s]
+                )
+                d_changed = seen_d != ctx.seen_d[f][e_d]
+                s_changed = seen_s != ctx.seen_s[f][e_s]
+                changed = bool(d_changed.any() or s_changed.any())
+                if changed:
+                    changed_any = True
+                    dirty[dst[e_d][d_changed]] = True
+                    dirty[src[e_s][s_changed]] = True
+                if swap:
+                    # A dense round yields fresh full-size arrays: adopt
+                    # them as the private seen buffers, no copy.
+                    ctx.seen_d[f], ctx.seen_s[f] = seen_d, seen_s
+                elif changed:
+                    # Elsewhere seen == committed until a write lands;
+                    # materialize private buffers on first divergence.
+                    if ctx.seen_d[f] is com:
+                        ctx.seen_d[f] = com.copy()
+                        ctx.seen_s[f] = com.copy()
+                    ctx.seen_d[f][e_d] = seen_d
+                    ctx.seen_s[f][e_s] = seen_s
+            if not changed_any:
+                break
+            sub = dirty & ctx.active
+            sub_ids = np.flatnonzero(sub)
+            local = incident_mass(
+                sub_ids, topo.out_degrees, topo.in_degrees) * topo.alpha < m
+            if local or not dense:
+                es = graph.out_edge_ids(sub_ids)
+                ed = graph.in_edge_ids(sub_ids)
+                kernel.run_slice_pass(ctx, sub_ids, es, ed)
+            else:
+                kernel.run_pass(ctx, sub)
+            touched = (es, ed) if local else None
+            passes += 1
+            slice_passes += local
+        else:  # pragma: no cover - DAG depth bound violated
+            raise RuntimeError("nondet fix-point failed to converge")
+        return passes, slice_passes
 
     @staticmethod
     def _emit_provenance(
@@ -727,8 +845,8 @@ class VectorizedNondetEngine:
                 )
 
     def _push_iteration(self, kernel, graph, state, plan_cache, dm_i,
-                        active_ids, written, in_order, out_degrees, log,
-                        record, iteration, p, total_passes, clock=None):
+                        active_ids, written, topo, log, record, iteration,
+                        p, clock=None):
         """One racy iteration in the sparse *push* direction.
 
         Executes the identical iteration :meth:`_pull_iteration` would —
@@ -744,58 +862,18 @@ class VectorizedNondetEngine:
         eidx = np.union1d(es_all, ed_all)
         plan = plan_cache.plan(active_ids, dm_i, eidx)
         sp = plan.sparse
-        active = plan.active
 
         ctx = NondetPassContext(
-            graph, state, active, written,
-            in_order=in_order, out_degrees=out_degrees,
+            graph, state, plan.active, written, in_order=topo.in_order,
+            out_degrees=topo.out_degrees, selfloop=topo.selfloop,
         )
-        prev_seen_s = {f: ctx.committed[f][eidx] for f in written}
-        prev_seen_d = {f: ctx.committed[f][eidx] for f in written}
         if clock is not None:
             clock.lap("plan_build")
-        kernel.run_push_pass(ctx, active_ids, es_all, ed_all)
-        total_passes += 1
+        kernel.run_slice_pass(ctx, active_ids, es_all, ed_all)
         if clock is not None:
             clock.lap("push_scatter")
-        for _ in range(int(active_ids.size) + 2):
-            dirty = np.zeros(n, dtype=bool)
-            changed_any = False
-            for f in written:
-                seen_d = np.where(
-                    sp.vis_s2d & ctx.ws[f][eidx],
-                    ctx.wvs[f][eidx], ctx.committed[f][eidx],
-                )
-                seen_s = np.where(
-                    sp.vis_d2s & ctx.wd[f][eidx],
-                    ctx.wvd[f][eidx], ctx.committed[f][eidx],
-                )
-                d_changed = seen_d != prev_seen_d[f]
-                s_changed = seen_s != prev_seen_s[f]
-                if d_changed.any() or s_changed.any():
-                    changed_any = True
-                    # Outside eidx nothing was written, so seen ==
-                    # committed there; materialize private full-size
-                    # buffers lazily on first divergence.
-                    if ctx.seen_d[f] is ctx.committed[f]:
-                        ctx.seen_d[f] = ctx.committed[f].copy()
-                        ctx.seen_s[f] = ctx.committed[f].copy()
-                    ctx.seen_d[f][eidx] = seen_d
-                    ctx.seen_s[f][eidx] = seen_s
-                    dirty[dst[eidx[d_changed]]] = True
-                    dirty[src[eidx[s_changed]]] = True
-                prev_seen_d[f] = seen_d
-                prev_seen_s[f] = seen_s
-            if not changed_any:
-                break
-            sub_ids = np.flatnonzero(dirty & active).astype(np.int64)
-            kernel.run_push_pass(
-                ctx, sub_ids,
-                graph.out_edge_ids(sub_ids), graph.in_edge_ids(sub_ids),
-            )
-            total_passes += 1
-        else:  # pragma: no cover - DAG depth bound violated
-            raise RuntimeError("nondet fix-point failed to converge")
+        passes, slice_passes = self._repair(
+            kernel, graph, ctx, written, topo, int(active_ids.size), sp, eidx)
         if clock is not None:
             clock.lap("repair_pass")
 
@@ -856,65 +934,35 @@ class VectorizedNondetEngine:
         for f in written:
             writes_t += np.bincount(sp.thr_s[ctx.ws[f][eidx]], minlength=p)
             writes_t += np.bincount(sp.thr_d[ctx.wd[f][eidx]], minlength=p)
-        return ctx, next_mask, upd_t, reads_t, writes_t, total_passes
+        return (ctx, next_mask, upd_t, reads_t, writes_t,
+                1 + passes, slice_passes)
 
     def _pull_iteration(self, kernel, graph, state, plan_cache, dm_i,
-                        active_ids, written, in_order, out_degrees, log,
-                        record, iteration, p, total_passes, clock=None):
+                        active_ids, written, topo, log, record, iteration,
+                        p, clock=None):
         """One racy iteration in the dense *pull* direction (all m edges)."""
         n = graph.num_vertices
         src, dst = graph.edge_src, graph.edge_dst
         plan = plan_cache.plan(active_ids, dm_i)
-        active = plan.active
         thr_s, thr_d = plan.thr_s, plan.thr_d
         t_s, t_d = plan.t_s, plan.t_d
         vis_s2d, vis_d2s = plan.vis_s2d, plan.vis_d2s
         lex_sd, lex_ds = plan.lex_sd, plan.lex_ds
 
         ctx = NondetPassContext(
-            graph, state, active, written,
-            in_order=in_order, out_degrees=out_degrees,
+            graph, state, plan.active, written, in_order=topo.in_order,
+            out_degrees=topo.out_degrees, selfloop=topo.selfloop,
         )
-        prev_seen_s = {f: ctx.committed[f] for f in written}
-        prev_seen_d = {f: ctx.committed[f] for f in written}
         if clock is not None:
             clock.lap("plan_build")
         # Pass 1 computes every active vertex against the committed
-        # snapshot; repair passes recompute only vertices whose seen
-        # inputs changed.  Visibility implies strict precedence in
-        # the execution order, so the dependence relation is a DAG
-        # and this chaotic iteration reaches the exact per-access
-        # semantics in at most depth+1 passes.
-        kernel.run_pass(ctx, active)
-        total_passes += 1
+        # snapshot; :meth:`_repair` then recomputes only vertices whose
+        # seen inputs changed.
+        kernel.run_pass(ctx, plan.active)
         if clock is not None:
             clock.lap("gather")
-        for _ in range(int(active_ids.size) + 2):
-            dirty = np.zeros(n, dtype=bool)
-            changed_any = False
-            for f in written:
-                seen_d = np.where(
-                    vis_s2d & ctx.ws[f], ctx.wvs[f], ctx.committed[f]
-                )
-                seen_s = np.where(
-                    vis_d2s & ctx.wd[f], ctx.wvd[f], ctx.committed[f]
-                )
-                d_changed = seen_d != prev_seen_d[f]
-                s_changed = seen_s != prev_seen_s[f]
-                if d_changed.any():
-                    dirty[dst[d_changed]] = True
-                    changed_any = True
-                if s_changed.any():
-                    dirty[src[s_changed]] = True
-                    changed_any = True
-                ctx.seen_d[f] = prev_seen_d[f] = seen_d
-                ctx.seen_s[f] = prev_seen_s[f] = seen_s
-            if not changed_any:
-                break
-            kernel.run_pass(ctx, dirty & active)
-            total_passes += 1
-        else:  # pragma: no cover - DAG depth bound violated
-            raise RuntimeError("nondet fix-point failed to converge")
+        passes, slice_passes = self._repair(
+            kernel, graph, ctx, written, topo, int(active_ids.size), plan)
         if clock is not None:
             clock.lap("repair_pass")
 
@@ -983,7 +1031,8 @@ class VectorizedNondetEngine:
         for f in written:
             writes_t += np.bincount(thr_s[ctx.ws[f]], minlength=p)
             writes_t += np.bincount(thr_d[ctx.wd[f]], minlength=p)
-        return ctx, next_mask, upd_t, reads_t, writes_t, total_passes
+        return (ctx, next_mask, upd_t, reads_t, writes_t,
+                1 + passes, slice_passes)
 
     def run(
         self,
@@ -1029,9 +1078,13 @@ class VectorizedNondetEngine:
 
         n, m = graph.num_vertices, graph.num_edges
         src, dst = graph.edge_src, graph.edge_dst
-        in_order = np.lexsort((src, dst))
         out_degrees = graph.out_degrees()
-        in_degrees = graph.in_degrees() if push_ok else None
+        in_degrees = graph.in_degrees()
+        topo = _RunConstants(
+            in_order=np.lexsort((src, dst)), out_degrees=out_degrees,
+            in_degrees=in_degrees, selfloop=src == dst,
+            alpha=config.direction_alpha,
+        )
         written = kernel.written_fields
         delay_model = config.effective_delay_model()
         jitter_rng = (
@@ -1052,6 +1105,7 @@ class VectorizedNondetEngine:
             )
         converged = False
         total_passes = 0
+        slice_passes = 0
         push_iterations = 0
         dir_trace: list[str] = []
         p = config.threads
@@ -1080,7 +1134,6 @@ class VectorizedNondetEngine:
             if clock is not None:
                 clock.start()
             rw0, ww0 = log.read_write, log.write_write
-            passes0 = total_passes
             active_ids = frontier_ids
             dir_i = choose_direction(
                 direction, active_ids, out_degrees, in_degrees,
@@ -1093,11 +1146,12 @@ class VectorizedNondetEngine:
                 step = self._push_iteration
             else:
                 step = self._pull_iteration
-            ctx, next_mask, upd_t, reads_t, writes_t, total_passes = step(
+            ctx, next_mask, upd_t, reads_t, writes_t, passes, sliced = step(
                 kernel, graph, state, plan_cache, dm_i, active_ids,
-                written, in_order, out_degrees, log, record,
-                iteration, p, total_passes, clock,
+                written, topo, log, record, iteration, p, clock,
             )
+            total_passes += passes
+            slice_passes += sliced
             stats.append(
                 IterationStats(
                     iteration=iteration,
@@ -1143,7 +1197,8 @@ class VectorizedNondetEngine:
                     wall_time_s=wall,
                     read_write=log.read_write - rw0,
                     write_write=log.write_write - ww0,
-                    fixpoint_passes=total_passes - passes0,
+                    fixpoint_passes=passes,
+                    repair_slice_passes=sliced,
                     phases=phases,
                     peak_rss_bytes=peak_rss_bytes(),
                     **({"direction": dir_i} if direction != "pull" else {}),
@@ -1157,6 +1212,7 @@ class VectorizedNondetEngine:
         # tests/test_convergence_conformance.py).
 
         extra = {"vectorized": True, "fixpoint_passes": total_passes,
+                 "repair_slice_passes": slice_passes,
                  "plan_cache_hits": plan_cache.hits}
         if direction != "pull":
             extra["direction"] = direction

@@ -190,12 +190,12 @@ def _timed(factory, graph, config: EngineConfig, **run_kwargs) -> dict:
         "peak_rss_bytes": peak_rss_bytes(),
         "phases": phases,
     }
-    if "io" in res.extra:
-        out["io"] = res.extra["io"]
-    if "pool_reused" in res.extra:
-        out["pool_reused"] = res.extra["pool_reused"]
-    if "push_iterations" in res.extra:
-        out["push_iterations"] = res.extra["push_iterations"]
+    # fixpoint_passes / repair_slice_passes split phases["repair_pass"]
+    # into passes x per-pass cost and the share that ran on edge slices.
+    for key in ("io", "pool_reused", "push_iterations", "fixpoint_passes",
+                "repair_slice_passes"):
+        if key in res.extra:
+            out[key] = res.extra[key]
     return out
 
 

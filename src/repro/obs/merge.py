@@ -172,7 +172,13 @@ def phase_report(records) -> dict:
 
         {"iteration", "wall_time_s", "num_active", "frontier_size",
          "conflicts", "phases": {phase: s}, "peak_rss_bytes",
+         "fixpoint_passes", "repair_slice_passes",
          "workers": {wid: {phase: s}}}
+
+    ``totals`` splits the ``repair_pass`` phase into ``repair_passes``
+    (every fix-point pass after an iteration's first) and, where the
+    engine reports it, ``repair_slice_passes`` — how many of them ran on
+    the dirty set's edge slices instead of all ``m`` edges.
 
     Per-worker rows come from ``worker_span`` records when present
     (merged trace) and fall back to the span's folded
@@ -209,6 +215,8 @@ def phase_report(records) -> dict:
                 phases={k: float(v)
                         for k, v in (extra.get("phases") or {}).items()},
                 peak_rss_bytes=extra.get("peak_rss_bytes"),
+                fixpoint_passes=extra.get("fixpoint_passes"),
+                repair_slice_passes=extra.get("repair_slice_passes"),
             )
             folded = extra.get("worker_phases")
             if folded:
@@ -222,16 +230,25 @@ def phase_report(records) -> dict:
         if "iteration" not in row:  # worker spans with no master span
             row.update(iteration=i, wall_time_s=0.0, num_active=0,
                        frontier_size=0, conflicts=0, phases={},
-                       peak_rss_bytes=None)
+                       peak_rss_bytes=None, fixpoint_passes=None,
+                       repair_slice_passes=None)
         rows.append(row)
 
     phase_names = [p for p in PHASES
                    if any(p in r["phases"] or
                           any(p in w for w in r["workers"].values())
                           for r in rows)]
+    # Every pass of an iteration after its first is a stale-read repair
+    # pass; engines without a fix-point loop report no pass counts.
+    counted = [r for r in rows if r["fixpoint_passes"] is not None]
+    sliced = [r["repair_slice_passes"] for r in counted
+              if r["repair_slice_passes"] is not None]
     totals = {
         "wall_time_s": sum(r["wall_time_s"] for r in rows),
         "conflicts": sum(r["conflicts"] for r in rows),
+        "repair_passes": (sum(max(int(r["fixpoint_passes"]) - 1, 0)
+                              for r in counted) if counted else None),
+        "repair_slice_passes": sum(sliced) if sliced else None,
         "phases": {p: sum(r["phases"].get(p, 0.0) for r in rows)
                    for p in phase_names},
         "worker_phases": {
@@ -277,6 +294,19 @@ def phase_table(report: dict, *, last: int | None = None) -> str:
              "  ".join("-" * w for w in widths)]
     lines.extend("  ".join(cell.rjust(widths[i])
                            for i, cell in enumerate(row)) for row in table)
+
+    repairs = tot.get("repair_passes")
+    repair_s = tot["phases"].get("repair_pass")
+    if repairs and repair_s:  # process master: workers hold the time
+        # ROADMAP 2(c): repair_pass = passes x per-pass cost.
+        line = (f"repair: {repairs} passes x {_ms(repair_s / repairs)} ms "
+                f"mean = {_ms(repair_s)} ms")
+        sliced = tot.get("repair_slice_passes")
+        if sliced is not None:
+            line += (f"; {sliced} ({sliced / repairs:.1%}) "
+                     f"took the slice path")
+        lines.append("")
+        lines.append(line)
 
     wtot = tot.get("worker_phases") or {}
     if wtot:
