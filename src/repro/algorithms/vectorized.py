@@ -7,7 +7,8 @@ lands on a doubly-written edge) and the task-generation rule (a written
 edge activates its far endpoint).  The traversal algorithms therefore
 match the object BSP engine *bit for bit*, iteration for iteration;
 PageRank matches its float32 arithmetic by accumulating with
-``np.add.at`` in the same CSC gather order the scalar loop uses.
+``np.add.at`` in edge-id order, which adds each destination's in-edges
+in the order the scalar gather loop reads them (DESIGN §6.1).
 
 The second half of the module holds the :class:`NondetKernel`
 implementations behind the *nondeterministic* fast path
@@ -213,14 +214,12 @@ class VPageRank(VectorizedProgram):
         src, dst = graph.edge_src, graph.edge_dst
         n = graph.num_vertices
 
-        # Gather in CSC order (grouped by destination, ascending source),
-        # the same order the scalar engine reads in-edges — np.add.at
-        # accumulates sequentially, so the float32 sums agree exactly.
-        order = np.lexsort((src, dst))
+        # np.add.at accumulates sequentially, and edge-id order adds each
+        # destination's in-edges in the order the scalar engine reads
+        # them (DESIGN §6.1) — the float32 sums agree exactly.
+        # Unmasked: only active vertices' totals are used below.
         total = np.zeros(n, dtype=np.float32)
-        contrib_mask = active[dst[order]]
-        sel = order[contrib_mask]
-        np.add.at(total, dst[sel], values[sel])
+        np.add.at(total, dst, values)
 
         new_rank = (self.base + self.damping * total).astype(np.float32)
         changed = np.abs(new_rank - rank) >= self.epsilon
@@ -314,15 +313,15 @@ class _PageRankNondetKernel(NondetKernel):
         src, dst = ctx.src, ctx.dst
         sub_s, sub_d = sub[src], sub[dst]
         seen_d = ctx.seen_d["value"]
-        # Accumulate float32 in CSC order with np.add.at — sequential,
-        # unbuffered adds in exactly the scalar gather loop's order.
-        order = ctx.in_order
-        sel = order[sub[dst[order]]]
+        # Sequential float32 adds in edge order: ids (and PSW slots) are
+        # source-sorted, so every destination receives its in-edges in
+        # the scalar gather loop's order (DESIGN §6.1).  Unmasked — the
+        # totals of vertices outside ``sub`` are never stored.
         total = np.zeros(ctx.n, dtype=np.float32)
-        np.add.at(total, dst[sel], seen_d[sel])
+        np.add.at(total, dst, seen_d)
         new_rank = (self.base + self.damping * total).astype(np.float32)
-        ctx.vout["rank"][sub] = new_rank[sub]
-        ctx.rd["value"][sub_d] = 1
+        np.copyto(ctx.vout["rank"], new_rank, where=sub)
+        np.copyto(ctx.rd["value"], 1, where=sub_d)
         writers = (
             sub
             & (np.abs(new_rank - ctx.v0["rank"]) >= self.epsilon)
@@ -331,9 +330,10 @@ class _PageRankNondetKernel(NondetKernel):
         quotient = (
             new_rank / np.maximum(ctx.out_degrees, 1).astype(np.float32)
         ).astype(np.float32)
-        ctx.ws["value"][sub_s] = writers[src[sub_s]]
-        ctx.wvs["value"][sub_s] = quotient[src[sub_s]]
-        ctx.wd["value"][sub_d] = False  # pull mode: only the source writes
+        np.copyto(ctx.ws["value"], writers[src], where=sub_s)
+        np.copyto(ctx.wvs["value"], quotient[src], where=sub_s)
+        # pull mode: only the source writes
+        np.copyto(ctx.wd["value"], False, where=sub_d)
 
     # push_combines stays None: a float ADD scatter is not an idempotent
     # combine, so PageRank never runs in the push *direction* — the slice
@@ -343,8 +343,8 @@ class _PageRankNondetKernel(NondetKernel):
         src, dst = ctx.src, ctx.dst
         seen_d = ctx.seen_d["value"]
         # ``ed`` is graph.in_edge_ids(sub_ids): each vertex's in-edges in
-        # ctx.in_order's relative order, so the sequential float32 adds
-        # per destination are the ones run_pass makes — same bits.
+        # ascending id order, so the sequential float32 adds per
+        # destination are the ones run_pass makes — same bits.
         total = np.zeros(ctx.n, dtype=np.float32)
         np.add.at(total, dst[ed], seen_d[ed])
         new_rank = (self.base + self.damping * total).astype(np.float32)
@@ -430,25 +430,24 @@ class _SpMVNondetKernel(NondetKernel):
         src, dst = ctx.src, ctx.dst
         sub_s, sub_d = sub[src], sub[dst]
         seen_term = ctx.seen_d["term"]
-        # Sequential float64 accumulation in CSC order, like the scalar
-        # `total += read` loop.
-        order = ctx.in_order
-        sel = order[sub[dst[order]]]
+        # Sequential float64 accumulation in edge order, like the scalar
+        # `total += read` loop (see _PageRankNondetKernel.run_pass).
         total = np.zeros(ctx.n, dtype=np.float64)
-        np.add.at(total, dst[sel], seen_term[sel])
+        np.add.at(total, dst, seen_term)
         new_x = self.b + total
-        ctx.vout["x"][sub] = new_x[sub]
-        ctx.rd["term"][sub_d] = 1
+        np.copyto(ctx.vout["x"], new_x, where=sub)
+        np.copyto(ctx.rd["term"], 1, where=sub_d)
         writers = sub & (np.abs(new_x - ctx.v0["x"]) >= self.epsilon)
         crit = writers[src]
         # The scatter reads the (never-written) coefficient before each write.
-        ctx.rs["a"][sub_s] = crit[sub_s]
-        ctx.ws["term"][sub_s] = crit[sub_s]
-        ctx.wvs["term"][sub_s] = (ctx.committed["a"] * new_x[src])[sub_s]
-        ctx.wd["term"][sub_d] = False  # only the source endpoint writes
+        np.copyto(ctx.rs["a"], crit, where=sub_s)
+        np.copyto(ctx.ws["term"], crit, where=sub_s)
+        np.copyto(ctx.wvs["term"], ctx.committed["a"] * new_x[src], where=sub_s)
+        # only the source endpoint writes
+        np.copyto(ctx.wd["term"], False, where=sub_d)
 
     # Pull-only like PageRank (push_combines is None): see there for why
-    # the CSC-ordered ``ed`` slice reproduces run_pass's float sums.
+    # the id-ordered ``ed`` slice reproduces run_pass's float sums.
     def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
                        es: np.ndarray, ed: np.ndarray) -> None:
         src, dst = ctx.src, ctx.dst

@@ -91,7 +91,7 @@ __all__ = ["FileArray", "OutOfCoreNondetRunner"]
 class FileArray:
     """A flat on-disk array addressed by slot range, via pread/pwrite.
 
-    Not memory-mapped on purpose: reads are explicit short-lived copies
+    Not memory-mapped on purpose: reads land in caller-owned arrays
     and writes go straight to the page cache, so the process RSS never
     grows with the file and concurrent writers to *disjoint* ranges are
     safe across processes (single-writer slot ownership is established
@@ -112,26 +112,30 @@ class FileArray:
             os.ftruncate(self._fd, nbytes)
         self._io = io
 
-    def read(self, a: int, b: int) -> np.ndarray:
-        """Slots ``[a, b)`` as a fresh writable array."""
-        count = int(b) - int(a)
-        nbytes = count * self._itemsize
+    def read_into(self, a: int, out: np.ndarray) -> None:
+        """Fill ``out`` (contiguous, my dtype) from slots ``[a, a + out.size)``."""
+        nbytes = out.nbytes
         io = self._io
         t0 = time.perf_counter() if io is not None else 0.0
-        buf = os.pread(self._fd, nbytes, int(a) * self._itemsize)
-        if len(buf) != nbytes:  # pragma: no cover - scratch truncated
-            raise OSError(f"{self.path}: short read ({len(buf)}/{nbytes} bytes)")
+        got = os.preadv(self._fd, [out], int(a) * self._itemsize)
+        if got != nbytes:  # pragma: no cover - scratch truncated
+            raise OSError(f"{self.path}: short read ({got}/{nbytes} bytes)")
         if io is not None:
             io.bytes_read += nbytes
             io.seconds += time.perf_counter() - t0
-        return np.frombuffer(buf, dtype=self.dtype).copy()
+
+    def read(self, a: int, b: int) -> np.ndarray:
+        """Slots ``[a, b)`` as a fresh writable array."""
+        out = np.empty(int(b) - int(a), dtype=self.dtype)
+        self.read_into(a, out)
+        return out
 
     def write(self, a: int, arr: np.ndarray) -> None:
         """Overwrite slots ``[a, a + arr.size)``."""
         data = np.ascontiguousarray(arr, dtype=self.dtype)
         io = self._io
         t0 = time.perf_counter() if io is not None else 0.0
-        os.pwrite(self._fd, data.tobytes(), int(a) * self._itemsize)
+        os.pwrite(self._fd, data, int(a) * self._itemsize)
         if io is not None:
             io.bytes_written += data.nbytes
             io.seconds += time.perf_counter() - t0
@@ -153,7 +157,10 @@ class _Scratch:
     ``committed.<f>`` is the durable edge state (slot-ordered);
     ``seen_s/seen_d`` carry the detect sweep's materialized views;
     ``ws/wd/wvs/wvd/rs/rd`` are the per-iteration output slots, zeroed
-    at every barrier.  All files live in ``<store path>.scratch/``.
+    at every barrier; ``plan.vis_s2d`` / ``plan.vis_d2s`` hold the
+    iteration's Defs. 1–3 visibility masks, rewritten by the first
+    detect round of every iteration on the slots later rounds read.
+    All files live in ``<store path>.scratch/``.
     """
 
     def __init__(self, directory: str, field_dtypes: dict, written: tuple,
@@ -181,6 +188,8 @@ class _Scratch:
                     for f in self.written}
         self.wvd = {f: fa(f + ".wvd", self.field_dtypes[f])
                     for f in self.written}
+        self.vis_s2d = fa("plan.vis_s2d", np.bool_)
+        self.vis_d2s = fa("plan.vis_d2s", np.bool_)
 
     def signature(self) -> tuple:
         return (tuple(sorted((f, dt.str) for f, dt in self.field_dtypes.items())),
@@ -190,6 +199,8 @@ class _Scratch:
         for group in (self.committed, self.rs, self.rd, self.seen_s,
                       self.seen_d, self.ws, self.wd, self.wvs, self.wvd):
             yield from group.values()
+        yield self.vis_s2d
+        yield self.vis_d2s
 
     def zero_outputs(self) -> None:
         """Zero the per-iteration output slots (ws/wd/rs/rd)."""
@@ -307,17 +318,38 @@ class _Pred:
                  "dst_wins", "thr_s", "thr_d", "t_s", "t_d")
 
 
-def _edge_predicates(thr_v, pi_v, time_v, active, dm, ls, ld) -> _Pred:
-    pr = _Pred()
+def _pair(thr_v, active, dm, ls, ld):
+    """Per-slot terms both visibility directions share."""
     thr_s, thr_d = thr_v[ls], thr_v[ld]
-    pi_s, pi_d = pi_v[ls], pi_v[ld]
-    t_s, t_d = time_v[ls], time_v[ld]
     both = active[ls] & active[ld] & (ls != ld)
     same = thr_s == thr_d
     d_pair = dm.intra if dm.is_uniform else dm.delays(thr_s, thr_d)
+    return thr_s, thr_d, both, same, d_pair
+
+
+def _visible(both, same, d_pair, pi_w, pi_r, t_w, t_r) -> np.ndarray:
+    """Defs. 1–3: the writer's same-iteration write reaches the reader."""
+    return both & np.where(same, pi_w < pi_r, (t_r - t_w) >= d_pair)
+
+
+def _visibility(thr_v, pi_v, time_v, active, dm, ls, ld,
+                writer_is_src: bool) -> np.ndarray:
+    """:func:`_edge_predicates`' ``vis_s2d`` (or ``vis_d2s``) alone —
+    the one mask a detect sweep needs on a slot range."""
+    _, _, both, same, d_pair = _pair(thr_v, active, dm, ls, ld)
+    w, r = (ls, ld) if writer_is_src else (ld, ls)
+    return _visible(both, same, d_pair, pi_v[w], pi_v[r],
+                    time_v[w], time_v[r])
+
+
+def _edge_predicates(thr_v, pi_v, time_v, active, dm, ls, ld) -> _Pred:
+    pr = _Pred()
+    thr_s, thr_d, both, same, d_pair = _pair(thr_v, active, dm, ls, ld)
+    pi_s, pi_d = pi_v[ls], pi_v[ld]
+    t_s, t_d = time_v[ls], time_v[ld]
     pi_sd = pi_s < pi_d
-    pr.vis_s2d = both & np.where(same, pi_sd, (t_d - t_s) >= d_pair)
-    pr.vis_d2s = both & np.where(same, pi_d < pi_s, (t_s - t_d) >= d_pair)
+    pr.vis_s2d = _visible(both, same, d_pair, pi_s, pi_d, t_s, t_d)
+    pr.vis_d2s = _visible(both, same, d_pair, pi_d, pi_s, t_d, t_s)
     pr.lex_sd = both & (
         (t_s < t_d)
         | ((t_s == t_d) & (pi_sd | ((pi_s == pi_d) & (thr_s < thr_d))))
@@ -402,11 +434,19 @@ class _Exec:
         self.io.bytes_read += total * 8
         return out
 
-    def _gather(self, fa: FileArray, parts, total) -> np.ndarray:
-        out = np.empty(total, dtype=fa.dtype)
+    def _gather(self, fa: FileArray, parts, total,
+                partial: bool = False) -> np.ndarray:
+        """``parts`` of ``fa`` at their local offsets; with ``partial``
+        they do not cover ``[0, total)`` and the rest reads zero."""
+        out = (np.zeros if partial else np.empty)(total, dtype=fa.dtype)
         for ga, gb, la in parts:
-            out[la:la + gb - ga] = fa.read(ga, gb)
+            fa.read_into(ga, out[la:la + gb - ga])
         return out
+
+    def _gather_owned(self, group: dict, ranges, total) -> dict:
+        """Every field of an output ``group`` on the owned ``ranges``."""
+        return {f: self._gather(fa, ranges, total, partial=True)
+                for f, fa in group.items()}
 
     def active_intervals(self, sub: np.ndarray) -> list[int]:
         out = []
@@ -437,10 +477,10 @@ class _Exec:
             ctx.src, ctx.dst = ls, ld
             ctx.n, ctx.m = self.n, total
             ctx.selfloop = ls == ld
-            # Local (dst, src, slot) order == global CSC order restricted
-            # to this interval's in-edges: they all live in shard k, and
-            # within a shard slots carry strictly ascending canonical ids.
-            ctx.in_order = np.lexsort((ls, ld))
+            # Local slot order is the float kernels' accumulation order:
+            # this interval's in-edges all live in shard k, whose slots
+            # are sorted by (src, canonical id) — per destination, the
+            # global CSC order.
             ctx.out_degrees = self.out_degrees
             ctx.active = self.active
             ctx.committed = {f: self._gather(scr.committed[f], parts, total)
@@ -453,18 +493,16 @@ class _Exec:
                 for f in self.written:
                     ctx.seen_s[f] = self._gather(scr.seen_s[f], parts, total)
                     ctx.seen_d[f] = self._gather(scr.seen_d[f], parts, total)
-            ctx.ws = {f: self._gather(scr.ws[f], parts, total)
-                      for f in self.written}
-            ctx.wd = {f: self._gather(scr.wd[f], parts, total)
-                      for f in self.written}
-            ctx.wvs = {f: self._gather(scr.wvs[f], parts, total)
-                       for f in self.written}
-            ctx.wvd = {f: self._gather(scr.wvd[f], parts, total)
-                       for f in self.written}
-            ctx.rs = {f: self._gather(scr.rs[f], parts, total)
-                      for f in self.efields}
-            ctx.rd = {f: self._gather(scr.rd[f], parts, total)
-                      for f in self.efields}
+            # Outputs are gathered only on the ranges written back below
+            # (src side on the windows, dst side on the shard): the kernel
+            # writes nowhere else, and never reads them.
+            dst_parts = [dst_block] if dst_block is not None else []
+            ctx.ws = self._gather_owned(scr.ws, src_parts, total)
+            ctx.wvs = self._gather_owned(scr.wvs, src_parts, total)
+            ctx.rs = self._gather_owned(scr.rs, src_parts, total)
+            ctx.wd = self._gather_owned(scr.wd, dst_parts, total)
+            ctx.wvd = self._gather_owned(scr.wvd, dst_parts, total)
+            ctx.rd = self._gather_owned(scr.rd, dst_parts, total)
             # Restrict the recompute set to the interval's own vertices:
             # only they see their full incidence in this slice.  A
             # foreign source on a shard-k edge is recomputed by *its*
@@ -480,8 +518,7 @@ class _Exec:
             # dst side of its shard, the src side of its windows.  The
             # unwritten positions inside those ranges carry the gathered
             # file values, so full-range writes are value-preserving.
-            if dst_block is not None:
-                ga, gb, la = dst_block
+            for ga, gb, la in dst_parts:
                 lb = la + gb - ga
                 for f in self.written:
                     scr.wd[f].write(ga, ctx.wd[f][la:lb])
@@ -507,45 +544,61 @@ class _Exec:
         committed snapshot (round 1 of an iteration); later rounds
         compare against the previous round's seen files.
         """
-        scr = self.scratch
         changed = False
         for k in self.active_intervals(self.active):
-            parts, total, dst_block, src_parts = self.layout(k)
+            _, _, dst_block, src_parts = self.layout(k)
             if dst_block is not None:
-                ga, gb, _ = dst_block
-                ls = np.asarray(self.store.psw_src[ga:gb], dtype=np.int64)
-                ld = np.asarray(self.store.psw_dst[ga:gb], dtype=np.int64)
-                self.io.bytes_read += (gb - ga) * 16
-                pr = _edge_predicates(self.thr_v, self.pi_v, self.time_v,
-                                      self.active, self.dm, ls, ld)
-                for f in self.written:
-                    com = scr.committed[f].read(ga, gb)
-                    ws = scr.ws[f].read(ga, gb)
-                    wvs = scr.wvs[f].read(ga, gb)
-                    cur = np.where(pr.vis_s2d & ws, wvs, com)
-                    prev = com if first else scr.seen_d[f].read(ga, gb)
-                    ch = cur != prev
-                    if ch.any():
-                        self.dirty[ld[ch]] = True
-                        changed = True
-                    scr.seen_d[f].write(ga, cur)
+                changed |= self._detect_range(
+                    dst_block[0], dst_block[1], first, dst_side=True)
             for ga, gb, _ in src_parts:
-                ls = np.asarray(self.store.psw_src[ga:gb], dtype=np.int64)
-                ld = np.asarray(self.store.psw_dst[ga:gb], dtype=np.int64)
-                self.io.bytes_read += (gb - ga) * 16
-                pr = _edge_predicates(self.thr_v, self.pi_v, self.time_v,
-                                      self.active, self.dm, ls, ld)
-                for f in self.written:
-                    com = scr.committed[f].read(ga, gb)
-                    wd = scr.wd[f].read(ga, gb)
-                    wvd = scr.wvd[f].read(ga, gb)
-                    cur = np.where(pr.vis_d2s & wd, wvd, com)
-                    prev = com if first else scr.seen_s[f].read(ga, gb)
-                    ch = cur != prev
-                    if ch.any():
-                        self.dirty[ls[ch]] = True
-                        changed = True
-                    scr.seen_s[f].write(ga, cur)
+                changed |= self._detect_range(ga, gb, first, dst_side=False)
+        return changed
+
+    def _detect_range(self, ga: int, gb: int, first: bool,
+                      dst_side: bool) -> bool:
+        """One side's seen values on slots ``[ga, gb)``.
+
+        The dst side sees the sources' writes (``vis_s2d``), the src
+        side the destinations' (``vis_d2s``).  Visibility depends only
+        on the iteration's plan, so the ``first`` round computes it and
+        parks it in the scratch mask file; later rounds read it back —
+        they cover the same slots, the active set being fixed within an
+        iteration — and touch the topology only to mark dirty owners.
+        """
+        scr, store = self.scratch, self.store
+        if dst_side:
+            vis_file, w, wv, seen = scr.vis_s2d, scr.ws, scr.wvs, scr.seen_d
+            psw_owner = store.psw_dst
+        else:
+            vis_file, w, wv, seen = scr.vis_d2s, scr.wd, scr.wvd, scr.seen_s
+            psw_owner = store.psw_src
+        owner = None
+        if first:
+            ls = np.asarray(store.psw_src[ga:gb], dtype=np.int64)
+            ld = np.asarray(store.psw_dst[ga:gb], dtype=np.int64)
+            self.io.bytes_read += (gb - ga) * 16
+            vis = _visibility(self.thr_v, self.pi_v, self.time_v,
+                              self.active, self.dm, ls, ld,
+                              writer_is_src=dst_side)
+            vis_file.write(ga, vis)
+            owner = ld if dst_side else ls
+        else:
+            vis = vis_file.read(ga, gb)
+        changed = False
+        for f in self.written:
+            com = scr.committed[f].read(ga, gb)
+            cur = np.where(vis & w[f].read(ga, gb), wv[f].read(ga, gb), com)
+            prev = com if first else seen[f].read(ga, gb)
+            ch = cur != prev
+            moved = bool(ch.any())
+            if moved:
+                if owner is None:
+                    owner = np.asarray(psw_owner[ga:gb], dtype=np.int64)
+                    self.io.bytes_read += (gb - ga) * 8
+                self.dirty[owner[ch]] = True
+                changed = True
+            if first or moved:  # else the file already holds ``cur``
+                seen[f].write(ga, cur)
         return changed
 
 

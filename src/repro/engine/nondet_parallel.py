@@ -120,7 +120,6 @@ def _build_layout(graph: DiGraph, state: State,
     specs: dict[str, tuple[tuple[int, ...], object]] = {
         "src": ((m,), np.int64),
         "dst": ((m,), np.int64),
-        "in_order": ((m,), np.int64),
         "out_degrees": ((n,), np.int64),
         "active": ((n,), np.bool_),
         "thr_v": ((n,), np.int64),
@@ -206,7 +205,6 @@ class _Worker:
         ctx.n = self.n
         ctx.m = self.m
         ctx.selfloop = np.asarray(self.src == self.dst)
-        ctx.in_order = pool.array("in_order")
         ctx.out_degrees = pool.array("out_degrees")
         ctx.active = self.active
         ctx.committed = committed
@@ -811,7 +809,6 @@ class ParallelEngine:
                                      for name in layout.names()}
                     sh["src"][:] = src
                     sh["dst"][:] = dst
-                    sh["in_order"][:] = np.lexsort((src, dst))
                     sh["out_degrees"][:] = graph.out_degrees()
                     self._start_workers(graph, program, layout, p)
                     self._pool_key = pool_key

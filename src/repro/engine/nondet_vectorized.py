@@ -316,6 +316,12 @@ class NondetPassContext:
     slots for the vertices it is asked to (re)compute.  All edge-indexed
     arrays are full-size (``m`` entries) and CSR-aligned with
     ``graph.edge_src`` / ``graph.edge_dst``.
+
+    Positions are source-sorted with ties in id order (canonical edge
+    ids; PSW slots within a shard), so walking them in positional order
+    visits every destination's in-edges in ascending-source order — the
+    order the scalar gather loops read them.  Float kernels accumulate
+    positionally and rely on it (DESIGN §6.1).
     """
 
     __slots__ = (
@@ -325,7 +331,6 @@ class NondetPassContext:
         "n",
         "m",
         "selfloop",
-        "in_order",
         "out_degrees",
         "active",
         "committed",
@@ -343,7 +348,6 @@ class NondetPassContext:
 
     def __init__(self, graph: DiGraph, state: State, active: np.ndarray,
                  written_fields: tuple[str, ...], *,
-                 in_order: np.ndarray | None = None,
                  out_degrees: np.ndarray | None = None,
                  selfloop: np.ndarray | None = None):
         self.graph = graph
@@ -353,12 +357,6 @@ class NondetPassContext:
         self.m = graph.num_edges
         self.selfloop = (
             selfloop if selfloop is not None else self.src == self.dst
-        )
-        # CSC permutation: edges grouped by destination, ascending source
-        # — the order the scalar gather loops read in-edges, which float
-        # kernels must accumulate in to match bit for bit.
-        self.in_order = (
-            in_order if in_order is not None else np.lexsort((self.src, self.dst))
         )
         self.out_degrees = (
             out_degrees if out_degrees is not None else graph.out_degrees()
@@ -658,7 +656,6 @@ def emit_edge_provenance(
 class _RunConstants(NamedTuple):
     """Per-run graph-derived arrays, computed once in ``run``."""
 
-    in_order: np.ndarray
     out_degrees: np.ndarray
     in_degrees: np.ndarray
     selfloop: np.ndarray
@@ -864,7 +861,7 @@ class VectorizedNondetEngine:
         sp = plan.sparse
 
         ctx = NondetPassContext(
-            graph, state, plan.active, written, in_order=topo.in_order,
+            graph, state, plan.active, written,
             out_degrees=topo.out_degrees, selfloop=topo.selfloop,
         )
         if clock is not None:
@@ -950,7 +947,7 @@ class VectorizedNondetEngine:
         lex_sd, lex_ds = plan.lex_sd, plan.lex_ds
 
         ctx = NondetPassContext(
-            graph, state, plan.active, written, in_order=topo.in_order,
+            graph, state, plan.active, written,
             out_degrees=topo.out_degrees, selfloop=topo.selfloop,
         )
         if clock is not None:
@@ -1081,8 +1078,8 @@ class VectorizedNondetEngine:
         out_degrees = graph.out_degrees()
         in_degrees = graph.in_degrees()
         topo = _RunConstants(
-            in_order=np.lexsort((src, dst)), out_degrees=out_degrees,
-            in_degrees=in_degrees, selfloop=src == dst,
+            out_degrees=out_degrees, in_degrees=in_degrees,
+            selfloop=src == dst,
             alpha=config.direction_alpha,
         )
         written = kernel.written_fields
