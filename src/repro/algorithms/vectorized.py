@@ -11,8 +11,8 @@ PageRank matches its float32 arithmetic by accumulating with
 in the order the scalar gather loop reads them (DESIGN §6.1).
 
 The second half of the module holds the :class:`NondetKernel`
-implementations behind the *nondeterministic* fast path
-(:mod:`repro.engine.nondet_vectorized`): one whole-graph racy
+implementations behind the *nondeterministic* array engines
+(:mod:`repro.engine.nondet_core`): one whole-graph racy
 gather/compute/scatter pass per paper algorithm, reading the engine's
 per-edge *seen* arrays instead of a barrier snapshot.  Registering them
 here keeps each kernel next to the vectorized program it mirrors.
@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from ..graph import DiGraph
-from ..engine.nondet_vectorized import (
+from ..engine.nondet_core import (
     NondetKernel,
     NondetPassContext,
     register_nondet_kernel,
@@ -243,7 +243,7 @@ class VPageRank(VectorizedProgram):
 
 
 # ----------------------------------------------------------------------
-# Nondeterministic fast-path kernels (repro.engine.nondet_vectorized)
+# Nondeterministic fast-path kernels (repro.engine.nondet_core)
 # ----------------------------------------------------------------------
 
 

@@ -270,10 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, metavar="DIR",
                    help="directory of the BENCH_*.json files "
                         "(default: the repo root)")
-    p.add_argument("--allow-schema-skew", action="store_true",
-                   help="permit appending to a BENCH file still carrying "
-                        "the previous trajectory schema (upgrades the "
-                        "file header in place, keeping old entries)")
 
     p = sub.add_parser("report", help="regenerate the full evaluation as markdown")
     add_scale(p)
@@ -830,7 +826,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             written = run_bench(
                 suites, out_dir=args.out_dir,
                 progress=lambda m: print(f"... {m}", file=sys.stderr),
-                allow_schema_skew=args.allow_schema_skew,
                 **kwargs)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)

@@ -17,15 +17,15 @@ from .delaymodel import DelayModel
 from .nondet_engine import NondeterministicEngine
 from .nondet_outofcore import OutOfCoreNondetRunner
 from .nondet_parallel import ParallelEngine, parallel_fallback_reasons
-from .nondet_vectorized import (
+from .nondet_core import (
     NondetKernel,
     NondetPassContext,
     PlanCache,
-    VectorizedNondetEngine,
     fallback_reasons,
     register_nondet_kernel,
     resolve_nondet_kernel,
 )
+from .nondet_vectorized import VectorizedNondetEngine
 from .pure_async import PureAsyncEngine
 from .push import (
     AccumulatorSpec,

@@ -1,0 +1,1160 @@
+"""The nondeterministic array engines' shared core: everything that does
+not depend on where the arrays live.
+
+The paper's system model makes whole iterations batchable: the §II
+*scope rule* says only an edge's two endpoints may access it, and each
+endpoint runs at most once per iteration, so per edge and field there
+are **at most two readers and two writers** — the endpoints.  One racy
+iteration is therefore a handful of array passes over *aligned* edge
+arrays (all ``m`` edges, a frontier's touched edges, a worker's owned
+edges, an interval's slot range — the arithmetic is the same), and this
+module states each rule of the paper once:
+
+* :class:`EdgePlan` / :func:`visibility` — Defs. 1–3 as one pairwise
+  predicate per edge per direction, a pure function of the dispatch
+  plan's ``(thread, π, time)`` arrays (:class:`PlanCache`);
+* :func:`repair` — a fresh write is visible only to strictly later
+  tasks, so within-iteration dependences form a DAG and re-running the
+  vertices whose *seen* inputs changed reaches the exact per-access
+  semantics in at most depth+1 passes;
+* :func:`lemma2_commit`, :func:`conflict_counts`, :func:`commit_on`,
+  :func:`count_on`, :func:`emit_provenance` — the commit barrier;
+* :func:`run_loop` — the iteration loop around a backend's ``step``.
+
+The three residencies (RAM: ``nondet_vectorized``; one shm segment and
+``P`` processes: ``nondet_parallel``; scratch files swept by interval:
+``nondet_outofcore``) supply arrays and a ``step``; DESIGN §6.0 maps
+functions to statements of the paper.  Results are **bit-for-bit
+identical** to the object :class:`~repro.engine.nondet_engine.
+NondeterministicEngine`, which (with ``engine/ordering.py``) stays
+untouched as the oracle.
+"""
+
+from __future__ import annotations
+
+import abc
+import time
+
+import numpy as np
+
+from ..obs.metrics import PhaseClock, peak_rss_bytes, record_iteration_metrics
+from .atomicity import AtomicityPolicy
+from .config import EngineConfig
+from .conflicts import ConflictLog
+from .dispatch import plan_arrays
+from .frontier import initial_frontier
+from .program import VertexProgram
+from .result import IterationStats, RunResult
+
+__all__ = [
+    "DIRECTIONS",
+    "Barrier",
+    "EdgePlan",
+    "NondetKernel",
+    "NondetPassContext",
+    "OUTPUTS",
+    "PlanCache",
+    "check_eligible",
+    "choose_direction",
+    "commit_on",
+    "conflict_counts",
+    "count_on",
+    "emit_provenance",
+    "fallback_reasons",
+    "incident_mass",
+    "lemma2_commit",
+    "push_fallback_reasons",
+    "register_nondet_kernel",
+    "repair",
+    "resolve_nondet_kernel",
+    "run_loop",
+    "visibility",
+]
+
+MODE = "nondeterministic"
+DIRECTIONS = ("pull", "push", "auto")
+EVERYTHING = slice(None)
+
+
+def incident_mass(ids: np.ndarray, out_degrees: np.ndarray,
+                  in_degrees: np.ndarray) -> int:
+    """Out- plus in-edge count of the vertices ``ids`` (Beamer's mass)."""
+    return int(out_degrees[ids].sum()) + int(in_degrees[ids].sum())
+
+
+def choose_direction(direction: str, active_ids: np.ndarray,
+                     out_degrees: np.ndarray, in_degrees: np.ndarray,
+                     num_edges: int, num_vertices: int,
+                     config: EngineConfig, push_ok: bool) -> str:
+    """Pick this iteration's execution direction: ``"push"`` or ``"pull"``.
+
+    A pure function of (frontier, graph, config) — no run state, no
+    randomness — so the per-iteration decision is identical across
+    reruns and backends, preserving bit-reproducibility per (mode,
+    seed).  The Beamer-style rule: run the sparse frontier-driven
+    *push* strategy when the frontier's incident-edge mass is under
+    ``m / direction_alpha`` and the frontier holds fewer than
+    ``n / direction_beta`` vertices; run the dense whole-graph *pull*
+    strategy otherwise.  Both strategies execute the same racy
+    iteration bit for bit — direction is purely a performance knob.
+    """
+    if direction == "pull" or not push_ok:
+        return "pull"
+    if direction == "push":
+        return "push"
+    touched = incident_mass(active_ids, out_degrees, in_degrees)
+    if (touched * config.direction_alpha < num_edges
+            and active_ids.size * config.direction_beta < num_vertices):
+        return "push"
+    return "pull"
+
+
+# -- one plan: Defs. 1–3 on any aligned edge set ---------------------------
+#
+# ``vp`` below is a *vertex plan*: anything carrying the vertex-indexed
+# ``thr_v`` / ``pi_v`` / ``time_v`` / ``active`` arrays (a PlanCache, a
+# worker's shm views, an interval sweep's executor).  ``s`` / ``d`` are
+# the aligned endpoint arrays of the edge set.  Every predicate is
+# elementwise, so evaluating it on a subset equals slicing it out of the
+# whole-graph evaluation — which is why dense, sparse, per-worker and
+# per-interval callers agree.
+
+def _pair(vp, dm, s, d):
+    """Per-edge terms both visibility directions share."""
+    thr_s, thr_d = vp.thr_v[s], vp.thr_v[d]
+    # Only pairs of *distinct* active endpoints exchange same-iteration
+    # values.
+    both = vp.active[s] & vp.active[d] & (s != d)
+    same = thr_s == thr_d
+    d_pair = dm.intra if dm.is_uniform else dm.delays(thr_s, thr_d)
+    return thr_s, thr_d, both, same, d_pair
+
+
+def _visible(both, same, d_pair, pi_first, t_w, t_r) -> np.ndarray:
+    """Defs. 1–3: the writer's same-iteration write reaches the reader.
+
+    Same thread: the writer comes first in π (``pi_first``).  Different
+    threads: ``t(reader) − t(writer) ≥ d(thread_w, thread_r)``.
+    """
+    return both & np.where(same, pi_first, (t_r - t_w) >= d_pair)
+
+
+def visibility(vp, dm, s, d, writer_is_src: bool) -> np.ndarray:
+    """:class:`EdgePlan`'s ``vis_s2d`` (or ``vis_d2s``) alone — the one
+    mask a detect sweep needs on a slot range."""
+    _, _, both, same, d_pair = _pair(vp, dm, s, d)
+    w, r = (s, d) if writer_is_src else (d, s)
+    return _visible(both, same, d_pair, vp.pi_v[w] < vp.pi_v[r],
+                    vp.time_v[w], vp.time_v[r])
+
+
+class EdgePlan:
+    """Every per-edge predicate of one dispatch plan on one edge set.
+
+    Construction computes the *structural* stage — thread pairs, the π
+    comparisons, the pairwise delay: functions of the frontier and the
+    delay model only — and then :meth:`retime`, the stage that depends
+    on the timestamps, so a frontier-unchanged iteration
+    (:class:`PlanCache`) pays only for the latter.  All attributes are
+    aligned with the edge set, whose endpoints are ``s`` / ``d``:
+
+    * ``vis_s2d[e]`` — is ``f(src)``'s write visible to ``f(dst)``;
+      ``vis_d2s`` — symmetric;
+    * ``lex_sd[e]`` — ``f(src)`` comes first in the global execution
+      order ``(time, π, thread)``; ``lex_ds`` — the reverse (an
+      *invisible* write only stales reads issued after it);
+    * ``dt[e]`` — the endpoints run on different threads;
+    * ``dst_wins[e]`` — the Lemma-2 winner of a doubly-written edge.
+    """
+
+    __slots__ = ("s", "d", "thr_s", "thr_d", "both", "same", "dt", "t_s",
+                 "t_d", "dst_wins", "vis_s2d", "vis_d2s", "lex_sd", "lex_ds",
+                 "_d_pair", "_pi_sd", "_pi_ds", "_pi_tie_sd")
+
+    def __init__(self, vp, dm, s, d, order: bool = True):
+        self.s, self.d = s, d
+        self.thr_s, self.thr_d, self.both, self.same, self._d_pair = _pair(
+            vp, dm, s, d)
+        self.dt = self.both & ~self.same
+        pi_s, pi_d = vp.pi_v[s], vp.pi_v[d]
+        self._pi_sd = pi_s < pi_d
+        self._pi_ds = pi_d < pi_s
+        self._pi_tie_sd = (pi_s == pi_d) & (self.thr_s < self.thr_d)
+        self.retime(vp.time_v, order)
+
+    def retime(self, time_v, order: bool = True) -> None:
+        """(Re)compute the timestamp-dependent predicates.
+
+        ``order=False`` stops after the Lemma-2 tiebreak, for a caller
+        that commits but neither detects nor counts (the process-backend
+        master, whose workers evaluate visibility on their own edges).
+        """
+        s, d = self.s, self.d
+        t_s, t_d = time_v[s], time_v[d]
+        self.t_s, self.t_d = t_s, t_d
+        # Lemma-2 tiebreak: later time wins; equal time → larger vid.
+        self.dst_wins = (t_d > t_s) | ((t_d == t_s) & (d > s))
+        if order:
+            both, same, d_pair = self.both, self.same, self._d_pair
+            self.vis_s2d = _visible(both, same, d_pair, self._pi_sd, t_s, t_d)
+            self.vis_d2s = _visible(both, same, d_pair, self._pi_ds, t_d, t_s)
+            self.lex_sd = both & (
+                (t_s < t_d)
+                | ((t_s == t_d) & (self._pi_sd | self._pi_tie_sd))
+            )
+            self.lex_ds = both & ~self.lex_sd
+
+
+class PlanCache:
+    """Per-iteration dispatch plan with frontier-unchanged reuse.
+
+    Fixed-point algorithms (PageRank, SpMV) schedule the *same* active
+    set every iteration, so the cache recomputes only what can change:
+
+    * frontier changed → full rebuild (exactly the uncached path);
+    * frontier unchanged → thread/π arrays and vertex scatters are
+      reused verbatim.  With ``jitter > 0`` the per-task noise is still
+      drawn from the *same stream positions* :func:`plan_arrays` would
+      consume — bit-identity with the object planner is preserved — and
+      only the timestamps change.  With ``jitter == 0`` a hit costs two
+      ``np.array_equal`` scans.
+
+    :meth:`plan` produces the ``O(n)`` vertex-level plan, which is all an
+    out-of-core sweep or a process master publishes.  :meth:`edges`
+    derives the per-edge predicates from it: on a sorted edge-id subset
+    (the push direction's touched edges) they are evaluated from
+    scratch; on the whole graph the :class:`EdgePlan`'s structural stage
+    survives frontier hits and only :meth:`EdgePlan.retime` reruns.  The
+    dense plan is rebuilt lazily the next time a pull iteration asks for
+    it — and the jitter stream advances one draw of ``ids.size`` per
+    :meth:`plan` call whatever is asked afterwards — so alternating
+    directions under ``direction="auto"`` stays bit-stable.
+    """
+
+    def __init__(self, graph, num_threads: int, *, policy, jitter: float,
+                 rng):
+        self.src = graph.edge_src
+        self.dst = graph.edge_dst
+        self.n = graph.num_vertices
+        self.p = num_threads
+        self.policy = policy
+        self.jitter = jitter
+        self.rng = rng
+        self.hits = 0
+        self.ids: np.ndarray | None = None
+        self.dm = None
+        self._dense: EdgePlan | None = None
+        #: ``order`` the dense plan was last retimed with; None = stale.
+        self._dense_timed: bool | None = None
+
+    def plan(self, active_ids: np.ndarray, dm) -> "PlanCache":
+        """(Re)compute the vertex-level plan for ``active_ids`` under
+        delay model ``dm``."""
+        ids = np.asarray(active_ids, dtype=np.int64)
+        hit = (
+            self.ids is not None
+            and ids.size == self.ids.size
+            and bool(np.array_equal(ids, self.ids))
+        )
+        if hit:
+            self.hits += 1
+            if self.jitter > 0:
+                # Same draw plan_arrays would make, same stream position.
+                self.time_a = self.pi_a + self.rng.uniform(
+                    0.0, self.jitter, size=int(ids.size))
+                self.time_v[ids] = self.time_a
+                self._dense_timed = None
+        else:
+            self.ids = ids = ids.copy()
+            self.thr_a, self.pi_a, self.time_a = plan_arrays(
+                ids, self.p, policy=self.policy, jitter=self.jitter,
+                rng=self.rng,
+            )
+            n = self.n
+            self.thr_v = np.full(n, -1, dtype=np.int64)
+            self.pi_v = np.zeros(n, dtype=np.int64)
+            self.time_v = np.zeros(n, dtype=np.float64)
+            self.active = np.zeros(n, dtype=bool)
+            self.thr_v[ids] = self.thr_a
+            self.pi_v[ids] = self.pi_a
+            self.time_v[ids] = self.time_a
+            self.active[ids] = True
+            self._dense = None
+        if dm != self.dm:
+            self.dm = dm
+            self._dense = None  # the pairwise delays are structural
+        return self
+
+    def edges(self, eidx: np.ndarray | None = None,
+              order: bool = True) -> EdgePlan:
+        """The current plan's :class:`EdgePlan` on ``eidx`` (all edges
+        when ``None``); see :meth:`EdgePlan.retime` for ``order``."""
+        if eidx is not None:
+            return EdgePlan(self, self.dm, self.src[eidx], self.dst[eidx])
+        if self._dense is None:
+            self._dense = EdgePlan(self, self.dm, self.src, self.dst, order)
+            self._dense_timed = order
+        elif self._dense_timed is None or (order and not self._dense_timed):
+            self._dense.retime(self.time_v, order)
+            self._dense_timed = order
+        return self._dense
+
+
+# -- pass context and kernels ----------------------------------------------
+
+class NondetPassContext:
+    """Everything one kernel pass may read, and where it writes.
+
+    A :class:`NondetKernel` fills the output slots for the vertices it
+    is asked to (re)compute.  All edge-indexed arrays are aligned with
+    ``src`` / ``dst``.  The caller supplies the arrays it holds elsewhere
+    — a shm worker its segment views, an interval sweep its gathered
+    slot ranges — and ``graph`` / ``state`` supply the rest: a RAM
+    engine passes nothing else and gets CSR-aligned full-size arrays,
+    fresh zeroed outputs and a private ``vout``, which it reuses from
+    one iteration to the next through :meth:`renew`.
+
+    Positions are source-sorted with ties in id order (canonical edge
+    ids; PSW slots within a shard), so walking them in positional order
+    visits every destination's in-edges in ascending-source order — the
+    order the scalar gather loops read them.  Float kernels accumulate
+    positionally and rely on it (DESIGN §6.1).
+    """
+
+    __slots__ = (
+        "graph",
+        "src",
+        "dst",
+        "n",
+        "m",
+        "selfloop",
+        "out_degrees",
+        "active",
+        "committed",
+        "v0",
+        "seen_s",
+        "seen_d",
+        "vout",
+        "ws",
+        "wvs",
+        "wd",
+        "wvd",
+        "rs",
+        "rd",
+    )
+
+    def __init__(self, graph, state, active: np.ndarray,
+                 written_fields: tuple[str, ...], *,
+                 out_degrees: np.ndarray | None = None,
+                 src=None, dst=None, n: int | None = None,
+                 committed=None, v0=None, vout=None,
+                 seen_s=None, seen_d=None, ws=None, wvs=None, wd=None,
+                 wvd=None, rs=None, rd=None):
+        self.graph = graph
+        self.src = graph.edge_src if src is None else src
+        self.dst = graph.edge_dst if dst is None else dst
+        self.n = graph.num_vertices if n is None else n
+        self.m = m = int(self.src.size)
+        self.selfloop = self.src == self.dst
+        self.out_degrees = (
+            out_degrees if out_degrees is not None else graph.out_degrees()
+        )
+        self.active = active
+        #: Pre-iteration edge arrays (what the last barrier committed).
+        self.committed = committed if committed is not None else {
+            f: state.edge(f) for f in state.edge_field_names}
+        #: Pre-iteration vertex arrays — kernels read these, never mutate.
+        self.v0 = v0 if v0 is not None else {
+            f: state.vertex(f) for f in state.vertex_field_names}
+        #: Post-iteration vertex values; applied to the state at the barrier.
+        self.vout = vout if vout is not None else {
+            f: arr.copy() for f, arr in self.v0.items()}
+        # What each endpoint *sees* on each edge: committed, overridden by
+        # the other endpoint's write where visible.  Read-only fields stay
+        # aliased to committed; written fields are replaced per fix-point
+        # round by :func:`repair`.
+        self.seen_s = dict(self.committed) if seen_s is None else seen_s
+        self.seen_d = dict(self.committed) if seen_d is None else seen_d
+        com = self.committed
+
+        def zeros(given, fields, dtype=None):
+            return given if given is not None else {
+                f: np.zeros(m, dtype=dtype or com[f].dtype) for f in fields}
+
+        # Outputs: per written field, did src/dst write the edge and what.
+        self.ws = zeros(ws, written_fields, bool)
+        self.wd = zeros(wd, written_fields, bool)
+        self.wvs = zeros(wvs, written_fields)
+        self.wvd = zeros(wvd, written_fields)
+        # Read-record counts per edge and side (src-task reads / dst-task
+        # reads), for every edge field including read-only ones — they
+        # drive both the conflict totals and the per-thread work profile.
+        self.rs = zeros(rs, com, np.int64)
+        self.rd = zeros(rd, com, np.int64)
+
+    def renew(self, active: np.ndarray) -> None:
+        """Start the next iteration on the same arrays.
+
+        A RAM engine keeps one context per run: freeing ~10 ``m``-size
+        arrays at every barrier only to allocate them again makes the
+        allocator hand the pages back to the OS and fault each one in
+        afresh (338k minor faults per ``traversal_sparse`` pass).
+        ``wvs`` / ``wvd`` keep stale values: they are only ever read
+        under their ``ws`` / ``wd`` mask.
+        """
+        self.active = active
+        self.seen_s = dict(self.committed)
+        self.seen_d = dict(self.committed)
+        for group in (self.ws, self.wd, self.rs, self.rd):
+            for arr in group.values():
+                arr.fill(0)
+        for f, arr in self.v0.items():
+            np.copyto(self.vout[f], arr)
+
+
+class NondetKernel(abc.ABC):
+    """One program's racy iteration as whole-graph array passes.
+
+    ``written_fields`` names the edge fields the program may write.
+    :meth:`run_pass` computes gather → compute → scatter for every
+    vertex in ``sub`` (a boolean mask, subset of the active set) from
+    the context's *seen* arrays, overwriting **all** outputs owned by
+    those vertices: ``vout[v]``, and ``ws/wvs/rs`` (``wd/wvd/rd``) for
+    every edge whose source (destination) lies in ``sub`` — a repair
+    pass may legitimately flip an earlier pass's write off again.
+    """
+
+    written_fields: tuple[str, ...] = ()
+
+    #: field -> :class:`~repro.engine.push.CombineOp` when every scatter
+    #: of the kernel is an order-independent atomic combine (so the
+    #: sparse push direction can re-run the same racy iteration over the
+    #: frontier's touched edges only, bit for bit).  ``None`` = pull-only;
+    #: :func:`push_fallback_reasons` additionally demands the combines
+    #: be idempotent, since a non-idempotent float combine (ADD) leaks
+    #: delivery order into the result.
+    push_combines: dict[str, object] | None = None
+
+    @abc.abstractmethod
+    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray) -> None:
+        ...
+
+    @abc.abstractmethod
+    def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
+                       es: np.ndarray, ed: np.ndarray) -> None:
+        """:meth:`run_pass` evaluated on CSR/CSC edge-id slices.
+
+        ``sub_ids`` are the sorted vertex ids to (re)compute; ``es`` /
+        ``ed`` are their out- / in-edge ids (``graph.out_edge_ids`` /
+        ``graph.in_edge_ids``).  The kernel must write exactly the
+        positions a dense :meth:`run_pass` over the same vertices would
+        — ``vout[sub_ids]``, ``ws/wvs/rs`` at ``es``, ``wd/wvd/rd`` at
+        ``ed`` — with bitwise-identical values, at a cost proportional
+        to the slices instead of ``m``.  Every kernel has one: repair
+        passes over small dirty sets take it in either direction; the
+        push *direction* additionally needs :attr:`push_combines`.
+        """
+
+
+#: program class -> factory(program) -> NondetKernel
+_KERNELS: dict[type, object] = {}
+_REGISTRY_LOADED = False
+
+
+def register_nondet_kernel(program_cls: type, factory) -> None:
+    """Register ``factory(program) -> NondetKernel`` for a program class.
+
+    Subclasses of ``program_cls`` resolve to the same kernel as long as
+    they inherit ``update`` unchanged (an overridden update function
+    means the kernel no longer models the program — such subclasses fall
+    back to the object engine).
+    """
+    _KERNELS[program_cls] = factory
+
+
+def _ensure_registry() -> None:
+    global _REGISTRY_LOADED
+    if not _REGISTRY_LOADED:
+        # Kernel implementations live next to their programs; importing
+        # the module runs the register_nondet_kernel calls.  Lazy so the
+        # engine package and the algorithms package don't import-cycle.
+        from ..algorithms import vectorized  # noqa: F401
+
+        _REGISTRY_LOADED = True
+
+
+def resolve_nondet_kernel(program: VertexProgram):
+    """The kernel factory for ``program``, or ``None`` if not vectorizable."""
+    _ensure_registry()
+    for cls in type(program).__mro__:
+        factory = _KERNELS.get(cls)
+        if factory is not None:
+            # A subclass that overrides update() is a different algorithm.
+            if type(program).update is not cls.update:
+                return None
+            return factory
+    return None
+
+
+def fallback_reasons(program: VertexProgram, config: EngineConfig) -> list[str]:
+    """Why ``(program, config)`` cannot take the vectorized fast path.
+
+    Empty list means eligible.  The conditions: the program needs a
+    registered kernel whose update function it actually runs, and the
+    configuration must not request behaviours that only the per-access
+    object store models (torn-value injection, runtime scope checks,
+    fp-noise gather permutation, individual conflict-event capture).
+    """
+    reasons = []
+    if resolve_nondet_kernel(program) is None:
+        reasons.append(
+            f"no vectorized nondet kernel registered for {type(program).__name__}"
+        )
+    if config.atomicity is AtomicityPolicy.NONE:
+        reasons.append("atomicity=NONE injects torn values per access")
+    if config.fp_noise:
+        reasons.append("fp_noise permutes gather order per update")
+    if config.validate_scope:
+        reasons.append("validate_scope checks each access at runtime")
+    if config.keep_conflict_events:
+        reasons.append("keep_conflict_events records individual events")
+    return reasons
+
+
+class _PushShadow:
+    """Adapter presenting a pull-mode program's scatter semantics to
+    :func:`repro.theory.eligibility.check_push_program`."""
+
+    def __init__(self, traits, accumulators):
+        self.traits = traits
+        self._accumulators = accumulators
+
+    def accumulators(self):
+        return self._accumulators
+
+
+def push_fallback_reasons(program: VertexProgram) -> list[str]:
+    """Why ``program`` cannot run in the sparse *push* direction.
+
+    Empty list means push-eligible.  Three gates, in order:
+
+    1. a vectorized kernel must exist (push reuses the kernel registry);
+    2. the kernel must declare :attr:`NondetKernel.push_combines` — a
+       per-field :class:`~repro.engine.push.CombineOp` asserting every
+       scatter is an atomic combine — and the §IV push-eligibility
+       checker (:func:`~repro.theory.eligibility.check_push_program`)
+       must return ``ELIGIBLE_PUSH`` for those combines under the
+       program's declared traits;
+    3. every combine must additionally be *idempotent* (MIN/MAX, not
+       ADD): push re-derives each frontier vertex's value from its
+       touched edges only, so an order-dependent float reduction would
+       break the bit-reproducibility contract the engine promises per
+       (mode, seed).
+    """
+    factory = resolve_nondet_kernel(program)
+    if factory is None:
+        return [
+            f"no vectorized nondet kernel registered for {type(program).__name__}"
+        ]
+    combines = factory(program).push_combines
+    if not combines:
+        return [
+            f"kernel for {type(program).__name__} has no push-mode scatter "
+            "(push_combines is None: its scatters are not atomic combines)"
+        ]
+    from ..theory.eligibility import Verdict, check_push_program
+    from .push import AccumulatorSpec
+
+    shadow = _PushShadow(
+        program.traits,
+        {f: AccumulatorSpec(op) for f, op in combines.items()},
+    )
+    report = check_push_program(shadow)
+    if report.verdict is not Verdict.ELIGIBLE_PUSH:
+        return list(report.reasons) or [
+            f"check_push_program verdict is {report.verdict.name}"
+        ]
+    non_idem = [f for f, op in sorted(combines.items()) if not op.idempotent]
+    if non_idem:
+        return [
+            "combine for field(s) " + ", ".join(non_idem) + " is not "
+            "idempotent: float delivery order would leak into the result, "
+            "breaking per-(mode, seed) bit-reproducibility"
+        ]
+    return []
+
+
+def check_eligible(program: VertexProgram, config: EngineConfig,
+                   direction: str, what: str) -> bool:
+    """Raise unless ``what`` (a backend, named for the message) can run
+    ``(program, config, direction)``; returns whether push may be used."""
+    reasons = fallback_reasons(program, config)
+    if reasons:
+        raise ValueError(
+            f"program/config not eligible for {what}: " + "; ".join(reasons)
+        )
+    if direction not in DIRECTIONS:
+        raise ValueError(
+            f"direction must be one of {DIRECTIONS}, got {direction!r}"
+        )
+    if direction == "pull":
+        return False
+    push_reasons = push_fallback_reasons(program)
+    if push_reasons and direction == "push":
+        raise ValueError(
+            "program not eligible for the push direction: "
+            + "; ".join(push_reasons)
+        )
+    return not push_reasons
+
+
+# -- one repair loop -------------------------------------------------------
+
+def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on, in_degrees,
+           alpha, bound, sparse, sync=None):
+    """Stale-read repair by chaotic iteration.
+
+    Pass 1 ran against the committed snapshot; each round here
+    re-derives what every endpoint *sees* (committed, overridden by
+    the far endpoint's write where Defs. 1–3 make it visible), marks
+    the vertices whose seen inputs changed, and recomputes exactly
+    those.  Visibility implies strict precedence in the execution
+    order, so the dependence relation is a DAG and the iteration
+    reaches the exact per-access semantics in at most depth+1
+    passes (``bound`` — the active count — caps the depth).
+
+    ``seen_d_on = (edges, vis_s2d)`` names the *wide* edge set whose
+    destination side this caller detects on, with the visibility mask
+    aligned to it; ``seen_s_on = (edges, vis_d2s)`` likewise for the
+    source side.  In one process they are the same set: every edge
+    (``slice(None)``) in pull, the frontier's sorted touched edges in
+    push.  A process worker passes the in- and the out-edges of the
+    vertices it owns, and ``sync`` — ``writes_visible()`` before each
+    detection, ``any_changed(mine)`` after it — supplies the barriers
+    that make its siblings' writes visible and its verdict global.
+
+    A round costs what its dirty set costs.  Detection is wide after
+    pass 1 and after a wide repair pass.  When the dirty set's incident
+    mass passes the Beamer test (``alpha`` is ``direction_alpha``) the
+    repair pass runs on its CSR/CSC slices ``(es, ed)`` instead, and the
+    next detection is *slot-local*: a pass over ``S`` can only change
+    ``ws/wvs`` on out-edges of ``S`` and ``wd/wvd`` on in-edges of
+    ``S``, so only ``seen_d`` on ``es`` and ``seen_s`` on ``ed`` can
+    differ from the private seen buffers, which are patched in place.
+    Dirty sets, pass order and every value are the same either way.
+    ``sparse`` (the push direction) takes the slice path every pass.
+
+    Returns ``(repair passes, how many of them took the slice path,
+    vertices recomputed)``.
+    """
+    src, dst = ctx.src, ctx.dst
+    wide_d, vis_s2d = seen_d_on
+    wide_s, vis_d2s = seen_s_on
+    dense = wide_d is EVERYTHING
+    touched = None  # (es, ed) of the previous pass if it was a slice pass
+    passes = slice_passes = repaired = 0
+    for _ in range(bound + 2):
+        if sync is not None:
+            sync.writes_visible()
+        # e_*: edge ids to re-derive seen_d / seen_s on; p_*: their
+        # positions in the (wide-set-aligned) visibility masks.
+        if touched is None:
+            e_d, e_s = wide_d, wide_s
+            p_d = p_s = EVERYTHING
+        elif dense:
+            e_d, e_s = p_d, p_s = touched
+        else:
+            e_d, e_s = touched
+            p_d = np.searchsorted(wide_d, e_d)
+            p_s = np.searchsorted(wide_s, e_s)
+        swap = dense and touched is None
+        dirty = np.zeros(ctx.n, dtype=bool)
+        changed_any = False
+        for f in written:
+            com = ctx.committed[f]
+            seen_d = np.where(
+                vis_s2d[p_d] & ctx.ws[f][e_d], ctx.wvs[f][e_d], com[e_d]
+            )
+            seen_s = np.where(
+                vis_d2s[p_s] & ctx.wd[f][e_s], ctx.wvd[f][e_s], com[e_s]
+            )
+            d_changed = seen_d != ctx.seen_d[f][e_d]
+            s_changed = seen_s != ctx.seen_s[f][e_s]
+            changed = bool(d_changed.any() or s_changed.any())
+            if changed:
+                changed_any = True
+                dirty[dst[e_d][d_changed]] = True
+                dirty[src[e_s][s_changed]] = True
+            if swap:
+                # A dense round yields fresh full-size arrays: adopt
+                # them as the private seen buffers, no copy.
+                ctx.seen_d[f], ctx.seen_s[f] = seen_d, seen_s
+            elif changed:
+                # Elsewhere seen == committed until a write lands;
+                # materialize private buffers on first divergence.
+                if ctx.seen_d[f] is com:
+                    ctx.seen_d[f] = com.copy()
+                    ctx.seen_s[f] = com.copy()
+                ctx.seen_d[f][e_d] = seen_d
+                ctx.seen_s[f][e_s] = seen_s
+        if sync is not None:
+            changed_any = sync.any_changed(changed_any)
+        if not changed_any:
+            break
+        passes += 1
+        sub = dirty & ctx.active
+        sub_ids = np.flatnonzero(sub)
+        if sub_ids.size == 0:
+            continue  # a sibling's vertices changed, none of mine
+        local = incident_mass(
+            sub_ids, ctx.out_degrees, in_degrees) * alpha < ctx.m
+        if local or sparse:
+            es = graph.out_edge_ids(sub_ids)
+            ed = graph.in_edge_ids(sub_ids)
+            kernel.run_slice_pass(ctx, sub_ids, es, ed)
+        else:
+            kernel.run_pass(ctx, sub)
+        # Slot-local detection needs every write since the last
+        # detection to be this loop's own; under ``sync`` siblings write
+        # this caller's edges too, so its detection stays wide.
+        touched = (es, ed) if local and sync is None else None
+        slice_passes += local
+        repaired += int(sub_ids.size)
+    else:  # pragma: no cover - DAG depth bound violated
+        raise RuntimeError("nondet fix-point failed to converge")
+    return passes, slice_passes, repaired
+
+
+# -- one barrier -----------------------------------------------------------
+
+def lemma2_commit(new, ws, wd, wvs, wvd, dst_wins) -> None:
+    """Lemma 2 on aligned arrays: commit into ``new`` (holding the
+    pre-iteration values) the single surviving write of every written
+    edge — the only writer's, or of two the later ``(time, vid)``."""
+    both_w = ws & wd
+    only = ws & ~wd
+    new[only] = wvs[only]
+    only = wd & ~ws
+    new[only] = wvd[only]
+    sel = both_w & dst_wins
+    new[sel] = wvd[sel]
+    sel = both_w & ~dst_wins
+    new[sel] = wvs[sel]
+
+
+def conflict_counts(ep: EdgePlan, ws, wd, rs, rd) -> np.ndarray:
+    """``[read–write, write–write, contended edges, stale reads]`` of one
+    field on aligned arrays.
+
+    Every term carries ``ep.both`` (through ``dt`` / ``lex_*``), i.e. an
+    active destination: summed over any partition of the edges by
+    destination owner, each edge is counted exactly once.
+    """
+    dt = ep.dt
+    rw = int(rs[wd & dt].sum()) + int(rd[ws & dt].sum())
+    ww_mask = ws & wd & dt
+    ww = int(np.count_nonzero(ww_mask))
+    contended = int(np.count_nonzero(
+        ((rs > 0) & wd & dt) | ((rd > 0) & ws & dt) | ww_mask
+    ))
+    # A read is stale when the other endpoint's write was already
+    # issued (lex before) yet not visible to it.
+    stale = int(rs[wd & ep.lex_ds & ~ep.vis_d2s].sum()) + int(
+        rd[ws & ep.lex_sd & ~ep.vis_s2d].sum()
+    )
+    return np.array([rw, ww, contended, stale], dtype=np.int64)
+
+
+class Barrier:
+    """One iteration's commit barrier, filled by a backend's ``step``
+    (over one edge set or accumulated over many) and folded into the
+    run by :func:`run_loop`."""
+
+    __slots__ = ("next_mask", "conflicts", "reads_t", "writes_t", "rows",
+                 "vout", "passes", "slice_passes", "span")
+
+    def __init__(self, n: int, p: int, record):
+        #: Task-generation rule: the vertices scheduled next.
+        self.next_mask = np.zeros(n, dtype=bool)
+        #: :func:`conflict_counts`, summed over fields and edge sets.
+        self.conflicts = np.zeros(4, dtype=np.int64)
+        self.reads_t = np.zeros(p, dtype=np.int64)
+        self.writes_t = np.zeros(p, dtype=np.int64)
+        #: field -> provenance column chunks (``None``: not recording).
+        self.rows: dict[str, list] | None = (
+            {} if record is not None else None)
+        #: Post-iteration vertex values (read at the active ids).
+        self.vout: dict[str, np.ndarray] = {}
+        self.passes = 1
+        self.slice_passes = 0
+        #: Backend-specific span fields (``barrier_epoch``, …).
+        self.span: dict = {}
+
+
+#: The per-edge output groups of a pass context, as the barrier
+#: functions' ``out[name][field]`` expects them.
+OUTPUTS = ("ws", "wd", "wvs", "wvd", "rs", "rd")
+_PLAN_COLUMNS = ("vis_s2d", "vis_d2s", "dst_wins", "t_s", "t_d",
+                 "thr_s", "thr_d")
+
+
+def commit_on(bar: Barrier, ep: EdgePlan, eid, written, out, new) -> None:
+    """Commit ``ep``'s edge set: provenance rows, Lemma 2, scheduling.
+
+    ``eid`` holds the set's canonical edge ids (``None``: positions are
+    ids); ``out[name][f]`` the aligned :data:`OUTPUTS` arrays; ``new[f]``
+    an aligned writable array holding field ``f``'s pre-iteration
+    values, committed in place.
+    """
+    u, v = ep.s, ep.d
+    for f in written:
+        ws, wd = out["ws"][f], out["wd"][f]
+        wvs, wvd = out["wvs"][f], out["wvd"][f]
+        if bar.rows is not None:
+            # Rows are copies, taken *before* the commit below: the
+            # events need each edge's pre-commit value.
+            sel = ws | wd
+            if sel.any():
+                cols = {"eid": np.flatnonzero(sel) if eid is None
+                        else np.asarray(eid[sel], dtype=np.int64),
+                        "u": u[sel], "v": v[sel], "ws": ws[sel],
+                        "wd": wd[sel], "wvs": wvs[sel], "wvd": wvd[sel],
+                        "rs": out["rs"][f][sel], "rd": out["rd"][f][sel],
+                        "pre": new[f][sel]}
+                for name in _PLAN_COLUMNS:
+                    cols[name] = getattr(ep, name)[sel]
+                bar.rows.setdefault(f, []).append(cols)
+        lemma2_commit(new[f], ws, wd, wvs, wvd, ep.dst_wins)
+        # Task-generation rule: a written edge schedules the far
+        # endpoint (a written self-loop re-schedules its vertex).
+        bar.next_mask[v[ws]] = True
+        bar.next_mask[u[wd]] = True
+
+
+def count_on(bar: Barrier, ep: EdgePlan, written, out) -> None:
+    """Fold one aligned edge set's conflict totals and per-thread work
+    profile into ``bar`` (``out`` as in :func:`commit_on`)."""
+    p = bar.reads_t.size
+    for f in written:
+        ws, wd = out["ws"][f], out["wd"][f]
+        bar.conflicts += conflict_counts(ep, ws, wd,
+                                         out["rs"][f], out["rd"][f])
+        bar.writes_t += np.bincount(ep.thr_s[ws], minlength=p)
+        bar.writes_t += np.bincount(ep.thr_d[wd], minlength=p)
+    for side, thr_e in (("rs", ep.thr_s), ("rd", ep.thr_d)):
+        for counts in out[side].values():
+            mask = counts > 0
+            if mask.any():
+                bar.reads_t += np.bincount(
+                    thr_e[mask], weights=counts[mask], minlength=p
+                ).astype(np.int64)
+
+
+def emit_provenance(record, iteration: int, rows: dict) -> None:
+    """Bulk equivalent of ``_RacyStore._record_provenance``.
+
+    Emits the identical canonical event stream the object engine
+    produces on the same schedule — fields alphabetically, edges
+    ascending, per edge the Lemma-1 read pairs (readers by vid) then
+    the Lemma-2 commit — from the column chunks :func:`commit_on`
+    gathered in whatever order the backend visited its edge sets.  The
+    §II scope rule caps an edge at two readers and two writers (its
+    endpoints), so the object engine's per-record replay collapses to
+    the precomputed ``vis_s2d`` / ``vis_d2s`` / ``dst_wins`` predicates.
+    No pre-filtering by policy: the recorder's offered/dropped counters
+    (and reservoir sampling stream) must also match the object engine's.
+    """
+    wants_reads = record.wants_reads
+    for f in sorted(rows):
+        chunks = rows[f]
+        cat = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+        for i in np.argsort(cat["eid"], kind="stable"):
+            _emit_edge_provenance(
+                record, iteration, f, int(cat["eid"][i]),
+                u=int(cat["u"][i]), v=int(cat["v"][i]),
+                ws=bool(cat["ws"][i]), wd=bool(cat["wd"][i]),
+                wvs=float(cat["wvs"][i]), wvd=float(cat["wvd"][i]),
+                rs=int(cat["rs"][i]), rd=int(cat["rd"][i]),
+                pre=float(cat["pre"][i]),
+                vis_s2d=bool(cat["vis_s2d"][i]),
+                vis_d2s=bool(cat["vis_d2s"][i]),
+                dst_wins=bool(cat["dst_wins"][i]),
+                t_s=float(cat["t_s"][i]), t_d=float(cat["t_d"][i]),
+                thr_s=int(cat["thr_s"][i]), thr_d=int(cat["thr_d"][i]),
+                wants_reads=wants_reads,
+            )
+
+
+def _emit_edge_provenance(
+    record, iteration, f, e, *, u, v,
+    ws, wd, wvs, wvd, rs, rd, pre,
+    vis_s2d, vis_d2s, dst_wins, t_s, t_d, thr_s, thr_d, wants_reads,
+) -> None:
+    """Canonical provenance events for one written edge (scalar inputs)."""
+    if u == v:
+        # One task, one effective writer; reader==writer pairs are
+        # skipped by the object engine too.
+        record.commit_event(
+            iteration=iteration, field=f, eid=e,
+            writer=u, writer_thread=thr_s,
+            value=wvs if ws else wvd, lost=[], rule="uncontended",
+        )
+        return
+    pairs = []
+    if rs > 0 and wd:
+        pairs.append((u, v))
+    if rd > 0 and ws:
+        pairs.append((v, u))
+    if wants_reads:
+        for reader, writer in sorted(pairs):
+            if reader == u:  # src reads dst's write
+                visible = vis_d2s
+                issued = t_d <= t_s
+                observed = wvd if visible else pre
+                count = rs
+                thread_r, thread_w = thr_s, thr_d
+            else:  # dst reads src's write
+                visible = vis_s2d
+                issued = t_s <= t_d
+                observed = wvs if visible else pre
+                count = rd
+                thread_r, thread_w = thr_d, thr_s
+            if visible:
+                order, rule = "before", "lemma1-fresh"
+            elif issued:
+                order, rule = "concurrent", "lemma1-stale"
+            else:
+                order, rule = "after", "lemma1-old"
+            record.read_event(
+                iteration=iteration, field=f, eid=e,
+                reader=reader, reader_thread=thread_r,
+                writer=writer, writer_thread=thread_w,
+                count=count, order=order, rule=rule,
+                value=observed,
+            )
+    if ws and wd:
+        if dst_wins:
+            winner, winner_thread, value = v, thr_d, wvd
+            loser, loser_thread, loser_value = u, thr_s, wvs
+            vis_lw, vis_wl = vis_s2d, vis_d2s
+        else:
+            winner, winner_thread, value = u, thr_s, wvs
+            loser, loser_thread, loser_value = v, thr_d, wvd
+            vis_lw, vis_wl = vis_d2s, vis_s2d
+        if vis_lw:
+            order = "before"
+        elif vis_wl:
+            order = "after"
+        else:
+            order = "concurrent"
+        lost = [{"vid": loser, "thread": loser_thread,
+                 "value": loser_value, "order": order}]
+        record.commit_event(
+            iteration=iteration, field=f, eid=e,
+            writer=winner, writer_thread=winner_thread,
+            value=value, lost=lost, rule="lemma2",
+        )
+    elif ws:
+        record.commit_event(
+            iteration=iteration, field=f, eid=e,
+            writer=u, writer_thread=thr_s,
+            value=wvs, lost=[], rule="uncontended",
+        )
+    else:
+        record.commit_event(
+            iteration=iteration, field=f, eid=e,
+            writer=v, writer_thread=thr_d,
+            value=wvd, lost=[], rule="uncontended",
+        )
+
+
+# -- one run loop ----------------------------------------------------------
+
+def run_loop(program: VertexProgram, graph, config: EngineConfig, state,
+             step, *, label: str, extra: dict | None = None,
+             direction: str = "pull", push_ok: bool = False, observer=None,
+             telemetry=None, record=None, supervisor=None, metrics=None,
+             state_written=None, make_clock=PhaseClock) -> RunResult:
+    """The iteration loop every array backend shares.
+
+    ``step(bar, iteration, plan, dm, push, clock)`` runs one racy
+    iteration on the backend's arrays — pass 1, stale-read repair, the
+    commit of the edge state — for the :class:`PlanCache` ``plan``
+    (already planned for this iteration's frontier ``plan.ids``) under
+    delay model ``dm``, laps its phases on ``clock`` when there is one,
+    and fills the :class:`Barrier` ``bar``.  Everything else happens
+    here, once: sinks, the jitter RNG, supervisor hooks, the direction
+    decision, conflict and work accounting, the vertex writeback,
+    spans, metrics, ``extra``.
+
+    ``label`` is the backend's ``mode=`` in the metrics registry and
+    ``extra`` its own ``RunResult.extra`` facts (read after the loop);
+    ``state_written()`` is called whenever someone else may have written
+    ``state`` (the caller before the run, a checkpoint restore, value
+    faults at a barrier) so a backend whose edge state lives elsewhere
+    can resynchronise; ``make_clock``
+    builds the phase clock of a profiled run.  ``graph`` needs only the
+    :class:`~repro.storage.shards.StoreGraphView` surface.
+    """
+    sink = telemetry
+    if sink is not None:
+        sink.begin_engine_run(MODE, program, config)
+    if record is not None:
+        record.begin_engine_run(MODE, program, config)
+    n, m = graph.num_vertices, graph.num_edges
+    p = config.threads
+    out_degrees = in_degrees = None
+    if push_ok:
+        out_degrees, in_degrees = graph.out_degrees(), graph.in_degrees()
+    delay_model = config.effective_delay_model()
+    jitter_rng = (
+        np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
+        if config.jitter > 0
+        else None
+    )
+    log = ConflictLog(keep_events=config.keep_conflict_events)
+    stats: list[IterationStats] = []
+    frontier_ids = initial_frontier(program, graph).sorted_vertices()
+    iteration = 0
+    if supervisor is not None:
+        rngs = {"jitter": jitter_rng} if jitter_rng is not None else {}
+        iteration, frontier_ids = supervisor.engine_start(
+            MODE, program, config, state=state, frontier=frontier_ids,
+            rngs=rngs, conflicts=log,
+        )
+    if state_written is not None:
+        state_written()
+    converged = False
+    total_passes = slice_passes = push_iterations = 0
+    dir_trace: list[str] = []
+    plan = PlanCache(graph, p, policy=config.dispatch,
+                     jitter=config.jitter, rng=jitter_rng)
+    # Phase attribution is pure timing (one perf_counter lap per phase
+    # boundary, per iteration): it consumes no RNG stream and touches no
+    # state, so profiled runs stay bit-identical.
+    clock = make_clock() if (sink is not None or metrics is not None) \
+        else None
+    while iteration < config.max_iterations:
+        if frontier_ids.size == 0:
+            converged = True
+            break
+        if supervisor is not None:
+            supervisor.pre_iteration(iteration)
+            dm_i = supervisor.iteration_delay_model(iteration, delay_model)
+        else:
+            dm_i = delay_model
+        t0 = time.perf_counter() if clock is not None else 0.0
+        if clock is not None:
+            clock.start()
+        rw0, ww0 = log.read_write, log.write_write
+        active_ids = frontier_ids
+        dir_i = choose_direction(
+            direction, active_ids, out_degrees, in_degrees,
+            m, n, config, push_ok,
+        )
+        if direction != "pull":
+            dir_trace.append(dir_i)
+        push_iterations += dir_i == "push"
+        plan.plan(active_ids, dm_i)
+        bar = Barrier(n, p, record)
+        step(bar, iteration, plan, dm_i, dir_i == "push", clock)
+        if record is not None:
+            emit_provenance(record, iteration, bar.rows)
+        total_passes += bar.passes
+        slice_passes += bar.slice_passes
+        rw, ww, contended, stale = (int(x) for x in bar.conflicts)
+        log.read_write += rw
+        log.write_write += ww
+        log.contended_edges += contended
+        log.lost_writes += ww  # Lemma 2: one of the two writes is lost
+        log.stale_reads += stale
+        if rw + ww:
+            log.per_iteration[iteration] += rw + ww
+        it = IterationStats(
+            iteration=iteration,
+            num_active=int(active_ids.size),
+            updates_per_thread=[
+                int(x) for x in np.bincount(plan.thr_a, minlength=p)],
+            reads_per_thread=[int(x) for x in bar.reads_t],
+            writes_per_thread=[int(x) for x in bar.writes_t],
+        )
+        stats.append(it)
+        for f in state.vertex_field_names:
+            state.vertex(f)[active_ids] = bar.vout[f][active_ids]
+
+        next_ids = np.flatnonzero(bar.next_mask).astype(np.int64)
+        if supervisor is not None:
+            next_ids = supervisor.post_iteration(
+                iteration, state=state, schedule=next_ids)
+            if state_written is not None:
+                state_written()
+        if clock is not None:
+            # Everything since the step's last lap — conflict totals,
+            # vertex writeback, frontier materialization, the barrier
+            # checkpoint — is charged to the commit barrier.
+            clock.lap("lemma2_commit")
+            wall = time.perf_counter() - t0
+            phases = clock.drain()
+            if metrics is not None:
+                record_iteration_metrics(
+                    metrics, label, phases=phases,
+                    num_active=it.num_active,
+                    frontier_size=int(next_ids.size),
+                    read_write=log.read_write - rw0,
+                    write_write=log.write_write - ww0,
+                    wall_time_s=wall,
+                )
+        if sink is not None:
+            sink.iteration(
+                iteration=iteration,
+                num_active=it.num_active,
+                updates_per_thread=it.updates_per_thread,
+                reads_per_thread=it.reads_per_thread,
+                writes_per_thread=it.writes_per_thread,
+                frontier_size=int(next_ids.size),
+                wall_time_s=wall,
+                read_write=log.read_write - rw0,
+                write_write=log.write_write - ww0,
+                fixpoint_passes=bar.passes,
+                repair_slice_passes=bar.slice_passes,
+                phases=phases,
+                peak_rss_bytes=peak_rss_bytes(),
+                **bar.span,
+                **({"direction": dir_i} if direction != "pull" else {}),
+            )
+        if observer is not None:
+            observer(iteration, state, {int(v) for v in next_ids})
+        frontier_ids = next_ids
+        iteration += 1
+    # At-cap accounting: converged stays False unless the confirming
+    # empty-frontier check at the top of an iteration ran (see
+    # tests/test_convergence_conformance.py).
+
+    extra = {"vectorized": True, **(extra or {}),
+             "fixpoint_passes": total_passes,
+             "repair_slice_passes": slice_passes,
+             "plan_cache_hits": plan.hits}
+    if direction != "pull":
+        extra["direction"] = direction
+        extra["push_iterations"] = push_iterations
+        extra["direction_trace"] = dir_trace
+    result = RunResult(
+        program=program,
+        state=state,
+        mode=MODE,
+        converged=converged,
+        num_iterations=iteration,
+        iterations=stats,
+        conflicts=log,
+        config=config,
+        extra=extra,
+    )
+    if record is not None:
+        record.end_run(result)
+    if sink is not None:
+        if metrics is not None:
+            # Must precede end_run: lint_trace rejects records after the
+            # terminal run_end.
+            sink.metrics_snapshot(metrics)
+        sink.end_run(result)
+    return result

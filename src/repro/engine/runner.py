@@ -16,7 +16,7 @@ from .state import State
 from .sync_engine import SynchronousEngine
 from .threads_engine import ThreadsEngine
 
-__all__ = ["Mode", "run", "ENGINES"]
+__all__ = ["Mode", "run", "dispatch", "ENGINES"]
 
 Mode = Literal[
     "sync", "deterministic", "chromatic", "nondeterministic", "pure-async",
@@ -154,8 +154,8 @@ def run(
         Direction is a fast-path concept: requesting ``"push"`` or
         ``"auto"`` without ``backend="process"`` implies
         ``vectorized="require"`` (the interpreting object engine has no
-        dense/sparse distinction).  Not yet composable with the
-        fault-tolerance kwargs or out-of-core ShardStore graphs.
+        dense/sparse distinction).  Not yet composable with
+        out-of-core ShardStore graphs.
     telemetry:
         Optional :class:`~repro.obs.Telemetry` sink.  Every engine
         (including the real-thread backend and the vectorized fast path)
@@ -174,8 +174,7 @@ def run(
         ``telemetry=`` spans.  When both sinks are given, a
         ``{"type": "metrics"}`` snapshot record is appended to the
         telemetry stream just before ``run_end``.  ``None`` (the
-        default) costs one pointer check per iteration.  Does not
-        compose with the fault-tolerance kwargs yet.
+        default) costs one pointer check per iteration.
     record:
         Optional flight recorder capturing event-level race provenance:
         every contended edge access becomes a provenance event —
@@ -364,16 +363,6 @@ def run(
             mutations=mutations, interrupt=interrupt,
         )
     if robust:
-        if direction != "pull":
-            raise ValueError(
-                "direction= does not compose with the fault-tolerance "
-                "kwargs yet; run with direction='pull' (the default)"
-            )
-        if metrics is not None:
-            raise ValueError(
-                "metrics= does not compose with the fault-tolerance "
-                "kwargs yet; attach a Telemetry sink instead"
-            )
         if supervisor is not None:
             raise ValueError(
                 "pass either supervisor= or the fault-tolerance kwargs "
@@ -389,12 +378,34 @@ def run(
             # one instead of silently overriding it with defaults.
             config=config if explicit_config else None,
             state=state, observer=observer, vectorized=vectorized,
-            backend=backend, telemetry=telemetry, record=record,
+            backend=backend, direction=direction, telemetry=telemetry,
+            metrics=metrics, record=record,
             faults=faults, watchdog=watchdog, policy=policy,
             checkpoint=checkpoint, checkpoint_every=checkpoint_every,
             resume_from=resume_from, deadline_s=deadline_s,
             interrupt=interrupt,
         )
+    return dispatch(
+        program, graph, mode=mode, config=config, state=state,
+        observer=observer, vectorized=vectorized, backend=backend,
+        direction=direction, telemetry=telemetry, metrics=metrics,
+        record=record, supervisor=supervisor,
+    )
+
+
+def dispatch(program: VertexProgram, graph, *, mode: str,
+             config: EngineConfig, state=None, observer=None,
+             vectorized: bool | str = False, backend: str | None = None,
+             direction: str = "pull", telemetry=None, metrics=None,
+             record=None, supervisor=None) -> RunResult:
+    """One attempt on the engine the (already normalized) switches pick:
+    ShardStore → process backend → vectorized fast path → object engine.
+
+    Shared by :func:`run` and every attempt of
+    :func:`repro.robust.supervised_run`, so a supervised run reaches
+    exactly the engines — and the ``direction=`` / ``metrics=`` plumbing
+    — a bare one does.
+    """
     # Out-of-core dispatch: a ShardStore stands in for the graph and
     # routes the run through its interval-sliced runner (always the
     # vectorized execution model; backend="process" fans the intervals
@@ -405,7 +416,8 @@ def run(
         if mode != "nondeterministic":
             raise ValueError(
                 "out-of-core execution (a ShardStore graph) supports "
-                "mode='nondeterministic' only"
+                "mode='nondeterministic' only (a degradation fallback to "
+                "another mode needs an in-memory graph)"
             )
         if direction != "pull":
             raise ValueError(
@@ -423,6 +435,10 @@ def run(
     except KeyError:
         raise ValueError(f"unknown mode {mode!r}; choose from {sorted(ENGINES)}") from None
     if backend == "process":
+        if mode != "nondeterministic":
+            raise ValueError(
+                "backend='process' applies to mode='nondeterministic' only"
+            )
         # Imported lazily: the backend pulls in multiprocessing + shm.
         from .nondet_parallel import ParallelEngine
 

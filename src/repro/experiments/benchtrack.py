@@ -14,20 +14,11 @@ Trajectory format (``bench-trajectory/v2``)::
          "host": {"cpus": 1, ...}, "results": {...}},
         ...]}
 
-v2 is a **backfill-safe** widening of v1: each timed cell additionally
-carries a ``"phases"`` breakdown (seconds per
+Each timed cell carries a ``"phases"`` breakdown (seconds per
 :data:`~repro.obs.metrics.PHASES` phase, summed over the run's
-iterations).  Old v1 entries without ``phases`` still parse — readers
-treat the key as optional — but *appending* a v2 entry to a v1 file
-would leave one file claiming one schema while holding cells of both
-shapes, so :func:`append_trajectory` refuses mixed-schema appends
-unless ``allow_schema_skew=True`` explicitly opts in (the file is then
-upgraded in place: old entries are kept verbatim and the header says
-v2).
-
-A legacy single-snapshot file (the pre-trajectory ``BENCH_nondet.json``
-format) is adopted on first append: the old payload becomes entry 0,
-flagged ``"legacy": true``.
+iterations).  :func:`append_trajectory` appends only to a file whose
+header says ``bench-trajectory/v2`` (or to no file yet): one file never
+holds entries of two shapes.
 
 Two canonical suites:
 
@@ -63,7 +54,6 @@ from ..obs.metrics import peak_rss_bytes  # noqa: F401 - re-exported
 
 __all__ = [
     "SCHEMA",
-    "SCHEMA_V1",
     "SUITES",
     "append_trajectory",
     "host_fingerprint",
@@ -75,11 +65,6 @@ __all__ = [
 ]
 
 SCHEMA = "bench-trajectory/v2"
-
-#: Previous trajectory schema (entries lack the ``phases`` breakdown).
-#: Still readable everywhere; appending to a v1 file needs an explicit
-#: ``allow_schema_skew=True``.
-SCHEMA_V1 = "bench-trajectory/v1"
 
 #: Repo root (the BENCH_*.json home) — three levels above this module.
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -112,40 +97,21 @@ def host_fingerprint() -> dict:
     }
 
 
-def append_trajectory(path, entry: dict, *,
-                      allow_schema_skew: bool = False) -> dict:
-    """Append ``entry`` to the trajectory at ``path`` (atomic, adoptive).
+def append_trajectory(path, entry: dict) -> dict:
+    """Append ``entry`` to the trajectory at ``path`` (atomic).
 
     Returns the full payload written.  A missing file starts a fresh
-    trajectory; an existing non-trajectory JSON payload (legacy
-    snapshot) is preserved as entry 0 with ``"legacy": true``.
-
-    A file carrying an older trajectory schema (v1: cells without the
-    ``phases`` breakdown) is refused by default — one file should not
-    silently hold entries of two shapes.  Pass
-    ``allow_schema_skew=True`` to upgrade it in place: old entries are
-    kept verbatim (readers treat ``phases`` as optional) and the header
-    becomes the current schema.
+    trajectory; a file that is not a :data:`SCHEMA` trajectory is
+    refused, untouched.
     """
     path = pathlib.Path(path)
     payload = {"schema": SCHEMA, "entries": []}
     if path.exists():
-        old = json.loads(path.read_text())
-        if isinstance(old, dict) and old.get("schema") == SCHEMA:
-            payload = old
-        elif isinstance(old, dict) and old.get("schema") == SCHEMA_V1:
-            if not allow_schema_skew:
-                raise ValueError(
-                    f"{path} holds a {SCHEMA_V1} trajectory; appending a "
-                    f"{SCHEMA} entry would mix schemas in one file. "
-                    "Re-run with allow_schema_skew=True (CLI: "
-                    "`repro bench --allow-schema-skew`) to upgrade the "
-                    "file in place, keeping the old entries."
-                )
-            payload = dict(old)
-            payload["schema"] = SCHEMA
-        else:
-            payload["entries"].append({"legacy": True, "results": old})
+        payload = json.loads(path.read_text())
+        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
+            raise ValueError(
+                f"{path} is not a {SCHEMA} trajectory; refusing to append "
+                "(move it aside to start a fresh one)")
     entry = dict(entry)
     entry.setdefault(
         "timestamp",
@@ -211,7 +177,7 @@ def run_nondet_suite(scales=(8, 10, 12), *, object_max_scale: int = 10,
     bit-identical across directions, so the cells measure strategy
     cost only.
     """
-    from ..engine.nondet_vectorized import push_fallback_reasons
+    from ..engine.nondet_core import push_fallback_reasons
 
     config = EngineConfig(threads=8, seed=0, jitter=0.5)
     results: dict = {"graph": GRAPH_SPEC,
@@ -435,15 +401,12 @@ SUITES = {
 
 
 def run_bench(suites=("nondet", "parallel"), *, out_dir=None,
-              progress=None, allow_schema_skew=False,
-              **suite_kwargs) -> dict[str, dict]:
+              progress=None, **suite_kwargs) -> dict[str, dict]:
     """Run the named suites and append one trajectory entry each.
 
     Returns ``{suite: payload-written}``.  ``suite_kwargs`` (e.g.
     ``scales=``, ``workers=``) are forwarded to every suite that
-    accepts them.  ``allow_schema_skew=True`` permits appending to a
-    file still carrying the previous trajectory schema (see
-    :func:`append_trajectory`).
+    accepts them.
     """
     out_dir = pathlib.Path(out_dir) if out_dir is not None else REPO_ROOT
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -463,6 +426,5 @@ def run_bench(suites=("nondet", "parallel"), *, out_dir=None,
         }
         results = runner(progress=progress, **accepted)
         entry = {"suite": suite, "results": results}
-        written[suite] = append_trajectory(out_dir / filename, entry,
-                                           allow_schema_skew=allow_schema_skew)
+        written[suite] = append_trajectory(out_dir / filename, entry)
     return written

@@ -296,19 +296,24 @@ def phase_table(report: dict, *, last: int | None = None) -> str:
                            for i, cell in enumerate(row)) for row in table)
 
     repairs = tot.get("repair_passes")
-    repair_s = tot["phases"].get("repair_pass")
-    if repairs and repair_s:  # process master: workers hold the time
+    wtot = tot.get("worker_phases") or {}
+    # A process master holds no repair time: its workers repair in
+    # parallel, barrier-paced, so the slowest one is the cost.
+    repair_s = tot["phases"].get("repair_pass") or max(
+        (w.get("repair_pass", 0.0) for w in wtot.values()), default=0.0)
+    if repairs and repair_s:
         # ROADMAP 2(c): repair_pass = passes x per-pass cost.
         line = (f"repair: {repairs} passes x {_ms(repair_s / repairs)} ms "
                 f"mean = {_ms(repair_s)} ms")
         sliced = tot.get("repair_slice_passes")
-        if sliced is not None:
+        if sliced is not None and wtot:  # summed over the workers
+            line += f"; {sliced} worker passes took the slice path"
+        elif sliced is not None:
             line += (f"; {sliced} ({sliced / repairs:.1%}) "
                      f"took the slice path")
         lines.append("")
         lines.append(line)
 
-    wtot = tot.get("worker_phases") or {}
     if wtot:
         lines.append("")
         lines.append("per-worker totals (ms):")

@@ -43,6 +43,7 @@ import numpy as np
 from ..engine.atomicity import AtomicityPolicy
 from ..engine.config import EngineConfig
 from ..engine.delaymodel import DelayModel
+from ..engine.runner import dispatch
 from .errors import (
     CheckpointError,
     ConvergenceFailure,
@@ -371,65 +372,6 @@ def _make_state(program, graph):
     return program.make_state(graph)
 
 
-def _dispatch(program, graph, *, mode, config, state, observer, vectorized,
-              backend, telemetry, record, supervisor):
-    """Engine dispatch mirroring :func:`repro.engine.runner.run`."""
-    from ..engine.runner import ENGINES
-    from ..storage.shards import ShardStore
-
-    if isinstance(graph, ShardStore):
-        if mode != "nondeterministic":
-            raise ValueError(
-                "out-of-core execution (a ShardStore graph) supports "
-                "mode='nondeterministic' only — degradation fallback to "
-                f"{mode!r} needs an in-memory graph")
-        return graph.nondet_runner().run(
-            program, config, state=state, observer=observer,
-            telemetry=telemetry, record=record, supervisor=supervisor,
-            backend=backend)
-    if backend == "process":
-        if mode != "nondeterministic":
-            raise ValueError(
-                "backend='process' applies to mode='nondeterministic' only")
-        from ..engine.nondet_parallel import ParallelEngine
-
-        return ParallelEngine().run(
-            program, graph, config, state=state, observer=observer,
-            telemetry=telemetry, record=record, supervisor=supervisor)
-    if vectorized:
-        if mode != "nondeterministic":
-            raise ValueError(
-                "vectorized= applies to mode='nondeterministic' only")
-        from ..engine.nondet_vectorized import (
-            VectorizedNondetEngine,
-            fallback_reasons,
-        )
-
-        reasons = fallback_reasons(program, config)
-        if not reasons:
-            return VectorizedNondetEngine().run(
-                program, graph, config, state=state, observer=observer,
-                telemetry=telemetry, record=record, supervisor=supervisor)
-        if vectorized == "require":
-            raise ValueError(
-                "vectorized='require' but the fast path is not eligible: "
-                + "; ".join(reasons))
-        if telemetry is not None:
-            telemetry.event("vectorized_fallback", reasons=reasons)
-    try:
-        engine_cls = ENGINES[mode]
-    except KeyError:
-        raise ValueError(
-            f"unknown mode {mode!r}; choose from {sorted(ENGINES)}") from None
-    if mode == "threads":
-        return engine_cls().run(program, graph, config, state=state,
-                                telemetry=telemetry, record=record,
-                                supervisor=supervisor)
-    return engine_cls().run(program, graph, config, state=state,
-                            observer=observer, telemetry=telemetry,
-                            record=record, supervisor=supervisor)
-
-
 def _emit_degradation(telemetry, record, degradations: list, event: dict) -> None:
     degradations.append(event)
     if telemetry is not None:
@@ -441,7 +383,7 @@ def _emit_degradation(telemetry, record, degradations: list, event: dict) -> Non
 def supervised_run(program, graph, *, mode: str = "nondeterministic",
                    config: EngineConfig | None = None, state=None,
                    observer=None, vectorized=False, backend=None,
-                   telemetry=None,
+                   direction: str = "pull", telemetry=None, metrics=None,
                    record=None, faults=None,
                    watchdog: ConvergenceWatchdog | None = None,
                    policy: DegradationPolicy | None = None,
@@ -488,7 +430,7 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
 
     cur_state = state if state is not None else _make_state(program, graph)
     cur_mode, cur_config, cur_vectorized = mode, config, vectorized
-    cur_backend = backend
+    cur_backend, cur_direction, cur_metrics = backend, direction, metrics
     degradations: list[dict] = []
     restarts = 0
     escalated = False
@@ -498,12 +440,12 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
         if watchdog is not None:
             watchdog.reset()
         try:
-            result = _dispatch(program, graph, mode=cur_mode,
-                               config=cur_config, state=cur_state,
-                               observer=observer, vectorized=cur_vectorized,
-                               backend=cur_backend,
-                               telemetry=telemetry, record=record,
-                               supervisor=sup)
+            result = dispatch(program, graph, mode=cur_mode,
+                              config=cur_config, state=cur_state,
+                              observer=observer, vectorized=cur_vectorized,
+                              backend=cur_backend, direction=cur_direction,
+                              telemetry=telemetry, metrics=cur_metrics,
+                              record=record, supervisor=sup)
             break
         except (InjectedCrash, WorkerTimeout) as exc:
             sup.drain_fired()
@@ -564,8 +506,12 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
             elif not fell_back:
                 fell_back = True
                 cur_mode = policy.fallback_mode
+                # The deterministic engines have no fast path, no
+                # direction and no phase series.
                 cur_vectorized = False
                 cur_backend = None
+                cur_direction = "pull"
+                cur_metrics = None
                 event["action"] = f"fallback:{policy.fallback_mode}"
             else:
                 event["action"] = "give-up"

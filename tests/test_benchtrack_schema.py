@@ -1,8 +1,7 @@
-"""Benchmark-trajectory schema v2: backfill-safe widening.
+"""Benchmark-trajectory schema v2: one file, one entry shape.
 
-v2 entries carry a ``phases`` breakdown per timed cell; v1 files on
-disk must keep parsing, and appending a v2 entry to a v1 file must be
-an explicit, flagged decision — never a silent mix.
+v2 entries carry a ``phases`` breakdown per timed cell; a file whose
+header is anything else is refused, never silently mixed into.
 """
 
 import json
@@ -11,7 +10,6 @@ import pytest
 
 from repro.experiments.benchtrack import (
     SCHEMA,
-    SCHEMA_V1,
     append_trajectory,
     run_nondet_suite,
 )
@@ -19,7 +17,7 @@ from repro.experiments.benchtrack import (
 
 def _v1_payload():
     return {
-        "schema": SCHEMA_V1,
+        "schema": "bench-trajectory/v1",
         "entries": [{
             "timestamp": "2026-07-01T00:00:00+00:00",
             "host": {"cpus": 8},
@@ -44,30 +42,10 @@ class TestSchemaSkew:
     def test_v1_append_refused_by_default(self, tmp_path):
         path = tmp_path / "BENCH.json"
         path.write_text(json.dumps(_v1_payload()))
-        with pytest.raises(ValueError, match="allow_schema_skew"):
+        with pytest.raises(ValueError, match="not a bench-trajectory/v2"):
             append_trajectory(path, _entry())
         # Refusal is side-effect free: the file is untouched.
-        assert json.loads(path.read_text())["schema"] == SCHEMA_V1
-        assert len(json.loads(path.read_text())["entries"]) == 1
-
-    def test_refusal_names_the_cli_flag(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps(_v1_payload()))
-        with pytest.raises(ValueError, match="--allow-schema-skew"):
-            append_trajectory(path, _entry())
-
-    def test_skew_flag_upgrades_in_place(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        v1 = _v1_payload()
-        path.write_text(json.dumps(v1))
-        payload = append_trajectory(path, _entry(), allow_schema_skew=True)
-        assert payload["schema"] == SCHEMA
-        assert len(payload["entries"]) == 2
-        # Old entries are preserved verbatim — no rewriting, no phases
-        # back-filled.
-        assert payload["entries"][0] == v1["entries"][0]
-        assert "phases" not in payload["entries"][0]["results"][
-            "scales"]["8"]["algorithms"]["wcc"]["vectorized"]
+        assert json.loads(path.read_text()) == _v1_payload()
 
     def test_v2_appends_stay_unflagged(self, tmp_path):
         path = tmp_path / "BENCH.json"
@@ -75,13 +53,6 @@ class TestSchemaSkew:
         payload = append_trajectory(path, _entry())
         assert payload["schema"] == SCHEMA
         assert len(payload["entries"]) == 2
-
-    def test_legacy_snapshot_adopted(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps({"some": "old snapshot"}))
-        payload = append_trajectory(path, _entry())
-        assert payload["schema"] == SCHEMA
-        assert payload["entries"][0]["legacy"] is True
 
 
 class TestPhasesInEntries:
@@ -102,7 +73,8 @@ def test_checked_in_trajectories_are_v2():
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parent.parent
-    for name in ("BENCH_nondet.json", "BENCH_parallel.json"):
+    for name in ("BENCH_nondet.json", "BENCH_parallel.json",
+                 "BENCH_incremental.json"):
         payload = json.loads((root / name).read_text())
         assert payload["schema"] == SCHEMA
         assert payload["entries"], name

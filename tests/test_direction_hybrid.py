@@ -227,10 +227,37 @@ class TestRunnerPlumbing:
             run(WeaklyConnectedComponents(), medium_graph, mode="sync",
                 direction="auto")
 
-    def test_direction_rejects_fault_kwargs(self, medium_graph):
-        with pytest.raises(ValueError, match="fault-tolerance"):
-            run(WeaklyConnectedComponents(), medium_graph,
-                mode="nondeterministic", direction="auto", faults="crash@1")
+    def test_direction_composes_with_fault_kwargs(self, medium_graph,
+                                                  tmp_path):
+        """A hybrid run crashed at barrier 2 and resumed from its
+        checkpoint replays the uninterrupted one."""
+        from repro.robust import ConvergenceFailure, DegradationPolicy
+
+        config = EngineConfig(threads=4, seed=3, jitter=0.5,
+                              direction_alpha=1.0, direction_beta=1.0)
+        tel = Telemetry()
+        clean = run_direction(PUSH_ELIGIBLE["sssp"], medium_graph, config,
+                              "auto", telemetry=tel)
+        ck = str(tmp_path / "hybrid.ckpt")
+        with pytest.raises(ConvergenceFailure):
+            run_direction(PUSH_ELIGIBLE["sssp"], medium_graph, config, "auto",
+                          faults="crash@2", checkpoint=ck,
+                          policy=DegradationPolicy(max_restarts=0))
+        res = run_direction(PUSH_ELIGIBLE["sssp"], medium_graph, config,
+                            "auto", resume_from=ck)
+        for f in clean.state.vertex_field_names:
+            assert np.array_equal(res.state.vertex(f), clean.state.vertex(f))
+        for f in clean.state.edge_field_names:
+            assert np.array_equal(res.state.edge(f), clean.state.edge(f))
+        assert res.conflicts.summary() == clean.conflicts.summary()
+        assert res.conflicts.per_iteration == clean.conflicts.per_iteration
+        # The resumed call reports what it executed: barriers 2 onwards.
+        assert res.num_iterations == clean.num_iterations
+        trace = clean.extra["direction_trace"]
+        assert {"push", "pull"} <= set(trace[2:])
+        assert res.extra["direction_trace"] == trace[2:]
+        assert res.extra["fixpoint_passes"] == sum(
+            s.extra["fixpoint_passes"] for s in tel.spans[2:])
 
     def test_direction_implies_fast_path(self, medium_graph):
         """Without vectorized=/backend=, a non-default direction routes

@@ -11,6 +11,7 @@ and the robustness ladder (worker death → WorkerDied → supervised
 restart from barrier-consistent state).
 """
 
+import glob
 import multiprocessing as mp
 import os
 import signal
@@ -20,9 +21,12 @@ import pytest
 
 from repro.algorithms import PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, ParallelEngine, parallel_fallback_reasons, run
+from repro.engine.workerpool import WorkerPool
 from repro.graph import generators
 from repro.obs import Recorder
 from repro.robust import DegradationPolicy, WorkerDied, WorkerTimeout
+from repro.storage import ShardStore
+from repro.storage.shm import ArrayLayout
 from repro.theory import audit_run
 
 from .test_nondet_vectorized import ALGORITHMS, assert_bit_identical
@@ -217,6 +221,20 @@ def test_checkpoint_resume_across_backends(small_graph, tmp_path):
 # robustness ladder: worker death
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(params=["memory", "shards"])
+def pool_graph(request, small_graph, tmp_path):
+    """Both users of the shared worker pool — the in-memory process
+    backend and the out-of-core interval pool — and, after the test, the
+    audit that neither left a segment behind."""
+    if request.param == "memory":
+        yield small_graph
+    else:
+        store = ShardStore.build(small_graph, tmp_path / "g.shards", 4)
+        yield store
+        store.nondet_runner().close()
+    assert glob.glob("/dev/shm/repro-pool-*") == []
+
+
 def _kill_one_worker_at(iteration_to_kill):
     """Observer that SIGKILLs one backend worker once, mid-run."""
     state = {"done": False}
@@ -224,8 +242,8 @@ def _kill_one_worker_at(iteration_to_kill):
     def observer(iteration, _state, _next_ids):
         if state["done"] or iteration < iteration_to_kill:
             return
-        victims = [p for p in mp.active_children()
-                   if p.name.startswith("repro-nondet-worker")]
+        victims = [p for p in mp.active_children() if p.name.startswith(
+            ("repro-nondet-worker", "repro-ooc-worker"))]
         if victims:
             state["done"] = True
             os.kill(victims[0].pid, signal.SIGKILL)
@@ -233,10 +251,10 @@ def _kill_one_worker_at(iteration_to_kill):
     return observer
 
 
-def test_worker_sigkill_raises_worker_died(small_graph):
+def test_worker_sigkill_raises_worker_died(pool_graph):
     config = EngineConfig(threads=2, seed=0, jitter=0.5)
     with pytest.raises(WorkerDied) as exc:
-        run(PageRank(epsilon=1e-3), small_graph, mode="nondeterministic",
+        run(PageRank(epsilon=1e-3), pool_graph, mode="nondeterministic",
             config=config, backend="process",
             observer=_kill_one_worker_at(1))
     # WorkerDied extends WorkerTimeout so the existing robustness ladder
@@ -245,9 +263,36 @@ def test_worker_sigkill_raises_worker_died(small_graph):
     assert exc.value.workers  # names the culprit, not clean-exit siblings
 
 
-def test_supervised_restart_recovers_from_worker_death(small_graph):
+class _RaisingBody:
+    """Pool worker body whose worker 1 fails inside ``iterate``."""
+
+    def __init__(self, link):
+        self.link = link
+
+    def iterate(self, dm, iteration):
+        if self.link.wid == 1:
+            raise RuntimeError("boom in the worker body")
+        self.link.wait()
+
+
+def test_worker_exception_raises_worker_died_with_traceback():
+    layout = ArrayLayout.build({"phase_w": ((2, 1), np.float64)})
+    pool = WorkerPool(layout, 2, 30.0, key=None, name="repro-test-worker",
+                      body=_RaisingBody, body_args=lambda w: ())
+    try:
+        pool.broadcast(0, None, (False, None, 1))
+        with pytest.raises(WorkerDied, match="boom in the worker body") as exc:
+            pool.sync(0)
+        assert exc.value.workers == (1,)
+    finally:
+        pool.close()
+    assert glob.glob("/dev/shm/repro-pool-*") == []
+
+
+def test_supervised_restart_recovers_from_worker_death(small_graph,
+                                                       pool_graph):
     config = EngineConfig(threads=2, seed=0, jitter=0.5)
-    res = run(PageRank(epsilon=1e-3), small_graph, mode="nondeterministic",
+    res = run(PageRank(epsilon=1e-3), pool_graph, mode="nondeterministic",
               config=config, backend="process",
               observer=_kill_one_worker_at(1),
               policy=DegradationPolicy(max_restarts=2, backoff_s=0.0))

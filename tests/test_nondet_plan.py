@@ -1,0 +1,67 @@
+"""The one Defs. 1–3 implementation against the scalar oracle.
+
+Every array engine evaluates visibility through
+``repro.engine.nondet_core.EdgePlan`` — on all edges, on a frontier's
+touched edges, on a worker's owned edges, on an interval's slot range.
+Two properties make that sound: each edge's predicates equal the object
+engine's scalar rule (``engine.ordering.visible`` over ``TaskSlot``s),
+and evaluating on a subset equals slicing the whole-graph evaluation.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import DelayModel, DispatchPolicy, PlanCache, TaskSlot, visible
+from repro.engine.nondet_core import visibility
+from repro.graph import DiGraph
+
+DELAYS = [DelayModel.uniform(2.0), DelayModel.uniform(1.0),
+          DelayModel.numa(2, intra=1.0, inter=3.0),
+          DelayModel.distributed(1, intra=1.0, network=4.0)]
+PREDICATES = ("vis_s2d", "vis_d2s", "lex_sd", "lex_ds", "dt", "dst_wins",
+              "thr_s", "thr_d", "t_s", "t_d")
+
+
+@st.composite
+def plans(draw):
+    """A planned multigraph: self-loops, parallel edges and inactive
+    endpoints allowed; ``jitter=0`` makes cross-thread times tie."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
+    graph = DiGraph(n, np.array([e[0] for e in edges], dtype=np.int64),
+                    np.array([e[1] for e in edges], dtype=np.int64))
+    active = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    jitter = draw(st.sampled_from([0.0, 0.5]))
+    cache = PlanCache(graph, draw(st.integers(1, 4)),
+                      policy=draw(st.sampled_from(list(DispatchPolicy))),
+                      jitter=jitter,
+                      rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    dm = draw(st.sampled_from(DELAYS))
+    idx = draw(st.lists(st.integers(0, max(len(edges) - 1, 0)), unique=True,
+                        max_size=len(edges)))
+    return graph, cache.plan(np.flatnonzero(active), dm), dm, np.sort(
+        np.array(idx, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans())
+def test_edge_plan_matches_scalar_oracle_and_is_subset_invariant(case):
+    graph, plan, dm, idx = case
+    ep = plan.edges()
+    slot = [TaskSlot(v, int(plan.thr_v[v]), int(plan.pi_v[v]),
+                     float(plan.time_v[v])) for v in range(graph.num_vertices)]
+    for e, (s, d) in enumerate(zip(graph.edge_src, graph.edge_dst)):
+        exchange = bool(plan.active[s] and plan.active[d] and s != d)
+        delay = dm.delay(slot[s].thread, slot[d].thread)
+        assert ep.vis_s2d[e] == (exchange and visible(slot[s], slot[d], delay))
+        assert ep.vis_d2s[e] == (exchange and visible(slot[d], slot[s], delay))
+        # Lemma 2: the later (time, vid) survives.
+        assert ep.dst_wins[e] == ((slot[d].time, d) > (slot[s].time, s))
+    sub = plan.edges(idx)
+    for name in PREDICATES:
+        assert np.array_equal(getattr(ep, name)[idx], getattr(sub, name)), name
+    s, d = graph.edge_src[idx], graph.edge_dst[idx]
+    assert np.array_equal(visibility(plan, dm, s, d, True), ep.vis_s2d[idx])
+    assert np.array_equal(visibility(plan, dm, s, d, False), ep.vis_d2s[idx])

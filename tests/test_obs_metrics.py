@@ -274,11 +274,19 @@ class TestEngineMetrics:
             run(WeaklyConnectedComponents(), rmat_small, mode="sync",
                 metrics=MetricsRegistry())
 
-    def test_metrics_rejects_robust_kwargs(self, rmat_small):
-        with pytest.raises(ValueError, match="fault-tolerance"):
-            run(WeaklyConnectedComponents(), rmat_small,
-                mode="nondeterministic", metrics=MetricsRegistry(),
-                faults="crash@3")
+    def test_metrics_compose_with_robust_kwargs(self, rmat_small, tmp_path):
+        """A supervised (checkpointing) run records the phase series."""
+        reg = MetricsRegistry()
+        res = run(WeaklyConnectedComponents(), rmat_small,
+                  mode="nondeterministic", config=EngineConfig(threads=4),
+                  vectorized="require", metrics=reg,
+                  checkpoint=str(tmp_path / "metrics.ckpt"))
+        assert res.extra["last_checkpoint_iteration"] == res.num_iterations
+        assert (reg.counter("repro_iterations_total", mode="vectorized").value
+                == res.num_iterations)
+        for phase in ("plan_build", "gather", "lemma2_commit"):
+            assert reg.counter("repro_phase_seconds_total", mode="vectorized",
+                               phase=phase).value > 0
 
     def test_profiled_run_bit_identical(self, rmat_small):
         """Attaching telemetry+metrics is pure timing: same bits out."""

@@ -365,7 +365,8 @@ def test_scale16_wcc_bounded_ram(tmp_path):
     ShardStore.build(g, store_path, 16)
     del g
     env = dict(os.environ, PYTHONPATH="src")
-    headroom = 192 * 1024 * 1024
+    # The in-memory engine needs ~180 MiB here, the runner under 64.
+    headroom = 128 * 1024 * 1024
 
     def child(mode):
         return subprocess.run(
