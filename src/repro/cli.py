@@ -386,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="block until the job is terminal")
     c = csub.add_parser("status", help="print one job's status as JSON")
     c.add_argument("job_id")
-    c = csub.add_parser("watch", help="poll a job until it is terminal")
+    c = csub.add_parser("watch", help="follow a job until it is terminal")
     c.add_argument("job_id")
     c.add_argument("--timeout", type=float, default=300.0)
     c = csub.add_parser("result", help="print a finished job's result")
@@ -476,8 +476,10 @@ def _cmd_trace(args) -> int:
 
 def _cmd_client(args) -> int:
     import json as _json
+    import time
 
     from .service.client import ServiceClient, ServiceError
+    from .service.jobs import JobState
 
     client = ServiceClient(args.url)
 
@@ -516,19 +518,25 @@ def _cmd_client(args) -> int:
         elif args.client_command == "status":
             show(client.status(args.job_id))
         elif args.client_command == "watch":
-            last = [None]
-
-            def on_status(status):
+            # Not client.wait(): a long-poll answers early only for a
+            # terminal state, and watch shows the barriers on the way —
+            # so it asks for short holds itself.
+            deadline = time.monotonic() + args.timeout
+            last = None
+            while True:
+                status = client.status(args.job_id, wait=0.5)
                 line = (f"{status['job_id']} {status['state']} "
                         f"iter={status['iteration']} "
                         f"ckpt={status['checkpoint_iteration']}")
-                if line != last[0]:
+                if line != last:
                     print(line, flush=True)
-                    last[0] = line
-
-            status = client.wait(args.job_id, timeout=args.timeout,
-                                 on_status=on_status)
-            return 0 if status["state"] == "done" else 4
+                    last = line
+                if status["state"] in JobState.TERMINAL:
+                    return 0 if status["state"] == "done" else 4
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"job {args.job_id} still {status['state']} after "
+                        f"{args.timeout:.0f}s")
         elif args.client_command == "result":
             show(client.result(args.job_id))
         elif args.client_command == "cancel":

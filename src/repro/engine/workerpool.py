@@ -5,10 +5,9 @@ threads over in-memory arrays; ``nondet_outofcore``: workers own shard
 intervals) bring a shm :class:`~repro.storage.shm.ArrayLayout` and a
 worker *body*; everything else about running ``P`` processes lives here:
 
-* **master side** — :class:`WorkerPool`: start-method choice, the
-  ``P + 1``-party barrier, one duplex pipe per worker, the per-iteration
-  message (the delay model rides along only when it changed), and
-  failure classification.  A worker that dies (SIGKILL, segfault,
+* **master side** — :class:`WorkerPool`: the ``P + 1``-party barrier,
+  one duplex pipe per worker, the per-iteration message (the delay
+  model rides along only when it changed), and failure classification.  A worker that dies (SIGKILL, segfault,
   unhandled exception) breaks the iteration barrier — a sentinel watcher
   aborts it within a fraction of a second — and :meth:`WorkerPool.sync`
   raises :class:`~repro.robust.errors.WorkerDied` (a
@@ -17,9 +16,10 @@ worker *body*; everything else about running ``P`` processes lives here:
   process-local memory, committed only *after* a successful barrier, so
   it is always barrier-consistent and memory-token restarts are valid.
 * **teardown** — :meth:`WorkerPool.close` and a ``weakref.finalize``
-  run the same ladder (stop message, barrier abort, join → terminate →
-  kill, unlink), so the segment is gone on every exit path (clean,
-  raise, ``KeyboardInterrupt``, GC of the owner); the stdlib
+  run the same ladder (stop message, barrier abort, the join →
+  terminate → kill of :func:`~repro.robust.procs.reap`, unlink), so the
+  segment is gone on every exit path (clean, raise,
+  ``KeyboardInterrupt``, GC of the owner); the stdlib
   ``resource_tracker`` backstops a SIGKILLed master.
 * **worker side** — :func:`_worker_main` (orphan-polling message loop,
   error pipe) around ``body(link, *args)`` /
@@ -31,7 +31,6 @@ worker *body*; everything else about running ``P`` processes lives here:
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
 import os
 import signal
 import threading
@@ -42,6 +41,7 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 
 from ..robust.errors import WorkerDied, WorkerTimeout
+from ..robust.procs import process_context, reap
 from ..storage.shm import ArrayLayout, SharedArrayPool
 
 __all__ = ["WorkerLink", "WorkerPool", "profile_directive"]
@@ -245,15 +245,7 @@ def _destroy(procs, conns, barrier, shm, arrays, stop_event) -> None:
         barrier.abort()  # unstick anything mid-barrier
     except Exception:
         pass
-    for proc in procs:
-        proc.join(timeout=5.0)
-    for proc in procs:
-        if proc.is_alive():  # pragma: no cover - last resort
-            proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=2.0)
+    reap(procs)
     for conn in conns:
         try:
             conn.close()
@@ -287,8 +279,7 @@ class WorkerPool:
         self.arrays = {n: self.shm.array(n) for n in layout.names()}
         for n, arr in (preload or {}).items():
             self.arrays[n][:] = arr
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(method)
+        ctx = process_context()
         self.barrier = ctx.Barrier(workers + 1)
         worker_timeout = (
             None if self.timeout is None else self.timeout * 4 + 30.0

@@ -28,6 +28,7 @@ from .errors import (
     InjectedCrash,
     RobustError,
     RunInterrupted,
+    RunnerDied,
     WatchdogAlarm,
     WorkerDied,
     WorkerTimeout,
@@ -44,6 +45,7 @@ __all__ = [
     "RobustError",
     "WorkerTimeout",
     "WorkerDied",
+    "RunnerDied",
     "InjectedCrash",
     "WatchdogAlarm",
     "ConvergenceFailure",

@@ -11,6 +11,7 @@ __all__ = [
     "RobustError",
     "WorkerTimeout",
     "WorkerDied",
+    "RunnerDied",
     "InjectedCrash",
     "WatchdogAlarm",
     "ConvergenceFailure",
@@ -55,6 +56,22 @@ class WorkerDied(WorkerTimeout):
                  workers: tuple[int, ...] = ()):
         super().__init__(message, iteration=iteration, stuck=workers)
         self.workers = tuple(workers)
+
+
+class RunnerDied(RobustError):
+    """A service job-runner process died under a job more often than the
+    job's ``max_restarts`` allows.
+
+    The scheduler sees the death as EOF on the runner's pipe (SIGKILL,
+    OOM kill, segfault), respawns the slot's runner and resumes the job
+    from its last barrier checkpoint; this is the typed reason a job
+    ends ``failed`` once that budget is spent.  ``exitcode`` follows
+    ``multiprocessing``: negative = killed by that signal.
+    """
+
+    def __init__(self, message: str, *, exitcode: int | None = None):
+        super().__init__(message)
+        self.exitcode = exitcode
 
 
 class InjectedCrash(RobustError):

@@ -10,10 +10,13 @@ service process itself:
 * :mod:`~repro.service.jobs` — job specs, lifecycle state machine, and
   the idempotent journal reducer;
 * :mod:`~repro.service.graphs` — persistent named-graph registry
-  (load once, share read-only across concurrent jobs);
+  (load once per runner, read-only across its jobs);
 * :mod:`~repro.service.scheduler` — the supervisor pool: admission
-  control, per-job resource scoping (shm namespaces, scratch dirs,
-  RNG streams), graceful drain, crash recovery + orphan sweeps;
+  control, one relay thread per slot, graceful drain, crash recovery +
+  orphan sweeps;
+* :mod:`~repro.service.runner` — the slots' job-runner processes, where
+  jobs enter the engine under per-job resource scoping (shm namespaces,
+  scratch dirs, RNG streams);
 * :mod:`~repro.service.http` / :mod:`~repro.service.client` — the
   stdlib HTTP surface (``repro serve`` / ``repro client``).
 """

@@ -77,8 +77,11 @@ class ServiceClient:
     def jobs(self) -> list[dict]:
         return self._call("GET", "/api/jobs")["jobs"]
 
-    def status(self, job_id: str) -> dict:
-        return self._call("GET", f"/api/jobs/{job_id}")
+    def status(self, job_id: str, *, wait: float = 0.0) -> dict:
+        """One job's status; ``wait`` > 0 long-polls: the server holds
+        the reply until the job is terminal or ``wait`` seconds passed."""
+        query = f"?wait={wait:g}" if wait > 0 else ""
+        return self._call("GET", f"/api/jobs/{job_id}{query}")
 
     def result(self, job_id: str) -> dict:
         return self._call("GET", f"/api/jobs/{job_id}/result")
@@ -108,16 +111,24 @@ class ServiceClient:
 
     def wait(self, job_id: str, *, timeout: float = 120.0,
              poll_s: float = 0.25, on_status=None) -> dict:
-        """Poll until the job is terminal; returns the final status.
+        """Wait until the job is terminal; returns the final status.
 
-        ``on_status(status)`` (if given) fires on every poll — the hook
-        behind ``repro client watch``.
+        Each request is a long-poll the server answers when the job
+        turns terminal (or after half this client's socket timeout, so
+        a held reply never reads as an unreachable server): a waiting
+        client costs one request per job, not one per ``poll_s``, which
+        only paces the requests a server answers early.
+        ``on_status(status)`` (if given) fires once per response.  To
+        follow a job's barriers, call :meth:`status` with a short
+        ``wait`` instead, as ``repro client watch`` does.
         """
         from .jobs import JobState
 
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
+            remaining = max(0.0, deadline - time.monotonic())
+            status = self.status(job_id,
+                                 wait=min(remaining, self.timeout / 2))
             if on_status is not None:
                 on_status(status)
             if status["state"] in JobState.TERMINAL:

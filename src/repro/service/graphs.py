@@ -1,12 +1,14 @@
-"""Persistent named graphs: load once, share read-only across jobs.
+"""Persistent named graphs: load once per process, read-only across jobs.
 
 Maiter-style standing graphs: a service tenant registers a graph under
-a name once, and every subsequent job references the name — the service
-loads it a single time and hands the *same object* to each concurrent
-run.  That sharing is safe because no engine mutates the graph (state
-lives in per-run :class:`~repro.engine.state.State` arrays); for a v2
-container the arrays are read-only ``np.memmap`` views, so concurrent
-jobs additionally share page-cache pages instead of private copies.
+a name once, and every subsequent job references the name — each job
+runner (:mod:`repro.service.runner`) opens its own registry on the
+shared ``graphs.json``, loads a named graph the first time one of its
+jobs asks for it and hands the *same object* to every later job.  That
+reuse is safe because no engine mutates the graph (state lives in
+per-run :class:`~repro.engine.state.State` arrays); for a v2 container
+the arrays are read-only ``np.memmap`` views, so the runners
+additionally share page-cache pages instead of holding private copies.
 
 A registration is a JSON spec of one of three shapes::
 
@@ -38,11 +40,14 @@ class GraphRegistry:
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
         self._lock = threading.Lock()
-        self._specs: dict[str, dict] = {}
+        self._specs: dict[str, dict] = self._read()
         self._cache: dict[str, object] = {}
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                self._specs = json.load(fh)
+
+    def _read(self) -> dict[str, dict]:
+        if not os.path.exists(self.path):
+            return {}
+        with open(self.path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
 
     # -- registration ------------------------------------------------------
     @staticmethod
@@ -107,6 +112,13 @@ class GraphRegistry:
                 if cached is not None:
                     return cached
                 spec = self._specs.get(ref)
+                if spec is None:
+                    # Another process may have registered it since this
+                    # table was read (a runner's registry outlives the
+                    # registrations its service takes); ``register`` is
+                    # durable before it returns, so the file knows.
+                    self._specs = self._read()
+                    spec = self._specs.get(ref)
             if spec is None:
                 raise KeyError(f"no graph registered under {ref!r}")
             graph = self._load(spec)

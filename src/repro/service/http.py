@@ -3,7 +3,8 @@
 A thin, dependency-free JSON API over :class:`~repro.service.scheduler.
 GraphService` — ``http.server.ThreadingHTTPServer`` is enough because
 every request either reads the in-memory job table under its lock or
-enqueues work; no request blocks on a running job.
+enqueues work; the one request that waits for a job (``?wait=``) sleeps
+on the job table's condition in its own handler thread.
 
 Routes::
 
@@ -13,13 +14,15 @@ Routes::
     POST /api/graphs               {"name": ..., "spec": {...}}
     GET  /api/jobs                 all job statuses
     POST /api/jobs                 submit a JobSpec (job_id optional)
-    GET  /api/jobs/<id>            one job's status
+    GET  /api/jobs/<id>            one job's status; ``?wait=S`` holds
+                                   the reply until the job is terminal
+                                   or S seconds (at most 30) have passed
     GET  /api/jobs/<id>/result     result summary (409 until done)
     GET  /api/jobs/<id>/trace      telemetry JSONL of the last attempt
     POST /api/jobs/<id>/cancel     request cancellation
     POST /api/gc                   retention sweep of terminal jobs
 
-Error mapping: 400 bad spec, 404 unknown job/graph, 409 result not
+Error mapping: 400 bad spec or query, 404 unknown job/graph, 409 result not
 ready, 429 admission control (:class:`ServiceBusy`), 500 anything else.
 
 :func:`serve` is the blocking entry point behind ``repro serve``; it
@@ -35,6 +38,7 @@ import json
 import os
 import signal
 import threading
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .jobs import JobState
@@ -79,6 +83,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._route_get()
         except (KeyError, LookupError) as exc:
             self._error(404, str(exc))
+        except ValueError as exc:
+            self._error(400, str(exc))
         except Exception as exc:  # pragma: no cover - defensive
             self._error(500, repr(exc))
 
@@ -112,7 +118,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts == ["api", "jobs"]:
             self._json(200, {"jobs": svc.list_jobs()})
         elif len(parts) == 3 and parts[:2] == ["api", "jobs"]:
-            self._json(200, svc.status(parts[2]))
+            self._json(200, svc.status(parts[2], wait=self._wait_query()))
         elif len(parts) == 4 and parts[:2] == ["api", "jobs"]:
             job_id, leaf = parts[2], parts[3]
             if leaf == "result":
@@ -128,6 +134,21 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, f"unknown endpoint {self.path!r}")
         else:
             self._error(404, f"unknown endpoint {self.path!r}")
+
+    def _wait_query(self) -> float:
+        """The ``?wait=<seconds>`` of a status request (0 if absent)."""
+        query = urllib.parse.parse_qs(urllib.parse.urlsplit(self.path).query,
+                                      keep_blank_values=True)
+        unknown = set(query) - {"wait"}
+        if unknown:
+            raise ValueError(
+                f"unknown query key(s): {', '.join(sorted(unknown))}")
+        if "wait" not in query:
+            return 0.0
+        wait = float(query["wait"][-1])  # ValueError -> 400
+        if not wait >= 0:  # also refuses NaN
+            raise ValueError(f"wait must be >= 0 seconds, got {wait}")
+        return wait
 
     def _route_post(self) -> None:
         svc = self.service

@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-__all__ = ["JobState", "JobSpec", "Job", "reduce_records", "job_table_state"]
+__all__ = ["JobState", "JobSpec", "Job", "reduce_records", "job_table_state",
+           "resolve_algorithm"]
 
 _JOB_ID_RE = re.compile(r"^j[0-9]{4,}-[0-9a-f]{4}$")
 
@@ -38,6 +39,18 @@ ALLOWED_CONFIG_KEYS = frozenset({
     "threads", "delay", "seed", "max_iterations", "jitter", "atomicity",
     "dispatch", "worker_timeout_s", "direction_alpha", "direction_beta",
 })
+
+
+def resolve_algorithm(name: str):
+    """Algorithm factory by CLI name (lazy: avoids a cli import cycle)."""
+    from ..cli import ALGORITHMS
+
+    factory = ALGORITHMS.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown algorithm {name!r}; choose from "
+            f"{', '.join(sorted(ALGORITHMS))}")
+    return factory
 
 
 class JobState:
@@ -59,9 +72,10 @@ class JobSpec:
 
     ``graph`` is either a registered graph name (string) or an inline
     spec dict (see :class:`~repro.service.graphs.GraphRegistry`).
-    ``throttle_s`` sleeps on the scheduler thread after every iteration
-    barrier — a pure pacing knob (wall time only, never semantics) used
-    by the chaos tests to pin a job mid-flight, and useful for demos.
+    ``throttle_s`` sleeps in the job's runner process after every
+    iteration barrier — a pure pacing knob (wall time only, never
+    semantics) used by the chaos tests to pin a job mid-flight, and
+    useful for demos.
     """
 
     job_id: str

@@ -7,8 +7,11 @@ standing graphs under the full robustness stack:
   JobJournal` *before* the in-memory table changes (write-ahead), so a
   SIGKILL'd service recovers every job durably reached;
 * each job runs under :func:`~repro.robust.supervised_run` with its own
-  checkpoint file, degradation policy, deadline, and recorder — the
-  PR-4 primitives, now load-bearing under concurrency;
+  checkpoint file, degradation policy, deadline, and recorder — in the
+  job-runner *process* of the slot that took it
+  (:mod:`repro.service.runner`), so concurrent jobs use separate cores;
+  the slot's thread here only relays the runner's messages into the
+  journal, the job table and the metrics;
 * each job is resource-scoped: its shared-memory segments carry the
   ``<service>-<job id>`` namespace (:func:`~repro.storage.shm.
   segment_namespace`), its traces/checkpoints/results live under
@@ -32,45 +35,36 @@ Data directory layout::
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import queue
 import secrets
 import threading
 import time
+from multiprocessing import connection as mp_connection
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import Telemetry
-from ..robust.errors import RunInterrupted
-from ..robust.watchdog import DegradationPolicy
-from ..storage.checkpoint import config_from_dict
-from ..storage.shm import segment_namespace, sweep_orphaned_segments
+from ..robust.errors import RunnerDied
+from ..robust.procs import reap
+from ..storage.shm import sweep_orphaned_segments
 from .graphs import GraphRegistry
-from .jobs import Job, JobSpec, JobState, job_table_state, reduce_records
+from .jobs import (Job, JobSpec, JobState, job_table_state, reduce_records,
+                   resolve_algorithm)
 from .journal import JobJournal
+from .runner import Runner
 
 __all__ = ["GraphService", "ServiceBusy", "resolve_algorithm"]
 
 #: journal tail length that triggers snapshot compaction at startup
 _COMPACT_THRESHOLD = 4096
 
+#: longest a ``status(wait=)`` long-poll is held before it answers
+MAX_WAIT_S = 30.0
+
 
 class ServiceBusy(RuntimeError):
     """Admission control rejected a submission (queue at capacity)."""
-
-
-def resolve_algorithm(name: str):
-    """Algorithm factory by CLI name (lazy: avoids a cli import cycle)."""
-    from ..cli import ALGORITHMS
-
-    factory = ALGORITHMS.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown algorithm {name!r}; choose from "
-            f"{', '.join(sorted(ALGORITHMS))}")
-    return factory
 
 
 def _service_namespace(data_dir: str) -> str:
@@ -86,7 +80,8 @@ class GraphService:
     data_dir:
         Everything durable lives here; two services must not share one.
     max_concurrent:
-        Worker threads, i.e. jobs running at once.
+        Jobs running at once: that many job-runner processes, each with
+        a relay thread in this process.
     max_queue:
         Admission control: submissions beyond this many non-terminal
         jobs raise :class:`ServiceBusy` (HTTP 429).
@@ -113,6 +108,10 @@ class GraphService:
         self.swept_segments: list[str] = []
         self._queue: queue.Queue[str] = queue.Queue()
         self._lock = threading.RLock()
+        #: notified (under the job-table lock) when a job turns terminal
+        #: and at shutdown: what ``status(wait=)`` long-polls sleep on
+        self._changed = threading.Condition(self._lock)
+        self._runners: list[Runner] = []
         self._workers: list[threading.Thread] = []
         self._stop = threading.Event()
         self._draining = False
@@ -124,14 +123,26 @@ class GraphService:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Recover from the journal, sweep orphans, start the pool."""
+        """Recover from the journal, sweep orphans, start the pool.
+
+        The runners are forked here, before any slot thread exists and
+        (in ``repro serve``) before the HTTP socket is bound, so a child
+        inherits neither a lock another thread holds nor the listener.
+        Their parent-death signal is bound to the *thread* calling this
+        (Linux semantics): they are SIGKILLed when it exits, so call it
+        from a thread that lives as long as the service.
+        """
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
         self.recover()
-        for w in range(self.max_concurrent):
-            t = threading.Thread(target=self._worker_loop,
-                                 name=f"repro-service-worker-{w}",
+        # exported as 0 from the first scrape, not from the first death
+        self.metrics.counter("service_runner_restarts_total")
+        self._runners = [Runner(slot, self.data_dir, self.namespace)
+                         for slot in range(self.max_concurrent)]
+        for runner in self._runners:
+            t = threading.Thread(target=self._worker_loop, args=(runner,),
+                                 name=f"repro-service-worker-{runner.slot}",
                                  daemon=True)
             t.start()
             self._workers.append(t)
@@ -183,13 +194,15 @@ class GraphService:
         if len(tail) > _COMPACT_THRESHOLD:
             self.journal.compact(job_table_state(self.jobs))
 
-    def _sweep_job_scratch(self) -> list[str]:
-        """Remove ``*.tmp.<pid>`` litter a killed checkpoint write left."""
+    def _sweep_job_scratch(self, job_id: str | None = None) -> list[str]:
+        """Remove ``*.tmp.<pid>`` litter a killed checkpoint write left
+        (under every job directory, or only ``job_id``'s)."""
         removed = []
         jobs_root = os.path.join(self.data_dir, "jobs")
         if not os.path.isdir(jobs_root):
             return removed
-        for jid in sorted(os.listdir(jobs_root)):
+        job_ids = sorted(os.listdir(jobs_root)) if job_id is None else [job_id]
+        for jid in job_ids:
             jdir = os.path.join(jobs_root, jid)
             if not os.path.isdir(jdir):
                 continue
@@ -211,11 +224,30 @@ class GraphService:
         ``pending``.  The job table is compacted on the way out.
         """
         self._draining = bool(drain)
-        self._stop.set()
+        with self._changed:
+            # Under the lock a slot assigns jobs under: a job is either
+            # already on its runner (and gets the drain) or never starts.
+            self._stop.set()
+            if drain:
+                for runner in self._runners:
+                    if runner.job_id is not None:
+                        runner.send(("interrupt", runner.job_id, "drain"))
+            self._changed.notify_all()  # release the long-polls
         deadline = time.monotonic() + timeout
         for t in self._workers:
             t.join(max(0.0, deadline - time.monotonic()))
+        # Each slot thread stopped its runner on the way out; whatever is
+        # left belongs to a thread the timeout gave up on.
+        with self._lock:
+            for runner in self._runners:
+                runner.send(("stop",))
+        reap([runner.proc for runner in self._runners])
+        for t in self._workers:
+            t.join(1.0)  # a relay whose runner was just reaped returns
+        for runner in self._runners:
+            runner.conn.close()
         self._workers = []
+        self._runners = []
         with self._lock:
             self.journal.compact(job_table_state(self.jobs))
             self.journal.close()
@@ -274,11 +306,25 @@ class GraphService:
                 job.state = JobState.CANCELLED
                 self.journal.append("finish", job=job_id,
                                     status=JobState.CANCELLED)
+                self._changed.notify_all()
+            for runner in self._runners:
+                if runner.job_id == job_id:
+                    runner.send(("interrupt", job_id, "cancel"))
             return job.status()
 
-    def status(self, job_id: str) -> dict:
-        with self._lock:
-            return self._get(job_id).status()
+    def status(self, job_id: str, *, wait: float = 0.0) -> dict:
+        """The job's status; with ``wait`` (seconds, capped at
+        :data:`MAX_WAIT_S`) a long-poll that answers as soon as the job
+        is terminal, the wait expires or the service shuts down."""
+        deadline = time.monotonic() + min(wait, MAX_WAIT_S)
+        with self._changed:
+            while True:
+                job = self._get(job_id)
+                remaining = deadline - time.monotonic()
+                if (job.state in JobState.TERMINAL or remaining <= 0
+                        or self._stop.is_set()):
+                    return job.status()
+                self._changed.wait(remaining)
 
     def list_jobs(self) -> list[dict]:
         with self._lock:
@@ -301,12 +347,14 @@ class GraphService:
             by_state: dict[str, int] = {}
             for job in self.jobs.values():
                 by_state[job.state] = by_state.get(job.state, 0) + 1
+            runners = [runner.describe() for runner in self._runners]
         return {
             "ok": True,
             "namespace": self.namespace,
             "jobs": by_state,
             "queue_depth": self._queue.qsize(),
             "max_concurrent": self.max_concurrent,
+            "runners": runners,
             "graphs": sorted(self.graphs.names()),
             "draining": self._draining,
         }
@@ -371,9 +419,10 @@ class GraphService:
         return job
 
     # ------------------------------------------------------------------
-    # the workers
+    # the slots: one relay thread + one runner process each
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, runner: Runner) -> None:
+        running = self.metrics.gauge("service_jobs_running")
         while not self._stop.is_set():
             try:
                 job_id = self._queue.get(timeout=0.2)
@@ -383,153 +432,130 @@ class GraphService:
                 job = self.jobs.get(job_id)
                 if job is None or job.state in JobState.TERMINAL:
                     continue
-            gauge = self.metrics.gauge("service_jobs_running")
-            with self._lock:
                 self._running += 1
-                gauge.set(self._running)
+                running.set(self._running)
             try:
-                self._run_job(job)
+                self._run_job(runner, job)
             except Exception as exc:  # defensive: a worker never dies
                 self._finish(job, JobState.FAILED, error=repr(exc))
             finally:
                 with self._lock:
+                    runner.job_id = None
                     self._running -= 1
-                    gauge.set(self._running)
+                    running.set(self._running)
                 self.metrics.gauge("service_queue_depth").set(
                     self._queue.qsize())
-
-    def _run_job(self, job: Job) -> None:
-        spec = job.spec
-        jdir = self.job_dir(job.job_id)
-        os.makedirs(jdir, exist_ok=True)
-        ckpt_path = os.path.join(jdir, "state.ckpt")
+        # Stop my runner before I exit: one I respawned is SIGKILLed by
+        # its parent-death signal the moment this thread is gone.
         with self._lock:
-            job.state = JobState.RUNNING
-            attempt = job.attempts + 1
-            job.attempts = attempt
-            self.journal.append("start", job=job.job_id, attempt=attempt,
-                                resumed=job.resumed)
-        resume_from = ckpt_path if (job.resumed
-                                    and os.path.exists(ckpt_path)) else None
-        program = resolve_algorithm(spec.algorithm)()
-        graph = self.graphs.get(spec.graph)
-        config = config_from_dict(spec.config) if spec.config else None
+            runner.send(("stop",))
+        runner.proc.join(5.0)
 
-        every = int(spec.checkpoint_every)
+    def _run_job(self, runner: Runner, job: Job) -> None:
+        """Run ``job`` on ``runner``, again after each runner death.
 
-        def on_iteration(span) -> None:
-            # Runs after post_iteration: the barrier's checkpoint (if
-            # due) is already durable on disk, so journaling a record
-            # that references it preserves the WAL ordering invariant.
-            ckpt_iter = (span.iteration + 1
-                         if (span.iteration + 1) % every == 0 else None)
+        A death costs the slot a respawn and the job one of its
+        ``max_restarts``: it resumes from its last barrier checkpoint
+        exactly as it would after a death of the whole service.
+        """
+        ckpt_path = os.path.join(self.job_dir(job.job_id), "state.ckpt")
+        deaths = 0
+        while True:
             with self._lock:
-                job.iteration = span.iteration
-                if ckpt_iter is not None:
-                    job.checkpoint_iteration = ckpt_iter
-                self.journal.append(
-                    "barrier", job=job.job_id, iteration=span.iteration,
-                    frontier=span.frontier_size,
-                    checkpoint_iteration=ckpt_iter)
-            if spec.throttle_s > 0:
-                time.sleep(spec.throttle_s)
+                if self._stop.is_set():
+                    return  # shutdown won the race: the job stays queued
+                if job.cancel_requested:
+                    # asked while no live runner could be told
+                    self._finish(job, JobState.CANCELLED)
+                    return
+                job.state = JobState.RUNNING
+                attempt = job.attempts + 1
+                job.attempts = attempt
+                self.journal.append("start", job=job.job_id, attempt=attempt,
+                                    resumed=job.resumed,
+                                    runner_pid=runner.proc.pid)
+                resume_from = ckpt_path if (
+                    job.resumed and os.path.exists(ckpt_path)) else None
+                runner.job_id = job.job_id
+                runner.jobs_run += 1
+                runner.send(("run", job.spec, attempt, resume_from))
+            if self._relay(runner, job):
+                return
+            reap([runner.proc])
+            exitcode = runner.proc.exitcode
+            if self._stop.is_set():
+                return  # shutdown reaped it; the job stays ``running``
+            deaths += 1
+            with self._lock:
+                self.journal.append("runner_died", job=job.job_id,
+                                    exitcode=exitcode, attempt=attempt)
+                self.metrics.counter("service_runner_restarts_total").inc()
+                # What its unlink paths would have removed.
+                sweep_orphaned_segments(f"{self.namespace}-{job.job_id}")
+                self._sweep_job_scratch(job.job_id)
+                runner.conn.close()
+                runner.spawn()
+            if deaths > job.spec.max_restarts:
+                self._finish(job, JobState.FAILED, error=repr(RunnerDied(
+                    f"job runner died {deaths} time(s) under {job.job_id}, "
+                    f"last with exit code {exitcode}", exitcode=exitcode)))
+                return
+            job.resumed = True
 
-        def interrupt() -> str | None:
-            if job.cancel_requested:
-                return "cancel"
-            if self._draining and self._stop.is_set():
-                return "drain"
-            return None
+    def _relay(self, runner: Runner, job: Job) -> bool:
+        """Turn the runner's messages into journal records, job-table
+        updates and metrics until the job's attempt ends.
 
-        sink = Telemetry(
-            trace_path=os.path.join(jdir, f"trace-{attempt}.jsonl"),
-            on_iteration=on_iteration)
-        recorder = None
-        if spec.record is not None:
-            from ..obs.recorder import Recorder
-
-            recorder = Recorder(
-                policy=spec.record,
-                trace_path=os.path.join(jdir, f"record-{attempt}.jsonl"))
-
-        from ..robust.supervisor import supervised_run
-
-        t0 = time.monotonic()
-        try:
-            if spec.mode == "delta":
-                # The delta engine has no barrier checkpoints yet: a
-                # killed or drained delta job re-runs from scratch on
-                # the next incarnation (journaled barriers still drive
-                # progress reporting; cancel/drain interrupt cleanly).
-                from ..engine.runner import run as engine_run
-                from ..graph.mutations import generate_batches
-
-                batches = None
-                if spec.mutations is not None:
-                    m = spec.mutations
-                    batches = generate_batches(
-                        graph, int(m.get("num_batches", 3)),
-                        float(m.get("frac", 0.001)), int(m.get("seed", 7)))
-                result = engine_run(
-                    program, graph, mode="delta", config=config,
-                    telemetry=sink, record=recorder,
-                    mutations=batches, interrupt=interrupt)
-            else:
-                with segment_namespace(f"{self.namespace}-{job.job_id}"):
-                    result = supervised_run(
-                        program, graph, mode=spec.mode, config=config,
-                        vectorized=spec.vectorized, backend=spec.backend,
-                        telemetry=sink, record=recorder, faults=spec.faults,
-                        policy=DegradationPolicy(
-                            max_restarts=spec.max_restarts),
-                        checkpoint=ckpt_path,
-                        checkpoint_every=spec.checkpoint_every,
-                        resume_from=resume_from, deadline_s=spec.deadline_s,
-                        interrupt=interrupt,
-                    )
-        except RunInterrupted as stop:
-            sink.close()
-            if stop.reason == "cancel":
-                self._finish(job, JobState.CANCELLED)
-            else:
-                # Drain: journal nothing terminal — the job is exactly
-                # where a crash would leave it, and the WAL already
-                # records the barrier its checkpoint covers.
+        Returns ``False`` if the runner died first.  Records are
+        appended on receipt and in pipe order; a ``barrier`` message is
+        only ever sent after its checkpoint is durable (see
+        :mod:`repro.service.runner`), so WAL invariant 2 holds without
+        the runner waiting for the append.
+        """
+        conn, sentinel = runner.conn, runner.proc.sentinel
+        while True:
+            # The sentinel, not just EOF: a sibling forked while this
+            # pipe was being set up may hold its far end open.
+            if conn not in mp_connection.wait([conn, sentinel]):
+                return False
+            try:
+                kind, *fields = conn.recv()
+            except (EOFError, OSError):
+                return False
+            if kind == "barrier":
+                iteration, frontier, ckpt_iter = fields
                 with self._lock:
-                    self.journal.append("drain", job=job.job_id,
-                                        iteration=stop.iteration)
-            return
-        except Exception as exc:
-            sink.close()
-            self._finish(job, JobState.FAILED, error=repr(exc))
-            return
-
-        arr = np.ascontiguousarray(result.result())
-        np.save(os.path.join(jdir, "result.npy"), arr)
-        summary = {
-            "converged": bool(result.converged),
-            "iterations": int(result.num_iterations),
-            "state_sha256": hashlib.sha256(arr.tobytes()).hexdigest(),
-            "conflicts": result.conflicts.summary(),
-            "resumed": resume_from is not None,
-            "attempts": attempt,
-            "wall_s": round(time.monotonic() - t0, 6),
-        }
-        if spec.mode == "delta":
-            summary["delta"] = result.extra.get("delta")
-            if "mutations" in result.extra:
-                summary["mutations"] = [
-                    {k: v for k, v in m.items() if k != "seeds"}
-                    for m in result.extra["mutations"]]
-        degradations = result.extra.get("degradations")
-        if degradations:
-            summary["degradations"] = degradations
-            with self._lock:
-                for event in degradations:
-                    self.journal.append("degrade", job=job.job_id, event=event)
-        self.metrics.histogram("service_job_seconds").observe(
-            summary["wall_s"])
-        self._finish(job, JobState.DONE, result=summary)
+                    job.iteration = iteration
+                    if ckpt_iter is not None:
+                        job.checkpoint_iteration = ckpt_iter
+                    self.journal.append(
+                        "barrier", job=job.job_id, iteration=iteration,
+                        frontier=frontier, checkpoint_iteration=ckpt_iter)
+            elif kind == "interrupted":
+                reason, iteration = fields
+                if reason == "cancel":
+                    self._finish(job, JobState.CANCELLED)
+                else:
+                    # Drain: journal nothing terminal — the job is
+                    # exactly where a crash would leave it, and the WAL
+                    # already records the barrier its checkpoint covers.
+                    with self._lock:
+                        self.journal.append("drain", job=job.job_id,
+                                            iteration=iteration)
+                return True
+            elif kind == "failed":
+                self._finish(job, JobState.FAILED, error=fields[0])
+                return True
+            elif kind == "done":
+                summary = fields[0]
+                with self._lock:
+                    for event in summary.get("degradations", ()):
+                        self.journal.append("degrade", job=job.job_id,
+                                            event=event)
+                self.metrics.histogram("service_job_seconds").observe(
+                    summary["wall_s"])
+                self._finish(job, JobState.DONE, result=summary)
+                return True
 
     def _finish(self, job: Job, status: str, *, result: dict | None = None,
                 error: str | None = None) -> None:
@@ -548,3 +574,4 @@ class GraphService:
             job.finished_at = finished_at
             self.metrics.counter("service_jobs_finished_total",
                                  status=status).inc()
+            self._changed.notify_all()

@@ -60,9 +60,9 @@ SHM_DIR = "/dev/shm"
 
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9._-]{1,80}$")
 
-#: The per-job/service segment namespace.  A context variable, so each
-#: scheduler worker *thread* scopes the segments of the job it is
-#: running without plumbing a name through every engine layer:
+#: The per-job/service segment namespace.  A context variable, so a
+#: service job runner scopes the segments of the job it is running
+#: without plumbing a name through every engine layer:
 #: ``SharedArrayPool.create`` picks it up when minting a default name.
 _namespace: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "repro_shm_namespace", default=None)
@@ -77,7 +77,7 @@ def current_segment_namespace() -> str | None:
 def segment_namespace(namespace: str | None):
     """Scope default segment names to ``SEGMENT_PREFIX<namespace>-…``.
 
-    The service scheduler wraps each job's run in
+    The service's job runner wraps each job's run in
     ``segment_namespace(f"{service_ns}-{job_id}")`` so every segment a
     job creates — the parallel backend's pool, the out-of-core worker
     mirrors — carries the job id in its ``/dev/shm`` name.  That is what

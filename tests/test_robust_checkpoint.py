@@ -152,19 +152,28 @@ def test_save_checkpoint_is_durable_ordered(tmp_path, monkeypatch):
 def test_service_barrier_journal_append_follows_checkpoint(tmp_path):
     """Cross-layer ordering: the scheduler's ``barrier`` WAL record for
     a checkpointed iteration is appended only after ``save_checkpoint``
-    has completed (checkpoint durable before the journal claims it)."""
+    has completed (checkpoint durable before the journal claims it).
+
+    The checkpoint is saved in the job's runner process (forked at
+    ``start()``, so it inherits the spy) and the record is appended in
+    this one; both sides log to one ``O_APPEND`` file, whose line order
+    is the order of the writes system-wide."""
     import os
     import time
 
     from repro.service import GraphService, JobState
     from repro.storage import checkpoint as ckpt_mod
 
-    order = []
+    log_path = tmp_path / "order.log"
     real_save = ckpt_mod.save_checkpoint
+
+    def log(kind, iteration):
+        with open(log_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{kind} {iteration}\n")
 
     def spy_save(path, ck):
         real_save(path, ck)
-        order.append(("ckpt", ck.iteration))
+        log("ckpt", ck.iteration)
 
     svc = GraphService(tmp_path / "svc", max_concurrent=1)
     svc.graphs.register("tiny", {"dataset": "web-google-mini",
@@ -173,7 +182,7 @@ def test_service_barrier_journal_append_follows_checkpoint(tmp_path):
 
     def spy_append(record_type, **fields):
         if record_type == "barrier":
-            order.append(("journal", fields.get("checkpoint_iteration")))
+            log("journal", fields.get("checkpoint_iteration"))
         return real_append(record_type, **fields)
 
     svc.journal.append = spy_append
@@ -199,6 +208,8 @@ def test_service_barrier_journal_append_follows_checkpoint(tmp_path):
         ckpt_mod.save_checkpoint = real_save
         if saved is not None:
             sup_mod.save_checkpoint = saved
+    order = [(kind, None if it == "None" else int(it)) for kind, it in
+             (line.split() for line in log_path.read_text().splitlines())]
     ckpts = [e for e in order if e[0] == "ckpt"]
     assert ckpts, "run never checkpointed"
     journaled = [it for kind, it in order if kind == "journal" and it]

@@ -84,6 +84,27 @@ def _wait_for_barrier(client, job_id, min_iteration=1, timeout=60.0):
                        f"{min_iteration} with a checkpoint")
 
 
+def _alive(pids) -> list[int]:
+    """The pids that can still run: ``os.kill(pid, 0)`` succeeds and the
+    process is not a zombie waiting for a slow init to reap it."""
+    alive = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            if os.path.isdir("/proc/self"):
+                continue  # reaped between the two looks
+            state = "R"  # no procfs: os.kill's word stands
+        if state != "Z":
+            alive.append(pid)
+    return alive
+
+
 JOB = {
     "algorithm": "PageRank",
     "graph": {"dataset": "web-google-mini", "scale": 9, "seed": 7},
@@ -98,13 +119,23 @@ def test_sigkill_service_mid_job_resumes_bit_identically(tmp_path):
     namespace = _service_namespace(str(data_dir))
 
     proc, client = _start_service(data_dir)
+    runner_pids = []
     try:
         jid = client.submit(JOB)
         _wait_for_barrier(client, jid, min_iteration=1)
+        runner_pids = [r["pid"] for r in client.health()["runners"]]
     finally:
         # the kill under test: the whole service, no warning, mid-job
         proc.kill()
         proc.wait(timeout=30)
+
+    # a runner dies with its service: none may still be rewriting
+    # state.ckpt when the next incarnation resumes the job
+    assert runner_pids, "the service reported no job runners"
+    deadline = time.monotonic() + 2.0
+    while _alive(runner_pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _alive(runner_pids) == [], "a job runner outlived its service"
 
     proc2, client2 = _start_service(data_dir)
     try:

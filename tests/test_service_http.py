@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -57,6 +58,41 @@ def test_submit_wait_result_trace(live):
     trace = client.trace(jid)
     assert any(r.get("type") == "run_end" for r in trace)
     assert jid in [j["job_id"] for j in client.jobs()]
+
+
+def test_status_wait_long_polls_until_terminal(live):
+    _, client = live
+    jid = client.submit({"algorithm": "PageRank", "graph": "web",
+                         "config": {"seed": 2}, "throttle_s": 0.05})
+    # one held request sees the job through ...
+    assert client.status(jid, wait=30)["state"] == JobState.DONE
+    # ... so wait() no longer costs a request per poll interval
+    jid = client.submit({"algorithm": "PageRank", "graph": "web",
+                         "config": {"seed": 2}, "throttle_s": 0.05})
+    responses = []
+    final = client.wait(jid, timeout=60, poll_s=0.005,
+                        on_status=responses.append)
+    assert final["state"] == JobState.DONE and responses[-1] == final
+    assert len(responses) <= 2
+
+
+def test_status_wait_expires_and_rejects_bad_queries(live):
+    _, client = live
+    jid = client.submit({"algorithm": "PageRank", "graph": "web",
+                         "throttle_s": 0.5})
+    started = time.monotonic()
+    status = client.status(jid, wait=0.3)
+    assert time.monotonic() - started >= 0.3
+    assert status["state"] not in JobState.TERMINAL
+    for query in ("wait=-1", "wait=soon", "wait=nan", "patience=3"):
+        with pytest.raises(ServiceError) as exc:
+            client._call("GET", f"/api/jobs/{jid}?{query}")
+        assert exc.value.status == 400, query
+    with pytest.raises(ServiceError) as exc:
+        client.status("j9999-beef", wait=5)
+    assert exc.value.status == 404
+    client.cancel(jid)
+    assert client.status(jid, wait=30)["state"] == JobState.CANCELLED
 
 
 def test_cancel_over_http(live):
@@ -143,6 +179,19 @@ def test_cli_client_round_trip(live, capsys):
     capsys.readouterr()
     assert cli.main(["client", "--url", url, "watch", jid]) == 0
     assert "done" in capsys.readouterr().out
+
+
+def test_cli_watch_follows_the_barriers(live, capsys):
+    """``watch`` shows progress, not just the first and the last status:
+    its requests are short holds, not one long-poll to the end."""
+    _, client = live
+    jid = client.submit({"algorithm": "WCC", "graph": "web",
+                         "config": {"seed": 3}, "throttle_s": 0.7})
+    assert cli.main(["client", "--url", client.url, "watch", jid]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith(f"{jid} done")
+    running = {line for line in lines if f"{jid} running iter=" in line}
+    assert len(running) > 1, lines
 
 
 def test_cli_client_unreachable_service_fails_cleanly(capsys):

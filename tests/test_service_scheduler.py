@@ -105,6 +105,9 @@ def test_two_concurrent_jobs_match_their_solo_runs(service):
         result = service.result(jid)
         assert result["state_sha256"] == digest, f"{name} diverged"
         assert result["conflicts"] == conflicts, f"{name} conflicts diverged"
+    # ... and they ran in two job-runner processes, not in this one
+    pids = {service.result(jid)["runner_pid"] for jid in jids}
+    assert len(pids) == 2 and os.getpid() not in pids
 
 
 def test_inline_graph_spec(service):
@@ -113,6 +116,20 @@ def test_inline_graph_spec(service):
                                     "scale": 8, "seed": 2},
                           "config": {"seed": 1}})
     assert _wait(service, jid)["state"] == JobState.DONE
+
+
+def test_graph_registered_after_start_reaches_the_runners(service):
+    """The runners were forked before this registration; their own
+    registries must still find it."""
+    service.graphs.register("late", {"dataset": "web-google-mini",
+                                     "scale": 7, "seed": 3})
+    jid = service.submit({"algorithm": "WCC", "graph": "late",
+                          "config": {"seed": 1}})
+    status = _wait(service, jid)
+    assert status["state"] == JobState.DONE, status.get("error")
+    solo = run(WeaklyConnectedComponents(), service.graphs.get("late"),
+               mode="nondeterministic", config=EngineConfig(seed=1))
+    assert service.result(jid)["state_sha256"] == _digest(solo)[0]
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +228,63 @@ def test_drain_then_restart_resumes_bit_identically(tmp_path):
         assert result["conflicts"] == conflicts
     finally:
         svc2.shutdown(drain=True, timeout=60)
+
+
+def test_submit_cancel_wait_stress_loses_no_job(service):
+    """More clients than cores hammer submit / cancel / long-poll while
+    two relays move jobs across the pipes: every job must end terminal
+    (a cancel that raced its ``run`` message is not lost, no waiter is
+    left asleep) and every ``done`` carries a result."""
+    import sys
+
+    outcomes, errors = [], []
+
+    def client(c: int) -> None:
+        try:
+            for i in range(5):
+                jid = service.submit({
+                    "algorithm": "WCC", "graph": "web",
+                    "config": {"seed": 10 * c + i}, "throttle_s": 0.01})
+                if (c + i) % 2:
+                    service.cancel(jid)
+                outcomes.append(service.status(jid, wait=30))
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client, args=(c,))
+                   for c in range(6)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in clients)
+    assert len(outcomes) == 30
+    for status in outcomes:
+        assert status["state"] in (JobState.DONE, JobState.CANCELLED), status
+        assert status["state"] == JobState.CANCELLED or "result" in status
+        assert status["cancel_requested"] or status["state"] == JobState.DONE
+
+
+def test_shutdown_releases_a_long_poll(tmp_path):
+    svc = GraphService(tmp_path / "svc", max_concurrent=1)
+    svc.graphs.register("web", WEB_SPEC)
+    svc.start()
+    jid = svc.submit({"algorithm": "PageRank", "graph": "web",
+                      "throttle_s": 0.2})
+    answers = []
+    poll = threading.Thread(
+        target=lambda: answers.append(svc.status(jid, wait=30)))
+    poll.start()
+    time.sleep(0.3)
+    assert poll.is_alive(), "the long-poll answered a running job early"
+    svc.shutdown(drain=True, timeout=60)
+    poll.join(5.0)
+    assert not poll.is_alive() and answers[0]["state"] == JobState.RUNNING
 
 
 # ----------------------------------------------------------------------
