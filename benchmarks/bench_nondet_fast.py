@@ -12,8 +12,9 @@ Two entry points:
 * ``pytest benchmarks/bench_nondet_fast.py -m perfsmoke`` — tier-2
   smoke floor: the fast path must hold ≥5× over the object engine at
   scale 10 (the JSON artifact targets ≥10×; the floor is deliberately
-  looser so CI noise does not flake it), and slice-path repair must
-  hold ≥1.5× over all-dense repair on grid SSSP.
+  looser so CI noise does not flake it), slice-path repair must hold
+  ≥1.5× over all-dense repair on grid SSSP, and a one-sided kernel must
+  run in ≤0.9× the wall of its declared-two-sided twin.
 
 Both paths benchmark *identical work*: the engines are bit-for-bit
 equivalent (see tests/test_nondet_vectorized.py), so a speedup here is
@@ -197,6 +198,34 @@ def test_scale12_pagerank_throughput_floor():
     assert cell12["updates_per_s"] >= cell10["updates_per_s"] / 4.0, (
         f"scale-12 throughput {cell12['updates_per_s']:.0f} updates/s fell "
         f"more than 4x below scale-10 ({cell10['updates_per_s']:.0f})"
+    )
+
+
+@pytest.mark.perfsmoke
+def test_one_sided_floor_scale13_pagerank():
+    """Tier-2 floor for ``NondetKernel.writes_dst``: rmat-13 PageRank
+    must run in <= 0.9x the wall of its declared-two-sided twin — the
+    same kernel with ``wd`` / ``wvd`` allocated, its ``wd[...] = False``
+    stores restored and every layer's destination-write half run
+    (tests/test_one_sided.py shows the two are byte-equal).  Same
+    process, alternating, best of 3 each, so host load cancels; the
+    line timings behind the declaration predict ~0.75-0.8.
+    """
+    from tests.test_one_sided import TWO_SIDED
+
+    graph = generators.rmat(13, 8.0, seed=3)
+    best = {"real": float("inf"), "twin": float("inf")}
+    for _ in range(3):
+        for label, factory in (("twin", TWO_SIDED["pagerank"]),
+                               ("real", ALGORITHMS["pagerank"])):
+            cell = _timed(factory, graph, vectorized=True)
+            assert cell["converged"]
+            best[label] = min(best[label], cell["seconds"])
+    ratio = best["real"] / best["twin"]
+    assert ratio <= 0.9, (
+        f"one-sided PageRank took {ratio:.2f}x its two-sided twin "
+        f"({best['real']:.3f}s vs {best['twin']:.3f}s): is some layer "
+        f"still running the destination-write half?"
     )
 
 

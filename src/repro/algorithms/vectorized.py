@@ -255,7 +255,8 @@ class _WCCNondetKernel(NondetKernel):
     def __init__(self, program: WeaklyConnectedComponents):
         del program  # stateless: everything lives in the arrays
 
-    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray) -> None:
+    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
+                 first: bool = True) -> None:
         src, dst = ctx.src, ctx.dst
         sub_s, sub_d = sub[src], sub[dst]
         seen_s, seen_d = ctx.seen_s["label"], ctx.seen_d["label"]
@@ -265,9 +266,11 @@ class _WCCNondetKernel(NondetKernel):
         np.minimum.at(mn, dst[sub_d], seen_d[sub_d])
         np.minimum.at(mn, src[sub_s], seen_s[sub_s])
         ctx.vout["label"][sub] = mn[sub]
-        # Each incident edge is read once per side (a self-loop twice).
-        ctx.rd["label"][sub_d] = 1
-        ctx.rs["label"][sub_s] = 1
+        # Each incident edge is read once per side (a self-loop twice),
+        # whatever it carries: pass 1 records it for the whole iteration.
+        if first:
+            ctx.rd["label"][sub_d] = 1
+            ctx.rs["label"][sub_s] = 1
         # Scatter criterion: the edge carried a larger observed label.
         ctx.ws["label"][sub_s] = (seen_s > mn[src])[sub_s]
         ctx.wvs["label"][sub_s] = mn[src[sub_s]]
@@ -282,7 +285,8 @@ class _WCCNondetKernel(NondetKernel):
     push_combines = {"label": CombineOp.MIN}
 
     def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
-                       es: np.ndarray, ed: np.ndarray) -> None:
+                       es: np.ndarray, ed: np.ndarray,
+                       first: bool = True) -> None:
         src, dst = ctx.src, ctx.dst
         seen_s, seen_d = ctx.seen_s["label"], ctx.seen_d["label"]
         # Same gather as run_pass restricted to the touched edge slices:
@@ -291,8 +295,9 @@ class _WCCNondetKernel(NondetKernel):
         np.minimum.at(mn, dst[ed], seen_d[ed])
         np.minimum.at(mn, src[es], seen_s[es])
         ctx.vout["label"][sub_ids] = mn[sub_ids]
-        ctx.rd["label"][ed] = 1
-        ctx.rs["label"][es] = 1
+        if first:
+            ctx.rd["label"][ed] = 1
+            ctx.rs["label"][es] = 1
         ctx.ws["label"][es] = seen_s[es] > mn[src[es]]
         ctx.wvs["label"][es] = mn[src[es]]
         ctx.wd["label"][ed] = (seen_d[ed] > mn[dst[ed]]) & ~ctx.selfloop[ed]
@@ -303,15 +308,17 @@ class _PageRankNondetKernel(NondetKernel):
     """Racy float32 PageRank pass with local convergence."""
 
     written_fields = ("value",)
+    writes_dst = False  # pull mode: only the source writes an edge
 
     def __init__(self, program: PageRank):
         self.epsilon = program.epsilon
         self.damping = program.damping
         self.base = program.base
 
-    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray) -> None:
+    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
+                 first: bool = True) -> None:
         src, dst = ctx.src, ctx.dst
-        sub_s, sub_d = sub[src], sub[dst]
+        sub_s = sub[src]
         seen_d = ctx.seen_d["value"]
         # Sequential float32 adds in edge order: ids (and PSW slots) are
         # source-sorted, so every destination receives its in-edges in
@@ -321,7 +328,8 @@ class _PageRankNondetKernel(NondetKernel):
         np.add.at(total, dst, seen_d)
         new_rank = (self.base + self.damping * total).astype(np.float32)
         np.copyto(ctx.vout["rank"], new_rank, where=sub)
-        np.copyto(ctx.rd["value"], 1, where=sub_d)
+        if first:
+            np.copyto(ctx.rd["value"], 1, where=sub[dst])
         writers = (
             sub
             & (np.abs(new_rank - ctx.v0["rank"]) >= self.epsilon)
@@ -332,14 +340,13 @@ class _PageRankNondetKernel(NondetKernel):
         ).astype(np.float32)
         np.copyto(ctx.ws["value"], writers[src], where=sub_s)
         np.copyto(ctx.wvs["value"], quotient[src], where=sub_s)
-        # pull mode: only the source writes
-        np.copyto(ctx.wd["value"], False, where=sub_d)
 
     # push_combines stays None: a float ADD scatter is not an idempotent
     # combine, so PageRank never runs in the push *direction* — the slice
     # pass only makes a repair pass cost its dirty set.
     def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
-                       es: np.ndarray, ed: np.ndarray) -> None:
+                       es: np.ndarray, ed: np.ndarray,
+                       first: bool = True) -> None:
         src, dst = ctx.src, ctx.dst
         seen_d = ctx.seen_d["value"]
         # ``ed`` is graph.in_edge_ids(sub_ids): each vertex's in-edges in
@@ -349,7 +356,8 @@ class _PageRankNondetKernel(NondetKernel):
         np.add.at(total, dst[ed], seen_d[ed])
         new_rank = (self.base + self.damping * total).astype(np.float32)
         ctx.vout["rank"][sub_ids] = new_rank[sub_ids]
-        ctx.rd["value"][ed] = 1
+        if first:
+            ctx.rd["value"][ed] = 1
         # Scatter side per out-edge (src[es] all lie in sub_ids; an edge
         # in es implies out-degree > 0).
         s = src[es]
@@ -358,18 +366,19 @@ class _PageRankNondetKernel(NondetKernel):
         ctx.wvs["value"][es] = (
             rank_s / ctx.out_degrees[s].astype(np.float32)
         ).astype(np.float32)
-        ctx.wd["value"][ed] = False  # pull mode: only the source writes
 
 
 class _SSSPNondetKernel(NondetKernel):
     """Racy relaxation pass for SSSP (and BFS, its unit-weight subclass)."""
 
     written_fields = ("dist",)
+    writes_dst = False  # only the source endpoint relaxes an edge
 
     def __init__(self, program: SSSP):
         del program  # weights are data: already materialized in the state
 
-    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray) -> None:
+    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
+                 first: bool = True) -> None:
         src, dst = ctx.src, ctx.dst
         sub_s, sub_d = sub[src], sub[dst]
         seen_in = ctx.seen_d["dist"]
@@ -380,7 +389,8 @@ class _SSSPNondetKernel(NondetKernel):
         best = ctx.v0["dist"].copy()
         np.minimum.at(best, dst[relax], seen_in[relax] + weight[relax])
         ctx.vout["dist"][sub] = best[sub]
-        ctx.rd["dist"][sub_d] = 1
+        if first:
+            ctx.rd["dist"][sub_d] = 1
         ctx.rd["weight"][sub_d] = relax[sub_d]
         # Scatter: reached vertices read each out-edge dist and write
         # their own when the edge carries a larger value.
@@ -389,14 +399,14 @@ class _SSSPNondetKernel(NondetKernel):
         ctx.rs["dist"][sub_s] = scat[sub_s]
         ctx.ws["dist"][sub_s] = (scat & (seen_out > best[src]))[sub_s]
         ctx.wvs["dist"][sub_s] = best[src[sub_s]]
-        ctx.wd["dist"][sub_d] = False  # only the source endpoint writes
 
     # Relaxation scatters are fetch-and-min over (dist + weight) — an
     # idempotent atomic combine; see _WCCNondetKernel.push_combines.
     push_combines = {"dist": CombineOp.MIN}
 
     def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
-                       es: np.ndarray, ed: np.ndarray) -> None:
+                       es: np.ndarray, ed: np.ndarray,
+                       first: bool = True) -> None:
         src, dst = ctx.src, ctx.dst
         seen_in = ctx.seen_d["dist"]
         weight = ctx.committed["weight"]
@@ -406,7 +416,8 @@ class _SSSPNondetKernel(NondetKernel):
         best = ctx.v0["dist"].copy()
         np.minimum.at(best, dst[er], sd[fin] + weight[er])
         ctx.vout["dist"][sub_ids] = best[sub_ids]
-        ctx.rd["dist"][ed] = 1
+        if first:
+            ctx.rd["dist"][ed] = 1
         ctx.rd["weight"][ed] = fin
         bs = best[src[es]]
         scat = np.isfinite(bs)
@@ -414,21 +425,22 @@ class _SSSPNondetKernel(NondetKernel):
         ctx.rs["dist"][es] = scat
         ctx.ws["dist"][es] = scat & (seen_out[es] > bs)
         ctx.wvs["dist"][es] = bs
-        ctx.wd["dist"][ed] = False  # only the source endpoint writes
 
 
 class _SpMVNondetKernel(NondetKernel):
     """Racy Jacobi pass for the SpMV fixed point."""
 
     written_fields = ("term",)
+    writes_dst = False  # only the source endpoint writes its term
 
     def __init__(self, program: SpMV):
         self.epsilon = program.epsilon
         self.b = program.b
 
-    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray) -> None:
+    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
+                 first: bool = True) -> None:
         src, dst = ctx.src, ctx.dst
-        sub_s, sub_d = sub[src], sub[dst]
+        sub_s = sub[src]
         seen_term = ctx.seen_d["term"]
         # Sequential float64 accumulation in edge order, like the scalar
         # `total += read` loop (see _PageRankNondetKernel.run_pass).
@@ -436,34 +448,34 @@ class _SpMVNondetKernel(NondetKernel):
         np.add.at(total, dst, seen_term)
         new_x = self.b + total
         np.copyto(ctx.vout["x"], new_x, where=sub)
-        np.copyto(ctx.rd["term"], 1, where=sub_d)
+        if first:
+            np.copyto(ctx.rd["term"], 1, where=sub[dst])
         writers = sub & (np.abs(new_x - ctx.v0["x"]) >= self.epsilon)
         crit = writers[src]
         # The scatter reads the (never-written) coefficient before each write.
         np.copyto(ctx.rs["a"], crit, where=sub_s)
         np.copyto(ctx.ws["term"], crit, where=sub_s)
         np.copyto(ctx.wvs["term"], ctx.committed["a"] * new_x[src], where=sub_s)
-        # only the source endpoint writes
-        np.copyto(ctx.wd["term"], False, where=sub_d)
 
     # Pull-only like PageRank (push_combines is None): see there for why
     # the id-ordered ``ed`` slice reproduces run_pass's float sums.
     def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
-                       es: np.ndarray, ed: np.ndarray) -> None:
+                       es: np.ndarray, ed: np.ndarray,
+                       first: bool = True) -> None:
         src, dst = ctx.src, ctx.dst
         seen_term = ctx.seen_d["term"]
         total = np.zeros(ctx.n, dtype=np.float64)
         np.add.at(total, dst[ed], seen_term[ed])
         new_x = self.b + total
         ctx.vout["x"][sub_ids] = new_x[sub_ids]
-        ctx.rd["term"][ed] = 1
+        if first:
+            ctx.rd["term"][ed] = 1
         s = src[es]
         x_s = new_x[s]
         crit = np.abs(x_s - ctx.v0["x"][s]) >= self.epsilon
         ctx.rs["a"][es] = crit
         ctx.ws["term"][es] = crit
         ctx.wvs["term"][es] = ctx.committed["a"][es] * x_s
-        ctx.wd["term"][ed] = False  # only the source endpoint writes
 
 
 register_nondet_kernel(WeaklyConnectedComponents, _WCCNondetKernel)

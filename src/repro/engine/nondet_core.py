@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import abc
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,8 @@ __all__ = [
 MODE = "nondeterministic"
 DIRECTIONS = ("pull", "push", "auto")
 EVERYTHING = slice(None)
+#: dtype of ``rs`` / ``rd`` everywhere: 0 or 1 reads per side and pass.
+READ_COUNT = np.int8
 
 
 def incident_mass(ids: np.ndarray, out_degrees: np.ndarray,
@@ -153,10 +156,11 @@ class EdgePlan:
 
     Construction computes the *structural* stage — thread pairs, the π
     comparisons, the pairwise delay: functions of the frontier and the
-    delay model only — and then :meth:`retime`, the stage that depends
-    on the timestamps, so a frontier-unchanged iteration
-    (:class:`PlanCache`) pays only for the latter.  All attributes are
-    aligned with the edge set, whose endpoints are ``s`` / ``d``:
+    delay model only.  Each timestamp-dependent predicate (:attr:`TIMED`)
+    is computed on first use after a :meth:`retime`: a frontier-unchanged
+    iteration (:class:`PlanCache`) pays only for those, a one-sided
+    kernel never for the ones only a destination write consults.  All
+    attributes are aligned with the edge set of endpoints ``s`` / ``d``:
 
     * ``vis_s2d[e]`` — is ``f(src)``'s write visible to ``f(dst)``;
       ``vis_d2s`` — symmetric;
@@ -167,11 +171,9 @@ class EdgePlan:
     * ``dst_wins[e]`` — the Lemma-2 winner of a doubly-written edge.
     """
 
-    __slots__ = ("s", "d", "thr_s", "thr_d", "both", "same", "dt", "t_s",
-                 "t_d", "dst_wins", "vis_s2d", "vis_d2s", "lex_sd", "lex_ds",
-                 "_d_pair", "_pi_sd", "_pi_ds", "_pi_tie_sd")
+    TIMED = ("t_s", "t_d", "dst_wins", "vis_s2d", "vis_d2s", "lex_sd", "lex_ds")
 
-    def __init__(self, vp, dm, s, d, order: bool = True):
+    def __init__(self, vp, dm, s, d):
         self.s, self.d = s, d
         self.thr_s, self.thr_d, self.both, self.same, self._d_pair = _pair(
             vp, dm, s, d)
@@ -180,29 +182,41 @@ class EdgePlan:
         self._pi_sd = pi_s < pi_d
         self._pi_ds = pi_d < pi_s
         self._pi_tie_sd = (pi_s == pi_d) & (self.thr_s < self.thr_d)
-        self.retime(vp.time_v, order)
+        self._time_v = vp.time_v
 
-    def retime(self, time_v, order: bool = True) -> None:
-        """(Re)compute the timestamp-dependent predicates.
+    def retime(self, time_v) -> None:
+        """Forget the :attr:`TIMED` predicates: the next read of each
+        evaluates it on ``time_v`` as it stands then."""
+        self._time_v = time_v
+        for name in self.TIMED:
+            self.__dict__.pop(name, None)
 
-        ``order=False`` stops after the Lemma-2 tiebreak, for a caller
-        that commits but neither detects nor counts (the process-backend
-        master, whose workers evaluate visibility on their own edges).
-        """
-        s, d = self.s, self.d
-        t_s, t_d = time_v[s], time_v[d]
-        self.t_s, self.t_d = t_s, t_d
-        # Lemma-2 tiebreak: later time wins; equal time → larger vid.
-        self.dst_wins = (t_d > t_s) | ((t_d == t_s) & (d > s))
-        if order:
-            both, same, d_pair = self.both, self.same, self._d_pair
-            self.vis_s2d = _visible(both, same, d_pair, self._pi_sd, t_s, t_d)
-            self.vis_d2s = _visible(both, same, d_pair, self._pi_ds, t_d, t_s)
-            self.lex_sd = both & (
-                (t_s < t_d)
-                | ((t_s == t_d) & (self._pi_sd | self._pi_tie_sd))
-            )
-            self.lex_ds = both & ~self.lex_sd
+    t_s = cached_property(lambda self: self._time_v[self.s])
+    t_d = cached_property(lambda self: self._time_v[self.d])
+    # Lemma-2 tiebreak: later time wins; equal time → larger vid.
+    dst_wins = cached_property(lambda self: (self.t_d > self.t_s) | (
+        (self.t_d == self.t_s) & (self.d > self.s)))
+    vis_s2d = cached_property(lambda self: _visible(
+        self.both, self.same, self._d_pair, self._pi_sd, self.t_s, self.t_d))
+    vis_d2s = cached_property(lambda self: _visible(
+        self.both, self.same, self._d_pair, self._pi_ds, self.t_d, self.t_s))
+    lex_sd = cached_property(lambda self: self.both & (
+        (self.t_s < self.t_d)
+        | ((self.t_s == self.t_d) & (self._pi_sd | self._pi_tie_sd))))
+    lex_ds = cached_property(lambda self: self.both & ~self.lex_sd)
+
+    def touch(self, writes_dst: bool, *, rows: bool = False,
+              commit_only: bool = False) -> "EdgePlan":
+        """Evaluate now — on the caller's ``plan_build`` lap — what
+        detection, :func:`count_on` and :func:`commit_on` (``commit_only``:
+        that alone) will read for such a kernel, and recorder ``rows``."""
+        names = () if commit_only else ("vis_s2d", "lex_sd")
+        if writes_dst:
+            names += ("dst_wins",) if commit_only else (
+                "dst_wins", "vis_d2s", "lex_ds")
+        for name in names + (_PLAN_COLUMNS if rows else ()):
+            getattr(self, name)
+        return self
 
 
 class PlanCache:
@@ -224,11 +238,12 @@ class PlanCache:
     derives the per-edge predicates from it: on a sorted edge-id subset
     (the push direction's touched edges) they are evaluated from
     scratch; on the whole graph the :class:`EdgePlan`'s structural stage
-    survives frontier hits and only :meth:`EdgePlan.retime` reruns.  The
-    dense plan is rebuilt lazily the next time a pull iteration asks for
-    it — and the jitter stream advances one draw of ``ids.size`` per
-    :meth:`plan` call whatever is asked afterwards — so alternating
-    directions under ``direction="auto"`` stays bit-stable.
+    survives frontier hits and only :meth:`EdgePlan.retime` forgets the
+    timestamp-dependent ones.  The dense plan is rebuilt lazily the next
+    time a pull iteration asks for it — and the jitter stream advances
+    one draw of ``ids.size`` per :meth:`plan` call whatever is asked
+    afterwards — so alternating directions under ``direction="auto"``
+    stays bit-stable.
     """
 
     def __init__(self, graph, num_threads: int, *, policy, jitter: float,
@@ -244,8 +259,6 @@ class PlanCache:
         self.ids: np.ndarray | None = None
         self.dm = None
         self._dense: EdgePlan | None = None
-        #: ``order`` the dense plan was last retimed with; None = stale.
-        self._dense_timed: bool | None = None
 
     def plan(self, active_ids: np.ndarray, dm) -> "PlanCache":
         """(Re)compute the vertex-level plan for ``active_ids`` under
@@ -263,7 +276,8 @@ class PlanCache:
                 self.time_a = self.pi_a + self.rng.uniform(
                     0.0, self.jitter, size=int(ids.size))
                 self.time_v[ids] = self.time_a
-                self._dense_timed = None
+                if self._dense is not None:
+                    self._dense.retime(self.time_v)
         else:
             self.ids = ids = ids.copy()
             self.thr_a, self.pi_a, self.time_a = plan_arrays(
@@ -285,18 +299,13 @@ class PlanCache:
             self._dense = None  # the pairwise delays are structural
         return self
 
-    def edges(self, eidx: np.ndarray | None = None,
-              order: bool = True) -> EdgePlan:
+    def edges(self, eidx: np.ndarray | None = None) -> EdgePlan:
         """The current plan's :class:`EdgePlan` on ``eidx`` (all edges
-        when ``None``); see :meth:`EdgePlan.retime` for ``order``."""
+        when ``None``)."""
         if eidx is not None:
             return EdgePlan(self, self.dm, self.src[eidx], self.dst[eidx])
         if self._dense is None:
-            self._dense = EdgePlan(self, self.dm, self.src, self.dst, order)
-            self._dense_timed = order
-        elif self._dense_timed is None or (order and not self._dense_timed):
-            self._dense.retime(self.time_v, order)
-            self._dense_timed = order
+            self._dense = EdgePlan(self, self.dm, self.src, self.dst)
         return self._dense
 
 
@@ -349,7 +358,7 @@ class NondetPassContext:
                  src=None, dst=None, n: int | None = None,
                  committed=None, v0=None, vout=None,
                  seen_s=None, seen_d=None, ws=None, wvs=None, wd=None,
-                 wvd=None, rs=None, rd=None):
+                 wvd=None, rs=None, rd=None, writes_dst: bool = True):
         self.graph = graph
         self.src = graph.edge_src if src is None else src
         self.dst = graph.edge_dst if dst is None else dst
@@ -381,16 +390,18 @@ class NondetPassContext:
             return given if given is not None else {
                 f: np.zeros(m, dtype=dtype or com[f].dtype) for f in fields}
 
-        # Outputs: per written field, did src/dst write the edge and what.
+        # Outputs: per written field, did src/dst write the edge and what
+        # (one-sided kernel: no dst slots, storing to one is a KeyError).
+        dst_written = written_fields if writes_dst else ()
         self.ws = zeros(ws, written_fields, bool)
-        self.wd = zeros(wd, written_fields, bool)
+        self.wd = zeros(wd, dst_written, bool)
         self.wvs = zeros(wvs, written_fields)
-        self.wvd = zeros(wvd, written_fields)
+        self.wvd = zeros(wvd, dst_written)
         # Read-record counts per edge and side (src-task reads / dst-task
         # reads), for every edge field including read-only ones — they
         # drive both the conflict totals and the per-thread work profile.
-        self.rs = zeros(rs, com, np.int64)
-        self.rd = zeros(rd, com, np.int64)
+        self.rs = zeros(rs, com, READ_COUNT)
+        self.rd = zeros(rd, com, READ_COUNT)
 
     def renew(self, active: np.ndarray) -> None:
         """Start the next iteration on the same arrays.
@@ -418,13 +429,24 @@ class NondetKernel(abc.ABC):
     ``written_fields`` names the edge fields the program may write.
     :meth:`run_pass` computes gather → compute → scatter for every
     vertex in ``sub`` (a boolean mask, subset of the active set) from
-    the context's *seen* arrays, overwriting **all** outputs owned by
-    those vertices: ``vout[v]``, and ``ws/wvs/rs`` (``wd/wvd/rd``) for
+    the context's *seen* arrays, overwriting every output those
+    vertices own: ``vout[v]``, and ``ws/wvs/rs`` (``wd/wvd/rd``) for
     every edge whose source (destination) lies in ``sub`` — a repair
-    pass may legitimately flip an earlier pass's write off again.
+    pass may legitimately flip an earlier pass's write off again.  One
+    exception: a read record that is the same whatever was seen ("each
+    in-edge is read once") is written by pass 1 only (``first=True``,
+    every active vertex); a repair pass (``first=False``, ``sub`` ⊆
+    active) finds it in place.
     """
 
     written_fields: tuple[str, ...] = ()
+
+    #: Does the *destination* endpoint ever write an edge?  ``False`` is
+    #: Theorem 1's premise (read–write conflicts only) as a fact of pull
+    #: mode, and every layer omits the destination-write half of a round
+    #: for it: no ``wd`` / ``wvd`` slots, ``seen_s`` stays ``committed``,
+    #: Lemma 2 has one writer to commit (DESIGN §6.0).
+    writes_dst: bool = True
 
     #: field -> :class:`~repro.engine.push.CombineOp` when every scatter
     #: of the kernel is an order-independent atomic combine (so the
@@ -436,12 +458,14 @@ class NondetKernel(abc.ABC):
     push_combines: dict[str, object] | None = None
 
     @abc.abstractmethod
-    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray) -> None:
+    def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
+                 first: bool = True) -> None:
         ...
 
     @abc.abstractmethod
     def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
-                       es: np.ndarray, ed: np.ndarray) -> None:
+                       es: np.ndarray, ed: np.ndarray,
+                       first: bool = True) -> None:
         """:meth:`run_pass` evaluated on CSR/CSC edge-id slices.
 
         ``sub_ids`` are the sorted vertex ids to (re)compute; ``es`` /
@@ -610,8 +634,8 @@ def check_eligible(program: VertexProgram, config: EngineConfig,
 
 # -- one repair loop -------------------------------------------------------
 
-def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on, in_degrees,
-           alpha, bound, sparse, sync=None):
+def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on=None,
+           in_degrees, alpha, bound, sparse, sync=None):
     """Stale-read repair by chaotic iteration.
 
     Pass 1 ran against the committed snapshot; each round here
@@ -626,12 +650,15 @@ def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on, in_degrees,
     ``seen_d_on = (edges, vis_s2d)`` names the *wide* edge set whose
     destination side this caller detects on, with the visibility mask
     aligned to it; ``seen_s_on = (edges, vis_d2s)`` likewise for the
-    source side.  In one process they are the same set: every edge
-    (``slice(None)``) in pull, the frontier's sorted touched edges in
-    push.  A process worker passes the in- and the out-edges of the
-    vertices it owns, and ``sync`` — ``writes_visible()`` before each
-    detection, ``any_changed(mine)`` after it — supplies the barriers
-    that make its siblings' writes visible and its verdict global.
+    source side — ``None`` when destinations never write
+    (:attr:`NondetKernel.writes_dst`): ``seen_s`` then stays the alias
+    of ``committed`` it starts as.  In one process the two are the same
+    set: every edge (``slice(None)``) in pull, the frontier's sorted
+    touched edges in push.  A process worker passes the in- and the
+    out-edges of the vertices it owns, and ``sync`` —
+    ``writes_visible()`` before each detection, ``any_changed(mine)``
+    after it — supplies the barriers that make its siblings' writes
+    visible and its verdict global.
 
     A round costs what its dirty set costs.  Detection is wide after
     pass 1 and after a wide repair pass.  When the dirty set's incident
@@ -647,56 +674,43 @@ def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on, in_degrees,
     Returns ``(repair passes, how many of them took the slice path,
     vertices recomputed)``.
     """
-    src, dst = ctx.src, ctx.dst
-    wide_d, vis_s2d = seen_d_on
-    wide_s, vis_d2s = seen_s_on
-    dense = wide_d is EVERYTHING
+    # Per detected side: its seen buffers, the endpoint that reads them,
+    # the wide edge set with its visibility mask, the far side's writes.
+    sides = [(ctx.seen_d, ctx.dst, *seen_d_on, ctx.ws, ctx.wvs)]
+    if seen_s_on is not None:
+        sides.append((ctx.seen_s, ctx.src, *seen_s_on, ctx.wd, ctx.wvd))
+    dense = seen_d_on[0] is EVERYTHING
     touched = None  # (es, ed) of the previous pass if it was a slice pass
     passes = slice_passes = repaired = 0
     for _ in range(bound + 2):
         if sync is not None:
             sync.writes_visible()
-        # e_*: edge ids to re-derive seen_d / seen_s on; p_*: their
-        # positions in the (wide-set-aligned) visibility masks.
-        if touched is None:
-            e_d, e_s = wide_d, wide_s
-            p_d = p_s = EVERYTHING
-        elif dense:
-            e_d, e_s = p_d, p_s = touched
-        else:
-            e_d, e_s = touched
-            p_d = np.searchsorted(wide_d, e_d)
-            p_s = np.searchsorted(wide_s, e_s)
         swap = dense and touched is None
         dirty = np.zeros(ctx.n, dtype=bool)
         changed_any = False
-        for f in written:
-            com = ctx.committed[f]
-            seen_d = np.where(
-                vis_s2d[p_d] & ctx.ws[f][e_d], ctx.wvs[f][e_d], com[e_d]
-            )
-            seen_s = np.where(
-                vis_d2s[p_s] & ctx.wd[f][e_s], ctx.wvd[f][e_s], com[e_s]
-            )
-            d_changed = seen_d != ctx.seen_d[f][e_d]
-            s_changed = seen_s != ctx.seen_s[f][e_s]
-            changed = bool(d_changed.any() or s_changed.any())
-            if changed:
-                changed_any = True
-                dirty[dst[e_d][d_changed]] = True
-                dirty[src[e_s][s_changed]] = True
-            if swap:
-                # A dense round yields fresh full-size arrays: adopt
-                # them as the private seen buffers, no copy.
-                ctx.seen_d[f], ctx.seen_s[f] = seen_d, seen_s
-            elif changed:
-                # Elsewhere seen == committed until a write lands;
-                # materialize private buffers on first divergence.
-                if ctx.seen_d[f] is com:
-                    ctx.seen_d[f] = com.copy()
-                    ctx.seen_s[f] = com.copy()
-                ctx.seen_d[f][e_d] = seen_d
-                ctx.seen_s[f][e_s] = seen_s
+        for side, (seen, owner, wide, vis, w, wv) in enumerate(sides):
+            # e: edge ids to re-derive the seen value on; p: their
+            # positions in the (wide-set-aligned) visibility mask.
+            e = wide if touched is None else touched[side]
+            p = EVERYTHING if touched is None else (
+                e if dense else np.searchsorted(wide, e))
+            for f in written:
+                com = ctx.committed[f]
+                cur = np.where(vis[p] & w[f][e], wv[f][e], com[e])
+                moved = np.flatnonzero(cur != seen[f][e])
+                if moved.size:
+                    changed_any = True
+                    dirty[owner[moved if e is EVERYTHING else e[moved]]] = True
+                if swap:
+                    # A dense round yields a fresh full-size array: adopt
+                    # it as the private seen buffer, no copy.
+                    seen[f] = cur
+                elif moved.size:
+                    # Elsewhere seen == committed until a write lands;
+                    # materialize a private buffer on first divergence.
+                    if seen[f] is com:
+                        seen[f] = com.copy()
+                    seen[f][e] = cur
         if sync is not None:
             changed_any = sync.any_changed(changed_any)
         if not changed_any:
@@ -711,9 +725,9 @@ def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on, in_degrees,
         if local or sparse:
             es = graph.out_edge_ids(sub_ids)
             ed = graph.in_edge_ids(sub_ids)
-            kernel.run_slice_pass(ctx, sub_ids, es, ed)
+            kernel.run_slice_pass(ctx, sub_ids, es, ed, first=False)
         else:
-            kernel.run_pass(ctx, sub)
+            kernel.run_pass(ctx, sub, first=False)
         # Slot-local detection needs every write since the last
         # detection to be this loop's own; under ``sync`` siblings write
         # this caller's edges too, so its detection stays wide.
@@ -727,42 +741,40 @@ def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on, in_degrees,
 
 # -- one barrier -----------------------------------------------------------
 
-def lemma2_commit(new, ws, wd, wvs, wvd, dst_wins) -> None:
+def lemma2_commit(new, ws, wd, wvs, wvd, ep: EdgePlan) -> None:
     """Lemma 2 on aligned arrays: commit into ``new`` (holding the
     pre-iteration values) the single surviving write of every written
-    edge — the only writer's, or of two the later ``(time, vid)``."""
-    both_w = ws & wd
-    only = ws & ~wd
-    new[only] = wvs[only]
-    only = wd & ~ws
-    new[only] = wvd[only]
-    sel = both_w & dst_wins
-    new[sel] = wvd[sel]
-    sel = both_w & ~dst_wins
-    new[sel] = wvs[sel]
+    edge — the only writer's, or of two the later ``(time, vid)``
+    (``ep.dst_wins``).  ``wd is None``: no destination ever writes."""
+    new[ws] = wvs[ws]
+    if wd is not None:
+        sel = wd & (~ws | ep.dst_wins)
+        new[sel] = wvd[sel]
 
 
 def conflict_counts(ep: EdgePlan, ws, wd, rs, rd) -> np.ndarray:
     """``[read–write, write–write, contended edges, stale reads]`` of one
-    field on aligned arrays.
+    field on aligned arrays (``wd is None``: a one-sided kernel, whose
+    conflicts are the destinations' reads of the sources' writes only).
 
     Every term carries ``ep.both`` (through ``dt`` / ``lex_*``), i.e. an
     active destination: summed over any partition of the edges by
     destination owner, each edge is counted exactly once.
     """
     dt = ep.dt
-    rw = int(rs[wd & dt].sum()) + int(rd[ws & dt].sum())
-    ww_mask = ws & wd & dt
-    ww = int(np.count_nonzero(ww_mask))
-    contended = int(np.count_nonzero(
-        ((rs > 0) & wd & dt) | ((rd > 0) & ws & dt) | ww_mask
-    ))
+    rw = int(rd[ws & dt].sum())
     # A read is stale when the other endpoint's write was already
     # issued (lex before) yet not visible to it.
-    stale = int(rs[wd & ep.lex_ds & ~ep.vis_d2s].sum()) + int(
-        rd[ws & ep.lex_sd & ~ep.vis_s2d].sum()
-    )
-    return np.array([rw, ww, contended, stale], dtype=np.int64)
+    stale = int(rd[ws & ep.lex_sd & ~ep.vis_s2d].sum())
+    contended = (rd > 0) & ws
+    ww = 0
+    if wd is not None:
+        rw += int(rs[wd & dt].sum())
+        stale += int(rs[wd & ep.lex_ds & ~ep.vis_d2s].sum())
+        contended |= ((rs > 0) | ws) & wd
+        ww = int(np.count_nonzero(ws & wd & dt))
+    return np.array([rw, ww, int(np.count_nonzero(contended & dt)), stale],
+                    dtype=np.int64)
 
 
 class Barrier:
@@ -804,31 +816,35 @@ def commit_on(bar: Barrier, ep: EdgePlan, eid, written, out, new) -> None:
     ``eid`` holds the set's canonical edge ids (``None``: positions are
     ids); ``out[name][f]`` the aligned :data:`OUTPUTS` arrays; ``new[f]``
     an aligned writable array holding field ``f``'s pre-iteration
-    values, committed in place.
+    values, committed in place (one-sided kernel: ``out["wd"]`` empty).
     """
     u, v = ep.s, ep.d
     for f in written:
-        ws, wd = out["ws"][f], out["wd"][f]
-        wvs, wvd = out["wvs"][f], out["wvd"][f]
+        ws, wd = out["ws"][f], out["wd"].get(f)
+        wvs, wvd = out["wvs"][f], out["wvd"].get(f)
         if bar.rows is not None:
             # Rows are copies, taken *before* the commit below: the
-            # events need each edge's pre-commit value.
-            sel = ws | wd
+            # events need each edge's pre-commit value.  A one-sided
+            # kernel's dst columns are synthesized for the recorder alone.
+            wd_r, wvd_r = (wd, wvd) if wd is not None else (
+                np.zeros_like(ws), np.zeros_like(wvs))
+            sel = ws | wd_r
             if sel.any():
                 cols = {"eid": np.flatnonzero(sel) if eid is None
                         else np.asarray(eid[sel], dtype=np.int64),
                         "u": u[sel], "v": v[sel], "ws": ws[sel],
-                        "wd": wd[sel], "wvs": wvs[sel], "wvd": wvd[sel],
+                        "wd": wd_r[sel], "wvs": wvs[sel], "wvd": wvd_r[sel],
                         "rs": out["rs"][f][sel], "rd": out["rd"][f][sel],
                         "pre": new[f][sel]}
                 for name in _PLAN_COLUMNS:
                     cols[name] = getattr(ep, name)[sel]
                 bar.rows.setdefault(f, []).append(cols)
-        lemma2_commit(new[f], ws, wd, wvs, wvd, ep.dst_wins)
+        lemma2_commit(new[f], ws, wd, wvs, wvd, ep)
         # Task-generation rule: a written edge schedules the far
         # endpoint (a written self-loop re-schedules its vertex).
         bar.next_mask[v[ws]] = True
-        bar.next_mask[u[wd]] = True
+        if wd is not None:
+            bar.next_mask[u[wd]] = True
 
 
 def count_on(bar: Barrier, ep: EdgePlan, written, out) -> None:
@@ -836,11 +852,12 @@ def count_on(bar: Barrier, ep: EdgePlan, written, out) -> None:
     profile into ``bar`` (``out`` as in :func:`commit_on`)."""
     p = bar.reads_t.size
     for f in written:
-        ws, wd = out["ws"][f], out["wd"][f]
+        ws, wd = out["ws"][f], out["wd"].get(f)
         bar.conflicts += conflict_counts(ep, ws, wd,
                                          out["rs"][f], out["rd"][f])
         bar.writes_t += np.bincount(ep.thr_s[ws], minlength=p)
-        bar.writes_t += np.bincount(ep.thr_d[wd], minlength=p)
+        if wd is not None:
+            bar.writes_t += np.bincount(ep.thr_d[wd], minlength=p)
     for side, thr_e in (("rs", ep.thr_s), ("rd", ep.thr_d)):
         for counts in out[side].values():
             mask = counts > 0

@@ -55,6 +55,7 @@ from ..storage.shm import ArrayLayout
 from .config import EngineConfig
 from .nondet_core import (
     OUTPUTS,
+    READ_COUNT,
     EdgePlan,
     NondetPassContext,
     check_eligible,
@@ -141,53 +142,58 @@ class FileArray:
 class _Scratch:
     """The per-field scratch files of one (store, program) pairing.
 
-    ``committed.<f>`` is the durable edge state (slot-ordered);
-    ``seen_s/seen_d`` carry the detect sweep's materialized views;
-    ``ws/wd/wvs/wvd/rs/rd`` are the per-iteration output slots, zeroed
-    at every barrier; ``plan.vis_s2d`` / ``plan.vis_d2s`` hold the
-    iteration's Defs. 1–3 visibility masks, rewritten by the first
-    detect round of every iteration on the slots later rounds read.
-    All files live in ``<store path>.scratch/``.
+    ``<f>.committed`` is the durable edge state (slot-ordered);
+    ``<f>.seen_d`` carries the detect sweep's materialized views;
+    ``<f>.ws/wvs/rs/rd`` are the per-iteration output slots, zeroed at
+    every barrier; ``plan.vis_s2d`` holds the iteration's Defs. 1–3
+    visibility mask, rewritten by the first detect round of every
+    iteration on the slots later rounds read.  The destination-write
+    half — ``<f>.seen_s``, ``<f>.wd/wvd``, ``plan.vis_d2s`` — exists
+    only for a kernel that declares ``writes_dst``.  All files live in
+    ``<store path>.scratch/``.
     """
 
-    def __init__(self, directory: str, field_dtypes: dict, written: tuple,
+    def __init__(self, directory: str, field_dtypes: dict, kernel,
                  m: int, io=None):
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.field_dtypes = {f: np.dtype(dt) for f, dt in field_dtypes.items()}
-        self.written = tuple(written)
-        self.m = int(m)
+        self.writes_dst = bool(kernel.writes_dst)
+        self.signature = self.signature_of(field_dtypes, kernel, m)
+        self._files: list[FileArray] = []
 
         def fa(name, dtype):
-            return FileArray(os.path.join(directory, name), dtype, m, io=io)
+            self._files.append(
+                FileArray(os.path.join(directory, name), dtype, m, io=io))
+            return self._files[-1]
 
-        self.committed = {f: fa(f + ".committed", dt)
-                          for f, dt in self.field_dtypes.items()}
-        self.rs = {f: fa(f + ".rs", np.int8) for f in self.field_dtypes}
-        self.rd = {f: fa(f + ".rd", np.int8) for f in self.field_dtypes}
-        self.seen_s = {f: fa(f + ".seen_s", self.field_dtypes[f])
-                       for f in self.written}
-        self.seen_d = {f: fa(f + ".seen_d", self.field_dtypes[f])
-                       for f in self.written}
-        self.ws = {f: fa(f + ".ws", np.bool_) for f in self.written}
-        self.wd = {f: fa(f + ".wd", np.bool_) for f in self.written}
-        self.wvs = {f: fa(f + ".wvs", self.field_dtypes[f])
-                    for f in self.written}
-        self.wvd = {f: fa(f + ".wvd", self.field_dtypes[f])
-                    for f in self.written}
+        def per_field(suffix, fields, dtype=None):
+            return {f: fa(f + suffix, dtype or self.field_dtypes[f])
+                    for f in fields}
+
+        written = tuple(kernel.written_fields)
+        dst_written = written if self.writes_dst else ()
+        self.committed = per_field(".committed", field_dtypes)
+        self.rs = per_field(".rs", field_dtypes, READ_COUNT)
+        self.rd = per_field(".rd", field_dtypes, READ_COUNT)
+        self.seen_s = per_field(".seen_s", dst_written)
+        self.seen_d = per_field(".seen_d", written)
+        self.ws = per_field(".ws", written, np.bool_)
+        self.wd = per_field(".wd", dst_written, np.bool_)
+        self.wvs = per_field(".wvs", written)
+        self.wvd = per_field(".wvd", dst_written)
         self.vis_s2d = fa("plan.vis_s2d", np.bool_)
-        self.vis_d2s = fa("plan.vis_d2s", np.bool_)
+        if self.writes_dst:
+            self.vis_d2s = fa("plan.vis_d2s", np.bool_)
 
-    def signature(self) -> tuple:
-        return (tuple(sorted((f, dt.str) for f, dt in self.field_dtypes.items())),
-                tuple(self.written), self.m)
-
-    def _all_files(self):
-        for group in (self.committed, self.rs, self.rd, self.seen_s,
-                      self.seen_d, self.ws, self.wd, self.wvs, self.wvd):
-            yield from group.values()
-        yield self.vis_s2d
-        yield self.vis_d2s
+    @staticmethod
+    def signature_of(field_dtypes: dict, kernel, m: int) -> tuple:
+        """What the set of files depends on: a runner rebuilds its
+        scratch when the next (program, kernel) pairing's differs."""
+        return (tuple(sorted((f, np.dtype(dt).str)
+                             for f, dt in field_dtypes.items())),
+                tuple(kernel.written_fields), bool(kernel.writes_dst),
+                int(m))
 
     def zero_outputs(self) -> None:
         """Zero the per-iteration output slots (ws/wd/rs/rd)."""
@@ -196,7 +202,7 @@ class _Scratch:
                 f.zero()
 
     def close(self) -> None:
-        for f in self._all_files():
+        for f in self._files:
             f.close()
 
 
@@ -380,24 +386,22 @@ class _Exec:
             seen_s, seen_d = dict(committed), dict(committed)
             if use_seen:
                 for f in self.written:
-                    seen_s[f] = self._gather(scr.seen_s[f], parts, total)
                     seen_d[f] = self._gather(scr.seen_d[f], parts, total)
+                for f, fa in scr.seen_s.items():
+                    seen_s[f] = self._gather(fa, parts, total)
             # Outputs are gathered only on the ranges written back below
             # (src side on the windows, dst side on the shard): the kernel
             # writes nowhere else, and never reads them.
             dst_parts = [dst_block] if dst_block is not None else []
+            owned = ((dst_parts, ("wd", "wvd", "rd")),
+                     (src_parts, ("ws", "wvs", "rs")))
             ctx = NondetPassContext(
                 None, None, self.active, self.written,
                 src=ls, dst=ld, n=self.n, out_degrees=self.out_degrees,
                 committed=committed, v0=self.v0, vout=self.vout,
                 seen_s=seen_s, seen_d=seen_d,
-                ws=self._gather_owned(scr.ws, src_parts, total),
-                wvs=self._gather_owned(scr.wvs, src_parts, total),
-                rs=self._gather_owned(scr.rs, src_parts, total),
-                wd=self._gather_owned(scr.wd, dst_parts, total),
-                wvd=self._gather_owned(scr.wvd, dst_parts, total),
-                rd=self._gather_owned(scr.rd, dst_parts, total),
-            )
+                **{name: self._gather_owned(getattr(scr, name), ranges, total)
+                   for ranges, names in owned for name in names})
             # Restrict the recompute set to the interval's own vertices:
             # only they see their full incidence in this slice.  A
             # foreign source on a shard-k edge is recomputed by *its*
@@ -407,37 +411,28 @@ class _Exec:
             lo, hi = self.store.interval(k)
             sub_k = np.zeros(self.n, dtype=bool)
             sub_k[lo:hi] = sub[lo:hi]
-            self.kernel.run_pass(ctx, sub_k)
+            self.kernel.run_pass(ctx, sub_k, first=not use_seen)
             self.io.interval_loads += 1
             # Scatter back only the slot ranges this interval owns: the
             # dst side of its shard, the src side of its windows.  The
             # unwritten positions inside those ranges carry the gathered
             # file values, so full-range writes are value-preserving.
-            for ga, gb, la in dst_parts:
-                lb = la + gb - ga
-                for f in self.written:
-                    scr.wd[f].write(ga, ctx.wd[f][la:lb])
-                    scr.wvd[f].write(ga, ctx.wvd[f][la:lb])
-                for f in self.efields:
-                    scr.rd[f].write(ga, ctx.rd[f][la:lb])
-            for ga, gb, la in src_parts:
-                lb = la + gb - ga
-                for f in self.written:
-                    scr.ws[f].write(ga, ctx.ws[f][la:lb])
-                    scr.wvs[f].write(ga, ctx.wvs[f][la:lb])
-                for f in self.efields:
-                    scr.rs[f].write(ga, ctx.rs[f][la:lb])
+            for ranges, names in owned:
+                for ga, gb, la in ranges:
+                    for name in names:
+                        for f, fa in getattr(scr, name).items():
+                            fa.write(ga, getattr(ctx, name)[f][la:la + gb - ga])
 
     # -- detect sweep ----------------------------------------------------
     def detect_sweep(self, first: bool) -> bool:
         """Materialize seen values, mark dirty vertices; True if changed.
 
-        Covers the dst side of every active shard and the src side of
-        every active interval's windows — exactly the slots whose seen
-        value can change (a change needs a visible fresh write, which
-        needs both endpoints active).  ``first`` compares against the
-        committed snapshot (round 1 of an iteration); later rounds
-        compare against the previous round's seen files.
+        Covers the dst side of every active shard and (if destinations
+        write) the src side of every active interval's windows — exactly
+        the slots whose seen value can change (a change needs a visible
+        fresh write, which needs both endpoints active).  ``first``
+        compares against the committed snapshot (round 1 of an
+        iteration); later rounds against the previous round's seen files.
         """
         changed = False
         for k in self.active_intervals(self.active):
@@ -445,8 +440,10 @@ class _Exec:
             if dst_block is not None:
                 changed |= self._detect_range(
                     dst_block[0], dst_block[1], first, dst_side=True)
-            for ga, gb, _ in src_parts:
-                changed |= self._detect_range(ga, gb, first, dst_side=False)
+            if self.scratch.writes_dst:
+                for ga, gb, _ in src_parts:
+                    changed |= self._detect_range(ga, gb, first,
+                                                  dst_side=False)
         return changed
 
     def _detect_range(self, ga: int, gb: int, first: bool,
@@ -530,9 +527,8 @@ class _IntervalWorker:
         field_dtypes = {f: np.dtype(spec.dtype)
                         for f, spec in program.edge_fields().items()}
         self.io = IOStats()
-        scratch = _Scratch(scratch_dir, field_dtypes,
-                           tuple(kernel.written_fields), store.num_edges,
-                           io=self.io)
+        scratch = _Scratch(scratch_dir, field_dtypes, kernel,
+                           store.num_edges, io=self.io)
         shm = link.shm
         self.ctrl = shm.array("ctrl")
         self.flags = shm.array("flags")
@@ -635,17 +631,16 @@ class OutOfCoreNondetRunner:
     def _ensure_scratch(self, program: VertexProgram, kernel) -> None:
         field_dtypes = {f: np.dtype(spec.dtype)
                         for f, spec in program.edge_fields().items()}
-        written = tuple(kernel.written_fields)
-        sig = (tuple(sorted((f, dt.str) for f, dt in field_dtypes.items())),
-               written, self.store.num_edges)
+        sig = _Scratch.signature_of(field_dtypes, kernel,
+                                    self.store.num_edges)
         if self._scratch is not None:
-            if self._scratch.signature() == sig:
+            if self._scratch.signature == sig:
                 return
             self._teardown_pool()
             self._scratch.close()
             self._scratch = None
         self._scratch = _Scratch(self.store.path + ".scratch", field_dtypes,
-                                 written, self.store.num_edges, io=self.io)
+                                 kernel, self.store.num_edges, io=self.io)
 
     def _scatter_canonical(self, fa: FileArray, arr: np.ndarray) -> None:
         """Write a canonical-order ``m``-array into slot order."""
@@ -895,16 +890,7 @@ class OutOfCoreNondetRunner:
                 clock.lap("plan_build")
             if pool is not None:
                 sh = pool.arrays
-                np.copyto(sh["thr_v"], plan.thr_v)
-                np.copyto(sh["pi_v"], plan.pi_v)
-                np.copyto(sh["time_v"], plan.time_v)
-                np.copyto(sh["active"], plan.active)
-                sh["phase_w"].fill(0.0)
-                sh["wcount"].fill(0)
-                for f in vfields:
-                    arr = state.vertex(f)
-                    np.copyto(sh["v0:" + f], arr)
-                    np.copyto(sh["vout:" + f], arr)
+                pool.publish(plan, state)
                 ex.vout = {f: sh["vout:" + f] for f in vfields}
                 # Workers run PASS1 on receipt.
                 pool.broadcast(iteration, dm, prof)

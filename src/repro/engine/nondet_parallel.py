@@ -17,10 +17,11 @@ the object engine), not merely equivalent:
 
 * Per edge and field the §II scope rule allows at most two writers —
   the endpoints.  The src-side slots (``ws/wvs/rs``) are written only by
-  the owner of ``src[e]``, the dst-side slots (``wd/wvd/rd``) only by
-  the owner of ``dst[e]``, and ``vout[v]`` only by the owner of ``v`` —
-  all cross-worker writes go to disjoint array slots, so the shared
-  output arrays are data-race-free without locks.
+  the owner of ``src[e]``, the dst-side slots (``rd``; ``wd/wvd``, which
+  exist only if the kernel declares ``writes_dst``) only by the owner
+  of ``dst[e]``, and ``vout[v]`` only by the owner of ``v`` — all
+  cross-worker writes go to disjoint array slots, so the shared output
+  arrays are data-race-free without locks.
 * The chaotic fix-point decomposes by ownership: a *seen* value can only
   change on an edge whose reading endpoint is active, so each worker
   running :func:`~repro.engine.nondet_core.repair` on the in- and
@@ -50,6 +51,7 @@ from ..storage.shm import ArrayLayout
 from .config import EngineConfig
 from .nondet_core import (
     OUTPUTS,
+    READ_COUNT,
     EdgePlan,
     NondetPassContext,
     check_eligible,
@@ -87,8 +89,8 @@ def parallel_fallback_reasons(program: VertexProgram,
     return fallback_reasons(program, config)
 
 
-def _build_layout(graph: DiGraph, state: State,
-                  written: tuple[str, ...], p: int) -> ArrayLayout:
+def _build_layout(graph: DiGraph, state: State, kernel,
+                  p: int) -> ArrayLayout:
     """One segment holding topology, plan, state, and per-worker slots."""
     n, m = graph.num_vertices, graph.num_edges
     specs: dict[str, tuple[tuple[int, ...], object]] = {
@@ -107,14 +109,12 @@ def _build_layout(graph: DiGraph, state: State,
     for f in state.edge_field_names:
         dt = state.edge(f).dtype
         specs["committed:" + f] = ((m,), dt)
-        specs["rs:" + f] = ((m,), np.int64)
-        specs["rd:" + f] = ((m,), np.int64)
-    for f in written:
-        dt = state.edge(f).dtype
-        specs["ws:" + f] = ((m,), np.bool_)
-        specs["wd:" + f] = ((m,), np.bool_)
-        specs["wvs:" + f] = ((m,), dt)
-        specs["wvd:" + f] = ((m,), dt)
+        specs["rs:" + f] = ((m,), READ_COUNT)
+        specs["rd:" + f] = ((m,), READ_COUNT)
+    for f in kernel.written_fields:
+        for side in "sd" if kernel.writes_dst else "s":
+            specs[f"w{side}:{f}"] = ((m,), np.bool_)
+            specs[f"wv{side}:{f}"] = ((m,), state.edge(f).dtype)
     specs["flags"] = ((p,), np.uint8)
     specs["reads_t"] = ((p,), np.int64)
     specs["writes_t"] = ((p,), np.int64)
@@ -159,12 +159,8 @@ class _Worker:
             graph, None, self.active, self.written,
             src=shm.array("src"), dst=shm.array("dst"),
             out_degrees=shm.array("out_degrees"),
-            committed=shm.arrays("committed:"),
-            v0=shm.arrays("v0:"), vout=shm.arrays("vout:"),
-            ws=shm.arrays("ws:"), wd=shm.arrays("wd:"),
-            wvs=shm.arrays("wvs:"), wvd=shm.arrays("wvd:"),
-            rs=shm.arrays("rs:"), rd=shm.arrays("rd:"),
-        )
+            **{name: shm.arrays(name + ":")
+               for name in ("committed", "v0", "vout", *OUTPUTS)})
         self._clock: PhaseClock | None = None
 
     # -- repair()'s sync hook: the A/B barriers of one fix-point round --
@@ -204,11 +200,12 @@ class _Worker:
         else:
             es = np.flatnonzero(owned[src])
             ed = np.flatnonzero(owned[dst])
-        # My out-edges need the one mask their src side detects with; my
-        # in-edges the full plan, for detection and the conflict tail.
-        vis_d2s_es = visibility(self, dm, src[es], dst[es],
-                                writer_is_src=False)
-        ep = EdgePlan(self, dm, src[ed], dst[ed])
+        # My in-edges need the plan, for detection and the conflict tail;
+        # my out-edges the one mask their src side detects with, if any.
+        two_sided = self.kernel.writes_dst
+        ep = EdgePlan(self, dm, src[ed], dst[ed]).touch(two_sided)
+        seen_s_on = (es, visibility(self, dm, src[es], dst[es], False)
+                     ) if two_sided else None
         ctx.seen_s = dict(ctx.committed)
         ctx.seen_d = dict(ctx.committed)
         if clock is not None:
@@ -221,7 +218,7 @@ class _Worker:
             clock.lap("push_scatter" if push else "gather")
         passes, sliced, repaired = repair(
             self.kernel, self.graph, ctx, self.written,
-            seen_d_on=(ed, ep.vis_s2d), seen_s_on=(es, vis_d2s_es),
+            seen_d_on=(ed, ep.vis_s2d), seen_s_on=seen_s_on,
             in_degrees=self.in_degrees, alpha=alpha,
             bound=int(np.count_nonzero(self.active)), sparse=push,
             sync=self)
@@ -231,12 +228,13 @@ class _Worker:
         # slots are stable here — nobody writes after the last B.
         reads = sum(int(ctx.rs[f][es].sum()) + int(ctx.rd[f][ed].sum())
                     for f in ctx.committed)
-        writes = 0
+        writes = sum(int(a[es].sum()) for a in ctx.ws.values()) + sum(
+            int(a[ed].sum()) for a in ctx.wd.values())
         conf = np.zeros(4, dtype=np.int64)
         for f in self.written:
-            writes += int(ctx.ws[f][es].sum()) + int(ctx.wd[f][ed].sum())
-            conf += conflict_counts(ep, ctx.ws[f][ed], ctx.wd[f][ed],
-                                    ctx.rs[f][ed], ctx.rd[f][ed])
+            conf += conflict_counts(
+                ep, ctx.ws[f][ed], ctx.wd[f][ed] if two_sided else None,
+                ctx.rs[f][ed], ctx.rd[f][ed])
         self.reads_t[wid] = reads
         self.writes_t[wid] = writes
         self.conf[wid] = conf
@@ -297,13 +295,13 @@ class ParallelEngine:
             program, config, direction,
             "the process backend (it executes the vectorized kernels)")
         sink = telemetry
-        written = tuple(resolve_nondet_kernel(program)(program).written_fields)
+        kernel = resolve_nondet_kernel(program)(program)
+        written = tuple(kernel.written_fields)
         state = state if state is not None else program.make_state(graph)
         p = config.threads
         timeout = config.worker_timeout_s
-        vertex_fields = tuple(state.vertex_field_names)
         edge_fields = tuple(state.edge_field_names)
-        layout = _build_layout(graph, state, written, p)
+        layout = _build_layout(graph, state, kernel, p)
         # Pool reuse: keep the forked workers (and the segment) across
         # run() calls on the same (graph, program, layout, P, timeout) —
         # the per-run cost drops to array copies.  Anything else tears
@@ -340,11 +338,11 @@ class ParallelEngine:
             else:
                 extra["pool_reused"] = preexisting
             sh = pool.arrays
-            # The master only needs the plan + the Lemma-2 tiebreak; the
+            # The master only commits (plan + Lemma-2 tiebreak); the
             # full-graph visibility masks are computed only for the
-            # flight recorder (workers evaluate visibility on their own
-            # edges).
-            ep = plan.edges(order=record is not None)
+            # flight recorder — workers evaluate it on their own edges.
+            ep = plan.edges().touch(kernel.writes_dst, commit_only=True,
+                                    rows=record is not None)
             if clock is not None:
                 clock.lap("plan_build")
             # Publish the plan and the pre-iteration state snapshot.  The
@@ -352,24 +350,16 @@ class ParallelEngine:
             # the shared write-mask arrays are zero-filled per iteration,
             # so they are always valid dense masks; only the workers
             # execute sparsely.
-            np.copyto(sh["thr_v"], plan.thr_v)
-            np.copyto(sh["pi_v"], plan.pi_v)
-            np.copyto(sh["time_v"], plan.time_v)
-            np.copyto(sh["active"], plan.active)
-            for f in vertex_fields:
-                arr = state.vertex(f)
-                np.copyto(sh["v0:" + f], arr)
-                np.copyto(sh["vout:" + f], arr)
+            pool.publish(plan, state)
             for f in edge_fields:
                 np.copyto(sh["committed:" + f], state.edge(f))
                 sh["rs:" + f].fill(0)
                 sh["rd:" + f].fill(0)
             for f in written:
                 sh["ws:" + f].fill(False)
-                sh["wd:" + f].fill(False)
+                if kernel.writes_dst:
+                    sh["wd:" + f].fill(False)
             sh["flags"].fill(0)
-            sh["phase_w"].fill(0.0)
-            sh["wcount"].fill(0)
             pool.broadcast(iteration, dm, prof, push, config.direction_alpha)
             if clock is not None:
                 clock.lap("shm_sync")

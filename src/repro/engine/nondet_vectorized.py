@@ -91,8 +91,10 @@ class VectorizedNondetEngine:
         kernel = resolve_nondet_kernel(program)(program)
         state = state if state is not None else program.make_state(graph)
         written = kernel.written_fields
+        two_sided = kernel.writes_dst
         in_degrees = graph.in_degrees()
-        ctx = NondetPassContext(graph, state, None, written)
+        ctx = NondetPassContext(graph, state, None, written,
+                                writes_dst=two_sided)
 
         def step(bar, iteration, plan, dm, push, clock):
             """One racy iteration, dense (all ``m`` edges) or — executing
@@ -108,6 +110,7 @@ class VectorizedNondetEngine:
             else:
                 sel = EVERYTHING
                 ep = plan.edges()
+            ep.touch(two_sided, rows=record is not None)
             ctx.renew(plan.active)
             if clock is not None:
                 clock.lap("plan_build")
@@ -122,7 +125,8 @@ class VectorizedNondetEngine:
                 clock.lap("push_scatter" if push else "gather")
             passes, bar.slice_passes, _ = repair(
                 kernel, graph, ctx, written,
-                seen_d_on=(sel, ep.vis_s2d), seen_s_on=(sel, ep.vis_d2s),
+                seen_d_on=(sel, ep.vis_s2d),
+                seen_s_on=(sel, ep.vis_d2s) if two_sided else None,
                 in_degrees=in_degrees, alpha=config.direction_alpha,
                 bound=int(ids.size), sparse=push)
             bar.passes = 1 + passes

@@ -351,6 +351,18 @@ class WorkerPool:
         except threading.BrokenBarrierError as exc:
             raise self.failure(iteration) from exc
 
+    def publish(self, plan, state) -> None:
+        """Start-of-iteration fill every pool shares: the vertex plan,
+        the pre-iteration vertex state, zeroed profiling rows."""
+        sh = self.arrays
+        for name in ("thr_v", "pi_v", "time_v", "active"):
+            np.copyto(sh[name], getattr(plan, name))
+        for f in state.vertex_field_names:
+            np.copyto(sh["v0:" + f], state.vertex(f))
+            np.copyto(sh["vout:" + f], state.vertex(f))
+        sh["phase_w"].fill(0.0)
+        sh["wcount"].fill(0)
+
     def worker_phases(self, names) -> list[dict[str, float]]:
         """Per-worker phase dicts of the iteration just folded (the
         ``phase_w`` rows, slot order ``names``)."""

@@ -8,6 +8,8 @@ engine's scalar rule (``engine.ordering.visible`` over ``TaskSlot``s),
 and evaluating on a subset equals slicing the whole-graph evaluation.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,3 +67,62 @@ def test_edge_plan_matches_scalar_oracle_and_is_subset_invariant(case):
     s, d = graph.edge_src[idx], graph.edge_dst[idx]
     assert np.array_equal(visibility(plan, dm, s, d, True), ep.vis_s2d[idx])
     assert np.array_equal(visibility(plan, dm, s, d, False), ep.vis_d2s[idx])
+
+
+# ---------------------------------------------------------------------------
+# lazy predicates: first use after a retime, never a stale memo
+# ---------------------------------------------------------------------------
+
+TIMED = ("t_s", "t_d", "dst_wins", "vis_s2d", "vis_d2s", "lex_sd", "lex_ds")
+
+
+def eager(plan, dm, s, d, time_v):
+    """Every timestamp-dependent predicate straight from its formula."""
+    vp = SimpleNamespace(thr_v=plan.thr_v, pi_v=plan.pi_v, time_v=time_v,
+                         active=plan.active)
+    t_s, t_d = time_v[s], time_v[d]
+    pi_s, pi_d = plan.pi_v[s], plan.pi_v[d]
+    both = plan.active[s] & plan.active[d] & (s != d)
+    lex_sd = both & ((t_s < t_d) | ((t_s == t_d) & (
+        (pi_s < pi_d) | ((pi_s == pi_d) & (plan.thr_v[s] < plan.thr_v[d])))))
+    return {"t_s": t_s, "t_d": t_d,
+            "dst_wins": (t_d > t_s) | ((t_d == t_s) & (d > s)),
+            "vis_s2d": visibility(vp, dm, s, d, True),
+            "vis_d2s": visibility(vp, dm, s, d, False),
+            "lex_sd": lex_sd, "lex_ds": both & ~lex_sd}
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans(), st.data())
+def test_lazy_predicates_equal_the_eager_formulas_in_any_order(case, data):
+    graph, plan, dm, idx = case
+    s, d = graph.edge_src[idx], graph.edge_dst[idx]
+    ep = plan.edges(idx)
+    # Memoize an arbitrary subset on the old timestamps first.
+    for name in data.draw(st.lists(st.sampled_from(TIMED), unique=True)):
+        getattr(ep, name)
+    time_v = plan.time_v + np.asarray(data.draw(st.lists(
+        st.sampled_from([0.0, 0.25, 3.0]), min_size=graph.num_vertices,
+        max_size=graph.num_vertices)))
+    ep.retime(time_v)
+    want = eager(plan, dm, s, d, time_v)
+    for name in data.draw(st.permutations(TIMED)):
+        assert np.array_equal(getattr(ep, name), want[name]), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(plans(), st.data())
+def test_frontier_hit_with_jitter_serves_no_memo_of_the_old_times(case, data):
+    graph, plan, dm, _ = case
+    ep = plan.edges()
+    for name in data.draw(st.lists(st.sampled_from(TIMED), unique=True)):
+        getattr(ep, name)
+    before = plan.time_v.copy()
+    hits = plan.hits
+    plan.plan(plan.ids, dm)
+    assert plan.hits == hits + 1 and plan.edges() is ep
+    if plan.jitter > 0 and plan.ids.size:
+        assert not np.array_equal(plan.time_v, before)
+    want = eager(plan, dm, graph.edge_src, graph.edge_dst, plan.time_v)
+    for name in data.draw(st.permutations(TIMED)):
+        assert np.array_equal(getattr(ep, name), want[name]), name
