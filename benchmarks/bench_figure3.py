@@ -13,7 +13,15 @@ atomicity methods) and asserts the paper's qualitative shape claims:
   still beats DE at 16 threads on some panels.
 
 Absolute times are virtual (see DESIGN.md §2); only shape is asserted.
+
+``pytest benchmarks/bench_figure3.py -m perfsmoke`` holds the wall-clock
+floor of the paper path: the grid on the array engines (DE as their
+one-thread plan) against the same grid on the object engines.
 """
+
+import time
+
+import pytest
 
 from repro.experiments import run_figure3
 from repro.experiments.common import PAPER_THREADS
@@ -88,3 +96,28 @@ def test_figure3_speedup_band(benchmark):
     best = max(speedups)
     assert 2.0 <= best <= 20.0
     assert min(speedups) > 1.0
+
+
+@pytest.mark.perfsmoke
+def test_array_path_floor_scale8(monkeypatch):
+    """Tier-2 floor: ``run_figure3(scale=8)`` takes <= 0.25x the wall of
+    the same call with its runs forced onto the object engines — same
+    process, best of 2 each, so host load cancels.  Both sides render the
+    same bytes (tests/test_paper_path.py holds that at every scale)."""
+    from tests.test_paper_path import on_object_engines
+
+    def best_of_2():
+        walls = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            text = run_figure3(scale=8).render()
+            walls.append(time.perf_counter() - t0)
+        return min(walls), text
+
+    fast, fast_text = best_of_2()
+    on_object_engines(monkeypatch)
+    slow, slow_text = best_of_2()
+    assert fast_text == slow_text
+    assert fast <= 0.25 * slow, (
+        f"array path {fast:.2f}s vs object engines {slow:.2f}s "
+        f"({fast / slow:.2f}x)")

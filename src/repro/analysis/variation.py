@@ -56,7 +56,6 @@ def collect_rankings(
     base_seed: int = 100,
     fp_noise: bool = False,
     max_iterations: int = 100_000,
-    vectorized: bool | str = False,
     trace_dir: str | None = None,
 ) -> ConfigurationRuns:
     """Execute ``runs`` independent runs and rank their results.
@@ -65,9 +64,10 @@ def collect_rankings(
     ``fp_noise`` that varies the summation orders; for NE it varies the
     environmental jitter, i.e. the execution interleaving.
 
-    ``vectorized`` opts nondeterministic runs into the whole-graph fast
-    path (bit-identical rankings); it is ignored for other modes, where
-    the flag does not apply.
+    Runs take the array engines (``vectorized="require"``; DE as their
+    one-thread plan), which reproduce the object engines bit for bit —
+    except ``fp_noise`` runs, whose per-update gather permutation only
+    the object engine models.
 
     Every run executes under a :class:`~repro.obs.Telemetry` sink, and
     the convergence verdict and iteration counts the study reports are
@@ -96,7 +96,8 @@ def collect_rankings(
             graph,
             mode=mode,
             config=cfg,
-            vectorized=vectorized if mode == "nondeterministic" else False,
+            # fp_noise permutes gather order per update: object engine only.
+            vectorized=False if fp_noise else "require",
             telemetry=sink,
         )
         summary = sink.run_summary

@@ -520,28 +520,35 @@ def resolve_nondet_kernel(program: VertexProgram):
     return None
 
 
-def fallback_reasons(program: VertexProgram, config: EngineConfig) -> list[str]:
-    """Why ``(program, config)`` cannot take the vectorized fast path.
+def fallback_reasons(program: VertexProgram, config: EngineConfig,
+                     mode: str = MODE, record=None) -> list[str]:
+    """Why ``(program, config)`` cannot take the array path in ``mode``.
 
     Empty list means eligible.  The conditions: the program needs a
     registered kernel whose update function it actually runs, and the
     configuration must not request behaviours that only the per-access
     object store models (torn-value injection, runtime scope checks,
     fp-noise gather permutation, individual conflict-event capture).
+    The DE schedule (``mode="deterministic"``) has no races, so torn
+    values and conflict events are moot; its recorded format is the
+    object engine's Gauss–Seidel write provenance, so ``record=`` is not.
     """
     reasons = []
     if resolve_nondet_kernel(program) is None:
         reasons.append(
             f"no vectorized nondet kernel registered for {type(program).__name__}"
         )
-    if config.atomicity is AtomicityPolicy.NONE:
+    if mode == MODE and config.atomicity is AtomicityPolicy.NONE:
         reasons.append("atomicity=NONE injects torn values per access")
     if config.fp_noise:
         reasons.append("fp_noise permutes gather order per update")
     if config.validate_scope:
         reasons.append("validate_scope checks each access at runtime")
-    if config.keep_conflict_events:
+    if mode == MODE and config.keep_conflict_events:
         reasons.append("keep_conflict_events records individual events")
+    if mode != MODE and record is not None:
+        reasons.append("record= on the DE schedule: its provenance is the "
+                       "object engine's Gauss–Seidel writes (order='before')")
     return reasons
 
 
@@ -609,10 +616,12 @@ def push_fallback_reasons(program: VertexProgram) -> list[str]:
 
 
 def check_eligible(program: VertexProgram, config: EngineConfig,
-                   direction: str, what: str) -> bool:
+                   direction: str, what: str, mode: str = MODE,
+                   record=None) -> bool:
     """Raise unless ``what`` (a backend, named for the message) can run
-    ``(program, config, direction)``; returns whether push may be used."""
-    reasons = fallback_reasons(program, config)
+    ``(program, config, direction)`` in ``mode``; returns whether push
+    may be used."""
+    reasons = fallback_reasons(program, config, mode, record)
     if reasons:
         raise ValueError(
             f"program/config not eligible for {what}: " + "; ".join(reasons)
@@ -991,7 +1000,8 @@ def run_loop(program: VertexProgram, graph, config: EngineConfig, state,
              step, *, label: str, extra: dict | None = None,
              direction: str = "pull", push_ok: bool = False, observer=None,
              telemetry=None, record=None, supervisor=None, metrics=None,
-             state_written=None, make_clock=PhaseClock) -> RunResult:
+             state_written=None, make_clock=PhaseClock, mode: str = MODE,
+             plan: PlanCache | None = None) -> RunResult:
     """The iteration loop every array backend shares.
 
     ``step(bar, iteration, plan, dm, push, clock)`` runs one racy
@@ -1000,11 +1010,14 @@ def run_loop(program: VertexProgram, graph, config: EngineConfig, state,
     (already planned for this iteration's frontier ``plan.ids``) under
     delay model ``dm``, laps its phases on ``clock`` when there is one,
     and fills the :class:`Barrier` ``bar``.  Everything else happens
-    here, once: sinks, the jitter RNG, supervisor hooks, the direction
-    decision, conflict and work accounting, the vertex writeback,
-    spans, metrics, ``extra``.
+    here, once: sinks, supervisor hooks, the direction decision,
+    conflict and work accounting, the vertex writeback, spans, metrics,
+    ``extra``.
 
-    ``label`` is the backend's ``mode=`` in the metrics registry and
+    ``mode`` labels the run (sinks, supervisor, result); ``plan`` is its
+    schedule, by default ``config.threads`` threads and the jitter RNG
+    (DE: one thread, no jitter — DESIGN §6.0).  ``label`` is the
+    backend's ``mode=`` in the metrics registry and
     ``extra`` its own ``RunResult.extra`` facts (read after the loop);
     ``state_written()`` is called whenever someone else may have written
     ``state`` (the caller before the run, a checkpoint restore, value
@@ -1015,28 +1028,28 @@ def run_loop(program: VertexProgram, graph, config: EngineConfig, state,
     """
     sink = telemetry
     if sink is not None:
-        sink.begin_engine_run(MODE, program, config)
+        sink.begin_engine_run(mode, program, config)
     if record is not None:
-        record.begin_engine_run(MODE, program, config)
+        record.begin_engine_run(mode, program, config)
     n, m = graph.num_vertices, graph.num_edges
-    p = config.threads
     out_degrees = in_degrees = None
     if push_ok:
         out_degrees, in_degrees = graph.out_degrees(), graph.in_degrees()
     delay_model = config.effective_delay_model()
-    jitter_rng = (
-        np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-        if config.jitter > 0
-        else None
-    )
+    if plan is None:
+        plan = PlanCache(graph, config.threads, policy=config.dispatch,
+                         jitter=config.jitter, rng=np.random.default_rng(
+                             np.random.SeedSequence([config.seed, 2]))
+                         if config.jitter > 0 else None)
+    p = plan.p
     log = ConflictLog(keep_events=config.keep_conflict_events)
     stats: list[IterationStats] = []
     frontier_ids = initial_frontier(program, graph).sorted_vertices()
     iteration = 0
     if supervisor is not None:
-        rngs = {"jitter": jitter_rng} if jitter_rng is not None else {}
+        rngs = {"jitter": plan.rng} if plan.rng is not None else {}
         iteration, frontier_ids = supervisor.engine_start(
-            MODE, program, config, state=state, frontier=frontier_ids,
+            mode, program, config, state=state, frontier=frontier_ids,
             rngs=rngs, conflicts=log,
         )
     if state_written is not None:
@@ -1044,8 +1057,6 @@ def run_loop(program: VertexProgram, graph, config: EngineConfig, state,
     converged = False
     total_passes = slice_passes = push_iterations = 0
     dir_trace: list[str] = []
-    plan = PlanCache(graph, p, policy=config.dispatch,
-                     jitter=config.jitter, rng=jitter_rng)
     # Phase attribution is pure timing (one perf_counter lap per phase
     # boundary, per iteration): it consumes no RNG stream and touches no
     # state, so profiled runs stay bit-identical.
@@ -1158,7 +1169,7 @@ def run_loop(program: VertexProgram, graph, config: EngineConfig, state,
     result = RunResult(
         program=program,
         state=state,
-        mode=MODE,
+        mode=mode,
         converged=converged,
         num_iterations=iteration,
         iterations=stats,

@@ -16,11 +16,13 @@ The result is **bit-for-bit identical** to the object engine — final
 state, iteration/frontier trajectory, per-thread stats, and conflict
 totals — for every registered program (PageRank, WCC, SSSP, BFS, SpMV;
 see ``tests/test_nondet_vectorized.py``), at one to two orders of
-magnitude higher throughput.  Configurations the fast path does not
-model (torn-value injection, runtime scope validation, fp-noise gather
-permutation, per-event conflict capture) are reported by
-:func:`fallback_reasons`; the runner silently falls back to the object
-engine for them.
+magnitude higher throughput.  ``mode="deterministic"`` runs the same
+loop on a one-thread plan: the DE baseline, bit-identical to
+:class:`~repro.engine.gauss_seidel.DeterministicEngine`
+(``tests/test_paper_path.py``).  What the fast path does not model is
+listed by :func:`fallback_reasons`: ``vectorized=True`` then falls back
+to the object engine with a ``vectorized_fallback`` telemetry event,
+``vectorized="require"`` raises.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ __all__ = [
 
 
 class VectorizedNondetEngine:
-    """Whole-graph racy iterations, bit-for-bit equal to the object engine."""
+    """Whole-graph racy iterations, bit-for-bit equal to the object
+    engine of ``mode``."""
 
     mode = "nondeterministic"
 
@@ -83,11 +86,11 @@ class VectorizedNondetEngine:
         supervisor=None,
         direction: str = "pull",
         metrics=None,
+        mode: str = "nondeterministic",
     ) -> RunResult:
         config = config or EngineConfig()
-        push_ok = check_eligible(
-            program, config, direction,
-            "the vectorized nondeterministic fast path")
+        push_ok = check_eligible(program, config, direction,
+                                 "the vectorized fast path", mode, record)
         kernel = resolve_nondet_kernel(program)(program)
         state = state if state is not None else program.make_state(graph)
         written = kernel.written_fields
@@ -152,5 +155,8 @@ class VectorizedNondetEngine:
             program, graph, config, state, step, label="vectorized",
             direction=direction, push_ok=push_ok,
             observer=observer, telemetry=telemetry, record=record,
-            supervisor=supervisor, metrics=metrics,
+            supervisor=supervisor, metrics=metrics, mode=mode,
+            # DE = Defs. 1–3 at P = 1: ascending labels, no jitter.
+            plan=PlanCache(graph, 1, policy=config.dispatch, jitter=0.0,
+                           rng=None) if mode == "deterministic" else None,
         )

@@ -86,7 +86,8 @@ def run(
     mode:
         ``"sync"`` — BSP (Theorem 1's premise);
         ``"deterministic"`` — sequential asynchronous Gauss–Seidel, the
-        paper's DE baseline (external deterministic scheduler);
+        paper's DE baseline (external deterministic scheduler; the object
+        engine is the oracle of ``vectorized=``'s one-thread plan);
         ``"chromatic"`` — deterministic *parallel* asynchronous execution
         via color classes (the related-work chromatic scheduler);
         ``"nondeterministic"`` — the simulated racy parallel executor
@@ -102,42 +103,31 @@ def run(
         one (used by the convergence-chain tracer).
     observer:
         Optional callback ``observer(iteration, state, next_schedule)``
-        invoked at every iteration barrier (not supported by the
-        real-thread backend).  Observers compose with ``vectorized=``:
-        the fast path invokes the callback at its barriers with the
-        identical iteration/schedule trajectory the object engine would
-        produce, so enabling the fast path never changes what an
-        observer sees.  For pure observability prefer ``telemetry=`` —
-        unlike an observer it also works for ``mode="threads"``.
+        invoked at every iteration barrier, with the same trajectory on
+        every path (not supported by the real-thread backend; prefer
+        ``telemetry=``, which is).
     vectorized:
-        Nondeterministic mode only.  ``True`` takes the whole-graph NumPy
-        fast path (:class:`~repro.engine.nondet_vectorized.VectorizedNondetEngine`)
-        when the program has a registered kernel and the configuration is
-        eligible, silently falling back to the object engine otherwise —
-        both produce bit-identical results.  ``"require"`` raises instead
-        of falling back, listing the reasons.  Default ``False`` always
-        uses the object engine.  The value is normalized once on entry:
-        the empty string is accepted as ``False`` (falsy pass-through,
-        e.g. from CLI/env plumbing) and, like ``False``, is valid for
-        every mode; any other string except ``"require"`` is rejected.
+        Nondeterministic or deterministic mode.  ``True`` takes the NumPy
+        array path (:class:`~repro.engine.nondet_vectorized.VectorizedNondetEngine`;
+        DE runs on its one-thread plan) when the program has a registered
+        kernel and the configuration is eligible, else the object engine
+        with a ``vectorized_fallback`` telemetry event — both are
+        bit-identical.  ``"require"`` raises instead, listing the
+        reasons.  ``False`` (default) or ``""`` use the object engine in
+        every mode; any other string is rejected.
     backend:
         Nondeterministic mode only.  ``"process"`` executes the
         vectorized model across ``config.threads`` OS worker processes
         over shared memory
-        (:class:`~repro.engine.nondet_parallel.ParallelEngine`) —
-        bit-identical to ``vectorized=True`` at any worker count, but
-        actually multi-core.  Unlike ``vectorized=True`` there is no
-        silent fallback: an ineligible program/config raises, listing
-        the reasons (the backend has nothing to fall back to that would
-        honour the request for real parallelism).  Mutually exclusive
-        with ``vectorized=``; ``None``/``""`` mean the default
-        single-process engines.  Worker death raises
-        :class:`~repro.robust.errors.WorkerDied`, which the supervised
-        retry loop (``faults=``/``policy=`` etc.) recovers like any
-        other worker timeout.
+        (:class:`~repro.engine.nondet_parallel.ParallelEngine`),
+        bit-identical at any worker count; an ineligible program/config
+        raises, listing the reasons (no fallback).  Mutually exclusive
+        with ``vectorized=``; ``None``/``""`` mean in-process engines.
+        Worker death raises :class:`~repro.robust.errors.WorkerDied`,
+        which the supervised retry loop recovers like a worker timeout.
     direction:
-        Nondeterministic mode only: the direction-optimizing execution
-        strategy of the vectorized fast path and the process backend.
+        The direction-optimizing execution strategy of the array paths
+        (vectorized nondeterministic or deterministic, process backend).
         ``"pull"`` (default) runs the dense whole-graph masks;
         ``"push"`` runs every iteration sparsely over the frontier's
         touched edges (out-edges ∪ in-edges of the active set), which
@@ -145,17 +135,12 @@ def run(
         semantics (``push_combines``) that pass the §IV push-eligibility
         check — otherwise the run raises, listing the reasons;
         ``"auto"`` picks per iteration with the Beamer-style heuristic
-        (``config.direction_alpha`` / ``direction_beta``), silently
-        pinning pull for push-ineligible programs.  Every direction
-        executes the *same* racy iteration — final state, trajectory,
-        conflict totals, and recorder provenance are bit-identical per
-        (mode, seed) — so direction is purely a performance knob; the
-        decision is a pure function of (frontier, graph, config).
-        Direction is a fast-path concept: requesting ``"push"`` or
-        ``"auto"`` without ``backend="process"`` implies
-        ``vectorized="require"`` (the interpreting object engine has no
-        dense/sparse distinction).  Not yet composable with
-        out-of-core ShardStore graphs.
+        (``config.direction_alpha`` / ``direction_beta``), pinning pull
+        for push-ineligible programs.  Every direction executes the
+        *same* iteration, bit for bit (state, trajectory, conflicts,
+        provenance): a pure performance knob.  Without
+        ``backend="process"``, ``"push"`` / ``"auto"`` imply
+        ``vectorized="require"``.  Not composable with ShardStore graphs.
     telemetry:
         Optional :class:`~repro.obs.Telemetry` sink.  Every engine
         (including the real-thread backend and the vectorized fast path)
@@ -165,16 +150,12 @@ def run(
         recorded as a ``vectorized_fallback`` event.  ``None`` (the
         default) costs one pointer check per iteration.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`.  Nondeterministic
-        mode only.  Every nondeterministic engine (object, vectorized,
-        process backend, out-of-core) records per-iteration phase
-        timers, conflict/update counters, and iteration-latency
-        histograms into it — standing totals that accumulate *across*
-        runs and merge across processes, complementing the per-run
-        ``telemetry=`` spans.  When both sinks are given, a
-        ``{"type": "metrics"}`` snapshot record is appended to the
-        telemetry stream just before ``run_end``.  ``None`` (the
-        default) costs one pointer check per iteration.
+        Optional :class:`~repro.obs.MetricsRegistry`, nondeterministic
+        and delta modes only: per-iteration phase timers, conflict/update
+        counters and iteration-latency histograms, accumulated *across*
+        runs and merged across processes.  With ``telemetry=`` too, a
+        ``{"type": "metrics"}`` snapshot precedes ``run_end``.  ``None``
+        (the default) costs one pointer check per iteration.
     record:
         Optional flight recorder capturing event-level race provenance:
         every contended edge access becomes a provenance event —
@@ -287,9 +268,10 @@ def run(
     if metrics is not None and mode not in ("nondeterministic", "delta"):
         raise ValueError(
             "metrics= applies to mode='nondeterministic' or 'delta' only")
-    if direction != "pull" and mode not in ("nondeterministic", "delta"):
-        raise ValueError(
-            "direction= applies to mode='nondeterministic' or 'delta' only")
+    if direction != "pull" and mode not in (
+            "nondeterministic", "deterministic", "delta"):
+        raise ValueError("direction= applies to mode='nondeterministic', "
+                         "'deterministic' or 'delta' only")
     if mode != "delta":
         if mutations is not None:
             raise ValueError("mutations= applies to mode='delta' only "
@@ -448,20 +430,19 @@ def dispatch(program: VertexProgram, graph, *, mode: str,
             direction=direction, metrics=metrics,
         )
     if vectorized:
-        if mode != "nondeterministic":
+        if mode not in ("nondeterministic", "deterministic"):
             raise ValueError(
-                "vectorized= applies to mode='nondeterministic' only "
-                "(use run_vectorized for the BSP fast path)"
-            )
+                "vectorized= applies to mode='nondeterministic' or "
+                "'deterministic' only (use run_vectorized for BSP)")
         # Imported lazily: the fast path pulls in the kernel registry.
         from .nondet_vectorized import VectorizedNondetEngine, fallback_reasons
 
-        reasons = fallback_reasons(program, config)
+        reasons = fallback_reasons(program, config, mode, record)
         if not reasons:
             return VectorizedNondetEngine().run(
                 program, graph, config, state=state, observer=observer,
                 telemetry=telemetry, record=record, supervisor=supervisor,
-                direction=direction, metrics=metrics,
+                direction=direction, metrics=metrics, mode=mode,
             )
         if vectorized == "require":
             raise ValueError(

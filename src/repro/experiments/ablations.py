@@ -79,6 +79,7 @@ def run_delay_sweep(
                 graph,
                 mode="nondeterministic",
                 config=EngineConfig(threads=threads, delay=float(d), seed=s),
+                vectorized="require",
             )
             if not res.converged:
                 raise RuntimeError(f"delay sweep run (d={d}, seed={s}) did not converge")
@@ -135,6 +136,8 @@ def run_torn_study(
                 max_iterations=max_iterations,
                 torn_probability=torn_probability,
             ),
+            # atomicity=NONE injects torn values per access: object engine only.
+            vectorized=False,
         )
         values = res.result()
         wrong = int(np.sum(values != truth))
@@ -171,6 +174,7 @@ def run_dispatch_study(
                     graph,
                     mode="nondeterministic",
                     config=EngineConfig(threads=threads, seed=s, dispatch=policy),
+                    vectorized="require",
                 )
                 if not res.converged:
                     raise RuntimeError(f"dispatch study run did not converge ({name}, {policy})")

@@ -87,11 +87,14 @@ def run_figure3(
     algorithms: Mapping[str, Callable] | None = None,
     graphs: Mapping[str, DiGraph] | None = None,
     cost_params: CostParams | None = None,
-    vectorized: bool | str = False,
     trace_dir: str | None = None,
 ) -> Figure3Result:
     """Execute the full grid and price every cell.
 
+    Every cell, DE and NE, runs on the array engines
+    (``vectorized="require"``; DE as their one-thread plan), which
+    reproduce the object engines' runs bit for bit — so a program
+    without a registered kernel is an error here, not a slow path.
     Every engine run executes under a :class:`~repro.obs.Telemetry`
     sink, and the cost model prices the *recorded spans* — the figure
     and its traces cannot disagree.  With ``trace_dir`` set, each
@@ -108,10 +111,6 @@ def run_figure3(
         ``name -> program factory``; defaults to the paper's four.
     graphs:
         ``name -> graph``; defaults to the four Table I stand-ins.
-    vectorized:
-        Take the vectorized nondeterministic fast path for the NE cells
-        (bit-identical results, much faster at large scales); the DE
-        baseline is unaffected.
     trace_dir:
         Directory (created if missing) for per-cell JSONL traces.
     """
@@ -141,6 +140,7 @@ def run_figure3(
                 graph,
                 mode="deterministic",
                 config=EngineConfig(threads=4, seed=run_seed),
+                vectorized="require",
                 telemetry=sink,
             )
             out.rows.append(
@@ -159,7 +159,7 @@ def run_figure3(
                     graph,
                     mode="nondeterministic",
                     config=EngineConfig(threads=threads, seed=run_seed),
-                    vectorized=vectorized,
+                    vectorized="require",
                     telemetry=sink,
                 )
                 for policy in NE_POLICIES:
@@ -185,7 +185,6 @@ def run_figure3_explain(
     algorithms: Mapping[str, Callable] | None = None,
     graphs: Mapping[str, DiGraph] | None = None,
     policy: str = "conflicts",
-    vectorized: bool | str = False,
     trace_dir: str | None = None,
 ) -> str:
     """Fig. 3's ``--explain`` mode: attribute ranking variance to races.
@@ -196,7 +195,9 @@ def run_figure3_explain(
     first divergent race together with its forward taint and the
     difference-degree verdict — turning the figure's run-to-run
     variance into a per-panel causal statement.  ``jitter=0.5`` so the
-    seeds actually change the schedule.  Returns the rendered report.
+    seeds actually change the schedule; the runs take the array path,
+    whose recorder stream equals the object engine's.  Returns the
+    rendered report.
     """
     from ..analysis.explain import explain_traces
     from ..obs import Recorder
@@ -231,7 +232,7 @@ def run_figure3_explain(
                     graph,
                     mode="nondeterministic",
                     config=EngineConfig(threads=threads, seed=run_seed, jitter=0.5),
-                    vectorized=vectorized,
+                    vectorized="require",
                     record=rec,
                 )
                 recorders.append(rec)

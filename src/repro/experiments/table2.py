@@ -84,7 +84,6 @@ def build_study(
     runs: int = 5,
     base_seed: int = 100,
     configs: dict[str, tuple[str, int, bool]] | None = None,
-    vectorized: bool | str = False,
     trace_dir: str | None = None,
 ) -> VariationStudy:
     """Run every configuration ``runs`` times at one ε.
@@ -106,7 +105,6 @@ def build_study(
                 runs=runs,
                 base_seed=base_seed,
                 fp_noise=fp_noise,
-                vectorized=vectorized,
                 trace_dir=trace_dir,
             )
         )
@@ -120,7 +118,6 @@ def run_table2(
     epsilons: Sequence[float] = PAPER_EPSILONS,
     runs: int = 5,
     graph: DiGraph | None = None,
-    vectorized: bool | str = False,
     trace_dir: str | None = None,
 ) -> VarianceResult:
     """Reproduce Table II on the web-Google stand-in.
@@ -134,7 +131,6 @@ def run_table2(
             graph,
             eps,
             runs=runs,
-            vectorized=vectorized,
             trace_dir=os.path.join(trace_dir, f"eps{eps}") if trace_dir else None,
         )
         for eps in epsilons

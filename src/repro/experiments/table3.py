@@ -27,7 +27,6 @@ def run_table3(
     epsilons: Sequence[float] = PAPER_EPSILONS,
     runs: int = 5,
     graph: DiGraph | None = None,
-    vectorized: bool | str = False,
     trace_dir: str | None = None,
 ) -> VarianceResult:
     """Reproduce Table III on the web-Google stand-in.
@@ -43,7 +42,6 @@ def run_table3(
             graph,
             eps,
             runs=runs,
-            vectorized=vectorized,
             trace_dir=os.path.join(trace_dir, f"eps{eps}") if trace_dir else None,
         )
         for eps in epsilons

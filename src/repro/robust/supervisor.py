@@ -506,8 +506,10 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
             elif not fell_back:
                 fell_back = True
                 cur_mode = policy.fallback_mode
-                # The deterministic engines have no fast path, no
-                # direction and no phase series.
+                # The last rung runs the object oracle: the fallback mode
+                # may have no array path (sync, chromatic) and must not
+                # be refused (``"require"`` with fp_noise / record=);
+                # nor does it take a direction or a phase series.
                 cur_vectorized = False
                 cur_backend = None
                 cur_direction = "pull"
