@@ -94,16 +94,14 @@ def test_union_find_reference(benchmark, medium_graph):
 
 
 def test_vectorized_substrate_speedup(benchmark, medium_graph):
-    """E7-ish: the NumPy fast path vs the object BSP engine (bit-exact)."""
-    import numpy as np
-
-    from repro.algorithms import VWCC
-    from repro.engine import run_vectorized
-
-    result = benchmark(lambda: run_vectorized(VWCC(), medium_graph))
+    """E7-ish: BSP on the array path vs the object BSP engine (bit-exact)."""
+    config = EngineConfig(threads=8)
+    result = benchmark(lambda: run(WeaklyConnectedComponents(), medium_graph,
+                                   mode="sync", vectorized="require",
+                                   config=config))
     obj = run(WeaklyConnectedComponents(), medium_graph, mode="sync",
-              config=EngineConfig(threads=8))
-    assert np.array_equal(result.result(), obj.result())
+              config=config)
+    assert result.result().tobytes() == obj.result().tobytes()
 
 
 def test_telemetry_enabled_full_run(benchmark, medium_graph):
@@ -228,15 +226,12 @@ def test_metrics_attached_overhead_floor():
 
 
 def test_vectorized_pagerank_scale12(benchmark):
-    """Large-scale baseline the object engines cannot reach comfortably."""
-    from repro.algorithms import VPageRank
-    from repro.engine import run_vectorized
-    from repro.graph import generators
-
+    """Large-scale BSP baseline the object engines cannot reach comfortably."""
     big = generators.rmat(12, 8.0, seed=5)
 
     def go():
-        return run_vectorized(VPageRank(epsilon=1e-3), big)
+        return run(PageRank(epsilon=1e-3), big, mode="sync",
+                   vectorized="require")
 
     result = benchmark.pedantic(go, rounds=1, iterations=1)
     assert result.converged

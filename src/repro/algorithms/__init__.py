@@ -9,7 +9,6 @@ from .prioritized import PrioritizedPageRank, PrioritizedSSSP
 from .push_algorithms import PushBFS, PushMinReach, PushPageRankDelta, min_reach_reference
 from .spmv import SpMV
 from .sssp import SSSP
-from .vectorized import VBFS, VPageRank, VSSSP, VWCC
 from .wcc import WeaklyConnectedComponents
 from . import reference
 
@@ -31,10 +30,6 @@ __all__ = [
     "EdgeIncrementCounter",
     "AntiParity",
     "ConflictColoring",
-    "VWCC",
-    "VSSSP",
-    "VBFS",
-    "VPageRank",
     "reference",
     "PAPER_ALGORITHMS",
 ]

@@ -1,250 +1,29 @@
-"""Vectorized (whole-graph array) implementations of the paper algorithms.
+"""The array kernels of the paper algorithms (:class:`NondetKernel`).
 
-Each class reproduces, as NumPy array operations, exactly one BSP
-iteration of its object-engine sibling — including the engine's commit
-rule (ascending-label write order, so the larger-label endpoint's value
-lands on a doubly-written edge) and the task-generation rule (a written
-edge activates its far endpoint).  The traversal algorithms therefore
-match the object BSP engine *bit for bit*, iteration for iteration;
-PageRank matches its float32 arithmetic by accumulating with
-``np.add.at`` in edge-id order, which adds each destination's in-edges
-in the order the scalar gather loop reads them (DESIGN §6.1).
-
-The second half of the module holds the :class:`NondetKernel`
-implementations behind the *nondeterministic* array engines
-(:mod:`repro.engine.nondet_core`): one whole-graph racy
-gather/compute/scatter pass per paper algorithm, reading the engine's
-per-edge *seen* arrays instead of a barrier snapshot.  Registering them
-here keeps each kernel next to the vectorized program it mirrors.
+One whole-graph gather/compute/scatter pass per algorithm, reading the
+engine's per-edge *seen* arrays (:mod:`repro.engine.nondet_core`).
+The same kernel runs under every plan of ``run_loop`` — BSP (nothing
+visible within the iteration), DE (one thread) and NE (``P`` threads)
+— and matches its object-engine sibling bit for bit under each: float
+kernels accumulate with ``np.add.at`` in positional order, which adds
+each destination's in-edges in the order the scalar gather loop reads
+them (DESIGN §6.1).  Importing this module registers the kernels.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from ..graph import DiGraph
 from ..engine.nondet_core import (
     NondetKernel,
     NondetPassContext,
     register_nondet_kernel,
 )
 from ..engine.push import CombineOp
-from ..engine.state import INF, FieldSpec, State
-from ..engine.vectorized import VectorizedProgram
 from .pagerank import PageRank
 from .spmv import SpMV
 from .sssp import SSSP
 from .wcc import WeaklyConnectedComponents
-
-__all__ = ["VWCC", "VSSSP", "VBFS", "VPageRank"]
-
-
-def _scatter_next_mask(n: int, written: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                       writer_is_src: np.ndarray) -> np.ndarray:
-    """Task-generation rule: a written edge schedules its far endpoint."""
-    mask = np.zeros(n, dtype=bool)
-    if written.any():
-        far = np.where(writer_is_src[written], dst[written], src[written])
-        mask[far] = True
-    return mask
-
-
-class VWCC(VectorizedProgram):
-    """Vectorized min-label WCC (matches WeaklyConnectedComponents)."""
-
-    name = "VWCC"
-
-    def vertex_fields(self) -> Mapping[str, FieldSpec]:
-        return {
-            "label": FieldSpec(
-                np.float64, lambda g: np.arange(g.num_vertices, dtype=np.float64)
-            )
-        }
-
-    def edge_fields(self) -> Mapping[str, FieldSpec]:
-        return {"label": FieldSpec(np.float64, INF)}
-
-    def step(self, graph: DiGraph, state: State, active: np.ndarray) -> np.ndarray:
-        labels = state.vertex("label")
-        elabels = state.edge("label")
-        src, dst = graph.edge_src, graph.edge_dst
-        n = graph.num_vertices
-
-        # Gather: m_v = min(own label, incident edge labels) for active v.
-        minimum = labels.copy()
-        src_active = active[src]
-        dst_active = active[dst]
-        np.minimum.at(minimum, src[src_active], elabels[src_active])
-        np.minimum.at(minimum, dst[dst_active], elabels[dst_active])
-        labels[active] = minimum[active]
-
-        # Scatter with the criterion "edge label larger than my minimum".
-        write_src = src_active & (elabels > minimum[src])
-        write_dst = dst_active & (elabels > minimum[dst])
-        new_elabels = elabels.copy()
-        # Ascending execution order => the larger-label writer lands last.
-        src_is_later = src > dst
-        first_src = write_src & ~src_is_later
-        first_dst = write_dst & src_is_later
-        new_elabels[first_src] = minimum[src[first_src]]
-        new_elabels[first_dst] = minimum[dst[first_dst]]
-        later_src = write_src & src_is_later
-        later_dst = write_dst & ~src_is_later
-        new_elabels[later_src] = minimum[src[later_src]]
-        new_elabels[later_dst] = minimum[dst[later_dst]]
-        elabels[:] = new_elabels
-
-        # Next frontier: far endpoints of written edges.
-        nxt = np.zeros(n, dtype=bool)
-        nxt[dst[write_src]] = True
-        nxt[src[write_dst]] = True
-        return nxt
-
-    def result(self, state: State) -> np.ndarray:
-        return state.vertex("label")
-
-
-class VSSSP(VectorizedProgram):
-    """Vectorized SSSP relaxation (matches the SSSP program)."""
-
-    name = "VSSSP"
-
-    def __init__(self, source: int = 0, *, weights: np.ndarray | None = None,
-                 weight_low: float = 1.0, weight_high: float = 10.0,
-                 weight_seed: int = 12345):
-        self.source = int(source)
-        self.fixed_weights = weights
-        self.weight_low = weight_low
-        self.weight_high = weight_high
-        self.weight_seed = weight_seed
-
-    def make_weights(self, graph: DiGraph) -> np.ndarray:
-        if self.fixed_weights is not None:
-            return np.asarray(self.fixed_weights, dtype=np.float64)
-        rng = np.random.default_rng(self.weight_seed)
-        return rng.uniform(self.weight_low, self.weight_high, size=graph.num_edges)
-
-    def vertex_fields(self) -> Mapping[str, FieldSpec]:
-        def init_dist(graph: DiGraph) -> np.ndarray:
-            dist = np.full(graph.num_vertices, INF)
-            if graph.num_vertices:
-                dist[self.source] = 0.0
-            return dist
-
-        return {"dist": FieldSpec(np.float64, init_dist)}
-
-    def edge_fields(self) -> Mapping[str, FieldSpec]:
-        def init_weight(graph: DiGraph) -> np.ndarray:
-            return self.make_weights(graph)
-
-        def init_dist(graph: DiGraph) -> np.ndarray:
-            dist = np.full(graph.num_edges, INF)
-            dist[graph.edge_src == self.source] = 0.0
-            return dist
-
-        return {
-            "weight": FieldSpec(np.float64, init_weight),
-            "dist": FieldSpec(np.float64, init_dist),
-        }
-
-    def step(self, graph: DiGraph, state: State, active: np.ndarray) -> np.ndarray:
-        dist = state.vertex("dist")
-        edist = state.edge("dist")
-        weight = state.edge("weight")
-        src, dst = graph.edge_src, graph.edge_dst
-
-        # Gather: relax in-edges of active vertices from the snapshot.
-        cand = dist.copy()
-        relax_mask = active[dst] & np.isfinite(edist)
-        np.minimum.at(
-            cand, dst[relax_mask], edist[relax_mask] + weight[relax_mask]
-        )
-        dist[active] = cand[active]
-
-        # Scatter: active sources push their (possibly improved) distance
-        # onto out-edges carrying a larger value.
-        write = active[src] & np.isfinite(dist[src]) & (edist > dist[src])
-        edist[write] = dist[src[write]]
-
-        nxt = np.zeros(graph.num_vertices, dtype=bool)
-        nxt[dst[write]] = True
-        return nxt
-
-    def result(self, state: State) -> np.ndarray:
-        return state.vertex("dist")
-
-
-class VBFS(VSSSP):
-    """Vectorized BFS: unit-weight VSSSP."""
-
-    name = "VBFS"
-
-    def __init__(self, source: int = 0):
-        super().__init__(source=source)
-
-    def make_weights(self, graph: DiGraph) -> np.ndarray:
-        return np.ones(graph.num_edges, dtype=np.float64)
-
-
-class VPageRank(VectorizedProgram):
-    """Vectorized float32 PageRank with local convergence."""
-
-    name = "VPageRank"
-
-    def __init__(self, epsilon: float = 1e-3, damping: float = 0.85):
-        self.epsilon = np.float32(epsilon)
-        self.damping = np.float32(damping)
-        self.base = np.float32(1.0 - damping)
-
-    def vertex_fields(self) -> Mapping[str, FieldSpec]:
-        return {"rank": FieldSpec(np.float32, 1.0)}
-
-    def edge_fields(self) -> Mapping[str, FieldSpec]:
-        def init_edge(graph: DiGraph) -> np.ndarray:
-            out_deg = graph.out_degrees().astype(np.float32)
-            return (1.0 / out_deg[graph.edge_src]).astype(np.float32)
-
-        return {"value": FieldSpec(np.float32, init_edge)}
-
-    def step(self, graph: DiGraph, state: State, active: np.ndarray) -> np.ndarray:
-        rank = state.vertex("rank")
-        values = state.edge("value")
-        src, dst = graph.edge_src, graph.edge_dst
-        n = graph.num_vertices
-
-        # np.add.at accumulates sequentially, and edge-id order adds each
-        # destination's in-edges in the order the scalar engine reads
-        # them (DESIGN §6.1) — the float32 sums agree exactly.
-        # Unmasked: only active vertices' totals are used below.
-        total = np.zeros(n, dtype=np.float32)
-        np.add.at(total, dst, values)
-
-        new_rank = (self.base + self.damping * total).astype(np.float32)
-        changed = np.abs(new_rank - rank) >= self.epsilon
-        writers = active & changed
-        rank[active] = new_rank[active]
-
-        out_deg = graph.out_degrees()
-        with np.errstate(divide="ignore"):
-            quotient = np.where(
-                out_deg > 0, rank / np.maximum(out_deg, 1).astype(np.float32), 0.0
-            ).astype(np.float32)
-        write = writers[src] & (out_deg[src] > 0)
-        values[write] = quotient[src[write]]
-
-        nxt = np.zeros(n, dtype=bool)
-        nxt[dst[write]] = True
-        return nxt
-
-    def result(self, state: State) -> np.ndarray:
-        return state.vertex("rank")
-
-
-# ----------------------------------------------------------------------
-# Nondeterministic fast-path kernels (repro.engine.nondet_core)
-# ----------------------------------------------------------------------
 
 
 class _WCCNondetKernel(NondetKernel):

@@ -43,12 +43,6 @@ from .state import INF, FieldSpec, State
 from .sync_engine import SynchronousEngine
 from .threads_engine import ThreadsEngine
 from .traits import AlgorithmTraits, ConflictProfile, ConvergenceKind, Monotonicity
-from .vectorized import (
-    VectorizedBSPEngine,
-    VectorizedProgram,
-    VectorizedRunResult,
-    run_vectorized,
-)
 
 __all__ = [
     "AtomicityPolicy",
@@ -109,8 +103,4 @@ __all__ = [
     "ConflictProfile",
     "ConvergenceKind",
     "Monotonicity",
-    "VectorizedBSPEngine",
-    "VectorizedProgram",
-    "VectorizedRunResult",
-    "run_vectorized",
 ]

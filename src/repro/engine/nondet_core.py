@@ -169,14 +169,19 @@ class EdgePlan:
       *invisible* write only stales reads issued after it);
     * ``dt[e]`` — the endpoints run on different threads;
     * ``dst_wins[e]`` — the Lemma-2 winner of a doubly-written edge.
+
+    ``barrier``: no pair of endpoints exchanges a value within the
+    iteration (BSP), so every predicate above but ``dst_wins`` is False.
     """
 
     TIMED = ("t_s", "t_d", "dst_wins", "vis_s2d", "vis_d2s", "lex_sd", "lex_ds")
 
-    def __init__(self, vp, dm, s, d):
+    def __init__(self, vp, dm, s, d, *, barrier: bool = False):
         self.s, self.d = s, d
         self.thr_s, self.thr_d, self.both, self.same, self._d_pair = _pair(
             vp, dm, s, d)
+        if barrier:
+            self.both = np.zeros_like(self.both)
         self.dt = self.both & ~self.same
         pi_s, pi_d = vp.pi_v[s], vp.pi_v[d]
         self._pi_sd = pi_s < pi_d
@@ -244,10 +249,15 @@ class PlanCache:
     one draw of ``ids.size`` per :meth:`plan` call whatever is asked
     afterwards — so alternating directions under ``direction="auto"``
     stays bit-stable.
+
+    ``barrier=True`` is the BSP plan: every task is stamped at time 0
+    and its :class:`EdgePlan` lets no pair exchange a value, so the
+    threads only account work and Lemma 2's ``(time, vid)`` tiebreak is
+    the larger-label commit (DESIGN §6.0).
     """
 
     def __init__(self, graph, num_threads: int, *, policy, jitter: float,
-                 rng):
+                 rng, barrier: bool = False):
         self.src = graph.edge_src
         self.dst = graph.edge_dst
         self.n = graph.num_vertices
@@ -255,6 +265,7 @@ class PlanCache:
         self.policy = policy
         self.jitter = jitter
         self.rng = rng
+        self.barrier = barrier
         self.hits = 0
         self.ids: np.ndarray | None = None
         self.dm = None
@@ -284,6 +295,8 @@ class PlanCache:
                 ids, self.p, policy=self.policy, jitter=self.jitter,
                 rng=self.rng,
             )
+            if self.barrier:
+                self.time_a = np.zeros_like(self.time_a)
             n = self.n
             self.thr_v = np.full(n, -1, dtype=np.int64)
             self.pi_v = np.zeros(n, dtype=np.int64)
@@ -303,9 +316,11 @@ class PlanCache:
         """The current plan's :class:`EdgePlan` on ``eidx`` (all edges
         when ``None``)."""
         if eidx is not None:
-            return EdgePlan(self, self.dm, self.src[eidx], self.dst[eidx])
+            return EdgePlan(self, self.dm, self.src[eidx], self.dst[eidx],
+                            barrier=self.barrier)
         if self._dense is None:
-            self._dense = EdgePlan(self, self.dm, self.src, self.dst)
+            self._dense = EdgePlan(self, self.dm, self.src, self.dst,
+                                   barrier=self.barrier)
         return self._dense
 
 
@@ -529,9 +544,10 @@ def fallback_reasons(program: VertexProgram, config: EngineConfig,
     configuration must not request behaviours that only the per-access
     object store models (torn-value injection, runtime scope checks,
     fp-noise gather permutation, individual conflict-event capture).
-    The DE schedule (``mode="deterministic"``) has no races, so torn
-    values and conflict events are moot; its recorded format is the
-    object engine's Gauss–Seidel write provenance, so ``record=`` is not.
+    The DE and BSP schedules (``mode="deterministic"`` / ``"sync"``)
+    have no races, so torn values and conflict events are moot; their
+    recorded formats are the object engines' own provenance, so
+    ``record=`` is not.
     """
     reasons = []
     if resolve_nondet_kernel(program) is None:
@@ -547,8 +563,9 @@ def fallback_reasons(program: VertexProgram, config: EngineConfig,
     if mode == MODE and config.keep_conflict_events:
         reasons.append("keep_conflict_events records individual events")
     if mode != MODE and record is not None:
-        reasons.append("record= on the DE schedule: its provenance is the "
-                       "object engine's Gauss–Seidel writes (order='before')")
+        reasons.append(f"record= on the {mode} schedule: its provenance is "
+                       "the object engine's (DE: Gauss–Seidel writes, "
+                       "order='before'; BSP: rule='bsp-label-order')")
     return reasons
 
 
@@ -1016,8 +1033,8 @@ def run_loop(program: VertexProgram, graph, config: EngineConfig, state,
 
     ``mode`` labels the run (sinks, supervisor, result); ``plan`` is its
     schedule, by default ``config.threads`` threads and the jitter RNG
-    (DE: one thread, no jitter — DESIGN §6.0).  ``label`` is the
-    backend's ``mode=`` in the metrics registry and
+    (DE: one thread, no jitter; BSP: the ``barrier`` plan — DESIGN
+    §6.0).  ``label`` is the backend's ``mode=`` in the metrics registry and
     ``extra`` its own ``RunResult.extra`` facts (read after the loop);
     ``state_written()`` is called whenever someone else may have written
     ``state`` (the caller before the run, a checkpoint restore, value

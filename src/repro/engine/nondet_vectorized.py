@@ -17,8 +17,10 @@ state, iteration/frontier trajectory, per-thread stats, and conflict
 totals — for every registered program (PageRank, WCC, SSSP, BFS, SpMV;
 see ``tests/test_nondet_vectorized.py``), at one to two orders of
 magnitude higher throughput.  ``mode="deterministic"`` runs the same
-loop on a one-thread plan: the DE baseline, bit-identical to
-:class:`~repro.engine.gauss_seidel.DeterministicEngine`
+loop on a one-thread plan, the DE baseline, and ``mode="sync"`` on the
+barrier plan, BSP: bit-identical to
+:class:`~repro.engine.gauss_seidel.DeterministicEngine` and
+:class:`~repro.engine.sync_engine.SynchronousEngine`
 (``tests/test_paper_path.py``).  What the fast path does not model is
 listed by :func:`fallback_reasons`: ``vectorized=True`` then falls back
 to the object engine with a ``vectorized_fallback`` telemetry event,
@@ -151,12 +153,19 @@ class VectorizedNondetEngine:
             count_on(bar, ep, written, out)
             bar.vout = ctx.vout
 
+        # The schedule is the only thing the three modes change: NE is
+        # run_loop's default plan; DE = Defs. 1–3 at P = 1 (ascending
+        # labels, no jitter); BSP lets no write be seen before the barrier.
+        plan = None
+        if mode == "deterministic":
+            plan = PlanCache(graph, 1, policy=config.dispatch, jitter=0.0,
+                             rng=None)
+        elif mode == "sync":
+            plan = PlanCache(graph, config.threads, policy=config.dispatch,
+                             jitter=0.0, rng=None, barrier=True)
         return run_loop(
             program, graph, config, state, step, label="vectorized",
             direction=direction, push_ok=push_ok,
             observer=observer, telemetry=telemetry, record=record,
-            supervisor=supervisor, metrics=metrics, mode=mode,
-            # DE = Defs. 1–3 at P = 1: ascending labels, no jitter.
-            plan=PlanCache(graph, 1, policy=config.dispatch, jitter=0.0,
-                           rng=None) if mode == "deterministic" else None,
+            supervisor=supervisor, metrics=metrics, mode=mode, plan=plan,
         )

@@ -86,8 +86,7 @@ def run(
     mode:
         ``"sync"`` — BSP (Theorem 1's premise);
         ``"deterministic"`` — sequential asynchronous Gauss–Seidel, the
-        paper's DE baseline (external deterministic scheduler; the object
-        engine is the oracle of ``vectorized=``'s one-thread plan);
+        paper's DE baseline (external deterministic scheduler);
         ``"chromatic"`` — deterministic *parallel* asynchronous execution
         via color classes (the related-work chromatic scheduler);
         ``"nondeterministic"`` — the simulated racy parallel executor
@@ -107,11 +106,13 @@ def run(
         every path (not supported by the real-thread backend; prefer
         ``telemetry=``, which is).
     vectorized:
-        Nondeterministic or deterministic mode.  ``True`` takes the NumPy
-        array path (:class:`~repro.engine.nondet_vectorized.VectorizedNondetEngine`;
-        DE runs on its one-thread plan) when the program has a registered
-        kernel and the configuration is eligible, else the object engine
-        with a ``vectorized_fallback`` telemetry event — both are
+        Nondeterministic, sync or deterministic mode.  ``True`` takes the
+        NumPy array path
+        (:class:`~repro.engine.nondet_vectorized.VectorizedNondetEngine`;
+        the mode picks its plan: NE's ``P`` threads, BSP's barrier plan,
+        DE's one thread) when the program has a registered kernel and the
+        configuration is eligible, else the object engine — the oracle —
+        with a ``vectorized_fallback`` telemetry event; both are
         bit-identical.  ``"require"`` raises instead, listing the
         reasons.  ``False`` (default) or ``""`` use the object engine in
         every mode; any other string is rejected.
@@ -127,7 +128,7 @@ def run(
         which the supervised retry loop recovers like a worker timeout.
     direction:
         The direction-optimizing execution strategy of the array paths
-        (vectorized nondeterministic or deterministic, process backend).
+        (``vectorized=`` in any of its modes, process backend).
         ``"pull"`` (default) runs the dense whole-graph masks;
         ``"push"`` runs every iteration sparsely over the frontier's
         touched edges (out-edges ∪ in-edges of the active set), which
@@ -269,9 +270,9 @@ def run(
         raise ValueError(
             "metrics= applies to mode='nondeterministic' or 'delta' only")
     if direction != "pull" and mode not in (
-            "nondeterministic", "deterministic", "delta"):
+            "nondeterministic", "sync", "deterministic", "delta"):
         raise ValueError("direction= applies to mode='nondeterministic', "
-                         "'deterministic' or 'delta' only")
+                         "'sync', 'deterministic' or 'delta' only")
     if mode != "delta":
         if mutations is not None:
             raise ValueError("mutations= applies to mode='delta' only "
@@ -430,10 +431,10 @@ def dispatch(program: VertexProgram, graph, *, mode: str,
             direction=direction, metrics=metrics,
         )
     if vectorized:
-        if mode not in ("nondeterministic", "deterministic"):
+        if mode not in ("nondeterministic", "sync", "deterministic"):
             raise ValueError(
-                "vectorized= applies to mode='nondeterministic' or "
-                "'deterministic' only (use run_vectorized for BSP)")
+                "vectorized= applies to mode='nondeterministic', 'sync' or "
+                "'deterministic' only")
         # Imported lazily: the fast path pulls in the kernel registry.
         from .nondet_vectorized import VectorizedNondetEngine, fallback_reasons
 

@@ -507,8 +507,8 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
                 fell_back = True
                 cur_mode = policy.fallback_mode
                 # The last rung runs the object oracle: the fallback mode
-                # may have no array path (sync, chromatic) and must not
-                # be refused (``"require"`` with fp_noise / record=);
+                # may have no array path (chromatic), and sync's and DE's
+                # would refuse fp_noise / record= under ``"require"``;
                 # nor does it take a direction or a phase series.
                 cur_vectorized = False
                 cur_backend = None

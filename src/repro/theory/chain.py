@@ -73,7 +73,8 @@ def trace_chain(
     def observer(iteration: int, state, next_schedule) -> None:
         snapshots.append(np.array(program.result(state), dtype=np.float64, copy=True))
 
-    result = run(program, graph, mode="sync", config=config, observer=observer)
+    result = run(program, graph, mode="sync", config=config, observer=observer,
+                 vectorized=True)
     total = result.num_iterations
     if not snapshots:
         return ConvergenceChain(target, (target,), (), total)

@@ -127,13 +127,17 @@ def measure_convergence_speed(
     seeds: Sequence[int] = (0, 1),
     max_iterations: int = 100_000,
 ) -> SpeedReport:
-    """Measure iterations-to-converge across schedules and baselines."""
+    """Measure iterations-to-converge across schedules and baselines.
+
+    Every run takes the array path when the program has a kernel and
+    the object engine otherwise; the two are bit-identical.
+    """
     probe = program_factory()
-    de = run(probe, graph, mode="deterministic",
+    de = run(probe, graph, mode="deterministic", vectorized=True,
              config=EngineConfig(max_iterations=max_iterations))
     if not de.converged:
         raise RuntimeError("deterministic baseline did not converge")
-    sync = run(program_factory(), graph, mode="sync",
+    sync = run(program_factory(), graph, mode="sync", vectorized=True,
                config=EngineConfig(max_iterations=max_iterations))
     if not sync.converged:
         raise RuntimeError("synchronous baseline did not converge")
@@ -151,6 +155,7 @@ def measure_convergence_speed(
                     program_factory(),
                     graph,
                     mode="nondeterministic",
+                    vectorized=True,
                     config=EngineConfig(
                         threads=threads,
                         delay=float(delay),

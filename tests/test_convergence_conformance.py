@@ -44,6 +44,11 @@ def _capped_runner(mode, graph):
             return run(WeaklyConnectedComponents(), graph,
                        mode="nondeterministic", vectorized="require",
                        config=base.with_(max_iterations=cap))
+    elif mode == "vectorized-sync":
+        def invoke(cap):
+            return run(WeaklyConnectedComponents(), graph, mode="sync",
+                       vectorized="require",
+                       config=base.with_(max_iterations=cap))
     elif mode == "vectorized-push":
         def invoke(cap):
             return run(WeaklyConnectedComponents(), graph,
@@ -58,7 +63,8 @@ def _capped_runner(mode, graph):
 
 
 @pytest.mark.parametrize(
-    "mode", MODES + ["vectorized", "vectorized-push", "push"])
+    "mode", MODES + ["vectorized", "vectorized-sync", "vectorized-push",
+                     "push"])
 def test_at_cap_accounting(graph, mode):
     invoke = _capped_runner(mode, graph)
     free = invoke(10_000)

@@ -223,8 +223,9 @@ class TestRunnerPlumbing:
                 mode="nondeterministic", direction="sideways")
 
     def test_direction_requires_nondet_mode(self, medium_graph):
+        # sync and deterministic take a direction on their array plans.
         with pytest.raises(ValueError, match="nondeterministic"):
-            run(WeaklyConnectedComponents(), medium_graph, mode="sync",
+            run(WeaklyConnectedComponents(), medium_graph, mode="chromatic",
                 direction="auto")
 
     def test_direction_composes_with_fault_kwargs(self, medium_graph,

@@ -289,8 +289,10 @@ def test_silent_fallback_on_ineligible_config(small_graph):
 
 
 def test_vectorized_requires_nondeterministic_mode(small_graph):
+    # sync and deterministic have array plans too (tests/test_paper_path.py).
     with pytest.raises(ValueError, match="nondeterministic"):
-        run(WeaklyConnectedComponents(), small_graph, mode="sync", vectorized=True)
+        run(WeaklyConnectedComponents(), small_graph, mode="pure-async",
+            vectorized=True)
 
 
 def test_vectorized_rejects_unknown_string(small_graph):

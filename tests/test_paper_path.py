@@ -4,17 +4,19 @@ Every Fig. 3 cell (NE and DE), every Table II/III NE cell, the Fig. 3
 explain mode and the A2/A3 ablations run with ``vectorized="require"``.
 The DE baseline — GraphChi's one-update-at-a-time, ascending-label,
 immediately-visible Gauss–Seidel — is Defs. 1–3 at P = 1, so it runs as
-the array engines' one-thread plan (DESIGN §6.0).  The object engines
-stay the oracle:
+the array engines' one-thread plan; BSP runs as their barrier plan, in
+which no write is seen before the barrier (DESIGN §6.0).  The object
+engines stay the oracle:
 
-(a) a generated-input property holds the array DE to
-    :class:`~repro.engine.gauss_seidel.DeterministicEngine`;
+(a) a generated-input property holds the array DE and BSP to
+    :class:`~repro.engine.gauss_seidel.DeterministicEngine` and
+    :class:`~repro.engine.sync_engine.SynchronousEngine`;
 (b) every driver's output is byte-equal to the same driver with its
     ``run`` forced onto the object engines (:func:`on_object_engines`);
-(c) what the array DE does not model is refused by name;
-(d) a supervised array DE resumed from any barrier replays the
-    uninterrupted run, and the watchdog's deterministic fallback still
-    runs the object engine.
+(c) what those two plans do not model is refused by name;
+(d) a supervised array DE or BSP run resumed from any barrier replays
+    the uninterrupted run, and the watchdog's deterministic fallback
+    still runs the object engine.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.engine import EngineConfig, run
 from repro.engine.atomicity import AtomicityPolicy
 from repro.engine.dispatch import DispatchPolicy
 from repro.engine.gauss_seidel import DeterministicEngine
+from repro.engine.sync_engine import SynchronousEngine
 from repro.experiments import (
     ablations,
     figure3,
@@ -53,6 +56,18 @@ from .test_nondet_vectorized import ALGORITHMS
 #: The modules whose ``run`` the experiment drivers call.
 DRIVER_MODULES = (figure3, variation, ablations)
 
+#: The race-free array plans (DE, BSP) and their object oracles.
+ORACLES = {"deterministic": DeterministicEngine, "sync": SynchronousEngine}
+
+
+def per_schedule(argnames, cases):
+    """Parametrize ``mode`` plus ``argnames`` over both plans: each
+    ``(id, values)`` case keeps its id for DE and gets ``sync-`` for BSP."""
+    return pytest.mark.parametrize(("mode", *argnames), [
+        pytest.param(mode, *values,
+                     id=("sync-" if mode == "sync" else "") + case_id)
+        for mode in ORACLES for case_id, values in cases])
+
 
 def object_run(*args, **kwargs):
     """``run`` with the array path switched off."""
@@ -65,10 +80,10 @@ def on_object_engines(monkeypatch) -> None:
         monkeypatch.setattr(module, "run", object_run)
 
 
-def assert_same_de(obj, obj_sink, arr, arr_sink):
-    """The array DE run equals the object one in everything the paper's
-    drivers and the cost model read."""
-    assert obj.mode == arr.mode == "deterministic"
+def assert_same_run(obj, obj_sink, arr, arr_sink):
+    """The array DE or BSP run equals the object one in everything the
+    paper's drivers and the cost model read."""
+    assert obj.mode == arr.mode
     assert arr.config == obj.config
     for f in obj.state.vertex_field_names:
         assert arr.state.vertex(f).tobytes() == obj.state.vertex(f).tobytes(), f
@@ -77,7 +92,8 @@ def assert_same_de(obj, obj_sink, arr, arr_sink):
     assert (arr.converged, arr.num_iterations) == (obj.converged,
                                                    obj.num_iterations)
     assert arr.iterations == obj.iterations
-    assert all(len(it.updates_per_thread) == 1 for it in arr.iterations)
+    threads = 1 if arr.mode == "deterministic" else arr.config.threads
+    assert all(len(it.updates_per_thread) == threads for it in arr.iterations)
     assert arr.conflicts.summary() == obj.conflicts.summary()
     assert not any(arr.conflicts.summary().values())
     assert arr_sink.iteration_stats() == obj_sink.iteration_stats()
@@ -86,26 +102,26 @@ def assert_same_de(obj, obj_sink, arr, arr_sink):
             == price_run(obj, algorithm="a", graph="g", telemetry=obj_sink))
 
 
-def de_pair(factory, graph, config, **kwargs):
+def oracle_pair(mode, factory, graph, config, **kwargs):
     obj_sink, arr_sink = Telemetry(), Telemetry()
-    obj = DeterministicEngine().run(factory(), graph, config,
-                                    telemetry=obj_sink)
-    arr = run(factory(), graph, mode="deterministic", config=config,
+    obj = ORACLES[mode]().run(factory(), graph, config, telemetry=obj_sink)
+    arr = run(factory(), graph, mode=mode, config=config,
               vectorized="require", telemetry=arr_sink, **kwargs)
     assert arr.extra["vectorized"] is True
     return obj, obj_sink, arr, arr_sink
 
 
 # ---------------------------------------------------------------------------
-# (a) the array DE is the object DE
+# (a) the array DE and BSP are the object DE and BSP
 # ---------------------------------------------------------------------------
 
 @st.composite
 def cases(draw):
     """A small multigraph (self-loops, parallel edges, isolated vertices;
-    vertex 0, the traversals' source, has an out-edge) and a DE config
-    whose NE-only knobs — threads, delay, jitter, dispatch, atomicity —
-    must change nothing but the priced thread count."""
+    vertex 0, the traversals' source, has an out-edge) and a config whose
+    NE-only knobs — threads, delay, jitter, dispatch, atomicity — must
+    change nothing but the priced thread count (DE) or the per-thread
+    work accounting (BSP)."""
     n = draw(st.integers(2, 12))
     edges = [(0, 1)] + draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
@@ -122,19 +138,23 @@ def cases(draw):
     return graph, config
 
 
-@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+ALGOS = [(algo, (algo,)) for algo in sorted(ALGORITHMS)]
+
+
+@per_schedule(["algo"], ALGOS)
 @settings(max_examples=60, deadline=None)
 @given(case=cases(), direction=st.sampled_from(["pull", "auto"]))
-def test_array_de_equals_object_de(algo, case, direction):
+def test_array_de_equals_object_de(mode, algo, case, direction):
     graph, config = case
-    assert_same_de(*de_pair(ALGORITHMS[algo], graph, config,
-                            direction=direction))
+    assert_same_run(*oracle_pair(mode, ALGORITHMS[algo], graph, config,
+                                 direction=direction))
 
 
-@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
-def test_array_de_equals_object_de_on_a_stand_in(algo):
+@per_schedule(["algo"], ALGOS)
+def test_array_de_equals_object_de_on_a_stand_in(mode, algo):
     graph = generators.rmat(8, 8.0, seed=3)
-    assert_same_de(*de_pair(ALGORITHMS[algo], graph, EngineConfig(seed=1)))
+    assert_same_run(*oracle_pair(mode, ALGORITHMS[algo], graph,
+                                 EngineConfig(seed=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +223,7 @@ def test_figure3_explain_is_byte_equal(monkeypatch, array_runs):
 
 
 # ---------------------------------------------------------------------------
-# (c) what the array DE does not model is refused by name
+# (c) what the array DE and BSP do not model is refused by name
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -211,26 +231,31 @@ def small_graph():
     return generators.rmat(6, 8.0, seed=3)
 
 
-@pytest.mark.parametrize("program, kwargs, reason", [
-    (PageRank, {"fp_noise": True}, "fp_noise"),
-    (PageRank, {"validate_scope": True}, "validate_scope"),
-    (PageRank, {"record": True}, "record="),
-    (MaxLabelPropagation, {}, "no vectorized nondet kernel"),
-])
-def test_require_refuses_with_the_reason(small_graph, program, kwargs,
+REFUSED = [{"fp_noise": True}, {"validate_scope": True}, {"record": True}]
+
+
+@per_schedule(["program", "kwargs", "reason"], [
+    (f"{program.__name__}-kwargs{i}-{reason}", (program, kwargs, reason))
+    for i, (program, kwargs, reason) in enumerate([
+        (PageRank, REFUSED[0], "fp_noise"),
+        (PageRank, REFUSED[1], "validate_scope"),
+        (PageRank, REFUSED[2], "record="),
+        (MaxLabelPropagation, {}, "no vectorized nondet kernel"),
+    ])])
+def test_require_refuses_with_the_reason(small_graph, mode, program, kwargs,
                                          reason):
     with pytest.raises(ValueError, match=reason):
-        run(program(), small_graph, mode="deterministic",
-            vectorized="require", **kwargs)
+        run(program(), small_graph, mode=mode, vectorized="require",
+            **kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"fp_noise": True}, {"validate_scope": True}, {"record": True}])
-def test_true_falls_back_with_an_event(small_graph, kwargs):
+@per_schedule(["kwargs"], [(f"kwargs{i}", (kwargs,))
+                           for i, kwargs in enumerate(REFUSED)])
+def test_true_falls_back_with_an_event(small_graph, mode, kwargs):
     sink = Telemetry()
-    res = run(PageRank(), small_graph, mode="deterministic", vectorized=True,
+    res = run(PageRank(), small_graph, mode=mode, vectorized=True,
               telemetry=sink, **kwargs)
-    ref = run(PageRank(), small_graph, mode="deterministic", **kwargs)
+    ref = run(PageRank(), small_graph, mode=mode, **kwargs)
     assert "vectorized" not in res.extra
     events = [r for r in sink.records if r.get("name") == "vectorized_fallback"]
     assert len(events) == 1 and events[0]["reasons"]
@@ -241,7 +266,8 @@ def test_races_are_not_a_reason(small_graph):
     """DE has no races: torn values and conflict events are moot."""
     config = EngineConfig(atomicity=AtomicityPolicy.NONE,
                           keep_conflict_events=True)
-    assert_same_de(*de_pair(PageRank, small_graph, config))
+    assert_same_run(*oracle_pair("deterministic", PageRank, small_graph,
+                                 config))
 
 
 def test_other_modes_still_refuse(small_graph):
@@ -253,12 +279,12 @@ def test_other_modes_still_refuse(small_graph):
 # (d) what dispatch serves: supervised, checkpointed, resumed, degraded
 # ---------------------------------------------------------------------------
 
-def test_resume_from_every_barrier_is_bit_identical(tmp_path):
+@pytest.mark.parametrize("mode", list(ORACLES))
+def test_resume_from_every_barrier_is_bit_identical(tmp_path, mode):
     graph = generators.rmat(7, 8.0, seed=3)
     config = EngineConfig(seed=2)
-    obj = run(PageRank(epsilon=1e-2), graph, mode="deterministic",
-              config=config)
-    whole = run(PageRank(epsilon=1e-2), graph, mode="deterministic",
+    obj = run(PageRank(epsilon=1e-2), graph, mode=mode, config=config)
+    whole = run(PageRank(epsilon=1e-2), graph, mode=mode,
                 config=config, vectorized=True,
                 checkpoint=str(tmp_path / "whole.ckpt"), checkpoint_every=1)
     assert whole.extra["vectorized"] is True
@@ -267,10 +293,10 @@ def test_resume_from_every_barrier_is_bit_identical(tmp_path):
     for k in range(1, obj.num_iterations):
         ck = str(tmp_path / f"at{k}.ckpt")
         with pytest.raises(ConvergenceFailure):
-            run(PageRank(epsilon=1e-2), graph, mode="deterministic",
+            run(PageRank(epsilon=1e-2), graph, mode=mode,
                 config=config, vectorized=True, faults=f"crash@{k}",
                 checkpoint=ck, policy=DegradationPolicy(max_restarts=0))
-        res = run(PageRank(epsilon=1e-2), graph, mode="deterministic",
+        res = run(PageRank(epsilon=1e-2), graph, mode=mode,
                   vectorized=True, resume_from=ck)
         assert res.extra["vectorized"] is True
         assert (res.num_iterations, res.converged) == (obj.num_iterations,
