@@ -32,7 +32,7 @@ def main() -> None:
     print(f"reachable vertices from {source}: {reached}/{graph.num_vertices}\n")
 
     print("--- all execution models agree on the distances ---")
-    for mode in ("sync", "deterministic", "nondeterministic", "threads"):
+    for mode in ("sync", "deterministic", "chromatic", "nondeterministic"):
         result = run(SSSP(source=source), graph, mode=mode,
                      config=EngineConfig(threads=8, seed=3))
         exact = np.array_equal(result.result(), truth)

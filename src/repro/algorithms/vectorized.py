@@ -2,7 +2,7 @@
 
 One whole-graph gather/compute/scatter pass per algorithm, reading the
 engine's per-edge *seen* arrays (:mod:`repro.engine.nondet_core`).
-The same kernel runs under every plan of ``run_loop`` — BSP (nothing
+The same kernel runs under every plan of ``ArrayStep`` — BSP (nothing
 visible within the iteration), DE (one thread) and NE (``P`` threads)
 — and matches its object-engine sibling bit for bit under each: float
 kernels accumulate with ``np.add.at`` in positional order, which adds

@@ -16,7 +16,6 @@ from .explain import (
     first_divergence,
     taint_forward,
 )
-from .traces import ConvergenceTrace, trace_convergence
 from .variation import ConfigurationRuns, VariationStudy, collect_rankings
 
 __all__ = [
@@ -37,6 +36,4 @@ __all__ = [
     "explain_traces",
     "first_divergence",
     "taint_forward",
-    "ConvergenceTrace",
-    "trace_convergence",
 ]

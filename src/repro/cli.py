@@ -155,8 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_scale(p)
     p.add_argument("--mode", default="nondeterministic",
                    choices=["sync", "deterministic", "chromatic",
-                            "nondeterministic", "pure-async", "threads",
-                            "delta"])
+                            "nondeterministic", "pure-async", "delta"])
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--backend", default=None, choices=["process"],
                    help="nondeterministic mode only: 'process' executes the "
@@ -220,8 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="resume from a checkpoint written by --checkpoint; "
                         "continues bit-identically to the uninterrupted run")
     p.add_argument("--worker-timeout-s", type=float, default=60.0, metavar="S",
-                   help="threads mode: barrier timeout before the stuck-worker "
-                        "diagnostic fires (default 60; 0 = wait forever)")
+                   help="--backend process and shard stores: how long an "
+                        "iteration barrier waits for the workers before "
+                        "WorkerTimeout (default 60; 0 = wait forever)")
     p.add_argument("--delta-threshold", type=float, default=None, metavar="T",
                    help="delta mode: residual magnitude below which a vertex "
                         "is left unscheduled (default: the kernel's)")

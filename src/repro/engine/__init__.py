@@ -41,7 +41,6 @@ from .result import IterationStats, RunResult
 from .runner import ENGINES, Mode, run
 from .state import INF, FieldSpec, State
 from .sync_engine import SynchronousEngine
-from .threads_engine import ThreadsEngine
 from .traits import AlgorithmTraits, ConflictProfile, ConvergenceKind, Monotonicity
 
 __all__ = [
@@ -82,7 +81,6 @@ __all__ = [
     "PushProgram",
     "run_push",
     "SynchronousEngine",
-    "ThreadsEngine",
     "Order",
     "TaskSlot",
     "classify",

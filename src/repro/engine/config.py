@@ -57,11 +57,11 @@ class EngineConfig:
         immediately.  Off by default (it costs a set construction per
         update); turn on when developing a new program.
     worker_timeout_s:
-        Real-thread backend only: how long the iteration barrier waits
-        for its workers before raising
-        :class:`~repro.robust.errors.WorkerTimeout` with a
-        ``stuck_worker`` diagnostic event.  ``None`` waits forever
-        (the pre-fault-tolerance behaviour).
+        Process and out-of-core worker pools only: how long an iteration
+        barrier waits for the workers before raising
+        :class:`~repro.robust.errors.WorkerTimeout` (a worker that died
+        raises :class:`~repro.robust.errors.WorkerDied` instead).
+        ``None`` waits forever.
     direction_alpha / direction_beta:
         Beamer-style thresholds of the direction-optimizing heuristic
         (``run(..., direction="auto")``).  An iteration runs *push*

@@ -20,7 +20,13 @@ import numpy as np
 from ..graph import DiGraph
 from .program import VertexProgram
 
-__all__ = ["Frontier", "initial_frontier"]
+__all__ = ["Frontier", "initial_frontier", "sorted_ids"]
+
+
+def sorted_ids(vertices) -> np.ndarray:
+    """A set of vertex ids as the ascending int64 array the run loop
+    carries its frontier in."""
+    return np.fromiter(sorted(vertices), dtype=np.int64, count=len(vertices))
 
 
 class Frontier:
@@ -43,7 +49,7 @@ class Frontier:
 
     def sorted_vertices(self) -> np.ndarray:
         """Active vertices ascending by label (small-label-first)."""
-        return np.fromiter(sorted(self._set), dtype=np.int64, count=len(self._set))
+        return sorted_ids(self._set)
 
     def as_set(self) -> set[int]:
         return set(self._set)

@@ -16,13 +16,12 @@ asserts.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graph import DiGraph
 from .config import EngineConfig
-from .frontier import Frontier, initial_frontier
+from .frontier import sorted_ids
+from .loop import run_loop
 from .program import UpdateContext, VertexProgram
 from .result import IterationStats, RunResult
 from .state import State
@@ -79,22 +78,14 @@ class DeterministicEngine:
         config: EngineConfig | None = None,
         *,
         state: State | None = None,
-        observer=None,
-        telemetry=None,
         record=None,
-        supervisor=None,
+        **loop_kw,
     ) -> RunResult:
         config = config or EngineConfig()
-        sink = telemetry
-        if sink is not None:
-            sink.begin_engine_run(self.mode, program, config)
-        if record is not None:
-            record.begin_engine_run(self.mode, program, config)
         state = state if state is not None else program.make_state(graph)
         store = _DirectStore(state)
         if record is not None and record.records_writes:
             store.recorder = record
-        frontier = initial_frontier(program, graph)
         # Sub-stream 1 of the master seed is reserved for fp-noise.
         fp_rng = (
             np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
@@ -102,23 +93,8 @@ class DeterministicEngine:
             else None
         )
 
-        stats: list[IterationStats] = []
-        iteration = 0
-        if supervisor is not None:
-            iteration, frontier = supervisor.engine_start(
-                self.mode, program, config, state=state, frontier=frontier,
-                rngs={"fp": fp_rng} if fp_rng is not None else {},
-            )
-        converged = False
-        while iteration < config.max_iterations:
-            if not frontier:
-                converged = True
-                break
-            if supervisor is not None:
-                supervisor.pre_iteration(iteration)
-            t0 = time.perf_counter() if sink is not None else 0.0
+        def step(iteration, active, dm, clock):
             store.iteration = iteration
-            active = frontier.sorted_vertices()
             next_schedule: set[int] = set()
             reads = writes = 0
             for vid in active.tolist():
@@ -129,49 +105,15 @@ class DeterministicEngine:
                 program.update(ctx)
                 reads += ctx.n_edge_reads
                 writes += ctx.n_edge_writes
-            if supervisor is not None:
-                next_schedule = supervisor.post_iteration(
-                    iteration, state=state, schedule=next_schedule)
-            stats.append(
-                IterationStats(
-                    iteration=iteration,
-                    num_active=int(active.size),
-                    updates_per_thread=[int(active.size)],
-                    reads_per_thread=[reads],
-                    writes_per_thread=[writes],
-                )
-            )
-            if sink is not None:
-                # Sequential execution: a single update runs at a time,
-                # so no conflicts can occur — both classes are zero.
-                sink.iteration(
-                    iteration=iteration,
-                    num_active=int(active.size),
-                    updates_per_thread=[int(active.size)],
-                    reads_per_thread=[reads],
-                    writes_per_thread=[writes],
-                    frontier_size=len(next_schedule),
-                    wall_time_s=time.perf_counter() - t0,
-                )
-            if observer is not None:
-                observer(iteration, state, next_schedule)
-            frontier = Frontier(next_schedule)
-            iteration += 1
-        # At-cap accounting: converged stays False unless the confirming
-        # empty-frontier check at the top of an iteration ran (see
-        # tests/test_convergence_conformance.py).
+            if clock is not None:
+                clock.lap("gather")
+            # Sequential execution: a single update runs at a time, so no
+            # conflicts can occur.
+            return (sorted_ids(next_schedule),
+                    IterationStats(iteration, int(active.size),
+                                   [int(active.size)], [reads], [writes]),
+                    None, {})
 
-        result = RunResult(
-            program=program,
-            state=state,
-            mode=self.mode,
-            converged=converged,
-            num_iterations=iteration,
-            iterations=stats,
-            config=config,
-        )
-        if record is not None:
-            record.end_run(result)
-        if sink is not None:
-            sink.end_run(result)
-        return result
+        return run_loop(program, graph, config, state, step, mode=self.mode,
+                        rngs={"fp": fp_rng} if fp_rng is not None else {},
+                        record=record, **loop_kw)

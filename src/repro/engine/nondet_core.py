@@ -19,7 +19,8 @@ module states each rule of the paper once:
   semantics in at most depth+1 passes;
 * :func:`lemma2_commit`, :func:`conflict_counts`, :func:`commit_on`,
   :func:`count_on`, :func:`emit_provenance` — the commit barrier;
-* :func:`run_loop` — the iteration loop around a backend's ``step``.
+* :class:`ArrayStep` / :func:`run_array` — a backend's iteration as a
+  step of the one loop (:func:`~repro.engine.loop.run_loop`).
 
 The three residencies (RAM: ``nondet_vectorized``; one shm segment and
 ``P`` processes: ``nondet_parallel``; scratch files swept by interval:
@@ -33,22 +34,21 @@ untouched as the oracle.
 from __future__ import annotations
 
 import abc
-import time
 from functools import cached_property
 
 import numpy as np
 
-from ..obs.metrics import PhaseClock, peak_rss_bytes, record_iteration_metrics
 from .atomicity import AtomicityPolicy
 from .config import EngineConfig
 from .conflicts import ConflictLog
 from .dispatch import plan_arrays
-from .frontier import initial_frontier
+from .loop import run_loop
 from .program import VertexProgram
 from .result import IterationStats, RunResult
 
 __all__ = [
     "DIRECTIONS",
+    "ArrayStep",
     "Barrier",
     "EdgePlan",
     "NondetKernel",
@@ -68,7 +68,7 @@ __all__ = [
     "register_nondet_kernel",
     "repair",
     "resolve_nondet_kernel",
-    "run_loop",
+    "run_array",
     "visibility",
 ]
 
@@ -804,9 +804,9 @@ def conflict_counts(ep: EdgePlan, ws, wd, rs, rd) -> np.ndarray:
 
 
 class Barrier:
-    """One iteration's commit barrier, filled by a backend's ``step``
+    """One iteration's commit barrier, filled by a backend's ``body``
     (over one edge set or accumulated over many) and folded into the
-    run by :func:`run_loop`."""
+    run by :class:`ArrayStep`."""
 
     __slots__ = ("next_mask", "conflicts", "reads_t", "writes_t", "rows",
                  "vout", "passes", "slice_passes", "span")
@@ -1011,195 +1011,98 @@ def _emit_edge_provenance(
         )
 
 
-# -- one run loop ----------------------------------------------------------
+# -- the array step of the one loop ----------------------------------------
 
-def run_loop(program: VertexProgram, graph, config: EngineConfig, state,
-             step, *, label: str, extra: dict | None = None,
-             direction: str = "pull", push_ok: bool = False, observer=None,
-             telemetry=None, record=None, supervisor=None, metrics=None,
-             state_written=None, make_clock=PhaseClock, mode: str = MODE,
-             plan: PlanCache | None = None) -> RunResult:
-    """The iteration loop every array backend shares.
+class ArrayStep:
+    """An array backend's iteration as a :func:`~repro.engine.loop.
+    run_loop` step: the direction decision, the :class:`PlanCache`, the
+    :class:`Barrier` and its provenance, the vertex writeback, and the
+    run's ``extra`` facts around the backend's ``body``.
 
-    ``step(bar, iteration, plan, dm, push, clock)`` runs one racy
+    ``body(bar, iteration, plan, dm, push, clock)`` runs one racy
     iteration on the backend's arrays — pass 1, stale-read repair, the
-    commit of the edge state — for the :class:`PlanCache` ``plan``
-    (already planned for this iteration's frontier ``plan.ids``) under
-    delay model ``dm``, laps its phases on ``clock`` when there is one,
-    and fills the :class:`Barrier` ``bar``.  Everything else happens
-    here, once: sinks, supervisor hooks, the direction decision,
-    conflict and work accounting, the vertex writeback, spans, metrics,
-    ``extra``.
-
-    ``mode`` labels the run (sinks, supervisor, result); ``plan`` is its
-    schedule, by default ``config.threads`` threads and the jitter RNG
-    (DE: one thread, no jitter; BSP: the ``barrier`` plan — DESIGN
-    §6.0).  ``label`` is the backend's ``mode=`` in the metrics registry and
-    ``extra`` its own ``RunResult.extra`` facts (read after the loop);
-    ``state_written()`` is called whenever someone else may have written
-    ``state`` (the caller before the run, a checkpoint restore, value
-    faults at a barrier) so a backend whose edge state lives elsewhere
-    can resynchronise; ``make_clock``
-    builds the phase clock of a profiled run.  ``graph`` needs only the
+    commit of the edge state — for ``plan`` (already planned for the
+    frontier ``plan.ids``) under delay model ``dm``, and fills ``bar``.
+    ``plan`` is the schedule, by default ``config.threads`` threads and
+    the jitter RNG (DE: one thread, no jitter; BSP: the ``barrier`` plan
+    — DESIGN §6.0); ``extra`` the backend's own ``RunResult.extra``
+    facts, read after the loop.  ``graph`` needs only the
     :class:`~repro.storage.shards.StoreGraphView` surface.
     """
-    sink = telemetry
-    if sink is not None:
-        sink.begin_engine_run(mode, program, config)
-    if record is not None:
-        record.begin_engine_run(mode, program, config)
-    n, m = graph.num_vertices, graph.num_edges
-    out_degrees = in_degrees = None
-    if push_ok:
-        out_degrees, in_degrees = graph.out_degrees(), graph.in_degrees()
-    delay_model = config.effective_delay_model()
-    if plan is None:
-        plan = PlanCache(graph, config.threads, policy=config.dispatch,
-                         jitter=config.jitter, rng=np.random.default_rng(
-                             np.random.SeedSequence([config.seed, 2]))
-                         if config.jitter > 0 else None)
-    p = plan.p
-    log = ConflictLog(keep_events=config.keep_conflict_events)
-    stats: list[IterationStats] = []
-    frontier_ids = initial_frontier(program, graph).sorted_vertices()
-    iteration = 0
-    if supervisor is not None:
-        rngs = {"jitter": plan.rng} if plan.rng is not None else {}
-        iteration, frontier_ids = supervisor.engine_start(
-            mode, program, config, state=state, frontier=frontier_ids,
-            rngs=rngs, conflicts=log,
-        )
-    if state_written is not None:
-        state_written()
-    converged = False
-    total_passes = slice_passes = push_iterations = 0
-    dir_trace: list[str] = []
-    # Phase attribution is pure timing (one perf_counter lap per phase
-    # boundary, per iteration): it consumes no RNG stream and touches no
-    # state, so profiled runs stay bit-identical.
-    clock = make_clock() if (sink is not None or metrics is not None) \
-        else None
-    while iteration < config.max_iterations:
-        if frontier_ids.size == 0:
-            converged = True
-            break
-        if supervisor is not None:
-            supervisor.pre_iteration(iteration)
-            dm_i = supervisor.iteration_delay_model(iteration, delay_model)
-        else:
-            dm_i = delay_model
-        t0 = time.perf_counter() if clock is not None else 0.0
-        if clock is not None:
-            clock.start()
-        rw0, ww0 = log.read_write, log.write_write
-        active_ids = frontier_ids
+
+    def __init__(self, graph, config: EngineConfig, state, body, *,
+                 record=None, direction: str = "pull", push_ok: bool = False,
+                 plan: PlanCache | None = None, extra: dict | None = None):
+        self.graph, self.config, self.state, self.body = graph, config, state, body
+        self.record, self.direction, self.push_ok = record, direction, push_ok
+        self.degrees = ((graph.out_degrees(), graph.in_degrees()) if push_ok
+                        else (None, None))
+        self.plan = plan if plan is not None else PlanCache(
+            graph, config.threads, policy=config.dispatch,
+            jitter=config.jitter, rng=np.random.default_rng(
+                np.random.SeedSequence([config.seed, 2]))
+            if config.jitter > 0 else None)
+        self.backend_extra = extra if extra is not None else {}
+        self.passes = self.slice_passes = self.push_iterations = 0
+        self.dir_trace: list[str] = []
+
+    def __call__(self, iteration, ids, dm, clock):
+        graph, plan = self.graph, self.plan
         dir_i = choose_direction(
-            direction, active_ids, out_degrees, in_degrees,
-            m, n, config, push_ok,
-        )
-        if direction != "pull":
-            dir_trace.append(dir_i)
-        push_iterations += dir_i == "push"
-        plan.plan(active_ids, dm_i)
-        bar = Barrier(n, p, record)
-        step(bar, iteration, plan, dm_i, dir_i == "push", clock)
-        if record is not None:
-            emit_provenance(record, iteration, bar.rows)
-        total_passes += bar.passes
-        slice_passes += bar.slice_passes
-        rw, ww, contended, stale = (int(x) for x in bar.conflicts)
-        log.read_write += rw
-        log.write_write += ww
-        log.contended_edges += contended
-        log.lost_writes += ww  # Lemma 2: one of the two writes is lost
-        log.stale_reads += stale
-        if rw + ww:
-            log.per_iteration[iteration] += rw + ww
+            self.direction, ids, *self.degrees, graph.num_edges,
+            graph.num_vertices, self.config, self.push_ok)
+        if self.direction != "pull":
+            self.dir_trace.append(dir_i)
+        self.push_iterations += dir_i == "push"
+        plan.plan(ids, dm)
+        bar = Barrier(graph.num_vertices, plan.p, self.record)
+        self.body(bar, iteration, plan, dm, dir_i == "push", clock)
+        if self.record is not None:
+            emit_provenance(self.record, iteration, bar.rows)
+        self.passes += bar.passes
+        self.slice_passes += bar.slice_passes
         it = IterationStats(
             iteration=iteration,
-            num_active=int(active_ids.size),
+            num_active=int(ids.size),
             updates_per_thread=[
-                int(x) for x in np.bincount(plan.thr_a, minlength=p)],
+                int(x) for x in np.bincount(plan.thr_a, minlength=plan.p)],
             reads_per_thread=[int(x) for x in bar.reads_t],
             writes_per_thread=[int(x) for x in bar.writes_t],
         )
-        stats.append(it)
-        for f in state.vertex_field_names:
-            state.vertex(f)[active_ids] = bar.vout[f][active_ids]
+        for f in self.state.vertex_field_names:
+            self.state.vertex(f)[ids] = bar.vout[f][ids]
+        span = {"fixpoint_passes": bar.passes,
+                "repair_slice_passes": bar.slice_passes, **bar.span}
+        if self.direction != "pull":
+            span["direction"] = dir_i
+        return (np.flatnonzero(bar.next_mask).astype(np.int64), it,
+                bar.conflicts, span)
 
-        next_ids = np.flatnonzero(bar.next_mask).astype(np.int64)
-        if supervisor is not None:
-            next_ids = supervisor.post_iteration(
-                iteration, state=state, schedule=next_ids)
-            if state_written is not None:
-                state_written()
-        if clock is not None:
-            # Everything since the step's last lap — conflict totals,
-            # vertex writeback, frontier materialization, the barrier
-            # checkpoint — is charged to the commit barrier.
-            clock.lap("lemma2_commit")
-            wall = time.perf_counter() - t0
-            phases = clock.drain()
-            if metrics is not None:
-                record_iteration_metrics(
-                    metrics, label, phases=phases,
-                    num_active=it.num_active,
-                    frontier_size=int(next_ids.size),
-                    read_write=log.read_write - rw0,
-                    write_write=log.write_write - ww0,
-                    wall_time_s=wall,
-                )
-        if sink is not None:
-            sink.iteration(
-                iteration=iteration,
-                num_active=it.num_active,
-                updates_per_thread=it.updates_per_thread,
-                reads_per_thread=it.reads_per_thread,
-                writes_per_thread=it.writes_per_thread,
-                frontier_size=int(next_ids.size),
-                wall_time_s=wall,
-                read_write=log.read_write - rw0,
-                write_write=log.write_write - ww0,
-                fixpoint_passes=bar.passes,
-                repair_slice_passes=bar.slice_passes,
-                phases=phases,
-                peak_rss_bytes=peak_rss_bytes(),
-                **bar.span,
-                **({"direction": dir_i} if direction != "pull" else {}),
-            )
-        if observer is not None:
-            observer(iteration, state, {int(v) for v in next_ids})
-        frontier_ids = next_ids
-        iteration += 1
-    # At-cap accounting: converged stays False unless the confirming
-    # empty-frontier check at the top of an iteration ran (see
-    # tests/test_convergence_conformance.py).
+    def extra(self) -> dict:
+        extra = {"vectorized": True, **self.backend_extra,
+                 "fixpoint_passes": self.passes,
+                 "repair_slice_passes": self.slice_passes,
+                 "plan_cache_hits": self.plan.hits}
+        if self.direction != "pull":
+            extra.update(direction=self.direction,
+                         push_iterations=self.push_iterations,
+                         direction_trace=self.dir_trace)
+        return extra
 
-    extra = {"vectorized": True, **(extra or {}),
-             "fixpoint_passes": total_passes,
-             "repair_slice_passes": slice_passes,
-             "plan_cache_hits": plan.hits}
-    if direction != "pull":
-        extra["direction"] = direction
-        extra["push_iterations"] = push_iterations
-        extra["direction_trace"] = dir_trace
-    result = RunResult(
-        program=program,
-        state=state,
-        mode=mode,
-        converged=converged,
-        num_iterations=iteration,
-        iterations=stats,
-        conflicts=log,
-        config=config,
-        extra=extra,
-    )
-    if record is not None:
-        record.end_run(result)
-    if sink is not None:
-        if metrics is not None:
-            # Must precede end_run: lint_trace rejects records after the
-            # terminal run_end.
-            sink.metrics_snapshot(metrics)
-        sink.end_run(result)
-    return result
+
+def run_array(program: VertexProgram, graph, config: EngineConfig, state,
+              body, *, label: str, mode: str = MODE, record=None,
+              direction: str = "pull", push_ok: bool = False,
+              plan: PlanCache | None = None, extra: dict | None = None,
+              **loop_kw) -> RunResult:
+    """:func:`~repro.engine.loop.run_loop` over an :class:`ArrayStep`
+    of ``body`` (``label``: the backend's metrics ``mode=``)."""
+    step = ArrayStep(graph, config, state, body, record=record,
+                     direction=direction, push_ok=push_ok, plan=plan,
+                     extra=extra)
+    return run_loop(
+        program, graph, config, state, step, mode=mode, label=label,
+        extra=step.extra,
+        rngs={"jitter": step.plan.rng} if step.plan.rng is not None else {},
+        conflicts=ConflictLog(keep_events=config.keep_conflict_events),
+        record=record, **loop_kw)

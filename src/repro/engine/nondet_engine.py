@@ -35,12 +35,9 @@ a precondition for everything else.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graph import DiGraph
-from ..obs.metrics import PhaseClock, peak_rss_bytes, record_iteration_metrics
 from .atomicity import AtomicityPolicy, tear
 from .config import EngineConfig
 from .conflicts import (
@@ -50,7 +47,8 @@ from .conflicts import (
     classify_accesses,
 )
 from .dispatch import make_plan
-from .frontier import Frontier, initial_frontier
+from .frontier import sorted_ids
+from .loop import run_loop
 from .ordering import TaskSlot
 from .program import UpdateContext, VertexProgram
 from .result import IterationStats, RunResult
@@ -394,6 +392,7 @@ class NondeterministicEngine:
         gather_rng: np.random.Generator | None = None,
         stats: list[IterationStats] | None = None,
         recorder=None,
+        delay_model=None,
     ) -> set[int]:
         """Execute one racy iteration under an explicit dispatch plan.
 
@@ -404,10 +403,12 @@ class NondeterministicEngine:
         directly instead of sampling it through seeds.  ``gather_rng``
         carries the fp-noise stream; when ``stats`` is given, an
         :class:`IterationStats` row with the per-thread work profile is
-        appended to it.
+        appended to it.  ``delay_model`` overrides the configured one
+        (a delay fault's inflation).
         """
         log = log if log is not None else ConflictLog()
-        delay_model = config.effective_delay_model()
+        if delay_model is None:
+            delay_model = config.effective_delay_model()
         committed = {f: state.edge(f) for f in state.edge_field_names}
         store = _RacyStore(
             committed,
@@ -454,145 +455,39 @@ class NondeterministicEngine:
         config: EngineConfig | None = None,
         *,
         state: State | None = None,
-        observer=None,
-        telemetry=None,
         record=None,
-        supervisor=None,
-        metrics=None,
+        **loop_kw,
     ) -> RunResult:
         config = config or EngineConfig()
-        sink = telemetry
-        if sink is not None:
-            sink.begin_engine_run(self.mode, program, config)
-        if record is not None:
-            record.begin_engine_run(self.mode, program, config)
         state = state if state is not None else program.make_state(graph)
-        frontier = initial_frontier(program, graph)
-
         # Independent sub-streams of the master seed: fp-noise, jitter, tearing.
-        fp_rng = (
-            np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-            if config.fp_noise
-            else None
-        )
-        jitter_rng = (
-            np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-            if config.jitter > 0
-            else None
-        )
-        torn_rng = (
-            np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
-            if config.atomicity is AtomicityPolicy.NONE
-            else None
-        )
-
+        rngs = {
+            name: np.random.default_rng(np.random.SeedSequence([config.seed, k]))
+            for name, k, on in (("fp", 1, config.fp_noise),
+                                ("jitter", 2, config.jitter > 0),
+                                ("torn", 3, config.atomicity is AtomicityPolicy.NONE))
+            if on
+        }
         log = ConflictLog(keep_events=config.keep_conflict_events)
-        stats: list[IterationStats] = []
-        iteration = 0
-        if supervisor is not None:
-            rngs = {n: r for n, r in (("fp", fp_rng), ("jitter", jitter_rng),
-                                      ("torn", torn_rng)) if r is not None}
-            iteration, frontier = supervisor.engine_start(
-                self.mode, program, config, state=state, frontier=frontier,
-                rngs=rngs, conflicts=log,
-            )
-        converged = False
-        # Coarse phase attribution (pure timing, no RNG draw, so profiled
-        # runs stay bit-identical): the object engine interleaves every
-        # update with the racy store, so its whole iteration body is one
-        # "gather" phase; only the dispatch plan and the span bookkeeping
-        # separate out.
-        clock = PhaseClock() if (sink is not None or metrics is not None) \
-            else None
-        while iteration < config.max_iterations:
-            if not frontier:
-                converged = True
-                break
-            if supervisor is not None:
-                supervisor.pre_iteration(iteration)
-                cfg_i = supervisor.iteration_config(iteration, config)
-            else:
-                cfg_i = config
-            t0 = time.perf_counter() if clock is not None else 0.0
-            if clock is not None:
-                clock.start()
-            rw0, ww0 = log.read_write, log.write_write
-            active = frontier.sorted_vertices()
-            plan = make_plan(
-                active,
-                config.threads,
-                policy=config.dispatch,
-                jitter=config.jitter,
-                rng=jitter_rng,
-            )
+
+        def step(iteration, active, dm, clock):
+            # Coarse phase attribution: the object engine interleaves
+            # every update with the racy store, so its whole iteration
+            # body is one "gather" phase; only the dispatch plan
+            # separates out.
+            plan = make_plan(active, config.threads, policy=config.dispatch,
+                             jitter=config.jitter, rng=rngs.get("jitter"))
             if clock is not None:
                 clock.lap("plan_build")
+            stats: list[IterationStats] = []
             next_schedule = self.step_iteration(
-                program,
-                graph,
-                state,
-                plan,
-                cfg_i,
-                iteration=iteration,
-                log=log,
-                torn_rng=torn_rng,
-                gather_rng=fp_rng,
-                stats=stats,
-                recorder=record,
+                program, graph, state, plan, config, iteration=iteration,
+                log=log, torn_rng=rngs.get("torn"), gather_rng=rngs.get("fp"),
+                stats=stats, recorder=record, delay_model=dm,
             )
-            if supervisor is not None:
-                next_schedule = supervisor.post_iteration(
-                    iteration, state=state, schedule=next_schedule)
             if clock is not None:
                 clock.lap("gather")
-                wall = time.perf_counter() - t0
-                phases = clock.drain()
-                if metrics is not None:
-                    record_iteration_metrics(
-                        metrics, "object", phases=phases,
-                        num_active=len(plan.slots),
-                        frontier_size=len(next_schedule),
-                        read_write=log.read_write - rw0,
-                        write_write=log.write_write - ww0,
-                        wall_time_s=wall,
-                    )
-            if sink is not None:
-                it = stats[-1]
-                sink.iteration(
-                    iteration=iteration,
-                    num_active=it.num_active,
-                    updates_per_thread=it.updates_per_thread,
-                    reads_per_thread=it.reads_per_thread,
-                    writes_per_thread=it.writes_per_thread,
-                    frontier_size=len(next_schedule),
-                    wall_time_s=wall,
-                    read_write=log.read_write - rw0,
-                    write_write=log.write_write - ww0,
-                    phases=phases,
-                    peak_rss_bytes=peak_rss_bytes(),
-                )
-            if observer is not None:
-                observer(iteration, state, next_schedule)
-            frontier = Frontier(next_schedule)
-            iteration += 1
-        # At-cap accounting: converged stays False unless the confirming
-        # empty-frontier check at the top of an iteration ran (see
-        # tests/test_convergence_conformance.py).
+            return sorted_ids(next_schedule), stats[0], None, {}
 
-        result = RunResult(
-            program=program,
-            state=state,
-            mode=self.mode,
-            converged=converged,
-            num_iterations=iteration,
-            iterations=stats,
-            conflicts=log,
-            config=config,
-        )
-        if record is not None:
-            record.end_run(result)
-        if sink is not None:
-            if metrics is not None:
-                sink.metrics_snapshot(metrics)
-            sink.end_run(result)
-        return result
+        return run_loop(program, graph, config, state, step, mode=self.mode,
+                        rngs=rngs, conflicts=log, record=record, **loop_kw)

@@ -62,7 +62,7 @@ from .nondet_core import (
     commit_on,
     count_on,
     resolve_nondet_kernel,
-    run_loop,
+    run_array,
     visibility,
 )
 from .program import VertexProgram
@@ -880,7 +880,7 @@ class OutOfCoreNondetRunner:
                          pool_reused=False)
         epoch = 0
 
-        def step(bar, iteration, plan, dm, push, clock):
+        def body(bar, iteration, plan, dm, push, clock):
             nonlocal pool, epoch
             if use_pool and pool is None:
                 pool, extra["pool_reused"] = self._ensure_pool(
@@ -970,8 +970,8 @@ class OutOfCoreNondetRunner:
             # A restored checkpoint, a barrier's value faults or caller
             # edits land in the state's cache: ``state_written`` pushes
             # them to the committed files before the next sweep.
-            result = run_loop(
-                program, self._view, config, state, step, label="outofcore",
+            result = run_array(
+                program, self._view, config, state, body, label="outofcore",
                 extra=extra, observer=observer, telemetry=telemetry,
                 record=record, supervisor=supervisor, metrics=metrics,
                 state_written=lambda: self._sync_state(state),

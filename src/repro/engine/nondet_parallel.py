@@ -35,7 +35,7 @@ the object engine), not merely equivalent:
 
 Telemetry spans, flight-recorder provenance and supervisor hooks
 (fault injection, watchdog, checkpoint/resume) all run master-side in
-:func:`~repro.engine.nondet_core.run_loop` and therefore behave exactly
+:func:`~repro.engine.loop.run_loop` and therefore behave exactly
 as in the single-process engines.
 """
 
@@ -60,7 +60,7 @@ from .nondet_core import (
     fallback_reasons,
     repair,
     resolve_nondet_kernel,
-    run_loop,
+    run_array,
     visibility,
 )
 from .program import VertexProgram
@@ -318,7 +318,7 @@ class ParallelEngine:
         extra = {"backend": "process", "workers": p, "pool_reused": False}
         epoch = 0
 
-        def step(bar, iteration, plan, dm, push, clock):
+        def body(bar, iteration, plan, dm, push, clock):
             nonlocal epoch
             pool = self._pool
             if pool is None:
@@ -415,8 +415,8 @@ class ParallelEngine:
             bar.vout = pool.shm.arrays("vout:")
 
         try:
-            return run_loop(
-                program, graph, config, state, step, label="process",
+            return run_array(
+                program, graph, config, state, body, label="process",
                 extra=extra, direction=direction, push_ok=push_ok,
                 observer=observer, telemetry=telemetry, record=record,
                 supervisor=supervisor, metrics=metrics,

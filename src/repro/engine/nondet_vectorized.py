@@ -49,7 +49,7 @@ from .nondet_core import (
     register_nondet_kernel,
     repair,
     resolve_nondet_kernel,
-    run_loop,
+    run_array,
 )
 from .program import VertexProgram
 from .result import RunResult
@@ -101,7 +101,7 @@ class VectorizedNondetEngine:
         ctx = NondetPassContext(graph, state, None, written,
                                 writes_dst=two_sided)
 
-        def step(bar, iteration, plan, dm, push, clock):
+        def body(bar, iteration, plan, dm, push, clock):
             """One racy iteration, dense (all ``m`` edges) or — executing
             the identical iteration: same seen values, same fix-point
             schedule, same commits, totals and recorder events — over
@@ -154,7 +154,7 @@ class VectorizedNondetEngine:
             bar.vout = ctx.vout
 
         # The schedule is the only thing the three modes change: NE is
-        # run_loop's default plan; DE = Defs. 1–3 at P = 1 (ascending
+        # the default plan; DE = Defs. 1–3 at P = 1 (ascending
         # labels, no jitter); BSP lets no write be seen before the barrier.
         plan = None
         if mode == "deterministic":
@@ -163,8 +163,8 @@ class VectorizedNondetEngine:
         elif mode == "sync":
             plan = PlanCache(graph, config.threads, policy=config.dispatch,
                              jitter=0.0, rng=None, barrier=True)
-        return run_loop(
-            program, graph, config, state, step, label="vectorized",
+        return run_array(
+            program, graph, config, state, body, label="vectorized",
             direction=direction, push_ok=push_ok,
             observer=observer, telemetry=telemetry, record=record,
             supervisor=supervisor, metrics=metrics, mode=mode, plan=plan,

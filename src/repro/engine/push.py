@@ -55,7 +55,8 @@ from .atomicity import AtomicityPolicy
 from .config import EngineConfig
 from .conflicts import ConflictLog
 from .dispatch import make_plan
-from .frontier import Frontier, initial_frontier
+from .frontier import sorted_ids
+from .loop import run_loop
 from .result import IterationStats, RunResult
 from .state import FieldSpec, State
 from .traits import AlgorithmTraits
@@ -314,7 +315,7 @@ class PushEngine:
                 holders.add(vid)
         return holders
 
-    # -- main loop --------------------------------------------------------
+    # -- the step of the one loop ----------------------------------------
     def run(
         self,
         program: PushProgram,
@@ -328,7 +329,6 @@ class PushEngine:
         state = state if state is not None else program.make_state(graph)
         self._acc_specs = dict(program.accumulators())
         self._pending = {f: {} for f in self._acc_specs}
-        self._delay_model = config.effective_delay_model()
         self.log = ConflictLog(keep_events=config.keep_conflict_events)
         if config.atomicity is AtomicityPolicy.NONE:
             self._lost_rng = np.random.default_rng(
@@ -342,17 +342,10 @@ class PushEngine:
             if config.jitter > 0
             else None
         )
-
-        frontier = initial_frontier(program, graph)
-        stats: list[IterationStats] = []
-        iteration = 0
-        converged = False
         p = config.threads
-        while iteration < config.max_iterations:
-            if not frontier:
-                converged = True
-                break
-            active = frontier.sorted_vertices()
+
+        def step(iteration, active, dm, clock):
+            self._delay_model = dm
             plan = make_plan(
                 active, p, policy=config.dispatch, jitter=config.jitter, rng=jitter_rng
             )
@@ -369,39 +362,15 @@ class PushEngine:
                 pushes[slot.thread] += ctx.n_pushes
                 takes[slot.thread] += ctx.n_takes
             # Barrier: everything in flight becomes visible; vertices
-            # still holding contributions must run again.
+            # still holding contributions must run again (so an empty
+            # frontier also certifies an empty pending store).
             next_schedule.update(self._rebase_pending())
-            stats.append(
-                IterationStats(
-                    iteration=iteration,
-                    num_active=int(active.size),
-                    updates_per_thread=upd,
-                    reads_per_thread=takes,
-                    writes_per_thread=pushes,
-                )
-            )
-            if observer is not None:
-                observer(iteration, state, next_schedule)
-            frontier = Frontier(next_schedule)
-            iteration += 1
-        # When the iteration cap expires, ``converged`` stays False even
-        # if the *next* frontier happens to be empty: convergence is only
-        # claimed by the confirming check at the top of an executed
-        # iteration (the barrier merges in-flight holders into the
-        # schedule, so an empty frontier also certifies an empty pending
-        # store).  All engines share this at-cap accounting — see
-        # tests/test_convergence_conformance.py.
+            return (sorted_ids(next_schedule),
+                    IterationStats(iteration, int(active.size), upd, takes,
+                                   pushes), None, {})
 
-        return RunResult(
-            program=program,  # type: ignore[arg-type] — same duck interface
-            state=state,
-            mode=self.mode,
-            converged=converged,
-            num_iterations=iteration,
-            iterations=stats,
-            conflicts=self.log,
-            config=config,
-        )
+        return run_loop(program, graph, config, state, step, mode=self.mode,
+                        conflicts=self.log, observer=observer)
 
 
 def run_push(

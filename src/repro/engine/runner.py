@@ -14,13 +14,12 @@ from .program import VertexProgram
 from .result import RunResult
 from .state import State
 from .sync_engine import SynchronousEngine
-from .threads_engine import ThreadsEngine
 
 __all__ = ["Mode", "run", "dispatch", "ENGINES"]
 
 Mode = Literal[
     "sync", "deterministic", "chromatic", "nondeterministic", "pure-async",
-    "threads", "delta"
+    "delta"
 ]
 
 ENGINES = {
@@ -29,7 +28,6 @@ ENGINES = {
     "chromatic": ChromaticEngine,
     "nondeterministic": NondeterministicEngine,
     "pure-async": PureAsyncEngine,
-    "threads": ThreadsEngine,
 }
 
 
@@ -93,7 +91,7 @@ def run(
         (the paper's NE);
         ``"pure-async"`` — barrier-free asynchronous executor with
         autonomous scheduling (the paper's future-work model);
-        ``"threads"`` — best-effort real-thread backend.
+        ``"delta"`` — the delta-accumulative incremental engine.
     config:
         Full :class:`EngineConfig`; alternatively pass individual fields
         as keyword arguments (``threads=8, seed=3, ...``).
@@ -103,8 +101,7 @@ def run(
     observer:
         Optional callback ``observer(iteration, state, next_schedule)``
         invoked at every iteration barrier, with the same trajectory on
-        every path (not supported by the real-thread backend; prefer
-        ``telemetry=``, which is).
+        every path.
     vectorized:
         Nondeterministic, sync or deterministic mode.  ``True`` takes the
         NumPy array path
@@ -144,8 +141,8 @@ def run(
         ``vectorized="require"``.  Not composable with ShardStore graphs.
     telemetry:
         Optional :class:`~repro.obs.Telemetry` sink.  Every engine
-        (including the real-thread backend and the vectorized fast path)
-        records one span per iteration — per-thread work profile,
+        (including the vectorized fast path) records one span per
+        iteration — per-thread work profile,
         conflict classes, frontier size, wall time — plus run metadata;
         when the vectorized dispatch falls back, the reasons are
         recorded as a ``vectorized_fallback`` event.  ``None`` (the
@@ -452,14 +449,8 @@ def dispatch(program: VertexProgram, graph, *, mode: str,
             )
         if telemetry is not None:
             telemetry.event("vectorized_fallback", reasons=reasons)
-    if mode == "threads":
-        if observer is not None:
-            raise ValueError("the real-thread backend does not support observers")
-        return engine_cls().run(program, graph, config, state=state,
-                                telemetry=telemetry, record=record,
-                                supervisor=supervisor)
     # metrics= reaches only the nondeterministic object engine here (the
-    # mode check above rejects it elsewhere); other engines don't take
+    # mode check above rejects it elsewhere); pure-async doesn't take
     # the kwarg, so pass it conditionally.
     extra_kw = {"metrics": metrics} if metrics is not None else {}
     return engine_cls().run(program, graph, config, state=state, observer=observer,

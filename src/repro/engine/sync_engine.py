@@ -16,14 +16,13 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graph import DiGraph
 from .config import EngineConfig
 from .dispatch import make_plan
-from .frontier import Frontier, initial_frontier
+from .frontier import sorted_ids
+from .loop import run_loop
 from .program import UpdateContext, VertexProgram
 from .result import IterationStats, RunResult
 from .state import State
@@ -69,49 +68,26 @@ class SynchronousEngine:
         config: EngineConfig | None = None,
         *,
         state: State | None = None,
-        observer=None,
-        telemetry=None,
         record=None,
-        supervisor=None,
+        **loop_kw,
     ) -> RunResult:
         config = config or EngineConfig()
-        sink = telemetry
-        if sink is not None:
-            sink.begin_engine_run(self.mode, program, config)
-        if record is not None:
-            record.begin_engine_run(self.mode, program, config)
         state = state if state is not None else program.make_state(graph)
-        frontier = initial_frontier(program, graph)
         fp_rng = (
             np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
             if config.fp_noise
             else None
         )
+        p = config.threads
 
-        stats: list[IterationStats] = []
-        iteration = 0
-        if supervisor is not None:
-            iteration, frontier = supervisor.engine_start(
-                self.mode, program, config, state=state, frontier=frontier,
-                rngs={"fp": fp_rng} if fp_rng is not None else {},
-            )
-        converged = False
-        while iteration < config.max_iterations:
-            if not frontier:
-                converged = True
-                break
-            if supervisor is not None:
-                supervisor.pre_iteration(iteration)
-            t0 = time.perf_counter() if sink is not None else 0.0
-            active = frontier.sorted_vertices()
+        def step(iteration, active, dm, clock):
             # Dispatch is used only for work accounting: BSP has no
             # intra-iteration dependences, so placement can't change values.
-            plan = make_plan(active, config.threads, policy=config.dispatch)
+            plan = make_plan(active, p, policy=config.dispatch)
             store = _SnapshotStore(
                 state.snapshot_edges(), log_writers=record is not None
             )
             next_schedule: set[int] = set()
-            p = config.threads
             upd = [0] * p
             reads = [0] * p
             writes = [0] * p
@@ -126,80 +102,49 @@ class SynchronousEngine:
                 reads[t] += ctx.n_edge_reads
                 writes[t] += ctx.n_edge_writes
             if record is not None:
-                # BSP provenance: no write is visible within the iteration
-                # (every pair is Defs. 1–3 concurrent); the commit applies
-                # writes in ascending-label order, so the last logged
-                # writer's value survives deterministically.
-                for field in sorted(store.writers):
-                    per_edge = store.writers[field]
-                    for eid in sorted(per_edge):
-                        wlist = per_edge[eid]
-                        win_vid, win_val = wlist[-1]
-                        eff: dict[int, float] = {}
-                        for vid_w, val_w in wlist:
-                            eff[vid_w] = val_w
-                        lost = [
-                            {
-                                "vid": vid_w,
-                                "thread": plan.slots[vid_w].thread,
-                                "value": eff[vid_w],
-                                "order": "concurrent",
-                            }
-                            for vid_w in sorted(eff)
-                            if vid_w != win_vid
-                        ]
-                        record.commit_event(
-                            iteration=iteration,
-                            field=field,
-                            eid=eid,
-                            writer=win_vid,
-                            writer_thread=plan.slots[win_vid].thread,
-                            value=win_val,
-                            lost=lost,
-                            rule="bsp-label-order" if len(eff) > 1 else "uncontended",
-                        )
+                _record_commits(record, iteration, store.writers, plan)
             state.commit_edges(store.pending)
-            if supervisor is not None:
-                next_schedule = supervisor.post_iteration(
-                    iteration, state=state, schedule=next_schedule)
-            stats.append(
-                IterationStats(
-                    iteration=iteration,
-                    num_active=int(active.size),
-                    updates_per_thread=upd,
-                    reads_per_thread=reads,
-                    writes_per_thread=writes,
-                )
-            )
-            if sink is not None:
-                sink.iteration(
-                    iteration=iteration,
-                    num_active=int(active.size),
-                    updates_per_thread=upd,
-                    reads_per_thread=reads,
-                    writes_per_thread=writes,
-                    frontier_size=len(next_schedule),
-                    wall_time_s=time.perf_counter() - t0,
-                )
-            if observer is not None:
-                observer(iteration, state, next_schedule)
-            frontier = Frontier(next_schedule)
-            iteration += 1
-        # At-cap accounting: converged stays False unless the confirming
-        # empty-frontier check at the top of an iteration ran (see
-        # tests/test_convergence_conformance.py).
+            if clock is not None:
+                clock.lap("gather")
+            return (sorted_ids(next_schedule),
+                    IterationStats(iteration, int(active.size), upd, reads,
+                                   writes), None, {})
 
-        result = RunResult(
-            program=program,
-            state=state,
-            mode=self.mode,
-            converged=converged,
-            num_iterations=iteration,
-            iterations=stats,
-            config=config,
-        )
-        if record is not None:
-            record.end_run(result)
-        if sink is not None:
-            sink.end_run(result)
-        return result
+        return run_loop(program, graph, config, state, step, mode=self.mode,
+                        rngs={"fp": fp_rng} if fp_rng is not None else {},
+                        record=record, **loop_kw)
+
+
+def _record_commits(record, iteration: int, writers: dict, plan) -> None:
+    """BSP provenance: no write is visible within the iteration (every
+    pair is Defs. 1–3 concurrent); the commit applies writes in
+    ascending-label order, so the last logged writer's value survives
+    deterministically."""
+    for field in sorted(writers):
+        per_edge = writers[field]
+        for eid in sorted(per_edge):
+            wlist = per_edge[eid]
+            win_vid, win_val = wlist[-1]
+            eff: dict[int, float] = {}
+            for vid_w, val_w in wlist:
+                eff[vid_w] = val_w
+            lost = [
+                {
+                    "vid": vid_w,
+                    "thread": plan.slots[vid_w].thread,
+                    "value": eff[vid_w],
+                    "order": "concurrent",
+                }
+                for vid_w in sorted(eff)
+                if vid_w != win_vid
+            ]
+            record.commit_event(
+                iteration=iteration,
+                field=field,
+                eid=eid,
+                writer=win_vid,
+                writer_thread=plan.slots[win_vid].thread,
+                value=win_val,
+                lost=lost,
+                rule="bsp-label-order" if len(eff) > 1 else "uncontended",
+            )

@@ -1,8 +1,9 @@
 """Exception vocabulary of the fault-tolerance subsystem.
 
 Kept import-free (stdlib only) so low-level engine modules — notably
-:mod:`repro.engine.threads_engine`, which raises :class:`WorkerTimeout`
-from its join loop — can depend on it without an import cycle.
+:mod:`repro.engine.workerpool`, whose iteration barrier raises
+:class:`WorkerTimeout` / :class:`WorkerDied` — can depend on it without
+an import cycle.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ class RobustError(RuntimeError):
 
 
 class WorkerTimeout(RobustError):
-    """A worker thread failed to reach the iteration barrier in time.
+    """A pool worker failed to reach the iteration barrier in time.
 
-    Raised by the real-thread backend's join loop when
-    ``EngineConfig.worker_timeout_s`` elapses with workers still alive —
-    the wedged-worker failure mode that previously hung the process on a
-    bare ``join()``.
+    Raised by the master of the process and out-of-core worker pools
+    (:mod:`repro.engine.workerpool`) when ``EngineConfig.worker_timeout_s``
+    elapses at a barrier with every worker still alive — the wedged-worker
+    failure mode a bare barrier wait would hang on.  The supervised
+    retry loop restarts from the last barrier.
     """
 
     def __init__(self, message: str, *, iteration: int = -1,

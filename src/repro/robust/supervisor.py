@@ -18,19 +18,18 @@ Two pieces live here:
   recorded as a ``degradation`` event in the telemetry/recorder traces
   and in ``result.extra["degradations"]``.
 
-Hook protocol (all engines)::
+Hook protocol (the one loop, :func:`repro.engine.loop.run_loop`)::
 
-    sup.engine_start(mode, program, config, state=..., frontier=...,
-                     rngs={...}, conflicts=log) -> (start_iteration, frontier)
-    cfg_i = sup.iteration_config(iteration, config)        # object engines
-    dm_i  = sup.iteration_delay_model(iteration, dm)       # vectorized
+    sup.engine_start(mode, program, config, state=..., frontier=ids,
+                     rngs={...}, conflicts=log) -> (start_iteration, ids)
     sup.pre_iteration(iteration)                           # faults fire
-    sup.in_worker(iteration, tid)                          # threads backend
-    schedule = sup.post_iteration(iteration, state=state, schedule=schedule)
+    dm_i = sup.iteration_delay_model(iteration, dm)        # delay faults
+    ids = sup.post_iteration(iteration, state=state, schedule=ids)
 
-``post_iteration`` runs at the barrier, *after* the commit and *before*
-the telemetry span / observer callback, so every downstream consumer
-sees the post-fault schedule.
+Frontiers are sorted int64 vertex-id arrays.  ``post_iteration`` runs at
+the barrier, *after* the commit and *before* the telemetry span /
+observer callback, so every downstream consumer sees the post-fault
+schedule.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ from .watchdog import ConvergenceWatchdog, DegradationPolicy, state_digest
 __all__ = ["Supervisor", "supervised_run"]
 
 #: engines whose in-flight state may be inconsistent after a crash
-#: (real threads keep zombie daemon workers; pure-async has no barrier)
-_NO_MEMORY_RESTART = frozenset({"threads", "pure-async"})
+#: (pure-async has no barrier)
+_NO_MEMORY_RESTART = frozenset({"pure-async"})
 
 
 class Supervisor:
@@ -105,10 +104,9 @@ class Supervisor:
                      conflicts=None):
         """Register run context; apply a pending restore point.
 
-        Returns ``(start_iteration, frontier)``; the frontier comes back
-        in the same shape it was given (``Frontier`` object or int64
-        array).  ``frontier=None`` marks a barrier-free engine
-        (pure-async): checkpoint/resume is refused for it.
+        Returns ``(start_iteration, frontier)``, the frontier as a
+        sorted int64 id array.  ``frontier=None`` marks a barrier-free
+        engine (pure-async): checkpoint/resume is refused for it.
         """
         self._mode = mode
         self._program_name = type(program).__name__
@@ -146,22 +144,21 @@ class Supervisor:
                 rng.bit_generator.state = rng_state
         if conflicts is not None and conflict_data:
             _restore_conflicts(conflicts, conflict_data)
-        return start, _schedule_like(frontier, ids)
+        return start, ids
 
     def pre_iteration(self, iteration: int) -> None:
         """Fire engine-level faults before the iteration's updates run.
 
-        For the simulated engines thread-targeted faults fire here too —
-        their "threads" are virtual, so the barrier is the only place a
-        per-worker fault can act.  The real-thread backend routes those
-        through :meth:`in_worker` instead.
+        Thread-targeted faults fire here too: the engines' threads are
+        virtual, so the barrier is the only place a per-worker fault can
+        act.
         """
         faults = self.faults
         if faults is None or not faults:
             return
         stall = faults.stall_seconds(iteration, thread=None, engine_level=True)
         crash = faults.crash_index(iteration, thread=None, engine_level=True)
-        if self._mode != "threads" and self._config is not None:
+        if self._config is not None:
             for tid in range(self._config.threads):
                 stall += faults.stall_seconds(iteration, thread=tid,
                                               engine_level=False)
@@ -174,35 +171,9 @@ class Supervisor:
         if crash is not None:
             faults.raise_crash(crash[0], crash[1], iteration)
 
-    def in_worker(self, iteration: int, tid: int) -> None:
-        """Fire thread-targeted faults inside a real worker thread."""
-        faults = self.faults
-        if faults is None or not faults:
-            return
-        stall = faults.stall_seconds(iteration, thread=tid, engine_level=False)
-        if stall > 0:
-            time.sleep(stall)
-        crash = faults.crash_index(iteration, thread=tid, engine_level=False)
-        if crash is not None:
-            faults.raise_crash(crash[0], crash[1], iteration)
-
-    def iteration_config(self, iteration: int, config: EngineConfig) -> EngineConfig:
-        """Per-iteration config override (delay-inflation faults)."""
-        faults = self.faults
-        if faults is None or not faults:
-            return config
-        factor = faults.delay_factor(iteration)
-        if factor == 1.0:
-            return config
-        self.drain_fired()
-        if config.delay_model is not None:
-            return config.with_(delay_model=_scale_delay_model(
-                config.delay_model, factor))
-        return config.with_(delay=config.delay * factor)
-
     def iteration_delay_model(self, iteration: int,
                               delay_model: DelayModel) -> DelayModel:
-        """Vectorized-path sibling of :meth:`iteration_config`."""
+        """The iteration's delay model, inflated by its delay faults."""
         faults = self.faults
         if faults is None or not faults:
             return delay_model
@@ -215,16 +186,13 @@ class Supervisor:
     def post_iteration(self, iteration: int, *, state, schedule):
         """Barrier hook: value faults, checkpoint, restart token, watchdog.
 
-        Returns the (possibly fault-reduced) schedule in the same shape
-        it was given.
+        Returns the (possibly fault-reduced) schedule, a sorted int64 id
+        array like the one given.
         """
         faults = self.faults
-        ids = _as_ids(schedule)
+        ids = schedule
         if faults is not None and faults:
-            dropped = faults.drop_scatter(iteration, ids)
-            if dropped.size != ids.size:
-                ids = dropped
-                schedule = _schedule_like(schedule, ids)
+            ids = faults.drop_scatter(iteration, ids)
             faults.apply_torn(iteration, state)
             self.drain_fired()
         if (self.checkpoint_path is not None
@@ -249,7 +217,7 @@ class Supervisor:
                 iteration, frontier_size=int(ids.size), digest=digest)
             if verdict is not None:
                 raise WatchdogAlarm(verdict)
-        return schedule
+        return ids
 
     # ------------------------------------------------------------------
     # internals
@@ -308,29 +276,8 @@ class Supervisor:
 
 
 # ----------------------------------------------------------------------
-# schedule/conflict shape adapters
+# conflict-log capture
 # ----------------------------------------------------------------------
-def _as_ids(schedule) -> np.ndarray:
-    """Any schedule shape -> sorted int64 vertex-id array."""
-    if isinstance(schedule, np.ndarray):
-        return schedule.astype(np.int64, copy=False)
-    if hasattr(schedule, "sorted_vertices"):  # Frontier
-        return schedule.sorted_vertices()
-    return np.fromiter(sorted(schedule), dtype=np.int64,
-                       count=len(schedule))  # set/iterable
-
-
-def _schedule_like(template, ids: np.ndarray):
-    """Give ``ids`` back in the shape of ``template``."""
-    if isinstance(template, np.ndarray):
-        return ids
-    if hasattr(template, "sorted_vertices"):
-        from ..engine.frontier import Frontier
-
-        return Frontier(int(v) for v in ids)
-    return {int(v) for v in ids}
-
-
 def _capture_conflicts(log) -> dict:
     if log is None:
         return {}
@@ -482,8 +429,8 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
                 restore = None
                 event["resume_iteration"] = 0
             if cur_mode in _NO_MEMORY_RESTART:
-                # zombie daemon workers of a timed-out attempt may still
-                # be writing to the old arrays — never reuse them
+                # no barrier: the crashed attempt's arrays are no
+                # consistent cut — never reuse them
                 cur_state = _make_state(program, graph)
             sup.pending_resume = restore
             _emit_degradation(telemetry, record, degradations, event)

@@ -44,6 +44,7 @@ from multiprocessing import connection as mp_connection
 
 import numpy as np
 
+from ..engine.runner import ENGINES
 from ..obs.metrics import MetricsRegistry
 from ..robust.errors import RunnerDied
 from ..robust.procs import reap
@@ -61,6 +62,9 @@ _COMPACT_THRESHOLD = 4096
 
 #: longest a ``status(wait=)`` long-poll is held before it answers
 MAX_WAIT_S = 30.0
+
+#: the ``mode`` values a submission may name
+RUN_MODES = frozenset(ENGINES) | {"delta"}
 
 
 class ServiceBusy(RuntimeError):
@@ -267,6 +271,12 @@ class GraphService:
                 self._seq += 1
                 data["job_id"] = f"j{self._seq:04d}-{secrets.token_hex(2)}"
         job_spec = JobSpec.from_dict(data)
+        # Checked here, not in JobSpec.validate: journal replay validates
+        # too, and must still load a job of a mode that no longer exists
+        # (it then fails with the runner's reason).
+        if job_spec.mode not in RUN_MODES:
+            raise ValueError(f"unknown mode {job_spec.mode!r}; choose from "
+                             f"{sorted(RUN_MODES)}")
         if job_spec.mode == "pure-async":
             raise ValueError(
                 "pure-async is barrier-free: no consistent cut to "

@@ -3,14 +3,7 @@ and shared-memory array pools for the multi-process backend."""
 
 from .binfmt import load_graph, save_graph
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .shards import (
-    IOStats,
-    OutOfCoreRunner,
-    Shard,
-    ShardStore,
-    ShardedGraph,
-    StoreGraphView,
-)
+from .shards import IOStats, ShardStore, StoreGraphView
 from .shm import ArrayLayout, SharedArrayPool
 
 __all__ = [
@@ -22,9 +15,6 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "IOStats",
-    "OutOfCoreRunner",
-    "Shard",
     "ShardStore",
-    "ShardedGraph",
     "StoreGraphView",
 ]

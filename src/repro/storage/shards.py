@@ -9,18 +9,14 @@ interval) plus one sequential *sliding window* from each other shard
 (the out-edges of the interval, which are contiguous there thanks to
 the source sort) — ``K`` mostly-sequential reads instead of random I/O.
 
-The paper loads its graphs fully in memory and explicitly excludes I/O
-time from Fig. 3, so this module plays two roles here:
-
-* a faithful storage substrate (:class:`ShardedGraph` with on-disk
-  persistence via :mod:`repro.storage.binfmt`), with the PSW invariants
-  property-tested;
-* :class:`OutOfCoreRunner`, which executes the *deterministic*
-  engine interval-by-interval, loading only one interval's subgraph
-  worth of edge values at a time and accounting the bytes moved — the
-  memory-footprint story of "large-scale graph computation on just a
-  PC", kept separate from the racy engines exactly as the paper keeps
-  I/O out of its measurements.
+:class:`ShardStore` is that layout in one aligned container, opened as
+read-only memmaps; :meth:`ShardStore.nondet_runner` executes the racy
+engine over it interval by interval
+(:mod:`repro.engine.nondet_outofcore`), bit-identical to the in-memory
+engines, with :class:`IOStats` counting the bytes it moves.  The paper
+loads its graphs fully in memory and excludes I/O from Fig. 3; this is
+the memory-footprint story of "large-scale graph computation on just a
+PC", kept out of those measurements.
 """
 
 from __future__ import annotations
@@ -31,154 +27,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import DiGraph
-from ..engine.config import EngineConfig
-from ..engine.frontier import Frontier, initial_frontier
-from ..engine.program import UpdateContext, VertexProgram
-from ..engine.result import IterationStats, RunResult
-from ..engine.state import State
 from .binfmt import (
     KIND_EDGE,
     KIND_META,
     KIND_TOPO_DST,
     KIND_TOPO_SRC,
     KIND_VERTEX,
-    load_graph,
     open_container,
-    save_graph,
     write_container,
 )
 
 __all__ = [
-    "Shard",
-    "ShardedGraph",
     "ShardStore",
     "StoreGraphView",
-    "OutOfCoreRunner",
     "IOStats",
 ]
-
-
-@dataclass(frozen=True)
-class Shard:
-    """Edges whose destination falls in one vertex interval, sorted by src."""
-
-    index: int
-    interval: tuple[int, int]  #: [lo, hi) destination vertex range
-    src: np.ndarray
-    dst: np.ndarray
-    eid: np.ndarray  #: edge ids in the parent graph
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.src.size)
-
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """Edge ids whose *source* lies in ``[lo, hi)`` — the sliding
-        window this shard contributes when interval ``[lo, hi)`` runs."""
-        left = np.searchsorted(self.src, lo, side="left")
-        right = np.searchsorted(self.src, hi, side="left")
-        return self.eid[left:right]
-
-
-class ShardedGraph:
-    """A graph partitioned into PSW shards."""
-
-    def __init__(self, graph: DiGraph, num_shards: int):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        n = graph.num_vertices
-        self._graph = graph
-        self.num_shards = int(num_shards)
-        # Equal-width vertex intervals (GraphChi balances by edge count;
-        # equal width keeps the invariants simple and testable).
-        bounds = np.linspace(0, n, num_shards + 1).astype(np.int64)
-        self.intervals = [
-            (int(bounds[k]), int(bounds[k + 1])) for k in range(num_shards)
-        ]
-        src, dst = graph.edge_src, graph.edge_dst
-        self.shards: list[Shard] = []
-        for k, (lo, hi) in enumerate(self.intervals):
-            mask = (dst >= lo) & (dst < hi)
-            eids = np.nonzero(mask)[0].astype(np.int64)
-            order = np.argsort(src[eids], kind="stable")
-            eids = eids[order]
-            self.shards.append(
-                Shard(
-                    index=k,
-                    interval=(lo, hi),
-                    src=src[eids].copy(),
-                    dst=dst[eids].copy(),
-                    eid=eids,
-                )
-            )
-
-    @property
-    def graph(self) -> DiGraph:
-        return self._graph
-
-    def validate(self) -> None:
-        """PSW invariants: shards partition the edges; sources sorted;
-        every window query is consistent."""
-        seen = np.concatenate([s.eid for s in self.shards]) if self.shards else np.array([])
-        assert np.array_equal(np.sort(seen), np.arange(self._graph.num_edges))
-        for s in self.shards:
-            lo, hi = s.interval
-            assert np.all((s.dst >= lo) & (s.dst < hi))
-            assert np.all(np.diff(s.src) >= 0)
-
-    def interval_edge_ids(self, k: int) -> np.ndarray:
-        """All edge ids incident to interval ``k``'s vertices: its shard
-        (in-edges) plus one window from every shard (out-edges)."""
-        lo, hi = self.intervals[k]
-        pieces = [self.shards[k].eid]
-        for s in self.shards:
-            pieces.append(s.window(lo, hi))
-        return np.unique(np.concatenate(pieces))
-
-    # -- persistence -----------------------------------------------------
-    def save(self, directory: str | os.PathLike) -> None:
-        """Persist each shard as one binary file plus a manifest."""
-        directory = os.fspath(directory)
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "manifest.txt"), "w", encoding="utf-8") as fh:
-            fh.write(f"{self._graph.num_vertices} {self._graph.num_edges} {self.num_shards}\n")
-            for lo, hi in self.intervals:
-                fh.write(f"{lo} {hi}\n")
-        for s in self.shards:
-            sub = DiGraph(self._graph.num_vertices, s.src, s.dst)
-            save_graph(
-                sub,
-                os.path.join(directory, f"shard-{s.index}.bin"),
-                edge_arrays={"parent_eid": _reorder_for(sub, s)},
-            )
-
-    @staticmethod
-    def load(directory: str | os.PathLike) -> "ShardedGraph":
-        """Rebuild the sharded graph from :meth:`save` output."""
-        directory = os.fspath(directory)
-        with open(os.path.join(directory, "manifest.txt"), "r", encoding="utf-8") as fh:
-            n, m, k = (int(x) for x in fh.readline().split())
-            intervals = [tuple(int(x) for x in fh.readline().split()) for _ in range(k)]
-        src_parts, dst_parts = [], []
-        for idx in range(k):
-            sub, _, edge_arrays = load_graph(os.path.join(directory, f"shard-{idx}.bin"))
-            src_parts.append(sub.edge_src)
-            dst_parts.append(sub.edge_dst)
-        src = np.concatenate(src_parts) if src_parts else np.array([], dtype=np.int64)
-        dst = np.concatenate(dst_parts) if dst_parts else np.array([], dtype=np.int64)
-        graph = DiGraph(n, src, dst)
-        if graph.num_edges != m:
-            raise ValueError(f"{directory}: manifest says {m} edges, shards held {graph.num_edges}")
-        sharded = ShardedGraph(graph, k)
-        if sharded.intervals != [tuple(iv) for iv in intervals]:
-            raise ValueError(f"{directory}: manifest intervals do not match")
-        return sharded
-
-
-def _reorder_for(sub: DiGraph, shard: Shard) -> np.ndarray:
-    """Map the sub-graph's canonical edge order back to parent edge ids."""
-    order = np.lexsort((shard.dst, shard.src))
-    return shard.eid[order].astype(np.int64)
 
 
 class StoreGraphView:
@@ -436,98 +299,3 @@ class IOStats:
             "interval_loads": self.interval_loads,
             "seconds": self.seconds,
         }
-
-
-class OutOfCoreRunner:
-    """Interval-by-interval deterministic execution over a sharded graph.
-
-    Semantics are exactly the deterministic (Gauss–Seidel) engine's:
-    within an iteration, intervals execute in order and vertices inside
-    an interval in ascending label order, with immediate visibility —
-    the sequential composition of intervals *is* the global sequential
-    sweep, so results are bit-identical to the in-memory engine (a test
-    asserts this).  What differs is the access pattern: only the edge
-    values incident to the current interval are considered resident, and
-    :class:`IOStats` accounts the traffic.
-    """
-
-    def __init__(self, sharded: ShardedGraph):
-        self.sharded = sharded
-        self.io = IOStats()
-
-    def run(
-        self,
-        program: VertexProgram,
-        config: EngineConfig | None = None,
-    ) -> RunResult:
-        config = config or EngineConfig()
-        graph = self.sharded.graph
-        state = program.make_state(graph)
-        edge_fields = state.edge_field_names
-
-        class _DirectStore:
-            def __init__(self, st: State):
-                self._edges = {f: st.edge(f) for f in edge_fields}
-
-            def read(self, vid, eid, field):
-                return self._edges[field][eid]
-
-            def write(self, vid, eid, field, value):
-                self._edges[field][eid] = value
-
-        store = _DirectStore(state)
-        frontier = initial_frontier(program, graph)
-        stats: list[IterationStats] = []
-        iteration = 0
-        converged = False
-        value_bytes = 8 * max(1, len(edge_fields))
-        while iteration < config.max_iterations:
-            if not frontier:
-                converged = True
-                break
-            active = frontier.as_set()
-            next_schedule: set[int] = set()
-            reads = writes = updates = 0
-            for k, (lo, hi) in enumerate(self.sharded.intervals):
-                chosen = sorted(v for v in active if lo <= v < hi)
-                if not chosen:
-                    continue
-                # Load the interval's memory window: its shard plus one
-                # sliding window per shard.
-                window_eids = self.sharded.interval_edge_ids(k)
-                self.io.interval_loads += 1
-                self.io.bytes_read += int(window_eids.size) * value_bytes
-                for vid in chosen:
-                    ctx = UpdateContext(vid, graph, state, store, next_schedule)
-                    program.update(ctx)
-                    reads += ctx.n_edge_reads
-                    writes += ctx.n_edge_writes
-                    updates += 1
-                # Write the window back.
-                self.io.bytes_written += int(window_eids.size) * value_bytes
-            stats.append(
-                IterationStats(
-                    iteration=iteration,
-                    num_active=len(active),
-                    updates_per_thread=[updates],
-                    reads_per_thread=[reads],
-                    writes_per_thread=[writes],
-                )
-            )
-            frontier = Frontier(next_schedule)
-            iteration += 1
-        # At-cap accounting: converged stays False unless the confirming
-        # empty-frontier check at the top of an iteration ran (see
-        # tests/test_convergence_conformance.py).
-
-        result = RunResult(
-            program=program,
-            state=state,
-            mode="deterministic",
-            converged=converged,
-            num_iterations=iteration,
-            iterations=stats,
-            config=config,
-            extra={"io": self.io.as_dict(), "num_shards": self.sharded.num_shards},
-        )
-        return result

@@ -23,8 +23,7 @@ from repro.algorithms import PushBFS, WeaklyConnectedComponents
 from repro.engine import EngineConfig, run, run_push
 from repro.graph import generators
 
-MODES = ["sync", "deterministic", "chromatic", "nondeterministic",
-         "threads"]
+MODES = ["sync", "deterministic", "chromatic", "nondeterministic"]
 
 
 @pytest.fixture(scope="module")

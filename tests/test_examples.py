@@ -39,7 +39,7 @@ def test_wcc_recovery(capsys):
 def test_out_of_core(capsys):
     run_example("out_of_core.py")
     out = capsys.readouterr().out
-    assert "bit-identical to in-memory Gauss-Seidel: True" in out
+    assert "bit-identical to in-memory: True" in out
 
 
 def test_examples_all_exist():

@@ -40,7 +40,6 @@ ALL_MODES = [
     "chromatic",
     "nondeterministic",
     "pure-async",
-    "threads",
 ]
 
 
@@ -128,7 +127,6 @@ class TestRoundTrip:
         ("deterministic", {"write"}),
         ("chromatic", {"write"}),
         ("pure-async", {"commit", "read"}),
-        ("threads", {"write"}),
     ])
     def test_event_kinds_per_mode(self, mode, kinds, rmat_small):
         rec, _ = record_run(rmat_small, mode=mode, policy="all")

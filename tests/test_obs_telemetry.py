@@ -26,7 +26,6 @@ ALL_MODES = [
     "chromatic",
     "nondeterministic",
     "pure-async",
-    "threads",
 ]
 
 

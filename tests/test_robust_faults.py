@@ -8,17 +8,11 @@ result.
 
 from __future__ import annotations
 
-import time
-from typing import Mapping
-
 import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, run
-from repro.engine.program import UpdateContext, VertexProgram
-from repro.engine.state import FieldSpec
-from repro.engine.threads_engine import ThreadsEngine
 from repro.graph import generators
 from repro.robust import (
     ConvergenceFailure,
@@ -173,58 +167,8 @@ def test_crash_unreachable_iteration_never_fires():
 
 
 # ----------------------------------------------------------------------
-# threads backend: worker timeout satellite
+# worker timeouts
 # ----------------------------------------------------------------------
-class _SleepyProgram(VertexProgram):
-    """Vertex 0's update wedges long enough to trip the barrier timeout."""
-
-    def __init__(self, sleep_s: float = 5.0):
-        from repro.engine.traits import (
-            AlgorithmTraits,
-            ConflictProfile,
-            ConvergenceKind,
-            Monotonicity,
-        )
-
-        self.sleep_s = sleep_s
-        self.traits = AlgorithmTraits(
-            name="Sleepy",
-            conflict_profile=ConflictProfile.NONE,
-            converges_synchronously=True,
-            converges_async_deterministic=True,
-            monotonicity=Monotonicity.NONE,
-            convergence_kind=ConvergenceKind.ABSOLUTE,
-            family="test fixture",
-        )
-
-    def vertex_fields(self) -> Mapping[str, FieldSpec]:
-        return {"x": FieldSpec(np.float64, 0.0)}
-
-    def edge_fields(self) -> Mapping[str, FieldSpec]:
-        return {}
-
-    def update(self, ctx: UpdateContext) -> None:
-        if ctx.vid == 0:
-            time.sleep(self.sleep_s)
-
-
-def test_threads_worker_timeout_raises_with_diagnostic():
-    g = generators.path_graph(8)
-    config = EngineConfig(threads=4, worker_timeout_s=0.2)
-    with pytest.raises(WorkerTimeout) as exc_info:
-        ThreadsEngine().run(_SleepyProgram(sleep_s=5.0), g, config)
-    exc = exc_info.value
-    assert exc.iteration == 0
-    assert 0 in exc.stuck  # block dispatch: vertex 0 lands on thread 0
-
-
-def test_threads_worker_timeout_none_waits():
-    g = generators.path_graph(8)
-    config = EngineConfig(threads=4, worker_timeout_s=None)
-    res = ThreadsEngine().run(_SleepyProgram(sleep_s=0.05), g, config)
-    assert res.converged
-
-
 def test_worker_timeout_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(worker_timeout_s=0.0)
@@ -232,16 +176,32 @@ def test_worker_timeout_config_validation():
         EngineConfig(worker_timeout_s=-3.0)
 
 
-def test_stall_fault_trips_join_timeout_then_recovers():
-    # A once-by-default stall wedges worker 0 past the barrier timeout;
-    # the supervised loop restarts and the stall does not re-fire.
+def test_worker_timeout_restarts_from_the_barrier():
+    # A wedged pool worker surfaces as WorkerTimeout at a barrier; the
+    # supervised loop restarts once from the barrier's restart token and
+    # the run ends byte-equal to the uninterrupted one.
+    from repro.robust import DegradationPolicy
+
     g = generators.rmat(7, 6.0, seed=2)
-    res = run(WeaklyConnectedComponents(), g, mode="threads", threads=4,
-              seed=0, worker_timeout_s=0.2, faults="stall@0:t0:1.5")
-    assert res.converged
-    actions = [d["action"] for d in res.extra["degradations"]]
-    assert actions == ["restart"]
+    base = run(WeaklyConnectedComponents(), g, mode="deterministic")
+    raised = []
+
+    def observer(iteration, state, schedule):
+        if iteration == 1 and not raised:
+            raised.append(iteration)
+            raise WorkerTimeout("worker 0 missed the barrier",
+                                iteration=iteration, stuck=(0,))
+
+    res = run(WeaklyConnectedComponents(), g, mode="deterministic",
+              observer=observer, policy=DegradationPolicy(backoff_s=0.0))
+    assert raised == [1]
+    assert [d["action"] for d in res.extra["degradations"]] == ["restart"]
     assert res.extra["degradations"][0]["cause"] == "WorkerTimeout"
+    assert (res.converged, res.num_iterations) == (True, base.num_iterations)
+    for f in base.state.vertex_field_names:
+        assert base.state.vertex(f).tobytes() == res.state.vertex(f).tobytes()
+    for f in base.state.edge_field_names:
+        assert base.state.edge(f).tobytes() == res.state.edge(f).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +213,7 @@ _CHAOS_PLANS = ["crash@1", "stall@1:0.01", "torn@1"]
 @pytest.mark.chaos
 @pytest.mark.parametrize("plan", _CHAOS_PLANS)
 @pytest.mark.parametrize("mode", [
-    "sync", "deterministic", "chromatic", "nondeterministic",
-    "pure-async", "threads",
+    "sync", "deterministic", "chromatic", "nondeterministic", "pure-async",
 ])
 def test_chaos_engine_matrix(mode, plan):
     g = generators.rmat(8, 8.0, seed=3)

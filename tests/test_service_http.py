@@ -134,6 +134,18 @@ def test_error_mapping(live):
     assert exc.value.status == 404
 
 
+def test_unknown_mode_is_a_400_listing_the_modes(live):
+    _, client = live
+    with pytest.raises(ServiceError) as exc:
+        client.submit({"algorithm": "WCC", "graph": "web", "mode": "threads"})
+    assert exc.value.status == 400
+    message = str(exc.value)
+    assert "unknown mode 'threads'" in message
+    for mode in ("sync", "deterministic", "chromatic", "nondeterministic",
+                 "pure-async", "delta"):
+        assert f"'{mode}'" in message
+
+
 def test_admission_control_maps_to_429(tmp_path):
     svc = GraphService(tmp_path / "svc", max_queue=1)  # pool NOT started
     svc.graphs.register("web", WEB_SPEC)

@@ -146,6 +146,9 @@ def test_submit_rejects_bad_specs(service):
     with pytest.raises(ValueError, match="pure-async"):
         service.submit({"algorithm": "WCC", "graph": "web",
                         "mode": "pure-async"})
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        service.submit({"algorithm": "WCC", "graph": "web",
+                        "mode": "bogus"})
     with pytest.raises(ValueError, match="job-spec field"):
         service.submit({"algorithm": "WCC", "graph": "web",
                         "bogus_field": True})
@@ -305,6 +308,30 @@ def test_recovery_finishes_cancel_requested_jobs(tmp_path):
     assert svc2.jobs[jid].state == JobState.CANCELLED
     svc2.journal.close()
     svc2.graphs.close()
+
+
+def test_recovery_fails_a_journaled_job_of_a_removed_mode(tmp_path):
+    """A journal written before a mode was removed still replays; the
+    job then fails with the runner's reason instead of wedging."""
+    from repro.service import JobSpec
+
+    data_dir = tmp_path / "svc"
+    svc = GraphService(data_dir)
+    svc.graphs.register("web", WEB_SPEC)
+    spec = JobSpec(job_id="j0001-00aa", algorithm="WCC", graph="web",
+                   mode="threads")
+    svc.journal.append("submit", job=spec.job_id, spec=spec.to_dict())
+    svc.journal.close()
+    svc.graphs.close()
+
+    svc2 = GraphService(data_dir, max_concurrent=1)
+    svc2.start()
+    try:
+        status = _wait(svc2, spec.job_id)
+        assert status["state"] == JobState.FAILED
+        assert "unknown mode 'threads'" in status["error"]
+    finally:
+        svc2.shutdown(drain=True, timeout=60)
 
 
 def test_recovery_sweeps_job_scratch_tmp_files(tmp_path):

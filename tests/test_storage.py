@@ -1,16 +1,15 @@
-"""Tests for the binary graph format and PSW shards."""
+"""Tests for the binary graph format and the PSW shard store."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import BFS, SSSP, WeaklyConnectedComponents, reference
-from repro.engine import run
 from repro.graph import DiGraph, generators
-from repro.storage import OutOfCoreRunner, ShardedGraph, load_graph, save_graph
+from repro.storage import ShardStore, load_graph, save_graph
 
 
 class TestBinaryFormat:
@@ -60,99 +59,24 @@ class TestBinaryFormat:
             save_graph(g, tmp_path / "g.bin", vertex_arrays={"x": np.zeros(7)})
 
 
-class TestShardedGraph:
-    def test_invariants(self, rmat_small):
-        for k in (1, 2, 4, 7):
-            ShardedGraph(rmat_small, k).validate()
-
-    def test_bad_shard_count(self, rmat_small):
-        with pytest.raises(ValueError):
-            ShardedGraph(rmat_small, 0)
-
-    def test_shards_partition_by_destination(self, rmat_small):
-        sg = ShardedGraph(rmat_small, 4)
-        total = sum(s.num_edges for s in sg.shards)
-        assert total == rmat_small.num_edges
-
-    def test_window_extracts_source_range(self, rmat_small):
-        sg = ShardedGraph(rmat_small, 4)
-        lo, hi = sg.intervals[1]
-        for s in sg.shards:
-            eids = s.window(lo, hi)
-            srcs = rmat_small.edge_src[eids]
-            assert np.all((srcs >= lo) & (srcs < hi))
-
-    def test_interval_edges_cover_incident_edges(self, rmat_small):
-        sg = ShardedGraph(rmat_small, 3)
-        for k, (lo, hi) in enumerate(sg.intervals):
-            covered = set(sg.interval_edge_ids(k).tolist())
-            for v in range(lo, hi):
-                for e in rmat_small.incident_eids(v).tolist():
-                    assert e in covered, (k, v, e)
-
-    def test_save_load_roundtrip(self, tmp_path, rmat_small):
-        sg = ShardedGraph(rmat_small, 4)
-        sg.save(tmp_path / "shards")
-        back = ShardedGraph.load(tmp_path / "shards")
-        assert back.graph == rmat_small
-        assert back.intervals == sg.intervals
-        back.validate()
-
-    def test_manifest_mismatch_detected(self, tmp_path, rmat_small):
-        sg = ShardedGraph(rmat_small, 2)
-        d = tmp_path / "shards"
-        sg.save(d)
-        manifest = (d / "manifest.txt").read_text().splitlines()
-        first = manifest[0].split()
-        first[1] = str(int(first[1]) + 5)  # lie about edge count
-        (d / "manifest.txt").write_text("\n".join([" ".join(first)] + manifest[1:]) + "\n")
-        with pytest.raises(ValueError, match="manifest"):
-            ShardedGraph.load(d)
-
+class TestShardStore:
     @given(st.integers(1, 20), st.integers(1, 6), st.integers(0, 2**31))
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None)
     def test_invariants_on_random_graphs(self, n, k, seed):
+        """PSW invariants on random multigraphs (self-loops and edgeless
+        graphs included), and every interval's slot ranges hold exactly
+        the edges incident to its vertices."""
         rng = np.random.default_rng(seed)
         m = int(rng.integers(0, 4 * n))
         g = DiGraph(n, rng.integers(0, n, m), rng.integers(0, n, m))
-        sg = ShardedGraph(g, k)
-        sg.validate()
-
-
-class TestOutOfCoreRunner:
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_identical_to_in_memory_gauss_seidel(self, rmat_small, num_shards):
-        sg = ShardedGraph(rmat_small, num_shards)
-        ooc = OutOfCoreRunner(sg).run(WeaklyConnectedComponents())
-        mem = run(WeaklyConnectedComponents(), rmat_small, mode="deterministic")
-        assert ooc.converged
-        assert np.array_equal(ooc.result(), mem.result())
-        assert ooc.num_iterations == mem.num_iterations
-
-    def test_sssp_exact(self, rmat_small):
-        prog = SSSP(source=0)
-        truth = reference.sssp_reference(rmat_small, 0, prog.make_weights(rmat_small))
-        res = OutOfCoreRunner(ShardedGraph(rmat_small, 3)).run(SSSP(source=0))
-        assert np.array_equal(res.result(), truth)
-
-    def test_bfs_exact(self, er_medium):
-        res = OutOfCoreRunner(ShardedGraph(er_medium, 4)).run(BFS(source=0))
-        assert np.array_equal(res.result(), reference.bfs_reference(er_medium, 0))
-
-    def test_io_accounted(self, rmat_small):
-        runner = OutOfCoreRunner(ShardedGraph(rmat_small, 4))
-        res = runner.run(WeaklyConnectedComponents())
-        io = res.extra["io"]
-        assert io["interval_loads"] > 0
-        assert io["bytes_read"] > 0
-        assert io["bytes_written"] > 0
-
-    def test_more_shards_smaller_windows(self, er_medium):
-        """More shards = smaller resident window per interval load."""
-        small = OutOfCoreRunner(ShardedGraph(er_medium, 2))
-        many = OutOfCoreRunner(ShardedGraph(er_medium, 8))
-        small.run(BFS(source=0))
-        many.run(BFS(source=0))
-        per_load_small = small.io.bytes_read / small.io.interval_loads
-        per_load_many = many.io.bytes_read / many.io.interval_loads
-        assert per_load_many < per_load_small
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ShardStore.build(g, os.path.join(tmp, "g.shards"), k)
+            store.validate()
+            eid = np.asarray(store.psw_eid)
+            for j in range(store.num_intervals):
+                lo, hi = store.interval(j)
+                slots = [s for a, b in store.interval_ranges(j)
+                         for s in range(a, b)]
+                incident = {e for v in range(lo, hi)
+                            for e in g.incident_eids(v).tolist()}
+                assert sorted(eid[slots].tolist()) == sorted(incident)

@@ -1,11 +1,8 @@
-"""Tests for convergence traces, degree metrics, and the report generator."""
+"""Tests for degree metrics and the report generator."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, PageRank, WeaklyConnectedComponents
-from repro.analysis import ConvergenceTrace, trace_convergence
-from repro.engine import EngineConfig
 from repro.graph import DiGraph, degree_profile, generators, gini, load_dataset, tail_ratio
 
 
@@ -64,44 +61,6 @@ class TestDegreeProfile:
         p = degree_profile(generators.path_graph(5))
         d = p.as_dict()
         assert {"mean_deg", "max_deg", "gini", "tail99/mean", "alpha"} <= set(d)
-
-
-class TestConvergenceTrace:
-    def test_pagerank_residual_decays(self, rmat_small):
-        trace = trace_convergence(lambda: PageRank(epsilon=1e-3), rmat_small,
-                                  mode="nondeterministic",
-                                  config=EngineConfig(threads=4, seed=0))
-        assert trace.converged
-        assert trace.iterations >= 3
-        # residual at the end far below the start
-        assert trace.residuals[-1] < trace.residuals[0] / 10
-        assert trace.residual_halflife() < trace.iterations
-
-    def test_active_set_shrinks_for_bfs(self, er_medium):
-        trace = trace_convergence(lambda: BFS(source=0), er_medium,
-                                  mode="deterministic")
-        assert trace.active_sizes[0] == er_medium.num_vertices
-        assert trace.active_sizes[-1] < trace.active_sizes[0]
-
-    def test_conflict_counts_align(self, rmat_small):
-        trace = trace_convergence(WeaklyConnectedComponents, rmat_small,
-                                  mode="nondeterministic",
-                                  config=EngineConfig(threads=8, seed=1))
-        assert len(trace.conflict_counts) == trace.iterations
-        assert sum(trace.conflict_counts) > 0
-
-    def test_rows_structure(self, path8):
-        trace = trace_convergence(WeaklyConnectedComponents, path8,
-                                  mode="deterministic")
-        rows = trace.rows()
-        assert len(rows) == trace.iterations
-        assert rows[0]["iteration"] == 0
-        assert "residual" in rows[0]
-
-    def test_total_work(self, path8):
-        trace = trace_convergence(WeaklyConnectedComponents, path8,
-                                  mode="deterministic")
-        assert trace.total_work() == sum(trace.active_sizes)
 
 
 class TestReport:
