@@ -78,6 +78,7 @@ from .algorithms import (
     WeaklyConnectedComponents,
 )
 from .engine import EngineConfig, run
+from .engine.capabilities import FALLBACK_MODES, MODES, Refused, lookup
 from .experiments import (
     format_table,
     run_delay_sweep,
@@ -153,27 +154,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("algorithm", choices=sorted(ALGORITHMS))
     p.add_argument("--dataset", default="web-google-mini", choices=dataset_names())
     add_scale(p)
-    p.add_argument("--mode", default="nondeterministic",
-                   choices=["sync", "deterministic", "chromatic",
-                            "nondeterministic", "pure-async", "delta"])
+    p.add_argument("--mode", default="nondeterministic", choices=MODES,
+                   help="execution model; which flags compose with which "
+                        "mode is README's 'What runs with what' table")
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--backend", default=None, choices=["process"],
-                   help="nondeterministic mode only: 'process' executes the "
-                        "vectorized model across --threads OS worker "
-                        "processes over shared memory (bit-identical to the "
-                        "single-process fast path)")
+                   help="'process' executes the vectorized model across "
+                        "--threads OS worker processes over shared memory "
+                        "(bit-identical to the single-process fast path)")
     p.add_argument("--direction", default="pull",
                    choices=["pull", "push", "auto"],
-                   help="nondeterministic mode only: per-iteration execution "
-                        "direction — 'pull' (dense whole-graph masks, the "
+                   help="per-iteration execution direction of the array "
+                        "paths — 'pull' (dense whole-graph masks, the "
                         "default), 'push' (sparse frontier-driven scatter), "
                         "or 'auto' (Beamer-style hybrid); all three are "
-                        "bit-identical for push-eligible algorithms")
+                        "bit-identical for push-eligible algorithms; delta "
+                        "mode: the fold order ('pull' or 'push')")
     p.add_argument("--out-of-core", default=None, metavar="DIR",
-                   help="nondeterministic mode only: preprocess the graph "
-                        "into a PSW shard store under DIR (reused if already "
-                        "built) and execute interval-by-interval in bounded "
-                        "RAM — bit-identical to the in-memory fast path")
+                   help="preprocess the graph into a PSW shard store under "
+                        "DIR (reused if already built) and execute "
+                        "interval-by-interval in bounded RAM — bit-identical "
+                        "to the in-memory fast path")
     p.add_argument("--num-intervals", type=int, default=8, metavar="K",
                    help="with --out-of-core: vertex intervals / shards "
                         "(default 8)")
@@ -206,8 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline-s", type=float, default=None, metavar="S",
                    help="wall-clock budget; a breach triggers the "
                         "degradation policy")
-    p.add_argument("--fallback", default=None,
-                   choices=["chromatic", "sync", "deterministic"],
+    p.add_argument("--fallback", default=None, choices=FALLBACK_MODES,
                    help="deterministic engine the watchdog falls back to "
                         "(default chromatic)")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--scale", type=int, default=None,
                    help="treat --graph as a generator dataset at this scale")
     c.add_argument("--seed", type=int, default=7, help="dataset seed")
-    c.add_argument("--mode", default="nondeterministic")
+    c.add_argument("--mode", default="nondeterministic", choices=MODES)
     c.add_argument("--threads", type=int, default=None)
     c.add_argument("--run-seed", type=int, default=None,
                    help="engine seed (config.seed)")
@@ -503,9 +503,6 @@ def _cmd_client(args) -> int:
                     "record": args.record, "deadline_s": args.deadline_s,
                     "throttle_s": args.throttle_s}
             if args.mutate:
-                if args.mode != "delta":
-                    print("--mutate requires --mode delta", file=sys.stderr)
-                    return 2
                 spec["mutations"] = {"num_batches": args.mutate_batches,
                                      "frac": args.mutate_frac,
                                      "seed": args.mutate_seed}
@@ -637,7 +634,14 @@ def _cmd_top(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except Refused as exc:
+        print(f"error: {exc.reason}", file=sys.stderr)
+        return 2
 
+
+def _main(args) -> int:
     if args.command == "table1":
         print(run_table1(scale=args.scale, seed=args.seed).render())
     elif args.command == "figure3":
@@ -671,15 +675,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("-" * 72)
     elif args.command == "run":
         graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+        mutations = None
+        if args.mutate:
+            from .graph.mutations import generate_batches
+
+            mutations = generate_batches(graph, args.mutate_batches,
+                                         args.mutate_frac, args.mutate_seed)
         if args.out_of_core is not None:
             import pathlib
 
             from .storage import ShardStore
 
-            if args.mode != "nondeterministic":
-                print("--out-of-core requires --mode nondeterministic",
-                      file=sys.stderr)
-                return 1
+            lookup(args.mode, residency="ShardStore")  # before building one
             store_path = (pathlib.Path(args.out_of_core)
                           / f"{args.dataset}-s{args.scale}-k{args.num_intervals}.shards")
             if store_path.exists():
@@ -742,24 +749,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .obs import Recorder
 
             recorder = Recorder(policy=args.record_policy, trace_path=args.record)
-        delta_kwargs = {}
-        if args.mode == "delta":
-            delta_kwargs["delta_threshold"] = args.delta_threshold
-            delta_kwargs["delta_scheduling"] = args.delta_scheduling
-            if args.mutate:
-                from .graph.mutations import generate_batches
-
-                delta_kwargs["mutations"] = generate_batches(
-                    graph, args.mutate_batches, args.mutate_frac,
-                    args.mutate_seed)
-        elif args.mutate:
-            print("--mutate requires --mode delta", file=sys.stderr)
-            return 1
         result = run(ALGORITHMS[args.algorithm](), graph, mode=args.mode,
                      config=config, backend=args.backend,
                      direction=args.direction,
-                     telemetry=sink, record=recorder,
-                     **delta_kwargs, **robust_kwargs)
+                     telemetry=sink, record=recorder, mutations=mutations,
+                     delta_threshold=args.delta_threshold,
+                     delta_scheduling=args.delta_scheduling,
+                     **robust_kwargs)
         print(format_table([{"dataset": args.dataset, **result.summary()}],
                            title=f"{args.algorithm} on {args.dataset}"))
         if args.direction != "pull":

@@ -1,6 +1,7 @@
 """Vertex-centric execution engines (the paper's system model, §II–§III)."""
 
 from .atomicity import AtomicityPolicy, guarantees_atomicity, tear
+from .capabilities import Refused
 from .config import EngineConfig
 from .conflicts import (
     AccessRecord,
@@ -16,7 +17,7 @@ from .gauss_seidel import DeterministicEngine
 from .delaymodel import DelayModel
 from .nondet_engine import NondeterministicEngine
 from .nondet_outofcore import OutOfCoreNondetRunner
-from .nondet_parallel import ParallelEngine, parallel_fallback_reasons
+from .nondet_parallel import ParallelEngine
 from .nondet_core import (
     NondetKernel,
     NondetPassContext,
@@ -38,7 +39,7 @@ from .push import (
 from .ordering import Order, TaskSlot, classify, classify_timestamps, visible
 from .program import EdgeStore, UpdateContext, VertexProgram
 from .result import IterationStats, RunResult
-from .runner import ENGINES, Mode, run
+from .runner import ENGINES, run
 from .state import INF, FieldSpec, State
 from .sync_engine import SynchronousEngine
 from .traits import AlgorithmTraits, ConflictProfile, ConvergenceKind, Monotonicity
@@ -67,7 +68,6 @@ __all__ = [
     "NondetKernel",
     "NondetPassContext",
     "ParallelEngine",
-    "parallel_fallback_reasons",
     "PlanCache",
     "VectorizedNondetEngine",
     "fallback_reasons",
@@ -92,7 +92,7 @@ __all__ = [
     "IterationStats",
     "RunResult",
     "ENGINES",
-    "Mode",
+    "Refused",
     "run",
     "INF",
     "FieldSpec",

@@ -1,0 +1,245 @@
+"""What runs with what: the one table of ``run()`` switch combinations.
+
+Whether a *program* may take an execution path is the paper's question
+(``fallback_reasons``, ``push_fallback_reasons``, ``check_delta_program``).
+This module states which switches each mode accepts — one frozen
+:class:`Row` per mode, one :class:`Cell` per axis, a few rules across
+axes — and :func:`check` applies it before any engine starts, for
+``run()``, service admission and the CLI, refusing with :class:`Refused`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+from types import MappingProxyType
+
+__all__ = ["MODES", "FALLBACK_MODES", "DIRECTIONS", "ROWS", "Cell", "Row",
+           "Refused", "check", "lookup", "residency_of", "render"]
+
+#: every execution model ``run(mode=...)`` knows
+MODES = ("sync", "deterministic", "chromatic", "nondeterministic",
+         "pure-async", "delta")
+#: the deterministic engines a degradation policy may finish on
+FALLBACK_MODES = ("chromatic", "sync", "deterministic")
+DIRECTIONS = ("pull", "push", "auto")
+
+
+class Refused(ValueError):
+    """A request the capability table refuses; ``reason`` says why."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+@dataclass(frozen=True)
+class Cell:
+    """The values of one axis a mode accepts; others get ``reason``."""
+
+    accepts: tuple
+    reason: str
+
+
+@dataclass(frozen=True)
+class Row:
+    """One mode's cells, one per axis (``None`` accepts every value), in
+    the order :func:`lookup` checks them; README explains the values."""
+
+    service: Cell | None = None
+    vectorized: Cell | None = None
+    backend: Cell | None = None
+    direction: Cell | None = None
+    residency: Cell | None = None
+    robustness: Cell | None = None
+    metrics: Cell | None = None
+    observer: Cell | None = None
+    state: Cell | None = None
+    delta_knobs: Cell | None = None
+
+
+_AXES = tuple(f.name for f in fields(Row))
+
+_VECTORIZED = Cell((False,), "vectorized= applies to mode='nondeterministic', "
+                             "'sync' or 'deterministic' only")
+_BACKEND = Cell((None,), "backend='process' applies to "
+                         "mode='nondeterministic' only")
+_PULL = Cell(("pull",), "direction= applies to mode='nondeterministic', "
+                        "'sync', 'deterministic' or 'delta' only")
+_IN_RAM = Cell(("DiGraph",), "out-of-core execution (a ShardStore graph) "
+               "supports mode='nondeterministic' only (a degradation "
+               "fallback to another mode needs an in-memory graph)")
+_NO_DELTA_KNOBS = Cell((False,), "mutations=, delta_threshold= and "
+                       "delta_scheduling= apply to mode='delta' only (the "
+                       "incremental engine repairs the standing result; "
+                       "other modes recompute)")
+_BSP_OR_DE = Row(backend=_BACKEND, residency=_IN_RAM,
+                 delta_knobs=_NO_DELTA_KNOBS)
+
+#: mode -> its row; the table itself
+ROWS = MappingProxyType({
+    "sync": _BSP_OR_DE,
+    "deterministic": _BSP_OR_DE,
+    "chromatic": Row(vectorized=_VECTORIZED, backend=_BACKEND,
+                     direction=_PULL, residency=_IN_RAM,
+                     delta_knobs=_NO_DELTA_KNOBS),
+    "nondeterministic": Row(delta_knobs=_NO_DELTA_KNOBS),
+    "pure-async": Row(
+        service=Cell((False,), "pure-async is barrier-free: no consistent "
+                     "cut to checkpoint, so the service cannot make it "
+                     "crash-safe"),
+        vectorized=_VECTORIZED, backend=_BACKEND, direction=_PULL,
+        residency=_IN_RAM,
+        robustness=Cell(("none", "interrupt", "faults"), "the pure-async "
+                        "engine is barrier-free: there is no consistent cut "
+                        "to checkpoint or resume from"),
+        metrics=Cell((False,), "metrics= does not apply to "
+                     "mode='pure-async': it has no iteration barrier to "
+                     "take per-iteration samples at"),
+        delta_knobs=_NO_DELTA_KNOBS),
+    "delta": Row(
+        vectorized=_VECTORIZED, backend=_BACKEND,
+        direction=Cell(("pull", "push"), "mode='delta' supports "
+                       "direction='pull' or 'push' only (no per-iteration "
+                       "heuristic for delta dispatch yet)"),
+        residency=_IN_RAM,
+        robustness=Cell(("none", "interrupt"), "mode='delta' does not "
+                        "compose with the fault-tolerance kwargs yet "
+                        "(interrupt= is supported)"),
+        observer=Cell((False,), "mode='delta' does not support observers; "
+                                "use telemetry="),
+        state=Cell((False,), "mode='delta' builds its own (x, Δ, accum) "
+                             "state; state= is not supported")),
+})
+
+
+def lookup(mode: str, **values) -> None:
+    """Raise :class:`Refused` for an unknown ``mode``, or for the first
+    axis (in :class:`Row` order) whose value ``mode``'s row refuses."""
+    row = ROWS.get(mode)
+    if row is None:
+        raise Refused(f"unknown mode {mode!r}; choose from {sorted(MODES)}")
+    for axis in filter(values.__contains__, _AXES):
+        cell = getattr(row, axis)
+        if cell is not None and values[axis] not in cell.accepts:
+            raise Refused(cell.reason)
+
+
+def residency_of(graph) -> str:
+    """The ``residency`` axis value of ``graph``."""
+    from ..storage.shards import ShardStore  # lazy: pulls the container
+
+    return "ShardStore" if isinstance(graph, ShardStore) else "DiGraph"
+
+
+def check(program=None, graph=None, *, mode: str = "nondeterministic",
+          config=None, state=None, observer=None, vectorized=False,
+          backend=None, direction: str = "pull", metrics=None, record=None,
+          supervisor=None, faults=None, watchdog=None, policy=None,
+          checkpoint=None, checkpoint_every=1, resume_from=None,
+          deadline_s=None, interrupt=None, mutations=None,
+          delta_threshold=None, delta_scheduling: str = "frontier",
+          service: bool = False, **config_kwargs):
+    """``(vectorized, backend, supervised)`` normalized, or :class:`Refused`.
+
+    Takes ``run()``'s keywords plus ``service``.  Given ``program``, an
+    array path without object-engine fallback (``vectorized="require"``,
+    the process backend, a ShardStore, ``direction="push"``) is also
+    refused here for the program/config eligibility reasons.
+    """
+    vectorized = False if vectorized == "" else vectorized
+    backend = None if backend == "" else backend
+    for name, value, values in (
+            ("vectorized", vectorized, (False, True, "require")),
+            ("backend", backend, (None, "process")),
+            ("direction", direction, DIRECTIONS),
+            ("delta_scheduling", delta_scheduling, ("frontier", "priority"))):
+        if value not in values:
+            raise Refused(f"{name}={value!r} not understood: use "
+                          + ", ".join(map(repr, values)))
+    if not (record is None or record is True
+            or isinstance(record, (str, bytes))
+            or hasattr(record, "begin_engine_run")
+            or hasattr(record, "__fspath__")):
+        raise Refused(f"record={record!r} not understood: use a Recorder, "
+                      "a trace path, or True")
+    if config is not None and config_kwargs:
+        raise Refused("pass either config= or individual config kwargs, "
+                      "not both")
+    tolerance = (faults, watchdog, policy, deadline_s)
+    if supervisor is not None and any(
+            x is not None for x in (*tolerance, checkpoint, resume_from,
+                                    interrupt)):
+        raise Refused("pass either supervisor= or the fault-tolerance "
+                      "kwargs (faults=/watchdog=/policy=/checkpoint=/"
+                      "resume_from=/deadline_s=/interrupt=), not both")
+    if checkpoint is not None or resume_from is not None:
+        robustness = "checkpoint"
+    elif supervisor is not None or any(x is not None for x in tolerance):
+        robustness = "faults"
+    else:
+        robustness = "none" if interrupt is None else "interrupt"
+    residency = residency_of(graph)
+    lookup(mode, service=bool(service), vectorized=vectorized,
+           backend=backend, direction=direction, residency=residency,
+           robustness=robustness, metrics=metrics is not None,
+           observer=observer is not None, state=state is not None,
+           delta_knobs=(mutations is not None or delta_threshold is not None
+                        or delta_scheduling != "frontier"))
+    if backend is not None and vectorized:
+        raise Refused("pass either backend='process' or vectorized=, not "
+                      "both (the process backend runs the vectorized "
+                      "kernels already)")
+    if residency == "ShardStore" and direction != "pull":
+        raise Refused("out-of-core execution (a ShardStore graph) supports "
+                      "direction='pull' only: its interval slicing is "
+                      "already the sparse decomposition")
+    # A bad run bound would otherwise surface as a confusing comparison
+    # error deep inside an engine loop (or silently never checkpoint).
+    for name, value in (
+            ("max_iterations", config_kwargs.get(
+                "max_iterations", getattr(config, "max_iterations", 1))),
+            ("deadline_s", 1 if deadline_s is None else deadline_s),
+            ("checkpoint_every", checkpoint_every)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise Refused(f"{name} must be a positive number, got {value!r} "
+                          f"({type(value).__name__})")
+        if value != value or value <= 0:  # NaN or non-positive
+            raise Refused(f"{name} must be > 0, got {value!r}")
+        if name != "deadline_s" and float(value) != int(value):
+            raise Refused(f"{name} must be a positive integer, got {value!r}")
+    # Direction is a fast-path concept: the interpreting object engine
+    # has no dense/sparse distinction, so a non-default direction must
+    # not silently run it.
+    if direction != "pull" and mode != "delta" and backend is None \
+            and not vectorized:
+        vectorized = "require"
+    path = ("the process backend" if backend is not None
+            else "a ShardStore graph" if residency == "ShardStore"
+            else "vectorized='require'" if vectorized == "require" else None)
+    if program is not None and mode != "delta" and (path or vectorized):
+        from .config import EngineConfig
+        from .nondet_core import check_eligible, fallback_reasons
+
+        config = config or EngineConfig(**config_kwargs)
+        if path or not fallback_reasons(program, config, mode, record):
+            check_eligible(program, config, direction,
+                           path or "the vectorized fast path", mode, record)
+    return (vectorized, backend,
+            robustness != "none" and supervisor is None)
+
+
+def render() -> str:
+    """The table as markdown, one row per mode (README's "What runs with
+    what" block): ``yes`` accepts every value, ``no`` only the default,
+    a list only the values listed."""
+    def show(cell: Cell | None) -> str:
+        if cell is None or cell.accepts in ((False,), (None,)):
+            return "yes" if cell is None else "no"
+        return ", ".join(str(v) for v in cell.accepts)
+
+    lines = ["| mode | " + " | ".join(_AXES) + " |",
+             "|---" * (len(_AXES) + 1) + "|"]
+    lines += [f"| `{mode}` | " + " | ".join(
+        show(getattr(ROWS[mode], a)) for a in _AXES) + " |"
+        for mode in MODES]
+    return "\n".join(lines)

@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .atomicity import AtomicityPolicy
+from .capabilities import Refused
 from .config import EngineConfig
 from .conflicts import ConflictLog
 from .dispatch import plan_arrays
@@ -47,7 +48,6 @@ from .program import VertexProgram
 from .result import IterationStats, RunResult
 
 __all__ = [
-    "DIRECTIONS",
     "ArrayStep",
     "Barrier",
     "EdgePlan",
@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 MODE = "nondeterministic"
-DIRECTIONS = ("pull", "push", "auto")
 EVERYTHING = slice(None)
 #: dtype of ``rs`` / ``rd`` everywhere: 0 or 1 reads per side and pass.
 READ_COUNT = np.int8
@@ -635,26 +634,19 @@ def push_fallback_reasons(program: VertexProgram) -> list[str]:
 def check_eligible(program: VertexProgram, config: EngineConfig,
                    direction: str, what: str, mode: str = MODE,
                    record=None) -> bool:
-    """Raise unless ``what`` (a backend, named for the message) can run
-    ``(program, config, direction)`` in ``mode``; returns whether push
-    may be used."""
+    """Refuse unless ``what`` (an array path, named for the message) can
+    run ``(program, config, direction)`` in ``mode``; returns whether
+    push may be used.  ``capabilities.check`` calls it up front too."""
     reasons = fallback_reasons(program, config, mode, record)
     if reasons:
-        raise ValueError(
-            f"program/config not eligible for {what}: " + "; ".join(reasons)
-        )
-    if direction not in DIRECTIONS:
-        raise ValueError(
-            f"direction must be one of {DIRECTIONS}, got {direction!r}"
-        )
+        raise Refused(f"program/config not eligible for {what}: "
+                      + "; ".join(reasons))
     if direction == "pull":
         return False
     push_reasons = push_fallback_reasons(program)
     if push_reasons and direction == "push":
-        raise ValueError(
-            "program not eligible for the push direction: "
-            + "; ".join(push_reasons)
-        )
+        raise Refused("program not eligible for the push direction: "
+                      + "; ".join(push_reasons))
     return not push_reasons
 
 

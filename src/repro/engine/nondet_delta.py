@@ -63,12 +63,7 @@ __all__ = [
     "resolve_delta_kernel",
     "delta_fallback_reasons",
     "run_delta",
-    "SCHEDULES",
-    "DELTA_DISPATCHES",
 ]
-
-SCHEDULES = ("frontier", "priority")
-DELTA_DISPATCHES = ("pull", "push")
 
 #: Affected-region cap for the non-invertible delete repair, as a
 #: fraction of ``num_vertices`` — beyond it a full delta restart is
@@ -463,7 +458,6 @@ def run_delta(
     graph: DiGraph,
     config: EngineConfig | None = None,
     *,
-    state=None,
     telemetry=None,
     record=None,
     metrics=None,
@@ -492,16 +486,6 @@ def run_delta(
         raise ValueError(
             "program is not eligible for delta-accumulative execution: "
             + "; ".join(report.reasons))
-    if direction not in DELTA_DISPATCHES:
-        raise ValueError(
-            f"delta direction must be one of {DELTA_DISPATCHES}, "
-            f"got {direction!r}")
-    if scheduling not in SCHEDULES:
-        raise ValueError(
-            f"scheduling must be one of {SCHEDULES}, got {scheduling!r}")
-    if state is not None:
-        raise ValueError("mode='delta' builds its own state; state= is "
-                         "not supported")
 
     kernel = resolve_delta_kernel(program)(program)
     op = kernel.op

@@ -837,15 +837,7 @@ class OutOfCoreNondetRunner:
         bit-identical to the in-memory vectorized engine.
         """
         config = config or EngineConfig()
-        check_eligible(
-            program, config, "pull",
-            "the out-of-core nondeterministic runner (it executes the "
-            "vectorized kernels)")
-        if backend not in (None, "", "process"):
-            raise ValueError(
-                f"unknown backend {backend!r} for the out-of-core runner; "
-                "use 'process' or None"
-            )
+        check_eligible(program, config, "pull", "a ShardStore graph")
         use_pool = backend == "process"
         sink = telemetry
         kernel = resolve_nondet_kernel(program)(program)

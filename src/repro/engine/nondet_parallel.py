@@ -57,7 +57,6 @@ from .nondet_core import (
     check_eligible,
     commit_on,
     conflict_counts,
-    fallback_reasons,
     repair,
     resolve_nondet_kernel,
     run_array,
@@ -68,7 +67,7 @@ from .result import RunResult
 from .state import State
 from .workerpool import WorkerLink, WorkerPool, profile_directive
 
-__all__ = ["ParallelEngine", "parallel_fallback_reasons"]
+__all__ = ["ParallelEngine"]
 
 #: Phase slots of the shared ``phase_w`` stat block, in row order.
 #: ``plan_build`` is the worker-side Defs. 1–3 predicate construction;
@@ -77,16 +76,6 @@ __all__ = ["ParallelEngine", "parallel_fallback_reasons"]
 #: conflict-counting tail before C.
 _WPHASES = ("plan_build", "gather", "push_scatter", "repair_pass",
             "barrier_wait", "lemma2_commit")
-
-
-def parallel_fallback_reasons(program: VertexProgram,
-                              config: EngineConfig) -> list[str]:
-    """Why ``(program, config)`` cannot run on the process backend.
-
-    The backend executes the vectorized kernels, so the vectorized
-    eligibility rules apply verbatim; there are no additional ones.
-    """
-    return fallback_reasons(program, config)
 
 
 def _build_layout(graph: DiGraph, state: State, kernel,
@@ -291,9 +280,8 @@ class ParallelEngine:
         metrics=None,
     ) -> RunResult:
         config = config or EngineConfig()
-        push_ok = check_eligible(
-            program, config, direction,
-            "the process backend (it executes the vectorized kernels)")
+        push_ok = check_eligible(program, config, direction,
+                                 "the process backend")
         sink = telemetry
         kernel = resolve_nondet_kernel(program)(program)
         written = tuple(kernel.written_fields)

@@ -22,9 +22,7 @@ barrier plan, BSP: bit-identical to
 :class:`~repro.engine.gauss_seidel.DeterministicEngine` and
 :class:`~repro.engine.sync_engine.SynchronousEngine`
 (``tests/test_paper_path.py``).  What the fast path does not model is
-listed by :func:`fallback_reasons`: ``vectorized=True`` then falls back
-to the object engine with a ``vectorized_fallback`` telemetry event,
-``vectorized="require"`` raises.
+listed by :func:`fallback_reasons` (see ``run(vectorized=)``).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import numpy as np
 from ..graph import DiGraph
 from .config import EngineConfig
 from .nondet_core import (
-    DIRECTIONS,
     EVERYTHING,
     OUTPUTS,
     NondetKernel,
@@ -56,7 +53,6 @@ from .result import RunResult
 from .state import State
 
 __all__ = [
-    "DIRECTIONS",
     "NondetKernel",
     "NondetPassContext",
     "PlanCache",

@@ -271,6 +271,7 @@ class PureAsyncEngine:
         telemetry=None,
         record=None,
         supervisor=None,
+        metrics=None,  # the engines' common signature; the table refuses it
     ) -> RunResult:
         config = config or EngineConfig()
         sink = telemetry

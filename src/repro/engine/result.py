@@ -51,7 +51,7 @@ class RunResult:
 
     program: "VertexProgram"
     state: State
-    mode: str  #: a ``runner.ENGINES`` key, "push" or "delta"
+    mode: str  #: one of ``capabilities.MODES``, or "push"
     converged: bool
     num_iterations: int
     iterations: list[IterationStats] = field(default_factory=list)

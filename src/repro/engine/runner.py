@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Literal
-
 from ..graph import DiGraph
+from .capabilities import check, residency_of
 from .config import EngineConfig
 from .chromatic import ChromaticEngine
 from .gauss_seidel import DeterministicEngine
@@ -15,45 +14,19 @@ from .result import RunResult
 from .state import State
 from .sync_engine import SynchronousEngine
 
-__all__ = ["Mode", "run", "dispatch", "ENGINES"]
+__all__ = ["run", "dispatch", "ENGINES"]
 
-Mode = Literal[
-    "sync", "deterministic", "chromatic", "nondeterministic", "pure-async",
-    "delta"
-]
-
-ENGINES = {
-    "sync": SynchronousEngine,
-    "deterministic": DeterministicEngine,
-    "chromatic": ChromaticEngine,
-    "nondeterministic": NondeterministicEngine,
-    "pure-async": PureAsyncEngine,
-}
-
-
-def _require_positive(name: str, value, *, integer: bool = False) -> None:
-    """Reject non-numeric and <= 0 values with a clear error, up front.
-
-    Without this, a bad ``max_iterations``/``deadline_s``/
-    ``checkpoint_every`` surfaces as a confusing comparison error deep
-    inside an engine loop (or worse, silently never checkpoints).
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(
-            f"{name} must be a positive number, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    if value != value or value <= 0:  # NaN or non-positive
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    if integer and float(value) != int(value):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+#: mode -> object engine, for every mode but ``"delta"`` (``run_delta``)
+ENGINES = {engine.mode: engine for engine in (
+    SynchronousEngine, DeterministicEngine, ChromaticEngine,
+    NondeterministicEngine, PureAsyncEngine)}
 
 
 def run(
     program: VertexProgram,
     graph: DiGraph,
     *,
-    mode: Mode = "nondeterministic",
+    mode: str = "nondeterministic",
     config: EngineConfig | None = None,
     state: State | None = None,
     observer=None,
@@ -79,132 +52,97 @@ def run(
 ) -> RunResult:
     """Execute ``program`` on ``graph`` under the chosen execution model.
 
+    Which switches compose with which mode is the capability table's
+    (:mod:`repro.engine.capabilities`, README "What runs with what"),
+    checked once before any engine starts: a refused combination raises
+    :class:`~repro.engine.capabilities.Refused` (a ``ValueError``)
+    carrying the reason.
+
     Parameters
     ----------
     mode:
-        ``"sync"`` — BSP (Theorem 1's premise);
-        ``"deterministic"`` — sequential asynchronous Gauss–Seidel, the
-        paper's DE baseline (external deterministic scheduler);
-        ``"chromatic"`` — deterministic *parallel* asynchronous execution
-        via color classes (the related-work chromatic scheduler);
-        ``"nondeterministic"`` — the simulated racy parallel executor
-        (the paper's NE);
-        ``"pure-async"`` — barrier-free asynchronous executor with
+        ``"sync"`` — BSP (Theorem 1's premise); ``"deterministic"`` —
+        sequential asynchronous Gauss–Seidel, the paper's DE baseline;
+        ``"chromatic"`` — deterministic parallel execution by color
+        classes; ``"nondeterministic"`` — the simulated racy parallel
+        executor (the paper's NE); ``"pure-async"`` — barrier-free
         autonomous scheduling (the paper's future-work model);
         ``"delta"`` — the delta-accumulative incremental engine.
     config:
-        Full :class:`EngineConfig`; alternatively pass individual fields
-        as keyword arguments (``threads=8, seed=3, ...``).
+        Full :class:`EngineConfig`, or its fields as keyword arguments.
     state:
-        Resume from an existing state instead of the program's initial
-        one (used by the convergence-chain tracer).
+        Resume from an existing state instead of the program's initial one.
     observer:
-        Optional callback ``observer(iteration, state, next_schedule)``
-        invoked at every iteration barrier, with the same trajectory on
-        every path.
+        ``observer(iteration, state, next_schedule)``, called at every
+        iteration barrier with the same trajectory on every path.
     vectorized:
-        Nondeterministic, sync or deterministic mode.  ``True`` takes the
-        NumPy array path
-        (:class:`~repro.engine.nondet_vectorized.VectorizedNondetEngine`;
-        the mode picks its plan: NE's ``P`` threads, BSP's barrier plan,
-        DE's one thread) when the program has a registered kernel and the
-        configuration is eligible, else the object engine — the oracle —
-        with a ``vectorized_fallback`` telemetry event; both are
-        bit-identical.  ``"require"`` raises instead, listing the
-        reasons.  ``False`` (default) or ``""`` use the object engine in
-        every mode; any other string is rejected.
+        ``True`` takes the NumPy array path
+        (:class:`~repro.engine.nondet_vectorized.VectorizedNondetEngine`,
+        on the mode's plan) when the program/config is eligible, else the
+        bit-identical object engine with a ``vectorized_fallback`` event;
+        ``"require"`` refuses instead, listing the reasons.
     backend:
-        Nondeterministic mode only.  ``"process"`` executes the
-        vectorized model across ``config.threads`` OS worker processes
-        over shared memory
+        ``"process"`` runs the vectorized model across ``config.threads``
+        OS worker processes over shared memory
         (:class:`~repro.engine.nondet_parallel.ParallelEngine`),
-        bit-identical at any worker count; an ineligible program/config
-        raises, listing the reasons (no fallback).  Mutually exclusive
-        with ``vectorized=``; ``None``/``""`` mean in-process engines.
-        Worker death raises :class:`~repro.robust.errors.WorkerDied`,
-        which the supervised retry loop recovers like a worker timeout.
+        bit-identical at any worker count.  Worker death raises
+        :class:`~repro.robust.errors.WorkerDied`, which the supervised
+        retry loop recovers like a worker timeout.
     direction:
-        The direction-optimizing execution strategy of the array paths
-        (``vectorized=`` in any of its modes, process backend).
-        ``"pull"`` (default) runs the dense whole-graph masks;
-        ``"push"`` runs every iteration sparsely over the frontier's
-        touched edges (out-edges ∪ in-edges of the active set), which
-        requires the program's kernel to declare atomic-combine scatter
-        semantics (``push_combines``) that pass the §IV push-eligibility
-        check — otherwise the run raises, listing the reasons;
-        ``"auto"`` picks per iteration with the Beamer-style heuristic
-        (``config.direction_alpha`` / ``direction_beta``), pinning pull
-        for push-ineligible programs.  Every direction executes the
-        *same* iteration, bit for bit (state, trajectory, conflicts,
-        provenance): a pure performance knob.  Without
-        ``backend="process"``, ``"push"`` / ``"auto"`` imply
-        ``vectorized="require"``.  Not composable with ShardStore graphs.
+        Strategy of the array paths, bit-identical in every value:
+        ``"pull"`` runs the dense whole-graph masks, ``"push"`` each
+        iteration over the frontier's touched edges (the kernel's
+        ``push_combines`` must pass the §IV push-eligibility check),
+        ``"auto"`` picks per iteration (Beamer heuristic,
+        ``config.direction_alpha`` / ``direction_beta``; pull for
+        push-ineligible programs).  Delta mode: the fold order.
     telemetry:
-        Optional :class:`~repro.obs.Telemetry` sink.  Every engine
-        (including the vectorized fast path) records one span per
-        iteration — per-thread work profile,
-        conflict classes, frontier size, wall time — plus run metadata;
-        when the vectorized dispatch falls back, the reasons are
-        recorded as a ``vectorized_fallback`` event.  ``None`` (the
-        default) costs one pointer check per iteration.
+        Optional :class:`~repro.obs.Telemetry` sink: one span per
+        iteration (per-thread work, conflict classes, frontier size, wall
+        time) plus run metadata and fallback events.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`, nondeterministic
-        and delta modes only: per-iteration phase timers, conflict/update
-        counters and iteration-latency histograms, accumulated *across*
-        runs and merged across processes.  With ``telemetry=`` too, a
-        ``{"type": "metrics"}`` snapshot precedes ``run_end``.  ``None``
-        (the default) costs one pointer check per iteration.
+        Optional :class:`~repro.obs.MetricsRegistry`: per-iteration phase
+        timers, conflict/update counters and iteration-latency histograms
+        labelled ``mode="object"`` / ``"vectorized"`` / ``"delta"``,
+        accumulated across runs and processes.  With ``telemetry=`` too,
+        a ``{"type": "metrics"}`` snapshot precedes ``run_end``.
     record:
-        Optional flight recorder capturing event-level race provenance:
-        every contended edge access becomes a provenance event —
-        ``(iteration, edge, writer, committer, Def. 1–3 order,
-        Lemma-1/2 rule, value committed, values lost)``.  Accepts a
-        :class:`~repro.obs.Recorder` instance, a path (``str`` /
-        ``os.PathLike``) to stream JSONL provenance to, or ``True`` for
-        an in-memory recorder with the default conflicts-only policy.
-        ``None`` (the default) costs one pointer check per commit
-        barrier, matching the ``telemetry=`` contract.
+        Flight recorder of race provenance — per contended edge access
+        ``(iteration, edge, writer, committer, Def. 1–3 order, Lemma-1/2
+        rule, value committed, values lost)``: a
+        :class:`~repro.obs.Recorder`, a path to stream JSONL to, or
+        ``True`` for an in-memory conflicts-only recorder.
     supervisor:
-        A pre-built :class:`~repro.robust.Supervisor` hook object, for
-        callers driving the fault-tolerance layer manually.  ``None``
-        (the default) costs one pointer check per iteration.  Mutually
-        exclusive with the convenience kwargs below, which build one.
+        A pre-built :class:`~repro.robust.Supervisor`, for callers
+        driving the fault-tolerance layer manually.
     faults:
-        Fault-injection plan: a :class:`~repro.robust.FaultPlan`, a list
-        of :class:`~repro.robust.Fault`, or a spec string such as
-        ``"crash@3;torn@5"`` (see :meth:`FaultPlan.from_spec`).
+        A :class:`~repro.robust.FaultPlan`, a list of
+        :class:`~repro.robust.Fault`, or a spec such as ``"crash@3;torn@5"``.
     watchdog:
-        A :class:`~repro.robust.ConvergenceWatchdog` monitoring every
-        iteration barrier for stalls, Theorem-2 oscillation, and
-        deadline breaches.
+        A :class:`~repro.robust.ConvergenceWatchdog` (stalls, Theorem-2
+        oscillation, deadline breaches).
     policy:
-        A :class:`~repro.robust.DegradationPolicy` controlling how
-        crashes and watchdog alarms are recovered (restart budget,
-        backoff, atomicity escalation, deterministic fallback engine).
+        A :class:`~repro.robust.DegradationPolicy`: restart budget,
+        backoff, atomicity escalation, deterministic fallback engine.
     checkpoint / checkpoint_every:
-        Path to write a barrier checkpoint to every ``checkpoint_every``
+        Path of the barrier checkpoint written every ``checkpoint_every``
         iterations (atomically, last one wins).
     resume_from:
-        Path of a checkpoint to restart from; the run continues
-        bit-identically to the uninterrupted execution.  When no
-        explicit ``config`` is given the checkpointed one is adopted.
+        Checkpoint to continue from, bit-identically; with no explicit
+        ``config`` the checkpointed one is adopted.
     deadline_s:
-        Wall-clock budget for the run; breaches raise through the
-        degradation policy.
+        Wall-clock budget; a breach goes through the degradation policy.
     interrupt:
-        Zero-argument callable polled at every iteration barrier, after
-        that barrier's checkpoint and restart token are taken.  A truthy
-        return value (the reason string) stops the run by raising
-        :class:`~repro.robust.RunInterrupted` — the cooperative stop the
-        always-on service uses for graceful drain and job cancellation:
-        because the raise happens after the checkpoint, resuming from it
-        continues bit-identically.  Routes the run through the
-        supervised loop like the other fault-tolerance kwargs.
+        Zero-argument callable polled at every barrier after its
+        checkpoint: a truthy return (the reason) raises
+        :class:`~repro.robust.RunInterrupted`, so resuming continues
+        bit-identically (the service's drain and cancel).
 
-    Passing any of ``faults``/``watchdog``/``policy``/``checkpoint``/
-    ``resume_from``/``deadline_s`` routes the run through
+    ``None`` sinks cost one pointer check per iteration.  Any of
+    ``faults``/``watchdog``/``policy``/``checkpoint``/``resume_from``/
+    ``deadline_s``/``interrupt`` routes the run through
     :func:`repro.robust.supervised_run` (the retry loop); a bare
-    ``supervisor=`` only installs the hooks without retry semantics.
+    ``supervisor=`` only installs the hooks.
 
     Examples
     --------
@@ -216,124 +154,24 @@ def run(
     >>> res.converged
     True
     """
-    # Normalize vectorized= once, up front: booleans pass through, the
-    # empty string is a falsy pass-through equivalent to False (and so
-    # must be valid for every mode), and the only meaningful string is
-    # "require".  Everything downstream sees only False/True/"require".
-    if isinstance(vectorized, str):
-        if vectorized == "":
-            vectorized = False
-        elif vectorized != "require":
-            raise ValueError(
-                f"vectorized={vectorized!r} not understood: use True, False or 'require'"
-            )
-    # Normalize backend= the same way: None/"" mean in-process engines.
-    if backend == "":
-        backend = None
-    if backend is not None:
-        if backend != "process":
-            raise ValueError(
-                f"backend={backend!r} not understood: use 'process' or None"
-            )
-        if mode != "nondeterministic":
-            raise ValueError(
-                "backend='process' applies to mode='nondeterministic' only"
-            )
-        if vectorized:
-            raise ValueError(
-                "pass either backend='process' or vectorized=, not both "
-                "(the process backend runs the vectorized kernels already)"
-            )
-    # Normalize record= the same way: None passes through untouched, a
-    # Recorder instance is used as-is, True means "in-memory recorder with
-    # defaults", and a path means "stream JSONL provenance there".
+    vectorized, backend, supervised = check(
+        program, graph, mode=mode, config=config, state=state,
+        observer=observer, vectorized=vectorized, backend=backend,
+        direction=direction, metrics=metrics, record=record,
+        supervisor=supervisor, faults=faults, watchdog=watchdog,
+        policy=policy, checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every, resume_from=resume_from,
+        deadline_s=deadline_s, interrupt=interrupt, mutations=mutations,
+        delta_threshold=delta_threshold, delta_scheduling=delta_scheduling,
+        **config_kwargs)
+    # record=True: an in-memory recorder; a path: stream JSONL there.
     if record is not None and not hasattr(record, "begin_engine_run"):
         from ..obs import Recorder
 
-        if record is True:
-            record = Recorder()
-        elif isinstance(record, (str, bytes)) or hasattr(record, "__fspath__"):
-            record = Recorder(trace_path=record)
-        else:
-            raise ValueError(
-                f"record={record!r} not understood: use a Recorder, a trace "
-                "path, or True"
-            )
-    if direction not in ("pull", "push", "auto"):
-        raise ValueError(
-            f"direction={direction!r} not understood: use 'pull', 'push' or 'auto'"
-        )
-    if metrics is not None and mode not in ("nondeterministic", "delta"):
-        raise ValueError(
-            "metrics= applies to mode='nondeterministic' or 'delta' only")
-    if direction != "pull" and mode not in (
-            "nondeterministic", "sync", "deterministic", "delta"):
-        raise ValueError("direction= applies to mode='nondeterministic', "
-                         "'sync', 'deterministic' or 'delta' only")
-    if mode != "delta":
-        if mutations is not None:
-            raise ValueError("mutations= applies to mode='delta' only "
-                             "(the incremental engine repairs the standing "
-                             "result; other modes recompute)")
-        if delta_threshold is not None or delta_scheduling != "frontier":
-            raise ValueError(
-                "delta_threshold=/delta_scheduling= apply to mode='delta' only")
-    if direction != "pull" and mode != "delta" and backend is None and not vectorized:
-        # Direction is a fast-path concept — the interpreting object
-        # engine has no dense/sparse distinction, so a non-default
-        # direction must not silently run it.
-        vectorized = "require"
-    if config is not None and config_kwargs:
-        raise ValueError("pass either config= or individual config kwargs, not both")
-    # Up-front validation: catch bad run bounds before any engine (or a
-    # long supervised retry loop) starts working with them.
-    if "max_iterations" in config_kwargs:
-        _require_positive("max_iterations", config_kwargs["max_iterations"],
-                          integer=True)
-    elif config is not None:
-        _require_positive("max_iterations", config.max_iterations, integer=True)
-    if deadline_s is not None:
-        _require_positive("deadline_s", deadline_s)
-    robust = any(
-        x is not None
-        for x in (faults, watchdog, policy, checkpoint, resume_from,
-                  deadline_s, interrupt)
-    )
-    if robust or checkpoint_every != 1:
-        _require_positive("checkpoint_every", checkpoint_every, integer=True)
+        record = Recorder() if record is True else Recorder(trace_path=record)
     explicit_config = config is not None or bool(config_kwargs)
-    if config is None:
-        config = EngineConfig(**config_kwargs)
+    config = config or EngineConfig(**config_kwargs)
     if mode == "delta":
-        # The delta-accumulative engine: its own execution model, its
-        # own (vectorized) loop — the fast-path/backend switches do not
-        # apply, and of the robustness kwargs only the cooperative
-        # interrupt= composes (no barrier checkpoints yet: a killed
-        # delta job re-runs from scratch).
-        if vectorized:
-            raise ValueError(
-                "vectorized= does not apply to mode='delta' (the delta "
-                "engine is already array-based)")
-        if backend is not None:
-            raise ValueError(
-                "backend= does not apply to mode='delta' (single-process "
-                "engine; parallelism comes from the array model)")
-        if observer is not None:
-            raise ValueError("mode='delta' does not support observers; "
-                             "use telemetry=")
-        if state is not None:
-            raise ValueError("mode='delta' builds its own (x, Δ, accum) "
-                             "state; state= is not supported")
-        if direction == "auto":
-            raise ValueError(
-                "mode='delta' supports direction='pull' or 'push' only "
-                "(no per-iteration heuristic for delta dispatch yet)")
-        if supervisor is not None or any(
-                x is not None for x in (faults, watchdog, policy,
-                                        checkpoint, resume_from, deadline_s)):
-            raise ValueError(
-                "mode='delta' does not compose with the fault-tolerance "
-                "kwargs yet (interrupt= is supported)")
         from .nondet_delta import run_delta
 
         return run_delta(
@@ -342,13 +180,7 @@ def run(
             scheduling=delta_scheduling, threshold=delta_threshold,
             mutations=mutations, interrupt=interrupt,
         )
-    if robust:
-        if supervisor is not None:
-            raise ValueError(
-                "pass either supervisor= or the fault-tolerance kwargs "
-                "(faults=/watchdog=/policy=/checkpoint=/resume_from=/"
-                "deadline_s=), not both"
-            )
+    if supervised:
         # Imported lazily: the robust layer pulls in the storage package.
         from ..robust.supervisor import supervised_run
 
@@ -378,8 +210,9 @@ def dispatch(program: VertexProgram, graph, *, mode: str,
              vectorized: bool | str = False, backend: str | None = None,
              direction: str = "pull", telemetry=None, metrics=None,
              record=None, supervisor=None) -> RunResult:
-    """One attempt on the engine the (already normalized) switches pick:
-    ShardStore → process backend → vectorized fast path → object engine.
+    """One attempt on the engine the (already checked and normalized)
+    switches pick: ShardStore → process backend → vectorized fast path →
+    object engine.
 
     Shared by :func:`run` and every attempt of
     :func:`repro.robust.supervised_run`, so a supervised run reaches
@@ -390,35 +223,13 @@ def dispatch(program: VertexProgram, graph, *, mode: str,
     # routes the run through its interval-sliced runner (always the
     # vectorized execution model; backend="process" fans the intervals
     # out to its worker pool).
-    from ..storage.shards import ShardStore  # lazy: pulls the container
-
-    if isinstance(graph, ShardStore):
-        if mode != "nondeterministic":
-            raise ValueError(
-                "out-of-core execution (a ShardStore graph) supports "
-                "mode='nondeterministic' only (a degradation fallback to "
-                "another mode needs an in-memory graph)"
-            )
-        if direction != "pull":
-            raise ValueError(
-                "out-of-core execution (a ShardStore graph) supports "
-                "direction='pull' only: its interval slicing is already "
-                "the sparse decomposition"
-            )
+    if residency_of(graph) == "ShardStore":
         return graph.nondet_runner().run(
             program, config, state=state, observer=observer,
             telemetry=telemetry, record=record, supervisor=supervisor,
             backend=backend, metrics=metrics,
         )
-    try:
-        engine_cls = ENGINES[mode]
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r}; choose from {sorted(ENGINES)}") from None
     if backend == "process":
-        if mode != "nondeterministic":
-            raise ValueError(
-                "backend='process' applies to mode='nondeterministic' only"
-            )
         # Imported lazily: the backend pulls in multiprocessing + shm.
         from .nondet_parallel import ParallelEngine
 
@@ -428,31 +239,21 @@ def dispatch(program: VertexProgram, graph, *, mode: str,
             direction=direction, metrics=metrics,
         )
     if vectorized:
-        if mode not in ("nondeterministic", "sync", "deterministic"):
-            raise ValueError(
-                "vectorized= applies to mode='nondeterministic', 'sync' or "
-                "'deterministic' only")
         # Imported lazily: the fast path pulls in the kernel registry.
         from .nondet_vectorized import VectorizedNondetEngine, fallback_reasons
 
         reasons = fallback_reasons(program, config, mode, record)
-        if not reasons:
+        # "require" was checked up front; an ineligible config only
+        # arrives here adopted from a checkpoint, and the engine refuses it.
+        if not reasons or vectorized == "require":
             return VectorizedNondetEngine().run(
                 program, graph, config, state=state, observer=observer,
                 telemetry=telemetry, record=record, supervisor=supervisor,
                 direction=direction, metrics=metrics, mode=mode,
             )
-        if vectorized == "require":
-            raise ValueError(
-                "vectorized='require' but the fast path is not eligible: "
-                + "; ".join(reasons)
-            )
         if telemetry is not None:
             telemetry.event("vectorized_fallback", reasons=reasons)
-    # metrics= reaches only the nondeterministic object engine here (the
-    # mode check above rejects it elsewhere); pure-async doesn't take
-    # the kwarg, so pass it conditionally.
-    extra_kw = {"metrics": metrics} if metrics is not None else {}
-    return engine_cls().run(program, graph, config, state=state, observer=observer,
-                            telemetry=telemetry, record=record,
-                            supervisor=supervisor, **extra_kw)
+    return ENGINES[mode]().run(
+        program, graph, config, state=state, observer=observer,
+        telemetry=telemetry, record=record, supervisor=supervisor,
+        metrics=metrics)

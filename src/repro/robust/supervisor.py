@@ -40,6 +40,7 @@ import time
 import numpy as np
 
 from ..engine.atomicity import AtomicityPolicy
+from ..engine.capabilities import lookup, residency_of
 from ..engine.config import EngineConfig
 from ..engine.delaymodel import DelayModel
 from ..engine.runner import dispatch
@@ -377,7 +378,7 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
 
     cur_state = state if state is not None else _make_state(program, graph)
     cur_mode, cur_config, cur_vectorized = mode, config, vectorized
-    cur_backend, cur_direction, cur_metrics = backend, direction, metrics
+    cur_backend, cur_direction = backend, direction
     degradations: list[dict] = []
     restarts = 0
     escalated = False
@@ -391,7 +392,7 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
                               config=cur_config, state=cur_state,
                               observer=observer, vectorized=cur_vectorized,
                               backend=cur_backend, direction=cur_direction,
-                              telemetry=telemetry, metrics=cur_metrics,
+                              telemetry=telemetry, metrics=metrics,
                               record=record, supervisor=sup)
             break
         except (InjectedCrash, WorkerTimeout) as exc:
@@ -453,14 +454,16 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
             elif not fell_back:
                 fell_back = True
                 cur_mode = policy.fallback_mode
+                # The one switch the table has not seen yet: a ShardStore
+                # graph has no object engine to fall back to.
+                lookup(cur_mode, residency=residency_of(graph))
                 # The last rung runs the object oracle: the fallback mode
                 # may have no array path (chromatic), and sync's and DE's
                 # would refuse fp_noise / record= under ``"require"``;
-                # nor does it take a direction or a phase series.
+                # nor does it take a direction.
                 cur_vectorized = False
                 cur_backend = None
                 cur_direction = "pull"
-                cur_metrics = None
                 event["action"] = f"fallback:{policy.fallback_mode}"
             else:
                 event["action"] = "give-up"

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.capabilities import FALLBACK_MODES
+
 __all__ = [
     "WatchdogVerdict",
     "DegradationPolicy",
@@ -62,10 +64,10 @@ class DegradationPolicy:
             raise ValueError("max_restarts must be >= 0")
         if self.backoff_s < 0 or self.max_backoff_s < 0:
             raise ValueError("backoff durations must be >= 0")
-        if self.fallback_mode not in ("chromatic", "sync", "deterministic"):
+        if self.fallback_mode not in FALLBACK_MODES:
             raise ValueError(
                 f"fallback_mode must be a deterministic engine "
-                f"(chromatic/sync/deterministic), got {self.fallback_mode!r}"
+                f"({'/'.join(FALLBACK_MODES)}), got {self.fallback_mode!r}"
             )
 
     def backoff_for(self, attempt: int) -> float:

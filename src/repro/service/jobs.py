@@ -98,6 +98,10 @@ class JobSpec:
     mutations: dict | None = None
 
     def validate(self) -> None:
+        """Shape checks only.  Which switches compose is the capability
+        table's, consulted at admission: journal replay must still load
+        a spec the table has since come to refuse (the job then fails
+        with the table's reason)."""
         if not _JOB_ID_RE.match(self.job_id):
             raise ValueError(f"malformed job id {self.job_id!r}")
         if not isinstance(self.algorithm, str) or not self.algorithm:
@@ -110,17 +114,11 @@ class JobSpec:
         if unknown:
             raise ValueError(
                 f"unsupported config key(s): {', '.join(sorted(unknown))}")
-        if int(self.checkpoint_every) < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if self.throttle_s < 0:
             raise ValueError("throttle_s must be >= 0")
-        if self.backend not in (None, "process"):
-            raise ValueError(f"backend={self.backend!r} not understood")
         if self.record not in (None, "conflicts", "all", "reservoir"):
             raise ValueError(f"record={self.record!r} not a recorder policy")
         if self.mutations is not None:
-            if self.mode != "delta":
-                raise ValueError("mutations= requires mode='delta'")
             if not isinstance(self.mutations, dict):
                 raise ValueError("mutations must be a batch-spec dict")
             unknown = set(self.mutations) - {"num_batches", "frac", "seed"}
@@ -131,14 +129,26 @@ class JobSpec:
                 raise ValueError("mutations.num_batches must be >= 1")
             if not 0 < float(self.mutations.get("frac", 0.001)) <= 1:
                 raise ValueError("mutations.frac must be in (0, 1]")
-        if self.mode == "delta":
-            if self.backend is not None or self.vectorized:
-                raise ValueError(
-                    "mode='delta' runs the single-process delta engine; "
-                    "backend=/vectorized= do not apply")
-            if self.faults is not None:
-                raise ValueError(
-                    "mode='delta' does not compose with fault injection yet")
+
+    def switches(self) -> dict:
+        """The ``run()`` switches this job sets, as the capability table
+        (:func:`repro.engine.capabilities.check`) judges them; the job
+        runner passes the same keys with live values — a checkpoint path,
+        an interrupt hook, a recorder, generated mutation batches."""
+        return {
+            "mode": self.mode,
+            "vectorized": self.vectorized,
+            "backend": self.backend,
+            "faults": self.faults,
+            "deadline_s": self.deadline_s,
+            "checkpoint_every": self.checkpoint_every,
+            # The delta engine has no barrier checkpoints yet: a killed
+            # or drained delta job re-runs from scratch.
+            "checkpoint": None if self.mode == "delta" else "state.ckpt",
+            "interrupt": True,
+            "record": None if self.record is None else True,
+            "mutations": self.mutations,
+        }
 
     def to_dict(self) -> dict:
         return {

@@ -175,31 +175,23 @@ def run_job(conn, graphs: GraphRegistry, jdir: str, shm_namespace: str,
         os.makedirs(jdir, exist_ok=True)
         program = resolve_algorithm(spec.algorithm)()
         graph = graphs.get(spec.graph)
-        kwargs = dict(
-            mode=spec.mode, telemetry=sink, interrupt=interrupt,
-            config=config_from_dict(spec.config) if spec.config else None)
-        if spec.record is not None:
-            kwargs["record"] = Recorder(
+        kwargs = spec.switches()
+        kwargs.update(
+            telemetry=sink, interrupt=interrupt,
+            config=config_from_dict(spec.config) if spec.config else None,
+            record=None if spec.record is None else Recorder(
                 policy=spec.record,
-                trace_path=os.path.join(jdir, f"record-{attempt}.jsonl"))
-        if spec.mode == "delta":
-            # The delta engine has no barrier checkpoints yet: a killed
-            # or drained delta job re-runs from scratch on the next
-            # attempt (barriers still drive progress reporting;
-            # cancel/drain interrupt cleanly).
-            if spec.mutations is not None:
-                m = spec.mutations
-                kwargs["mutations"] = generate_batches(
-                    graph, int(m.get("num_batches", 3)),
-                    float(m.get("frac", 0.001)), int(m.get("seed", 7)))
-        else:
+                trace_path=os.path.join(jdir, f"record-{attempt}.jsonl")))
+        if kwargs["checkpoint"] is not None:
             kwargs.update(
-                vectorized=spec.vectorized, backend=spec.backend,
-                faults=spec.faults,
-                policy=DegradationPolicy(max_restarts=spec.max_restarts),
                 checkpoint=os.path.join(jdir, "state.ckpt"),
-                checkpoint_every=every, resume_from=resume_from,
-                deadline_s=spec.deadline_s)
+                resume_from=resume_from,
+                policy=DegradationPolicy(max_restarts=spec.max_restarts))
+        if spec.mutations is not None:
+            m = spec.mutations
+            kwargs["mutations"] = generate_batches(
+                graph, int(m.get("num_batches", 3)),
+                float(m.get("frac", 0.001)), int(m.get("seed", 7)))
         t0 = time.monotonic()
         with segment_namespace(shm_namespace):
             result = run(program, graph, **kwargs)

@@ -44,10 +44,11 @@ from multiprocessing import connection as mp_connection
 
 import numpy as np
 
-from ..engine.runner import ENGINES
+from ..engine.capabilities import check
 from ..obs.metrics import MetricsRegistry
 from ..robust.errors import RunnerDied
 from ..robust.procs import reap
+from ..storage.checkpoint import config_from_dict
 from ..storage.shm import sweep_orphaned_segments
 from .graphs import GraphRegistry
 from .jobs import (Job, JobSpec, JobState, job_table_state, reduce_records,
@@ -62,9 +63,6 @@ _COMPACT_THRESHOLD = 4096
 
 #: longest a ``status(wait=)`` long-poll is held before it answers
 MAX_WAIT_S = 30.0
-
-#: the ``mode`` values a submission may name
-RUN_MODES = frozenset(ENGINES) | {"delta"}
 
 
 class ServiceBusy(RuntimeError):
@@ -271,17 +269,11 @@ class GraphService:
                 self._seq += 1
                 data["job_id"] = f"j{self._seq:04d}-{secrets.token_hex(2)}"
         job_spec = JobSpec.from_dict(data)
-        # Checked here, not in JobSpec.validate: journal replay validates
-        # too, and must still load a job of a mode that no longer exists
-        # (it then fails with the runner's reason).
-        if job_spec.mode not in RUN_MODES:
-            raise ValueError(f"unknown mode {job_spec.mode!r}; choose from "
-                             f"{sorted(RUN_MODES)}")
-        if job_spec.mode == "pure-async":
-            raise ValueError(
-                "pure-async is barrier-free: no consistent cut to "
-                "checkpoint, so the service cannot make it crash-safe")
-        resolve_algorithm(job_spec.algorithm)  # fail fast on bad names
+        # The capability table, on the switches the job runner will pass:
+        # a combination run() would refuse is never journaled.
+        check(resolve_algorithm(job_spec.algorithm)(),
+              config=config_from_dict(job_spec.config), service=True,
+              **job_spec.switches())
         if isinstance(job_spec.graph, str):
             if job_spec.graph not in self.graphs.names():
                 raise KeyError(

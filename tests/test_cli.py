@@ -62,6 +62,25 @@ class TestRun:
             main(["run", "NoSuchAlgo"])
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "sync", "--backend", "process"],
+        ["--mode", "delta", "--direction", "auto"],
+        ["--mode", "chromatic", "--direction", "push"],
+        ["--mode", "sync", "--mutate"],
+        ["--mode", "deterministic", "--out-of-core", "SHARDS"],
+    ], ids=lambda flags: "-".join(f.lstrip("-") for f in flags))
+    def test_refused_combination_is_one_error_line(self, capsys, tmp_path,
+                                                   flags):
+        shards = tmp_path / "shards"
+        flags = [str(shards) if f == "SHARDS" else f for f in flags]
+        code = main(["run", "WCC", "--scale", "6", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not shards.exists()  # refused before building a store
+
+
 class TestExperimentCommands:
     def test_table1(self, capsys):
         code, out = run_cli(capsys, "table1", "--scale", "7")

@@ -16,8 +16,8 @@ import pytest
 
 from repro.algorithms import BFS, SSSP, PageRank, SpMV, WeaklyConnectedComponents
 from repro.engine import EngineConfig, run
+from repro.engine.capabilities import DIRECTIONS
 from repro.engine.nondet_vectorized import (
-    DIRECTIONS,
     choose_direction,
     push_fallback_reasons,
 )

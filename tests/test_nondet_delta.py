@@ -34,7 +34,7 @@ from repro.algorithms import (
     PageRank,
     WeaklyConnectedComponents,
 )
-from repro.engine import CombineOp, EngineConfig, run
+from repro.engine import CombineOp, EngineConfig, Refused, run
 from repro.engine.nondet_delta import (
     DeltaKernel,
     _fold_arr,
@@ -209,19 +209,10 @@ class TestEligibilityGate:
         assert "distribut" in witness
 
     def test_runner_guards(self):
-        graph = _graph(6)
-        with pytest.raises(ValueError, match="mode='delta' only"):
-            run(_sssp(), graph, mode="sync", mutations=[])
-        with pytest.raises(ValueError, match="delta_threshold"):
-            run(_sssp(), graph, mode="sync", delta_threshold=1e-3)
-        with pytest.raises(ValueError, match="vectorized"):
-            run(_sssp(), graph, mode="delta", vectorized="require")
-        with pytest.raises(ValueError, match="backend"):
-            run(_sssp(), graph, mode="delta", backend="process")
-        with pytest.raises(ValueError, match="direction"):
-            run(_sssp(), graph, mode="delta", direction="auto")
-        with pytest.raises(ValueError, match="scheduling"):
-            run_delta(_sssp(), graph, scheduling="greedy")
+        # run() checks the switch values before run_delta sees them; the
+        # mode × switch product is tests/test_capabilities.py's property.
+        with pytest.raises(Refused, match="delta_scheduling='greedy'"):
+            run(_sssp(), _graph(6), mode="delta", delta_scheduling="greedy")
 
     def test_runner_dispatches_delta(self):
         graph = _graph(7)

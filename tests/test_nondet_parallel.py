@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, WeaklyConnectedComponents
-from repro.engine import EngineConfig, ParallelEngine, parallel_fallback_reasons, run
+from repro.engine import EngineConfig, ParallelEngine, fallback_reasons, run
 from repro.engine.workerpool import WorkerPool
 from repro.graph import generators
 from repro.obs import Recorder
@@ -88,25 +88,8 @@ def test_process_backend_jitter_zero_and_many_workers():
 # runner plumbing
 # ---------------------------------------------------------------------------
 
-def test_runner_rejects_unknown_backend(small_graph):
-    with pytest.raises(ValueError, match="not understood"):
-        run(PageRank(), small_graph, mode="nondeterministic",
-            backend="gpu")
-
-
-def test_runner_rejects_backend_outside_nondeterministic(small_graph):
-    with pytest.raises(ValueError, match="nondeterministic"):
-        run(PageRank(), small_graph, mode="sync", backend="process")
-
-
-def test_runner_rejects_backend_plus_vectorized(small_graph):
-    with pytest.raises(ValueError, match="not both"):
-        run(PageRank(), small_graph, mode="nondeterministic",
-            backend="process", vectorized=True)
-
-
 def test_backend_rejects_ineligible_config(small_graph):
-    reasons = parallel_fallback_reasons(
+    reasons = fallback_reasons(
         PageRank(), EngineConfig(keep_conflict_events=True))
     assert reasons  # the config is genuinely ineligible
     with pytest.raises(ValueError, match="keep_conflict_events"):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import PageRank, WeaklyConnectedComponents
-from repro.engine import EngineConfig, run
+from repro.engine import EngineConfig, Refused, run
 from repro.graph import generators
 from repro.obs import (
     PHASES,
@@ -269,9 +269,25 @@ class TestEngineMetrics:
         assert (reg.counter("repro_iterations_total",
                             mode="vectorized").value == hist.count)
 
-    def test_metrics_rejects_other_modes(self, rmat_small):
-        with pytest.raises(ValueError, match="nondeterministic"):
-            run(WeaklyConnectedComponents(), rmat_small, mode="sync",
+    @pytest.mark.parametrize("mode, vectorized", [
+        ("sync", False), ("sync", "require"),
+        ("deterministic", False), ("deterministic", "require"),
+        ("chromatic", False)])
+    def test_barriered_modes_record_metrics(self, rmat_small, mode,
+                                            vectorized):
+        reg = MetricsRegistry()
+        res = run(WeaklyConnectedComponents(), rmat_small, mode=mode,
+                  vectorized=vectorized, metrics=reg)
+        label = "vectorized" if vectorized else "object"
+        assert res.converged and res.num_iterations > 1
+        hist = reg.histogram("repro_iteration_seconds", mode=label)
+        assert hist.count == res.num_iterations
+        assert (reg.counter("repro_iterations_total", mode=label).value
+                == res.num_iterations)
+
+    def test_metrics_rejects_pure_async(self, rmat_small):
+        with pytest.raises(Refused, match="pure-async"):
+            run(WeaklyConnectedComponents(), rmat_small, mode="pure-async",
                 metrics=MetricsRegistry())
 
     def test_metrics_compose_with_robust_kwargs(self, rmat_small, tmp_path):

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, WeaklyConnectedComponents
-from repro.engine import EngineConfig, OutOfCoreNondetRunner, run
+from repro.engine import EngineConfig, OutOfCoreNondetRunner, Refused, run
 from repro.graph import generators
 from repro.obs import Recorder
 from repro.storage import ShardStore
@@ -225,6 +225,20 @@ def test_recorder_provenance_identical(ooc_graph, ooc_store):
 def test_out_of_core_rejects_other_modes(ooc_store):
     with pytest.raises(ValueError, match="nondeterministic"):
         run(WeaklyConnectedComponents(), ooc_store, mode="deterministic")
+
+
+def test_watchdog_fallback_on_a_store_is_refused_by_the_table(ooc_store):
+    """The degradation ladder's last rung needs an object engine; on a
+    ShardStore the table refuses it at fallback time, not the engine."""
+    from repro.engine.capabilities import ROWS
+    from repro.robust import ConvergenceWatchdog, DegradationPolicy
+
+    with pytest.raises(Refused) as refused:
+        run(PageRank(epsilon=1e-3), ooc_store,
+            config=EngineConfig(threads=2, seed=0),
+            watchdog=ConvergenceWatchdog(oscillation=False, stall_window=1),
+            policy=DegradationPolicy(escalate_atomicity=False))
+    assert refused.value.reason == ROWS["chromatic"].residency.reason
 
 
 def test_out_of_core_rejects_unknown_backend(ooc_store):

@@ -16,12 +16,13 @@ import pytest
 
 from repro import cli
 from repro.algorithms import PageRank, WeaklyConnectedComponents
-from repro.engine import EngineConfig, run
+from repro.engine import EngineConfig, Refused, run
 from repro.engine.atomicity import AtomicityPolicy
 from repro.engine.delaymodel import DelayModel
 from repro.engine.dispatch import DispatchPolicy
 from repro.graph import generators
 from repro.robust import CheckpointError, ConvergenceFailure, DegradationPolicy
+from repro.robust.supervisor import supervised_run
 from repro.storage import Checkpoint, load_checkpoint, save_checkpoint
 from repro.storage.checkpoint import (
     CHECKPOINT_MAGIC,
@@ -359,9 +360,13 @@ def test_resume_guards(rmat10, tmp_path):
 
 def test_pure_async_refuses_checkpoint(tmp_path):
     g = generators.path_graph(8)
-    with pytest.raises(CheckpointError, match="barrier-free"):
+    # run() refuses up front; the supervisor still guards a direct caller.
+    with pytest.raises(Refused, match="barrier-free"):
         run(WeaklyConnectedComponents(), g, mode="pure-async",
             checkpoint=str(tmp_path / "nope.ckpt"))
+    with pytest.raises(CheckpointError, match="barrier-free"):
+        supervised_run(WeaklyConnectedComponents(), g, mode="pure-async",
+                       checkpoint=str(tmp_path / "nope.ckpt"))
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms import WeaklyConnectedComponents
 from repro.engine import EngineConfig, run
+from repro.engine.capabilities import MODES
 from repro.engine.runner import ENGINES
 
 
@@ -13,6 +14,7 @@ class TestRunner:
             "sync", "deterministic", "chromatic", "nondeterministic",
             "pure-async",
         }
+        assert set(MODES) == set(ENGINES) | {"delta"}
 
     def test_unknown_mode(self, path8):
         with pytest.raises(ValueError, match="unknown mode"):

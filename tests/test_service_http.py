@@ -134,6 +134,29 @@ def test_error_mapping(live):
     assert exc.value.status == 404
 
 
+def test_table_refusal_is_a_400_naming_the_reason(live, capsys):
+    svc, client = live
+    for switches, reason in [
+        ({"mode": "sync", "backend": "process"},
+         "backend='process' applies to mode='nondeterministic' only"),
+        ({"mode": "chromatic", "vectorized": True},
+         "vectorized= applies to mode='nondeterministic', 'sync' or "
+         "'deterministic' only"),
+        ({"vectorized": "yes"},
+         "vectorized='yes' not understood: use False, True, 'require'"),
+    ]:
+        with pytest.raises(ServiceError) as exc:
+            client.submit({"algorithm": "WCC", "graph": "web", **switches})
+        assert exc.value.status == 400
+        assert str(exc.value) == f"HTTP 400: {reason}"
+    assert svc.list_jobs() == []  # refused before the journal
+    code = cli.main(["client", "--url", client.url, "submit", "WCC",
+                     "--graph", "web", "--mutate"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: HTTP 400: mutations=, delta_threshold=")
+
+
 def test_unknown_mode_is_a_400_listing_the_modes(live):
     _, client = live
     with pytest.raises(ServiceError) as exc:

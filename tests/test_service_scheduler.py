@@ -334,6 +334,40 @@ def test_recovery_fails_a_journaled_job_of_a_removed_mode(tmp_path):
         svc2.shutdown(drain=True, timeout=60)
 
 
+@pytest.mark.parametrize("switches", [
+    {"mode": "sync", "backend": "process"},
+    {"mode": "chromatic", "vectorized": "require"},
+    {"mode": "delta", "faults": "crash@3"},
+    {"mode": "nondeterministic", "vectorized": "yes"},
+    {"mode": "sync", "mutations": {"num_batches": 1}},
+], ids=lambda sw: "-".join(f"{k}={v}" for k, v in sw.items()))
+def test_recovery_fails_a_journaled_job_the_table_refuses(tmp_path, switches):
+    """A spec the capability table refuses, journaled before it did,
+    still replays; the job then fails with the table's reason."""
+    from repro.engine.capabilities import Refused, check
+    from repro.service import JobSpec
+
+    spec = JobSpec(job_id="j0001-00aa", algorithm="WCC", graph="web",
+                   **switches)
+    with pytest.raises(Refused) as refused:
+        check(WeaklyConnectedComponents(), **spec.switches())
+    data_dir = tmp_path / "svc"
+    svc = GraphService(data_dir)
+    svc.graphs.register("web", WEB_SPEC)
+    svc.journal.append("submit", job=spec.job_id, spec=spec.to_dict())
+    svc.journal.close()
+    svc.graphs.close()
+
+    svc2 = GraphService(data_dir, max_concurrent=1)
+    svc2.start()
+    try:
+        status = _wait(svc2, spec.job_id)
+        assert status["state"] == JobState.FAILED
+        assert refused.value.reason in status["error"]
+    finally:
+        svc2.shutdown(drain=True, timeout=60)
+
+
 def test_recovery_sweeps_job_scratch_tmp_files(tmp_path):
     svc = GraphService(tmp_path / "svc")
     svc.graphs.register("web", WEB_SPEC)
@@ -393,17 +427,8 @@ def test_delta_job_with_mutations(service):
 def test_delta_spec_validation():
     from repro.service.jobs import JobSpec
 
-    with pytest.raises(ValueError, match="requires mode='delta'"):
-        JobSpec.from_dict({"job_id": "j0001-abcd", "algorithm": "WCC",
-                           "graph": "web", "mutations": {"num_batches": 1}})
-    with pytest.raises(ValueError, match="backend=/vectorized="):
-        JobSpec.from_dict({"job_id": "j0001-abcd", "algorithm": "WCC",
-                           "graph": "web", "mode": "delta",
-                           "backend": "process"})
-    with pytest.raises(ValueError, match="fault injection"):
-        JobSpec.from_dict({"job_id": "j0001-abcd", "algorithm": "WCC",
-                           "graph": "web", "mode": "delta",
-                           "faults": "crash@3"})
+    # Shape only: which switches compose is the capability table's,
+    # checked at admission (tests/test_capabilities.py).
     with pytest.raises(ValueError, match="unknown mutation key"):
         JobSpec.from_dict({"job_id": "j0001-abcd", "algorithm": "WCC",
                            "graph": "web", "mode": "delta",
