@@ -168,8 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "paths — 'pull' (dense whole-graph masks, the "
                         "default), 'push' (sparse frontier-driven scatter), "
                         "or 'auto' (Beamer-style hybrid); all three are "
-                        "bit-identical for push-eligible algorithms; delta "
-                        "mode: the fold order ('pull' or 'push')")
+                        "bit-identical for push-eligible algorithms")
     p.add_argument("--out-of-core", default=None, metavar="DIR",
                    help="preprocess the graph into a PSW shard store under "
                         "DIR (reused if already built) and execute "

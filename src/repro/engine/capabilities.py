@@ -64,7 +64,7 @@ _VECTORIZED = Cell((False,), "vectorized= applies to mode='nondeterministic', "
 _BACKEND = Cell((None,), "backend='process' applies to "
                          "mode='nondeterministic' only")
 _PULL = Cell(("pull",), "direction= applies to mode='nondeterministic', "
-                        "'sync', 'deterministic' or 'delta' only")
+                        "'sync' or 'deterministic' only")
 _IN_RAM = Cell(("DiGraph",), "out-of-core execution (a ShardStore graph) "
                "supports mode='nondeterministic' only (a degradation "
                "fallback to another mode needs an in-memory graph)")
@@ -97,10 +97,7 @@ ROWS = MappingProxyType({
                      "take per-iteration samples at"),
         delta_knobs=_NO_DELTA_KNOBS),
     "delta": Row(
-        vectorized=_VECTORIZED, backend=_BACKEND,
-        direction=Cell(("pull", "push"), "mode='delta' supports "
-                       "direction='pull' or 'push' only (no per-iteration "
-                       "heuristic for delta dispatch yet)"),
+        vectorized=_VECTORIZED, backend=_BACKEND, direction=_PULL,
         residency=_IN_RAM,
         robustness=Cell(("none", "interrupt"), "mode='delta' does not "
                         "compose with the fault-tolerance kwargs yet "
@@ -210,8 +207,7 @@ def check(program=None, graph=None, *, mode: str = "nondeterministic",
     # Direction is a fast-path concept: the interpreting object engine
     # has no dense/sparse distinction, so a non-default direction must
     # not silently run it.
-    if direction != "pull" and mode != "delta" and backend is None \
-            and not vectorized:
+    if direction != "pull" and backend is None and not vectorized:
         vectorized = "require"
     path = ("the process backend" if backend is not None
             else "a ShardStore graph" if residency == "ShardStore"

@@ -50,7 +50,7 @@ import time
 import numpy as np
 
 from ..graph import DiGraph
-from ..graph.mutations import EdgeDiff, MutationBatch, apply_batch
+from ..graph.mutations import EdgeDiff, MutationBatch, _pair_keys, apply_batch
 from ..obs.metrics import PhaseClock, peak_rss_bytes, record_iteration_metrics
 from .config import EngineConfig
 from .program import VertexProgram
@@ -241,16 +241,14 @@ def _active_ids(op: CombineOp, x: np.ndarray, delta: np.ndarray,
 
 def _propagate(kernel: DeltaKernel, graph: DiGraph, order: np.ndarray,
                committed: np.ndarray, delta: np.ndarray,
-               dispatch: str, out_deg: np.ndarray,
-               in_deg: np.ndarray | None) -> int:
+               out_deg: np.ndarray, in_deg: np.ndarray | None) -> int:
     """Scatter ``g(committed)`` from ``order`` into neighbours' Δ.
 
-    ``push`` folds contributions in source-major (CSR slice) order —
-    the order the committing vertices scatter; ``pull`` re-groups them
-    destination-major first — the order a gathering destination would
-    fold the same contributions.  For idempotent ⊕ the two are
-    bit-identical; for ADD they differ in the low bits exactly as two
-    real schedules would.  Returns the number of edge contributions.
+    Contributions fold in the order they are gathered (CSR slice order).
+    Each destination receives its contributions in that same relative
+    order under any stable destination-major regrouping, and the
+    unbuffered fold is strictly sequential, so regrouping first would
+    not change a bit.  Returns the number of edge contributions.
     """
     eids = graph.out_edge_ids(order)
     values = np.repeat(committed, out_deg[order])
@@ -264,17 +262,23 @@ def _propagate(kernel: DeltaKernel, graph: DiGraph, order: np.ndarray,
         contrib = np.concatenate(
             [contrib, kernel.gains(graph, eids_in, values_in)])
         targets = np.concatenate([targets, graph.edge_src[eids_in]])
-    if dispatch == "pull" and targets.size:
-        regroup = np.argsort(targets, kind="stable")
-        targets = targets[regroup]
-        contrib = contrib[regroup]
     _fold_at(kernel.op, delta, targets, contrib)
     return int(targets.size)
 
 
 def _pair_eids(graph: DiGraph, pairs: np.ndarray) -> np.ndarray:
-    return np.array([graph.edge_id(int(u), int(v)) for u, v in pairs],
-                    dtype=np.int64)
+    """Edge id of each ``(u, v)`` pair — the first of parallel edges,
+    as :meth:`DiGraph.edge_id`; ``KeyError`` if a pair is absent."""
+    n = graph.num_vertices
+    keys = _pair_keys(graph.edge_src, graph.edge_dst, n)
+    want = _pair_keys(pairs[:, 0], pairs[:, 1], n)
+    eids = np.searchsorted(keys, want)
+    found = eids < keys.size
+    found[found] = keys[eids[found]] == want[found]
+    if not found.all():
+        u, v = pairs[np.argmin(found)]
+        raise KeyError(f"no edge {u} -> {v}")
+    return eids
 
 
 def _repair_invertible(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
@@ -376,8 +380,9 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
         if kernel.undirected:
             cand = np.concatenate(
                 [cand, new.edge_src[new.in_edge_ids(frontier)]])
-        cand = np.unique(cand)
-        cand = cand[~affected[cand] & (x[cand] != init_val[cand])]
+        reached = np.zeros(n, dtype=bool)
+        reached[cand] = True
+        cand = np.flatnonzero(reached & ~affected & (x != init_val))
         if not cand.size:
             break
         supported = _support_mask(kernel, new, cand, x, init_val, affected)
@@ -461,7 +466,6 @@ def run_delta(
     telemetry=None,
     record=None,
     metrics=None,
-    direction: str = "pull",
     scheduling: str = "frontier",
     priority_frac: float = 0.25,
     threshold: float | None = None,
@@ -471,11 +475,10 @@ def run_delta(
     """Run ``program`` delta-accumulatively; optionally stream mutation
     batches through the standing result.
 
-    ``direction`` selects the fold order of propagated contributions
-    (``push`` = source-major, ``pull`` = destination-major);
-    ``scheduling`` either commits the whole active frontier or, with
-    ``"priority"``, only the top ``priority_frac`` by residual
-    magnitude per round (Maiter's priority scheduling).
+    Propagated contributions fold in gather order (see
+    :func:`_propagate`); ``scheduling`` either commits the whole active
+    frontier or, with ``"priority"``, only the top ``priority_frac`` by
+    residual magnitude per round (Maiter's priority scheduling).
     """
     from ..robust.errors import RunInterrupted
     from ..theory.eligibility import check_delta_program
@@ -591,7 +594,7 @@ def run_delta(
         out_deg = graph.out_degrees()
         in_deg = graph.in_degrees() if kernel.undirected else None
         edge_work = _propagate(kernel, graph, order, committed, delta,
-                               direction, out_deg, in_deg)
+                               out_deg, in_deg)
         if clock is not None:
             clock.lap("delta_propagate")
 
@@ -647,7 +650,6 @@ def run_delta(
         "delta": {
             "threshold": float(threshold),
             "scheduling": scheduling,
-            "dispatch": direction,
             "committed_total": committed_total,
             "accumulation_identity": identity_holds,
             "op": op.value,

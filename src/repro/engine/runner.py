@@ -95,7 +95,7 @@ def run(
         ``push_combines`` must pass the §IV push-eligibility check),
         ``"auto"`` picks per iteration (Beamer heuristic,
         ``config.direction_alpha`` / ``direction_beta``; pull for
-        push-ineligible programs).  Delta mode: the fold order.
+        push-ineligible programs).
     telemetry:
         Optional :class:`~repro.obs.Telemetry` sink: one span per
         iteration (per-thread work, conflict classes, frontier size, wall
@@ -176,9 +176,8 @@ def run(
 
         return run_delta(
             program, graph, config, telemetry=telemetry, record=record,
-            metrics=metrics, direction=direction,
-            scheduling=delta_scheduling, threshold=delta_threshold,
-            mutations=mutations, interrupt=interrupt,
+            metrics=metrics, scheduling=delta_scheduling,
+            threshold=delta_threshold, mutations=mutations, interrupt=interrupt,
         )
     if supervised:
         # Imported lazily: the robust layer pulls in the storage package.

@@ -102,6 +102,23 @@ class DiGraph:
         self._in_src = np.ascontiguousarray(self._src[in_order])
         self._in_eid = np.ascontiguousarray(in_order.astype(np.int64))
 
+    @classmethod
+    def _from_canonical(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                        in_src: np.ndarray, in_eid: np.ndarray) -> "DiGraph":
+        """The graph ``__init__`` would build, from int64 arrays already
+        in its CSR (``src``, ``dst``) and CSC (``in_src``, ``in_eid``)
+        order, unchecked; only the indptrs are derived, by counting."""
+        g = cls.__new__(cls)
+        g._n, g._m = n, int(src.size)
+        g._src = src
+        g._dst = g._out_dst = dst  # already grouped by src
+        g._out_eid = np.arange(g._m, dtype=np.int64)
+        g._in_src, g._in_eid = in_src, in_eid
+        g._out_indptr, g._in_indptr = (
+            np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n))))
+            for a in (src, dst))
+        return g
+
     # ------------------------------------------------------------------
     # Size queries
     # ------------------------------------------------------------------

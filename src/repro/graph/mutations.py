@@ -119,42 +119,65 @@ def apply_batch(graph: DiGraph, batch: MutationBatch) -> tuple[DiGraph, EdgeDiff
     Deletes remove exactly one occurrence per listed pair and raise
     ``ValueError`` if the pair is absent — silent no-op deletes would let
     a repair pass skip work the caller believes happened.
+
+    The result equals ``DiGraph(n, kept ++ inserts)`` array for array,
+    but only the batch is sorted: the kept canonical CSR and CSC orders
+    carry over, and the sorted inserts are merged into each after any
+    equal key (where the stable rebuild would place them).
     """
     n = graph.num_vertices
-    src = graph.edge_src.copy()
-    dst = graph.edge_dst.copy()
+    src, dst = graph.edge_src, graph.edge_dst
+    keys = _pair_keys(src, dst, n)  # canonical order: non-decreasing
 
     deletes = _as_pairs(batch.deletes)
     keep = np.ones(src.size, dtype=bool)
     if deletes.size:
         if deletes.min(initial=0) < 0 or deletes.max(initial=-1) >= n:
             raise ValueError("delete endpoint out of range")
-        keys = _pair_keys(src, dst, n)
-        order = np.argsort(keys, kind="stable")
         want, want_counts = np.unique(
             _pair_keys(deletes[:, 0], deletes[:, 1], n), return_counts=True)
         # For each distinct wanted pair, drop the first `count` matching
         # edge ids (canonical order makes this deterministic).
-        lo = np.searchsorted(keys[order], want, side="left")
-        hi = np.searchsorted(keys[order], want, side="right")
-        have = hi - lo
-        missing = want_counts > have
+        lo = np.searchsorted(keys, want, side="left")
+        hi = np.searchsorted(keys, want, side="right")
+        missing = want_counts > hi - lo
         if missing.any():
             k = int(want[missing][0])
             raise ValueError(
                 f"cannot delete edge ({k // n}, {k % n}): not present "
                 "(or fewer occurrences than requested)")
         for start, count in zip(lo, want_counts):
-            keep[order[start:start + count]] = False
+            keep[start:start + count] = False
 
     inserts = _as_pairs(batch.inserts)
     if inserts.size:
         if inserts.min(initial=0) < 0 or inserts.max(initial=-1) >= n:
             raise ValueError("insert endpoint out of range")
+    ins = inserts[np.lexsort((inserts[:, 1], inserts[:, 0]))]
 
-    new_src = np.concatenate([src[keep], inserts[:, 0]])
-    new_dst = np.concatenate([dst[keep], inserts[:, 1]])
-    new_graph = DiGraph(n, new_src, new_dst)
+    # CSR: the sorted inserts go after equal kept keys.
+    at = np.searchsorted(keys[keep], _pair_keys(ins[:, 0], ins[:, 1], n),
+                         side="right")
+    new_src = np.insert(src[keep], at, ins[:, 0])
+    new_dst = np.insert(dst[keep], at, ins[:, 1])
+    ins_eid = at + np.arange(at.size)
+
+    # CSC: the old order's survivors, renumbered, then the inserts by
+    # (dst, src, new id) after equal (dst, src) keys.
+    renumber = np.full(src.size, -1)
+    renumber[keep] = np.delete(np.arange(new_src.size), ins_eid)
+    in_eid = renumber[graph._in_eid]
+    alive = in_eid >= 0
+    in_eid, in_src = in_eid[alive], graph._in_src[alive]
+    in_dst = np.repeat(np.arange(n), graph.in_degrees())[alive]
+    by_dst = np.lexsort((ins[:, 0], ins[:, 1]))
+    at = np.searchsorted(_pair_keys(in_dst, in_src, n),
+                         _pair_keys(ins[by_dst, 1], ins[by_dst, 0], n),
+                         side="right")
+    in_eid = np.insert(in_eid, at, ins_eid[by_dst])
+    in_src = np.insert(in_src, at, ins[by_dst, 0])
+
+    new_graph = DiGraph._from_canonical(n, new_src, new_dst, in_src, in_eid)
     diff = EdgeDiff(inserted=inserts.copy(), deleted=deletes.copy())
     return new_graph, diff
 

@@ -66,6 +66,7 @@ class TestRefusals:
     @pytest.mark.parametrize("flags", [
         ["--mode", "sync", "--backend", "process"],
         ["--mode", "delta", "--direction", "auto"],
+        ["--mode", "delta", "--direction", "push"],
         ["--mode", "chromatic", "--direction", "push"],
         ["--mode", "sync", "--mutate"],
         ["--mode", "deterministic", "--out-of-core", "SHARDS"],

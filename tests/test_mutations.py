@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import BFS, SSSP, PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, run
 from repro.engine.nondet_delta import run_delta
-from repro.graph import generators
+from repro.graph import DiGraph, generators
 from repro.graph.mutations import (
     MutationBatch,
     apply_batch,
@@ -104,6 +106,80 @@ class TestGenerateApply:
         b2 = MutationBatch.from_dict(b.to_dict())
         assert np.array_equal(b.inserts, b2.inserts)
         assert np.array_equal(b.deletes, b2.deletes)
+
+
+_CSR_CSC = ("_src", "_dst", "_out_indptr", "_out_dst", "_out_eid",
+            "_in_indptr", "_in_src", "_in_eid")
+
+
+@st.composite
+def _graph_and_batch(draw):
+    """A small multigraph (parallel edges, self-loops) and a batch that
+    deletes some of its edges — possibly one of several duplicates — and
+    inserts pairs that may repeat existing edges or each other."""
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair, max_size=24))
+    deletes = draw(st.lists(st.sampled_from(range(len(edges))),
+                            unique=True).map(
+        lambda ids: [edges[i] for i in ids])) if edges else []
+    inserts = draw(st.lists(
+        st.sampled_from(edges) | pair if edges else pair, max_size=8))
+    graph = DiGraph(n, [u for u, _ in edges], [v for _, v in edges])
+    return graph, MutationBatch(inserts=inserts, deletes=deletes)
+
+
+def _rebuilt(graph, batch):
+    """Reference: drop the first matching canonical edge per delete,
+    then rebuild from scratch with ``DiGraph(n, kept ++ inserts)``."""
+    src, dst = graph.edge_src.tolist(), graph.edge_dst.tolist()
+    keep = [True] * len(src)
+    for u, v in batch.deletes.tolist():
+        keep[next(e for e in range(len(src))
+                  if keep[e] and (src[e], dst[e]) == (u, v))] = False
+    kept = [e for e in range(len(src)) if keep[e]]
+    return DiGraph(graph.num_vertices,
+                   [src[e] for e in kept] + batch.inserts[:, 0].tolist(),
+                   [dst[e] for e in kept] + batch.inserts[:, 1].tolist())
+
+
+class TestApplyBatchMerge:
+    """apply_batch merges the batch into the canonical arrays; the
+    result must be the from-scratch rebuild, array for array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_and_batch())
+    @example((DiGraph(2, [0, 0, 1], [1, 1, 1]),
+              MutationBatch(inserts=[[0, 1], [1, 1], [0, 1]],
+                            deletes=[[0, 1]])))
+    @example((DiGraph(2, [], []), MutationBatch()))
+    def test_equals_rebuild(self, case):
+        graph, batch = case
+        merged, diff = apply_batch(graph, batch)
+        reference = _rebuilt(graph, batch)
+        for name in _CSR_CSC:
+            got, want = getattr(merged, name), getattr(reference, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        merged.validate()
+        assert np.array_equal(diff.inserted, batch.inserts)
+        assert np.array_equal(diff.deleted, batch.deletes)
+
+    def test_errors_unchanged(self):
+        g = DiGraph(3, [0, 1], [1, 2])
+        cases = [
+            (MutationBatch(deletes=[[0, 3]]), "delete endpoint out of range"),
+            (MutationBatch(deletes=[[1, 2], [1, 2], [2, 0]]),
+             "cannot delete edge (1, 2): not present (or fewer occurrences "
+             "than requested)"),
+            (MutationBatch(inserts=[[-1, 0]]), "insert endpoint out of range"),
+            (MutationBatch(inserts=[[0, 5]], deletes=[[0, 1]]),
+             "insert endpoint out of range"),
+        ]
+        for batch, message in cases:
+            with pytest.raises(ValueError) as err:
+                apply_batch(g, batch)
+            assert str(err.value) == message
 
 
 class TestStableWeights:

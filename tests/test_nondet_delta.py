@@ -5,7 +5,7 @@ Three claims are under test:
 1. **Equivalence** — for every kernel with a verified ``(⊕, identity,
    g_edge)`` algebra, propagating deltas converges to the recomputation
    fixed point: bit-exact for idempotent ⊕ (MIN), within the threshold's
-   truncation bound for ADD, across seeds × {pull, push} dispatch.
+   truncation bound for ADD, across seeds.
 2. **The accumulation identity** — ``x = x0 ⊕ Σ committed deltas``
    holds *exactly* (the engine defines x through the fold, so a broken
    commit path cannot hide behind float noise).
@@ -13,9 +13,11 @@ Three claims are under test:
    with a concrete witness, including declared-but-false algebras that
    only small-graph search can catch.
 
-The property-based suite at the bottom mirrors the PR-7 CombineOp fold
-suite for the engine's *array* fold (``_fold_arr``), whose NaN/±inf
-semantics must match the scalar algebra the eligibility check verifies.
+The property-based suite at the bottom mirrors the CombineOp fold suite
+for the engine's *array* fold (``_fold_arr``), whose NaN/±inf semantics
+must match the scalar algebra the eligibility check verifies, and holds
+the propagation fold in gather order bit-equal to a destination-major
+regroup-then-fold.
 """
 
 from __future__ import annotations
@@ -35,14 +37,17 @@ from repro.algorithms import (
     WeaklyConnectedComponents,
 )
 from repro.engine import CombineOp, EngineConfig, Refused, run
+from repro.engine.capabilities import ROWS
 from repro.engine.nondet_delta import (
     DeltaKernel,
     _fold_arr,
+    _fold_at,
+    _pair_eids,
     delta_fallback_reasons,
     resolve_delta_kernel,
     run_delta,
 )
-from repro.graph import generators
+from repro.graph import DiGraph, generators
 from repro.graph.mutations import stable_weights
 from repro.theory import Verdict, check_delta_program, probe_delta_algebra
 
@@ -89,21 +94,18 @@ def _pagerank_reference(graph, *, damping=0.85):
 class TestDeltaEquivalence:
     @pytest.mark.parametrize("name", sorted(MIN_KERNELS))
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("direction", ["pull", "push"])
-    def test_min_kernels_bit_exact(self, name, seed, direction):
+    def test_min_kernels_bit_exact(self, name, seed):
         """Idempotent ⊕: any delivery order folds to the same values."""
         graph = _graph()
         factory = MIN_KERNELS[name]
         res = run_delta(factory(), graph,
-                        EngineConfig(threads=4, seed=seed),
-                        direction=direction)
+                        EngineConfig(threads=4, seed=seed))
         assert res.converged
         assert res.extra["delta"]["accumulation_identity"]
         assert np.array_equal(res.result(), _recompute(factory, graph))
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("direction", ["pull", "push"])
-    def test_pagerank_matches_reference(self, seed, direction):
+    def test_pagerank_matches_reference(self, seed):
         """ADD: delta lands within truncation noise of the true fixpoint.
 
         The bound is against a dense reference iterated to 1e-14, not
@@ -114,8 +116,7 @@ class TestDeltaEquivalence:
         graph = _graph()
         ref = _pagerank_reference(graph)
         res = run_delta(PageRank(epsilon=EPS), graph,
-                        EngineConfig(threads=4, seed=seed),
-                        direction=direction)
+                        EngineConfig(threads=4, seed=seed))
         assert res.converged
         assert res.extra["delta"]["accumulation_identity"]
         assert np.max(np.abs(res.result() - ref)) <= 20 * EPS
@@ -214,12 +215,31 @@ class TestEligibilityGate:
         with pytest.raises(Refused, match="delta_scheduling='greedy'"):
             run(_sssp(), _graph(6), mode="delta", delta_scheduling="greedy")
 
+    def test_push_direction_refused(self):
+        """Delta folds in gather order only; the table says why."""
+        with pytest.raises(Refused) as refused:
+            run(WeaklyConnectedComponents(), _graph(6), mode="delta",
+                direction="push")
+        assert refused.value.reason == ROWS["delta"].direction.reason
+
     def test_runner_dispatches_delta(self):
         graph = _graph(7)
         res = run(_sssp(), graph, mode="delta",
                   config=EngineConfig(threads=2, seed=0))
         assert res.mode == "delta"
         assert np.array_equal(res.result(), _recompute(_sssp, graph))
+
+    def test_pair_eids_match_edge_id(self):
+        """One searchsorted gives what edge_id gives: the first of
+        parallel edges; an absent pair raises."""
+        graph = DiGraph(4, [2, 0, 2, 1, 2, 0, 3], [1, 1, 1, 3, 0, 1, 3])
+        pairs = np.array([[2, 1], [0, 1], [3, 3], [2, 0], [1, 3], [0, 1]])
+        want = [graph.edge_id(int(u), int(v)) for u, v in pairs]
+        assert _pair_eids(graph, pairs).tolist() == want
+        for absent in ([[0, 1], [3, 2]], [[0, 0]], [[3, 3], [1, 2]]):
+            with pytest.raises(KeyError):
+                _pair_eids(graph, np.array(absent))
+        assert _pair_eids(graph, np.empty((0, 2), np.int64)).size == 0
 
     def test_resolve_kernel_walks_mro(self):
         """BFS has no kernel of its own; it inherits SSSP's because it
@@ -339,3 +359,39 @@ class TestAccumulationIdentityProperty:
         res = run_delta(_sssp(), graph, EngineConfig(threads=2, seed=seed))
         assert res.extra["delta"]["accumulation_identity"] is True
         assert np.array_equal(res.result(), _recompute(_sssp, graph))
+
+
+def _regroup_then_fold(op, target, idx, contrib):
+    """The fold ``_propagate`` used to run: regroup contributions
+    destination-major with a stable sort, then fold."""
+    regroup = np.argsort(idx, kind="stable")
+    _fold_at(op, target, idx[regroup], contrib[regroup])
+
+
+@st.composite
+def _gathered(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    values = st.floats(width=32 if dtype is np.float32 else 64)
+    n = draw(st.integers(1, 6))
+    idx = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    contrib = draw(st.lists(values, min_size=len(idx), max_size=len(idx)))
+    target = draw(st.lists(values, min_size=n, max_size=n))
+    return (np.array(target, dtype), np.array(idx, np.int64),
+            np.array(contrib, dtype))
+
+
+class TestGatherOrderFold:
+    """Folding in gather order is bit-equal to the stable regroup the
+    delta engine no longer runs: each destination still receives its
+    contributions in the same relative order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gathered())
+    def test_gather_order_equals_regroup(self, case):
+        target, idx, contrib = case
+        for op in (CombineOp.ADD, CombineOp.MIN):
+            got, want = target.copy(), target.copy()
+            with np.errstate(all="ignore"):  # inf - inf, NaN: same bits
+                _fold_at(op, got, idx, contrib)
+                _regroup_then_fold(op, want, idx, contrib)
+            assert got.tobytes() == want.tobytes(), op
