@@ -17,7 +17,9 @@ Run it against each tree and diff the outputs::
 
 The cases: WCC, SSSP, BFS, PageRank and SpMV under ``sync``,
 ``deterministic``, ``chromatic`` and object ``nondeterministic`` at 1 and
-4 threads; NE with ``atomicity=NONE``; DE and NE with ``fp_noise``; the
+4 threads; NE with ``atomicity=NONE``; DE and NE with ``fp_noise``
+(each also run on the array engine, which must agree with the object
+engine on state, trajectory and conflicts, or the script fails); the
 push programs of extension E1 (atomic and racy combine); the array
 engines (NE, DE and BSP plans in RAM, NE on 2 worker processes and out
 of core); and a supervised run through ``crash@2;torn@3`` with a
@@ -110,10 +112,14 @@ def cases(tmp: str):
                       config=EngineConfig(threads=4, seed=2,
                                           atomicity=AtomicityPolicy.NONE)))
         for mode in ("deterministic", "nondeterministic"):
+            config = EngineConfig(threads=4, seed=3, fp_noise=True)
             yield (f"{name}/{mode}-fp-noise",
-                   traced(tmp, factory(), graph, mode=mode,
-                          config=EngineConfig(threads=4, seed=3,
-                                              fp_noise=True)))
+                   traced(tmp, factory(), graph, mode=mode, config=config))
+            paths = [digest(run(factory(), graph, mode=mode, config=config,
+                                vectorized=vectorized), tmp)
+                     for vectorized in (False, "require")]
+            assert paths[0] == paths[1], (
+                f"{name}/{mode}-fp-noise: the array engine disagrees")
     for name, factory in (("PushBFS", lambda: PushBFS(source=0)),
                           ("PushMinReach", PushMinReach),
                           ("PushPageRankDelta",

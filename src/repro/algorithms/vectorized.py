@@ -7,10 +7,15 @@ visible within the iteration), DE (one thread) and NE (``P`` threads)
 — and matches its object-engine sibling bit for bit under each: float
 kernels accumulate with ``np.add.at`` in positional order, which adds
 each destination's in-edges in the order the scalar gather loop reads
-them (DESIGN §6.1).  Importing this module registers the kernels.
+them (DESIGN §6.1).  Under ``fp_noise`` every plan replays the object
+``update()``'s gather-order draws (:meth:`_Kernel.fp_draws`) and the
+float kernels accumulate each segment in its drawn order.  Importing
+this module registers the kernels.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +31,98 @@ from .sssp import SSSP
 from .wcc import WeaklyConnectedComponents
 
 
-class _WCCNondetKernel(NondetKernel):
+class _FpDraws(NamedTuple):
+    """One iteration's ``fp_noise`` draws, as the float kernels read them."""
+
+    #: Every edge id in CSC order, each active vertex's in-edge segment
+    #: in the order its permutation draw gives it (WCC: scratch).
+    order: np.ndarray
+    #: The (unpermuted) CSC position of every edge id.
+    at: np.ndarray
+    #: Per vertex ``fp_round``'s nudge: +1 / −1 ulp, or 0 (PageRank only).
+    nudge: np.ndarray | None
+
+
+class _Kernel(NondetKernel):
+    """What every array kernel shares: the ``fp_noise`` draw replay.
+
+    Under ``fp_noise`` the object ``update()`` draws, from the ``"fp"``
+    stream, a ``permutation(k)`` of the ``k > 1`` edges it passes to
+    ``gather_order`` — its in-edges, or every incident edge
+    (``fp_incident``, WCC) — then, if it calls ``fp_round``
+    (``fp_rounds``, PageRank), one ``random()``.  Min is order-free, so
+    the min kernels only consume the draws; the float sums take each
+    active in-edge segment in its drawn order.
+    """
+
+    fp_incident = False
+    fp_rounds = False
+    _csc: tuple | None = None
+
+    def fp_draws(self, graph, rng, plan) -> _FpDraws:
+        if self._csc is None:
+            k = graph.in_degrees()
+            csc = graph.in_edge_ids(np.arange(graph.num_vertices))
+            at = np.empty_like(csc)
+            at[csc] = np.arange(csc.size)
+            lo = np.cumsum(k) - k
+            if self.fp_incident:  # drawn on a scratch row, never read
+                k, lo = k + graph.out_degrees(), np.zeros_like(lo)
+            self._csc = (k, lo, csc, at)
+        k, lo, csc, at = self._csc
+        # The plan's execution order: ascending label (DE, BSP), else
+        # (time, π, thread) — DispatchPlan.execution_order.
+        ids = plan.ids
+        order = ids if plan.barrier else ids[
+            np.lexsort((plan.thr_a, plan.pi_a, plan.time_a))]
+        kv = k[order]
+        big = np.flatnonzero(kv > 1)
+        # permutation(k) is shuffle(arange(k)): shuffling a segment in
+        # place makes the same draws and leaves it in the drawn order.
+        buf = (np.empty(int(kv.max(initial=0))) if self.fp_incident
+               else csc.copy())
+        r = np.empty(order.size)
+        start = 0
+        for j, kj, s in zip(big.tolist(), kv[big].tolist(),
+                            lo[order[big]].tolist()):
+            if self.fp_rounds:
+                # The fp_round draws of order[start:j]: one bulk draw is
+                # j - start scalar ones on the same stream.
+                r[start:j] = rng.random(j - start)
+                start = j
+            rng.shuffle(buf[s:s + kj])
+        nudge = None
+        if self.fp_rounds:
+            r[start:] = rng.random(order.size - start)
+            nudge = np.zeros(graph.num_vertices, dtype=np.int8)
+            nudge[order[r < 0.25]] = 1
+            nudge[order[(r >= 0.25) & (r < 0.5)]] = -1
+        return _FpDraws(buf, at, nudge)
+
+
+def _in_sums(ctx: NondetPassContext, seen: np.ndarray, dtype,
+             ed: np.ndarray | None = None) -> np.ndarray:
+    """Per vertex, ``seen`` summed over its in-edges (``ed``: only those,
+    a CSC slice) in ``update()``'s gather order: positionally — each
+    destination's in-edges in ascending id order (DESIGN §6.1) — or,
+    under ``fp_noise``, each segment in its drawn order."""
+    total = np.zeros(ctx.n, dtype=dtype)
+    fp = ctx.fp
+    if fp is not None:
+        # The permuted CSC order, or its entries at ``ed``'s positions.
+        ed = fp.order if ed is None else fp.order[fp.at[ed]]
+    if ed is None:
+        np.add.at(total, ctx.dst, seen)
+    else:
+        np.add.at(total, ctx.dst[ed], seen[ed])
+    return total
+
+
+class _WCCNondetKernel(_Kernel):
     """Racy min-label pass for WeaklyConnectedComponents."""
 
     written_fields = ("label",)
+    fp_incident = True  # update() gathers every incident edge
 
     def __init__(self, program: WeaklyConnectedComponents):
         del program  # stateless: everything lives in the arrays
@@ -83,11 +176,12 @@ class _WCCNondetKernel(NondetKernel):
         ctx.wvd["label"][ed] = mn[dst[ed]]
 
 
-class _PageRankNondetKernel(NondetKernel):
+class _PageRankNondetKernel(_Kernel):
     """Racy float32 PageRank pass with local convergence."""
 
     written_fields = ("value",)
     writes_dst = False  # pull mode: only the source writes an edge
+    fp_rounds = True
 
     def __init__(self, program: PageRank):
         self.epsilon = program.epsilon
@@ -99,12 +193,10 @@ class _PageRankNondetKernel(NondetKernel):
         src, dst = ctx.src, ctx.dst
         sub_s = sub[src]
         seen_d = ctx.seen_d["value"]
-        # Sequential float32 adds in edge order: ids (and PSW slots) are
-        # source-sorted, so every destination receives its in-edges in
-        # the scalar gather loop's order (DESIGN §6.1).  Unmasked — the
-        # totals of vertices outside ``sub`` are never stored.
-        total = np.zeros(ctx.n, dtype=np.float32)
-        np.add.at(total, dst, seen_d)
+        # Sequential float32 adds in the scalar gather loop's order.
+        # Unmasked — the totals of vertices outside ``sub`` are never
+        # stored.
+        total = self._rounded(ctx, _in_sums(ctx, seen_d, np.float32))
         new_rank = (self.base + self.damping * total).astype(np.float32)
         np.copyto(ctx.vout["rank"], new_rank, where=sub)
         if first:
@@ -120,19 +212,27 @@ class _PageRankNondetKernel(NondetKernel):
         np.copyto(ctx.ws["value"], writers[src], where=sub_s)
         np.copyto(ctx.wvs["value"], quotient[src], where=sub_s)
 
+    @staticmethod
+    def _rounded(ctx: NondetPassContext, total: np.ndarray) -> np.ndarray:
+        """``fp_round``: move each drawn total one float32 ulp."""
+        if ctx.fp is not None:
+            up, down = ctx.fp.nudge > 0, ctx.fp.nudge < 0
+            total[up] = np.nextafter(total[up], np.float32(np.inf))
+            total[down] = np.nextafter(total[down], np.float32(-np.inf))
+        return total
+
     # push_combines stays None: a float ADD scatter is not an idempotent
     # combine, so PageRank never runs in the push *direction* — the slice
     # pass only makes a repair pass cost its dirty set.
     def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
                        es: np.ndarray, ed: np.ndarray,
                        first: bool = True) -> None:
-        src, dst = ctx.src, ctx.dst
+        src = ctx.src
         seen_d = ctx.seen_d["value"]
-        # ``ed`` is graph.in_edge_ids(sub_ids): each vertex's in-edges in
-        # ascending id order, so the sequential float32 adds per
-        # destination are the ones run_pass makes — same bits.
-        total = np.zeros(ctx.n, dtype=np.float32)
-        np.add.at(total, dst[ed], seen_d[ed])
+        # ``ed`` is graph.in_edge_ids(sub_ids), in CSC order: the
+        # sequential float32 adds per destination are the ones run_pass
+        # makes — same bits.
+        total = self._rounded(ctx, _in_sums(ctx, seen_d, np.float32, ed))
         new_rank = (self.base + self.damping * total).astype(np.float32)
         ctx.vout["rank"][sub_ids] = new_rank[sub_ids]
         if first:
@@ -147,7 +247,7 @@ class _PageRankNondetKernel(NondetKernel):
         ).astype(np.float32)
 
 
-class _SSSPNondetKernel(NondetKernel):
+class _SSSPNondetKernel(_Kernel):
     """Racy relaxation pass for SSSP (and BFS, its unit-weight subclass)."""
 
     written_fields = ("dist",)
@@ -206,7 +306,7 @@ class _SSSPNondetKernel(NondetKernel):
         ctx.wvs["dist"][es] = bs
 
 
-class _SpMVNondetKernel(NondetKernel):
+class _SpMVNondetKernel(_Kernel):
     """Racy Jacobi pass for the SpMV fixed point."""
 
     written_fields = ("term",)
@@ -221,11 +321,9 @@ class _SpMVNondetKernel(NondetKernel):
         src, dst = ctx.src, ctx.dst
         sub_s = sub[src]
         seen_term = ctx.seen_d["term"]
-        # Sequential float64 accumulation in edge order, like the scalar
-        # `total += read` loop (see _PageRankNondetKernel.run_pass).
-        total = np.zeros(ctx.n, dtype=np.float64)
-        np.add.at(total, dst, seen_term)
-        new_x = self.b + total
+        # Sequential float64 accumulation, like the scalar `total +=
+        # read` loop (see _PageRankNondetKernel.run_pass).
+        new_x = self.b + _in_sums(ctx, seen_term, np.float64)
         np.copyto(ctx.vout["x"], new_x, where=sub)
         if first:
             np.copyto(ctx.rd["term"], 1, where=sub[dst])
@@ -241,11 +339,9 @@ class _SpMVNondetKernel(NondetKernel):
     def run_slice_pass(self, ctx: NondetPassContext, sub_ids: np.ndarray,
                        es: np.ndarray, ed: np.ndarray,
                        first: bool = True) -> None:
-        src, dst = ctx.src, ctx.dst
+        src = ctx.src
         seen_term = ctx.seen_d["term"]
-        total = np.zeros(ctx.n, dtype=np.float64)
-        np.add.at(total, dst[ed], seen_term[ed])
-        new_x = self.b + total
+        new_x = self.b + _in_sums(ctx, seen_term, np.float64, ed)
         ctx.vout["x"][sub_ids] = new_x[sub_ids]
         if first:
             ctx.rd["term"][ed] = 1

@@ -10,7 +10,8 @@ Deterministic runs are bit-reproducible in this engine, so to reproduce
 the paper's nonzero DE-vs-DE degrees (caused by float non-associativity
 on real hardware) DE runs are executed with ``fp_noise=True``: a seeded
 permutation of each gather's summation order, the controlled equivalent
-of the same physical effect.
+of the same physical effect.  Every run, DE included, takes the array
+engines, which replay the object engines' permutation draws bit for bit.
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ def collect_rankings(
     environmental jitter, i.e. the execution interleaving.
 
     Runs take the array engines (``vectorized="require"``; DE as their
-    one-thread plan), which reproduce the object engines bit for bit —
-    except ``fp_noise`` runs, whose per-update gather permutation only
-    the object engine models.
+    one-thread plan), which reproduce the object engines bit for bit,
+    ``fp_noise`` gather permutations included.
 
     Every run executes under a :class:`~repro.obs.Telemetry` sink, and
     the convergence verdict and iteration counts the study reports are
@@ -96,8 +96,7 @@ def collect_rankings(
             graph,
             mode=mode,
             config=cfg,
-            # fp_noise permutes gather order per update: object engine only.
-            vectorized=False if fp_noise else "require",
+            vectorized="require",
             telemetry=sink,
         )
         summary = sink.run_summary

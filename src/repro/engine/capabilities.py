@@ -219,7 +219,8 @@ def check(program=None, graph=None, *, mode: str = "nondeterministic",
         config = config or EngineConfig(**config_kwargs)
         if path or not fallback_reasons(program, config, mode, record):
             check_eligible(program, config, direction,
-                           path or "the vectorized fast path", mode, record)
+                           path or "the vectorized fast path", mode, record,
+                           fp_noise=not backend and residency == "DiGraph")
     return (vectorized, backend,
             robustness != "none" and supervisor is None)
 

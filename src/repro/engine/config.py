@@ -4,11 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .atomicity import AtomicityPolicy
 from .delaymodel import DelayModel
 from .dispatch import DispatchPolicy
 
-__all__ = ["EngineConfig"]
+__all__ = ["EngineConfig", "SEED_STREAMS"]
+
+#: The master seed's independent sub-streams: stream ``name`` is seeded
+#: by ``[seed, k]`` (k = 5 and 6 are the recorder's and the fault plan's).
+SEED_STREAMS = {"fp": 1, "jitter": 2, "torn": 3, "pure_async_jitter": 4,
+                "delta": 23}
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,7 @@ class EngineConfig:
     fp_noise:
         Emulate float-precision run-to-run variation of *deterministic*
         executions by permuting gather order per update (§V-C's DE vs DE
-        rows); seeded by ``seed``.
+        rows); seeded by ``seed``.  RAM residency only.
     torn_probability:
         With ``atomicity=NONE``, the probability that a racing access
         observes/commits a torn value.
@@ -115,6 +122,11 @@ class EngineConfig:
         """The pairwise delay model in force: ``delay_model`` when given,
         otherwise the paper's uniform model built from ``delay``."""
         return self.delay_model or DelayModel.uniform(self.delay)
+
+    def rng(self, stream: str) -> np.random.Generator:
+        """A fresh generator on :data:`SEED_STREAMS` ``[stream]``."""
+        return np.random.default_rng(
+            np.random.SeedSequence([self.seed, SEED_STREAMS[stream]]))
 
     def with_(self, **kwargs) -> "EngineConfig":
         """Functional update (frozen dataclass convenience)."""

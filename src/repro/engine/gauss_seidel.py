@@ -16,8 +16,6 @@ asserts.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..graph import DiGraph
 from .config import EngineConfig
 from .frontier import sorted_ids
@@ -86,12 +84,7 @@ class DeterministicEngine:
         store = _DirectStore(state)
         if record is not None and record.records_writes:
             store.recorder = record
-        # Sub-stream 1 of the master seed is reserved for fp-noise.
-        fp_rng = (
-            np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-            if config.fp_noise
-            else None
-        )
+        fp_rng = config.rng("fp") if config.fp_noise else None
 
         def step(iteration, active, dm, clock):
             store.iteration = iteration
@@ -115,5 +108,5 @@ class DeterministicEngine:
                     None, {})
 
         return run_loop(program, graph, config, state, step, mode=self.mode,
-                        rngs={"fp": fp_rng} if fp_rng is not None else {},
+                        rngs={"fp": fp_rng},
                         record=record, **loop_kw)

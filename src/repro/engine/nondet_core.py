@@ -364,6 +364,7 @@ class NondetPassContext:
         "wvd",
         "rs",
         "rd",
+        "fp",
     )
 
     def __init__(self, graph, state, active: np.ndarray,
@@ -416,6 +417,8 @@ class NondetPassContext:
         # drive both the conflict totals and the per-thread work profile.
         self.rs = zeros(rs, com, READ_COUNT)
         self.rd = zeros(rd, com, READ_COUNT)
+        #: This iteration's :meth:`NondetKernel.fp_draws`, or ``None``.
+        self.fp = None
 
     def renew(self, active: np.ndarray) -> None:
         """Start the next iteration on the same arrays.
@@ -493,6 +496,11 @@ class NondetKernel(abc.ABC):
         push *direction* additionally needs :attr:`push_combines`.
         """
 
+    @abc.abstractmethod
+    def fp_draws(self, graph, rng, plan):
+        """The object ``update()``'s draws from the ``fp_noise`` stream
+        ``rng`` in one iteration of ``plan``, replayed (``ctx.fp``)."""
+
 
 #: program class -> factory(program) -> NondetKernel
 _KERNELS: dict[type, object] = {}
@@ -542,7 +550,7 @@ def fallback_reasons(program: VertexProgram, config: EngineConfig,
     registered kernel whose update function it actually runs, and the
     configuration must not request behaviours that only the per-access
     object store models (torn-value injection, runtime scope checks,
-    fp-noise gather permutation, individual conflict-event capture).
+    individual conflict-event capture).
     The DE and BSP schedules (``mode="deterministic"`` / ``"sync"``)
     have no races, so torn values and conflict events are moot; their
     recorded formats are the object engines' own provenance, so
@@ -555,8 +563,6 @@ def fallback_reasons(program: VertexProgram, config: EngineConfig,
         )
     if mode == MODE and config.atomicity is AtomicityPolicy.NONE:
         reasons.append("atomicity=NONE injects torn values per access")
-    if config.fp_noise:
-        reasons.append("fp_noise permutes gather order per update")
     if config.validate_scope:
         reasons.append("validate_scope checks each access at runtime")
     if mode == MODE and config.keep_conflict_events:
@@ -633,11 +639,14 @@ def push_fallback_reasons(program: VertexProgram) -> list[str]:
 
 def check_eligible(program: VertexProgram, config: EngineConfig,
                    direction: str, what: str, mode: str = MODE,
-                   record=None) -> bool:
+                   record=None, *, fp_noise: bool = False) -> bool:
     """Refuse unless ``what`` (an array path, named for the message) can
     run ``(program, config, direction)`` in ``mode``; returns whether
-    push may be used.  ``capabilities.check`` calls it up front too."""
+    push may be used; ``fp_noise``: ``what`` models it (RAM only).
+    ``capabilities.check`` calls it up front too."""
     reasons = fallback_reasons(program, config, mode, record)
+    if config.fp_noise and not fp_noise:
+        reasons.append("fp_noise is modelled by the RAM array engine only")
     if reasons:
         raise Refused(f"program/config not eligible for {what}: "
                       + "; ".join(reasons))
@@ -1031,9 +1040,8 @@ class ArrayStep:
                         else (None, None))
         self.plan = plan if plan is not None else PlanCache(
             graph, config.threads, policy=config.dispatch,
-            jitter=config.jitter, rng=np.random.default_rng(
-                np.random.SeedSequence([config.seed, 2]))
-            if config.jitter > 0 else None)
+            jitter=config.jitter,
+            rng=config.rng("jitter") if config.jitter > 0 else None)
         self.backend_extra = extra if extra is not None else {}
         self.passes = self.slice_passes = self.push_iterations = 0
         self.dir_trace: list[str] = []
@@ -1086,15 +1094,15 @@ def run_array(program: VertexProgram, graph, config: EngineConfig, state,
               body, *, label: str, mode: str = MODE, record=None,
               direction: str = "pull", push_ok: bool = False,
               plan: PlanCache | None = None, extra: dict | None = None,
-              **loop_kw) -> RunResult:
+              rngs: dict | None = None, **loop_kw) -> RunResult:
     """:func:`~repro.engine.loop.run_loop` over an :class:`ArrayStep`
-    of ``body`` (``label``: the backend's metrics ``mode=``)."""
+    of ``body`` (``label``: the backend's metrics ``mode=``; ``rngs``:
+    its streams beside the plan's)."""
     step = ArrayStep(graph, config, state, body, record=record,
                      direction=direction, push_ok=push_ok, plan=plan,
                      extra=extra)
     return run_loop(
         program, graph, config, state, step, mode=mode, label=label,
-        extra=step.extra,
-        rngs={"jitter": step.plan.rng} if step.plan.rng is not None else {},
+        extra=step.extra, rngs={**(rngs or {}), "jitter": step.plan.rng},
         conflicts=ConflictLog(keep_events=config.keep_conflict_events),
         record=record, **loop_kw)

@@ -511,7 +511,7 @@ def run_delta(
     log = ConflictLog()
     stats: list[IterationStats] = []
     clock = PhaseClock() if (sink is not None or metrics is not None) else None
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 23]))
+    rng = config.rng("delta")
     p = config.threads
 
     iteration = 0

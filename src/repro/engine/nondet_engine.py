@@ -460,14 +460,9 @@ class NondeterministicEngine:
     ) -> RunResult:
         config = config or EngineConfig()
         state = state if state is not None else program.make_state(graph)
-        # Independent sub-streams of the master seed: fp-noise, jitter, tearing.
-        rngs = {
-            name: np.random.default_rng(np.random.SeedSequence([config.seed, k]))
-            for name, k, on in (("fp", 1, config.fp_noise),
-                                ("jitter", 2, config.jitter > 0),
-                                ("torn", 3, config.atomicity is AtomicityPolicy.NONE))
-            if on
-        }
+        rngs = {name: config.rng(name) for name, on in (
+            ("fp", config.fp_noise), ("jitter", config.jitter > 0),
+            ("torn", config.atomicity is AtomicityPolicy.NONE)) if on}
         log = ConflictLog(keep_events=config.keep_conflict_events)
 
         def step(iteration, active, dm, clock):

@@ -88,7 +88,8 @@ class VectorizedNondetEngine:
     ) -> RunResult:
         config = config or EngineConfig()
         push_ok = check_eligible(program, config, direction,
-                                 "the vectorized fast path", mode, record)
+                                 "the vectorized fast path", mode, record,
+                                 fp_noise=True)
         kernel = resolve_nondet_kernel(program)(program)
         state = state if state is not None else program.make_state(graph)
         written = kernel.written_fields
@@ -96,6 +97,7 @@ class VectorizedNondetEngine:
         in_degrees = graph.in_degrees()
         ctx = NondetPassContext(graph, state, None, written,
                                 writes_dst=two_sided)
+        fp_rng = config.rng("fp") if config.fp_noise else None
 
         def body(bar, iteration, plan, dm, push, clock):
             """One racy iteration, dense (all ``m`` edges) or — executing
@@ -113,6 +115,8 @@ class VectorizedNondetEngine:
                 ep = plan.edges()
             ep.touch(two_sided, rows=record is not None)
             ctx.renew(plan.active)
+            if fp_rng is not None:
+                ctx.fp = kernel.fp_draws(graph, fp_rng, plan)
             if clock is not None:
                 clock.lap("plan_build")
             # Pass 1 computes every active vertex against the committed
@@ -152,16 +156,14 @@ class VectorizedNondetEngine:
         # The schedule is the only thing the three modes change: NE is
         # the default plan; DE = Defs. 1–3 at P = 1 (ascending
         # labels, no jitter); BSP lets no write be seen before the barrier.
-        plan = None
-        if mode == "deterministic":
-            plan = PlanCache(graph, 1, policy=config.dispatch, jitter=0.0,
-                             rng=None)
-        elif mode == "sync":
-            plan = PlanCache(graph, config.threads, policy=config.dispatch,
-                             jitter=0.0, rng=None, barrier=True)
+        plan = None if mode == "nondeterministic" else PlanCache(
+            graph, 1 if mode == "deterministic" else config.threads,
+            policy=config.dispatch, jitter=0.0, rng=None,
+            barrier=mode == "sync")
         return run_array(
             program, graph, config, state, body, label="vectorized",
             direction=direction, push_ok=push_ok,
             observer=observer, telemetry=telemetry, record=record,
             supervisor=supervisor, metrics=metrics, mode=mode, plan=plan,
+            rngs={"fp": fp_rng},
         )

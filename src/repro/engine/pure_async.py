@@ -283,12 +283,9 @@ class PureAsyncEngine:
         state = state if state is not None else program.make_state(graph)
         p = config.threads
         delay_model = config.effective_delay_model()
-        jitter_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 4]))
-        torn_rng = (
-            np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
-            if config.atomicity is AtomicityPolicy.NONE
-            else None
-        )
+        jitter_rng = config.rng("pure_async_jitter")
+        torn_rng = (config.rng("torn")
+                    if config.atomicity is AtomicityPolicy.NONE else None)
         if supervisor is not None:
             # Barrier-free: no consistent cut exists, so the supervisor
             # refuses checkpoint/resume (frontier=None) and faults are

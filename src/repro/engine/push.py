@@ -331,17 +331,11 @@ class PushEngine:
         self._pending = {f: {} for f in self._acc_specs}
         self.log = ConflictLog(keep_events=config.keep_conflict_events)
         if config.atomicity is AtomicityPolicy.NONE:
-            self._lost_rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, 3])
-            )
+            self._lost_rng = config.rng("torn")
             self._lost_p = config.torn_probability
         else:
             self._lost_rng = None
-        jitter_rng = (
-            np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-            if config.jitter > 0
-            else None
-        )
+        jitter_rng = config.rng("jitter") if config.jitter > 0 else None
         p = config.threads
 
         def step(iteration, active, dm, clock):

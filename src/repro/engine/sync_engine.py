@@ -73,11 +73,7 @@ class SynchronousEngine:
     ) -> RunResult:
         config = config or EngineConfig()
         state = state if state is not None else program.make_state(graph)
-        fp_rng = (
-            np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-            if config.fp_noise
-            else None
-        )
+        fp_rng = config.rng("fp") if config.fp_noise else None
         p = config.threads
 
         def step(iteration, active, dm, clock):
@@ -111,7 +107,7 @@ class SynchronousEngine:
                                    writes), None, {})
 
         return run_loop(program, graph, config, state, step, mode=self.mode,
-                        rngs={"fp": fp_rng} if fp_rng is not None else {},
+                        rngs={"fp": fp_rng},
                         record=record, **loop_kw)
 
 

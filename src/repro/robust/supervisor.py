@@ -103,7 +103,8 @@ class Supervisor:
     def engine_start(self, mode: str, program, config: EngineConfig, *,
                      state, frontier, rngs: dict | None = None,
                      conflicts=None):
-        """Register run context; apply a pending restore point.
+        """Register run context (``rngs``: name -> generator, ``None``
+        for a stream not in use); apply a pending restore point.
 
         Returns ``(start_iteration, frontier)``, the frontier as a
         sorted int64 id array.  ``frontier=None`` marks a barrier-free
@@ -112,7 +113,7 @@ class Supervisor:
         self._mode = mode
         self._program_name = type(program).__name__
         self._config = config
-        self._rngs = dict(rngs) if rngs else {}
+        self._rngs = {k: g for k, g in (rngs or {}).items() if g is not None}
         self._conflicts = conflicts
         if frontier is None:
             if self.checkpoint_path is not None or self.pending_resume is not None:
@@ -459,8 +460,8 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
                 lookup(cur_mode, residency=residency_of(graph))
                 # The last rung runs the object oracle: the fallback mode
                 # may have no array path (chromatic), and sync's and DE's
-                # would refuse fp_noise / record= under ``"require"``;
-                # nor does it take a direction.
+                # would refuse record= under ``"require"``; nor does it
+                # take a direction.
                 cur_vectorized = False
                 cur_backend = None
                 cur_direction = "pull"

@@ -176,11 +176,35 @@ def test_object_path_direction_requires_the_array_path(world):
     """direction != 'pull' turns ``vectorized=False`` into "require": an
     ineligible config is refused instead of silently running pull."""
     graph = world[0]
-    with pytest.raises(Refused, match="vectorized='require'.*fp_noise"):
+    with pytest.raises(Refused, match="vectorized='require'.*validate_scope"):
         run(WeaklyConnectedComponents(), graph, direction="auto",
-            fp_noise=True)
+            validate_scope=True)
     res = run(WeaklyConnectedComponents(), graph, direction="auto")
     assert res.extra.get("vectorized") is True
+
+
+def test_process_backend_refuses_fp_noise(world):
+    """Only the in-process array engine replays the fp_noise draws: the
+    worker processes would silently sum positionally."""
+    from repro.engine import ParallelEngine
+
+    graph = world[0]
+    with pytest.raises(Refused, match="process backend.*fp_noise"):
+        run(WeaklyConnectedComponents(), graph, backend="process",
+            threads=2, fp_noise=True)
+    with pytest.raises(Refused, match="fp_noise"):
+        ParallelEngine().run(WeaklyConnectedComponents(), graph,
+                             EngineConfig(threads=2, fp_noise=True))
+
+
+def test_shard_store_refuses_fp_noise(world):
+    """Nor do the out-of-core interval sweeps model fp_noise."""
+    store = world[1]
+    with pytest.raises(Refused, match="ShardStore graph.*fp_noise"):
+        run(WeaklyConnectedComponents(), store, fp_noise=True)
+    with pytest.raises(Refused, match="fp_noise"):
+        store.nondet_runner().run(WeaklyConnectedComponents(),
+                                  EngineConfig(fp_noise=True))
 
 
 def test_readme_table_is_the_rendering():

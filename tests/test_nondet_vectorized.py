@@ -247,7 +247,7 @@ def test_fallback_reasons_enumerates_blockers():
     prog = WeaklyConnectedComponents()
     assert fallback_reasons(prog, EngineConfig()) == []
     assert fallback_reasons(prog, EngineConfig(atomicity=AtomicityPolicy.NONE))
-    assert fallback_reasons(prog, EngineConfig(fp_noise=True))
+    assert fallback_reasons(prog, EngineConfig(fp_noise=True)) == []  # replayed
     assert fallback_reasons(prog, EngineConfig(validate_scope=True))
     assert fallback_reasons(prog, EngineConfig(keep_conflict_events=True))
     assert fallback_reasons(MaxLabelPropagation(), EngineConfig())  # no kernel

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.algorithms import WeaklyConnectedComponents
-from repro.engine import EngineConfig, run
+from repro.engine import AtomicityPolicy, EngineConfig, run
 from repro.obs import (
     IterationSpan,
     Telemetry,
@@ -86,12 +86,14 @@ class TestRunnerIntegration:
         sink = Telemetry()
         res = run(WeaklyConnectedComponents(), rmat_small,
                   mode="nondeterministic", vectorized=True,
-                  config=EngineConfig(threads=4, fp_noise=True), telemetry=sink)
+                  config=EngineConfig(threads=4, validate_scope=True),
+                  telemetry=sink)
         assert res.converged
         events = [r for r in sink.records
                   if r.get("type") == "event" and r["name"] == "vectorized_fallback"]
         assert len(events) == 1
-        assert any("fp_noise" in reason for reason in events[0]["reasons"])
+        assert any("validate_scope" in reason
+                   for reason in events[0]["reasons"])
 
     def test_empty_string_vectorized_is_false(self, rmat_small):
         # Falsy pass-through from CLI/env plumbing; valid for *every* mode.
@@ -105,10 +107,10 @@ class TestRunnerIntegration:
                 mode="nondeterministic", vectorized="yes")
 
     def test_require_raises_with_reasons(self, rmat_small):
-        with pytest.raises(ValueError, match="fp_noise"):
+        with pytest.raises(ValueError, match="atomicity=NONE"):
             run(WeaklyConnectedComponents(), rmat_small,
                 mode="nondeterministic", vectorized="require",
-                config=EngineConfig(fp_noise=True))
+                config=EngineConfig(atomicity=AtomicityPolicy.NONE))
 
 
 class TestPrimitives:
