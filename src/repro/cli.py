@@ -1,38 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``table1`` / ``figure3`` / ``table2`` / ``table3`` / ``ablations``
-    Regenerate the paper's evaluation artifacts at a chosen scale.
-``eligibility [ALGORITHM ...]``
-    Print the Theorem 1/2 (and push-mode) verdicts for the built-in
-    algorithm zoo or a named subset.
-``run ALGORITHM``
-    Execute one algorithm on a stand-in dataset under a chosen executor
-    and print the run summary (and optionally the conflict audit).
-``speed ALGORITHM``
-    Convergence-speed report (iterations vs threads/delay vs the DE and
-    BSP baselines).
-``trace {summarize,diff,explain,lint,stitch,merge} TRACE [TRACE]``
-    Query recorded traces: condense one, align two, explain the first
-    divergent race of a pair, validate structure/event orders, join
-    a killed run's trace with its resumed continuation, or interleave
-    per-worker trace segments with their master trace.
-``top TRACE``
-    Live monitor: tail a (possibly still-growing) trace and render the
-    per-iteration phase breakdown, frontier size, conflicts, worker
-    skew, and peak RSS; refreshes until the run ends.  ``--once``
-    prints a single snapshot.
-``report --phases TRACE``
-    Render the phase breakdown of a finished trace as a table
-    (``report`` without ``--phases`` regenerates the evaluation).
-``serve --data-dir DIR``
-    Run the always-on graph service: journaled job lifecycle, standing
-    named graphs, supervised concurrent jobs, crash recovery with
-    bit-identical resume.  SIGTERM drains to the next barrier
-    checkpoint; ``kill -9`` loses nothing the journal recorded.
-``client [--url URL] {submit,status,watch,result,cancel,jobs,graphs}``
-    Talk to a running service over HTTP.
+``python -m repro --help`` lists the commands (paper artifacts, ``run``,
+trace queries, the live monitor, the service and its client); each
+command's ``--help`` lists its flags.
 
 Examples
 --------
@@ -65,32 +35,22 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from .algorithms import (
-    BFS,
-    SSSP,
-    AntiParity,
-    ConflictColoring,
-    EdgeIncrementCounter,
-    KCoreDecomposition,
-    MaxLabelPropagation,
-    PageRank,
-    SpMV,
-    WeaklyConnectedComponents,
-)
+from .algorithms import (BFS, SSSP, AntiParity, ConflictColoring,
+                         EdgeIncrementCounter, KCoreDecomposition,
+                         MaxLabelPropagation, PageRank, SpMV,
+                         WeaklyConnectedComponents)
 from .engine import EngineConfig, run
-from .engine.capabilities import FALLBACK_MODES, MODES, Refused, lookup
-from .experiments import (
-    format_table,
-    run_delay_sweep,
-    run_dispatch_study,
-    run_figure3,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_torn_study,
-)
+from .engine.capabilities import (DIRECTIONS, FALLBACK_MODES, MODES,
+                                  SCHEDULINGS, Refused, lookup)
+from .engine.spec import RunSpec
+from .experiments import (format_table, run_delay_sweep, run_dispatch_study,
+                          run_figure3, run_table1, run_table2, run_table3,
+                          run_torn_study)
 from .graph import load_dataset
 from .graph.datasets import dataset_names
+from .graph.mutations import BATCH_SPEC
+from .obs.recorder import RECORD_POLICIES
+from .robust import ConvergenceWatchdog, DegradationPolicy
 from .theory import audit_run, check_program, measure_convergence_speed
 
 __all__ = ["main", "ALGORITHMS"]
@@ -108,6 +68,114 @@ ALGORITHMS: dict[str, Callable] = {
     "ConflictColoring": ConflictColoring,  # Theorem-2 oscillator (matchings)
     "KCore": KCoreDecomposition,  # requires a symmetric graph (cage15-mini is)
 }
+
+
+#: EngineConfig field -> the flag that sets it
+_CONFIG_FLAGS = {"threads": "--threads", "delay": "--delay",
+                 "jitter": "--jitter", "seed": "--run-seed",
+                 "max_iterations": "--max-iterations",
+                 "worker_timeout_s": "--worker-timeout-s"}
+
+
+def _switch_flags() -> argparse.ArgumentParser:
+    """The switch flags ``run`` and ``client submit`` share.  Each one
+    defaults to ``None`` (not given), so the defaults stay RunSpec's,
+    EngineConfig's and JobSpec's; :func:`_switches` collects them."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--mode", choices=MODES,
+                   help=f"execution model (default {RunSpec.mode}); README's "
+                        "'What runs with what' says which flags compose")
+    p.add_argument("--vectorized", nargs="?", const=True, metavar="require",
+                   choices=(True, "require"),
+                   help="take the NumPy array path when the program is "
+                        "eligible, else the object engine; 'require' "
+                        "refuses instead")
+    p.add_argument("--backend", choices=["process"],
+                   help="'process' runs the vectorized model across "
+                        "--threads OS worker processes over shared memory")
+    for key, flag in _CONFIG_FLAGS.items():
+        default = getattr(EngineConfig, key)
+        p.add_argument(flag, dest=f"config_{key}", type=type(default),
+                       metavar=key.upper(),
+                       help=f"EngineConfig.{key} (default {default})" + (
+                           "; 0 waits forever" if key == "worker_timeout_s"
+                           else ""))
+    p.add_argument("--faults", metavar="SPEC",
+                   help="fault-injection plan, e.g. 'crash@3;torn@5:weight' "
+                        "(kinds: crash, stall, torn, lost, delay)")
+    p.add_argument("--deadline-s", type=float, metavar="S",
+                   help="wall-clock budget; a breach degrades the run")
+    p.add_argument("--checkpoint-every", type=int, metavar="N",
+                   help="checkpoint every N iterations "
+                        f"(default {RunSpec.checkpoint_every})")
+    p.add_argument("--max-restarts", type=int, metavar="N",
+                   help="crash restarts before giving up "
+                        f"(default {DegradationPolicy.max_restarts})")
+    p.add_argument("--mutate", action="store_true",
+                   help="delta mode: after convergence, repair the result "
+                        "through seeded edge insert/delete batches")
+    for key in BATCH_SPEC:
+        p.add_argument(f"--mutate-{key.split('_')[-1]}", dest=f"mutate_{key}",
+                       type=type(BATCH_SPEC[key]), metavar=key.upper(),
+                       help=f"with --mutate: {key} of the seeded draw "
+                            f"(default {BATCH_SPEC[key]})")
+    return p
+
+
+def _given(args, names, prefix: str = "") -> dict:
+    """The flags among ``names`` (dests ``prefix + name``) that were given."""
+    return {k: getattr(args, prefix + k) for k in names
+            if getattr(args, prefix + k) is not None}
+
+
+def _switches(args) -> dict:
+    """The shared flags given, as a job spec's flat fields (the RunSpec
+    wire subset, :func:`~repro.service.jobs.wire_run_spec`): what
+    ``client submit`` sends and ``run`` runs."""
+    from .service.jobs import WIRE_FIELDS
+
+    wire = _given(args, (*WIRE_FIELDS, "max_restarts"))
+    config = _given(args, _CONFIG_FLAGS, "config_")
+    if config.get("worker_timeout_s") == 0:
+        config["worker_timeout_s"] = None  # wait forever
+    if config:
+        wire["config"] = config
+    if args.mutate:
+        wire["mutations"] = {**BATCH_SPEC, **_given(args, BATCH_SPEC,
+                                                    "mutate_")}
+    return wire
+
+
+def _job_spec(args) -> dict:
+    """``client submit``'s job spec: the shared switches plus its own
+    flags."""
+    spec = {"algorithm": args.algorithm, "graph": args.graph,
+            **_switches(args), **_given(args, ("record", "throttle_s"))}
+    if args.scale is not None:
+        spec["graph"] = {"dataset": args.graph, "scale": args.scale,
+                         "seed": args.seed}
+    return spec
+
+
+def _run_spec(args, graph) -> RunSpec:
+    """``repro run``'s spec: the shared switches plus its own flags."""
+    from .obs import Recorder, Telemetry
+    from .service.jobs import wire_run_spec
+
+    live = _given(args, ("direction", "checkpoint", "resume_from",
+                         "delta_threshold", "delta_scheduling"))
+    policy = _given(args, ("fallback_mode", "max_restarts"))
+    if policy:
+        live["policy"] = DegradationPolicy(**policy)
+    if args.watchdog:
+        live["watchdog"] = ConvergenceWatchdog()
+    if args.trace or args.telemetry:
+        live["telemetry"] = Telemetry(trace_path=args.trace, worker_dir=(
+            args.trace + ".workers" if args.trace_workers else None))
+    if args.record:
+        live["record"] = Recorder(policy=args.record_policy,
+                                  trace_path=args.record)
+    return wire_run_spec(_switches(args), graph, **live)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explain", action="store_true",
                    help="attribute the NE panels' run-to-run ranking variance "
                         "to recorded races (two seeded runs per panel)")
-    p.add_argument("--trace-dir", default=None, metavar="DIR",
+    p.add_argument("--trace-dir", metavar="DIR",
                    help="with --explain: keep the per-panel provenance traces")
 
     p = sub.add_parser("table2", help="Table II: difference degrees, same config")
@@ -150,112 +218,63 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("algorithms", nargs="*", metavar="ALGORITHM",
                    help=f"subset of {', '.join(ALGORITHMS)} (default: all)")
 
-    p = sub.add_parser("run", help="execute one algorithm")
+    switches = _switch_flags()
+    p = sub.add_parser("run", parents=[switches],
+                       help="execute one algorithm")
     p.add_argument("algorithm", choices=sorted(ALGORITHMS))
     p.add_argument("--dataset", default="web-google-mini", choices=dataset_names())
     add_scale(p)
-    p.add_argument("--mode", default="nondeterministic", choices=MODES,
-                   help="execution model; which flags compose with which "
-                        "mode is README's 'What runs with what' table")
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--backend", default=None, choices=["process"],
-                   help="'process' executes the vectorized model across "
-                        "--threads OS worker processes over shared memory "
-                        "(bit-identical to the single-process fast path)")
-    p.add_argument("--direction", default="pull",
-                   choices=["pull", "push", "auto"],
-                   help="per-iteration execution direction of the array "
-                        "paths — 'pull' (dense whole-graph masks, the "
-                        "default), 'push' (sparse frontier-driven scatter), "
-                        "or 'auto' (Beamer-style hybrid); all three are "
-                        "bit-identical for push-eligible algorithms")
-    p.add_argument("--out-of-core", default=None, metavar="DIR",
-                   help="preprocess the graph into a PSW shard store under "
-                        "DIR (reused if already built) and execute "
-                        "interval-by-interval in bounded RAM — bit-identical "
-                        "to the in-memory fast path")
+    p.add_argument("--direction", choices=DIRECTIONS,
+                   help="array-path direction per iteration (default pull; "
+                        "bit-identical for push-eligible algorithms)")
+    p.add_argument("--out-of-core", metavar="DIR",
+                   help="build (or reuse) a PSW shard store under DIR and "
+                        "run interval by interval in bounded RAM")
     p.add_argument("--num-intervals", type=int, default=8, metavar="K",
                    help="with --out-of-core: vertex intervals / shards "
                         "(default 8)")
-    p.add_argument("--delay", type=float, default=2.0)
-    p.add_argument("--run-seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=100_000)
     p.add_argument("--audit", action="store_true",
                    help="cross-check conflicts against declared traits")
+    p.add_argument("--trace", metavar="PATH",
+                   help="stream a JSONL telemetry trace of the run to PATH")
     p.add_argument("--trace-workers", action="store_true",
                    help="with --trace and a process backend: stream each "
-                        "OS worker's trace segment into PATH.workers/ "
-                        "(merge with `repro trace merge`, watch with "
-                        "`repro top`)")
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="stream a JSONL telemetry trace of the run to PATH")
+                        "worker's trace segment into PATH.workers/")
     p.add_argument("--telemetry", action="store_true",
                    help="print the per-iteration telemetry table after the run")
-    p.add_argument("--record", default=None, metavar="PATH",
-                   help="stream a JSONL race-provenance trace (flight recorder) "
-                        "to PATH")
-    p.add_argument("--record-policy", default="conflicts",
-                   choices=["conflicts", "all", "reservoir"],
+    p.add_argument("--record", metavar="PATH",
+                   help="stream a JSONL race-provenance trace (flight "
+                        "recorder) to PATH")
+    p.add_argument("--record-policy", default="conflicts", choices=RECORD_POLICIES,
                    help="recorder sampling policy (default: conflicts)")
-    p.add_argument("--faults", default=None, metavar="SPEC",
-                   help="fault-injection plan, e.g. 'crash@3;torn@5:weight' "
-                        "(kinds: crash, stall, torn, lost, delay)")
     p.add_argument("--watchdog", action="store_true",
                    help="arm the convergence watchdog (stall + Theorem-2 "
                         "oscillation detection with graceful degradation)")
-    p.add_argument("--deadline-s", type=float, default=None, metavar="S",
-                   help="wall-clock budget; a breach triggers the "
-                        "degradation policy")
-    p.add_argument("--fallback", default=None, choices=FALLBACK_MODES,
+    p.add_argument("--fallback", dest="fallback_mode", choices=FALLBACK_MODES,
                    help="deterministic engine the watchdog falls back to "
-                        "(default chromatic)")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="write a barrier checkpoint to PATH (atomically, "
-                        "last one wins)")
-    p.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                   help="checkpoint every N iterations (default 1)")
-    p.add_argument("--resume", default=None, metavar="PATH",
-                   help="resume from a checkpoint written by --checkpoint; "
-                        "continues bit-identically to the uninterrupted run")
-    p.add_argument("--worker-timeout-s", type=float, default=60.0, metavar="S",
-                   help="--backend process and shard stores: how long an "
-                        "iteration barrier waits for the workers before "
-                        "WorkerTimeout (default 60; 0 = wait forever)")
-    p.add_argument("--delta-threshold", type=float, default=None, metavar="T",
+                        f"(default {DegradationPolicy.fallback_mode})")
+    p.add_argument("--checkpoint", metavar="PATH",
+                   help="write barrier checkpoints to PATH (last one wins)")
+    p.add_argument("--resume", dest="resume_from", metavar="PATH",
+                   help="resume from a --checkpoint file, bit-identically; "
+                        "with no engine flag, in its config")
+    p.add_argument("--delta-threshold", type=float, metavar="T",
                    help="delta mode: residual magnitude below which a vertex "
                         "is left unscheduled (default: the kernel's)")
-    p.add_argument("--delta-scheduling", default="frontier",
-                   choices=["frontier", "priority"],
-                   help="delta mode: dispatch every above-threshold vertex "
-                        "('frontier') or only the largest residuals "
-                        "('priority', Maiter-style)")
-    p.add_argument("--mutate", action="store_true",
-                   help="delta mode: after convergence, stream seeded edge "
-                        "insert/delete batches through the engine and repair "
-                        "the standing result incrementally")
-    p.add_argument("--mutate-batches", type=int, default=3, metavar="K",
-                   help="with --mutate: number of mutation batches (default 3)")
-    p.add_argument("--mutate-frac", type=float, default=0.001, metavar="F",
-                   help="with --mutate: fraction of edges touched per batch "
-                        "(default 0.001)")
-    p.add_argument("--mutate-seed", type=int, default=7,
-                   help="with --mutate: seed of the mutation draw (part of "
-                        "the data, like SSSP's weight seed)")
+    p.add_argument("--delta-scheduling", choices=SCHEDULINGS,
+                   help="delta mode: every above-threshold vertex (default "
+                        "frontier) or the largest residuals (priority)")
 
-    p = sub.add_parser(
-        "bench",
-        help="run the canonical benchmark suites and append to the "
-             "BENCH_*.json perf trajectories")
+    p = sub.add_parser("bench", help="run the canonical benchmark suites and "
+                                     "append to the BENCH_*.json trajectories")
     p.add_argument("--suite", default="all",
                    choices=["nondet", "parallel", "incremental", "all"],
                    help="which suite to run (default: all)")
-    p.add_argument("--scales", type=int, nargs="+", default=None,
-                   metavar="N", help="rmat scales to measure")
-    p.add_argument("--workers", type=int, nargs="+", default=None,
-                   metavar="P",
+    p.add_argument("--scales", type=int, nargs="+", metavar="N",
+                   help="rmat scales to measure")
+    p.add_argument("--workers", type=int, nargs="+", metavar="P",
                    help="worker counts for the parallel suite")
-    p.add_argument("--direction", default=None,
-                   choices=["push", "auto"],
+    p.add_argument("--direction", choices=["push", "auto"],
                    help="nondet suite: additionally time the vectorized "
                         "engine in this direction for push-eligible "
                         "algorithms and record the hybrid speedup")
@@ -266,25 +285,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-intervals", type=int, default=8, metavar="K",
                    help="with --out-of-core: vertex intervals / shards "
                         "(default 8)")
-    p.add_argument("--out-dir", default=None, metavar="DIR",
+    p.add_argument("--out-dir", metavar="DIR",
                    help="directory of the BENCH_*.json files "
                         "(default: the repo root)")
 
     p = sub.add_parser("report", help="regenerate the full evaluation as markdown")
     add_scale(p)
     p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--out", default=None, help="write to file instead of stdout")
-    p.add_argument("--phases", default=None, metavar="TRACE",
+    p.add_argument("--out", help="write to file instead of stdout")
+    p.add_argument("--phases", metavar="TRACE",
                    help="instead of the evaluation: render the phase "
                         "breakdown of a recorded trace (worker segments "
                         "in TRACE.workers/ are merged in automatically)")
 
-    p = sub.add_parser(
-        "top",
-        help="live phase monitor over a (possibly still-growing) trace")
+    p = sub.add_parser("top", help="live phase monitor over a (possibly "
+                                   "still-growing) trace")
     p.add_argument("trace", help="master JSONL trace path (e.g. the "
                                  "--trace target of a running repro run)")
-    p.add_argument("--workers", default=None, metavar="DIR",
+    p.add_argument("--workers", metavar="DIR",
                    help="worker segment directory "
                         "(default: TRACE.workers/ when it exists)")
     p.add_argument("--once", action="store_true",
@@ -305,14 +323,12 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="trace_command", required=True)
     t = tsub.add_parser("summarize", help="condense one trace to headline numbers")
     t.add_argument("trace")
-    t = tsub.add_parser("diff", help="first divergent provenance event of a pair")
-    t.add_argument("trace_a")
-    t.add_argument("trace_b")
-    t = tsub.add_parser("explain",
-                        help="explain a pair's divergence: first race, forward "
-                             "taint, difference-degree verdict")
-    t.add_argument("trace_a")
-    t.add_argument("trace_b")
+    for name, text in (("diff", "first divergent provenance event of a pair"),
+                       ("explain", "explain a pair's divergence: first race, "
+                                   "forward taint, difference-degree verdict")):
+        t = tsub.add_parser(name, help=text)
+        t.add_argument("trace_a")
+        t.add_argument("trace_b")
     t = tsub.add_parser("lint", help="validate trace structure and event orders")
     t.add_argument("trace")
     t = tsub.add_parser("stitch",
@@ -328,15 +344,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              "the master trace on (iteration, barrier "
                              "epoch) into one coherent JSONL stream")
     t.add_argument("trace", help="master JSONL trace")
-    t.add_argument("--workers", default=None, metavar="DIR",
+    t.add_argument("--workers", metavar="DIR",
                    help="worker segment directory "
                         "(default: TRACE.workers/)")
     t.add_argument("-o", "--out", required=True, metavar="PATH",
                    help="write the merged JSONL trace to PATH")
 
-    p = sub.add_parser(
-        "serve",
-        help="run the always-on graph service (journaled, crash-safe)")
+    p = sub.add_parser("serve", help="run the always-on graph service "
+                                     "(journaled, crash-safe)")
     p.add_argument("--data-dir", required=True, metavar="DIR",
                    help="journal, graph registry, and job scratch root")
     p.add_argument("--host", default="127.0.0.1")
@@ -346,64 +361,47 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="jobs running at once (default 2)")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission control: max queued+running jobs")
-    p.add_argument("--retain-age-s", type=float, default=None, metavar="S",
+    p.add_argument("--retain-age-s", type=float, metavar="S",
                    help="retention: at startup, sweep terminal jobs whose "
                         "artifacts are older than S seconds")
-    p.add_argument("--retain-count", type=int, default=None, metavar="N",
-                   help="retention: at startup, keep only the N newest "
-                        "terminal jobs")
+    p.add_argument("--retain-count", type=int, metavar="N",
+                   help="retention: at startup, keep the N newest terminal jobs")
 
     p = sub.add_parser("client", help="talk to a running repro service")
     p.add_argument("--url", default="http://127.0.0.1:8750",
                    help="service base URL")
     csub = p.add_subparsers(dest="client_command", required=True)
-    c = csub.add_parser("submit", help="submit a job and print its id")
+    c = csub.add_parser("submit", parents=[switches],
+                        help="submit a job and print its id")
     c.add_argument("algorithm", help="algorithm name (see 'repro run')")
     c.add_argument("--graph", required=True,
                    help="registered graph name, or dataset name with --scale")
-    c.add_argument("--scale", type=int, default=None,
+    c.add_argument("--scale", type=int,
                    help="treat --graph as a generator dataset at this scale")
     c.add_argument("--seed", type=int, default=7, help="dataset seed")
-    c.add_argument("--mode", default="nondeterministic", choices=MODES)
-    c.add_argument("--threads", type=int, default=None)
-    c.add_argument("--run-seed", type=int, default=None,
-                   help="engine seed (config.seed)")
-    c.add_argument("--checkpoint-every", type=int, default=1)
-    c.add_argument("--record", default=None,
-                   choices=["conflicts", "all", "reservoir"],
+    c.add_argument("--record", choices=RECORD_POLICIES,
                    help="recorder provenance policy")
-    c.add_argument("--deadline-s", type=float, default=None)
-    c.add_argument("--throttle-s", type=float, default=0.0,
+    c.add_argument("--throttle-s", type=float,
                    help="pacing sleep per iteration barrier (demos/tests)")
-    c.add_argument("--mutate", action="store_true",
-                   help="with --mode delta: stream seeded mutation batches "
-                        "(the service generates them against its graph)")
-    c.add_argument("--mutate-batches", type=int, default=3)
-    c.add_argument("--mutate-frac", type=float, default=0.001)
-    c.add_argument("--mutate-seed", type=int, default=7)
     c.add_argument("--wait", action="store_true",
                    help="block until the job is terminal")
-    c = csub.add_parser("status", help="print one job's status as JSON")
-    c.add_argument("job_id")
-    c = csub.add_parser("watch", help="follow a job until it is terminal")
-    c.add_argument("job_id")
-    c.add_argument("--timeout", type=float, default=300.0)
-    c = csub.add_parser("result", help="print a finished job's result")
-    c.add_argument("job_id")
-    c = csub.add_parser("cancel", help="request cancellation of a job")
-    c.add_argument("job_id")
+    for name, text in (("status", "print one job's status as JSON"),
+                       ("watch", "follow a job until it is terminal"),
+                       ("result", "print a finished job's result"),
+                       ("cancel", "request cancellation of a job")):
+        csub.add_parser(name, help=text).add_argument("job_id")
+    csub.choices["watch"].add_argument("--timeout", type=float, default=300.0)
     c = csub.add_parser("jobs", help="list all jobs")
-    c = csub.add_parser(
-        "gc",
-        help="sweep terminal jobs: forget them and delete their artifacts")
-    c.add_argument("--max-age-s", type=float, default=None, metavar="S",
+    c = csub.add_parser("gc", help="sweep terminal jobs: forget them and "
+                                   "delete their artifacts")
+    c.add_argument("--max-age-s", type=float, metavar="S",
                    help="sweep terminal jobs older than S seconds")
-    c.add_argument("--max-count", type=int, default=None, metavar="N",
+    c.add_argument("--max-count", type=int, metavar="N",
                    help="keep only the N newest terminal jobs")
     c = csub.add_parser("graphs", help="list or register named graphs")
-    c.add_argument("--register", default=None, metavar="NAME",
+    c.add_argument("--register", metavar="NAME",
                    help="register NAME with the spec in --spec")
-    c.add_argument("--spec", default=None, metavar="JSON",
+    c.add_argument("--spec", metavar="JSON",
                    help='graph spec, e.g. \'{"dataset":"web-google-mini",'
                         '"scale":12}\'')
 
@@ -487,32 +485,14 @@ def _cmd_client(args) -> int:
 
     try:
         if args.client_command == "submit":
-            graph: str | dict = args.graph
-            if args.scale is not None:
-                graph = {"dataset": args.graph, "scale": args.scale,
-                         "seed": args.seed}
-            config = {}
-            if args.threads is not None:
-                config["threads"] = args.threads
-            if args.run_seed is not None:
-                config["seed"] = args.run_seed
-            spec = {"algorithm": args.algorithm, "graph": graph,
-                    "config": config, "mode": args.mode,
-                    "checkpoint_every": args.checkpoint_every,
-                    "record": args.record, "deadline_s": args.deadline_s,
-                    "throttle_s": args.throttle_s}
-            if args.mutate:
-                spec["mutations"] = {"num_batches": args.mutate_batches,
-                                     "frac": args.mutate_frac,
-                                     "seed": args.mutate_seed}
-            job_id = client.submit(spec)
+            job_id = client.submit(_job_spec(args))
             print(job_id)
             if args.wait:
                 status = client.wait(job_id)
                 show(status)
                 return 0 if status["state"] == "done" else 4
-        elif args.client_command == "status":
-            show(client.status(args.job_id))
+        elif args.client_command in ("status", "result", "cancel"):
+            show(getattr(client, args.client_command)(args.job_id))
         elif args.client_command == "watch":
             # Not client.wait(): a long-poll answers early only for a
             # terminal state, and watch shows the barriers on the way —
@@ -533,10 +513,6 @@ def _cmd_client(args) -> int:
                     raise TimeoutError(
                         f"job {args.job_id} still {status['state']} after "
                         f"{args.timeout:.0f}s")
-        elif args.client_command == "result":
-            show(client.result(args.job_id))
-        elif args.client_command == "cancel":
-            show(client.cancel(args.job_id))
         elif args.client_command == "jobs":
             show(client.jobs())
         elif args.client_command == "gc":
@@ -550,12 +526,9 @@ def _cmd_client(args) -> int:
                 client.register_graph(args.register,
                                       _json.loads(args.spec))
             show(client.graphs())
-    except ServiceError as exc:
+    except (ServiceError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return 5 if isinstance(exc, TimeoutError) else 1
     return 0
 
 
@@ -651,9 +624,8 @@ def _main(args) -> int:
                                       threads=max(args.threads),
                                       trace_dir=args.trace_dir))
         else:
-            result = run_figure3(scale=args.scale, seed=args.seed,
-                                 threads_list=tuple(args.threads))
-            print(result.render())
+            print(run_figure3(scale=args.scale, seed=args.seed,
+                              threads_list=tuple(args.threads)).render())
     elif args.command == "table2":
         print(run_table2(scale=args.scale, seed=args.seed, runs=args.runs).render())
     elif args.command == "table3":
@@ -673,19 +645,17 @@ def _main(args) -> int:
             print(check_program(ALGORITHMS[name]()).render())
             print("-" * 72)
     elif args.command == "run":
+        if args.trace_workers and not args.trace:
+            print("--trace-workers requires --trace PATH", file=sys.stderr)
+            return 1
         graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-        mutations = None
-        if args.mutate:
-            from .graph.mutations import generate_batches
-
-            mutations = generate_batches(graph, args.mutate_batches,
-                                         args.mutate_frac, args.mutate_seed)
+        spec = _run_spec(args, graph)  # mutations drawn on the in-RAM graph
         if args.out_of_core is not None:
             import pathlib
 
             from .storage import ShardStore
 
-            lookup(args.mode, residency="ShardStore")  # before building one
+            lookup(spec.mode, residency="ShardStore")  # before building one
             store_path = (pathlib.Path(args.out_of_core)
                           / f"{args.dataset}-s{args.scale}-k{args.num_intervals}.shards")
             if store_path.exists():
@@ -695,72 +665,13 @@ def _main(args) -> int:
                 print(f"building shard store {store_path} "
                       f"(K={args.num_intervals})", file=sys.stderr)
                 graph = ShardStore.build(graph, store_path, args.num_intervals)
-        config = EngineConfig(
-            threads=args.threads,
-            delay=args.delay,
-            seed=args.run_seed,
-            max_iterations=args.max_iterations,
-            worker_timeout_s=args.worker_timeout_s or None,
-        )
-        if args.resume and all(
-            getattr(args, name) == default
-            for name, default in (
-                ("threads", 4), ("delay", 2.0), ("run_seed", 0),
-                ("max_iterations", 100_000), ("worker_timeout_s", 60.0),
-            )
-        ):
-            # No engine knob was changed from its default: adopt the
-            # checkpointed config so the resumed run matches the original.
-            config = None
-        robust_kwargs = {}
-        if args.faults is not None:
-            robust_kwargs["faults"] = args.faults
-        if args.watchdog:
-            from .robust import ConvergenceWatchdog
-
-            robust_kwargs["watchdog"] = ConvergenceWatchdog(
-                deadline_s=args.deadline_s)
-        elif args.deadline_s is not None:
-            robust_kwargs["deadline_s"] = args.deadline_s
-        if args.fallback is not None:
-            from .robust import DegradationPolicy
-
-            robust_kwargs["policy"] = DegradationPolicy(
-                fallback_mode=args.fallback)
-        if args.checkpoint is not None:
-            robust_kwargs["checkpoint"] = args.checkpoint
-            robust_kwargs["checkpoint_every"] = args.checkpoint_every
-        if args.resume is not None:
-            robust_kwargs["resume_from"] = args.resume
-        if args.trace_workers and not args.trace:
-            print("--trace-workers requires --trace PATH", file=sys.stderr)
-            return 1
-        sink = None
-        if args.trace or args.telemetry:
-            from .obs import Telemetry
-
-            sink = Telemetry(
-                trace_path=args.trace,
-                worker_dir=(args.trace + ".workers"
-                            if args.trace_workers else None))
-        recorder = None
-        if args.record:
-            from .obs import Recorder
-
-            recorder = Recorder(policy=args.record_policy, trace_path=args.record)
-        result = run(ALGORITHMS[args.algorithm](), graph, mode=args.mode,
-                     config=config, backend=args.backend,
-                     direction=args.direction,
-                     telemetry=sink, record=recorder, mutations=mutations,
-                     delta_threshold=args.delta_threshold,
-                     delta_scheduling=args.delta_scheduling,
-                     **robust_kwargs)
+        result = run(ALGORITHMS[args.algorithm](), graph, **vars(spec))
         print(format_table([{"dataset": args.dataset, **result.summary()}],
                            title=f"{args.algorithm} on {args.dataset}"))
-        if args.direction != "pull":
+        if spec.direction != "pull":
             trace = result.extra.get("direction_trace", [])
             glyphs = "".join("P" if t == "push" else "-" for t in trace)
-            print(f"direction={args.direction}: "
+            print(f"direction={spec.direction}: "
                   f"{result.extra.get('push_iterations', 0)}/{len(trace)} "
                   f"push iterations [{glyphs}] (P=push, -=pull)",
                   file=sys.stderr)
@@ -771,7 +682,7 @@ def _main(args) -> int:
                   f"wrote {io.get('bytes_written', 0):,} B",
                   file=sys.stderr)
             graph.nondet_runner().close()
-        if args.mode == "delta":
+        if spec.mode == "delta":
             d = result.extra.get("delta", {})
             print(f"delta: op={d.get('op')} threshold={d.get('threshold')} "
                   f"scheduling={d.get('scheduling')} "
@@ -783,15 +694,14 @@ def _main(args) -> int:
                       f"({m['repaired_vertices']} vertices, "
                       f"{m['repair_seconds']:.4f}s) at iteration "
                       f"{m['at_iteration']}", file=sys.stderr)
-        for event in result.extra.get("degradations", ()):
-            detail = ", ".join(f"{k}={v}" for k, v in event.items())
-            print(f"degradation: {detail}", file=sys.stderr)
-        for fired in result.extra.get("faults_fired", ()):
-            detail = ", ".join(f"{k}={v}" for k, v in fired.items())
-            print(f"fault injected: {detail}", file=sys.stderr)
+        for key, label in (("degradations", "degradation"),
+                           ("faults_fired", "fault injected")):
+            for event in result.extra.get(key, ()):
+                print(f"{label}: " + ", ".join(
+                    f"{k}={v}" for k, v in event.items()), file=sys.stderr)
         if args.telemetry:
             print()
-            print(sink.summary())
+            print(spec.telemetry.summary())
         if args.trace:
             print(f"trace written to {args.trace}", file=sys.stderr)
         if args.trace_workers:
@@ -799,11 +709,8 @@ def _main(args) -> int:
                   f"`repro trace merge {args.trace} -o merged.jsonl`",
                   file=sys.stderr)
         if args.record:
-            print(
-                f"provenance trace written to {args.record} "
-                f"({len(recorder.events)} events)",
-                file=sys.stderr,
-            )
+            print(f"provenance trace written to {args.record} "
+                  f"({len(spec.record.events)} events)", file=sys.stderr)
         if args.audit:
             issues = audit_run(result)
             print("audit:", "CLEAN" if not issues else "; ".join(issues))
@@ -815,16 +722,11 @@ def _main(args) -> int:
         from .experiments.benchtrack import SUITES, run_bench
 
         suites = list(SUITES) if args.suite == "all" else [args.suite]
-        kwargs = {}
-        if args.scales is not None:
-            kwargs["scales"] = tuple(args.scales)
-        if args.workers is not None:
-            kwargs["workers"] = tuple(args.workers)
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in (
+            ("scales", args.scales), ("workers", args.workers),
+            ("direction", args.direction)) if v is not None}
         if args.out_of_core:
-            kwargs["out_of_core"] = True
-            kwargs["num_intervals"] = args.num_intervals
-        if args.direction is not None:
-            kwargs["direction"] = args.direction
+            kwargs.update(out_of_core=True, num_intervals=args.num_intervals)
         try:
             written = run_bench(
                 suites, out_dir=args.out_dir,
@@ -886,11 +788,8 @@ def _main(args) -> int:
     elif args.command == "speed":
         graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
         report = measure_convergence_speed(
-            ALGORITHMS[args.algorithm],
-            graph,
-            threads_list=tuple(args.threads),
-            delays=tuple(args.delays),
-        )
+            ALGORITHMS[args.algorithm], graph,
+            threads_list=tuple(args.threads), delays=tuple(args.delays))
         print(format_table(report.rows(),
                            title=f"Convergence speed: {report.algorithm} on {args.dataset}"))
         print(f"chain bound (NE <= SYNC + 1, RW-only): {report.check_chain_bound()}")
@@ -902,11 +801,8 @@ def _main(args) -> int:
     elif args.command == "serve":
         from .service.http import serve
 
-        return serve(args.data_dir, host=args.host, port=args.port,
-                     max_concurrent=args.max_concurrent,
-                     max_queue=args.max_queue,
-                     retain_age_s=args.retain_age_s,
-                     retain_count=args.retain_count)
+        return serve(**{k: v for k, v in vars(args).items()
+                        if k != "command"})
     elif args.command == "client":
         return _cmd_client(args)
     return 0

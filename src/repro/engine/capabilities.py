@@ -10,11 +10,12 @@ axes — and :func:`check` applies it before any engine starts, for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 
-__all__ = ["MODES", "FALLBACK_MODES", "DIRECTIONS", "ROWS", "Cell", "Row",
-           "Refused", "check", "lookup", "residency_of", "render"]
+__all__ = ["MODES", "FALLBACK_MODES", "DIRECTIONS", "SCHEDULINGS", "ROWS",
+           "Cell", "Row", "Refused", "check", "lookup", "positive",
+           "residency_of", "render"]
 
 #: every execution model ``run(mode=...)`` knows
 MODES = ("sync", "deterministic", "chromatic", "nondeterministic",
@@ -22,6 +23,8 @@ MODES = ("sync", "deterministic", "chromatic", "nondeterministic",
 #: the deterministic engines a degradation policy may finish on
 FALLBACK_MODES = ("chromatic", "sync", "deterministic")
 DIRECTIONS = ("pull", "push", "auto")
+#: how the delta engine dispatches residuals
+SCHEDULINGS = ("frontier", "priority")
 
 
 class Refused(ValueError):
@@ -128,101 +131,92 @@ def residency_of(graph) -> str:
     return "ShardStore" if isinstance(graph, ShardStore) else "DiGraph"
 
 
-def check(program=None, graph=None, *, mode: str = "nondeterministic",
-          config=None, state=None, observer=None, vectorized=False,
-          backend=None, direction: str = "pull", metrics=None, record=None,
-          supervisor=None, faults=None, watchdog=None, policy=None,
-          checkpoint=None, checkpoint_every=1, resume_from=None,
-          deadline_s=None, interrupt=None, mutations=None,
-          delta_threshold=None, delta_scheduling: str = "frontier",
-          service: bool = False, **config_kwargs):
-    """``(vectorized, backend, supervised)`` normalized, or :class:`Refused`.
+def positive(name: str, value) -> None:
+    """Refuse a run bound that is not a positive number (an integer but
+    for ``deadline_s``) before it confuses an engine loop."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise Refused(f"{name} must be a positive number, got {value!r} "
+                      f"({type(value).__name__})")
+    if value != value or value <= 0:  # NaN or non-positive
+        raise Refused(f"{name} must be > 0, got {value!r}")
+    if name != "deadline_s" and float(value) != int(value):
+        raise Refused(f"{name} must be a positive integer, got {value!r}")
 
-    Takes ``run()``'s keywords plus ``service``.  Given ``program``, an
-    array path without object-engine fallback (``vectorized="require"``,
-    the process backend, a ShardStore, ``direction="push"``) is also
-    refused here for the program/config eligibility reasons.
-    """
-    vectorized = False if vectorized == "" else vectorized
-    backend = None if backend == "" else backend
-    for name, value, values in (
-            ("vectorized", vectorized, (False, True, "require")),
-            ("backend", backend, (None, "process")),
-            ("direction", direction, DIRECTIONS),
-            ("delta_scheduling", delta_scheduling, ("frontier", "priority"))):
-        if value not in values:
-            raise Refused(f"{name}={value!r} not understood: use "
-                          + ", ".join(map(repr, values)))
-    if not (record is None or record is True
-            or isinstance(record, (str, bytes))
-            or hasattr(record, "begin_engine_run")
+
+def check(program, graph, spec, *, service: bool = False):
+    """``spec`` (a :class:`~repro.engine.spec.RunSpec`) normalized, or
+    :class:`Refused`; ``service`` judges it as a service job.  Given
+    ``program``, an array path without object-engine fallback
+    (``vectorized="require"``, the process backend, a ShardStore,
+    ``direction="push"``) is also refused for the program/config
+    eligibility reasons."""
+    if spec.vectorized == "" or spec.backend == "":
+        spec = replace(spec, vectorized=(False if spec.vectorized == ""
+                                         else spec.vectorized),
+                       backend=None if spec.backend == "" else spec.backend)
+    for name, values in (("vectorized", (False, True, "require")),
+                         ("backend", (None, "process")),
+                         ("direction", DIRECTIONS),
+                         ("delta_scheduling", SCHEDULINGS)):
+        if getattr(spec, name) not in values:
+            raise Refused(f"{name}={getattr(spec, name)!r} not understood: "
+                          "use " + ", ".join(map(repr, values)))
+    record = spec.record
+    if not (record is None or record is True or isinstance(record, (
+            str, bytes)) or hasattr(record, "begin_engine_run")
             or hasattr(record, "__fspath__")):
         raise Refused(f"record={record!r} not understood: use a Recorder, "
                       "a trace path, or True")
-    if config is not None and config_kwargs:
-        raise Refused("pass either config= or individual config kwargs, "
-                      "not both")
-    tolerance = (faults, watchdog, policy, deadline_s)
-    if supervisor is not None and any(
-            x is not None for x in (*tolerance, checkpoint, resume_from,
-                                    interrupt)):
+    if spec.supervisor is not None \
+            and replace(spec, supervisor=None).robustness != "none":
         raise Refused("pass either supervisor= or the fault-tolerance "
                       "kwargs (faults=/watchdog=/policy=/checkpoint=/"
                       "resume_from=/deadline_s=/interrupt=), not both")
-    if checkpoint is not None or resume_from is not None:
-        robustness = "checkpoint"
-    elif supervisor is not None or any(x is not None for x in tolerance):
-        robustness = "faults"
-    else:
-        robustness = "none" if interrupt is None else "interrupt"
     residency = residency_of(graph)
-    lookup(mode, service=bool(service), vectorized=vectorized,
-           backend=backend, direction=direction, residency=residency,
-           robustness=robustness, metrics=metrics is not None,
-           observer=observer is not None, state=state is not None,
-           delta_knobs=(mutations is not None or delta_threshold is not None
-                        or delta_scheduling != "frontier"))
-    if backend is not None and vectorized:
+    lookup(spec.mode, service=bool(service), vectorized=spec.vectorized,
+           backend=spec.backend, direction=spec.direction,
+           residency=residency, robustness=spec.robustness,
+           metrics=spec.metrics is not None,
+           observer=spec.observer is not None, state=spec.state is not None,
+           delta_knobs=(spec.mutations is not None
+                        or spec.delta_threshold is not None
+                        or spec.delta_scheduling != "frontier"))
+    if spec.backend is not None and spec.vectorized:
         raise Refused("pass either backend='process' or vectorized=, not "
                       "both (the process backend runs the vectorized "
                       "kernels already)")
-    if residency == "ShardStore" and direction != "pull":
+    if residency == "ShardStore" and spec.direction != "pull":
         raise Refused("out-of-core execution (a ShardStore graph) supports "
                       "direction='pull' only: its interval slicing is "
                       "already the sparse decomposition")
-    # A bad run bound would otherwise surface as a confusing comparison
-    # error deep inside an engine loop (or silently never checkpoint).
-    for name, value in (
-            ("max_iterations", config_kwargs.get(
-                "max_iterations", getattr(config, "max_iterations", 1))),
-            ("deadline_s", 1 if deadline_s is None else deadline_s),
-            ("checkpoint_every", checkpoint_every)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise Refused(f"{name} must be a positive number, got {value!r} "
-                          f"({type(value).__name__})")
-        if value != value or value <= 0:  # NaN or non-positive
-            raise Refused(f"{name} must be > 0, got {value!r}")
-        if name != "deadline_s" and float(value) != int(value):
-            raise Refused(f"{name} must be a positive integer, got {value!r}")
+    for name, value in (("max_iterations", getattr(spec.config,
+                                                   "max_iterations", 1)),
+                        ("deadline_s", 1 if spec.deadline_s is None
+                         else spec.deadline_s),
+                        ("checkpoint_every", spec.checkpoint_every)):
+        positive(name, value)
     # Direction is a fast-path concept: the interpreting object engine
     # has no dense/sparse distinction, so a non-default direction must
     # not silently run it.
-    if direction != "pull" and backend is None and not vectorized:
-        vectorized = "require"
-    path = ("the process backend" if backend is not None
+    if spec.direction != "pull" and spec.backend is None \
+            and not spec.vectorized:
+        spec = replace(spec, vectorized="require")
+    path = ("the process backend" if spec.backend is not None
             else "a ShardStore graph" if residency == "ShardStore"
-            else "vectorized='require'" if vectorized == "require" else None)
-    if program is not None and mode != "delta" and (path or vectorized):
+            else "vectorized='require'" if spec.vectorized == "require"
+            else None)
+    if program is not None and spec.mode != "delta" \
+            and (path or spec.vectorized):
         from .config import EngineConfig
         from .nondet_core import check_eligible, fallback_reasons
 
-        config = config or EngineConfig(**config_kwargs)
-        if path or not fallback_reasons(program, config, mode, record):
-            check_eligible(program, config, direction,
-                           path or "the vectorized fast path", mode, record,
-                           fp_noise=not backend and residency == "DiGraph")
-    return (vectorized, backend,
-            robustness != "none" and supervisor is None)
+        config = spec.config or EngineConfig()
+        if path or not fallback_reasons(program, config, spec.mode, record):
+            check_eligible(program, config, spec.direction,
+                           path or "the vectorized fast path", spec.mode,
+                           record, fp_noise=not spec.backend
+                           and residency == "DiGraph")
+    return spec
 
 
 def render() -> str:

@@ -32,6 +32,8 @@ __all__ = [
     "MutationBatch",
     "EdgeDiff",
     "generate_batches",
+    "BATCH_SPEC",
+    "batches_from_spec",
     "apply_batch",
     "apply_batches",
     "stable_weights",
@@ -238,6 +240,22 @@ def generate_batches(graph: DiGraph, num_batches: int, frac: float,
         src = np.concatenate([src[keep], ins_src])
         dst = np.concatenate([dst[keep], ins_dst])
     return batches
+
+
+#: the seeded batch spec a run or a service job names instead of edge
+#: arrays, with its defaults: ``generate_batches(graph, num_batches, frac,
+#: seed)``
+BATCH_SPEC = {"num_batches": 3, "frac": 0.001, "seed": 7}
+
+
+def batches_from_spec(graph: DiGraph, spec: dict) -> list[MutationBatch]:
+    """The batches a :data:`BATCH_SPEC`-shaped dict names (missing keys
+    take its defaults): the one expansion the CLI and the job runner
+    share, so a ``run --mutate`` and a job with the same spec repair the
+    same stream."""
+    spec = {**BATCH_SPEC, **spec}
+    return generate_batches(graph, int(spec["num_batches"]),
+                            float(spec["frac"]), int(spec["seed"]))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

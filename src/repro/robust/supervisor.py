@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from ..engine.capabilities import lookup, residency_of
 from ..engine.config import EngineConfig
 from ..engine.delaymodel import DelayModel
 from ..engine.runner import dispatch
+from ..engine.spec import RunSpec
 from .errors import (
     CheckpointError,
     ConvergenceFailure,
@@ -329,57 +331,51 @@ def _emit_degradation(telemetry, record, degradations: list, event: dict) -> Non
         record.event("degradation", **event)
 
 
-def supervised_run(program, graph, *, mode: str = "nondeterministic",
-                   config: EngineConfig | None = None, state=None,
-                   observer=None, vectorized=False, backend=None,
-                   direction: str = "pull", telemetry=None, metrics=None,
-                   record=None, faults=None,
-                   watchdog: ConvergenceWatchdog | None = None,
-                   policy: DegradationPolicy | None = None,
-                   checkpoint=None, checkpoint_every: int = 1,
-                   resume_from=None, deadline_s: float | None = None,
-                   interrupt=None):
+def supervised_run(program, graph, spec: RunSpec):
     """Run ``program`` under fault injection, monitoring, and recovery.
 
-    This is the engine room behind ``run(..., faults=/watchdog=/
-    checkpoint=/resume_from=/deadline_s=)``; see
-    :func:`repro.engine.runner.run` for parameter semantics.  When
-    ``config`` is ``None`` and ``resume_from`` names a checkpoint, the
-    checkpointed configuration is adopted so a bare ``--resume`` replays
-    the original run exactly.
+    This is the engine room behind ``run()``'s robustness knobs (the
+    :class:`~repro.engine.spec.RunSpec` fields say what each one does).
+    When ``spec.config`` is ``None`` and ``resume_from`` names a
+    checkpoint, the checkpointed configuration is adopted so a bare
+    ``--resume`` replays the original run exactly.
     """
     resume_ckpt = None
-    if resume_from is not None:
+    config = spec.config
+    if spec.resume_from is not None:
         from ..storage.checkpoint import load_checkpoint
 
-        resume_ckpt = load_checkpoint(resume_from)
-        if resume_ckpt.mode != mode:
+        resume_ckpt = load_checkpoint(spec.resume_from)
+        if resume_ckpt.mode != spec.mode:
             raise CheckpointError(
                 f"checkpoint was taken in mode {resume_ckpt.mode!r}; "
-                f"resume with the same mode (got {mode!r})")
+                f"resume with the same mode (got {spec.mode!r})")
         if config is None:
             config = resume_ckpt.config
     config = config or EngineConfig()
-    if faults is not None:
-        faults = FaultPlan.from_spec(faults, seed=config.seed)
-    policy = policy or DegradationPolicy()
-    if deadline_s is not None:
+    faults = (None if spec.faults is None
+              else FaultPlan.from_spec(spec.faults, seed=config.seed))
+    policy = spec.policy or DegradationPolicy()
+    watchdog = spec.watchdog
+    if spec.deadline_s is not None:
         if watchdog is None:
             watchdog = ConvergenceWatchdog(oscillation=False,
-                                           deadline_s=deadline_s)
+                                           deadline_s=spec.deadline_s)
         else:
-            watchdog.deadline_s = float(deadline_s)
+            watchdog.deadline_s = float(spec.deadline_s)
+    telemetry, record = spec.telemetry, spec.record
 
     sup = Supervisor(faults=faults, watchdog=watchdog,
-                     checkpoint_path=checkpoint,
-                     checkpoint_every=checkpoint_every,
+                     checkpoint_path=spec.checkpoint,
+                     checkpoint_every=spec.checkpoint_every,
                      telemetry=telemetry, record=record,
-                     interrupt=interrupt)
+                     interrupt=spec.interrupt)
     sup.pending_resume = resume_ckpt
 
-    cur_state = state if state is not None else _make_state(program, graph)
-    cur_mode, cur_config, cur_vectorized = mode, config, vectorized
-    cur_backend, cur_direction = backend, direction
+    # The attempt's spec: what a recovery step changes is replaced in it.
+    cur = replace(spec, config=config, supervisor=sup, state=(
+        spec.state if spec.state is not None
+        else _make_state(program, graph)))
     degradations: list[dict] = []
     restarts = 0
     escalated = False
@@ -389,12 +385,7 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
         if watchdog is not None:
             watchdog.reset()
         try:
-            result = dispatch(program, graph, mode=cur_mode,
-                              config=cur_config, state=cur_state,
-                              observer=observer, vectorized=cur_vectorized,
-                              backend=cur_backend, direction=cur_direction,
-                              telemetry=telemetry, metrics=metrics,
-                              record=record, supervisor=sup)
+            result = dispatch(program, graph, cur)
             break
         except (InjectedCrash, WorkerTimeout) as exc:
             sup.drain_fired()
@@ -411,15 +402,16 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
                 "detail": str(exc),
             }
             file_restore = None
-            if checkpoint is not None and os.path.exists(os.fspath(checkpoint)):
+            if spec.checkpoint is not None \
+                    and os.path.exists(os.fspath(spec.checkpoint)):
                 from ..storage.checkpoint import load_checkpoint
 
-                file_restore = load_checkpoint(checkpoint)
+                file_restore = load_checkpoint(spec.checkpoint)
             elif resume_ckpt is not None and sup.memory_token is None:
                 # crashed before the first barrier of a resumed run
                 file_restore = resume_ckpt
             token = (sup.memory_token
-                     if cur_mode not in _NO_MEMORY_RESTART else None)
+                     if cur.mode not in _NO_MEMORY_RESTART else None)
             if token is not None and (file_restore is None
                                       or token["iteration"] >= file_restore.iteration):
                 restore = dict(token)
@@ -430,10 +422,10 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
             else:
                 restore = None
                 event["resume_iteration"] = 0
-            if cur_mode in _NO_MEMORY_RESTART:
+            if cur.mode in _NO_MEMORY_RESTART:
                 # no barrier: the crashed attempt's arrays are no
                 # consistent cut — never reuse them
-                cur_state = _make_state(program, graph)
+                cur = replace(cur, state=_make_state(program, graph))
             sup.pending_resume = restore
             _emit_degradation(telemetry, record, degradations, event)
             time.sleep(policy.backoff_for(restarts))
@@ -447,24 +439,24 @@ def supervised_run(program, graph, *, mode: str = "nondeterministic",
                 "detail": verdict.detail,
             }
             if (policy.escalate_atomicity and not escalated
-                    and cur_config.atomicity in (AtomicityPolicy.ATOMIC_RELAXED,
+                    and cur.config.atomicity in (AtomicityPolicy.ATOMIC_RELAXED,
                                                  AtomicityPolicy.NONE)):
                 escalated = True
-                cur_config = cur_config.with_(atomicity=AtomicityPolicy.LOCK)
+                cur = replace(cur, config=cur.config.with_(
+                    atomicity=AtomicityPolicy.LOCK))
                 event["action"] = "escalate-atomicity"
             elif not fell_back:
                 fell_back = True
-                cur_mode = policy.fallback_mode
                 # The one switch the table has not seen yet: a ShardStore
                 # graph has no object engine to fall back to.
-                lookup(cur_mode, residency=residency_of(graph))
+                lookup(policy.fallback_mode, residency=residency_of(graph))
                 # The last rung runs the object oracle: the fallback mode
                 # may have no array path (chromatic), and sync's and DE's
                 # would refuse record= under ``"require"``; nor does it
                 # take a direction.
-                cur_vectorized = False
-                cur_backend = None
-                cur_direction = "pull"
+                cur = replace(cur, mode=policy.fallback_mode,
+                              vectorized=False, backend=None,
+                              direction="pull")
                 event["action"] = f"fallback:{policy.fallback_mode}"
             else:
                 event["action"] = "give-up"

@@ -27,8 +27,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
+from ..engine.spec import RunSpec
+from ..graph.mutations import BATCH_SPEC, batches_from_spec
+from ..obs.recorder import RECORD_POLICIES
+from ..robust.watchdog import DegradationPolicy
+from ..storage.checkpoint import config_from_dict
+
 __all__ = ["JobState", "JobSpec", "Job", "reduce_records", "job_table_state",
-           "resolve_algorithm"]
+           "resolve_algorithm", "wire_run_spec", "WIRE_FIELDS"]
 
 _JOB_ID_RE = re.compile(r"^j[0-9]{4,}-[0-9a-f]{4}$")
 
@@ -39,6 +45,10 @@ ALLOWED_CONFIG_KEYS = frozenset({
     "threads", "delay", "seed", "max_iterations", "jitter", "atomicity",
     "dispatch", "worker_timeout_s", "direction_alpha", "direction_beta",
 })
+#: the fields a job spec (and the CLI's shared flags) carries verbatim to
+#: :class:`RunSpec`
+WIRE_FIELDS = ("mode", "vectorized", "backend", "faults", "deadline_s",
+               "checkpoint_every")
 
 
 def resolve_algorithm(name: str):
@@ -82,14 +92,14 @@ class JobSpec:
     algorithm: str
     graph: str | dict
     config: dict = dc_field(default_factory=dict)
-    mode: str = "nondeterministic"
-    vectorized: bool | str = False
-    backend: str | None = None
-    checkpoint_every: int = 1
+    mode: str = RunSpec.mode
+    vectorized: bool | str = RunSpec.vectorized
+    backend: str | None = RunSpec.backend
+    checkpoint_every: int = RunSpec.checkpoint_every
     deadline_s: float | None = None
     faults: str | None = None
     record: str | None = None  #: recorder policy name, or None = off
-    max_restarts: int = 3
+    max_restarts: int = DegradationPolicy.max_restarts
     throttle_s: float = 0.0
     #: delta mode only: seeded mutation-batch spec the service expands
     #: against its graph ({"num_batches": K, "frac": F, "seed": S}) —
@@ -116,39 +126,35 @@ class JobSpec:
                 f"unsupported config key(s): {', '.join(sorted(unknown))}")
         if self.throttle_s < 0:
             raise ValueError("throttle_s must be >= 0")
-        if self.record not in (None, "conflicts", "all", "reservoir"):
+        if self.record not in (None, *RECORD_POLICIES):
             raise ValueError(f"record={self.record!r} not a recorder policy")
         if self.mutations is not None:
             if not isinstance(self.mutations, dict):
                 raise ValueError("mutations must be a batch-spec dict")
-            unknown = set(self.mutations) - {"num_batches", "frac", "seed"}
+            unknown = set(self.mutations) - set(BATCH_SPEC)
             if unknown:
                 raise ValueError(
                     f"unknown mutation key(s): {', '.join(sorted(unknown))}")
-            if int(self.mutations.get("num_batches", 1)) < 1:
+            batches = {**BATCH_SPEC, **self.mutations}
+            if int(batches["num_batches"]) < 1:
                 raise ValueError("mutations.num_batches must be >= 1")
-            if not 0 < float(self.mutations.get("frac", 0.001)) <= 1:
+            if not 0 < float(batches["frac"]) <= 1:
                 raise ValueError("mutations.frac must be in (0, 1]")
 
-    def switches(self) -> dict:
-        """The ``run()`` switches this job sets, as the capability table
-        (:func:`repro.engine.capabilities.check`) judges them; the job
-        runner passes the same keys with live values — a checkpoint path,
-        an interrupt hook, a recorder, generated mutation batches."""
-        return {
-            "mode": self.mode,
-            "vectorized": self.vectorized,
-            "backend": self.backend,
-            "faults": self.faults,
-            "deadline_s": self.deadline_s,
-            "checkpoint_every": self.checkpoint_every,
-            # The delta engine has no barrier checkpoints yet: a killed
-            # or drained delta job re-runs from scratch.
-            "checkpoint": None if self.mode == "delta" else "state.ckpt",
-            "interrupt": True,
-            "record": None if self.record is None else True,
-            "mutations": self.mutations,
-        }
+    def run_spec(self, graph=None) -> RunSpec:
+        """The :class:`~repro.engine.spec.RunSpec` this job runs (see
+        :func:`wire_run_spec`), as scheduler admission judges it; the job
+        runner passes ``graph`` and replaces the placeholders with live
+        values — the checkpoint path, the interrupt hook, a recorder."""
+        # The delta engine has no barrier checkpoints yet: a killed or
+        # drained delta job re-runs from scratch.
+        checkpointed = self.mode != "delta"
+        return wire_run_spec(
+            self.to_dict(), graph, interrupt=True,
+            record=None if self.record is None else True,
+            checkpoint="state.ckpt" if checkpointed else None,
+            policy=(DegradationPolicy(max_restarts=self.max_restarts)
+                    if checkpointed else None))
 
     def to_dict(self) -> dict:
         return {
@@ -178,6 +184,23 @@ class JobSpec:
         spec = cls(**data)
         spec.validate()
         return spec
+
+
+def wire_run_spec(wire: dict, graph=None, **live) -> RunSpec:
+    """The :class:`~repro.engine.spec.RunSpec` a flat JSON switch dict
+    names — a :class:`JobSpec`'s fields, or the CLI's shared flags: the
+    spec's wire subset.  ``config`` holds
+    :class:`~repro.engine.EngineConfig` fields, ``mutations`` a
+    :data:`~repro.graph.mutations.BATCH_SPEC` dict (expanded against
+    ``graph`` when one is given); ``live`` sets the fields JSON cannot
+    carry."""
+    fields = {name: wire[name] for name in WIRE_FIELDS if name in wire}
+    if wire.get("config"):
+        fields["config"] = config_from_dict(wire["config"])
+    if wire.get("mutations") is not None:
+        fields["mutations"] = (wire["mutations"] if graph is None
+                               else batches_from_spec(graph, wire["mutations"]))
+    return RunSpec(**fields, **live)
 
 
 @dataclass

@@ -63,17 +63,15 @@ import os
 import signal
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ..engine.runner import run
-from ..graph.mutations import generate_batches
 from ..obs.recorder import Recorder
 from ..obs.telemetry import Telemetry
 from ..robust.errors import RunInterrupted
 from ..robust.procs import process_context
-from ..robust.watchdog import DegradationPolicy
-from ..storage.checkpoint import config_from_dict
 from ..storage.shm import segment_namespace
 from .graphs import GraphRegistry
 from .jobs import JobSpec, resolve_algorithm
@@ -175,26 +173,17 @@ def run_job(conn, graphs: GraphRegistry, jdir: str, shm_namespace: str,
         os.makedirs(jdir, exist_ok=True)
         program = resolve_algorithm(spec.algorithm)()
         graph = graphs.get(spec.graph)
-        kwargs = spec.switches()
-        kwargs.update(
-            telemetry=sink, interrupt=interrupt,
-            config=config_from_dict(spec.config) if spec.config else None,
+        run_spec = replace(
+            spec.run_spec(graph), telemetry=sink, interrupt=interrupt,
             record=None if spec.record is None else Recorder(
                 policy=spec.record,
                 trace_path=os.path.join(jdir, f"record-{attempt}.jsonl")))
-        if kwargs["checkpoint"] is not None:
-            kwargs.update(
-                checkpoint=os.path.join(jdir, "state.ckpt"),
-                resume_from=resume_from,
-                policy=DegradationPolicy(max_restarts=spec.max_restarts))
-        if spec.mutations is not None:
-            m = spec.mutations
-            kwargs["mutations"] = generate_batches(
-                graph, int(m.get("num_batches", 3)),
-                float(m.get("frac", 0.001)), int(m.get("seed", 7)))
+        if run_spec.checkpoint is not None:
+            run_spec = replace(run_spec, resume_from=resume_from,
+                               checkpoint=os.path.join(jdir, "state.ckpt"))
         t0 = time.monotonic()
         with segment_namespace(shm_namespace):
-            result = run(program, graph, **kwargs)
+            result = run(program, graph, **vars(run_spec))
         arr = np.ascontiguousarray(result.result())
         np.save(os.path.join(jdir, "result.npy"), arr)
         summary = {

@@ -48,7 +48,6 @@ from ..engine.capabilities import check
 from ..obs.metrics import MetricsRegistry
 from ..robust.errors import RunnerDied
 from ..robust.procs import reap
-from ..storage.checkpoint import config_from_dict
 from ..storage.shm import sweep_orphaned_segments
 from .graphs import GraphRegistry
 from .jobs import (Job, JobSpec, JobState, job_table_state, reduce_records,
@@ -269,11 +268,10 @@ class GraphService:
                 self._seq += 1
                 data["job_id"] = f"j{self._seq:04d}-{secrets.token_hex(2)}"
         job_spec = JobSpec.from_dict(data)
-        # The capability table, on the switches the job runner will pass:
-        # a combination run() would refuse is never journaled.
-        check(resolve_algorithm(job_spec.algorithm)(),
-              config=config_from_dict(job_spec.config), service=True,
-              **job_spec.switches())
+        # The capability table, on the spec the job runner will run: a
+        # combination run() would refuse is never journaled.
+        check(resolve_algorithm(job_spec.algorithm)(), None,
+              job_spec.run_spec(), service=True)
         if isinstance(job_spec.graph, str):
             if job_spec.graph not in self.graphs.names():
                 raise KeyError(

@@ -28,6 +28,7 @@ from repro.algorithms import PageRank, SpMV
 from repro.engine import EngineConfig, run
 from repro.graph import DiGraph, generators
 from repro.robust import DegradationPolicy, supervised_run
+from repro.engine.spec import RunSpec
 from repro.storage import ShardStore
 
 from .test_nondet_vectorized import assert_bit_identical
@@ -130,11 +131,11 @@ def test_prefilled_masks_are_overwritten(graph, poisoned_store, backend):
 
 def test_masks_follow_a_changing_delay_model(graph, poisoned_store):
     config = EngineConfig(threads=3, seed=2, jitter=0.25)
-    mem = supervised_run(SpMV(), graph, mode="nondeterministic",
-                         config=config, faults="delay@1:x4",
-                         vectorized="require")
-    ooc = supervised_run(SpMV(), poisoned_store, mode="nondeterministic",
-                         config=config, faults="delay@1:x4")
+    mem = supervised_run(SpMV(), graph, RunSpec(
+        mode="nondeterministic", config=config, faults="delay@1:x4",
+        vectorized="require"))
+    ooc = supervised_run(SpMV(), poisoned_store, RunSpec(
+        mode="nondeterministic", config=config, faults="delay@1:x4"))
     assert_same_run(mem, ooc)
 
 

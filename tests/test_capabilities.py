@@ -5,24 +5,31 @@ residency × ``direction`` × robustness × ``metrics`` × ``record`` ×
 ``observer`` × ``state`` × ``mutations`` and holds ``run()`` to the
 table: the point either converges or raises :class:`Refused` with
 exactly the reason :func:`check` gives — never an error from deeper in
-an engine.  Every point the service can express is admitted by
-``GraphService.submit`` exactly when ``run()`` accepts it, except
-pure-async, which the service refuses for want of a consistent cut.
+an engine.  Every point ``repro run`` can express parses to the
+:class:`RunSpec` ``run()`` builds.  Every point the service can express
+is admitted by ``GraphService.submit`` exactly when ``run()`` accepts
+it, except pure-async, which the service refuses for want of a
+consistent cut.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro import cli
 from repro.algorithms import WeaklyConnectedComponents
-from repro.engine import EngineConfig, run
+from repro.engine import EngineConfig, run, runner
 from repro.engine.capabilities import (DIRECTIONS, MODES, ROWS, Refused,
                                        check, render)
+from repro.engine.spec import RunSpec
 from repro.graph import generators
 from repro.graph.mutations import generate_batches
 from repro.obs import MetricsRegistry
@@ -123,16 +130,38 @@ def test_a_point_runs_or_is_refused_with_the_table_reason(world, point):
         kw["mutations"] = generate_batches(graph, 1, 0.3, 7)
 
     try:
-        check(program, target, config=CONFIG, **kw)
+        check(program, target, RunSpec(config=CONFIG, **kw))
         reason = None
     except Refused as exc:
         reason = exc.reason
-    if reason is None:
-        assert run(program, target, config=CONFIG, **kw).converged
-    else:
-        with pytest.raises(Refused) as refused:
-            run(program, target, config=CONFIG, **kw)
-        assert refused.value.reason == reason
+    with mock.patch.object(runner, "check", wraps=check) as spy:
+        if reason is None:
+            assert run(program, target, config=CONFIG, **kw).converged
+        else:
+            with pytest.raises(Refused) as refused:
+                run(program, target, config=CONFIG, **kw)
+            assert refused.value.reason == reason
+    built = spy.call_args.args[2]  # the RunSpec run() built
+
+    if not (metrics or record or observer or state):  # `repro run` says it
+        argv = ["run", "WCC", "--mode", mode, "--direction", direction,
+                "--threads", "2", "--run-seed", "0"]
+        argv += {True: ["--vectorized"], "require": ["--vectorized",
+                                                     "require"]}.get(
+            vectorized, [])
+        argv += ["--backend", backend] if backend else []
+        argv += {"faults": ["--faults", ""], "checkpoint": [
+            "--checkpoint", ckpt]}.get(robustness, [])
+        argv += ["--out-of-core", "shards"] if shards else []
+        argv += ["--mutate", "--mutate-batches", "1", "--mutate-frac", "0.3",
+                 "--mutate-seed", "7"] if mutations else []
+        parsed = cli._run_spec(cli._build_parser().parse_args(argv), graph)
+        assert replace(parsed, mutations=None) == replace(built,
+                                                          mutations=None)
+        for a, b in zip(parsed.mutations or (), built.mutations or (),
+                        strict=True):
+            assert np.array_equal(a.inserts, b.inserts)
+            assert np.array_equal(a.deletes, b.deletes)
 
     if shards or direction != "pull" or metrics or observer or state \
             or robustness == "checkpoint":

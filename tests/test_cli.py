@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro import cli
 from repro.cli import ALGORITHMS, main
+from repro.engine import EngineConfig, run
+from repro.graph import load_dataset
+from repro.robust import RunInterrupted
 
 
 def run_cli(capsys, *argv):
@@ -162,3 +168,56 @@ class TestBackendAndBench:
         assert set(cell["workers"]) == {"1", "2"}
         for stat in cell["workers"].values():
             assert stat["speedup"] > 0
+
+
+class TestSharedSwitches:
+    def test_resume_honours_an_engine_flag_equal_to_its_default(
+            self, tmp_path, monkeypatch):
+        """``--resume`` adopts the checkpoint's config only when no engine
+        flag is given, even one that equals EngineConfig's default."""
+        ck = str(tmp_path / "pr.ckpt")
+        graph = load_dataset("web-google-mini", scale=8, seed=7)
+        barriers = iter(range(1, 10**6))
+        with pytest.raises(RunInterrupted):
+            run(ALGORITHMS["PageRank"](), graph, checkpoint=ck,
+                config=EngineConfig(threads=8),
+                interrupt=lambda: "stop" if next(barriers) == 3 else None)
+        results = []
+        monkeypatch.setattr(cli, "run", lambda *a, **kw: results.append(
+            run(*a, **kw)) or results[-1])
+        for flags in ([], ["--threads", "4"]):
+            assert main(["run", "PageRank", "--scale", "8",
+                         "--resume", ck, *flags]) == 0
+        adopted, explicit = results
+        assert adopted.config == EngineConfig(threads=8)
+        assert explicit.config == EngineConfig(threads=4)
+        expected = run(ALGORITHMS["PageRank"](), graph, resume_from=ck,
+                       config=EngineConfig(threads=4))
+        assert explicit.conflicts.summary() == expected.conflicts.summary()
+        assert explicit.num_iterations == expected.num_iterations
+
+    def test_submit_expresses_the_benchmark_job_spec(self):
+        """``client submit`` says what the service_jobs workload submits."""
+        from bench_e2e.workloads import ServiceJobs
+
+        bench = ServiceJobs(SimpleNamespace(quick=True, seed=3,
+                                            tracer=SimpleNamespace(span=None)))
+        want = bench.specs[0]
+        argv = ["client", "submit", want["algorithm"], "--graph", "web",
+                "--vectorized", "--checkpoint-every", "1",
+                "--threads", str(want["config"]["threads"]),
+                "--jitter", str(want["config"]["jitter"]),
+                "--run-seed", str(want["config"]["seed"])]
+        assert cli._job_spec(cli._build_parser().parse_args(argv)) == want
+
+    def test_run_and_submit_share_the_switch_flags(self):
+        parser = cli._build_parser()
+        flags = ["--mode", "sync", "--vectorized", "require", "--threads",
+                 "2", "--faults", "crash@2", "--max-restarts", "1"]
+        run_args = parser.parse_args(["run", "WCC", *flags])
+        submit_args = parser.parse_args(["client", "submit", "WCC",
+                                         "--graph", "web", *flags])
+        assert cli._switches(run_args) == cli._switches(submit_args) == {
+            "mode": "sync", "vectorized": "require", "faults": "crash@2",
+            "max_restarts": 1, "config": {"threads": 2}}
+        assert cli._switches(parser.parse_args(["run", "WCC"])) == {}

@@ -147,16 +147,17 @@ def test_pool_reuse_keeps_delay_model_in_sync(small_graph):
     """The batched barrier message only ships the delay model when it
     changes; a fault-injection schedule that flips it per iteration must
     still match the single-process run."""
+    from repro.engine.spec import RunSpec
     from repro.robust import supervised_run
 
     config = EngineConfig(threads=2, seed=3, jitter=0.25)
     plan = "delay@1:x3;delay@3:x7"
-    solo = supervised_run(WeaklyConnectedComponents(), small_graph,
-                          mode="nondeterministic", config=config,
-                          faults=plan, vectorized="require")
-    proc = supervised_run(WeaklyConnectedComponents(), small_graph,
-                          mode="nondeterministic", config=config,
-                          faults=plan, backend="process")
+    solo = supervised_run(WeaklyConnectedComponents(), small_graph, RunSpec(
+        mode="nondeterministic", config=config, faults=plan,
+        vectorized="require"))
+    proc = supervised_run(WeaklyConnectedComponents(), small_graph, RunSpec(
+        mode="nondeterministic", config=config, faults=plan,
+        backend="process"))
     assert_bit_identical(solo, proc)
 
 

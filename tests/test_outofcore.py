@@ -321,15 +321,15 @@ def test_checkpoint_resume_roundtrip(ooc_graph, ooc_store, tmp_path):
 def test_torn_write_fault_parity(ooc_graph, ooc_store):
     """Fault injection mutates the interval-sliced state identically to
     the in-memory engine — the supervisor's writes flush to scratch."""
+    from repro.engine.spec import RunSpec
     from repro.robust import supervised_run
 
     config = EngineConfig(threads=2, seed=3, jitter=0.25)
-    solo = supervised_run(WeaklyConnectedComponents(), ooc_graph,
-                          mode="nondeterministic", config=config,
-                          faults="torn@1;delay@2:x3", vectorized="require")
-    ooc = supervised_run(WeaklyConnectedComponents(), ooc_store,
-                         mode="nondeterministic", config=config,
-                         faults="torn@1;delay@2:x3")
+    solo = supervised_run(WeaklyConnectedComponents(), ooc_graph, RunSpec(
+        mode="nondeterministic", config=config, faults="torn@1;delay@2:x3",
+        vectorized="require"))
+    ooc = supervised_run(WeaklyConnectedComponents(), ooc_store, RunSpec(
+        mode="nondeterministic", config=config, faults="torn@1;delay@2:x3"))
     assert_bit_identical(solo, ooc)
 
 

@@ -323,9 +323,9 @@ def test_deterministic_fallback_runs_the_object_engine(monkeypatch,
     attempts = []
     dispatch = supervisor.dispatch
 
-    def spy(*args, **kwargs):
-        attempts.append((kwargs["mode"], kwargs["vectorized"]))
-        return dispatch(*args, **kwargs)
+    def spy(program, graph, spec):
+        attempts.append((spec.mode, spec.vectorized))
+        return dispatch(program, graph, spec)
 
     monkeypatch.setattr(supervisor, "dispatch", spy)
     res = run(PageRank(), small_graph, mode="nondeterministic",

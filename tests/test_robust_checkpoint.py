@@ -20,6 +20,7 @@ from repro.engine import EngineConfig, Refused, run
 from repro.engine.atomicity import AtomicityPolicy
 from repro.engine.delaymodel import DelayModel
 from repro.engine.dispatch import DispatchPolicy
+from repro.engine.spec import RunSpec
 from repro.graph import generators
 from repro.robust import CheckpointError, ConvergenceFailure, DegradationPolicy
 from repro.robust.supervisor import supervised_run
@@ -365,8 +366,8 @@ def test_pure_async_refuses_checkpoint(tmp_path):
         run(WeaklyConnectedComponents(), g, mode="pure-async",
             checkpoint=str(tmp_path / "nope.ckpt"))
     with pytest.raises(CheckpointError, match="barrier-free"):
-        supervised_run(WeaklyConnectedComponents(), g, mode="pure-async",
-                       checkpoint=str(tmp_path / "nope.ckpt"))
+        supervised_run(WeaklyConnectedComponents(), g, RunSpec(
+            mode="pure-async", checkpoint=str(tmp_path / "nope.ckpt")))
 
 
 # ----------------------------------------------------------------------

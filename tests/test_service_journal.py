@@ -182,3 +182,41 @@ def test_snapshot_version_guard(tmp_path):
         json.dump({"version": 99, "seq": 1, "state": {}}, fh)
     with pytest.raises(JournalError):
         JobJournal(tmp_path / "j").replay()
+
+
+# ----------------------------------------------------------------------
+# a journal written before RunSpec replays unchanged
+# ----------------------------------------------------------------------
+#: ``submit`` records written by the service at commit 86ff0cf, before
+#: job specs became RunSpec's wire subset: one per mode the service
+#: admits, then one the capability table refuses (appended directly).
+PARENT_JOURNAL = os.path.join(os.path.dirname(__file__), "fixtures",
+                              "parent_journal.jsonl")
+
+
+def test_parent_journal_replays_to_the_same_spec_bytes(tmp_path):
+    import shutil
+
+    from repro.engine.capabilities import ROWS, Refused, check
+    from repro.service.jobs import resolve_algorithm
+
+    shutil.copy(PARENT_JOURNAL, tmp_path / "journal.jsonl")
+    _, tail = JobJournal(tmp_path, fsync=False).replay()
+    jobs = reduce_records({}, tail)
+    with open(PARENT_JOURNAL, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert len(jobs) == len(lines) == 7
+    for line, job in zip(lines, jobs.values()):
+        spec = json.dumps(job.spec.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
+        assert f'"spec":{spec},' in line
+    *admitted, refused = jobs.values()
+    assert sorted({j.spec.mode for j in admitted}) == sorted(
+        m for m, row in ROWS.items() if row.service is None)
+    for job in admitted:
+        check(resolve_algorithm(job.spec.algorithm)(), None,
+              job.spec.run_spec(), service=True)
+    with pytest.raises(Refused) as exc:
+        check(resolve_algorithm(refused.spec.algorithm)(), None,
+              refused.spec.run_spec(), service=True)
+    assert exc.value.reason == ROWS["sync"].backend.reason

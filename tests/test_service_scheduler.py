@@ -13,10 +13,12 @@ import hashlib
 import os
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.algorithms import PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, run
 from repro.service import GraphService, JobState, ServiceBusy
@@ -350,7 +352,7 @@ def test_recovery_fails_a_journaled_job_the_table_refuses(tmp_path, switches):
     spec = JobSpec(job_id="j0001-00aa", algorithm="WCC", graph="web",
                    **switches)
     with pytest.raises(Refused) as refused:
-        check(WeaklyConnectedComponents(), **spec.switches())
+        check(WeaklyConnectedComponents(), None, spec.run_spec())
     data_dir = tmp_path / "svc"
     svc = GraphService(data_dir)
     svc.graphs.register("web", WEB_SPEC)
@@ -422,6 +424,23 @@ def test_delta_job_with_mutations(service):
         assert m["repair_mode"] == "reseed"
     arr = service.result_array(jid)
     assert arr.shape[0] > 0 and np.all(np.isfinite(arr))
+
+    # `repro run --mutate` expands the same batch spec the same way.
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(cli, "run", spy):
+        assert cli.main(["run", "PageRank", "--mode", "delta", "--scale",
+                         str(WEB_SPEC["scale"]), "--seed",
+                         str(WEB_SPEC["seed"]), "--mutate",
+                         "--mutate-batches", "2", "--mutate-frac", "0.01",
+                         "--mutate-seed", "7"]) == 0
+    solo = np.ascontiguousarray(results[0].result())
+    assert hashlib.sha256(solo.tobytes()).hexdigest() == \
+        summary["state_sha256"]
 
 
 def test_delta_spec_validation():
