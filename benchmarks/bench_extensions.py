@@ -160,7 +160,7 @@ def test_e6_chromatic_baseline(benchmark, record_table):
                      "threads": 1, "virtual_ms": estimate_time(de) * 1e3})
         for threads in (4, 8, 16):
             ch = run(WeaklyConnectedComponents(), graph, mode="chromatic",
-                     config=EngineConfig(threads=threads))
+                     config=EngineConfig(threads=threads), vectorized=True)
             rows.append({"scheduler": f"chromatic ({ch.extra['num_colors']} colors)",
                          "threads": threads, "virtual_ms": estimate_time(ch) * 1e3})
             ne = run(WeaklyConnectedComponents(), graph, mode="nondeterministic",

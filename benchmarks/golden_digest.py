@@ -17,10 +17,11 @@ Run it against each tree and diff the outputs::
 
 The cases: WCC, SSSP, BFS, PageRank and SpMV under ``sync``,
 ``deterministic``, ``chromatic`` and object ``nondeterministic`` at 1 and
-4 threads; NE with ``atomicity=NONE``; DE and NE with ``fp_noise``
-(each also run on the array engine, which must agree with the object
-engine on state, trajectory and conflicts, or the script fails); the
-push programs of extension E1 (atomic and racy combine); the array
+4 threads; NE with ``atomicity=NONE``; DE and NE with ``fp_noise`` (these
+and the chromatic cases also run on the array engine, which must agree
+with the object engine on state, trajectory and conflicts, or the
+script fails); the push programs of extension E1 (atomic and racy
+combine); the array
 engines (NE, DE and BSP plans in RAM, NE on 2 worker processes and out
 of core); and a supervised run through ``crash@2;torn@3`` with a
 checkpoint, then resumed from that checkpoint.
@@ -99,14 +100,26 @@ def traced(tmp: str, program, graph, *, recorded: bool = True, **kwargs):
     return digest(result, tmp, sink)
 
 
+def agree(tmp: str, case: str, factory, graph, **kwargs) -> None:
+    """Fail unless the array engine agrees with the object engine on
+    state, trajectory and conflicts."""
+    paths = [digest(run(factory(), graph, vectorized=vectorized, **kwargs),
+                    tmp) for vectorized in (False, "require")]
+    assert paths[0] == paths[1], f"{case}: the array engine disagrees"
+
+
 def cases(tmp: str):
     graph = generators.rmat(7, 6.0, seed=3)
     for name, factory in PROGRAMS.items():
         for mode in MODES:
             for threads in (1, 4):
+                config = EngineConfig(threads=threads, seed=1)
                 yield (f"{name}/{mode}/t{threads}",
                        traced(tmp, factory(), graph, mode=mode,
-                              config=EngineConfig(threads=threads, seed=1)))
+                              config=config))
+                if mode == "chromatic":
+                    agree(tmp, f"{name}/{mode}/t{threads}", factory, graph,
+                          mode=mode, config=config)
         yield (f"{name}/ne-atomicity-none",
                traced(tmp, factory(), graph, mode="nondeterministic",
                       config=EngineConfig(threads=4, seed=2,
@@ -115,11 +128,8 @@ def cases(tmp: str):
             config = EngineConfig(threads=4, seed=3, fp_noise=True)
             yield (f"{name}/{mode}-fp-noise",
                    traced(tmp, factory(), graph, mode=mode, config=config))
-            paths = [digest(run(factory(), graph, mode=mode, config=config,
-                                vectorized=vectorized), tmp)
-                     for vectorized in (False, "require")]
-            assert paths[0] == paths[1], (
-                f"{name}/{mode}-fp-noise: the array engine disagrees")
+            agree(tmp, f"{name}/{mode}-fp-noise", factory, graph, mode=mode,
+                  config=config)
     for name, factory in (("PushBFS", lambda: PushBFS(source=0)),
                           ("PushMinReach", PushMinReach),
                           ("PushPageRankDelta",

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..engine.nondet_core import (
+    BSP,
     NondetKernel,
     NondetPassContext,
     register_nondet_kernel,
@@ -70,10 +71,10 @@ class _Kernel(NondetKernel):
                 k, lo = k + graph.out_degrees(), np.zeros_like(lo)
             self._csc = (k, lo, csc, at)
         k, lo, csc, at = self._csc
-        # The plan's execution order: ascending label (DE, BSP), else
+        # The plan's execution order: ascending label (BSP), else
         # (time, π, thread) — DispatchPlan.execution_order.
         ids = plan.ids
-        order = ids if plan.barrier else ids[
+        order = ids if plan.schedule is BSP else ids[
             np.lexsort((plan.thr_a, plan.pi_a, plan.time_a))]
         kv = k[order]
         big = np.flatnonzero(kv > 1)

@@ -12,7 +12,6 @@ from .conflicts import (
 )
 from .dispatch import DispatchPlan, DispatchPolicy, make_plan, plan_arrays
 from .frontier import Frontier, initial_frontier
-from .chromatic import ChromaticEngine
 from .gauss_seidel import DeterministicEngine
 from .delaymodel import DelayModel
 from .nondet_engine import NondeterministicEngine
@@ -61,7 +60,6 @@ __all__ = [
     "plan_arrays",
     "Frontier",
     "initial_frontier",
-    "ChromaticEngine",
     "DeterministicEngine",
     "DelayModel",
     "NondeterministicEngine",

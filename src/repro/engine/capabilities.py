@@ -63,11 +63,11 @@ class Row:
 _AXES = tuple(f.name for f in fields(Row))
 
 _VECTORIZED = Cell((False,), "vectorized= applies to mode='nondeterministic', "
-                             "'sync' or 'deterministic' only")
+                             "'sync', 'chromatic' or 'deterministic' only")
 _BACKEND = Cell((None,), "backend='process' applies to "
                          "mode='nondeterministic' only")
 _PULL = Cell(("pull",), "direction= applies to mode='nondeterministic', "
-                        "'sync' or 'deterministic' only")
+                        "'sync', 'chromatic' or 'deterministic' only")
 _IN_RAM = Cell(("DiGraph",), "out-of-core execution (a ShardStore graph) "
                "supports mode='nondeterministic' only (a degradation "
                "fallback to another mode needs an in-memory graph)")
@@ -75,16 +75,14 @@ _NO_DELTA_KNOBS = Cell((False,), "mutations=, delta_threshold= and "
                        "delta_scheduling= apply to mode='delta' only (the "
                        "incremental engine repairs the standing result; "
                        "other modes recompute)")
-_BSP_OR_DE = Row(backend=_BACKEND, residency=_IN_RAM,
+_RACE_FREE = Row(backend=_BACKEND, residency=_IN_RAM,
                  delta_knobs=_NO_DELTA_KNOBS)
 
 #: mode -> its row; the table itself
 ROWS = MappingProxyType({
-    "sync": _BSP_OR_DE,
-    "deterministic": _BSP_OR_DE,
-    "chromatic": Row(vectorized=_VECTORIZED, backend=_BACKEND,
-                     direction=_PULL, residency=_IN_RAM,
-                     delta_knobs=_NO_DELTA_KNOBS),
+    "sync": _RACE_FREE,
+    "deterministic": _RACE_FREE,
+    "chromatic": _RACE_FREE,
     "nondeterministic": Row(delta_knobs=_NO_DELTA_KNOBS),
     "pure-async": Row(
         service=Cell((False,), "pure-async is barrier-free: no consistent "

@@ -19,7 +19,8 @@ import numpy as np
 
 from .ordering import TaskSlot
 
-__all__ = ["DispatchPolicy", "DispatchPlan", "make_plan", "plan_arrays"]
+__all__ = ["DispatchPolicy", "DispatchPlan", "make_plan", "plan_arrays",
+           "sequential_plan"]
 
 
 class DispatchPolicy(enum.Enum):
@@ -63,54 +64,17 @@ def make_plan(
     jitter: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> DispatchPlan:
-    """Assign the (label-sorted) active vertices to ``num_threads`` threads.
-
-    Parameters
-    ----------
-    active_sorted:
-        The chosen vertices of this iteration, ascending by label (the
-        caller — the frontier — guarantees sortedness).
-    jitter:
-        Magnitude of seeded environmental noise added to each task's
-        effective timestamp: ``time = π + U(0, jitter)``.  ``0`` recovers
-        Definitions 1–3 exactly.
-    """
-    active = np.asarray(active_sorted, dtype=np.int64)
-    if num_threads < 1:
-        raise ValueError("num_threads must be >= 1")
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
-    if jitter > 0 and rng is None:
-        raise ValueError("jitter > 0 requires an rng")
-    k = int(active.size)
-    slots: dict[int, TaskSlot] = {}
+    """Assign the (label-sorted) active vertices to ``num_threads`` threads:
+    :func:`plan_arrays`' placement as one :class:`TaskSlot` per vertex."""
+    active = np.asarray(active_sorted, dtype=np.int64).tolist()
+    thread, pi, time = (a.tolist() for a in plan_arrays(
+        active_sorted, num_threads, policy=policy, jitter=jitter, rng=rng))
     per_thread: list[list[int]] = [[] for _ in range(num_threads)]
-
-    if policy is DispatchPolicy.BLOCK:
-        # Contiguous chunks; first (k % P) threads take one extra task,
-        # matching OpenMP static scheduling of a non-divisible range.
-        base = k // num_threads
-        extra = k % num_threads
-        start = 0
-        for t in range(num_threads):
-            size = base + (1 if t < extra else 0)
-            chunk = active[start : start + size]
-            start += size
-            for pi, vid in enumerate(chunk.tolist()):
-                noise = float(rng.uniform(0.0, jitter)) if jitter > 0 else 0.0
-                slots[vid] = TaskSlot(vid=vid, thread=t, pi=pi, time=pi + noise)
-                per_thread[t].append(vid)
-    elif policy is DispatchPolicy.ROUND_ROBIN:
-        for idx, vid in enumerate(active.tolist()):
-            t = idx % num_threads
-            pi = idx // num_threads
-            noise = float(rng.uniform(0.0, jitter)) if jitter > 0 else 0.0
-            slots[vid] = TaskSlot(vid=vid, thread=t, pi=pi, time=pi + noise)
-            per_thread[t].append(vid)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown policy {policy}")
-
-    return DispatchPlan(num_threads=num_threads, slots=slots, per_thread=per_thread)
+    for vid, t in zip(active, thread):
+        per_thread[t].append(vid)
+    return DispatchPlan(num_threads, {
+        vid: TaskSlot(vid=vid, thread=t, pi=p, time=tm)
+        for vid, t, p, tm in zip(active, thread, pi, time)}, per_thread)
 
 
 def plan_arrays(
@@ -121,14 +85,14 @@ def plan_arrays(
     jitter: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of :func:`make_plan`: ``(thread, pi, time)`` per active vertex.
+    """The dispatch plan: ``(thread, pi, time)`` per active vertex.
 
-    Returns, aligned with ``active_sorted``, the thread id, per-thread
+    ``active_sorted`` holds the chosen vertices of this iteration,
+    ascending by label (the caller — the frontier — guarantees
+    sortedness).  Returns, aligned with it, the thread id, per-thread
     position π, and effective timestamp ``π + U(0, jitter)`` of every
-    task.  Draws the jitter noise from ``rng`` in ascending-label order —
-    the same stream positions :func:`make_plan` consumes — so a run that
-    mixes the two (e.g. the vectorized engine falling back mid-sweep)
-    stays on the identical schedule sample.
+    task: seeded environmental noise, drawn from ``rng`` in
+    ascending-label order; ``jitter=0`` recovers Definitions 1–3 exactly.
     """
     active = np.asarray(active_sorted, dtype=np.int64)
     if num_threads < 1:
@@ -158,3 +122,29 @@ def plan_arrays(
     else:
         time = pi.astype(np.float64)
     return thread, pi, time
+
+
+def sequential_plan(
+    active_sorted: np.ndarray | list[int],
+    key: np.ndarray,
+    num_threads: int,
+    *,
+    policy: DispatchPolicy = DispatchPolicy.BLOCK,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sequential schedule in :func:`plan_arrays`' form.
+
+    The tasks run one at a time in ``(key[vid], vid)`` order, so π and
+    the timestamp are both the rank in that order.  Each key class is
+    dispatched over ``num_threads`` threads by :func:`plan_arrays`; the
+    thread only attributes work — DE is one class at one thread, the
+    chromatic scheduler a class per colour.
+    """
+    active = np.asarray(active_sorted, dtype=np.int64)
+    k = key[active]
+    order = np.argsort(k, kind="stable")
+    thread = np.empty(active.size, dtype=np.int64)
+    for cls in np.split(order, np.flatnonzero(np.diff(k[order])) + 1):
+        thread[cls] = plan_arrays(cls, num_threads, policy=policy)[0]
+    pi = np.empty(active.size, dtype=np.int64)
+    pi[order] = np.arange(active.size)
+    return thread, pi, pi.astype(np.float64)

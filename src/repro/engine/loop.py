@@ -1,10 +1,10 @@
 """The one iteration loop of every barriered engine (§II).
 
 The paper's system model has one iteration shape: a frontier ``S_n``,
-``P`` threads, one barrier.  BSP, DE, NE, chromatic and push execution
-differ only in what happens *inside* an iteration, so each engine
-supplies that as a ``step`` and :func:`run_loop` does everything around
-it, once: the telemetry and recorder run brackets, the supervisor hooks,
+``P`` threads, one barrier.  BSP, DE (chromatic is DE in colour order),
+NE and push execution differ only in what happens *inside* an iteration,
+so each engine supplies that as a ``step`` and :func:`run_loop` does
+everything around it, once: the telemetry and recorder run brackets, the supervisor hooks,
 the frontier (a sorted int64 id array), the ``IterationStats`` list,
 spans, metrics, the observer, at-cap accounting and the
 :class:`~repro.engine.result.RunResult`.

@@ -42,16 +42,18 @@ from .atomicity import AtomicityPolicy
 from .capabilities import Refused
 from .config import EngineConfig
 from .conflicts import ConflictLog
-from .dispatch import plan_arrays
+from .dispatch import plan_arrays, sequential_plan
 from .loop import run_loop
 from .program import VertexProgram
 from .result import IterationStats, RunResult
 
 __all__ = [
     "ArrayStep",
+    "BSP",
     "Barrier",
     "EdgePlan",
     "NondetKernel",
+    "NE",
     "NondetPassContext",
     "OUTPUTS",
     "PlanCache",
@@ -73,6 +75,9 @@ __all__ = [
 ]
 
 MODE = "nondeterministic"
+#: :class:`PlanCache` schedules; the third, the sequential one, is its
+#: per-vertex order key
+NE, BSP = "ne", "bsp"
 EVERYTHING = slice(None)
 #: dtype of ``rs`` / ``rd`` everywhere: 0 or 1 reads per side and pass.
 READ_COUNT = np.int8
@@ -169,18 +174,23 @@ class EdgePlan:
     * ``dt[e]`` — the endpoints run on different threads;
     * ``dst_wins[e]`` — the Lemma-2 winner of a doubly-written edge.
 
-    ``barrier``: no pair of endpoints exchanges a value within the
-    iteration (BSP), so every predicate above but ``dst_wins`` is False.
+    ``schedule`` is the plan's (:class:`PlanCache`): under ``BSP`` no
+    pair of endpoints exchanges a value within the iteration, so every
+    predicate above but ``dst_wins`` is False; under a sequential key
+    every pair is program-ordered, so a write is visible exactly to the
+    tasks after it and ``dt`` is False.
     """
 
     TIMED = ("t_s", "t_d", "dst_wins", "vis_s2d", "vis_d2s", "lex_sd", "lex_ds")
 
-    def __init__(self, vp, dm, s, d, *, barrier: bool = False):
+    def __init__(self, vp, dm, s, d, *, schedule=NE):
         self.s, self.d = s, d
         self.thr_s, self.thr_d, self.both, self.same, self._d_pair = _pair(
             vp, dm, s, d)
-        if barrier:
+        if schedule is BSP:
             self.both = np.zeros_like(self.both)
+        elif schedule is not NE:
+            self.same = np.ones_like(self.same)
         self.dt = self.both & ~self.same
         pi_s, pi_d = vp.pi_v[s], vp.pi_v[d]
         self._pi_sd = pi_s < pi_d
@@ -249,14 +259,19 @@ class PlanCache:
     afterwards — so alternating directions under ``direction="auto"``
     stays bit-stable.
 
-    ``barrier=True`` is the BSP plan: every task is stamped at time 0
-    and its :class:`EdgePlan` lets no pair exchange a value, so the
-    threads only account work and Lemma 2's ``(time, vid)`` tiebreak is
-    the larger-label commit (DESIGN §6.0).
+    ``schedule`` picks the plan (DESIGN §6.0).  ``NE``: the dispatch
+    plan, tasks at ``π + jitter``.  ``BSP``: every task is stamped at
+    time 0 and its :class:`EdgePlan` lets no pair exchange a value, so
+    the threads only account work and Lemma 2's ``(time, vid)`` tiebreak
+    is the larger-label commit.  A per-vertex key: the sequential plan
+    (:func:`~repro.engine.dispatch.sequential_plan`), π = time = rank in
+    ``(key, vid)`` order and every pair program-ordered, the threads
+    again only accounting work — DE is one class at one thread, the
+    chromatic scheduler the colouring at ``P`` threads.
     """
 
     def __init__(self, graph, num_threads: int, *, policy, jitter: float,
-                 rng, barrier: bool = False):
+                 rng, schedule=NE):
         self.src = graph.edge_src
         self.dst = graph.edge_dst
         self.n = graph.num_vertices
@@ -264,7 +279,7 @@ class PlanCache:
         self.policy = policy
         self.jitter = jitter
         self.rng = rng
-        self.barrier = barrier
+        self.schedule = schedule
         self.hits = 0
         self.ids: np.ndarray | None = None
         self.dm = None
@@ -293,8 +308,9 @@ class PlanCache:
             self.thr_a, self.pi_a, self.time_a = plan_arrays(
                 ids, self.p, policy=self.policy, jitter=self.jitter,
                 rng=self.rng,
-            )
-            if self.barrier:
+            ) if isinstance(self.schedule, str) else sequential_plan(
+                ids, self.schedule, self.p, policy=self.policy)
+            if self.schedule is BSP:
                 self.time_a = np.zeros_like(self.time_a)
             n = self.n
             self.thr_v = np.full(n, -1, dtype=np.int64)
@@ -316,10 +332,10 @@ class PlanCache:
         when ``None``)."""
         if eidx is not None:
             return EdgePlan(self, self.dm, self.src[eidx], self.dst[eidx],
-                            barrier=self.barrier)
+                            schedule=self.schedule)
         if self._dense is None:
             self._dense = EdgePlan(self, self.dm, self.src, self.dst,
-                                   barrier=self.barrier)
+                                   schedule=self.schedule)
         return self._dense
 
 
@@ -551,10 +567,10 @@ def fallback_reasons(program: VertexProgram, config: EngineConfig,
     configuration must not request behaviours that only the per-access
     object store models (torn-value injection, runtime scope checks,
     individual conflict-event capture).
-    The DE and BSP schedules (``mode="deterministic"`` / ``"sync"``)
-    have no races, so torn values and conflict events are moot; their
-    recorded formats are the object engines' own provenance, so
-    ``record=`` is not.
+    The DE, chromatic and BSP schedules (``mode="deterministic"`` /
+    ``"chromatic"`` / ``"sync"``) have no races, so torn values and
+    conflict events are moot; their recorded formats are the object
+    engines' own provenance, so ``record=`` is not.
     """
     reasons = []
     if resolve_nondet_kernel(program) is None:
@@ -569,8 +585,9 @@ def fallback_reasons(program: VertexProgram, config: EngineConfig,
         reasons.append("keep_conflict_events records individual events")
     if mode != MODE and record is not None:
         reasons.append(f"record= on the {mode} schedule: its provenance is "
-                       "the object engine's (DE: Gauss–Seidel writes, "
-                       "order='before'; BSP: rule='bsp-label-order')")
+                       "the object engine's (DE, chromatic: Gauss–Seidel "
+                       "writes, order='before'; BSP: "
+                       "rule='bsp-label-order')")
     return reasons
 
 

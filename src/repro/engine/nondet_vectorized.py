@@ -16,11 +16,12 @@ The result is **bit-for-bit identical** to the object engine — final
 state, iteration/frontier trajectory, per-thread stats, and conflict
 totals — for every registered program (PageRank, WCC, SSSP, BFS, SpMV;
 see ``tests/test_nondet_vectorized.py``), at one to two orders of
-magnitude higher throughput.  ``mode="deterministic"`` runs the same
-loop on a one-thread plan, the DE baseline, and ``mode="sync"`` on the
-barrier plan, BSP: bit-identical to
-:class:`~repro.engine.gauss_seidel.DeterministicEngine` and
-:class:`~repro.engine.sync_engine.SynchronousEngine`
+magnitude higher throughput.  ``mode="sync"`` runs the same loop on the
+barrier plan, BSP, and ``mode="deterministic"`` / ``"chromatic"`` on the
+sequential plan — DE in label order at one thread, the chromatic
+scheduler in colour order at ``P`` threads that only account work:
+bit-identical to :class:`~repro.engine.sync_engine.SynchronousEngine`
+and :class:`~repro.engine.gauss_seidel.DeterministicEngine`
 (``tests/test_paper_path.py``).  What the fast path does not model is
 listed by :func:`fallback_reasons` (see ``run(vectorized=)``).
 """
@@ -32,6 +33,7 @@ import numpy as np
 from ..graph import DiGraph
 from .config import EngineConfig
 from .nondet_core import (
+    BSP,
     EVERYTHING,
     OUTPUTS,
     NondetKernel,
@@ -85,6 +87,7 @@ class VectorizedNondetEngine:
         direction: str = "pull",
         metrics=None,
         mode: str = "nondeterministic",
+        colors: np.ndarray | None = None,
     ) -> RunResult:
         config = config or EngineConfig()
         push_ok = check_eligible(program, config, direction,
@@ -98,6 +101,9 @@ class VectorizedNondetEngine:
         ctx = NondetPassContext(graph, state, None, written,
                                 writes_dst=two_sided)
         fp_rng = config.rng("fp") if config.fp_noise else None
+        # The chromatic schedule's facts, on the result and every span.
+        facts = ({"num_colors": int(colors.max(initial=-1)) + 1}
+                 if mode == "chromatic" else {})
 
         def body(bar, iteration, plan, dm, push, clock):
             """One racy iteration, dense (all ``m`` edges) or — executing
@@ -152,18 +158,21 @@ class VectorizedNondetEngine:
                     state.edge(f)[sel] = new[f]
             count_on(bar, ep, written, out)
             bar.vout = ctx.vout
+            bar.span.update(facts)
 
-        # The schedule is the only thing the three modes change: NE is
-        # the default plan; DE = Defs. 1–3 at P = 1 (ascending
-        # labels, no jitter); BSP lets no write be seen before the barrier.
+        # The schedule is the only thing the modes change: NE is the
+        # default plan; BSP lets no write be seen before the barrier; DE
+        # (Defs. 1–3 at P = 1: ascending labels, no jitter) and chromatic
+        # are the sequential plan, keyed by one class or by the colouring.
         plan = None if mode == "nondeterministic" else PlanCache(
             graph, 1 if mode == "deterministic" else config.threads,
             policy=config.dispatch, jitter=0.0, rng=None,
-            barrier=mode == "sync")
+            schedule=BSP if mode == "sync" else colors if mode == "chromatic"
+            else np.zeros(graph.num_vertices, dtype=np.int64))
         return run_array(
             program, graph, config, state, body, label="vectorized",
             direction=direction, push_ok=push_ok,
             observer=observer, telemetry=telemetry, record=record,
             supervisor=supervisor, metrics=metrics, mode=mode, plan=plan,
-            rngs={"fp": fp_rng},
+            extra=facts, rngs={"fp": fp_rng},
         )

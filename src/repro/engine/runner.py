@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..graph import DiGraph
+from ..graph.coloring import greedy_coloring
 from .capabilities import check, residency_of
 from .config import EngineConfig
-from .chromatic import ChromaticEngine
 from .gauss_seidel import DeterministicEngine
 from .nondet_engine import NondeterministicEngine
 from .pure_async import PureAsyncEngine
@@ -19,10 +19,11 @@ from .sync_engine import SynchronousEngine
 
 __all__ = ["run", "dispatch", "ENGINES"]
 
-#: mode -> object engine, for every mode but ``"delta"`` (``run_delta``)
+#: mode -> object engine, for every mode but ``"delta"`` (``run_delta``);
+#: chromatic is DE given the colouring (:func:`dispatch`)
 ENGINES = {engine.mode: engine for engine in (
-    SynchronousEngine, DeterministicEngine, ChromaticEngine,
-    NondeterministicEngine, PureAsyncEngine)}
+    SynchronousEngine, DeterministicEngine, NondeterministicEngine,
+    PureAsyncEngine)} | {"chromatic": DeterministicEngine}
 
 
 def run(
@@ -120,6 +121,10 @@ def dispatch(program: VertexProgram, graph, spec: RunSpec) -> RunResult:
 
         return ParallelEngine().run(program, graph, config,
                                     direction=spec.direction, **sinks)
+    if spec.mode == "chromatic":
+        # DE in colour order: both paths run the sequential plan keyed
+        # by the colouring.
+        sinks["colors"] = greedy_coloring(graph)
     if spec.vectorized:
         # Imported lazily: the fast path pulls in the kernel registry.
         from .nondet_vectorized import VectorizedNondetEngine, fallback_reasons

@@ -105,6 +105,18 @@ class CostModel:
             + access * p.compute_per_access_ns
         )
 
+    def _slowest_thread_ns(self, result: RunResult, policy: AtomicityPolicy,
+                           barrier_ns: float) -> float:
+        """Σ over iterations of the slowest thread's cost plus
+        ``barrier_ns``: an iteration ends when its slowest thread does."""
+        threads = result.config.threads if result.config else 1
+        mem_scale = self.params.memory_contention(threads)
+        return sum(max(self._update_cost_ns(r, w, u, policy, mem_scale)
+                       for u, r, w in zip(it.updates_per_thread,
+                                          it.reads_per_thread,
+                                          it.writes_per_thread))
+                   + barrier_ns for it in result.iterations)
+
     def nondeterministic_time(
         self, result: RunResult, policy: AtomicityPolicy | None = None
     ) -> float:
@@ -116,23 +128,8 @@ class CostModel:
         """
         if policy is None:
             policy = result.config.atomicity if result.config else AtomicityPolicy.CACHE_LINE
-        threads = result.config.threads if result.config else 1
-        mem_scale = self.params.memory_contention(threads)
-        total_ns = 0.0
-        for it in result.iterations:
-            slowest = 0.0
-            for t in range(len(it.updates_per_thread)):
-                cost = self._update_cost_ns(
-                    it.reads_per_thread[t],
-                    it.writes_per_thread[t],
-                    it.updates_per_thread[t],
-                    policy,
-                    mem_scale,
-                )
-                if cost > slowest:
-                    slowest = cost
-            total_ns += slowest + self.params.barrier_ns
-        return total_ns * 1e-9
+        return self._slowest_thread_ns(result, policy,
+                                       self.params.barrier_ns) * 1e-9
 
     def deterministic_time(self, result: RunResult) -> float:
         """Virtual seconds for the external-deterministic baseline.
@@ -157,49 +154,22 @@ class CostModel:
 
     def synchronous_time(self, result: RunResult) -> float:
         """Virtual seconds for a BSP run (no conflicts ⇒ no sync overhead)."""
-        threads = result.config.threads if result.config else 1
-        mem_scale = self.params.memory_contention(threads)
-        total_ns = 0.0
-        for it in result.iterations:
-            slowest = max(
-                self._update_cost_ns(
-                    it.reads_per_thread[t],
-                    it.writes_per_thread[t],
-                    it.updates_per_thread[t],
-                    AtomicityPolicy.CACHE_LINE,
-                    mem_scale,
-                )
-                for t in range(len(it.updates_per_thread))
-            )
-            total_ns += slowest + self.params.barrier_ns
-        return total_ns * 1e-9
+        return self._slowest_thread_ns(result, AtomicityPolicy.CACHE_LINE,
+                                       self.params.barrier_ns) * 1e-9
 
     def chromatic_time(self, result: RunResult) -> float:
         """Virtual seconds for the chromatic deterministic-parallel scheduler.
 
-        Each color class runs race-free in parallel (no atomicity
-        overhead at all), but every iteration pays one barrier per color
-        class, and the coloring itself is a one-time cost over vertices
-        and edges.  The recorded per-thread maxima capture the load
-        imbalance of splitting small color classes over many threads.
+        BSP's price with one barrier per color class: each class runs
+        race-free in parallel (no atomicity overhead at all), and the
+        recorded per-thread maxima capture the load imbalance of
+        splitting small classes over many threads.  The coloring itself
+        is a one-time cost over vertices and edges.
         """
-        threads = result.config.threads if result.config else 1
-        mem_scale = self.params.memory_contention(threads)
         num_colors = int(result.extra.get("num_colors", 1))
-        total_ns = 0.0
-        for it in result.iterations:
-            slowest = max(
-                self._update_cost_ns(
-                    it.reads_per_thread[t],
-                    it.writes_per_thread[t],
-                    it.updates_per_thread[t],
-                    AtomicityPolicy.CACHE_LINE,
-                    mem_scale,
-                )
-                for t in range(len(it.updates_per_thread))
-            )
-            total_ns += slowest + num_colors * self.params.barrier_ns
-        # One-time coloring of the conflict graph.
+        total_ns = self._slowest_thread_ns(
+            result, AtomicityPolicy.CACHE_LINE,
+            num_colors * self.params.barrier_ns)
         if result.iterations:
             graph = result.state.graph
             total_ns += (graph.num_vertices + graph.num_edges) * self.params.coloring_ns

@@ -450,10 +450,10 @@ def supervised_run(program, graph, spec: RunSpec):
                 # The one switch the table has not seen yet: a ShardStore
                 # graph has no object engine to fall back to.
                 lookup(policy.fallback_mode, residency=residency_of(graph))
-                # The last rung runs the object oracle: the fallback mode
-                # may have no array path (chromatic), and sync's and DE's
-                # would refuse record= under ``"require"``; nor does it
-                # take a direction.
+                # The last rung runs the object oracle: the fallback
+                # modes' array plans (sync, DE, chromatic) would refuse
+                # record= under ``"require"``; nor does it take a
+                # direction.
                 cur = replace(cur, mode=policy.fallback_mode,
                               vectorized=False, backend=None,
                               direction="pull")

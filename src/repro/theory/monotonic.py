@@ -84,7 +84,11 @@ def probe_monotonicity(
     cfg = config or EngineConfig(max_iterations=max_iterations)
     if cfg.max_iterations > max_iterations:
         cfg = cfg.with_(max_iterations=max_iterations)
-    run(program, graph, mode=mode, config=cfg, observer=observer)
+    # The observer sees the same trajectory on both paths; a program
+    # without a kernel, or pure-async (no array path), runs the object
+    # engine.
+    run(program, graph, mode=mode, config=cfg, observer=observer,
+        vectorized=mode != "pure-async")
 
     increased = False
     decreased = False

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import BFS, PageRank, SSSP, WeaklyConnectedComponents, reference
-from repro.engine import EngineConfig, run
+from repro.engine import DispatchPolicy, EngineConfig, run
 from repro.graph import DiGraph, color_classes, generators, greedy_coloring, is_valid_coloring
 from repro.perf import estimate_time
 
@@ -104,6 +104,16 @@ class TestChromaticEngine:
         # results identical at any thread count (deterministic), zero conflicts
         assert np.array_equal(a.result(), b.result())
         assert a.conflicts.total == 0 and b.conflicts.total == 0
+
+    @pytest.mark.parametrize("vectorized", [False, "require"])
+    def test_threads_follow_the_dispatch_policy(self, rmat_small, vectorized):
+        """The threads only attribute work: the policy moves the
+        per-thread stats, never the state."""
+        runs = [run(PageRank(epsilon=1e-3), rmat_small, mode="chromatic",
+                    threads=4, dispatch=policy, vectorized=vectorized)
+                for policy in DispatchPolicy]
+        assert runs[0].result().tobytes() == runs[1].result().tobytes()
+        assert runs[0].iterations != runs[1].iterations
 
     def test_num_colors_reported(self, rmat_small):
         res = run(WeaklyConnectedComponents(), rmat_small, mode="chromatic")

@@ -73,7 +73,7 @@ class TestRefusals:
         ["--mode", "sync", "--backend", "process"],
         ["--mode", "delta", "--direction", "auto"],
         ["--mode", "delta", "--direction", "push"],
-        ["--mode", "chromatic", "--direction", "push"],
+        ["--mode", "pure-async", "--direction", "push"],
         ["--mode", "sync", "--mutate"],
         ["--mode", "deterministic", "--out-of-core", "SHARDS"],
     ], ids=lambda flags: "-".join(f.lstrip("-") for f in flags))

@@ -223,9 +223,10 @@ class TestRunnerPlumbing:
                 mode="nondeterministic", direction="sideways")
 
     def test_direction_requires_nondet_mode(self, medium_graph):
-        # sync and deterministic take a direction on their array plans.
+        # sync, deterministic and chromatic take a direction on their
+        # array plans.
         with pytest.raises(ValueError, match="nondeterministic"):
-            run(WeaklyConnectedComponents(), medium_graph, mode="chromatic",
+            run(WeaklyConnectedComponents(), medium_graph, mode="pure-async",
                 direction="auto")
 
     def test_direction_composes_with_fault_kwargs(self, medium_graph,

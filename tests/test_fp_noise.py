@@ -30,7 +30,7 @@ KERNELS = {
     "wcc": WeaklyConnectedComponents,
     "sssp": lambda: SSSP(source=0),
 }
-MODES = ("sync", "deterministic", "nondeterministic")
+MODES = ("sync", "deterministic", "chromatic", "nondeterministic")
 
 
 @contextlib.contextmanager

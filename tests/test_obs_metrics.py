@@ -272,7 +272,7 @@ class TestEngineMetrics:
     @pytest.mark.parametrize("mode, vectorized", [
         ("sync", False), ("sync", "require"),
         ("deterministic", False), ("deterministic", "require"),
-        ("chromatic", False)])
+        ("chromatic", False), ("chromatic", "require")])
     def test_barriered_modes_record_metrics(self, rmat_small, mode,
                                             vectorized):
         reg = MetricsRegistry()

@@ -5,17 +5,19 @@ Every Fig. 3 cell (NE and DE), every Table II/III cell (DE with
 run with ``vectorized="require"``.
 The DE baseline — GraphChi's one-update-at-a-time, ascending-label,
 immediately-visible Gauss–Seidel — is Defs. 1–3 at P = 1, so it runs as
-the array engines' one-thread plan; BSP runs as their barrier plan, in
-which no write is seen before the barrier (DESIGN §6.0).  The object
-engines stay the oracle:
+the array engines' sequential plan at one thread; chromatic is the same
+plan keyed by the colouring; BSP runs as their barrier plan, in which no
+write is seen before the barrier (DESIGN §6.0).  The object engines stay
+the oracle:
 
-(a) a generated-input property holds the array DE and BSP to
-    :class:`~repro.engine.gauss_seidel.DeterministicEngine` and
+(a) a generated-input property holds the array DE, chromatic and BSP
+    to :class:`~repro.engine.gauss_seidel.DeterministicEngine` (given
+    the colouring for chromatic) and
     :class:`~repro.engine.sync_engine.SynchronousEngine`;
 (b) every driver's output is byte-equal to the same driver with its
     ``run`` forced onto the object engines (:func:`on_object_engines`);
-(c) what those two plans do not model is refused by name;
-(d) a supervised array DE or BSP run resumed from any barrier replays
+(c) what those plans do not model is refused by name;
+(d) a supervised array DE, chromatic or BSP run resumed from any barrier replays
     the uninterrupted run, and the watchdog's deterministic fallback
     still runs the object engine.
 """
@@ -43,6 +45,7 @@ from repro.experiments import (
     run_table3,
 )
 from repro.graph import DiGraph, generators
+from repro.graph.coloring import greedy_coloring
 from repro.obs import Recorder, Telemetry
 from repro.perf import price_run
 from repro.robust import (
@@ -57,16 +60,22 @@ from .test_nondet_vectorized import ALGORITHMS
 #: The modules whose ``run`` the experiment drivers call.
 DRIVER_MODULES = (figure3, variation, ablations)
 
-#: The race-free array plans (DE, BSP) and their object oracles.
-ORACLES = {"deterministic": DeterministicEngine, "sync": SynchronousEngine}
+#: The race-free array plans (DE, BSP, chromatic) and their object oracles.
+ORACLES = {"deterministic": DeterministicEngine().run,
+           "sync": SynchronousEngine().run,
+           "chromatic": lambda program, graph, config, **kw: (
+               DeterministicEngine().run(program, graph, config,
+                                         colors=greedy_coloring(graph), **kw))}
 
 
 def per_schedule(argnames, cases):
-    """Parametrize ``mode`` plus ``argnames`` over both plans: each
-    ``(id, values)`` case keeps its id for DE and gets ``sync-`` for BSP."""
+    """Parametrize ``mode`` plus ``argnames`` over the plans: each
+    ``(id, values)`` case keeps its id for DE and gets the mode as a
+    prefix otherwise (``sync-``, ``chromatic-``)."""
     return pytest.mark.parametrize(("mode", *argnames), [
         pytest.param(mode, *values,
-                     id=("sync-" if mode == "sync" else "") + case_id)
+                     id=("" if mode == "deterministic" else f"{mode}-")
+                     + case_id)
         for mode in ORACLES for case_id, values in cases])
 
 
@@ -82,8 +91,8 @@ def on_object_engines(monkeypatch) -> None:
 
 
 def assert_same_run(obj, obj_sink, arr, arr_sink):
-    """The array DE or BSP run equals the object one in everything the
-    paper's drivers and the cost model read."""
+    """The array DE, BSP or chromatic run equals the object one in
+    everything the paper's drivers and the cost model read."""
     assert obj.mode == arr.mode
     assert arr.config == obj.config
     for f in obj.state.vertex_field_names:
@@ -105,7 +114,7 @@ def assert_same_run(obj, obj_sink, arr, arr_sink):
 
 def oracle_pair(mode, factory, graph, config, **kwargs):
     obj_sink, arr_sink = Telemetry(), Telemetry()
-    obj = ORACLES[mode]().run(factory(), graph, config, telemetry=obj_sink)
+    obj = ORACLES[mode](factory(), graph, config, telemetry=obj_sink)
     arr = run(factory(), graph, mode=mode, config=config,
               vectorized="require", telemetry=arr_sink, **kwargs)
     assert arr.extra["vectorized"] is True
@@ -274,7 +283,7 @@ def test_races_are_not_a_reason(small_graph):
 
 def test_other_modes_still_refuse(small_graph):
     with pytest.raises(ValueError, match="'deterministic' only"):
-        run(PageRank(), small_graph, mode="chromatic", vectorized=True)
+        run(PageRank(), small_graph, mode="pure-async", vectorized=True)
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,9 @@ def test_table_refusal_is_a_400_naming_the_reason(live, capsys):
     for switches, reason in [
         ({"mode": "sync", "backend": "process"},
          "backend='process' applies to mode='nondeterministic' only"),
-        ({"mode": "chromatic", "vectorized": True},
-         "vectorized= applies to mode='nondeterministic', 'sync' or "
-         "'deterministic' only"),
+        ({"mode": "delta", "vectorized": True},
+         "vectorized= applies to mode='nondeterministic', 'sync', "
+         "'chromatic' or 'deterministic' only"),
         ({"vectorized": "yes"},
          "vectorized='yes' not understood: use False, True, 'require'"),
     ]:

@@ -338,7 +338,7 @@ def test_recovery_fails_a_journaled_job_of_a_removed_mode(tmp_path):
 
 @pytest.mark.parametrize("switches", [
     {"mode": "sync", "backend": "process"},
-    {"mode": "chromatic", "vectorized": "require"},
+    {"mode": "delta", "vectorized": "require"},
     {"mode": "delta", "faults": "crash@3"},
     {"mode": "nondeterministic", "vectorized": "yes"},
     {"mode": "sync", "mutations": {"num_batches": 1}},
