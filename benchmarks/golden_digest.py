@@ -23,8 +23,11 @@ with the object engine on state, trajectory and conflicts, or the
 script fails); the push programs of extension E1 (atomic and racy
 combine); the array
 engines (NE, DE and BSP plans in RAM, NE on 2 worker processes and out
-of core); and a supervised run through ``crash@2;torn@3`` with a
-checkpoint, then resumed from that checkpoint.
+of core); a supervised run through ``crash@2;torn@3`` with a
+checkpoint, then resumed from that checkpoint; and the delta engine
+(WCC, SSSP, PageRank; standing and across 3 mutation batches; frontier
+and priority scheduling), whose cases also hash ``extra["delta"]`` and
+the mutation log minus ``repair_seconds`` but not the telemetry.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ from repro.algorithms import (
     WeaklyConnectedComponents,
 )
 from repro.engine import AtomicityPolicy, EngineConfig, run, run_push
+from repro.engine.capabilities import SCHEDULINGS
 from repro.graph import generators
+from repro.graph.mutations import batches_from_spec
 from repro.obs import Recorder, Telemetry
 from repro.storage import ShardStore
 
@@ -80,6 +85,11 @@ def digest(result, tmp: str, sink=None) -> str:
     h.update(json.dumps(result.conflicts.summary(), sort_keys=True).encode())
     h.update(json.dumps([result.extra.get(k) for k in (
         "faults_fired", "degradations")], sort_keys=True).encode())
+    if "delta" in result.extra:
+        h.update(json.dumps([result.extra["delta"], [
+            {k: v for k, v in m.items() if k != "repair_seconds"}
+            for m in result.extra.get("mutations", [])]],
+            sort_keys=True).encode())
     rec = os.path.join(tmp, "record.jsonl")
     if os.path.exists(rec):
         with open(rec, "rb") as fh:
@@ -167,6 +177,20 @@ def cases(tmp: str):
                traced(tmp, WeaklyConnectedComponents(), graph, mode=mode,
                       resume_from=ckpt))
         os.unlink(ckpt)
+    batches = batches_from_spec(graph, {"frac": 0.02})
+    for name in ("WCC", "SSSP", "PageRank"):
+        for mutations in (None, batches):
+            for scheduling in SCHEDULINGS:
+                rec = Recorder(policy="all",
+                               trace_path=os.path.join(tmp, "record.jsonl"))
+                result = run(PROGRAMS[name](), graph, mode="delta",
+                             config=EngineConfig(threads=4, seed=1),
+                             mutations=mutations,
+                             delta_scheduling=scheduling,
+                             telemetry=Telemetry(), record=rec)
+                yield (f"{name}/delta-{scheduling}/"
+                       f"{'3-batches' if mutations else 'standing'}",
+                       digest(result, tmp))
 
 
 def main() -> int:

@@ -100,11 +100,6 @@ ROWS = MappingProxyType({
     "delta": Row(
         vectorized=_VECTORIZED, backend=_BACKEND, direction=_PULL,
         residency=_IN_RAM,
-        robustness=Cell(("none", "interrupt"), "mode='delta' does not "
-                        "compose with the fault-tolerance kwargs yet "
-                        "(interrupt= is supported)"),
-        observer=Cell((False,), "mode='delta' does not support observers; "
-                                "use telemetry="),
         state=Cell((False,), "mode='delta' builds its own (x, Δ, accum) "
                              "state; state= is not supported")),
 })

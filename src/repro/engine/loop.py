@@ -10,13 +10,12 @@ spans, metrics, the observer, at-cap accounting and the
 :class:`~repro.engine.result.RunResult`.
 
 The object engines keep their own store, visibility rule and commit in
-their step — the loop is bookkeeping only.  Pure-async execution has no
-barrier and the delta engine its own commit cut; both stay outside.
+their step — the loop is bookkeeping only; the delta engine's step
+commits Δ and streams in mutation batches.  Only pure-async execution,
+which has no barrier, stays outside.
 """
 
 from __future__ import annotations
-
-import time
 
 from ..obs.metrics import PhaseClock, peak_rss_bytes, record_iteration_metrics
 from .conflicts import ConflictLog
@@ -27,11 +26,12 @@ __all__ = ["run_loop"]
 
 
 def run_loop(program, graph, config, state, step, *, mode: str,
-             label: str = "object", extra=None, rngs=None, conflicts=None,
-             observer=None, telemetry=None, record=None, supervisor=None,
-             metrics=None, state_written=None,
-             make_clock=PhaseClock) -> RunResult:
-    """Run ``step`` from ``program``'s initial frontier to convergence.
+             label: str = "object", frontier=None, extra=None, rngs=None,
+             conflicts=None, cursor=None, observer=None, telemetry=None,
+             record=None, supervisor=None, metrics=None, state_written=None,
+             final_state=None, make_clock=PhaseClock) -> RunResult:
+    """Run ``step`` from ``frontier`` (default: ``program``'s initial
+    frontier) to convergence.
 
     ``step(iteration, ids, dm, clock)`` executes iteration ``iteration``
     on the sorted frontier ``ids`` under delay model ``dm`` (after any
@@ -45,12 +45,15 @@ def run_loop(program, graph, config, state, step, *, mode: str,
     ``mode`` labels the run (sinks, supervisor, result), ``label`` the
     metrics series.  ``conflicts`` is the run's log, checkpointed with
     it (``None``: an empty one, not checkpointed); ``rngs`` the streams
-    a checkpoint captures; ``extra()`` the result's engine facts, read
-    after the loop.  ``state_written()`` is called whenever someone else
-    may have written ``state`` — the caller before the run, a checkpoint
-    restore, value faults at a barrier — so a backend whose edge state
-    lives elsewhere can resynchronise; ``make_clock`` builds the phase
-    clock of a profiled run.
+    a checkpoint captures; ``cursor`` a JSON-able dict of further engine
+    position the supervisor checkpoints and restores in place;
+    ``extra()`` the result's engine facts and ``final_state()`` the state
+    it carries (default: ``state``), both read after the loop.
+    ``state_written()`` is called whenever someone else may have written
+    ``state`` — the caller before the run, a checkpoint restore, value
+    faults at a barrier — so a backend whose edge state lives elsewhere
+    (or, for delta, a graph the cursor implies) can resynchronise;
+    ``make_clock`` builds the phase clock of a profiled run.
     """
     sink = telemetry
     if sink is not None:
@@ -60,12 +63,13 @@ def run_loop(program, graph, config, state, step, *, mode: str,
     log = conflicts if conflicts is not None else ConflictLog()
     delay_model = config.effective_delay_model()
     stats = []
-    frontier_ids = initial_frontier(program, graph).sorted_vertices()
+    frontier_ids = (initial_frontier(program, graph).sorted_vertices()
+                    if frontier is None else frontier)
     iteration = 0
     if supervisor is not None:
         iteration, frontier_ids = supervisor.engine_start(
             mode, program, config, state=state, frontier=frontier_ids,
-            rngs=rngs or {}, conflicts=conflicts,
+            rngs=rngs or {}, conflicts=conflicts, cursor=cursor,
         )
     if state_written is not None:
         state_written()
@@ -84,7 +88,6 @@ def run_loop(program, graph, config, state, step, *, mode: str,
             supervisor.pre_iteration(iteration)
             dm = supervisor.iteration_delay_model(iteration, delay_model)
         if clock is not None:
-            t0 = time.perf_counter()
             clock.start()
         rw0, ww0 = log.read_write, log.write_write
         next_ids, it, deltas, span = step(iteration, frontier_ids, dm, clock)
@@ -108,7 +111,7 @@ def run_loop(program, graph, config, state, step, *, mode: str,
             # frontier materialization, the barrier checkpoint — is
             # charged to the commit barrier.
             clock.lap("lemma2_commit")
-            wall = time.perf_counter() - t0
+            wall = clock.elapsed()
             phases = clock.drain()
             if metrics is not None:
                 record_iteration_metrics(
@@ -143,7 +146,7 @@ def run_loop(program, graph, config, state, step, *, mode: str,
     # tests/test_convergence_conformance.py).
     result = RunResult(
         program=program,
-        state=state,
+        state=state if final_state is None else final_state(),
         mode=mode,
         converged=converged,
         num_iterations=iteration,

@@ -23,8 +23,9 @@ exactly by construction**: the engine stores ``accum`` and *defines*
 ``x`` as ``fold(x0, accum)`` at each commit, so termination can check the
 identity as a hard invariant rather than a tolerance.
 
-On top of the standing loop this module opens the **dynamic graph**
-workload (:mod:`repro.graph.mutations`): edge insert/delete batches are
+Each iteration is a step of :func:`repro.engine.loop.run_loop`.  On
+top of it this module opens the **dynamic graph** workload
+(:mod:`repro.graph.mutations`): edge insert/delete batches are
 *repaired* into the standing result instead of recomputed —
 
 * invertible ``⊕`` (ADD): the stale contributions of every source whose
@@ -37,8 +38,8 @@ workload (:mod:`repro.graph.mutations`): edge insert/delete batches are
   neighbours.  If the region exceeds the cap the engine honestly falls
   back to a full delta restart and says so in ``extra``.
 
-Eligibility is gated the same way the vectorized/push paths are gated:
-a kernel must be registered here *and* pass
+Eligibility is gated like the vectorized/push paths: a kernel must be
+registered here *and* pass
 :func:`repro.theory.eligibility.check_delta_program`, which probes the
 algebra on small graphs and refuses with a witness when it can.
 """
@@ -51,17 +52,20 @@ import numpy as np
 
 from ..graph import DiGraph
 from ..graph.mutations import EdgeDiff, MutationBatch, _pair_keys, apply_batch
-from ..obs.metrics import PhaseClock, peak_rss_bytes, record_iteration_metrics
+from ..robust.errors import CheckpointError
 from .config import EngineConfig
+from .loop import run_loop
 from .program import VertexProgram
 from .push import CombineOp
-from .result import ConflictLog, IterationStats, RunResult
+from .result import IterationStats, RunResult
+from .state import FieldSpec, State
 
 __all__ = [
     "DeltaKernel",
     "register_delta_kernel",
     "resolve_delta_kernel",
     "delta_fallback_reasons",
+    "delta_state",
     "run_delta",
 ]
 
@@ -299,12 +303,19 @@ def _repair_invertible(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
     np.add.at(delta, new.edge_dst[new_eids], fresh)
 
     touched = np.union1d(old.edge_dst[old_eids], new.edge_dst[new_eids])
-    return {
-        "repair_mode": "reseed",
-        "repaired_vertices": int(touched.size),
-        "seeds": [int(v) for v in sources[:32]],
-        "region_capped": False,
-    }
+    return {"repair_mode": "reseed", "repaired_vertices": int(touched.size),
+            "seeds": [int(v) for v in sources[:32]], "region_capped": False}
+
+
+def _sides(kernel: DeltaKernel, graph: DiGraph, ids: np.ndarray) -> list:
+    """``(eids, near, far)`` per direction a contribution reaches ``ids``
+    along: ``near[eids]`` are ``ids``' ends, ``far[eids]`` the
+    neighbours' — in-edges, plus out-edges on undirected kernels."""
+    sides = [(graph.in_edge_ids(ids), graph.edge_dst, graph.edge_src)]
+    if kernel.undirected:
+        sides.append((graph.out_edge_ids(ids), graph.edge_src,
+                      graph.edge_dst))
+    return sides
 
 
 def _support_mask(kernel: DeltaKernel, graph: DiGraph, cand: np.ndarray,
@@ -313,29 +324,14 @@ def _support_mask(kernel: DeltaKernel, graph: DiGraph, cand: np.ndarray,
     """For each candidate, does a *clean* (unaffected) neighbour or its
     own initial condition still justify its current value?"""
     supported = x[cand] == init_val[cand]
-    eids = graph.in_edge_ids(cand)
-    if eids.size:
-        srcs = graph.edge_src[eids]
-        dsts = graph.edge_dst[eids]
-        gains = kernel.gains(graph, eids, x[srcs])
-        ok = (~affected[srcs]) & (gains == x[dsts])
+    for eids, near, far in _sides(kernel, graph, cand):
+        v, u = near[eids], far[eids]  # the candidate, its supporter
+        ok = ~affected[u] & (kernel.gains(graph, eids, x[u]) == x[v])
         if not kernel.strict_gain:
-            ok &= x[srcs] == init_val[srcs]
+            ok &= x[u] == init_val[u]
         flags = np.zeros(graph.num_vertices, dtype=bool)
-        np.logical_or.at(flags, dsts[ok], True)
+        np.logical_or.at(flags, v[ok], True)
         supported |= flags[cand]
-    if kernel.undirected:
-        eids = graph.out_edge_ids(cand)
-        if eids.size:
-            srcs = graph.edge_src[eids]   # the candidate itself
-            dsts = graph.edge_dst[eids]   # its potential supporter
-            gains = kernel.gains(graph, eids, x[dsts])
-            ok = (~affected[dsts]) & (gains == x[srcs])
-            if not kernel.strict_gain:
-                ok &= x[dsts] == init_val[dsts]
-            flags = np.zeros(graph.num_vertices, dtype=bool)
-            np.logical_or.at(flags, srcs[ok], True)
-            supported |= flags[cand]
     return supported
 
 
@@ -412,19 +408,10 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
         delta[region] = delta0[region]
         # Re-seed the region boundary from clean in-neighbours (and, on
         # undirected kernels, clean out-neighbours).
-        eids = new.in_edge_ids(region)
-        if eids.size:
-            srcs = new.edge_src[eids]
-            keep = ~affected[srcs]
-            _fold_at(op, delta, new.edge_dst[eids][keep],
-                     kernel.gains(new, eids[keep], x[srcs[keep]]))
-        if kernel.undirected:
-            eids = new.out_edge_ids(region)
-            if eids.size:
-                dsts = new.edge_dst[eids]
-                keep = ~affected[dsts]
-                _fold_at(op, delta, new.edge_src[eids][keep],
-                         kernel.gains(new, eids[keep], x[dsts[keep]]))
+        for eids, near, far in _sides(kernel, new, region):
+            eids = eids[~affected[far[eids]]]
+            _fold_at(op, delta, near[eids],
+                     kernel.gains(new, eids, x[far[eids]]))
 
     # Inserted edges between clean vertices contribute directly.
     if diff.inserted.size:
@@ -443,19 +430,41 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
 
 
 def _normalize_mutations(mutations) -> list[MutationBatch]:
-    batches = []
     for item in mutations:
-        if isinstance(item, MutationBatch):
-            batches.append(item)
-        elif isinstance(item, dict):
-            batches.append(MutationBatch.from_dict(item))
-        else:
+        if not isinstance(item, (MutationBatch, dict)):
             raise TypeError(
                 f"mutations must be MutationBatch or dict, got {type(item)!r}")
-    return batches
+    return [m if isinstance(m, MutationBatch) else MutationBatch.from_dict(m)
+            for m in mutations]
 
 
 # -- the engine --------------------------------------------------------
+
+
+def _kernel(program: VertexProgram) -> DeltaKernel:
+    from ..theory.eligibility import check_delta_program
+
+    report = check_delta_program(program)
+    if not report.verdict.eligible:
+        raise ValueError(
+            "program is not eligible for delta-accumulative execution: "
+            + "; ".join(report.reasons))
+    return resolve_delta_kernel(program)(program)
+
+
+def delta_state(program: VertexProgram, graph: DiGraph) -> State:
+    """The cut of a fresh delta run: ``x`` (under the program's result
+    field), ``accum`` and ``Δ``, all float64.  With the frontier and the
+    batch cursor it is everything a barrier defines (Maiter's consistent
+    cut), so checkpoints and restarts carry it like any engine state."""
+    kernel = _kernel(program)
+    op = kernel.op
+    x0, delta0 = kernel.initial(graph)
+    state = State(graph, {name: FieldSpec(np.float64, op.identity) for name
+                          in (kernel.field, "accum", "delta")}, {})
+    state.vertex(kernel.field)[:] = _fold_arr(op, x0, state.vertex("accum"))
+    state.vertex("delta")[:] = delta0
+    return state
 
 
 def run_delta(
@@ -463,123 +472,94 @@ def run_delta(
     graph: DiGraph,
     config: EngineConfig | None = None,
     *,
+    state: State | None = None,
+    observer=None,
     telemetry=None,
     record=None,
+    supervisor=None,
     metrics=None,
     scheduling: str = "frontier",
     priority_frac: float = 0.25,
     threshold: float | None = None,
     mutations=None,
-    interrupt=None,
 ) -> RunResult:
-    """Run ``program`` delta-accumulatively; optionally stream mutation
+    """Run ``program`` delta-accumulatively, a step of
+    :func:`~repro.engine.loop.run_loop`; optionally stream mutation
     batches through the standing result.
 
-    Propagated contributions fold in gather order (see
+    ``state`` is the cut (:func:`delta_state`; the supervisor's, when
+    there is one); the result carries ``program``'s state on the final
+    graph instead.  Propagated contributions fold in gather order (see
     :func:`_propagate`); ``scheduling`` either commits the whole active
     frontier or, with ``"priority"``, only the top ``priority_frac`` by
     residual magnitude per round (Maiter's priority scheduling).
     """
-    from ..robust.errors import RunInterrupted
-    from ..theory.eligibility import check_delta_program
-
     config = config or EngineConfig()
-    report = check_delta_program(program)
-    if not report.verdict.eligible:
-        raise ValueError(
-            "program is not eligible for delta-accumulative execution: "
-            + "; ".join(report.reasons))
-
-    kernel = resolve_delta_kernel(program)(program)
+    kernel = _kernel(program)
     op = kernel.op
-    if threshold is None:
-        threshold = kernel.default_threshold()
+    threshold = kernel.default_threshold() if threshold is None else threshold
     batches = _normalize_mutations(mutations) if mutations else []
-
-    sink = telemetry
-    if sink is not None:
-        sink.begin_engine_run("delta", program, config)
-    if record is not None:
-        record.begin_engine_run("delta", program, config)
-
-    n = graph.num_vertices
+    if state is None:
+        state = delta_state(program, graph)
+    x, accum, delta = map(state.vertex, (kernel.field, "accum", "delta"))
     x0, delta0 = kernel.initial(graph)
-    x = _fold_arr(op, x0, np.full(n, op.identity))
-    accum = np.full(n, op.identity, dtype=np.float64)
-    delta = delta0.copy()
-
-    log = ConflictLog()
-    stats: list[IterationStats] = []
-    clock = PhaseClock() if (sink is not None or metrics is not None) else None
+    base, applied = graph, 0
+    # The batch cursor: checkpointed and restored with the conflict log.
+    cursor = {"batches": 0, "log": [], "committed": 0}
     rng = config.rng("delta")
-    p = config.threads
+    repair_s = 0.0  # mutate_repair seconds the next iteration's span owes
 
-    iteration = 0
-    converged = False
-    committed_total = 0
-    mutation_log: list[dict] = []
-    pending_phases: dict[str, float] = {}
-    batch_idx = 0
+    def frontier(iteration: int, clock=None) -> np.ndarray:
+        """The active set before ``iteration``; while it is empty, stream
+        in and repair the next batch (none at the iteration cap)."""
+        nonlocal graph, applied, repair_s
+        ids = _active_ids(op, x, delta, threshold)
+        while (not ids.size and applied < len(batches)
+               and iteration < config.max_iterations):
+            t_rep = time.perf_counter()
+            new_graph, diff = apply_batch(graph, batches[applied])
+            if op is CombineOp.ADD:
+                info = _repair_invertible(kernel, graph, new_graph, diff, x,
+                                          delta)
+            else:
+                info = _repair_idempotent(kernel, graph, new_graph, diff, x,
+                                          x0, delta0, accum, delta)
+            graph = new_graph
+            dt = time.perf_counter() - t_rep
+            if clock is not None:
+                clock.exclude(dt)
+            repair_s += dt
+            info.update(batch=applied, inserted=int(diff.inserted.shape[0]),
+                        deleted=int(diff.deleted.shape[0]),
+                        repair_seconds=dt, at_iteration=iteration)
+            cursor["log"].append(info)
+            applied = cursor["batches"] = applied + 1
+            if record is not None and hasattr(record, "repair_event"):
+                record.repair_event(iteration=iteration, **{
+                    k: info[k] for k in
+                    ("batch", "repair_mode", "inserted", "deleted",
+                     "repaired_vertices", "seeds", "region_capped")})
+            if telemetry is not None:
+                telemetry.event("mutation_repair", **{
+                    k: v for k, v in info.items() if k != "seeds"})
+            ids = _active_ids(op, x, delta, threshold)
+        return ids
 
-    while iteration < config.max_iterations:
-        if interrupt is not None:
-            reason = interrupt()
-            if reason:
-                raise RunInterrupted(str(reason), iteration=iteration)
-        active = _active_ids(op, x, delta, threshold)
-        if active.size == 0:
-            if batch_idx < len(batches):
-                # Standing result converged — stream in the next batch
-                # and repair, then keep iterating on the new graph.
-                t_rep = time.perf_counter()
-                new_graph, diff = apply_batch(graph, batches[batch_idx])
-                if op is CombineOp.ADD:
-                    info = _repair_invertible(kernel, graph, new_graph,
-                                              diff, x, delta)
-                else:
-                    info = _repair_idempotent(kernel, graph, new_graph,
-                                              diff, x, x0, delta0,
-                                              accum, delta)
-                graph = new_graph
-                dt = time.perf_counter() - t_rep
-                info.update(batch=batch_idx,
-                            inserted=int(diff.inserted.shape[0]),
-                            deleted=int(diff.deleted.shape[0]),
-                            repair_seconds=dt,
-                            at_iteration=iteration)
-                mutation_log.append(info)
-                pending_phases["mutate_repair"] = \
-                    pending_phases.get("mutate_repair", 0.0) + dt
-                if record is not None and hasattr(record, "repair_event"):
-                    record.repair_event(iteration=iteration, **{
-                        k: info[k] for k in
-                        ("batch", "repair_mode", "inserted", "deleted",
-                         "repaired_vertices", "seeds", "region_capped")})
-                if sink is not None:
-                    sink.event("mutation_repair", **{
-                        k: v for k, v in info.items() if k != "seeds"})
-                batch_idx += 1
-                continue
-            converged = True
-            break
-
-        t0 = time.perf_counter() if clock is not None else 0.0
-        if clock is not None:
-            clock.start()
-
+    def step(iteration, ids, dm, clock):
+        nonlocal repair_s
+        if clock is not None and repair_s:
+            clock.add("mutate_repair", repair_s)
+        repair_s = 0.0
         # Nondeterministic schedule: a seeded permutation of the active
         # set stands in for "whichever threads get there first"; with
         # priority scheduling only the largest residuals commit.
-        if scheduling == "priority" and active.size > 1:
-            if op is CombineOp.ADD:
-                score = np.abs(delta[active])
-            else:
-                score = x[active] - delta[active] if op is CombineOp.MIN \
-                    else delta[active] - x[active]
-            k = max(1, int(round(active.size * priority_frac)))
-            top = np.argpartition(score, active.size - k)[active.size - k:]
-            active = active[top]
-        order = rng.permutation(active)
+        if scheduling == "priority" and ids.size > 1:
+            score = (np.abs(delta[ids]) if op is CombineOp.ADD
+                     else x[ids] - delta[ids] if op is CombineOp.MIN
+                     else delta[ids] - x[ids])
+            k = max(1, int(round(ids.size * priority_frac)))
+            ids = ids[np.argpartition(score, ids.size - k)[ids.size - k:]]
+        order = rng.permutation(ids)
 
         # Commit: fold pending deltas into accum, re-derive x from the
         # accumulation identity (bit-exact by construction), clear Δ.
@@ -587,7 +567,7 @@ def run_delta(
         accum[order] = _fold_arr(op, accum[order], committed)
         x[order] = _fold_arr(op, x0[order], accum[order])
         delta[order] = op.identity
-        committed_total += int(order.size)
+        cursor["committed"] += int(order.size)
         if clock is not None:
             clock.lap("delta_commit")
 
@@ -598,83 +578,52 @@ def run_delta(
         if clock is not None:
             clock.lap("delta_propagate")
 
-        chunks = np.array_split(order, p)
+        chunks = np.array_split(order, config.threads)
         edges_per = [int(out_deg[c].sum() + (in_deg[c].sum() if in_deg
                                              is not None else 0))
                      for c in chunks]
-        stats.append(IterationStats(
-            iteration=iteration,
-            num_active=int(order.size),
-            updates_per_thread=[int(c.size) for c in chunks],
-            reads_per_thread=edges_per,
-            writes_per_thread=edges_per,
-        ))
+        stats = IterationStats(iteration, int(order.size),
+                               [int(c.size) for c in chunks], edges_per,
+                               edges_per)
+        return (frontier(iteration + 1, clock), stats, None,
+                {"edge_contributions": edge_work})
 
-        next_active = _active_ids(op, x, delta, threshold)
-        if clock is not None:
-            wall = time.perf_counter() - t0
-            phases = clock.drain()
-            if pending_phases:
-                for k, v in pending_phases.items():
-                    phases[k] = phases.get(k, 0.0) + v
-                pending_phases = {}
-            if metrics is not None:
-                record_iteration_metrics(
-                    metrics, "delta", phases=phases,
-                    num_active=int(order.size),
-                    frontier_size=int(next_active.size),
-                    read_write=0, write_write=0, wall_time_s=wall)
-            if sink is not None:
-                it = stats[-1]
-                sink.iteration(
-                    iteration=iteration,
-                    num_active=it.num_active,
-                    updates_per_thread=it.updates_per_thread,
-                    reads_per_thread=it.reads_per_thread,
-                    writes_per_thread=it.writes_per_thread,
-                    frontier_size=int(next_active.size),
-                    wall_time_s=wall,
-                    phases=phases,
-                    edge_contributions=edge_work,
-                    peak_rss_bytes=peak_rss_bytes(),
-                )
-        iteration += 1
+    def state_written() -> None:
+        # A restore moved the cursor: replay its batches on the input.
+        nonlocal graph, applied
+        if applied != cursor["batches"]:
+            graph, applied = base, cursor["batches"]
+            if applied > len(batches):
+                raise CheckpointError(f"restore is past batch {len(batches)}")
+            for batch in batches[:applied]:
+                graph = apply_batch(graph, batch)[0]
 
-    identity_holds = bool(np.array_equal(
-        x, _fold_arr(op, x0, accum), equal_nan=True))
-
-    final_state = program.make_state(graph)
-    final_state.vertex(kernel.field)[:] = x
-
-    extra = {
-        "delta": {
-            "threshold": float(threshold),
-            "scheduling": scheduling,
-            "committed_total": committed_total,
-            "accumulation_identity": identity_holds,
+    def extra() -> dict:
+        facts = {"delta": {
+            "threshold": float(threshold), "scheduling": scheduling,
+            "committed_total": cursor["committed"],
+            "accumulation_identity": bool(np.array_equal(
+                x, _fold_arr(op, x0, accum), equal_nan=True)),
             "op": op.value,
-        },
-    }
-    if batches:
-        extra["mutations"] = mutation_log
-        extra["mutations_applied"] = batch_idx
-        extra["final_num_edges"] = graph.num_edges
+        }}
+        if batches:
+            facts.update(mutations=cursor["log"], mutations_applied=applied,
+                         final_num_edges=graph.num_edges)
+        return facts
 
-    result = RunResult(
-        program=program,
-        state=final_state,
-        mode="delta",
-        converged=converged,
-        num_iterations=iteration,
-        iterations=stats,
-        conflicts=log,
-        config=config,
-        extra=extra,
-    )
-    if record is not None:
-        record.end_run(result)
-    if sink is not None:
-        if metrics is not None:
-            sink.metrics_snapshot(metrics)
-        sink.end_run(result)
-    return result
+    def final_state() -> State:
+        out = program.make_state(graph)
+        out.vertex(kernel.field)[:] = x
+        return out
+
+    # Before iteration 0 the same batch rule runs, unless a restore
+    # point (which carries its own cursor) is about to replace the cut.
+    fresh = supervisor is None or supervisor.pending_resume is None
+    return run_loop(
+        program, base, config, state, step, mode="delta", label="delta",
+        frontier=frontier(0) if fresh else _active_ids(op, x, delta,
+                                                       threshold),
+        extra=extra, rngs={"delta": rng}, cursor=cursor, observer=observer,
+        telemetry=telemetry, record=record, supervisor=supervisor,
+        metrics=metrics, state_written=state_written,
+        final_state=final_state)

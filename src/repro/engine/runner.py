@@ -99,17 +99,16 @@ def dispatch(program: VertexProgram, graph, spec: RunSpec) -> RunResult:
     here too, so a supervised run reaches exactly the engines a bare one
     does."""
     config = spec.config or EngineConfig()
-    if spec.mode == "delta":
-        from .nondet_delta import run_delta
-
-        return run_delta(
-            program, graph, config, telemetry=spec.telemetry,
-            record=spec.record, metrics=spec.metrics,
-            scheduling=spec.delta_scheduling, threshold=spec.delta_threshold,
-            mutations=spec.mutations, interrupt=spec.interrupt)
     sinks = {"state": spec.state, "observer": spec.observer,
              "telemetry": spec.telemetry, "record": spec.record,
              "supervisor": spec.supervisor, "metrics": spec.metrics}
+    if spec.mode == "delta":
+        from .nondet_delta import run_delta
+
+        return run_delta(program, graph, config,
+                         scheduling=spec.delta_scheduling,
+                         threshold=spec.delta_threshold,
+                         mutations=spec.mutations, **sinks)
     # A ShardStore runs interval by interval (the vectorized model;
     # backend="process" fans the intervals out to its worker pool).
     if residency_of(graph) == "ShardStore":

@@ -121,7 +121,5 @@ class RunSpec:
     @property
     def supervised(self) -> bool:
         """Whether :func:`repro.robust.supervised_run` (the retry loop)
-        runs it: a robustness knob but no pre-built ``supervisor``, and
-        not ``"delta"``, whose engine polls ``interrupt`` itself."""
-        return (self.robustness != "none" and self.supervisor is None
-                and self.mode != "delta")
+        runs it: a robustness knob but no pre-built ``supervisor``."""
+        return self.robustness != "none" and self.supervisor is None

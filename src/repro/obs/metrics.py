@@ -119,15 +119,25 @@ class PhaseClock:
     contained it into its own phase without breaking that invariant.
     """
 
-    __slots__ = ("_t", "acc")
+    __slots__ = ("_t", "_t0", "acc")
 
     def __init__(self):
         self.acc: dict[str, float] = {}
-        self._t = time.perf_counter()
+        self._t = self._t0 = time.perf_counter()
 
     def start(self) -> None:
-        """Reset the lap origin (call at the top of each iteration)."""
-        self._t = time.perf_counter()
+        """Reset the lap and wall origins (at the top of an iteration)."""
+        self._t = self._t0 = time.perf_counter()
+
+    def elapsed(self) -> float:
+        """Wall seconds since :meth:`start`, less any :meth:`exclude`."""
+        return time.perf_counter() - self._t0
+
+    def exclude(self, seconds: float) -> None:
+        """Leave ``seconds`` just spent out of the next lap and of
+        :meth:`elapsed`: work another iteration's span is charged."""
+        self._t += seconds
+        self._t0 += seconds
 
     def lap(self, phase: str) -> None:
         now = time.perf_counter()

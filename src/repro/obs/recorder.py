@@ -140,11 +140,6 @@ class Recorder:
         return self._reads
 
     @property
-    def conflicts_only(self) -> bool:
-        """May engines pre-filter to cross-thread races before offering?"""
-        return self.policy == "conflicts"
-
-    @property
     def records_writes(self) -> bool:
         """Should per-write provenance (deterministic/threads stores) flow?"""
         return self.policy != "conflicts"

@@ -21,7 +21,8 @@ Two pieces live here:
 Hook protocol (the one loop, :func:`repro.engine.loop.run_loop`)::
 
     sup.engine_start(mode, program, config, state=..., frontier=ids,
-                     rngs={...}, conflicts=log) -> (start_iteration, ids)
+                     rngs={...}, conflicts=log, cursor={...})
+                                                 -> (start_iteration, ids)
     sup.pre_iteration(iteration)                           # faults fire
     dm_i = sup.iteration_delay_model(iteration, dm)        # delay faults
     ids = sup.post_iteration(iteration, state=state, schedule=ids)
@@ -34,6 +35,7 @@ schedule.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from dataclasses import replace
@@ -41,7 +43,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..engine.atomicity import AtomicityPolicy
-from ..engine.capabilities import lookup, residency_of
+from ..engine.capabilities import Refused, lookup, residency_of
 from ..engine.config import EngineConfig
 from ..engine.delaymodel import DelayModel
 from ..engine.runner import dispatch
@@ -97,6 +99,7 @@ class Supervisor:
         self._config: EngineConfig | None = None
         self._rngs: dict = {}
         self._conflicts = None
+        self._cursor: dict | None = None
         self._fired_seen = 0
 
     # ------------------------------------------------------------------
@@ -104,9 +107,12 @@ class Supervisor:
     # ------------------------------------------------------------------
     def engine_start(self, mode: str, program, config: EngineConfig, *,
                      state, frontier, rngs: dict | None = None,
-                     conflicts=None):
+                     conflicts=None, cursor: dict | None = None):
         """Register run context (``rngs``: name -> generator, ``None``
-        for a stream not in use); apply a pending restore point.
+        for a stream not in use; ``cursor``: the engine's JSON-able
+        position beyond state and frontier, e.g. the delta engine's
+        batch cursor); apply a pending restore point, ``cursor`` in
+        place.
 
         Returns ``(start_iteration, frontier)``, the frontier as a
         sorted int64 id array.  ``frontier=None`` marks a barrier-free
@@ -117,6 +123,7 @@ class Supervisor:
         self._config = config
         self._rngs = {k: g for k, g in (rngs or {}).items() if g is not None}
         self._conflicts = conflicts
+        self._cursor = cursor
         if frontier is None:
             if self.checkpoint_path is not None or self.pending_resume is not None:
                 raise CheckpointError(
@@ -127,28 +134,28 @@ class Supervisor:
         self.pending_resume = None
         if resume is None:
             return 0, frontier
-        if isinstance(resume, dict):  # in-memory token
-            ids = np.asarray(resume["frontier"], dtype=np.int64)
-            start = int(resume["iteration"])
-            rng_states = resume["rng_states"]
-            conflict_data = resume.get("conflicts") or {}
-        else:  # file Checkpoint
+        if not isinstance(resume, dict):  # a file Checkpoint: token shape
             if resume.program != self._program_name:
                 raise CheckpointError(
                     f"checkpoint was taken for program {resume.program!r}, "
                     f"cannot resume {self._program_name!r}")
             self._apply_arrays(resume, state)
-            ids = np.asarray(resume.frontier, dtype=np.int64)
-            start = int(resume.iteration)
-            rng_states = resume.rng_states
-            conflict_data = resume.conflicts or {}
-        for name, rng_state in rng_states.items():
+            resume = {"iteration": resume.iteration,
+                      "frontier": resume.frontier,
+                      "rng_states": resume.rng_states,
+                      "conflicts": resume.conflicts,
+                      "cursor": resume.extra.get("cursor")}
+        for name, rng_state in resume["rng_states"].items():
             rng = self._rngs.get(name)
             if rng is not None:
                 rng.bit_generator.state = rng_state
-        if conflicts is not None and conflict_data:
-            _restore_conflicts(conflicts, conflict_data)
-        return start, ids
+        if conflicts is not None and resume.get("conflicts"):
+            _restore_conflicts(conflicts, resume["conflicts"])
+        if cursor is not None and resume.get("cursor") is not None:
+            cursor.clear()
+            cursor.update(copy.deepcopy(resume["cursor"]))
+        return (int(resume["iteration"]),
+                np.asarray(resume["frontier"], dtype=np.int64))
 
     def pre_iteration(self, iteration: int) -> None:
         """Fire engine-level faults before the iteration's updates run.
@@ -207,6 +214,7 @@ class Supervisor:
             "frontier": ids.copy(),
             "rng_states": self._rng_states(),
             "conflicts": _capture_conflicts(self._conflicts),
+            "cursor": copy.deepcopy(self._cursor),
         }
         if self.interrupt is not None:
             # Polled after the checkpoint/token so the stop point is a
@@ -257,6 +265,7 @@ class Supervisor:
             edge_arrays={f: state.edge(f) for f in state.edge_field_names},
             rng_states=self._rng_states(),
             conflicts=_capture_conflicts(self._conflicts),
+            extra={} if self._cursor is None else {"cursor": self._cursor},
         )
         save_checkpoint(self.checkpoint_path, ckpt)
         self.last_checkpoint_iteration = iteration
@@ -314,12 +323,16 @@ def _scale_delay_model(dm: DelayModel, factor: float) -> DelayModel:
 # ----------------------------------------------------------------------
 # the supervised loop
 # ----------------------------------------------------------------------
-def _make_state(program, graph):
-    """Initial state for ``graph`` — out-of-core aware."""
+def _make_state(program, graph, mode):
+    """Initial state for ``graph`` — out-of-core and delta aware."""
     from ..storage.shards import ShardStore
 
     if isinstance(graph, ShardStore):
         return graph.nondet_runner().make_state(program)
+    if mode == "delta":
+        from ..engine.nondet_delta import delta_state
+
+        return delta_state(program, graph)
     return program.make_state(graph)
 
 
@@ -375,7 +388,7 @@ def supervised_run(program, graph, spec: RunSpec):
     # The attempt's spec: what a recovery step changes is replaced in it.
     cur = replace(spec, config=config, supervisor=sup, state=(
         spec.state if spec.state is not None
-        else _make_state(program, graph)))
+        else _make_state(program, graph, spec.mode)))
     degradations: list[dict] = []
     restarts = 0
     escalated = False
@@ -422,10 +435,10 @@ def supervised_run(program, graph, spec: RunSpec):
             else:
                 restore = None
                 event["resume_iteration"] = 0
-            if cur.mode in _NO_MEMORY_RESTART:
-                # no barrier: the crashed attempt's arrays are no
-                # consistent cut — never reuse them
-                cur = replace(cur, state=_make_state(program, graph))
+            if restore is None and cur.mode in ("pure-async", "delta"):
+                # no cut to reuse: pure-async has no barrier, and delta
+                # may have repaired batches in before iteration 0
+                cur = replace(cur, state=_make_state(program, graph, cur.mode))
             sup.pending_resume = restore
             _emit_degradation(telemetry, record, degradations, event)
             time.sleep(policy.backoff_for(restarts))
@@ -450,6 +463,12 @@ def supervised_run(program, graph, spec: RunSpec):
                 # The one switch the table has not seen yet: a ShardStore
                 # graph has no object engine to fall back to.
                 lookup(policy.fallback_mode, residency=residency_of(graph))
+                if cur.mode == "delta":
+                    raise Refused(
+                        f"fallback_mode={policy.fallback_mode!r} cannot run "
+                        "the delta cut: the deterministic engines take a "
+                        "program state, not (x, accum, Δ) and a batch "
+                        "cursor") from exc
                 # The last rung runs the object oracle: the fallback
                 # modes' array plans (sync, DE, chromatic) would refuse
                 # record= under ``"require"``; nor does it take a

@@ -146,15 +146,11 @@ class JobSpec:
         :func:`wire_run_spec`), as scheduler admission judges it; the job
         runner passes ``graph`` and replaces the placeholders with live
         values — the checkpoint path, the interrupt hook, a recorder."""
-        # The delta engine has no barrier checkpoints yet: a killed or
-        # drained delta job re-runs from scratch.
-        checkpointed = self.mode != "delta"
         return wire_run_spec(
             self.to_dict(), graph, interrupt=True,
             record=None if self.record is None else True,
-            checkpoint="state.ckpt" if checkpointed else None,
-            policy=(DegradationPolicy(max_restarts=self.max_restarts)
-                    if checkpointed else None))
+            checkpoint="state.ckpt",
+            policy=DegradationPolicy(max_restarts=self.max_restarts))
 
     def to_dict(self) -> dict:
         return {

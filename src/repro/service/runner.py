@@ -42,8 +42,7 @@ without an acknowledgement:
   and its terminal message is the last thing the relay reads.
 * **Interrupts stop at restore points.**  Cancel and drain arrive as a
   pipe message that the ``interrupt=`` hook polls where the supervisor
-  (and the delta engine) already poll it: after the barrier's
-  checkpoint, never mid-iteration.
+  already polls it: after the barrier's checkpoint, never mid-iteration.
 
 Two deaths are first-class.  A runner dies *with* its service
 (:func:`_die_with_parent`), so a ``kill -9`` of the service never leaves
@@ -177,10 +176,9 @@ def run_job(conn, graphs: GraphRegistry, jdir: str, shm_namespace: str,
             spec.run_spec(graph), telemetry=sink, interrupt=interrupt,
             record=None if spec.record is None else Recorder(
                 policy=spec.record,
-                trace_path=os.path.join(jdir, f"record-{attempt}.jsonl")))
-        if run_spec.checkpoint is not None:
-            run_spec = replace(run_spec, resume_from=resume_from,
-                               checkpoint=os.path.join(jdir, "state.ckpt"))
+                trace_path=os.path.join(jdir, f"record-{attempt}.jsonl")),
+            resume_from=resume_from,
+            checkpoint=os.path.join(jdir, "state.ckpt"))
         t0 = time.monotonic()
         with segment_namespace(shm_namespace):
             result = run(program, graph, **vars(run_spec))

@@ -87,10 +87,6 @@ class SpeedReport:
         bound = self.synchronous_iterations + slack
         return all(p.iterations <= bound for p in self.points)
 
-    def gauss_seidel_no_slower(self) -> bool:
-        """Did the DE sweep beat (or tie) every nondeterministic run?"""
-        return all(p.iterations >= self.deterministic_iterations for p in self.points)
-
     def rows(self) -> list[dict]:
         out = [
             {

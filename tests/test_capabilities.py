@@ -101,7 +101,8 @@ def _point(mode, **changes):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(point=points())
 # Every switch given at once, on the rows that accept them all.
-@example(point=_point("delta", metrics=True, record=True, mutations=True))
+@example(point=_point("delta", robustness="checkpoint", metrics=True,
+                      record=True, observer=True, mutations=True))
 @example(point=_point("nondeterministic", backend="process", shards=True,
                       robustness="checkpoint", metrics=True, record=True,
                       observer=True, state=True))

@@ -29,8 +29,9 @@ from hypothesis import strategies as st
 
 from repro.algorithms import MaxLabelPropagation, PageRank
 from repro.analysis import variation
-from repro.engine import EngineConfig, run
+from repro.engine import EngineConfig, Refused, run
 from repro.engine.atomicity import AtomicityPolicy
+from repro.engine.capabilities import FALLBACK_MODES
 from repro.engine.dispatch import DispatchPolicy
 from repro.engine.gauss_seidel import DeterministicEngine
 from repro.engine.sync_engine import SynchronousEngine
@@ -345,3 +346,15 @@ def test_deterministic_fallback_runs_the_object_engine(monkeypatch,
     assert "vectorized" not in res.extra
     assert [d["action"] for d in res.extra["degradations"]] == [
         "fallback:deterministic"]
+
+
+@pytest.mark.parametrize("fallback", FALLBACK_MODES)
+def test_delta_watchdog_fallback_is_a_typed_refusal(small_graph, fallback):
+    """The last rung would hand the delta cut (x, accum, Δ) to an engine
+    that takes a program state: it refuses with the reason instead."""
+    with pytest.raises(Refused, match="cannot run the delta cut") as refused:
+        run(PageRank(), small_graph, mode="delta",
+            watchdog=TripsOnce(oscillation=False),
+            policy=DegradationPolicy(escalate_atomicity=False,
+                                     fallback_mode=fallback))
+    assert f"fallback_mode={fallback!r}" in refused.value.reason

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.algorithms import PageRank, WeaklyConnectedComponents
+from repro.algorithms import SSSP, PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, Refused, run
 from repro.engine.atomicity import AtomicityPolicy
 from repro.engine.delaymodel import DelayModel
 from repro.engine.dispatch import DispatchPolicy
 from repro.engine.spec import RunSpec
 from repro.graph import generators
+from repro.graph.mutations import generate_batches
 from repro.robust import CheckpointError, ConvergenceFailure, DegradationPolicy
 from repro.robust.supervisor import supervised_run
 from repro.storage import Checkpoint, load_checkpoint, save_checkpoint
@@ -336,7 +337,8 @@ def test_trace_diff_detects_genuinely_different_runs(rmat10, tmp_path):
 
 def test_resume_across_engines_and_checkpoint_every(tmp_path):
     g = generators.rmat(7, 6.0, seed=2)
-    for mode in ("sync", "deterministic", "chromatic", "nondeterministic"):
+    for mode in ("sync", "deterministic", "chromatic", "nondeterministic",
+                 "delta"):
         ck = str(tmp_path / f"{mode}.ckpt")
         base = run(WeaklyConnectedComponents(), g, mode=mode, threads=4,
                    seed=0)
@@ -348,6 +350,46 @@ def test_resume_across_engines_and_checkpoint_every(tmp_path):
                                       res.state.vertex("label"))
 
 
+@pytest.mark.parametrize("factory", [
+    WeaklyConnectedComponents, lambda: SSSP(source=0),
+    # damping 0.5: ~30 barriers instead of ~90, same ADD algebra
+    lambda: PageRank(epsilon=1e-2, damping=0.5)],
+    ids=["WCC", "SSSP", "PageRank"])
+def test_delta_resumes_from_every_barrier_across_mutation_batches(
+        tmp_path, factory):
+    """The delta cut — (x, accum, Δ), the frontier, the ``delta`` stream
+    and the batch cursor — restores exactly at every barrier, before,
+    between and right after the batches; the ADD kernel (PageRank)
+    included.  Both restore points: the checkpoint file after a run that
+    gave up, and the in-memory token of a self-healing run."""
+    graph = generators.rmat(7, 8.0, seed=3)
+    config = EngineConfig(threads=4, seed=1)
+    kw = {"mode": "delta",
+          "mutations": generate_batches(graph, 3, 0.02, 5)}
+
+    def facts(res):
+        return (res.result().tobytes(), res.converged, res.num_iterations,
+                res.extra["delta"], [
+                    {k: v for k, v in m.items() if k != "repair_seconds"}
+                    for m in res.extra["mutations"]])
+
+    base = run(factory(), graph, config=config, **kw)
+    assert base.extra["mutations_applied"] == 3
+    after_batch = {m["at_iteration"] for m in base.extra["mutations"]}
+    assert after_batch < set(range(1, base.num_iterations))
+    for k in range(1, base.num_iterations):
+        ck = str(tmp_path / f"at{k}.ckpt")
+        with pytest.raises(ConvergenceFailure):
+            run(factory(), graph, config=config, faults=f"crash@{k}",
+                checkpoint=ck, checkpoint_every=k,
+                policy=DegradationPolicy(max_restarts=0), **kw)
+        for res in (run(factory(), graph, resume_from=ck, **kw),
+                    run(factory(), graph, config=config,
+                        faults=f"crash@{k}", **kw)):
+            assert facts(res) == facts(base), k
+            assert res.iterations == base.iterations[k:], k
+
+
 def test_resume_guards(rmat10, tmp_path):
     ck = str(tmp_path / "pr.ckpt")
     run(PageRank(epsilon=1e-3), rmat10, mode="nondeterministic",
@@ -357,6 +399,13 @@ def test_resume_guards(rmat10, tmp_path):
     with pytest.raises(CheckpointError, match="program"):
         run(WeaklyConnectedComponents(), rmat10, mode="nondeterministic",
             resume_from=ck)
+    # a delta cut past the batches this run streams cannot be replayed
+    g = generators.rmat(7, 8.0, seed=3)
+    run(WeaklyConnectedComponents(), g, mode="delta", checkpoint=ck,
+        mutations=generate_batches(g, 2, 0.02, 5))
+    with pytest.raises(CheckpointError, match="past batch 1"):
+        run(WeaklyConnectedComponents(), g, mode="delta", resume_from=ck,
+            mutations=generate_batches(g, 1, 0.02, 5))
 
 
 def test_pure_async_refuses_checkpoint(tmp_path):

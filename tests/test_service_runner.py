@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.algorithms import PageRank
+from repro.algorithms import PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, run
+from repro.graph.mutations import BATCH_SPEC, batches_from_spec
 from repro.obs import read_trace
 from repro.obs.recorder import Recorder
 from repro.service import GraphRegistry, GraphService, JobSpec, JobState
@@ -102,6 +103,34 @@ def test_sigkill_runner_mid_job_resumes_bit_identically(service, tmp_path):
     assert service.result(nxt)["runner_pid"] == result["runner_pid"]
     assert glob.glob(f"/dev/shm/repro-pool-{service.namespace}-*") == []
     assert [f for f in os.listdir(jdir) if ".tmp." in f] == []
+
+
+@pytest.mark.chaos
+def test_sigkill_runner_mid_delta_job_resumes_bit_identically(service):
+    """A delta job checkpoints its cut and batch cursor at every barrier
+    like any other job: killed with -9, it resumes to the solo run."""
+    jid = service.submit({"algorithm": "WCC", "graph": "web",
+                          "mode": "delta", "mutations": dict(BATCH_SPEC),
+                          "config": {"seed": 4}, "throttle_s": 0.1})
+    _kill_runner_after_checkpoint(service, jid, attempt=1)
+    status = service.status(jid, wait=30)
+    assert status["state"] == JobState.DONE, status.get("error")
+    assert status["attempts"] == 2 and status["resumed"]
+    result = service.result(jid)
+    assert result["resumed"]
+
+    graph = service.graphs.get("web")
+    solo = run(WeaklyConnectedComponents(), graph, mode="delta",
+               config=EngineConfig(seed=4),
+               mutations=batches_from_spec(graph, BATCH_SPEC))
+    arr = np.ascontiguousarray(solo.result())
+    assert result["state_sha256"] == hashlib.sha256(arr.tobytes()).hexdigest()
+    assert result["delta"] == solo.extra["delta"]
+    untimed = ("seeds", "repair_seconds")
+    assert [{k: v for k, v in m.items() if k not in untimed}
+            for m in result["mutations"]] == \
+        [{k: v for k, v in m.items() if k not in untimed}
+         for m in solo.extra["mutations"]]
 
 
 @pytest.mark.chaos

@@ -339,7 +339,7 @@ def test_recovery_fails_a_journaled_job_of_a_removed_mode(tmp_path):
 @pytest.mark.parametrize("switches", [
     {"mode": "sync", "backend": "process"},
     {"mode": "delta", "vectorized": "require"},
-    {"mode": "delta", "faults": "crash@3"},
+    {"mode": "delta", "backend": "process"},
     {"mode": "nondeterministic", "vectorized": "yes"},
     {"mode": "sync", "mutations": {"num_batches": 1}},
 ], ids=lambda sw: "-".join(f"{k}={v}" for k, v in sw.items()))
