@@ -79,8 +79,9 @@ def test_process_backend_overhead_bounded():
     vectorized, same threads=2 schedule) is measured seconds earlier in
     the same process, so host load cancels out of the ratio — no
     absolute wall-clock term that would flake on a slow runner.  On a
-    single-core host the backend pays fork + 3-barriers-per-round +
-    shared-memory traffic with zero parallel win; measured ~2.7x there,
+    single-core host the backend pays fork + two barriers per fix-point
+    round plus one (C) per iteration + shared-memory traffic with zero
+    parallel win; measured ~2.7x there,
     so 8x headroom flags only a real regression (e.g. an accidental
     per-iteration segment rebuild), not scheduler noise.
     """

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..engine.nondet_core import (
     BSP,
+    EVERYTHING,
     NondetKernel,
     NondetPassContext,
     register_nondet_kernel,
@@ -102,21 +103,25 @@ class _Kernel(NondetKernel):
 
 
 def _in_sums(ctx: NondetPassContext, seen: np.ndarray, dtype,
-             ed: np.ndarray | None = None) -> np.ndarray:
-    """Per vertex, ``seen`` summed over its in-edges (``ed``: only those,
-    a CSC slice) in ``update()``'s gather order: positionally — each
+             ed=EVERYTHING) -> np.ndarray:
+    """Per vertex, ``seen`` summed over the in-edges ``ed`` (``in_range``
+    or a CSC slice) in ``update()``'s gather order: positionally — each
     destination's in-edges in ascending id order (DESIGN §6.1) — or,
     under ``fp_noise``, each segment in its drawn order."""
     total = np.zeros(ctx.n, dtype=dtype)
     fp = ctx.fp
     if fp is not None:
         # The permuted CSC order, or its entries at ``ed``'s positions.
-        ed = fp.order if ed is None else fp.order[fp.at[ed]]
-    if ed is None:
-        np.add.at(total, ctx.dst, seen)
-    else:
-        np.add.at(total, ctx.dst[ed], seen[ed])
+        ed = fp.order if ed is EVERYTHING else fp.order[fp.at[ed]]
+    np.add.at(total, ctx.dst[ed], seen[ed])
     return total
+
+
+def _out_ranges(ctx: NondetPassContext, sub: np.ndarray):
+    """Per ``out_ranges`` slice: it, its sources, which lie in ``sub``."""
+    for r in ctx.out_ranges:
+        src = ctx.src[r]
+        yield r, src, sub[src]
 
 
 class _WCCNondetKernel(_Kernel):
@@ -130,27 +135,32 @@ class _WCCNondetKernel(_Kernel):
 
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
                  first: bool = True) -> None:
-        src, dst = ctx.src, ctx.dst
-        sub_s, sub_d = sub[src], sub[dst]
-        seen_s, seen_d = ctx.seen_s["label"], ctx.seen_d["label"]
+        g = ctx.in_range
+        dst, seen_d = ctx.dst[g], ctx.seen_d["label"][g]
+        sub_d = sub[dst]
+        outs = list(_out_ranges(ctx, sub))
         # Gather: minimum of the own pre-iteration label and every seen
         # incident edge label (min is order-independent — exact).
         mn = ctx.v0["label"].copy()
         np.minimum.at(mn, dst[sub_d], seen_d[sub_d])
-        np.minimum.at(mn, src[sub_s], seen_s[sub_s])
+        for r, src, sub_s in outs:
+            np.minimum.at(mn, src[sub_s], ctx.seen_s["label"][r][sub_s])
         ctx.vout["label"][sub] = mn[sub]
         # Each incident edge is read once per side (a self-loop twice),
         # whatever it carries: pass 1 records it for the whole iteration.
         if first:
-            ctx.rd["label"][sub_d] = 1
-            ctx.rs["label"][sub_s] = 1
-        # Scatter criterion: the edge carried a larger observed label.
-        ctx.ws["label"][sub_s] = (seen_s > mn[src])[sub_s]
-        ctx.wvs["label"][sub_s] = mn[src[sub_s]]
+            ctx.rd["label"][g][sub_d] = 1
+        for r, src, sub_s in outs:
+            if first:
+                ctx.rs["label"][r][sub_s] = 1
+            # Scatter criterion: the edge carried a larger observed label.
+            ctx.ws["label"][r][sub_s] = (ctx.seen_s["label"][r] > mn[src])[sub_s]
+            ctx.wvs["label"][r][sub_s] = mn[src[sub_s]]
         # A self-loop is read from both sides but written once (the
         # object update dedups observations by eid) — attribute it to src.
-        ctx.wd["label"][sub_d] = ((seen_d > mn[dst]) & ~ctx.selfloop)[sub_d]
-        ctx.wvd["label"][sub_d] = mn[dst[sub_d]]
+        ctx.wd["label"][g][sub_d] = (
+            (seen_d > mn[dst]) & ~ctx.selfloop[g])[sub_d]
+        ctx.wvd["label"][g][sub_d] = mn[dst[sub_d]]
 
     # Every scatter is a fetch-and-min of the gathered minimum — an
     # idempotent atomic combine, so the push direction may re-derive the
@@ -191,17 +201,16 @@ class _PageRankNondetKernel(_Kernel):
 
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
                  first: bool = True) -> None:
-        src, dst = ctx.src, ctx.dst
-        sub_s = sub[src]
-        seen_d = ctx.seen_d["value"]
+        g = ctx.in_range
         # Sequential float32 adds in the scalar gather loop's order.
-        # Unmasked — the totals of vertices outside ``sub`` are never
-        # stored.
-        total = self._rounded(ctx, _in_sums(ctx, seen_d, np.float32))
+        # Unmasked within ``in_range`` — the totals of vertices outside
+        # ``sub`` are never stored.
+        total = self._rounded(
+            ctx, _in_sums(ctx, ctx.seen_d["value"], np.float32, g))
         new_rank = (self.base + self.damping * total).astype(np.float32)
         np.copyto(ctx.vout["rank"], new_rank, where=sub)
         if first:
-            np.copyto(ctx.rd["value"], 1, where=sub[dst])
+            np.copyto(ctx.rd["value"][g], 1, where=sub[ctx.dst[g]])
         writers = (
             sub
             & (np.abs(new_rank - ctx.v0["rank"]) >= self.epsilon)
@@ -210,8 +219,9 @@ class _PageRankNondetKernel(_Kernel):
         quotient = (
             new_rank / np.maximum(ctx.out_degrees, 1).astype(np.float32)
         ).astype(np.float32)
-        np.copyto(ctx.ws["value"], writers[src], where=sub_s)
-        np.copyto(ctx.wvs["value"], quotient[src], where=sub_s)
+        for r, src, sub_s in _out_ranges(ctx, sub):
+            np.copyto(ctx.ws["value"][r], writers[src], where=sub_s)
+            np.copyto(ctx.wvs["value"][r], quotient[src], where=sub_s)
 
     @staticmethod
     def _rounded(ctx: NondetPassContext, total: np.ndarray) -> np.ndarray:
@@ -259,10 +269,10 @@ class _SSSPNondetKernel(_Kernel):
 
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
                  first: bool = True) -> None:
-        src, dst = ctx.src, ctx.dst
-        sub_s, sub_d = sub[src], sub[dst]
-        seen_in = ctx.seen_d["dist"]
-        weight = ctx.committed["weight"]
+        g = ctx.in_range
+        dst, seen_in = ctx.dst[g], ctx.seen_d["dist"][g]
+        weight = ctx.committed["weight"][g]
+        sub_d = sub[dst]
         # Gather: every in-edge dist is read; the weight only when the
         # seen dist is finite (the scalar loop `continue`s on INF).
         relax = sub_d & np.isfinite(seen_in)
@@ -270,15 +280,17 @@ class _SSSPNondetKernel(_Kernel):
         np.minimum.at(best, dst[relax], seen_in[relax] + weight[relax])
         ctx.vout["dist"][sub] = best[sub]
         if first:
-            ctx.rd["dist"][sub_d] = 1
-        ctx.rd["weight"][sub_d] = relax[sub_d]
+            ctx.rd["dist"][g][sub_d] = 1
+        ctx.rd["weight"][g][sub_d] = relax[sub_d]
         # Scatter: reached vertices read each out-edge dist and write
         # their own when the edge carries a larger value.
-        scat = sub_s & np.isfinite(best)[src]
-        seen_out = ctx.seen_s["dist"]
-        ctx.rs["dist"][sub_s] = scat[sub_s]
-        ctx.ws["dist"][sub_s] = (scat & (seen_out > best[src]))[sub_s]
-        ctx.wvs["dist"][sub_s] = best[src[sub_s]]
+        reached = np.isfinite(best)
+        for r, src, sub_s in _out_ranges(ctx, sub):
+            scat = sub_s & reached[src]
+            ctx.rs["dist"][r][sub_s] = scat[sub_s]
+            ctx.ws["dist"][r][sub_s] = (
+                scat & (ctx.seen_s["dist"][r] > best[src]))[sub_s]
+            ctx.wvs["dist"][r][sub_s] = best[src[sub_s]]
 
     # Relaxation scatters are fetch-and-min over (dist + weight) — an
     # idempotent atomic combine; see _WCCNondetKernel.push_combines.
@@ -319,21 +331,21 @@ class _SpMVNondetKernel(_Kernel):
 
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
                  first: bool = True) -> None:
-        src, dst = ctx.src, ctx.dst
-        sub_s = sub[src]
-        seen_term = ctx.seen_d["term"]
+        g = ctx.in_range
         # Sequential float64 accumulation, like the scalar `total +=
         # read` loop (see _PageRankNondetKernel.run_pass).
-        new_x = self.b + _in_sums(ctx, seen_term, np.float64)
+        new_x = self.b + _in_sums(ctx, ctx.seen_d["term"], np.float64, g)
         np.copyto(ctx.vout["x"], new_x, where=sub)
         if first:
-            np.copyto(ctx.rd["term"], 1, where=sub[dst])
+            np.copyto(ctx.rd["term"][g], 1, where=sub[ctx.dst[g]])
         writers = sub & (np.abs(new_x - ctx.v0["x"]) >= self.epsilon)
-        crit = writers[src]
-        # The scatter reads the (never-written) coefficient before each write.
-        np.copyto(ctx.rs["a"], crit, where=sub_s)
-        np.copyto(ctx.ws["term"], crit, where=sub_s)
-        np.copyto(ctx.wvs["term"], ctx.committed["a"] * new_x[src], where=sub_s)
+        for r, src, sub_s in _out_ranges(ctx, sub):
+            crit = writers[src]
+            # The scatter reads the (never-written) coefficient first.
+            np.copyto(ctx.rs["a"][r], crit, where=sub_s)
+            np.copyto(ctx.ws["term"][r], crit, where=sub_s)
+            np.copyto(ctx.wvs["term"][r], ctx.committed["a"][r] * new_x[src],
+                      where=sub_s)
 
     # Pull-only like PageRank (push_combines is None): see there for why
     # the id-ordered ``ed`` slice reproduces run_pass's float sums.

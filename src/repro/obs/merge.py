@@ -1,7 +1,7 @@
 """Merging per-worker trace segments into one coherent trace.
 
 The process backends (:class:`~repro.engine.nondet_parallel.ParallelEngine`
-and the out-of-core pool) run one OS process per model thread.  The
+and the out-of-core pool) run one OS process per worker.  The
 master's :class:`~repro.obs.telemetry.Telemetry` sink sees every
 iteration span, but wall-clock timestamps taken *inside* the workers are
 incomparable across processes — each process has its own

@@ -41,7 +41,38 @@ __all__ = [
     "ShardStore",
     "StoreGraphView",
     "IOStats",
+    "edge_balanced_bounds",
+    "psw_layout",
 ]
+
+
+def edge_balanced_bounds(in_degrees: np.ndarray, parts: int) -> np.ndarray:
+    """``parts + 1`` bounds of contiguous vertex blocks holding fewer
+    than ``m / parts`` plus the largest in-degree in-edges each (block
+    ``w`` starts at the first vertex with ``w * m / parts`` in-edges
+    before it; a block may be empty)."""
+    before = np.concatenate(([0], np.cumsum(in_degrees, dtype=np.int64)))
+    bounds = np.searchsorted(before, np.arange(parts + 1) * before[-1] / parts)
+    bounds[-1] = in_degrees.size
+    return bounds.astype(np.int64)
+
+
+def psw_layout(src: np.ndarray, dst: np.ndarray, bounds: np.ndarray):
+    """The PSW slot order over the vertex blocks ``bounds``: ``(perm,
+    shard_offsets, window_index)`` as :class:`ShardStore` stores them
+    (slot ``i`` holds canonical edge ``perm[i]``; ties in a shard's
+    source sort go by canonical id, so every destination's in-edges keep
+    their canonical order)."""
+    k, m = bounds.size - 1, src.size
+    shard_id = np.searchsorted(bounds, dst, side="right") - 1
+    perm = np.lexsort((np.arange(m), src, shard_id))
+    psw_src = src[perm]
+    shard_offsets = np.searchsorted(shard_id[perm], np.arange(k + 1)).astype(np.int64)
+    window_index = np.empty((k, k + 1), dtype=np.int64)
+    for j in range(k):
+        a, b = shard_offsets[j], shard_offsets[j + 1]
+        window_index[j] = a + np.searchsorted(psw_src[a:b], bounds)
+    return perm.astype(np.int64), shard_offsets, window_index
 
 
 class StoreGraphView:
@@ -156,17 +187,7 @@ class ShardStore:
         bounds = np.linspace(0, n, k + 1).astype(np.int64)
         src = np.asarray(graph.edge_src, dtype=np.int64)
         dst = np.asarray(graph.edge_dst, dtype=np.int64)
-        shard_id = np.searchsorted(bounds, dst, side="right") - 1
-        # Shard-major, source-sorted, canonical-id tie-break: ascending
-        # canonical ids within every (shard, source) group.
-        perm = np.lexsort((np.arange(m), src, shard_id))
-        psw_src = src[perm]
-        psw_dst = dst[perm]
-        shard_offsets = np.searchsorted(shard_id[perm], np.arange(k + 1)).astype(np.int64)
-        window_index = np.empty((k, k + 1), dtype=np.int64)
-        for j in range(k):
-            a, b = shard_offsets[j], shard_offsets[j + 1]
-            window_index[j] = a + np.searchsorted(psw_src[a:b], bounds)
+        perm, shard_offsets, window_index = psw_layout(src, dst, bounds)
         write_container(
             path,
             num_vertices=n,
@@ -174,9 +195,9 @@ class ShardStore:
             arrays=[
                 ("src", KIND_TOPO_SRC, src),
                 ("dst", KIND_TOPO_DST, dst),
-                ("psw_src", KIND_EDGE, psw_src),
-                ("psw_dst", KIND_EDGE, psw_dst),
-                ("psw_eid", KIND_EDGE, perm.astype(np.int64)),
+                ("psw_src", KIND_EDGE, src[perm]),
+                ("psw_dst", KIND_EDGE, dst[perm]),
+                ("psw_eid", KIND_EDGE, perm),
                 ("out_degrees", KIND_VERTEX, graph.out_degrees().astype(np.int64)),
                 ("bounds", KIND_META, bounds),
                 ("shard_offsets", KIND_META, shard_offsets),
@@ -238,42 +259,19 @@ class ShardStore:
                     pass
 
     def validate(self) -> None:
-        """PSW invariants, raising :class:`ValueError` on violation."""
-        n, m, k = self.num_vertices, self.num_edges, self.num_intervals
-        eid = np.asarray(self.psw_eid)
-        if not np.array_equal(np.sort(eid), np.arange(m)):
-            raise ValueError("psw_eid is not a permutation of the canonical ids")
-        if not (np.array_equal(self.psw_src, np.asarray(self.canon_src)[eid])
-                and np.array_equal(self.psw_dst, np.asarray(self.canon_dst)[eid])):
-            raise ValueError("shard-major endpoints disagree with canonical topology")
-        if self.shard_offsets[0] != 0 or self.shard_offsets[-1] != m:
-            raise ValueError("shard_offsets do not cover the edge list")
-        for j in range(k):
-            a, b = int(self.shard_offsets[j]), int(self.shard_offsets[j + 1])
-            lo, hi = self.interval(j)
-            d = self.psw_dst[a:b]
-            if d.size and not np.all((d >= lo) & (d < hi)):
-                raise ValueError(f"shard {j} holds a destination outside [{lo}, {hi})")
-            s = self.psw_src[a:b]
-            if s.size and np.any(np.diff(s) < 0):
-                raise ValueError(f"shard {j} is not source-sorted")
-            e = eid[a:b]
-            if e.size and np.any(np.diff(e) <= 0):
-                raise ValueError(f"shard {j} canonical ids are not strictly ascending")
-            if self.window_index[j, 0] != a or self.window_index[j, k] != b:
-                raise ValueError(f"shard {j} window index does not span the shard")
-            if np.any(np.diff(self.window_index[j]) < 0):
-                raise ValueError(f"shard {j} window index is not monotone")
-            for t in range(k):
-                wa, wb = int(self.window_index[j, t]), int(self.window_index[j, t + 1])
-                w = self.psw_src[wa:wb]
-                tlo, thi = self.interval(t)
-                if w.size and not np.all((w >= tlo) & (w < thi)):
-                    raise ValueError(f"window ({j}, {t}) holds a source outside [{tlo}, {thi})")
-        deg = np.bincount(np.asarray(self.canon_src), minlength=n).astype(np.int64) \
-            if m else np.zeros(n, dtype=np.int64)
-        if not np.array_equal(deg, np.asarray(self.out_degrees)):
-            raise ValueError("stored out_degrees disagree with topology")
+        """Raise :class:`ValueError` unless the stored layout is the one
+        :func:`psw_layout` derives from the canonical topology."""
+        src, dst = np.asarray(self.canon_src), np.asarray(self.canon_dst)
+        n, b = self.num_vertices, self.bounds
+        if b[0] != 0 or b[-1] != n or np.any(np.diff(b) < 0):
+            raise ValueError("interval bounds do not cut [0, n) in order")
+        perm, offsets, windows = psw_layout(src, dst, b)
+        for name, want in (("psw_eid", perm), ("psw_src", src[perm]),
+                           ("psw_dst", dst[perm]), ("shard_offsets", offsets),
+                           ("window_index", windows),
+                           ("out_degrees", np.bincount(src, minlength=n))):
+            if not np.array_equal(want, np.asarray(getattr(self, name))):
+                raise ValueError(f"stored {name} disagrees with the topology")
 
 
 @dataclass

@@ -204,10 +204,9 @@ class SharedArrayPool:
         name = name or _default_segment_name()
         shm = shared_memory.SharedMemory(name=name, create=True,
                                          size=layout.total_bytes)
-        pool = cls(shm, layout, owner=True)
-        # Deterministic start state: zero every byte once, at creation.
-        shm.buf[:] = b"\x00" * len(shm.buf)
-        return pool
+        # A new segment reads zero (``ftruncate`` zero-fills): no
+        # segment-sized zero buffer, no page touched before its use.
+        return cls(shm, layout, owner=True)
 
     @classmethod
     def attach(cls, name: str, layout: ArrayLayout) -> "SharedArrayPool":

@@ -1,14 +1,17 @@
 """Backend equivalence for the shared-memory process backend.
 
 The process backend distributes the vectorized nondeterministic model
-across OS workers, each owning the thread intervals BLOCK dispatch
-assigns it.  Because every edge slot has exactly one writing owner (the
+across OS workers, each owning one edge-balanced block of vertices: its
+shard of in-edges and its windows of out-edges in the segment's PSW slot
+order.  Because every edge slot has exactly one writing owner (the
 paper's §II scope rule: only the endpoints touch an edge), the workers
 never race on real memory, and the distributed run is *bit-identical*
 to the single-process vectorized engine — which is itself bit-identical
-to the object engine.  These tests pin that chain, the runner plumbing,
-and the robustness ladder (worker death → WorkerDied → supervised
-restart from barrier-consistent state).
+to the object engine — whatever block runs a vertex.  These tests pin
+that chain (a Hypothesis property over multigraphs, stars, worker
+counts, dispatch policies and directions among them), the runner
+plumbing, and the robustness ladder (worker death → WorkerDied →
+supervised restart from barrier-consistent state).
 """
 
 import glob
@@ -18,11 +21,14 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, ParallelEngine, fallback_reasons, run
+from repro.engine.dispatch import DispatchPolicy
 from repro.engine.workerpool import WorkerPool
-from repro.graph import generators
+from repro.graph import DiGraph, generators
 from repro.obs import Recorder
 from repro.robust import DegradationPolicy, WorkerDied, WorkerTimeout
 from repro.storage import ShardStore
@@ -63,6 +69,38 @@ def test_process_backend_bit_identical(small_graph, algo, workers):
     assert proc.mode == "nondeterministic"
     assert_bit_identical(vec, proc)
     # the fix-point decomposition must not change the pass count either
+    assert proc.extra["fixpoint_passes"] == vec.extra["fixpoint_passes"]
+
+
+@st.composite
+def process_cases(draw):
+    """A multigraph with self-loops — and, half the time, a star into
+    vertex 0, whose edge-balanced cut gives block 0 every star edge and
+    leaves a block empty — with a configuration of 1, 2, 3 or 5 workers
+    (more workers than vertices included)."""
+    n = draw(st.integers(1, 12))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    if draw(st.booleans()):
+        edges += [(v, 0) for v in range(n)]
+    graph = DiGraph(n, np.array([e[0] for e in edges], dtype=np.int64),
+                    np.array([e[1] for e in edges], dtype=np.int64))
+    config = EngineConfig(
+        threads=draw(st.sampled_from([1, 2, 3, 5])),
+        seed=draw(st.integers(0, 2**16)),
+        jitter=draw(st.sampled_from([0.0, 0.5])),
+        dispatch=draw(st.sampled_from(list(DispatchPolicy))))
+    return (draw(st.sampled_from(sorted(ALGORITHMS))), graph, config,
+            draw(st.sampled_from(["pull", "auto"])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=process_cases())
+def test_process_backend_equals_vectorized_property(case):
+    algo, graph, config, direction = case
+    vec, proc = run_backend_pair(ALGORITHMS[algo], graph, config,
+                                 direction=direction)
+    assert_bit_identical(vec, proc)
     assert proc.extra["fixpoint_passes"] == vec.extra["fixpoint_passes"]
 
 
