@@ -121,8 +121,7 @@ class DeterministicEngine:
                 upd[t] += 1
                 reads[t] += ctx.n_edge_reads
                 writes[t] += ctx.n_edge_writes
-            if clock is not None:
-                clock.lap("gather")
+            clock.lap("gather")
             # Sequential execution: a single update runs at a time, so no
             # conflicts can occur.
             return (sorted_ids(next_schedule),

@@ -17,7 +17,12 @@ which has no barrier, stays outside.
 
 from __future__ import annotations
 
-from ..obs.metrics import PhaseClock, peak_rss_bytes, record_iteration_metrics
+from ..obs.metrics import (
+    NO_CLOCK,
+    PhaseClock,
+    peak_rss_bytes,
+    record_iteration_metrics,
+)
 from .conflicts import ConflictLog
 from .frontier import initial_frontier
 from .result import RunResult
@@ -35,9 +40,10 @@ def run_loop(program, graph, config, state, step, *, mode: str,
 
     ``step(iteration, ids, dm, clock)`` executes iteration ``iteration``
     on the sorted frontier ``ids`` under delay model ``dm`` (after any
-    delay fault), laps its phases on ``clock`` when there is one, commits
-    into ``state`` and returns ``(next_ids, stats, deltas, span)``: the
-    next frontier as a sorted int64 array, its
+    delay fault), laps its phases on ``clock`` (a no-op ``NO_CLOCK`` in
+    an unprofiled run), commits into ``state`` and returns
+    ``(next_ids, stats, deltas, span)``: the next frontier as a sorted
+    int64 array, its
     :class:`~repro.engine.result.IterationStats` row, its conflict deltas
     ``[read–write, write–write, contended, stale]`` (``None``: the step
     keeps ``conflicts`` itself, or admits none) and its span fields.
@@ -78,7 +84,7 @@ def run_loop(program, graph, config, state, step, *, mode: str,
     # boundary, per iteration): it consumes no RNG stream and touches no
     # state, so profiled runs stay bit-identical.
     clock = make_clock() if (sink is not None or metrics is not None) \
-        else None
+        else NO_CLOCK
     while iteration < config.max_iterations:
         if frontier_ids.size == 0:
             converged = True
@@ -87,8 +93,7 @@ def run_loop(program, graph, config, state, step, *, mode: str,
         if supervisor is not None:
             supervisor.pre_iteration(iteration)
             dm = supervisor.iteration_delay_model(iteration, delay_model)
-        if clock is not None:
-            clock.start()
+        clock.start()
         rw0, ww0 = log.read_write, log.write_write
         next_ids, it, deltas, span = step(iteration, frontier_ids, dm, clock)
         if deltas is not None:
@@ -106,7 +111,7 @@ def run_loop(program, graph, config, state, step, *, mode: str,
                 iteration, state=state, schedule=next_ids)
             if state_written is not None:
                 state_written()
-        if clock is not None:
+        if clock:
             # Everything since the step's last lap — conflict totals,
             # frontier materialization, the barrier checkpoint — is
             # charged to the commit barrier.

@@ -52,6 +52,7 @@ import numpy as np
 
 from ..graph import DiGraph
 from ..graph.mutations import EdgeDiff, MutationBatch, _pair_keys, apply_batch
+from ..obs.metrics import NO_CLOCK
 from ..robust.errors import CheckpointError
 from .config import EngineConfig
 from .loop import run_loop
@@ -509,7 +510,7 @@ def run_delta(
     rng = config.rng("delta")
     repair_s = 0.0  # mutate_repair seconds the next iteration's span owes
 
-    def frontier(iteration: int, clock=None) -> np.ndarray:
+    def frontier(iteration: int, clock=NO_CLOCK) -> np.ndarray:
         """The active set before ``iteration``; while it is empty, stream
         in and repair the next batch (none at the iteration cap)."""
         nonlocal graph, applied, repair_s
@@ -526,8 +527,7 @@ def run_delta(
                                           x0, delta0, accum, delta)
             graph = new_graph
             dt = time.perf_counter() - t_rep
-            if clock is not None:
-                clock.exclude(dt)
+            clock.exclude(dt)
             repair_s += dt
             info.update(batch=applied, inserted=int(diff.inserted.shape[0]),
                         deleted=int(diff.deleted.shape[0]),
@@ -547,7 +547,7 @@ def run_delta(
 
     def step(iteration, ids, dm, clock):
         nonlocal repair_s
-        if clock is not None and repair_s:
+        if repair_s:
             clock.add("mutate_repair", repair_s)
         repair_s = 0.0
         # Nondeterministic schedule: a seeded permutation of the active
@@ -568,15 +568,13 @@ def run_delta(
         x[order] = _fold_arr(op, x0[order], accum[order])
         delta[order] = op.identity
         cursor["committed"] += int(order.size)
-        if clock is not None:
-            clock.lap("delta_commit")
+        clock.lap("delta_commit")
 
         out_deg = graph.out_degrees()
         in_deg = graph.in_degrees() if kernel.undirected else None
         edge_work = _propagate(kernel, graph, order, committed, delta,
                                out_deg, in_deg)
-        if clock is not None:
-            clock.lap("delta_propagate")
+        clock.lap("delta_propagate")
 
         chunks = np.array_split(order, config.threads)
         edges_per = [int(out_deg[c].sum() + (in_deg[c].sum() if in_deg

@@ -472,16 +472,14 @@ class NondeterministicEngine:
             # separates out.
             plan = make_plan(active, config.threads, policy=config.dispatch,
                              jitter=config.jitter, rng=rngs.get("jitter"))
-            if clock is not None:
-                clock.lap("plan_build")
+            clock.lap("plan_build")
             stats: list[IterationStats] = []
             next_schedule = self.step_iteration(
                 program, graph, state, plan, config, iteration=iteration,
                 log=log, torn_rng=rngs.get("torn"), gather_rng=rngs.get("fp"),
                 stats=stats, recorder=record, delay_model=dm,
             )
-            if clock is not None:
-                clock.lap("gather")
+            clock.lap("gather")
             return sorted_ids(next_schedule), stats[0], None, {}
 
         return run_loop(program, graph, config, state, step, mode=self.mode,

@@ -123,8 +123,7 @@ class VectorizedNondetEngine:
             ctx.renew(plan.active)
             if fp_rng is not None:
                 ctx.fp = kernel.fp_draws(graph, fp_rng, plan)
-            if clock is not None:
-                clock.lap("plan_build")
+            clock.lap("plan_build")
             # Pass 1 computes every active vertex against the committed
             # snapshot; repair() then recomputes only vertices whose
             # seen inputs changed.
@@ -132,8 +131,7 @@ class VectorizedNondetEngine:
                 kernel.run_slice_pass(ctx, ids, es_all, ed_all)
             else:
                 kernel.run_pass(ctx, plan.active)
-            if clock is not None:
-                clock.lap("push_scatter" if push else "gather")
+            clock.lap("push_scatter" if push else "gather")
             passes, bar.slice_passes, _ = repair(
                 kernel, graph, ctx, written,
                 seen_d_on=(sel, ep.vis_s2d),
@@ -141,8 +139,7 @@ class VectorizedNondetEngine:
                 in_degrees=in_degrees, alpha=config.direction_alpha,
                 bound=int(ids.size), sparse=push)
             bar.passes = 1 + passes
-            if clock is not None:
-                clock.lap("repair_pass")
+            clock.lap("repair_pass")
             # Barrier on the aligned arrays: ``a[slice(None)]`` is a view
             # (dense pays nothing, the commit lands in the state), a
             # gather at the touched edges in push.  All writes land

@@ -100,8 +100,7 @@ class SynchronousEngine:
             if record is not None:
                 _record_commits(record, iteration, store.writers, plan)
             state.commit_edges(store.pending)
-            if clock is not None:
-                clock.lap("gather")
+            clock.lap("gather")
             return (sorted_ids(next_schedule),
                     IterationStats(iteration, int(active.size), upd, reads,
                                    writes), None, {})

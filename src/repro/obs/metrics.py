@@ -163,6 +163,25 @@ class PhaseClock:
         return out
 
 
+class NoClock(PhaseClock):
+    """The clock of an unprofiled run: its laps record nothing, and it
+    tests False, so work done only for a profile asks ``if clock:``."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def _untimed(self, *args) -> None:
+        pass
+
+    start = exclude = lap = add = split = _untimed
+
+
+#: The one :class:`NoClock`.
+NO_CLOCK = NoClock()
+
+
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 

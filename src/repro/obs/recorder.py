@@ -57,11 +57,12 @@ when disabled.
 
 from __future__ import annotations
 
-import json
 import threading
-from typing import IO, Any
+from typing import Any
 
 import numpy as np
+
+from .telemetry import JsonlTrace
 
 __all__ = ["Recorder", "RECORD_POLICIES"]
 
@@ -72,7 +73,7 @@ RECORD_POLICIES = ("conflicts", "all", "reservoir")
 _MAX_RANKING = 65_536
 
 
-class Recorder:
+class Recorder(JsonlTrace):
     """Event-level provenance sink for one engine run.
 
     Parameters
@@ -115,14 +116,11 @@ class Recorder:
         self.policy = policy
         self.reservoir_k = int(reservoir_k)
         self._reads = bool(reads)
-        self._trace_path = trace_path
+        super().__init__(trace_path)
         self._seed = seed
-        self._fh: IO[str] | None = None
-        self._trace_opened = False
         # The real-thread backend emits from racing workers.
         self._lock = threading.Lock()
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-        self.records: list[dict] = []  #: every emitted record, in order
         self.events: list[dict] = []  #: the provenance subset of ``records``
         self.dropped = 0  #: events rejected by the sampling policy
         self.offered = 0  #: events offered by the engines before sampling
@@ -146,21 +144,9 @@ class Recorder:
 
     # -- record emission ------------------------------------------------
     def _emit(self, record: dict) -> None:
-        self.records.append(record)
         if record.get("type") == "provenance":
             self.events.append(record)
-        if self._trace_path is not None:
-            if self._fh is None:
-                # First open truncates; later reopens append so a
-                # supervised restart extends the trace of the attempt it
-                # recovers instead of erasing it.
-                self._fh = open(self._trace_path,
-                                "a" if self._trace_opened else "w",
-                                encoding="utf-8")
-                self._trace_opened = True
-            json.dump(record, self._fh, separators=(",", ":"), default=_jsonable)
-            self._fh.write("\n")
-            self._fh.flush()
+        super()._emit(record)
 
     def begin_run(self, **meta: Any) -> None:
         """Mark the start of a run; ``meta`` is free-form."""
@@ -172,20 +158,6 @@ class Recorder:
                 "recorder_policy": self.policy,
                 "recorder_reads": self._reads,
             }
-        )
-
-    def begin_engine_run(self, mode: str, program: Any, config: Any) -> None:
-        """:meth:`begin_run` with the standard engine metadata fields."""
-        self.begin_run(
-            mode=mode,
-            program=type(program).__name__,
-            threads=config.threads,
-            seed=config.seed,
-            delay=config.delay,
-            jitter=config.jitter,
-            atomicity=config.atomicity.value,
-            dispatch=config.dispatch.value,
-            max_iterations=config.max_iterations,
         )
 
     # -- provenance event entry points ----------------------------------
@@ -394,11 +366,6 @@ class Recorder:
             self._emit(summary)
             self.close()
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
     def reset(self) -> None:
         """Forget everything recorded; keep configuration (policy, path)."""
         self.close()
@@ -415,13 +382,6 @@ class Recorder:
         self._rng = np.random.default_rng(np.random.SeedSequence([self._seed, 5]))
 
     # -- consumption ----------------------------------------------------
-    def export(self, path: str) -> None:
-        """Write all buffered records to ``path`` as JSONL (post-hoc)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                json.dump(rec, fh, separators=(",", ":"), default=_jsonable)
-                fh.write("\n")
-
     def commits(self) -> list[dict]:
         """The recorded Lemma-2 commit events, in emission order."""
         return [e for e in self.events if e["kind"] == "commit"]
@@ -440,14 +400,3 @@ def _final_ranking(result: Any) -> list[int] | None:
     if scores.ndim != 1 or scores.size > _MAX_RANKING:
         return None
     return [int(v) for v in ranking(scores)]
-
-
-def _jsonable(obj: Any):
-    """JSON fallback: enums by value, NumPy scalars by item."""
-    value = getattr(obj, "value", None)
-    if value is not None and isinstance(value, (str, int, float)):
-        return value
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()
-    return str(obj)

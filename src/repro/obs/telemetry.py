@@ -27,7 +27,7 @@ from typing import IO, Any, Callable, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.result import IterationStats, RunResult
 
-__all__ = ["Counter", "Gauge", "IterationSpan", "Telemetry"]
+__all__ = ["Counter", "Gauge", "IterationSpan", "JsonlTrace", "Telemetry"]
 
 
 @dataclass
@@ -124,7 +124,63 @@ class IterationSpan:
         )
 
 
-class Telemetry:
+class JsonlTrace:
+    """A sink's records: kept in order in :attr:`records` and, with a
+    ``trace_path``, streamed to that JSONL file as they are emitted.
+    The base of :class:`Telemetry` and
+    :class:`~repro.obs.recorder.Recorder`."""
+
+    def __init__(self, trace_path: str | None):
+        self._trace_path = trace_path
+        self._fh: IO[str] | None = None
+        self._trace_opened = False
+        self.records: list[dict] = []
+
+    def _emit(self, record: dict) -> None:
+        self.records.append(record)
+        if self._trace_path is not None:
+            if self._fh is None:
+                # First open truncates; later reopens append so a
+                # supervised restart extends the trace of the attempt it
+                # recovers instead of erasing it.
+                self._fh = open(self._trace_path,
+                                "a" if self._trace_opened else "w",
+                                encoding="utf-8")
+                self._trace_opened = True
+            json.dump(record, self._fh, separators=(",", ":"), default=_jsonable)
+            self._fh.write("\n")
+            # Flush per record (iteration granularity): a killed run
+            # still leaves a readable partial trace.
+            self._fh.flush()
+
+    def begin_engine_run(self, mode: str, program: Any, config: Any) -> None:
+        """:meth:`begin_run` with the standard engine metadata fields."""
+        self.begin_run(
+            mode=mode,
+            program=type(program).__name__,
+            threads=config.threads,
+            seed=config.seed,
+            delay=config.delay,
+            jitter=config.jitter,
+            atomicity=config.atomicity.value,
+            dispatch=config.dispatch.value,
+            max_iterations=config.max_iterations,
+        )
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def export(self, path: str) -> None:
+        """Write all buffered records to ``path`` as JSONL (post-hoc)."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for rec in self.records:
+                json.dump(rec, fh, separators=(",", ":"), default=_jsonable)
+                fh.write("\n")
+
+
+class Telemetry(JsonlTrace):
     """Structured sink for one engine run.
 
     Parameters
@@ -156,12 +212,9 @@ class Telemetry:
         on_iteration: Callable[[IterationSpan], None] | None = None,
         worker_dir: str | None = None,
     ):
-        self._trace_path = trace_path
+        super().__init__(trace_path)
         self._on_iteration = on_iteration
         self.worker_dir = worker_dir
-        self._fh: IO[str] | None = None
-        self._trace_opened = False
-        self.records: list[dict] = []
         self.spans: list[IterationSpan] = []
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
@@ -187,41 +240,10 @@ class Telemetry:
         return time.perf_counter()
 
     # -- record emission -----------------------------------------------
-    def _emit(self, record: dict) -> None:
-        self.records.append(record)
-        if self._trace_path is not None:
-            if self._fh is None:
-                # First open truncates; later reopens append so a
-                # supervised restart extends the trace of the attempt it
-                # recovers instead of erasing it.
-                self._fh = open(self._trace_path,
-                                "a" if self._trace_opened else "w",
-                                encoding="utf-8")
-                self._trace_opened = True
-            json.dump(record, self._fh, separators=(",", ":"), default=_jsonable)
-            self._fh.write("\n")
-            # Flush per record (iteration granularity): a killed run
-            # still leaves a readable partial trace.
-            self._fh.flush()
-
     def begin_run(self, **meta: Any) -> None:
         """Mark the start of an engine run; ``meta`` is free-form."""
         self.run_meta = meta
         self._emit({"type": "run_start", **meta})
-
-    def begin_engine_run(self, mode: str, program: Any, config: Any) -> None:
-        """:meth:`begin_run` with the standard engine metadata fields."""
-        self.begin_run(
-            mode=mode,
-            program=type(program).__name__,
-            threads=config.threads,
-            seed=config.seed,
-            delay=config.delay,
-            jitter=config.jitter,
-            atomicity=config.atomicity.value,
-            dispatch=config.dispatch.value,
-            max_iterations=config.max_iterations,
-        )
 
     def event(self, name: str, **fields: Any) -> None:
         """Ad-hoc observation (e.g. vectorized-dispatch fallback reasons)."""
@@ -303,11 +325,6 @@ class Telemetry:
         self._emit(summary)
         self.close()
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
     def reset(self) -> None:
         """Forget everything recorded; keep configuration (path, callback)."""
         self.close()
@@ -328,13 +345,6 @@ class Telemetry:
         drivers rely on.
         """
         return [s.to_stats() for s in self.spans]
-
-    def export(self, path: str) -> None:
-        """Write all buffered records to ``path`` as JSONL (post-hoc)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                json.dump(rec, fh, separators=(",", ":"), default=_jsonable)
-                fh.write("\n")
 
     def summary(self) -> str:
         """Human-readable per-iteration table of the recorded run."""
