@@ -97,13 +97,16 @@ def test_process_backend_overhead_bounded():
 
 @pytest.mark.perfsmoke
 def test_out_of_core_solo_overhead_bounded(tmp_path):
-    """Tier-2 floor: solo out-of-core PageRank ≤ 5.5x the in-memory run.
+    """Tier-2 floor: solo out-of-core PageRank ≤ 3.0x the in-memory run.
 
     rmat-12, threads=2, a 4-interval store; both walls measured in this
-    process, so host load cancels out of the ratio.  Measured 2.9x here
-    (2.0x at rmat-14); 7.6-8.0x when every interval load re-sorted its
-    edges into CSC order and every fix-point round rebuilt the Defs. 1-3
-    masks, which is the regression the floor is there to catch.
+    process, so host load cancels out of the ratio.  Measured 1.45-1.63x
+    (five runs, 2-vCPU host) with the kernels on mapped scratch views;
+    2.64-2.85x when every interval load copied its slot ranges out of
+    the scratch files with pread and wrote the owned ones back, and
+    7.6-8.0x when it also re-sorted its edges into CSC order and every
+    fix-point round rebuilt the Defs. 1-3 masks — the regressions the
+    floor is there to catch.
     """
     from repro.storage import ShardStore
 
@@ -114,9 +117,9 @@ def test_out_of_core_solo_overhead_bounded(tmp_path):
         t_ooc = _timed(store, threads=2)
     finally:
         store.nondet_runner().close()
-    assert t_ooc <= t_vec * 5.5, (
+    assert t_ooc <= t_vec * 3.0, (
         f"out-of-core solo took {t_ooc:.3f}s vs {t_vec:.3f}s in memory — "
-        f"ratio {t_ooc / t_vec:.1f}x exceeds the 5.5x floor"
+        f"ratio {t_ooc / t_vec:.1f}x exceeds the 3.0x floor"
     )
 
 

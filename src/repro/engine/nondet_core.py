@@ -23,9 +23,9 @@ module states each rule of the paper once:
   step of the one loop (:func:`~repro.engine.loop.run_loop`).
 
 The three residencies (RAM: ``nondet_vectorized``; one shm segment and
-``P`` processes: ``nondet_parallel``; scratch files swept by interval:
-``nondet_outofcore``) supply arrays and a ``step``; DESIGN §6.0 maps
-functions to statements of the paper.  Results are **bit-for-bit
+``P`` processes: ``nondet_parallel``; a mapped scratch file swept by
+interval: ``nondet_outofcore``) supply arrays and a ``step``; DESIGN
+§6.0 maps functions to statements of the paper.  Results are **bit-for-bit
 identical** to the object :class:`~repro.engine.nondet_engine.
 NondeterministicEngine`, which (with ``engine/ordering.py``) stays
 untouched as the oracle.
@@ -364,8 +364,8 @@ class NondetPassContext:
     A :class:`NondetKernel` fills the output slots for the vertices it
     is asked to (re)compute.  All edge-indexed arrays are aligned with
     ``src`` / ``dst``.  The caller supplies the arrays it holds elsewhere
-    — a shm worker its segment views, an interval sweep its gathered
-    slot ranges — and ``graph`` / ``state`` supply the rest: a RAM
+    — a shm worker its segment views, an interval sweep its mapped
+    scratch views — and ``graph`` / ``state`` supply the rest: a RAM
     engine passes nothing else and gets CSR-aligned full-size arrays,
     fresh zeroed outputs and a private ``vout``, which it reuses from
     one iteration to the next through :meth:`renew`.
@@ -413,14 +413,15 @@ class NondetPassContext:
                  committed=None, v0=None, vout=None,
                  seen_s=None, seen_d=None, ws=None, wvs=None, wd=None,
                  wvd=None, rs=None, rd=None, writes_dst: bool = True,
-                 in_range=EVERYTHING, out_ranges=(EVERYTHING,)):
+                 in_range=EVERYTHING, out_ranges=(EVERYTHING,),
+                 selfloop=None):
         self.graph = graph
         self.in_range, self.out_ranges = in_range, out_ranges
         self.src = graph.edge_src if src is None else src
         self.dst = graph.edge_dst if dst is None else dst
         self.n = graph.num_vertices if n is None else n
         self.m = m = int(self.src.size)
-        self.selfloop = self.src == self.dst
+        self.selfloop = self.src == self.dst if selfloop is None else selfloop
         self.out_degrees = (
             out_degrees if out_degrees is not None else graph.out_degrees()
         )

@@ -7,51 +7,60 @@ actually caps the graph scale, not the topology.  This module is the
 file residency of :mod:`~repro.engine.nondet_core`: the *same* racy
 iteration interval-by-interval over a
 :class:`~repro.storage.shards.ShardStore`.  Edge-indexed data lives in
-flat scratch files addressed by shard-major slot, and one fix-point pass
-touches only the slot ranges incident to the interval it is running —
-resident set stays bounded by the largest interval's incident set plus
-the ``O(n)`` vertex-indexed arrays.
+one scratch file addressed by shard-major slot, laid out by
+:class:`~repro.storage.shm.ArrayLayout` under the shm segment's array
+names and mapped ``MAP_SHARED`` by the master and every pool worker.
+A kernel pass runs on full-length views of those arrays and of the
+store's ``psw_src`` / ``psw_dst``; per interval ``k`` it is told its
+``in_range`` (shard ``k``) and ``out_ranges`` (windows ``(·, k)``), as
+a shm worker is told its own, and touches nothing else.  Nothing is
+gathered and nothing is written back.  What bounds RAM: the anonymous
+memory of a sweep stays interval-sized plus the ``O(n)`` vertex arrays,
+and the scratch pages are file-backed page cache the kernel can reclaim.
 
 **Why the interval decomposition is exact** is argued in DESIGN §6.1:
 the §II scope rule and the source-sorted sliding windows make every
 slot range single-writer on each side across intervals (and workers),
 and the core's predicates and barrier functions are elementwise in the
-edge over a vertex-indexed in-memory plan, so calling them on a
-gathered slot range is the same arithmetic as on the full edge list.
+edge over a vertex-indexed in-memory plan, so calling them on a slot
+range is the same arithmetic as on the full edge list.
 ``tests/test_outofcore.py`` asserts bit-identity (state, trajectory,
 per-thread stats, conflict totals, fix-point pass counts, recorder
 provenance) against both in-memory engines per (kernel, seed).
 
 **Fix-point barrier discipline.**  Within one iteration the runner
 alternates *compute* sweeps (pass 1, repairs) and *detect* sweeps.  The
-detect sweep materializes each side's seen value into ``seen_s``/
-``seen_d`` scratch files for every covered slot; the following repair
-sweep gathers seen values from those files rather than recomputing them
-from the live write files — recomputing would let interval ``i``'s
-round-``r+1`` writes leak into interval ``j > i``'s gather within the
-same sweep, breaking the round-synchronous semantics the in-memory
-engine has by construction.
+detect sweep materializes each side's seen value into the ``seen_s`` /
+``seen_d`` arrays for every covered slot; the following repair sweep
+reads seen values from those arrays rather than recomputing them from
+the live writes — recomputing would let interval ``i``'s round-``r+1``
+writes leak into interval ``j > i``'s gather within the same sweep,
+breaking the round-synchronous semantics the in-memory engine has by
+construction.
 
 **Process backend.**  ``backend="process"`` dispatches intervals to a
 persistent :class:`~repro.engine.workerpool.WorkerPool`: worker ``w``
 owns a contiguous BLOCK of intervals, so every scratch range keeps a
-single writer across workers too.  Only the ``O(n)`` master state (plan,
+single writer across workers too.  The ``O(n)`` master state (plan,
 ``v0``/``vout``, active and dirty masks) is shared through the pool's
-segment; edge data flows through the page cache.  The pool survives
+segment, edge data through the mapped scratch file.  The pool survives
 across ``run()`` calls on the same (store, program) —
 ``extra["pool_reused"]`` reports reuse — and is torn down by
-:meth:`OutOfCoreNondetRunner.close`, on worker failure, or at GC.
+:meth:`OutOfCoreNondetRunner.close`, on worker failure, or when the
+store is dropped.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..obs.metrics import NO_CLOCK, PhaseClock
-from ..storage.shm import ArrayLayout
+from ..storage.shm import ArrayLayout, SharedArrayPool
 from .config import EngineConfig
 from .nondet_core import (
     OUTPUTS,
@@ -70,152 +79,84 @@ from .result import RunResult
 from .state import State
 from .workerpool import WorkerLink, WorkerPool, profile_directive
 
-__all__ = ["FileArray", "OutOfCoreNondetRunner"]
+__all__ = ["OutOfCoreNondetRunner"]
 
 
 # ----------------------------------------------------------------------
-# flat scratch files
+# the mapped scratch
 # ----------------------------------------------------------------------
-class FileArray:
-    """A flat on-disk array addressed by slot range, via pread/pwrite.
-
-    Not memory-mapped on purpose: reads land in caller-owned arrays
-    and writes go straight to the page cache, so the process RSS never
-    grows with the file and concurrent writers to *disjoint* ranges are
-    safe across processes (single-writer slot ownership is established
-    by the PSW layout).  Created sparse; :meth:`zero` re-punches the
-    whole file back to zeros in O(1) syscalls.
-    """
-
-    __slots__ = ("path", "dtype", "size", "_itemsize", "_fd", "_io")
-
-    def __init__(self, path: str, dtype, size: int, io=None):
-        self.path = path
-        self.dtype = np.dtype(dtype)
-        self.size = int(size)
-        self._itemsize = self.dtype.itemsize
-        self._fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-        nbytes = self.size * self._itemsize
-        if os.fstat(self._fd).st_size != nbytes:
-            os.ftruncate(self._fd, nbytes)
-        self._io = io
-
-    def read_into(self, a: int, out: np.ndarray) -> None:
-        """Fill ``out`` (contiguous, my dtype) from slots ``[a, a + out.size)``."""
-        nbytes = out.nbytes
-        io = self._io
-        t0 = time.perf_counter() if io is not None else 0.0
-        got = os.preadv(self._fd, [out], int(a) * self._itemsize)
-        if got != nbytes:  # pragma: no cover - scratch truncated
-            raise OSError(f"{self.path}: short read ({got}/{nbytes} bytes)")
-        if io is not None:
-            io.bytes_read += nbytes
-            io.seconds += time.perf_counter() - t0
-
-    def read(self, a: int, b: int) -> np.ndarray:
-        """Slots ``[a, b)`` as a fresh writable array."""
-        out = np.empty(int(b) - int(a), dtype=self.dtype)
-        self.read_into(a, out)
-        return out
-
-    def write(self, a: int, arr: np.ndarray) -> None:
-        """Overwrite slots ``[a, a + arr.size)``."""
-        data = np.ascontiguousarray(arr, dtype=self.dtype)
-        io = self._io
-        t0 = time.perf_counter() if io is not None else 0.0
-        os.pwrite(self._fd, data, int(a) * self._itemsize)
-        if io is not None:
-            io.bytes_written += data.nbytes
-            io.seconds += time.perf_counter() - t0
-
-    def zero(self) -> None:
-        """Reset every slot to zero (sparse, O(1))."""
-        os.ftruncate(self._fd, 0)
-        os.ftruncate(self._fd, self.size * self._itemsize)
-
-    def close(self) -> None:
-        if self._fd >= 0:
-            os.close(self._fd)
-            self._fd = -1
-
-
 class _Scratch:
-    """The per-field scratch files of one (store, program) pairing.
+    """The mapped scratch arrays of one (store, program) pairing.
 
-    ``<f>.committed`` is the durable edge state (slot-ordered);
-    ``<f>.seen_d`` carries the detect sweep's materialized views;
-    ``<f>.ws/wvs/rs/rd`` are the per-iteration output slots, zeroed at
-    every barrier; ``plan.vis_s2d`` holds the iteration's Defs. 1–3
+    ``committed:<f>`` is the durable edge state (slot-ordered);
+    ``seen_d:<f>`` carries the detect sweep's materialized views;
+    ``ws/wvs/rs/rd:<f>`` are the per-iteration output slots, zeroed at
+    every barrier; ``vis_s2d`` holds the iteration's Defs. 1–3
     visibility mask, rewritten by the first detect round of every
-    iteration on the slots later rounds read.  The destination-write
-    half — ``<f>.seen_s``, ``<f>.wd/wvd``, ``plan.vis_d2s`` — exists
-    only for a kernel that declares ``writes_dst``.  All files live in
-    ``<store path>.scratch/``.
+    iteration on the slots later rounds read; ``selfloop`` marks the
+    self-loop slots once.  The destination-write half — ``seen_s``,
+    ``wd/wvd``, ``vis_d2s`` — exists only for a kernel that declares
+    ``writes_dst``.  One file,
+    ``<store path>.scratch/arrays``, mapped ``MAP_SHARED``: the page
+    cache holds it, so it costs address space, not anonymous memory,
+    and the master drops its resident pages after every run.
     """
 
-    def __init__(self, directory: str, field_dtypes: dict, kernel,
-                 m: int, io=None):
-        os.makedirs(directory, exist_ok=True)
-        self.directory = directory
-        self.field_dtypes = {f: np.dtype(dt) for f, dt in field_dtypes.items()}
-        self.writes_dst = bool(kernel.writes_dst)
-        self.signature = self.signature_of(field_dtypes, kernel, m)
-        self._files: list[FileArray] = []
-
-        def fa(name, dtype):
-            self._files.append(
-                FileArray(os.path.join(directory, name), dtype, m, io=io))
-            return self._files[-1]
-
-        def per_field(suffix, fields, dtype=None):
-            return {f: fa(f + suffix, dtype or self.field_dtypes[f])
-                    for f in fields}
-
-        written = tuple(kernel.written_fields)
-        dst_written = written if self.writes_dst else ()
-        self.committed = per_field(".committed", field_dtypes)
-        self.rs = per_field(".rs", field_dtypes, READ_COUNT)
-        self.rd = per_field(".rd", field_dtypes, READ_COUNT)
-        self.seen_s = per_field(".seen_s", dst_written)
-        self.seen_d = per_field(".seen_d", written)
-        self.ws = per_field(".ws", written, np.bool_)
-        self.wd = per_field(".wd", dst_written, np.bool_)
-        self.wvs = per_field(".wvs", written)
-        self.wvd = per_field(".wvd", dst_written)
-        self.vis_s2d = fa("plan.vis_s2d", np.bool_)
-        if self.writes_dst:
-            self.vis_d2s = fa("plan.vis_d2s", np.bool_)
+    def __init__(self, path: str, layout: ArrayLayout):
+        self.path, self.layout = path, layout
+        self.maps = SharedArrayPool.map_file(path, layout)
+        for name in ("committed", "seen_s", "seen_d", *OUTPUTS):
+            setattr(self, name, self.maps.arrays(name + ":"))
+        self.vis_s2d = self.maps.array("vis_s2d")
+        self.selfloop = self.maps.array("selfloop")
+        self.vis_d2s = (self.maps.array("vis_d2s")
+                        if "vis_d2s" in layout.entries else None)
 
     @staticmethod
-    def signature_of(field_dtypes: dict, kernel, m: int) -> tuple:
-        """What the set of files depends on: a runner rebuilds its
-        scratch when the next (program, kernel) pairing's differs."""
-        return (tuple(sorted((f, np.dtype(dt).str)
-                             for f, dt in field_dtypes.items())),
-                tuple(kernel.written_fields), bool(kernel.writes_dst),
-                int(m))
+    def layout_of(field_dtypes: dict, kernel, m: int) -> ArrayLayout:
+        """What the file holds: a runner remaps when the next (program,
+        kernel) pairing's layout differs."""
+        sides = "sd" if kernel.writes_dst else "s"
+        specs = {}
+        for f, dt in field_dtypes.items():
+            specs["committed:" + f] = ((m,), dt)
+            specs["rs:" + f] = specs["rd:" + f] = ((m,), READ_COUNT)
+        for f in kernel.written_fields:
+            for side in sides:
+                specs[f"seen_{'d' if side == 's' else 's'}:{f}"] = (
+                    (m,), field_dtypes[f])
+                specs[f"w{side}:{f}"] = ((m,), np.bool_)
+                specs[f"wv{side}:{f}"] = ((m,), field_dtypes[f])
+        for name in ("selfloop", "vis_s2d", "vis_d2s")[:len(sides) + 1]:
+            specs[name] = ((m,), np.bool_)
+        return ArrayLayout.build(specs)
 
     def zero_outputs(self) -> None:
-        """Zero the per-iteration output slots (ws/wd/rs/rd)."""
+        """Zero the per-iteration output slots (ws/wd/rs/rd) in place —
+        never by truncating the file: a worker touching a mapped page
+        between the two ``ftruncate`` calls would take ``SIGBUS``."""
         for group in (self.ws, self.wd, self.rs, self.rd):
-            for f in group.values():
-                f.zero()
+            for arr in group.values():
+                arr.fill(0)
 
     def close(self) -> None:
-        for f in self._files:
-            f.close()
+        """Views before maps: drop every view, then unmap."""
+        for name in ("committed", "seen_s", "seen_d", *OUTPUTS):
+            setattr(self, name, {})
+        self.vis_s2d = self.vis_d2s = self.selfloop = None
+        self.maps.close()
 
 
 # ----------------------------------------------------------------------
 # lazy state facade
 # ----------------------------------------------------------------------
 class _OocState(State):
-    """A :class:`State` whose edge arrays live in the scratch files.
+    """A :class:`State` whose edge arrays live in the mapped scratch.
 
     Vertex arrays are materialized normally (they are ``O(n)`` and the
     engine updates them in place).  ``edge(f)`` gathers the canonical
-    ``m``-array from the committed file on demand and caches it; the
-    runner flushes the cache back to the files at ``run()`` start (the
+    ``m``-array from the committed slots on demand and caches it; the
+    runner flushes the cache back at ``run()`` start (the
     checkpoint-restore path mutates these arrays in place) and clears
     it after every commit barrier so readers always see fresh values.
     """
@@ -247,7 +188,7 @@ class _OocState(State):
 
 
 class _IoClock(PhaseClock):
-    """A phase clock whose every lap carves the pread/pwrite seconds
+    """A phase clock whose every lap carves the ``IOStats.seconds``
     accumulated during it out into the dedicated ``shard_io`` phase."""
 
     __slots__ = ("_io", "_io_seen")
@@ -271,95 +212,67 @@ class _IoClock(PhaseClock):
 # sweep executor (shared by the single-process master and the workers)
 # ----------------------------------------------------------------------
 class _Exec:
-    """Everything one sweep needs over one set of owned intervals."""
+    """Everything one sweep needs over one set of owned intervals.
 
-    __slots__ = ("store", "scratch", "kernel", "written", "efields",
-                 "n", "p", "dm", "active", "dirty", "thr_v", "pi_v",
-                 "time_v", "v0", "vout", "out_degrees", "io", "intervals",
-                 "_layouts", "psw_src", "psw_dst", "psw_eid")
+    One :class:`NondetPassContext` over full-length views serves every
+    sweep; an interval pass only points its ``in_range`` /
+    ``out_ranges`` at the interval's shard and windows.
+    """
+
+    __slots__ = ("scratch", "kernel", "written", "n", "io",
+                 "intervals", "parts", "seen", "ctx", "vp", "dirty", "dm",
+                 "row", "psw_src", "psw_dst", "psw_eid")
 
     def __init__(self, store, scratch, kernel, intervals, io):
-        self.store = store
         # Plain views of the store's memmaps: no per-slice subclass cost.
         self.psw_src, self.psw_dst, self.psw_eid = (
             np.asarray(a) for a in (store.psw_src, store.psw_dst, store.psw_eid))
         self.scratch = scratch
         self.kernel = kernel
         self.written = tuple(kernel.written_fields)
-        self.efields = tuple(scratch.field_dtypes)
         self.n = store.num_vertices
-        self.out_degrees = np.asarray(store.out_degrees)
         self.io = io
         self.intervals = list(intervals)
-        self._layouts: dict[int, tuple] = {}
+        off, win = store.shard_offsets, store.window_index
+        #: interval -> (its vertex range, shard, windows ``(·, k)``)
+        self.parts = {
+            k: (store.interval(k), slice(int(off[k]), int(off[k + 1])),
+                tuple(slice(int(a), int(b))
+                      for a, b in zip(win[:, k], win[:, k + 1])))
+            for k in range(store.num_intervals)}
+        com = scratch.committed
+        # What a sweep sees: pass 1 the committed snapshot, a repair
+        # sweep the detect sweep's seen arrays.
+        self.seen = {False: (com, com),
+                     True: ({**com, **scratch.seen_s},
+                            {**com, **scratch.seen_d})}
+        self.ctx = NondetPassContext(
+            None, None, None, self.written, src=self.psw_src,
+            dst=self.psw_dst, n=self.n, out_degrees=np.asarray(
+                store.out_degrees), committed=com, v0={}, vout={},
+            selfloop=scratch.selfloop,
+            **{name: getattr(scratch, name) for name in OUTPUTS})
+        # ``IOStats`` per slot a step views (topology and one value per
+        # edge field) and per slot it stores (one per written field).
+        size = {f: a.itemsize for f, a in com.items()}
+        self.row = (16 + sum(size.values()),
+                    sum(size[f] for f in self.written))
 
-    def layout(self, k: int):
-        """Slot-range layout of interval ``k``'s incident set.
+    def begin(self, vp, dirty, v0, vout) -> None:
+        """Point the sweeps at one iteration's plan and vertex arrays."""
+        self.vp, self.dirty = vp, dirty
+        ctx = self.ctx
+        ctx.active, ctx.v0, ctx.vout = vp.active, v0, vout
 
-        Returns ``(parts, total, dst_block, src_parts)`` where each part
-        is ``(ga, gb, la)`` — global slot range and its local offset in
-        the concatenated gather; ``dst_block`` is the full shard ``k``
-        (dst-owned slots) and ``src_parts`` the ``(j, k)`` sliding
-        windows (src-owned slots), the ``(k, k)`` window addressed
-        inside the dst block.
-        """
-        got = self._layouts.get(k)
-        if got is not None:
-            return got
-        store = self.store
-        K = store.num_intervals
-        parts: list[tuple[int, int, int]] = []
-        src_parts: list[tuple[int, int, int]] = []
-        dst_block = None
-        off = 0
-        for j in range(K):
-            if j == k:
-                ga = int(store.shard_offsets[j])
-                gb = int(store.shard_offsets[j + 1])
-                if gb > ga:
-                    parts.append((ga, gb, off))
-                    dst_block = (ga, gb, off)
-                    wa = int(store.window_index[k, k])
-                    wb = int(store.window_index[k, k + 1])
-                    if wb > wa:
-                        src_parts.append((wa, wb, off + wa - ga))
-                    off += gb - ga
-            else:
-                ga = int(store.window_index[j, k])
-                gb = int(store.window_index[j, k + 1])
-                if gb > ga:
-                    parts.append((ga, gb, off))
-                    src_parts.append((ga, gb, off))
-                    off += gb - ga
-        got = (parts, off, dst_block, src_parts)
-        self._layouts[k] = got
-        return got
-
-    def _topo(self, arr, parts, total) -> np.ndarray:
-        out = np.empty(total, dtype=np.int64)
-        for ga, gb, la in parts:
-            out[la:la + gb - ga] = arr[ga:gb]
-        self.io.bytes_read += total * 8
-        return out
-
-    def _gather(self, fa: FileArray, parts, total,
-                partial: bool = False) -> np.ndarray:
-        """``parts`` of ``fa`` at their local offsets; with ``partial``
-        they do not cover ``[0, total)`` and the rest reads zero."""
-        out = (np.zeros if partial else np.empty)(total, dtype=fa.dtype)
-        for ga, gb, la in parts:
-            fa.read_into(ga, out[la:la + gb - ga])
-        return out
-
-    def _gather_owned(self, group: dict, ranges, total) -> dict:
-        """Every field of an output ``group`` on the owned ``ranges``."""
-        return {f: self._gather(fa, ranges, total, partial=True)
-                for f, fa in group.items()}
+    def _count(self, slots: int, stored: bool = True) -> None:
+        self.io.bytes_read += slots * self.row[0]
+        if stored:
+            self.io.bytes_written += slots * self.row[1]
 
     def active_intervals(self, sub: np.ndarray) -> list[int]:
         out = []
         for k in self.intervals:
-            lo, hi = self.store.interval(k)
+            lo, hi = self.parts[k][0]
             if sub[lo:hi].any():
                 out.append(k)
         return out
@@ -368,66 +281,27 @@ class _Exec:
     def pass_sweep(self, sub: np.ndarray, use_seen: bool) -> None:
         """Run the kernel for ``sub``'s vertices, one interval at a time.
 
-        Every interval's incident ranges are gathered into ONE
-        concatenated context — a kernel pass must see the interval's
-        full incidence at once (splitting per range would recompute
-        ``vout`` from partial in-edge sets).  ``use_seen`` selects the
-        seen source: committed (pass 1) or the detect sweep's seen
-        files (repairs).
+        ``use_seen`` selects the seen source: committed (pass 1) or the
+        detect sweep's seen arrays (repairs).  Shard ``k``'s slots are
+        sorted by (src, canonical id) — per destination, the global CSC
+        order, which is the float kernels' accumulation order.
         """
-        scr = self.scratch
+        ctx = self.ctx
+        ctx.seen_s, ctx.seen_d = self.seen[use_seen]
         for k in self.active_intervals(sub):
-            parts, total, dst_block, src_parts = self.layout(k)
-            ls = self._topo(self.psw_src, parts, total)
-            ld = self._topo(self.psw_dst, parts, total)
-            # Local slot order is the float kernels' accumulation order:
-            # this interval's in-edges all live in shard k, whose slots
-            # are sorted by (src, canonical id) — per destination, the
-            # global CSC order.
-            committed = {f: self._gather(scr.committed[f], parts, total)
-                         for f in self.efields}
-            seen_s, seen_d = dict(committed), dict(committed)
-            if use_seen:
-                for f in self.written:
-                    seen_d[f] = self._gather(scr.seen_d[f], parts, total)
-                for f, fa in scr.seen_s.items():
-                    seen_s[f] = self._gather(fa, parts, total)
-            # Outputs are gathered only on the ranges written back below
-            # (src side on the windows, dst side on the shard): the kernel
-            # writes nowhere else, and never reads them.
-            dst_parts = [dst_block] if dst_block is not None else []
-            owned = ((dst_parts, ("wd", "wvd", "rd")),
-                     (src_parts, ("ws", "wvs", "rs")))
-            in_range, *out_ranges = (slice(la, la + gb - ga) for ga, gb, la
-                                     in [dst_block or (0, 0, 0), *src_parts])
-            ctx = NondetPassContext(
-                None, None, self.active, self.written,
-                src=ls, dst=ld, n=self.n, out_degrees=self.out_degrees,
-                committed=committed, v0=self.v0, vout=self.vout,
-                seen_s=seen_s, seen_d=seen_d,
-                in_range=in_range, out_ranges=tuple(out_ranges),
-                **{name: self._gather_owned(getattr(scr, name), ranges, total)
-                   for ranges, names in owned for name in names})
+            (lo, hi), ctx.in_range, ctx.out_ranges = self.parts[k]
             # Restrict the recompute set to the interval's own vertices:
-            # only they see their full incidence in this slice.  A
+            # only they have their full incidence in these ranges.  A
             # foreign source on a shard-k edge is recomputed by *its*
             # interval (whose windows hold all its out-edges), which
             # also keeps ``vout`` single-writer across intervals and
             # across pool workers.
-            lo, hi = self.store.interval(k)
             sub_k = np.zeros(self.n, dtype=bool)
             sub_k[lo:hi] = sub[lo:hi]
             self.kernel.run_pass(ctx, sub_k, first=not use_seen)
             self.io.interval_loads += 1
-            # Scatter back only the slot ranges this interval owns: the
-            # dst side of its shard, the src side of its windows.  The
-            # unwritten positions inside those ranges carry the gathered
-            # file values, so full-range writes are value-preserving.
-            for ranges, names in owned:
-                for ga, gb, la in ranges:
-                    for name in names:
-                        for f, fa in getattr(scr, name).items():
-                            fa.write(ga, getattr(ctx, name)[f][la:la + gb - ga])
+            self._count(sum(r.stop - r.start
+                            for r in (ctx.in_range, *ctx.out_ranges)))
 
     # -- detect sweep ----------------------------------------------------
     def detect_sweep(self, first: bool) -> bool:
@@ -438,65 +312,52 @@ class _Exec:
         the slots whose seen value can change (a change needs a visible
         fresh write, which needs both endpoints active).  ``first``
         compares against the committed snapshot (round 1 of an
-        iteration); later rounds against the previous round's seen files.
+        iteration); later rounds against the previous round's seen.
         """
         changed = False
-        for k in self.active_intervals(self.active):
-            _, _, dst_block, src_parts = self.layout(k)
-            if dst_block is not None:
-                changed |= self._detect_range(
-                    dst_block[0], dst_block[1], first, dst_side=True)
-            if self.scratch.writes_dst:
-                for ga, gb, _ in src_parts:
-                    changed |= self._detect_range(ga, gb, first,
-                                                  dst_side=False)
+        for k in self.active_intervals(self.vp.active):
+            _, shard, windows = self.parts[k]
+            changed |= self._detect_range(shard, first, dst_side=True)
+            if self.scratch.vis_d2s is not None:
+                for r in windows:
+                    changed |= self._detect_range(r, first, dst_side=False)
         return changed
 
-    def _detect_range(self, ga: int, gb: int, first: bool,
-                      dst_side: bool) -> bool:
-        """One side's seen values on slots ``[ga, gb)``.
+    def _detect_range(self, r: slice, first: bool, dst_side: bool) -> bool:
+        """One side's seen values on the slots ``r``.
 
         The dst side sees the sources' writes (``vis_s2d``), the src
         side the destinations' (``vis_d2s``).  Visibility depends only
         on the iteration's plan, so the ``first`` round computes it and
-        parks it in the scratch mask file; later rounds read it back —
-        they cover the same slots, the active set being fixed within an
-        iteration — and touch the topology only to mark dirty owners.
+        parks it in the mapped mask; later rounds read it back — they
+        cover the same slots, the active set being fixed within an
+        iteration.
         """
+        if r.stop <= r.start:
+            return False
         scr = self.scratch
         if dst_side:
-            vis_file, w, wv, seen = scr.vis_s2d, scr.ws, scr.wvs, scr.seen_d
-            psw_owner = self.psw_dst
+            vis, w, wv, seen = scr.vis_s2d[r], scr.ws, scr.wvs, scr.seen_d
+            owner = self.psw_dst[r]
         else:
-            vis_file, w, wv, seen = scr.vis_d2s, scr.wd, scr.wvd, scr.seen_s
-            psw_owner = self.psw_src
-        owner = None
+            vis, w, wv, seen = scr.vis_d2s[r], scr.wd, scr.wvd, scr.seen_s
+            owner = self.psw_src[r]
         if first:
-            ls = self.psw_src[ga:gb]
-            ld = self.psw_dst[ga:gb]
-            self.io.bytes_read += (gb - ga) * 16
-            vis = visibility(self, self.dm, ls, ld, writer_is_src=dst_side)
-            vis_file.write(ga, vis)
-            owner = ld if dst_side else ls
-        else:
-            vis = vis_file.read(ga, gb)
+            vis[:] = visibility(self.vp, self.dm, self.psw_src[r],
+                                self.psw_dst[r], writer_is_src=dst_side)
         changed = False
         for f in self.written:
-            com = scr.committed[f].read(ga, gb)
-            cur = np.where(vis & w[f].read(ga, gb), wv[f].read(ga, gb), com)
-            prev = com if first else seen[f].read(ga, gb)
-            ch = cur != prev
+            com = scr.committed[f][r]
+            cur = np.where(vis & w[f][r], wv[f][r], com)
+            ch = cur != (com if first else seen[f][r])
             moved = bool(ch.any())
             if moved:
-                if owner is None:
-                    owner = psw_owner[ga:gb]
-                    self.io.bytes_read += (gb - ga) * 8
                 self.dirty[owner[ch]] = True
                 changed = True
-            if first or moved:  # else the file already holds ``cur``
-                seen[f].write(ga, cur)
+            if first or moved:  # else the slots already hold ``cur``
+                seen[f][r] = cur
+        self._count(r.stop - r.start, stored=first or changed)
         return changed
-
 
 
 # ----------------------------------------------------------------------
@@ -504,8 +365,8 @@ class _Exec:
 # ----------------------------------------------------------------------
 #: Worker-side phase slots in the shared ``phase_w`` rows, in slot
 #: order.  Sweep time lands in ``gather`` (pass 1) / ``repair_pass``
-#: (detect + repairs) with the pread/pwrite portion carved out into
-#: ``shard_io`` from the worker's own ``IOStats.seconds``.
+#: (detect + repairs); ``shard_io`` is carved out of them by the
+#: worker's :class:`_IoClock`.
 _OOC_WPHASES = ("gather", "repair_pass", "barrier_wait", "shard_io")
 
 
@@ -522,39 +383,34 @@ class _IntervalWorker:
     runs stay bit-identical.
     """
 
-    def __init__(self, link: WorkerLink, store_path, scratch_dir, program,
-                 intervals):
+    def __init__(self, link: WorkerLink, store_path, scratch_path, layout,
+                 program, intervals):
         from ..storage.shards import IOStats, ShardStore
 
         self.link = link
         link.start_fields = {"intervals": len(intervals)}
-        store = ShardStore(store_path)
         kernel = resolve_nondet_kernel(program)(program)
-        field_dtypes = {f: np.dtype(spec.dtype)
-                        for f, spec in program.edge_fields().items()}
         self.io = IOStats()
-        scratch = _Scratch(scratch_dir, field_dtypes, kernel,
-                           store.num_edges, io=self.io)
         shm = link.shm
         self.ctrl = shm.array("ctrl")
         self.flags = shm.array("flags")
         self.iostat = shm.array("iostat")
         self.wcount = shm.array("wcount")
-        ex = self.ex = _Exec(store, scratch, kernel, intervals, self.io)
-        ex.active = shm.array("active")
-        ex.dirty = shm.array("dirty")
-        ex.thr_v = shm.array("thr_v")
-        ex.pi_v = shm.array("pi_v")
-        ex.time_v = shm.array("time_v")
-        ex.v0 = shm.arrays("v0:")
-        ex.vout = shm.arrays("vout:")
+        ex = self.ex = _Exec(ShardStore(store_path),
+                             _Scratch(scratch_path, layout), kernel,
+                             intervals, self.io)
+        vp = SimpleNamespace(**{name: shm.array(name) for name in (
+            "active", "thr_v", "pi_v", "time_v")})
+        ex.begin(vp, shm.array("dirty"), shm.arrays("v0:"),
+                 shm.arrays("vout:"))
 
     def iterate(self, dm, iteration: int) -> None:
         link, ex = self.link, self.ex
         wid = link.wid
         ex.dm = dm
+        active = ex.vp.active
         clock = _IoClock(self.io) if link.profile else NO_CLOCK
-        ex.pass_sweep(ex.active, use_seen=False)
+        ex.pass_sweep(active, use_seen=False)
         sweeps = 1
         clock.lap("gather")
         link.wait()       # A: pass-1 writes durable
@@ -579,7 +435,7 @@ class _IntervalWorker:
             if not self.flags.any():
                 break
             clock.lap("barrier_wait")  # the C wait, non-final round
-            ex.pass_sweep(ex.dirty & ex.active, use_seen=True)
+            ex.pass_sweep(ex.dirty & active, use_seen=True)
             sweeps += 1
             clock.lap("repair_pass")
             link.wait()   # D: repair writes durable
@@ -600,7 +456,7 @@ class OutOfCoreNondetRunner:
     (mode, seed) — final state, iteration/frontier trajectory,
     per-thread stats, conflict totals, fix-point pass counts, recorder
     provenance — while holding only ``O(n)`` vertex-indexed arrays plus
-    one interval's incident slot ranges in memory.  Obtain one via
+    one interval's temporaries in anonymous memory.  Obtain one via
     :meth:`ShardStore.nondet_runner` (cached there so supervised
     restarts resume against the same live scratch), or pass the store
     straight to :func:`repro.engine.run`.
@@ -614,8 +470,11 @@ class OutOfCoreNondetRunner:
     def __init__(self, store):
         from ..storage.shards import IOStats
 
-        self.store = store
-        self._view = store.graph_view()
+        # A proxy: the store caches its runner, and a strong reference
+        # back would make a cycle that holds the pool, its segment and
+        # the scratch mapping until the cyclic GC runs.  A state keeps
+        # the store itself alive (its graph view holds it).
+        self.store = weakref.proxy(store)
         self.io = IOStats()
         self._scratch: _Scratch | None = None
         self._pool: WorkerPool | None = None
@@ -631,52 +490,66 @@ class OutOfCoreNondetRunner:
     def _ensure_scratch(self, program: VertexProgram, kernel) -> None:
         field_dtypes = {f: np.dtype(spec.dtype)
                         for f, spec in program.edge_fields().items()}
-        sig = _Scratch.signature_of(field_dtypes, kernel,
+        layout = _Scratch.layout_of(field_dtypes, kernel,
                                     self.store.num_edges)
         if self._scratch is not None:
-            if self._scratch.signature == sig:
+            if self._scratch.layout == layout:
                 return
-            self._teardown_pool()
-            self._scratch.close()
-            self._scratch = None
-        self._scratch = _Scratch(self.store.path + ".scratch", field_dtypes,
-                                 kernel, self.store.num_edges, io=self.io)
+            self.close()
+        directory = self.store.path + ".scratch"
+        os.makedirs(directory, exist_ok=True)
+        self._scratch = _Scratch(os.path.join(directory, "arrays"), layout)
+        store = self.store
+        for r, _ in self._chunks():
+            self._scratch.selfloop[r] = store.psw_src[r] == store.psw_dst[r]
 
-    def _scatter_canonical(self, fa: FileArray, arr: np.ndarray) -> None:
-        """Write a canonical-order ``m``-array into slot order."""
+    def _chunks(self):
+        """Slot ranges of ``CHUNK`` slots with their canonical ids."""
         m = self.store.num_edges
         for a in range(0, m, self.CHUNK):
-            b = min(a + self.CHUNK, m)
-            eid = np.asarray(self.store.psw_eid[a:b], dtype=np.int64)
-            fa.write(a, arr[eid])
+            r = slice(a, min(a + self.CHUNK, m))
+            yield r, np.asarray(self.store.psw_eid[r], dtype=np.int64)
+
+    def _scatter_canonical(self, field: str, arr: np.ndarray) -> None:
+        """Write a canonical-order ``m``-array into the committed slots."""
+        t0 = time.perf_counter()
+        dest = self._scratch.committed[field]
+        for r, eid in self._chunks():
+            dest[r] = arr[eid]
+        self.io.seconds += time.perf_counter() - t0
 
     def _gather_canonical(self, field: str) -> np.ndarray:
         """The committed edge array for ``field`` in canonical order."""
         scr = self._scratch
         if scr is None or field not in scr.committed:
             raise KeyError(f"no scratch state for edge field {field!r}")
-        m = self.store.num_edges
-        out = np.empty(m, dtype=scr.field_dtypes[field])
-        fa = scr.committed[field]
-        for a in range(0, m, self.CHUNK):
-            b = min(a + self.CHUNK, m)
-            eid = np.asarray(self.store.psw_eid[a:b], dtype=np.int64)
-            out[eid] = fa.read(a, b)
+        t0 = time.perf_counter()
+        src = scr.committed[field]
+        out = np.empty(src.size, dtype=src.dtype)
+        for r, eid in self._chunks():
+            out[eid] = src[r]
+        self.io.seconds += time.perf_counter() - t0
         return out
 
     def _sync_state(self, state: "_OocState") -> None:
-        """Flush cached (possibly caller-mutated) edge arrays to disk."""
+        """Flush cached (possibly caller-mutated) edge arrays."""
         for f, arr in state._edge.items():
-            self._scatter_canonical(self._scratch.committed[f], arr)
+            self._scatter_canonical(f, arr)
         state._edge.clear()
+
+    def _zero_outputs(self) -> None:
+        t0 = time.perf_counter()
+        self._scratch.zero_outputs()
+        self.io.seconds += time.perf_counter() - t0
 
     # -- state construction ----------------------------------------------
     def make_state(self, program: VertexProgram) -> _OocState:
-        """Initial :class:`State` with edge fields in the scratch files.
+        """Initial :class:`State` with edge fields in the mapped scratch.
 
-        Scalar initializers are streamed (never materializing an
-        ``m``-array); callable initializers are materialized once in
-        canonical order and scattered to slot order in chunks.
+        Scalar initializers fill the slots in place (never
+        materializing an ``m``-array); callable initializers are
+        materialized once in canonical order and scattered to slot
+        order in chunks.
         """
         factory = resolve_nondet_kernel(program)
         if factory is None:
@@ -686,26 +559,16 @@ class OutOfCoreNondetRunner:
             )
         kernel = factory(program)
         self._ensure_scratch(program, kernel)
-        state = _OocState(self, self._view, program.vertex_fields(),
+        view = self.store.graph_view()
+        state = _OocState(self, view, program.vertex_fields(),
                           program.edge_fields())
-        m = self.store.num_edges
         for f, spec in program.edge_fields().items():
-            fa = self._scratch.committed[f]
             if callable(spec.init):
-                self._scatter_canonical(fa, spec.materialize(self._view, m))
-            elif spec.init == 0:
-                fa.zero()
+                self._scatter_canonical(
+                    f, spec.materialize(view, self.store.num_edges))
             else:
-                chunk = np.full(min(self.CHUNK, max(m, 1)), spec.init,
-                                dtype=fa.dtype)
-                for a in range(0, m, self.CHUNK):
-                    b = min(a + self.CHUNK, m)
-                    fa.write(a, chunk[:b - a])
-        for group in (self._scratch.seen_s, self._scratch.seen_d,
-                      self._scratch.wvs, self._scratch.wvd):
-            for fa in group.values():
-                fa.zero()
-        self._scratch.zero_outputs()
+                self._scratch.committed[f].fill(spec.init)
+        self._zero_outputs()
         return state
 
     # -- pool management --------------------------------------------------
@@ -714,11 +577,11 @@ class OutOfCoreNondetRunner:
         ``(pool, reused)``.
 
         Shares only the ``O(n)`` master state (plan, masks, ``v0``/
-        ``vout``) — edge data stays in the scratch files.  Interval
+        ``vout``) — edge data stays in the mapped scratch.  Interval
         ownership is a static BLOCK partition, so every scratch slot
         range keeps exactly one writer across workers.
         """
-        store = self.store
+        store, scr = self.store, self._scratch
         n, K = store.num_vertices, store.num_intervals
         # One counter delta: sweeps.
         specs = WorkerPool.shared_specs(n, state, workers, _OOC_WPHASES, 1)
@@ -735,7 +598,7 @@ class OutOfCoreNondetRunner:
             layout, workers, config.worker_timeout_s, key=key,
             name="repro-ooc-worker", body=_IntervalWorker,
             body_args=lambda w: (
-                store.path, self._scratch.directory, program,
+                store.path, scr.path, scr.layout, program,
                 [k for k in range(K)
                  if w * K // workers <= k < (w + 1) * K // workers]))
         self._io_seen = np.zeros((workers, 3), dtype=np.int64)
@@ -757,7 +620,7 @@ class OutOfCoreNondetRunner:
             self._pool = None
 
     def close(self) -> None:
-        """Tear down the worker pool and close the scratch files."""
+        """Tear down the worker pool and unmap the scratch."""
         self._teardown_pool()
         if self._scratch is not None:
             self._scratch.close()
@@ -772,9 +635,10 @@ class OutOfCoreNondetRunner:
         intervals — together exactly the slots that can hold a nonzero
         output (a src-side output implies an active source, hence an
         active window; a dst-side output implies an active destination,
-        hence an active shard), each exactly once.
+        hence an active shard), each exactly once.  Lemma 2 commits
+        into the mapped ``committed`` slots in place.
         """
-        store, scr, io = self.store, self._scratch, self.io
+        store, scr = self.store, self._scratch
         acts = ex.active_intervals(plan.active)
         act_set = set(acts)
         for j in range(store.num_intervals):
@@ -795,19 +659,17 @@ class OutOfCoreNondetRunner:
                         else:
                             subranges.append((wa, wb))
             for ga, gb in subranges:
-                ls, ld = ex.psw_src[ga:gb], ex.psw_dst[ga:gb]
-                io.bytes_read += (gb - ga) * 16
-                ep = EdgePlan(plan, dm, ls, ld)
-                out = {name: {f: fa.read(ga, gb)
-                              for f, fa in getattr(scr, name).items()}
+                r = slice(ga, gb)
+                ep = EdgePlan(plan, dm, ex.psw_src[r], ex.psw_dst[r])
+                out = {name: {f: arr[r]
+                              for f, arr in getattr(scr, name).items()}
                        for name in OUTPUTS}
-                new = {f: scr.committed[f].read(ga, gb) for f in written}
                 # ``psw_eid`` stays a lazy view of the map: read only
                 # where the recorder wants rows.
-                commit_on(bar, ep, ex.psw_eid[ga:gb], written, out, new)
-                for f in written:
-                    scr.committed[f].write(ga, new[f])
+                commit_on(bar, ep, ex.psw_eid[r], written, out,
+                          {f: scr.committed[f][r] for f in written})
                 count_on(bar, ep, written, out)
+                ex._count(gb - ga)
 
     # -- the run loop ------------------------------------------------------
     def run(self, program: VertexProgram, config: EngineConfig | None = None,
@@ -843,7 +705,7 @@ class OutOfCoreNondetRunner:
         io.interval_loads = 0
         io.seconds = 0.0
         # Clear any outputs left behind by an aborted run.
-        self._scratch.zero_outputs()
+        self._zero_outputs()
 
         workers = max(1, min(config.threads, K))
         pool = None
@@ -866,7 +728,7 @@ class OutOfCoreNondetRunner:
             if pool is not None:
                 sh = pool.arrays
                 pool.publish(plan, state)
-                ex.vout = {f: sh["vout:" + f] for f in vfields}
+                bar.vout = {f: sh["vout:" + f] for f in vfields}
                 # Workers run PASS1 on receipt.
                 pool.broadcast(iteration, dm, prof)
                 clock.lap("shm_sync")
@@ -894,38 +756,33 @@ class OutOfCoreNondetRunner:
                     pool.fold(bar, epoch, _OOC_WPHASES, telemetry, metrics,
                               {"sweeps": sh["wcount"][:, 0]})
             else:
-                ex.active = plan.active
-                ex.dirty = np.zeros(n, dtype=bool)
-                ex.thr_v = plan.thr_v
-                ex.pi_v = plan.pi_v
-                ex.time_v = plan.time_v
-                ex.v0 = {f: state.vertex(f) for f in vfields}
-                ex.vout = {f: state.vertex(f).copy() for f in vfields}
-                ex.pass_sweep(ex.active, use_seen=False)
+                v0 = {f: state.vertex(f) for f in vfields}
+                bar.vout = {f: a.copy() for f, a in v0.items()}
+                ex.begin(plan, np.zeros(n, dtype=bool), v0, bar.vout)
+                ex.pass_sweep(plan.active, use_seen=False)
                 clock.lap("gather")
                 for r in range(int(plan.ids.size) + 2):
                     ex.dirty[:] = False
                     if not ex.detect_sweep(first=(r == 0)):
                         break
-                    ex.pass_sweep(ex.dirty & ex.active, use_seen=True)
+                    ex.pass_sweep(ex.dirty & plan.active, use_seen=True)
                     bar.passes += 1
                 else:
                     raise RuntimeError("nondet fix-point failed to converge")
                 clock.lap("repair_pass")
             self._finalize(bar, plan, dm, ex, written)
-            bar.vout = ex.vout
-            self._scratch.zero_outputs()
+            self._zero_outputs()
             state._edge.clear()
 
         try:
             # A restored checkpoint, a barrier's value faults or caller
             # edits land in the state's cache: ``state_written`` pushes
-            # them to the committed files before the next sweep.
+            # them to the committed slots before the next sweep.
             result = run_array(
-                program, self._view, config, state, body, label="outofcore",
-                extra=extra, observer=observer, telemetry=telemetry,
-                record=record, supervisor=supervisor, metrics=metrics,
-                state_written=lambda: self._sync_state(state),
+                program, state._graph, config, state, body,
+                label="outofcore", extra=extra, observer=observer,
+                telemetry=telemetry, record=record, supervisor=supervisor,
+                metrics=metrics, state_written=lambda: self._sync_state(state),
                 make_clock=lambda: _IoClock(io),
             )
         except BaseException:
@@ -934,4 +791,6 @@ class OutOfCoreNondetRunner:
             self._teardown_pool()
             raise
         result.extra["io"] = io.as_dict()
+        # A warm runner between runs holds no resident scratch pages.
+        self._scratch.maps.release_pages()
         return result

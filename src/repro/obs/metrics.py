@@ -36,8 +36,10 @@ The engines account each iteration's wall time to a fixed phase
 vocabulary (:data:`PHASES`) via a :class:`PhaseClock` — contiguous laps
 of one monotonic clock, so the per-iteration phase dict sums to the
 span's wall time up to a handful of uninstrumented statements (the
-acceptance bound is 5%).  ``shard_io`` is special: file I/O happens
-*inside* other phases, so the out-of-core runner measures it separately
+acceptance bound is 5%).  ``shard_io`` is special: the out-of-core
+runner's scratch traffic outside the kernel passes (zeroing the mapped
+outputs, moving edge arrays between canonical and slot order) happens
+*inside* other phases, so the runner measures it separately
 (:class:`IOStats` accumulates seconds) and the clock re-assigns it out
 of the enclosing lap with :meth:`PhaseClock.split` — phases stay
 disjoint and the sum invariant holds.
@@ -72,7 +74,7 @@ __all__ = [
 #: ``lemma2_commit`` commit barrier: Lemma-2 winners, conflict totals
 #: ``barrier_wait``  blocked on an inter-process iteration barrier
 #: ``shm_sync``      publishing plan/state into the shared segment
-#: ``shard_io``      pread/pwrite traffic of the out-of-core files
+#: ``shard_io``      out-of-core scratch traffic outside the kernel passes
 #: ``delta_commit``  delta engine: fold pending Δ into (x, accum)
 #: ``delta_propagate`` delta engine: scatter g(Δ) to neighbour residuals
 #: ``mutate_repair`` delta engine: incremental repair of a mutation batch

@@ -236,7 +236,9 @@ class ShardStore:
     def nondet_runner(self):
         """The (cached) out-of-core nondeterministic runner for this
         store.  Cached so supervised restarts resume against the same
-        live scratch state."""
+        live scratch state; the runner holds the store through a weak
+        proxy, so dropping the store's last reference tears down its
+        pool and unmaps its scratch without waiting for the cyclic GC."""
         if self._runner is None:
             from ..engine.nondet_outofcore import OutOfCoreNondetRunner
 
@@ -276,13 +278,17 @@ class ShardStore:
 
 @dataclass
 class IOStats:
-    """Bytes moved by an out-of-core execution (8-byte values assumed).
+    """What an out-of-core execution hands to its steps.
 
-    ``seconds`` is wall time spent inside pread/pwrite calls
-    (:class:`~repro.engine.nondet_outofcore.FileArray` accumulates it);
-    the phase profiler re-assigns it from the enclosing compute phase to
-    ``shard_io`` so the per-iteration phase breakdown separates I/O from
-    kernel time.
+    The scratch is mapped, so no call moves bytes; the counts are of
+    slot ranges.  ``bytes_read``: every interval pass, detection range
+    and commit range adds its slots times the topology and edge-field
+    bytes of one slot (``psw_src``/``psw_dst`` plus one value per edge
+    field).  ``bytes_written``: each of those that stores adds its
+    slots times one value per written field.  ``seconds`` is wall time
+    spent zeroing the mapped outputs and moving edge arrays between
+    canonical and slot order; the phase profiler re-assigns it from the
+    enclosing phase to ``shard_io``.
     """
 
     bytes_read: int = 0

@@ -20,6 +20,9 @@ Design points:
   too, which produces spurious "leaked shared_memory" warnings and
   double-unlink races at interpreter shutdown — gh-82300); on 3.13+
   ``track=False`` does the same thing officially.
+* **Files too.**  :meth:`SharedArrayPool.map_file` lays the same
+  offset table over a file mapped ``MAP_SHARED`` (the out-of-core
+  scratch), for arrays that should live in the page cache.
 * **Views before maps.**  NumPy views pin the underlying ``mmap``;
   :meth:`release_views` drops them so ``close()`` can unmap without
   ``BufferError``.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import glob as _glob
+import mmap
 import os
 import re
 import secrets
@@ -178,6 +182,29 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = orig
 
 
+class _FileSegment:
+    """A file mapped ``MAP_SHARED``, with the members of
+    ``SharedMemory`` that :class:`SharedArrayPool` uses."""
+
+    def __init__(self, path: str, size: int):
+        self.name = path
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            if os.fstat(fd).st_size != size:
+                os.ftruncate(fd, size)
+            self._mmap = mmap.mmap(fd, size)  # holds its own dup of fd
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def release_pages(self) -> None:
+        self._mmap.madvise(mmap.MADV_DONTNEED)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+
 class SharedArrayPool:
     """A named shared-memory segment plus its array views.
 
@@ -212,6 +239,14 @@ class SharedArrayPool:
     def attach(cls, name: str, layout: ArrayLayout) -> "SharedArrayPool":
         return cls(_attach_untracked(name), layout, owner=False)
 
+    @classmethod
+    def map_file(cls, path: str, layout: ArrayLayout) -> "SharedArrayPool":
+        """``layout`` over the file ``path``, mapped ``MAP_SHARED``:
+        every process that maps it sees the same page-cache pages.  The
+        file is created (sparse, reading zero) or resized to fit; the
+        caller owns it, so closing only unmaps."""
+        return cls(_FileSegment(path, layout.total_bytes), layout, owner=False)
+
     # -- access ----------------------------------------------------------
     @property
     def name(self) -> str:
@@ -236,6 +271,12 @@ class SharedArrayPool:
         }
 
     # -- lifecycle -------------------------------------------------------
+    def release_pages(self) -> None:
+        """Drop this process's resident pages of a :meth:`map_file`
+        pool (``MADV_DONTNEED``): the data stays in the file's page
+        cache, and the next access faults it back in."""
+        self._shm.release_pages()
+
     def release_views(self) -> None:
         """Drop every NumPy view so the mapping can be closed."""
         self._views.clear()

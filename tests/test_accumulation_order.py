@@ -8,9 +8,10 @@
   in-edges in the order the scalar gather loop reads them.  Pinned here
   against that scalar loop, bit for bit, on multigraphs with duplicate
   edges and self-loops.
-* **Predicate files.**  The out-of-core detect sweep parks each
-  iteration's Defs. 1–3 visibility masks in ``plan.vis_*`` scratch files
-  and reads them back on later fix-point rounds.  A mask that outlived
+* **Predicate masks.**  The out-of-core detect sweep parks each
+  iteration's Defs. 1–3 visibility masks in the ``vis_*`` arrays of the
+  mapped scratch file and reads them back on later fix-point rounds.
+  A mask that outlived
   its plan — an earlier run, an earlier iteration with another delay
   model, the iterations before a crash — must never be read.
 * **No sort left.**  Neither engine calls ``np.lexsort`` once its graph
@@ -102,13 +103,14 @@ def graph():
 
 @pytest.fixture
 def poisoned_store(graph, tmp_path):
-    """A store whose mask files say "everything is visible" up front."""
+    """A store whose scratch file is all ``0xFF`` up front: its masks
+    say "everything is visible", its seen and written values are junk.
+    (The runner shrinks the file to its layout, which is smaller.)"""
     store = ShardStore.build(graph, tmp_path / "g.shards", 4)
     scratch = store.path + ".scratch"
     os.makedirs(scratch)
-    for name in ("plan.vis_s2d", "plan.vis_d2s"):
-        with open(os.path.join(scratch, name), "wb") as fh:
-            fh.write(b"\xff" * store.num_edges)
+    with open(os.path.join(scratch, "arrays"), "wb") as fh:
+        fh.write(b"\xff" * (64 * store.num_edges + 4096))
     yield store
     store.nondet_runner().close()
 

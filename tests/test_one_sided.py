@@ -226,8 +226,8 @@ def test_two_sided_twin_is_byte_equal_out_of_core(algo, barriers,
     store = ShardStore.build(
         graph, tmp_path_factory.mktemp("one_sided") / "g.shards", 4)
     try:
-        # One store, two kernels: the scratch signature carries the
-        # declaration, so the twin's files are built, not assumed.
+        # One store, two kernels: the scratch layout carries the
+        # declaration, so the twin's arrays are mapped, not assumed.
         assert_two_sided_changes_nothing(algo, store, config, barriers)
     finally:
         store.nondet_runner().close()

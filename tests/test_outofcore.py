@@ -26,11 +26,12 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, OutOfCoreNondetRunner, Refused, run
+from repro.engine.dispatch import DispatchPolicy
 from repro.graph import DiGraph, generators
 from repro.obs import Recorder
 from repro.storage import ShardStore
@@ -270,6 +271,59 @@ def test_out_of_core_bit_identical(ooc_graph, ooc_store, algo, seed):
     assert ooc.extra["fixpoint_passes"] == vec.extra["fixpoint_passes"]
 
 
+@st.composite
+def ooc_cases(draw):
+    """A random multigraph (self-loops and parallel edges included) on
+    ``K`` in {1, 2, 3, 5} intervals — half the time with one interval's
+    in-edges dropped and an out-edge added per vertex of it, so its
+    shard is empty while its windows are not — with a kernel, a
+    configuration of 1, 2 or 3 threads and the backend: in this process
+    or a pool of ``min(threads, K)`` workers."""
+    n = draw(st.integers(1, 64))
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 6 * n))
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    if draw(st.booleans()):
+        cut = np.linspace(0, n, k + 1).astype(np.int64)
+        j = draw(st.integers(0, k - 1))
+        lo, hi = cut[j], cut[j + 1]
+        keep = (dst < lo) | (dst >= hi)
+        # Every vertex of the interval points at vertex 0 (or at n - 1,
+        # when 0 is in it), unless the interval is the whole graph.
+        own = np.arange(lo, hi) if hi - lo < n else np.arange(0)
+        src = np.concatenate((src[keep], own))
+        dst = np.concatenate(
+            (dst[keep], np.full(own.size, 0 if lo else n - 1)))
+    graph = DiGraph(n, src.astype(np.int64), dst.astype(np.int64))
+    config = EngineConfig(
+        threads=draw(st.sampled_from([1, 2, 3])),
+        seed=draw(st.integers(0, 2**16)),
+        jitter=draw(st.sampled_from([0.0, 0.5])),
+        dispatch=draw(st.sampled_from(list(DispatchPolicy))))
+    return (draw(st.sampled_from(sorted(ALGORITHMS))), graph, k, config,
+            draw(st.sampled_from([None, "process"])))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=ooc_cases())
+def test_out_of_core_equals_vectorized_property(tmp_path_factory, case):
+    """Generated inputs for the hand grid above: state bytes, every
+    ``IterationStats`` row, the conflict summary with its per-iteration
+    counts and ``fixpoint_passes`` equal the in-memory run's."""
+    algo, graph, k, config, backend = case
+    store = ShardStore.build(graph, tmp_path_factory.mktemp("ooc") / "g", k)
+    try:
+        vec = run(ALGORITHMS[algo](), graph, config=config,
+                  vectorized="require")
+        ooc = run(ALGORITHMS[algo](), store, config=config, backend=backend)
+        assert_bit_identical(vec, ooc)
+        assert ooc.extra["fixpoint_passes"] == vec.extra["fixpoint_passes"]
+    finally:
+        store.nondet_runner().close()
+
+
 def test_interval_with_no_in_edges(tmp_path):
     """Interval 1 (vertices 2, 3) has out-edges but an empty shard: its
     passes still scatter over every one of its sliding windows."""
@@ -377,6 +431,63 @@ def test_pool_torn_down_with_runner(ooc_graph, tmp_path):
         config=config, backend="process")
     store.nondet_runner().close()
     assert _glob.glob("/dev/shm/repro-pool-*") == []
+
+
+def _held(directory: str) -> list[str]:
+    """This process's mappings and open fds of files under ``directory``."""
+    with open("/proc/self/maps") as fh:
+        held = [line for line in fh if directory in line]
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own fd, closed meanwhile
+            continue
+        if target.startswith(directory):
+            held.append(target)
+    return held
+
+
+def test_close_unmaps_the_scratch_and_the_next_run_maps_afresh(
+        ooc_graph, ooc_store):
+    config = EngineConfig(threads=2, seed=1, jitter=0.5)
+    vec = run(WeaklyConnectedComponents(), ooc_graph, config=config,
+              vectorized="require")
+    scratch = ooc_store.path + ".scratch" + os.sep
+    first = run(WeaklyConnectedComponents(), ooc_store, config=config,
+                backend="process")
+    assert_bit_identical(vec, first)
+    assert _held(scratch)
+    ooc_store.nondet_runner().close()
+    assert _held(scratch) == []
+    second = run(WeaklyConnectedComponents(), ooc_store, config=config)
+    assert _held(scratch)
+    assert_bit_identical(vec, second)
+
+
+def test_dropping_the_store_tears_everything_down_without_cyclic_gc(
+        ooc_graph, tmp_path):
+    """The store caches its runner; were the runner to hold the store
+    back, only the cyclic GC would stop the pool, unlink its segment
+    and unmap the scratch."""
+    import gc
+
+    store = ShardStore.build(ooc_graph, tmp_path / "g.shards", 4)
+    scratch = store.path + ".scratch" + os.sep
+    gc.collect()
+    gc.disable()
+    try:
+        run(WeaklyConnectedComponents(), store,
+            config=EngineConfig(threads=2, seed=0), backend="process")
+        pool = store.nondet_runner()._pool
+        segment, procs = "/dev/shm/" + pool.shm.name, list(pool.procs)
+        del pool
+        assert os.path.exists(segment) and _held(scratch)
+        del store
+        assert not os.path.exists(segment)
+        assert _held(scratch) == []
+        assert not any(proc.is_alive() for proc in procs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
