@@ -135,7 +135,7 @@ class _WCCNondetKernel(_Kernel):
 
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
                  first: bool = True) -> None:
-        g = ctx.in_range
+        g, v = ctx.in_range, ctx.vertices
         dst, seen_d = ctx.dst[g], ctx.seen_d["label"][g]
         sub_d = sub[dst]
         outs = list(_out_ranges(ctx, sub))
@@ -145,7 +145,8 @@ class _WCCNondetKernel(_Kernel):
         np.minimum.at(mn, dst[sub_d], seen_d[sub_d])
         for r, src, sub_s in outs:
             np.minimum.at(mn, src[sub_s], ctx.seen_s["label"][r][sub_s])
-        ctx.vout["label"][sub] = mn[sub]
+        sub_v = sub[v]
+        ctx.vout["label"][v][sub_v] = mn[v][sub_v]
         # Each incident edge is read once per side (a self-loop twice),
         # whatever it carries: pass 1 records it for the whole iteration.
         if first:
@@ -201,14 +202,14 @@ class _PageRankNondetKernel(_Kernel):
 
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
                  first: bool = True) -> None:
-        g = ctx.in_range
+        g, v = ctx.in_range, ctx.vertices
         # Sequential float32 adds in the scalar gather loop's order.
         # Unmasked within ``in_range`` — the totals of vertices outside
         # ``sub`` are never stored.
         total = self._rounded(
             ctx, _in_sums(ctx, ctx.seen_d["value"], np.float32, g))
         new_rank = (self.base + self.damping * total).astype(np.float32)
-        np.copyto(ctx.vout["rank"], new_rank, where=sub)
+        np.copyto(ctx.vout["rank"][v], new_rank[v], where=sub[v])
         if first:
             np.copyto(ctx.rd["value"][g], 1, where=sub[ctx.dst[g]])
         writers = (
@@ -269,7 +270,7 @@ class _SSSPNondetKernel(_Kernel):
 
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
                  first: bool = True) -> None:
-        g = ctx.in_range
+        g, v = ctx.in_range, ctx.vertices
         dst, seen_in = ctx.dst[g], ctx.seen_d["dist"][g]
         weight = ctx.committed["weight"][g]
         sub_d = sub[dst]
@@ -278,7 +279,8 @@ class _SSSPNondetKernel(_Kernel):
         relax = sub_d & np.isfinite(seen_in)
         best = ctx.v0["dist"].copy()
         np.minimum.at(best, dst[relax], seen_in[relax] + weight[relax])
-        ctx.vout["dist"][sub] = best[sub]
+        sub_v = sub[v]
+        ctx.vout["dist"][v][sub_v] = best[v][sub_v]
         if first:
             ctx.rd["dist"][g][sub_d] = 1
         ctx.rd["weight"][g][sub_d] = relax[sub_d]
@@ -331,11 +333,11 @@ class _SpMVNondetKernel(_Kernel):
 
     def run_pass(self, ctx: NondetPassContext, sub: np.ndarray,
                  first: bool = True) -> None:
-        g = ctx.in_range
+        g, v = ctx.in_range, ctx.vertices
         # Sequential float64 accumulation, like the scalar `total +=
         # read` loop (see _PageRankNondetKernel.run_pass).
         new_x = self.b + _in_sums(ctx, ctx.seen_d["term"], np.float64, g)
-        np.copyto(ctx.vout["x"], new_x, where=sub)
+        np.copyto(ctx.vout["x"][v], new_x[v], where=sub[v])
         if first:
             np.copyto(ctx.rd["term"][g], 1, where=sub[ctx.dst[g]])
         writers = sub & (np.abs(new_x - ctx.v0["x"]) >= self.epsilon)

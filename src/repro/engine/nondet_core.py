@@ -36,6 +36,7 @@ from __future__ import annotations
 import abc
 from functools import cached_property
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,12 +58,14 @@ __all__ = [
     "NE",
     "NondetPassContext",
     "OUTPUTS",
+    "Part",
     "PlanCache",
     "check_eligible",
     "choose_direction",
     "commit_on",
     "conflict_counts",
     "count_on",
+    "dense_pass",
     "emit_provenance",
     "fallback_reasons",
     "incident_mass",
@@ -121,7 +124,7 @@ def choose_direction(direction: str, active_ids: np.ndarray,
 #
 # ``vp`` below is a *vertex plan*: anything carrying the vertex-indexed
 # ``thr_v`` / ``pi_v`` / ``time_v`` / ``active`` arrays (a PlanCache, a
-# worker's shm views, an interval sweep's executor).  ``s`` / ``d`` are
+# worker's shm views, an out-of-core run's plan).  ``s`` / ``d`` are
 # the aligned endpoint arrays of the edge set.  Every predicate is
 # elementwise, so evaluating it on a subset equals slicing it out of the
 # whole-graph evaluation — which is why dense, sparse, per-worker and
@@ -149,7 +152,7 @@ def _visible(both, same, d_pair, pi_first, t_w, t_r) -> np.ndarray:
 
 def visibility(vp, dm, s, d, writer_is_src: bool) -> np.ndarray:
     """:class:`EdgePlan`'s ``vis_s2d`` (or ``vis_d2s``) alone — the one
-    mask a detect sweep needs on a slot range."""
+    mask a part's detection needs on a slot range."""
     _, _, both, same, d_pair = _pair(vp, dm, s, d)
     w, r = (s, d) if writer_is_src else (d, s)
     return _visible(both, same, d_pair, vp.pi_v[w] < vp.pi_v[r],
@@ -265,7 +268,7 @@ class PlanCache:
       ``np.array_equal`` scans.
 
     :meth:`plan` produces the ``O(n)`` vertex-level plan, which is all an
-    out-of-core sweep or a process master publishes.  :meth:`edges`
+    out-of-core run or a process master publishes.  :meth:`edges`
     derives the per-edge predicates from it: on a sorted edge-id subset
     (the push direction's touched edges) they are evaluated from
     scratch; on the whole graph the :class:`EdgePlan`'s structural stage
@@ -364,15 +367,16 @@ class NondetPassContext:
     A :class:`NondetKernel` fills the output slots for the vertices it
     is asked to (re)compute.  All edge-indexed arrays are aligned with
     ``src`` / ``dst``.  The caller supplies the arrays it holds elsewhere
-    — a shm worker its segment views, an interval sweep its mapped
+    — a shm worker its segment views, an out-of-core run its mapped
     scratch views — and ``graph`` / ``state`` supply the rest: a RAM
     engine passes nothing else and gets CSR-aligned full-size arrays,
     fresh zeroed outputs and a private ``vout``, which it reuses from
     one iteration to the next through :meth:`renew`.
 
-    A dense pass gathers over ``in_range`` (a slice holding every in-edge
-    of the vertices it may compute) and works the source side over
-    ``out_ranges`` (slices holding every out-edge of them).
+    A dense pass computes the vertices of ``vertices`` (a range), gathers
+    over ``in_range`` (a slice holding every in-edge of them) and works
+    the source side over ``out_ranges`` (slices holding every out-edge
+    of them): one :class:`Part`, set by :func:`dense_pass`.
 
     Positions are source-sorted with ties in id order (canonical edge
     ids; PSW slots within a shard), so walking them in positional order
@@ -404,6 +408,7 @@ class NondetPassContext:
         "fp",
         "in_range",
         "out_ranges",
+        "vertices",
     )
 
     def __init__(self, graph, state, active: np.ndarray,
@@ -413,10 +418,9 @@ class NondetPassContext:
                  committed=None, v0=None, vout=None,
                  seen_s=None, seen_d=None, ws=None, wvs=None, wd=None,
                  wvd=None, rs=None, rd=None, writes_dst: bool = True,
-                 in_range=EVERYTHING, out_ranges=(EVERYTHING,),
                  selfloop=None):
         self.graph = graph
-        self.in_range, self.out_ranges = in_range, out_ranges
+        self.vertices, self.in_range, self.out_ranges = Part()
         self.src = graph.edge_src if src is None else src
         self.dst = graph.edge_dst if dst is None else dst
         self.n = graph.num_vertices if n is None else n
@@ -487,10 +491,11 @@ class NondetKernel(abc.ABC):
 
     ``written_fields`` names the edge fields the program may write.
     :meth:`run_pass` computes gather → compute → scatter for every
-    vertex in ``sub`` (a boolean mask, subset of the active set) from
-    the context's *seen* arrays, overwriting every output those
-    vertices own: ``vout[v]``, and ``ws/wvs/rs`` (``wd/wvd/rd``) for
-    every edge whose source (destination) lies in ``sub`` — masked, on
+    vertex in ``sub`` (a boolean mask, subset of the active set) within
+    the context's ``vertices`` from its *seen* arrays, overwriting every
+    output those vertices own: ``vout[v]``, and ``ws/wvs/rs``
+    (``wd/wvd/rd``) for every edge whose source (destination) lies in
+    ``sub`` — masked, on
     the context's ``out_ranges`` (``in_range``) only — a repair
     pass may legitimately flip an earlier pass's write off again.  One
     exception: a read record that is the same whatever was seen ("each
@@ -705,8 +710,28 @@ def check_eligible(program: VertexProgram, config: EngineConfig,
 
 # -- one repair loop -------------------------------------------------------
 
-def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on=None,
-           in_degrees, alpha, bound, sparse, sync=None):
+class Part(NamedTuple):
+    """What one dense pass covers: the vertex range ``vertices``, their
+    in-edges (``in_range``) and their out-edges (``out_ranges``).  RAM
+    has one, everything; a process worker its block; an out-of-core
+    runner one per interval it owns."""
+
+    vertices: slice = EVERYTHING
+    in_range: object = EVERYTHING
+    out_ranges: tuple = (EVERYTHING,)
+
+
+def dense_pass(kernel, ctx, parts, sub, first: bool) -> None:
+    """:meth:`NondetKernel.run_pass` for ``sub``, part by part: the
+    context pointed at each part that holds a vertex of ``sub``."""
+    for part in parts:
+        if sub[part.vertices].any():
+            ctx.vertices, ctx.in_range, ctx.out_ranges = part
+            kernel.run_pass(ctx, sub, first)
+
+
+def repair(kernel, graph, ctx, written, parts, vis, *, in_degrees, alpha,
+           bound, sparse, sync=None, buffers=None):
     """Stale-read repair by chaotic iteration.
 
     Pass 1 ran against the committed snapshot; each round here
@@ -718,71 +743,83 @@ def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on=None,
     reaches the exact per-access semantics in at most depth+1
     passes (``bound`` — the active count — caps the depth).
 
-    ``seen_d_on = (edges, vis_s2d)`` names the *wide* edge set whose
-    destination side this caller detects on, with the visibility mask
-    aligned to it; ``seen_s_on = (edges, vis_d2s)`` likewise for the
-    source side — ``None`` when destinations never write
-    (:attr:`NondetKernel.writes_dst`): ``seen_s`` then stays the alias
-    of ``committed`` it starts as.  In one process the two are the same
-    set: every edge (``slice(None)``) in pull, the frontier's sorted
-    touched edges in push.  A process worker passes its shard (a slice:
-    the in-edges of its vertex block) and its windows' slots, and
-    ``sync`` — ``writes_visible()`` before each detection,
-    ``any_changed(mine, dirty)`` after it — supplies the barriers that
-    make its siblings' writes visible and its verdict global.
+    ``parts`` (:class:`Part`) are the caller's edges: in one process
+    every edge (pull) or the frontier's sorted touched edges (push,
+    never passed densely), a process worker's block, an out-of-core
+    runner's intervals.  ``vis[i]`` is part ``i``'s ``vis_s2d`` aligned
+    with its ``in_range``, where its destinations detect, and — when
+    destinations write (:attr:`NondetKernel.writes_dst`; else ``seen_s``
+    stays ``committed``) — a ``vis_d2s`` per ``out_ranges`` slice, where
+    its sources do.  A round detects on every part before any pass runs,
+    and passes read only the seen buffers detection wrote, so no pass
+    sees a write of its own round, whatever the part order.  Those
+    buffers are ``buffers`` ``(seen_s, seen_d)`` (full-length arrays),
+    else fresh arrays.  A process worker's ``sync`` —
+    ``writes_visible()`` before each detection, ``any_changed(mine,
+    dirty)`` after it — supplies the barriers that make its siblings'
+    writes visible and its verdict global.
 
-    A round costs what its dirty set costs.  Detection is wide after
-    pass 1 and after a wide repair pass.  When the dirty set's incident
-    mass passes the Beamer test (``alpha`` is ``direction_alpha``) the
-    repair pass runs on its CSR/CSC slices ``(es, ed)`` instead, and the
-    next detection is *slot-local*: a pass over ``S`` can only change
+    A round costs what its dirty set costs: when the dirty set's
+    incident mass passes the Beamer test (``alpha`` is
+    ``direction_alpha``) the pass runs on its CSR/CSC slices ``(es,
+    ed)`` from ``graph``, and with one part and no ``sync`` the next
+    detection is *slot-local*: a pass over ``S`` can only change
     ``ws/wvs`` on out-edges of ``S`` and ``wd/wvd`` on in-edges of
-    ``S``, so only ``seen_d`` on ``es`` and ``seen_s`` on ``ed`` can
-    differ from the private seen buffers, which are patched in place.
-    Dirty sets, pass order and every value are the same either way.
-    ``sparse`` (the push direction) takes the slice path every pass.
+    ``S``, so only ``seen_d`` on ``es`` and ``seen_s`` on ``ed`` are
+    re-derived, in place.  Dirty sets, pass order and every value are
+    the same either way.  ``sparse`` (push) slices every pass.
 
     Returns ``(repair passes, how many of them took the slice path,
     vertices recomputed)``.
     """
+    buf_s, buf_d = buffers or ({}, {})
     # Per detected side: its seen buffers, the endpoint that reads them,
-    # the wide edge set with its visibility mask, the far side's writes.
-    sides = [(ctx.seen_d, ctx.dst, *seen_d_on, ctx.ws, ctx.wvs)]
-    if seen_s_on is not None:
-        sides.append((ctx.seen_s, ctx.src, *seen_s_on, ctx.wd, ctx.wvd))
-    dense = seen_d_on[0] is EVERYTHING
+    # the far side's writes, and its (edges, visibility) segments.
+    sides = [(ctx.seen_d, ctx.dst, ctx.ws, ctx.wvs, buf_d,
+              [(p.in_range, v) for p, (v, _) in zip(parts, vis)])]
+    if kernel.writes_dst:
+        sides.append((ctx.seen_s, ctx.src, ctx.wd, ctx.wvd, buf_s,
+                      [seg for p, (_, vs) in zip(parts, vis)
+                       for seg in zip(p.out_ranges, vs)]))
+    # Slot-local detection needs every write since the last detection
+    # to be this loop's own (under ``sync`` siblings write this caller's
+    # edges too) and one wide edge set to find the touched ones in.
+    wide = parts[0].in_range if sync is None and len(parts) == 1 else None
+    if isinstance(wide, slice) and wide is not EVERYTHING:
+        wide = None
     touched = None  # (es, ed) of the previous pass if it was a slice pass
     passes = slice_passes = repaired = 0
     for _ in range(bound + 2):
         if sync is not None:
             sync.writes_visible()
-        swap = dense and touched is None
         dirty = np.zeros(ctx.n, dtype=bool)
         changed_any = False
-        for side, (seen, owner, wide, vis, w, wv) in enumerate(sides):
-            # e: edge ids to re-derive the seen value on; p: their
-            # positions in the (wide-set-aligned) visibility mask.
-            e = wide if touched is None else touched[side]
-            p = EVERYTHING if touched is None else (
-                e if dense else np.searchsorted(wide, e))
+        for side, (seen, owner, w, wv, bufs, segs) in enumerate(sides):
+            if touched is not None:
+                e, v = touched[side], segs[0][1]
+                segs = [(e, v[e if wide is EVERYTHING
+                              else np.searchsorted(wide, e)])]
             for f in written:
-                com = ctx.committed[f]
-                cur = np.where(vis[p] & w[f][e], wv[f][e], com[e])
-                moved = np.flatnonzero(cur != seen[f][e])
-                if moved.size:
-                    changed_any = True
-                    dirty[owner[e][moved] if isinstance(e, slice)
-                          else owner[e[moved]]] = True
-                if swap:
-                    # A dense round yields a fresh full-size array: adopt
-                    # it as the private seen buffer, no copy.
-                    seen[f] = cur
-                elif moved.size:
-                    # Elsewhere seen == committed until a write lands;
-                    # materialize a private buffer on first divergence.
-                    if seen[f] is com:
-                        seen[f] = com.copy()
-                    seen[f][e] = cur
+                com, ref = ctx.committed[f], seen[f]
+                # Until a wide round has written it, ``seen`` aliases
+                # committed: that round fills a buffer on every segment.
+                fresh = ref is com
+                buf = bufs.get(f) if fresh else ref
+                for e, v in segs:
+                    cur = np.where(v & w[f][e], wv[f][e], com[e])
+                    moved = np.flatnonzero(cur != ref[e])
+                    if moved.size:
+                        changed_any = True
+                        dirty[owner[e][moved] if isinstance(e, slice)
+                              else owner[e[moved]]] = True
+                    if e is EVERYTHING:
+                        buf = cur  # a fresh full-size array: no copy
+                    elif fresh or moved.size:
+                        if buf is None:
+                            buf = np.empty_like(com)
+                        buf[e] = cur
+                if buf is not None:
+                    seen[f] = buf
         if sync is not None:
             changed_any = sync.any_changed(changed_any, dirty)
         if not changed_any:
@@ -799,11 +836,8 @@ def repair(kernel, graph, ctx, written, *, seen_d_on, seen_s_on=None,
             ed = graph.in_edge_ids(sub_ids)
             kernel.run_slice_pass(ctx, sub_ids, es, ed, first=False)
         else:
-            kernel.run_pass(ctx, sub, first=False)
-        # Slot-local detection needs every write since the last
-        # detection to be this loop's own; under ``sync`` siblings write
-        # this caller's edges too, so its detection stays wide.
-        touched = (es, ed) if local and sync is None else None
+            dense_pass(kernel, ctx, parts, sub, False)
+        touched = (es, ed) if local and wide is not None else None
         slice_passes += local
         repaired += int(sub_ids.size)
     else:  # pragma: no cover - DAG depth bound violated

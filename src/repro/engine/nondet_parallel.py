@@ -11,12 +11,12 @@ heap.
 **The segment is in PSW slot order** over ``P`` vertex blocks of about
 ``m / P`` in-edges each (:func:`~repro.storage.shards.psw_layout`,
 computed once per pool by the master): worker ``w`` owns block ``w``,
-gathers over shard ``w`` (its in-edges) and scatters over windows
-``(·, w)`` (its out-edges) — contiguous slices, ``1/P`` of the edges.
-The result depends on the plan, not on which process runs a vertex
-(the out-of-core interval pool relies on the same fact), so the run is
-**bit-for-bit identical** to the single-process fast path (and hence to
-the object engine) at any ``P``:
+one :class:`~repro.engine.nondet_core.Part` — shard ``w`` (its
+in-edges) and windows ``(·, w)`` (its out-edges), ``1/P`` of the edges.
+The out-of-core pool runs the same :class:`_Worker` on intervals of the
+mapped scratch.  The result depends on the plan, not on which process
+runs a vertex, so the run is **bit-for-bit identical** to the
+single-process fast path (and hence to the object engine) at any ``P``:
 
 * Per edge and field the §II scope rule allows at most two writers —
   the endpoints.  An edge's src-side slots (``ws/wvs/rs``) lie in a
@@ -32,8 +32,9 @@ the object engine) at any ``P``:
   two-sided, its windows) detects exactly its block's dirty vertices;
   their union is the single-process dirty set, and the rounds (two
   barriers each: writes-visible, then change-flags) count identically.
-* Each worker counts conflicts and per-thread work on its shard (each
-  edge lies in one) by the plan's ``thr_v``, into rows the master sums;
+* Each worker counts conflicts and per-thread work on the slots of its
+  shard that can hold an output (each edge lies in one shard) by the
+  plan's ``thr_v``, into rows the master sums;
   the master commits Lemma 2 on the slot-order arrays, with canonical
   ids for the recorder, into plain process-local state.
   So is ``repair_slice_passes`` (see :meth:`_Worker.any_changed`).
@@ -46,11 +47,13 @@ as in the single-process engines.
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from ..graph import DiGraph
+from ..graph.digraph import ragged_ids
 from ..obs.metrics import NO_CLOCK, PhaseClock
 from ..storage.shards import edge_balanced_bounds, psw_layout
 from ..storage.shm import ArrayLayout
@@ -60,10 +63,12 @@ from .nondet_core import (
     READ_COUNT,
     EdgePlan,
     NondetPassContext,
+    Part,
     PlanCache,
     check_eligible,
     commit_on,
     count_on,
+    dense_pass,
     incident_mass,
     repair,
     resolve_nondet_kernel,
@@ -86,100 +91,241 @@ _WPHASES = ("plan_build", "gather", "push_scatter", "repair_pass",
             "barrier_wait", "lemma2_commit")
 
 
+def edge_specs(field_dtypes: dict, kernel, m: int) -> dict:
+    """The edge arrays of a :class:`_Worker` pool, in slot order:
+    ``committed`` and the read counts of every field; per written field
+    the pass outputs and the seen buffers of each detected side (the
+    destination-write half only for a kernel that ``writes_dst``);
+    ``selfloop`` and the visibility masks."""
+    sides = "sd" if kernel.writes_dst else "s"
+    specs = {}
+    for f, dt in field_dtypes.items():
+        specs["committed:" + f] = ((m,), dt)
+        specs["rs:" + f] = specs["rd:" + f] = ((m,), READ_COUNT)
+    for f in kernel.written_fields:
+        for side in sides:
+            specs[f"w{side}:{f}"] = ((m,), np.bool_)
+            specs[f"wv{side}:{f}"] = ((m,), field_dtypes[f])
+            specs[f"seen_{'d' if side == 's' else 's'}:{f}"] = (
+                (m,), field_dtypes[f])
+    for name in ("selfloop", "vis_s2d", "vis_d2s")[:len(sides) + 1]:
+        specs[name] = ((m,), np.bool_)
+    return specs
+
+
+def index_specs(n: int, m: int) -> dict:
+    """The slot-order CSR / CSC of slice passes: vertex ``v``'s out-edge
+    slots are ``out_slots[out_ptr[v]:out_ptr[v + 1]]``, its in-edge
+    slots, ascending, ``in_slots[in_ptr[v]:in_ptr[v + 1]]``."""
+    return {"out_ptr": ((n + 1,), np.int64), "in_ptr": ((n + 1,), np.int64),
+            "out_slots": ((m,), np.int64), "in_slots": ((m,), np.int64)}
+
+
+def slot_index(index, chunks, dst, offsets, out_degrees, in_degrees):
+    """Write the :func:`index_specs` arrays of a PSW slot order into
+    ``index(name)`` a chunk or a shard at a time: ``chunks`` yields slot
+    ranges with their canonical ids, which are in CSR order; shards
+    (``offsets``) hold ascending destination blocks, so the CSC is shard
+    by shard a stable sort of the slot-order destinations ``dst``."""
+    for r, eid in chunks:
+        index("out_slots")[eid] = np.arange(r.start, r.stop)
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        np.add(np.argsort(dst[a:b], kind="stable"), a,
+               out=index("in_slots")[a:b])
+    for x, d in (("out", out_degrees), ("in", in_degrees)):
+        index(x + "_ptr")[0] = 0
+        np.cumsum(d, out=index(x + "_ptr")[1:])
+
+
+def worker_specs(n: int, state, workers: int, threads: int) -> dict:
+    """A :class:`_Worker` pool's segment beside its edge arrays: the
+    vertex plan and ``v0``/``vout`` (:meth:`WorkerPool.publish` fills
+    them), the ``dirty`` set and change ``flags``, and per worker its
+    rows of phase seconds (``phase_w``), counter deltas (``wcount``:
+    kernel passes, repaired vertices, slice passes), conflict totals and
+    per-model-thread work.  Each worker writes only its own rows before
+    barrier C, the master reads them after — no locks, no races."""
+    specs = {"active": ((n,), np.bool_), "dirty": ((n,), np.bool_),
+             "thr_v": ((n,), np.int64), "pi_v": ((n,), np.int64),
+             "time_v": ((n,), np.float64), "flags": ((workers,), np.uint8),
+             "phase_w": ((workers, len(_WPHASES)), np.float64),
+             "wcount": ((workers, 3), np.int64),
+             "reads_t": ((workers, threads), np.int64),
+             "writes_t": ((workers, threads), np.int64),
+             "conf": ((workers, 4), np.int64)}
+    for f in state.vertex_field_names:
+        specs["v0:" + f] = specs["vout:" + f] = ((n,), state.vertex(f).dtype)
+    return specs
+
+
+def zero_outputs(arrays) -> None:
+    """Zero the pass outputs a commit reads unmasked (``ws``/``wd``,
+    ``rs``/``rd``) in place."""
+    for group in ("ws:", "wd:", "rs:", "rd:"):
+        for arr in arrays.arrays(group).values():
+            arr.fill(0)
+
+
 def _build_layout(graph: DiGraph, state: State, kernel,
                   p: int) -> ArrayLayout:
     """One segment holding topology, plan, state, and per-worker slots;
     every ``(m,)`` array in slot order."""
     n, m = graph.num_vertices, graph.num_edges
-    # Counter deltas: [kernel passes, repaired vertices, slice passes].
-    specs = WorkerPool.shared_specs(n, state, p, _WPHASES, 3)
+    specs = worker_specs(n, state, p, p)
     specs.update({
-        # ``slot``: canonical edge id -> slot, for slice passes
-        **{name: ((m,), np.int64) for name in ("src", "dst", "slot")},
+        "src": ((m,), np.int64), "dst": ((m,), np.int64),
         "bounds": ((p + 1,), np.int64),
         "shard_offsets": ((p + 1,), np.int64),
         "window_index": ((p, p + 1), np.int64),
-        "out_degrees": ((n,), np.int64),
-    })
-    for f in state.edge_field_names:
-        dt = state.edge(f).dtype
-        specs["committed:" + f] = ((m,), dt)
-        specs["rs:" + f] = ((m,), READ_COUNT)
-        specs["rd:" + f] = ((m,), READ_COUNT)
-    for f in kernel.written_fields:
-        for side in "sd" if kernel.writes_dst else "s":
-            specs[f"w{side}:{f}"] = ((m,), np.bool_)
-            specs[f"wv{side}:{f}"] = ((m,), state.edge(f).dtype)
-    # Row w: worker w's counts, column t: model thread t's work; like
-    # ``phase_w`` and ``wcount``, each worker writes only its own row
-    # before C, the master reads after — no locks, no races.
-    specs["reads_t"] = ((p, p), np.int64)
-    specs["writes_t"] = ((p, p), np.int64)
-    specs["conf"] = ((p, 4), np.int64)
+        **index_specs(n, m),
+        **edge_specs({f: state.edge(f).dtype for f in state.edge_field_names},
+                     kernel, m)})
     return ArrayLayout.build(specs)
 
 
 def _slot_order(graph: DiGraph, p: int) -> dict[str, np.ndarray]:
-    """The segment's topology, and ``perm`` (slot -> canonical id)."""
+    """The segment's topology and slot index, and ``perm`` (slot ->
+    canonical id)."""
+    n, m = graph.num_vertices, graph.num_edges
     bounds = edge_balanced_bounds(graph.in_degrees(), p)
     perm, offsets, windows = psw_layout(graph.edge_src, graph.edge_dst,
                                         bounds)
-    slot = np.empty_like(perm)
-    slot[perm] = np.arange(perm.size)
-    return {"perm": perm, "src": graph.edge_src[perm],
-            "dst": graph.edge_dst[perm], "slot": slot, "bounds": bounds,
+    src, dst = graph.edge_src[perm], graph.edge_dst[perm]
+    index = {x: np.empty(*spec) for x, spec in index_specs(n, m).items()}
+    slot_index(index.get, [(slice(0, m), perm)], dst, offsets,
+               graph.out_degrees(), graph.in_degrees())
+    return {"perm": perm, "src": src, "dst": dst, "bounds": bounds,
             "shard_offsets": offsets, "window_index": windows,
-            "out_degrees": graph.out_degrees()}
+            "selfloop": src == dst, **index}
+
+
+class Parts:
+    """A kernel's passes over the vertex blocks ``blocks`` of a PSW slot
+    order, one :class:`Part` each, on the arrays of ``arrays`` — a pool's
+    segment, the mapped out-of-core scratch — under the names of
+    :func:`edge_specs` and :func:`index_specs`: pass 1 and :func:`repair`
+    over the parts holding an active vertex, slice passes through the
+    slot index, the seen buffers and visibility masks in ``seen_*`` and
+    ``vis_*``.  ``ctx_arrays`` are the context's vertex arrays."""
+
+    def __init__(self, kernel, arrays, blocks: range, **ctx_arrays):
+        a = arrays.array
+        self.kernel, self.written = kernel, tuple(kernel.written_fields)
+        bounds, off, win = a("bounds"), a("shard_offsets"), a("window_index")
+        self.all = [
+            Part(slice(int(bounds[j]), int(bounds[j + 1])),
+                 slice(int(off[j]), int(off[j + 1])),
+                 tuple(slice(int(x), int(y))
+                       for x, y in zip(win[:, j], win[:, j + 1])))
+            for j in range(bounds.size - 1)]
+        self.blocks, self.parts = blocks, self.all[blocks.start:blocks.stop]
+        self.vertices = slice(int(bounds[blocks.start]),
+                              int(bounds[blocks.stop]))
+        # CSR / CSC as slots: the ``graph`` of repair()'s slice passes.
+        self.graph = SimpleNamespace(**{
+            x + "_edge_ids": partial(ragged_ids, indptr=a(x + "_ptr"),
+                                     eid=a(x + "_slots"))
+            for x in ("out", "in")})
+        self.in_degrees = np.diff(a("in_ptr"))
+        self.vis = (a("vis_s2d"), a("vis_d2s") if kernel.writes_dst else None)
+        self.buffers = (arrays.arrays("seen_s:"), arrays.arrays("seen_d:"))
+        self.ctx = NondetPassContext(
+            None, None, None, self.written, src=a("src"), dst=a("dst"),
+            n=self.in_degrees.size, out_degrees=np.diff(a("out_ptr")),
+            selfloop=a("selfloop"), **ctx_arrays,
+            **{name: arrays.arrays(name + ":")
+               for name in ("committed", *OUTPUTS)})
+
+    def live(self, active: np.ndarray) -> list[Part]:
+        """The parts holding a vertex of ``active``."""
+        return [p for p in self.parts if active[p.vertices].any()]
+
+    def output_ranges(self, active: np.ndarray):
+        """The nonempty slot ranges of my shards that can hold a pass
+        output, each slot once: a live part's shard in full, another
+        shard only through the live parts' windows into it (a src-side
+        output implies an active source, hence a live part's window; a
+        dst-side one an active destination, hence a live shard)."""
+        live = [i for i, p in enumerate(self.all) if active[p.vertices].any()]
+        for j in self.blocks:
+            for r in ([self.all[j].in_range] if j in live
+                      else [self.all[i].out_ranges[j] for i in live]):
+                if r.stop > r.start:
+                    yield r
+
+    def _masks(self, vp, dm, part: Part):
+        """``part``'s Defs. 1–3 masks, parked in the ``vis_*`` arrays
+        (out of core: interval-sized temporaries only) and returned as
+        views of them, aligned as :func:`repair` takes them."""
+        src, dst = self.ctx.src, self.ctx.dst
+        vis_s2d, vis_d2s = self.vis
+        r = part.in_range
+        vis_s2d[r] = visibility(vp, dm, src[r], dst[r], writer_is_src=True)
+        if vis_d2s is None:
+            return vis_s2d[r], None
+        for q in part.out_ranges:
+            vis_d2s[q] = visibility(vp, dm, src[q], dst[q], writer_is_src=False)
+        return vis_s2d[r], tuple(vis_d2s[q] for q in part.out_ranges)
+
+    def iterate(self, vp, dm, alpha: float, clock, *, push: bool = False,
+                sync=None):
+        """Pass 1 (push: a slice pass over my active vertices) and
+        :func:`repair` for the vertex plan ``vp``; returns ``(live parts,
+        repair passes, slice passes, vertices recomputed)``."""
+        ctx, kernel = self.ctx, self.kernel
+        live = self.live(vp.active)
+        vis = [self._masks(vp, dm, p) for p in live]
+        ctx.active = vp.active
+        ctx.seen_s = dict(ctx.committed)
+        ctx.seen_d = dict(ctx.committed)
+        clock.lap("plan_build")
+        if push:
+            ids = np.flatnonzero(vp.active[self.vertices]) + self.vertices.start
+            kernel.run_slice_pass(ctx, ids, self.graph.out_edge_ids(ids),
+                                  self.graph.in_edge_ids(ids))
+        else:
+            dense_pass(kernel, ctx, live, vp.active, True)
+        clock.lap("push_scatter" if push else "gather")
+        return (live, *repair(
+            kernel, self.graph, ctx, self.written, live, vis,
+            in_degrees=self.in_degrees, alpha=alpha,
+            bound=int(np.count_nonzero(vp.active)), sparse=push, sync=sync,
+            buffers=self.buffers))
 
 
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
 class _Worker:
-    """Worker ``w``: the vertices of block ``w``, over shard ``w`` (its
-    in-edges) and windows ``(·, w)`` (its out-edges)."""
+    """Worker ``w`` of a pool: the vertices of its :class:`Parts`, over
+    their in-edges and out-edges in PSW slot order.
 
-    def __init__(self, link: WorkerLink, graph: DiGraph,
-                 program: VertexProgram):
+    The edge arrays, topology and slot index come from ``edges()`` —
+    the mapped scratch and the store out of core — or, ``edges``
+    ``None``, from the pool's segment.  Of the ``K`` vertex blocks of
+    ``bounds``, worker ``w`` of ``W`` owns BLOCK ``w``, one part each:
+    one block in memory (``K = W``), a run of intervals out of core.
+    """
+
+    def __init__(self, link: WorkerLink, program: VertexProgram,
+                 edges=None):
         self.link = link
-        self.kernel = resolve_nondet_kernel(program)(program)
-        self.written = tuple(self.kernel.written_fields)
         shm = link.shm
+        self.arrays = arr = shm if edges is None else edges()
         w = link.wid
         # The published vertex plan (``vp`` of the core's predicates).
-        self.active = shm.array("active")
-        self.thr_v = shm.array("thr_v")
-        self.pi_v = shm.array("pi_v")
-        self.time_v = shm.array("time_v")
-        self.flags = shm.array("flags")
-        self.dirty = shm.array("dirty")
+        for name in ("active", "thr_v", "pi_v", "time_v", "flags", "dirty",
+                     "wcount"):
+            setattr(self, name, shm.array(name))
         self.sliced, self.alpha = 0, 0.0
         # My rows of the blocks the master sums after barrier C.
         self.rows = SimpleNamespace(
             conflicts=shm.array("conf")[w], reads_t=shm.array("reads_t")[w],
             writes_t=shm.array("writes_t")[w])
-        self.wcount = shm.array("wcount")
-        bounds, offsets = shm.array("bounds"), shm.array("shard_offsets")
-        win = shm.array("window_index")
-        self.block = slice(int(bounds[w]), int(bounds[w + 1]))
-        self.shard = slice(int(offsets[w]), int(offsets[w + 1]))
-        windows = tuple(slice(int(a), int(b))
-                        for a, b in zip(win[:, w], win[:, w + 1]))
-        self.out_slots = np.r_[windows] if self.kernel.writes_dst else None
-        # The CSR/CSC edge-id slices of slice passes, as slots.
-        slot = shm.array("slot")
-        self.graph = SimpleNamespace(
-            out_edge_ids=lambda ids: slot[graph.out_edge_ids(ids)],
-            in_edge_ids=lambda ids: slot[graph.in_edge_ids(ids)])
-        self.in_degrees = graph.in_degrees()
-        # Seen arrays are worker-local: repair() materializes them.
-        self.ctx = NondetPassContext(
-            graph, None, self.active, self.written,
-            src=shm.array("src"), dst=shm.array("dst"),
-            out_degrees=shm.array("out_degrees"),
-            in_range=self.shard, out_ranges=windows,
-            **{name: shm.arrays(name + ":")
-               for name in ("committed", "v0", "vout", *OUTPUTS)})
+        k, workers = arr.array("bounds").size - 1, self.flags.size
+        self.work = Parts(resolve_nondet_kernel(program)(program), arr,
+                          range(w * k // workers, (w + 1) * k // workers),
+                          v0=shm.arrays("v0:"), vout=shm.arrays("vout:"))
         self._clock = NO_CLOCK
 
     # -- repair()'s sync hook: the A/B barriers of one fix-point round --
@@ -189,62 +335,43 @@ class _Worker:
         self._clock.lap("barrier_wait")
 
     def any_changed(self, mine: bool, dirty: np.ndarray) -> bool:
-        wid = self.link.wid
+        wid, work = self.link.wid, self.work
+        block = work.vertices
         self.flags[wid] = mine
-        self.dirty[self.block] = dirty[self.block]
+        self.dirty[block] = dirty[block]
         self._clock.lap("repair_pass")
         self.link.wait()  # B: all change flags and dirty sets posted
         self._clock.lap("barrier_wait")
         changed = bool(self.flags.any())
         # ``repair_slice_passes`` by ``thr_v``, like every per-thread
         # stat, so the block cut does not change it: does model thread
-        # ``wid``'s share of the round's dirty set pass the Beamer test
-        # repair() applies (this worker's own choice is on its block's).
-        ids = np.flatnonzero(self.dirty & (self.thr_v == wid)) if changed else ()
-        if len(ids):
-            self.sliced += incident_mass(
-                ids, self.ctx.out_degrees, self.in_degrees
-            ) * self.alpha < self.ctx.m
+        # ``t``'s share of the round's dirty set pass the Beamer test
+        # repair() applies (this worker's own choice is on its block's)?
+        # Worker ``w`` answers for the threads ``t ≡ w`` mod ``W``.
+        for t in range(wid, self.rows.reads_t.size, self.flags.size):
+            ids = np.flatnonzero(self.dirty & (self.thr_v == t)) if changed else ()
+            if len(ids):
+                self.sliced += incident_mass(
+                    ids, work.ctx.out_degrees, work.in_degrees
+                ) * self.alpha < work.ctx.m
         return changed
 
     def iterate(self, dm, iteration: int, push: bool, alpha: float) -> None:
-        link, ctx, shard = self.link, self.ctx, self.shard
-        src, dst = ctx.src, ctx.dst
+        link, work = self.link, self.work
+        ctx, written = work.ctx, work.written
         clock = self._clock = PhaseClock() if link.profile else NO_CLOCK
         self.sliced, self.alpha = 0, alpha
-        owned = np.zeros(ctx.n, dtype=bool)
-        owned[self.block] = self.active[self.block]
-        owned_ids = np.flatnonzero(owned)
-        # My shard's plan, for detection and counting; my windows' one
-        # mask their src side detects with, if any.
-        two_sided = self.kernel.writes_dst
-        ep = EdgePlan(self, dm, src[shard], dst[shard]).touch(two_sided)
-        es = self.out_slots
-        seen_s_on = (es, visibility(self, dm, src[es], dst[es], False)
-                     ) if two_sided else None
-        ctx.seen_s = dict(ctx.committed)
-        ctx.seen_d = dict(ctx.committed)
-        clock.lap("plan_build")
-        if push:
-            self.kernel.run_slice_pass(
-                ctx, owned_ids, self.graph.out_edge_ids(owned_ids),
-                self.graph.in_edge_ids(owned_ids))
-        else:
-            self.kernel.run_pass(ctx, owned)
-        clock.lap("push_scatter" if push else "gather")
-        passes, _, repaired = repair(
-            self.kernel, self.graph, ctx, self.written,
-            seen_d_on=(shard, ep.vis_s2d), seen_s_on=seen_s_on,
-            in_degrees=self.in_degrees, alpha=alpha,
-            bound=int(np.count_nonzero(self.active)), sparse=push,
-            sync=self)
-        # Every edge lies in one shard, so the master's sum counts each
-        # once; nobody writes after the last B.
+        _, passes, _, repaired = work.iterate(self, dm, alpha, clock,
+                                              push=push, sync=self)
+        # Every slot lies in one worker's shards, so the master's sum
+        # counts each once; nobody writes after the last B.
         for row in vars(self.rows).values():
             row.fill(0)
-        count_on(self.rows, ep, self.written,
-                 {name: {f: a[shard] for f, a in getattr(ctx, name).items()}
-                  for name in OUTPUTS})
+        for r in work.output_ranges(self.active):
+            count_on(self.rows, EdgePlan(self, dm, ctx.src[r], ctx.dst[r]),
+                     written,
+                     {name: {f: a[r] for f, a in getattr(ctx, name).items()}
+                      for name in OUTPUTS})
         self.wcount[link.wid] = (1 + passes, repaired, self.sliced)
         if clock:
             clock.lap("lemma2_commit")
@@ -252,8 +379,40 @@ class _Worker:
             link.publish_phases(_WPHASES, phases)
         link.wait()  # C: counters + writes final
         if clock:
-            link.span(iteration, phases, passes=1 + passes,
-                      repaired=repaired, owned=int(owned_ids.size))
+            link.span(iteration, phases, passes=1 + passes, repaired=repaired,
+                      owned=int(np.count_nonzero(self.active[work.vertices])))
+
+
+def drive(pool: WorkerPool, bar, iteration: int, plan, state, dm, prof,
+          clock, sink, metrics, *fields) -> None:
+    """The master's side of one iteration on a pool of :class:`_Worker`:
+    publish the plan, pace the repair rounds (barrier A: the last pass's
+    writes visible; B: change flags posted) and barrier C, and fold what
+    the workers counted into ``bar``."""
+    pool.publish(plan, state)
+    pool.broadcast(iteration, dm, prof, *fields)
+    clock.lap("shm_sync")
+    sh = pool.arrays
+    for _ in range(int(plan.ids.size) + 2):
+        pool.sync(iteration)  # A
+        pool.sync(iteration)  # B
+        clock.lap("barrier_wait")
+        if not sh["flags"].any():
+            break
+        bar.passes += 1
+    else:  # pragma: no cover - DAG depth bound violated
+        pool.abort()
+        raise RuntimeError("nondet fix-point failed to converge")
+    pool.sync(iteration)  # C: counters final
+    counts = sh["wcount"]
+    if clock:
+        clock.lap("barrier_wait")
+        pool.fold(bar, _WPHASES, sink, metrics, {
+            "kernel_passes": counts[:, 0], "repaired_vertices": counts[:, 1]})
+    bar.conflicts += sh["conf"].sum(axis=0)
+    bar.reads_t += sh["reads_t"].sum(axis=0)
+    bar.writes_t += sh["writes_t"].sum(axis=0)
+    bar.slice_passes = int(counts[:, 2].sum())
 
 
 # ----------------------------------------------------------------------
@@ -331,17 +490,16 @@ class ParallelEngine:
         self._run_counter += 1
         prof = profile_directive(telemetry, metrics, self._run_counter)
         extra = {"backend": "process", "workers": p, "pool_reused": False}
-        epoch = 0
 
         def body(bar, iteration, plan, dm, push, clock):
-            nonlocal epoch, preload
+            nonlocal preload
             pool = self._pool
             if pool is None:
                 # Lazy setup: a run that converges immediately never
                 # creates a segment or forks a worker.
                 pool = self._pool = WorkerPool(
                     layout, p, timeout, key=key, name="repro-nondet-worker",
-                    body=_Worker, body_args=lambda w: (graph, program),
+                    body=_Worker, body_args=lambda w: (program,),
                     preload=preload)
                 self._graph, preload = graph, None  # the segment holds it
             else:
@@ -353,46 +511,15 @@ class ParallelEngine:
             ep = plan.edges().touch(kernel.writes_dst, commit_only=True,
                                     rows=record is not None)
             clock.lap("plan_build")
-            # Publish the plan and the pre-iteration state snapshot (in
-            # slot order).  The shared write masks are zero-filled per
-            # iteration, so the master's commit is dense in either
-            # direction; only the workers execute sparsely.
-            pool.publish(plan, state)
+            # Publish the pre-iteration state snapshot (in slot order).
+            # The shared write masks are zero-filled per iteration, so
+            # the master's commit is dense in either direction; only the
+            # workers execute sparsely.
             for f in edge_fields:
                 sh["committed:" + f][:] = state.edge(f)[perm]
-                sh["rs:" + f].fill(0)
-                sh["rd:" + f].fill(0)
-            for f in written:
-                sh["ws:" + f].fill(False)
-                if kernel.writes_dst:
-                    sh["wd:" + f].fill(False)
-            sh["flags"].fill(0)
-            pool.broadcast(iteration, dm, prof, push, config.direction_alpha)
-            clock.lap("shm_sync")
-            # Pace the workers' fix-point rounds: barrier A (pass-k
-            # writes visible), barrier B (change flags posted).
-            for _ in range(int(plan.ids.size) + 2):
-                pool.sync(iteration)  # A
-                pool.sync(iteration)  # B
-                clock.lap("barrier_wait")
-                if not sh["flags"].any():
-                    break
-                bar.passes += 1
-            else:  # pragma: no cover - DAG depth bound violated
-                pool.abort()
-                raise RuntimeError("nondet fix-point failed to converge")
-            pool.sync(iteration)  # C: counters final
-            if clock:
-                clock.lap("barrier_wait")
-                epoch += 2 * bar.passes + 1
-                pool.fold(bar, epoch, _WPHASES, telemetry, metrics, {
-                    "kernel_passes": sh["wcount"][:, 0],
-                    "repaired_vertices": sh["wcount"][:, 1]})
-            # Reduce what the workers counted on their shards.
-            bar.conflicts += sh["conf"].sum(axis=0)
-            bar.reads_t += sh["reads_t"].sum(axis=0)
-            bar.writes_t += sh["writes_t"].sum(axis=0)
-            bar.slice_passes = int(sh["wcount"][:, 2].sum())
+            zero_outputs(pool.shm)
+            drive(pool, bar, iteration, plan, state, dm, prof, clock,
+                  telemetry, metrics, push, config.direction_alpha)
             # Lemma-2 winners into the slot-order snapshot, then the state.
             new = {f: sh["committed:" + f] for f in written}
             commit_on(bar, ep, perm, written,

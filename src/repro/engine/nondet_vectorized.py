@@ -38,11 +38,13 @@ from .nondet_core import (
     OUTPUTS,
     NondetKernel,
     NondetPassContext,
+    Part,
     PlanCache,
     check_eligible,
     choose_direction,
     commit_on,
     count_on,
+    dense_pass,
     fallback_reasons,
     push_fallback_reasons,
     register_nondet_kernel,
@@ -127,15 +129,15 @@ class VectorizedNondetEngine:
             # Pass 1 computes every active vertex against the committed
             # snapshot; repair() then recomputes only vertices whose
             # seen inputs changed.
+            part = Part(EVERYTHING, sel, (sel,))
             if push:
                 kernel.run_slice_pass(ctx, ids, es_all, ed_all)
             else:
-                kernel.run_pass(ctx, plan.active)
+                dense_pass(kernel, ctx, [part], plan.active, True)
             clock.lap("push_scatter" if push else "gather")
             passes, bar.slice_passes, _ = repair(
-                kernel, graph, ctx, written,
-                seen_d_on=(sel, ep.vis_s2d),
-                seen_s_on=(sel, ep.vis_d2s) if two_sided else None,
+                kernel, graph, ctx, written, [part],
+                [(ep.vis_s2d, (ep.vis_d2s,) if two_sided else None)],
                 in_degrees=in_degrees, alpha=config.direction_alpha,
                 bound=int(ids.size), sparse=push)
             bar.passes = 1 + passes

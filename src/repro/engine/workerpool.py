@@ -1,7 +1,7 @@
 """One persistent pool of barrier-paced OS workers over one shm segment.
 
-Both process backends (``nondet_parallel``: workers are the model's
-threads over in-memory arrays; ``nondet_outofcore``: workers own shard
+Both process backends (``nondet_parallel``: workers own vertex blocks of
+in-memory arrays; ``nondet_outofcore``: the same worker body owns shard
 intervals) bring a shm :class:`~repro.storage.shm.ArrayLayout` and a
 worker *body*; everything else about running ``P`` processes lives here:
 
@@ -24,8 +24,8 @@ worker *body*; everything else about running ``P`` processes lives here:
 * **worker side** — :func:`_worker_main` (orphan-polling message loop,
   error pipe) around ``body(link, *args)`` /
   ``body.iterate(dm, iteration, *fields)``, and :class:`WorkerLink`: the
-  barrier wait that counts epochs, the single-writer ``phase_w`` row,
-  the per-worker ``worker_span`` trace segment.
+  barrier wait that counts epochs (as :attr:`WorkerPool.epoch` does),
+  the single-writer ``phase_w`` row, the ``worker_span`` trace segment.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ class WorkerLink:
         #: Barrier waits since the run started; matches the master's
         #: count, which makes it the trace-merge key.
         self.epoch = 0
-        #: Extra fields of this worker's ``worker_start`` event.
-        self.start_fields: dict = {}
         self._trace_dir: str | None = None
         self._run_id = None
         self._seg_fh = None
@@ -135,8 +133,7 @@ class WorkerLink:
             path = os.path.join(self._trace_dir, f"worker-{self.wid}.jsonl")
             self._seg_fh = open(path, "w", encoding="utf-8")
             json.dump({"type": "event", "name": "worker_start",
-                       "worker": self.wid, "pid": os.getpid(),
-                       **self.start_fields},
+                       "worker": self.wid, "pid": os.getpid()},
                       self._seg_fh, separators=(",", ":"))
             self._seg_fh.write("\n")
         json.dump({"type": "worker_span", "worker": self.wid,
@@ -288,6 +285,10 @@ class WorkerPool:
         self.conns: list = []
         self._stop_event = threading.Event()
         self._last_dm = None
+        #: Barrier steps since the run started, as each worker's
+        #: :attr:`WorkerLink.epoch` counts them.
+        self.epoch = 0
+        self._run_id = None
         try:
             for w in range(workers):
                 parent, child = ctx.Pipe(duplex=True)
@@ -337,6 +338,8 @@ class WorkerPool:
         payload = dm if dm != self._last_dm else None
         if payload is not None:
             self._last_dm = dm
+        if prof[2] != self._run_id:  # a new run restarts the epochs
+            self._run_id, self.epoch = prof[2], 0
         for conn in self.conns:
             try:
                 conn.send(("iter", payload, iteration, prof, *fields))
@@ -350,30 +353,7 @@ class WorkerPool:
             self.barrier.wait(self.timeout)
         except threading.BrokenBarrierError as exc:
             raise self.failure(iteration) from exc
-
-    @staticmethod
-    def shared_specs(n: int, state, workers: int, phases,
-                     counters: int) -> dict:
-        """The arrays of every pool's segment: the vertex plan and
-        ``v0``/``vout`` (:meth:`publish` fills them), the ``dirty`` set
-        and change ``flags``, and the single-writer per-worker rows
-        :meth:`fold` reads after barrier C — phase seconds (slots
-        ``phases``) and ``counters`` counter deltas."""
-        specs = {
-            "active": ((n,), np.bool_),
-            "dirty": ((n,), np.bool_),
-            "thr_v": ((n,), np.int64),
-            "pi_v": ((n,), np.int64),
-            "time_v": ((n,), np.float64),
-            "flags": ((workers,), np.uint8),
-            "phase_w": ((workers, len(phases)), np.float64),
-            "wcount": ((workers, counters), np.int64),
-        }
-        for f in state.vertex_field_names:
-            dt = state.vertex(f).dtype
-            specs["v0:" + f] = ((n,), dt)
-            specs["vout:" + f] = ((n,), dt)
-        return specs
+        self.epoch += 1
 
     def publish(self, plan, state) -> None:
         """Start-of-iteration fill every pool shares: the vertex plan,
@@ -387,23 +367,15 @@ class WorkerPool:
         sh["phase_w"].fill(0.0)
         sh["wcount"].fill(0)
 
-    def worker_phases(self, names) -> list[dict[str, float]]:
-        """Per-worker phase dicts of the iteration just folded (the
-        ``phase_w`` rows, slot order ``names``)."""
-        rows = self.arrays["phase_w"]
-        return [
-            {name: float(rows[w, k])
-             for k, name in enumerate(names) if rows[w, k] > 0}
-            for w in range(self.workers)
-        ]
-
-    def fold(self, bar, epoch: int, names, sink, metrics, counts) -> None:
+    def fold(self, bar, names, sink, metrics, counts) -> None:
         """Fold the rows workers wrote before barrier C: ``phase_w``
         (slot order ``names``) into ``bar.span``, each ``counts`` column
         into ``sink`` (``worker.<name>``, summed) and ``metrics``
         (``repro_worker_<name>_total``, per worker)."""
-        phases_w = self.worker_phases(names)
-        bar.span = {"barrier_epoch": epoch, "worker_phases": phases_w}
+        rows = self.arrays["phase_w"]
+        phases_w = [{name: float(rows[w, k]) for k, name in enumerate(names)
+                     if rows[w, k] > 0} for w in range(self.workers)]
+        bar.span = {"barrier_epoch": self.epoch, "worker_phases": phases_w}
         for name, deltas in counts.items():
             if sink is not None:
                 sink.counter("worker." + name).inc(int(deltas.sum()))

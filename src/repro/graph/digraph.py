@@ -23,7 +23,23 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["DiGraph"]
+__all__ = ["DiGraph", "ragged_ids"]
+
+
+def ragged_ids(ids: np.ndarray, indptr: np.ndarray,
+               eid: np.ndarray) -> np.ndarray:
+    """Concatenated ``eid[indptr[v]:indptr[v + 1]]`` for the vertices
+    ``ids``: the CSR/CSC edge-id slices of a vertex set."""
+    ids = np.asarray(ids, dtype=np.int64)
+    lo = indptr[ids]
+    lens = indptr[ids + 1] - lo
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    # Vectorized multi-slice gather: positions = concat(range(lo, hi)).
+    pos = np.repeat(lo - np.concatenate(([0], lens[:-1])).cumsum(), lens)
+    pos += np.arange(total, dtype=np.int64)
+    return eid[pos]
 
 
 class DiGraph:
@@ -202,20 +218,6 @@ class DiGraph:
         lo, hi = self._in_indptr[v], self._in_indptr[v + 1]
         return self._in_src[lo:hi], self._in_eid[lo:hi]
 
-    def _slice_eids(self, ids: np.ndarray, indptr: np.ndarray,
-                    eid: np.ndarray) -> np.ndarray:
-        """Concatenated CSR/CSC edge-id slices for the vertices ``ids``."""
-        ids = np.asarray(ids, dtype=np.int64)
-        lo = indptr[ids]
-        lens = indptr[ids + 1] - lo
-        total = int(lens.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        # Vectorized multi-slice gather: positions = concat(range(lo, hi)).
-        pos = np.repeat(lo - np.concatenate(([0], lens[:-1])).cumsum(), lens)
-        pos += np.arange(total, dtype=np.int64)
-        return eid[pos]
-
     def out_edge_ids(self, ids: np.ndarray) -> np.ndarray:
         """Edge ids of every edge *leaving* a vertex in ``ids``.
 
@@ -223,7 +225,7 @@ class DiGraph:
         edge ids are grouped by source) — the frontier's out-edge CSR
         slice the direction-optimizing push path scatters over.
         """
-        return self._slice_eids(ids, self._out_indptr, self._out_eid)
+        return ragged_ids(ids, self._out_indptr, self._out_eid)
 
     def in_edge_ids(self, ids: np.ndarray) -> np.ndarray:
         """Edge ids of every edge *entering* a vertex in ``ids``.
@@ -232,7 +234,7 @@ class DiGraph:
         order), ascending source within each group — the segment layout
         gather-side combines reduce over.
         """
-        return self._slice_eids(ids, self._in_indptr, self._in_eid)
+        return ragged_ids(ids, self._in_indptr, self._in_eid)
 
     def out_neighbors(self, v: int) -> np.ndarray:
         return self.out_edges(v)[0]

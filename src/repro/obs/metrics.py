@@ -36,13 +36,8 @@ The engines account each iteration's wall time to a fixed phase
 vocabulary (:data:`PHASES`) via a :class:`PhaseClock` — contiguous laps
 of one monotonic clock, so the per-iteration phase dict sums to the
 span's wall time up to a handful of uninstrumented statements (the
-acceptance bound is 5%).  ``shard_io`` is special: the out-of-core
-runner's scratch traffic outside the kernel passes (zeroing the mapped
-outputs, moving edge arrays between canonical and slot order) happens
-*inside* other phases, so the runner measures it separately
-(:class:`IOStats` accumulates seconds) and the clock re-assigns it out
-of the enclosing lap with :meth:`PhaseClock.split` — phases stay
-disjoint and the sum invariant holds.
+acceptance bound is 5%).  ``shard_io`` is the out-of-core runner's lap
+zeroing the mapped outputs at every barrier.
 """
 
 from __future__ import annotations

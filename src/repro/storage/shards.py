@@ -113,10 +113,15 @@ class StoreGraphView:
         return self._store.out_degrees
 
     def in_degrees(self) -> np.ndarray:
+        # Shard by shard (shard ``k`` holds interval ``k``'s in-edges):
+        # temporaries stay shard-sized.
         if self._in_degrees is None:
-            self._in_degrees = np.bincount(
-                self._store.canon_dst, minlength=self._store.num_vertices
-            ).astype(np.int64)
+            s = self._store
+            self._in_degrees = np.concatenate([
+                np.bincount(s.psw_dst[s.shard_offsets[k]:s.shard_offsets[k + 1]]
+                            - s.bounds[k],
+                            minlength=int(s.bounds[k + 1] - s.bounds[k]))
+                for k in range(s.num_intervals)]).astype(np.int64)
         return self._in_degrees
 
 
@@ -161,7 +166,8 @@ class ShardStore:
             self.psw_eid = named["psw_eid"]
             self.out_degrees = named["out_degrees"]
             # The small index arrays are copied into private memory: they
-            # are consulted constantly and must survive release_pages().
+            # are consulted constantly, and a run's scratch holds them
+            # without holding the store.
             self.bounds = np.asarray(named["bounds"]).copy()
             self.shard_offsets = np.asarray(named["shard_offsets"]).copy()
             window_flat = np.asarray(named["window_index"]).copy()
@@ -245,21 +251,6 @@ class ShardStore:
             self._runner = OutOfCoreNondetRunner(self)
         return self._runner
 
-    # -- hygiene ---------------------------------------------------------
-    def release_pages(self) -> None:
-        """Advise the kernel to drop resident pages of the big mmaps —
-        keeps measured RSS bounded between interval sweeps."""
-        import mmap as _mmap
-
-        for arr in (self.canon_src, self.canon_dst, self.psw_src,
-                    self.psw_dst, self.psw_eid, self.out_degrees):
-            mm = getattr(arr, "_mmap", None)
-            if mm is not None and hasattr(mm, "madvise"):
-                try:
-                    mm.madvise(_mmap.MADV_DONTNEED)
-                except (ValueError, OSError):  # closed or unsupported
-                    pass
-
     def validate(self) -> None:
         """Raise :class:`ValueError` unless the stored layout is the one
         :func:`psw_layout` derives from the canonical topology."""
@@ -278,17 +269,20 @@ class ShardStore:
 
 @dataclass
 class IOStats:
-    """What an out-of-core execution hands to its steps.
+    """What an out-of-core execution hands to its steps, in slot ranges.
 
-    The scratch is mapped, so no call moves bytes; the counts are of
-    slot ranges.  ``bytes_read``: every interval pass, detection range
-    and commit range adds its slots times the topology and edge-field
-    bytes of one slot (``psw_src``/``psw_dst`` plus one value per edge
-    field).  ``bytes_written``: each of those that stores adds its
-    slots times one value per written field.  ``seconds`` is wall time
-    spent zeroing the mapped outputs and moving edge arrays between
-    canonical and slot order; the phase profiler re-assigns it from the
-    enclosing phase to ``shard_io``.
+    The scratch is mapped, so no call moves bytes.  A *load* is one
+    interval's ranges — its shard and its windows — in one fix-point
+    round, which detects on them and may run a pass over them (a slice
+    pass views fewer); ``interval_loads`` counts them.  ``bytes_read``:
+    the slots of every load and of every commit range (twice on a
+    pool, whose workers count conflicts on the commit ranges), times the
+    bytes of one slot's topology and edge values (``psw_src``/``psw_dst``
+    plus one value per edge field); ``bytes_written``: the loads' and
+    commit ranges' slots times one value per written field.  Read amplification is
+    ``bytes_read`` over the store's size.  ``seconds`` is wall time
+    spent zeroing the mapped outputs (each iteration's ``shard_io``
+    phase) and moving edge arrays between canonical and slot order.
     """
 
     bytes_read: int = 0

@@ -257,24 +257,26 @@ class TestOutOfCoreMerge:
         assert wspans
         for r in wspans:
             assert "barrier_wait" in r["phases"]
-            assert r["sweeps"] >= 1
+            assert r["passes"] >= 1
         master_epoch = {r["iteration"]: r["extra"]["barrier_epoch"]
                         for r in merged if r.get("type") == "iteration"}
         for r in wspans:
             assert r["epoch"] == master_epoch[r["iteration"]]
 
-        # Sweeps fold into the master's named counter and the registry.
+        # Kernel passes fold into the master's named counter and the
+        # registry, as on the in-memory process backend (one worker body).
         end = next(r for r in merged if r.get("type") == "run_end")
-        assert end["counters"]["worker.sweeps"] >= len(wspans)
+        assert end["counters"]["worker.kernel_passes"] >= len(wspans)
         assert reg.counter("repro_iterations_total",
                            mode="outofcore").value == res.num_iterations
         workers = res.extra["workers"]
         swept = sum(
-            reg.counter("repro_worker_sweeps_total", worker=str(w)).value
+            reg.counter("repro_worker_kernel_passes_total",
+                        worker=str(w)).value
             for w in range(workers))
-        assert swept == end["counters"]["worker.sweeps"]
+        assert swept == end["counters"]["worker.kernel_passes"]
 
-        # shard_io is carved out of the enclosing phases on both sides.
+        # shard_io is carved out of the master's enclosing phases.
         report = phase_report(merged)
         assert "shard_io" in report["phases"]
         assert report["totals"]["phases"].get("shard_io", 0.0) > 0.0

@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,8 +278,9 @@ def ooc_cases(draw):
     ``K`` in {1, 2, 3, 5} intervals — half the time with one interval's
     in-edges dropped and an out-edge added per vertex of it, so its
     shard is empty while its windows are not — with a kernel, a
-    configuration of 1, 2 or 3 threads and the backend: in this process
-    or a pool of ``min(threads, K)`` workers."""
+    configuration of 1, 2 or 3 threads (``direction_alpha`` 1 makes
+    repairs slice often) and the backend: in this process or a pool of
+    ``min(threads, K)`` workers."""
     n = draw(st.integers(1, 64))
     k = draw(st.sampled_from([1, 2, 3, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -300,7 +302,8 @@ def ooc_cases(draw):
         threads=draw(st.sampled_from([1, 2, 3])),
         seed=draw(st.integers(0, 2**16)),
         jitter=draw(st.sampled_from([0.0, 0.5])),
-        dispatch=draw(st.sampled_from(list(DispatchPolicy))))
+        dispatch=draw(st.sampled_from(list(DispatchPolicy))),
+        direction_alpha=draw(st.sampled_from([14.0, 1.0])))
     return (draw(st.sampled_from(sorted(ALGORITHMS))), graph, k, config,
             draw(st.sampled_from([None, "process"])))
 
@@ -311,7 +314,11 @@ def ooc_cases(draw):
 def test_out_of_core_equals_vectorized_property(tmp_path_factory, case):
     """Generated inputs for the hand grid above: state bytes, every
     ``IterationStats`` row, the conflict summary with its per-iteration
-    counts and ``fixpoint_passes`` equal the in-memory run's."""
+    counts and ``fixpoint_passes`` equal the in-memory run's, and so
+    does ``repair_slice_passes``: the vectorized run's in this process,
+    the in-memory process backend's on a pool (which counts each of
+    ``config.threads`` model threads' dirty share by ``thr_v``, so the
+    pool's fewer workers must answer for all of them)."""
     algo, graph, k, config, backend = case
     store = ShardStore.build(graph, tmp_path_factory.mktemp("ooc") / "g", k)
     try:
@@ -320,6 +327,68 @@ def test_out_of_core_equals_vectorized_property(tmp_path_factory, case):
         ooc = run(ALGORITHMS[algo](), store, config=config, backend=backend)
         assert_bit_identical(vec, ooc)
         assert ooc.extra["fixpoint_passes"] == vec.extra["fixpoint_passes"]
+        same = vec if backend is None else run(
+            ALGORITHMS[algo](), graph, config=config, backend="process")
+        assert (ooc.extra["repair_slice_passes"]
+                == same.extra["repair_slice_passes"])
+    finally:
+        store.nondet_runner().close()
+
+
+def test_result_keeps_its_own_edges(ooc_graph, ooc_store):
+    """A result's edges are its own run's, whatever the store's runner
+    did after it: another run, or its close()."""
+    config = EngineConfig(threads=2, seed=1, jitter=0.5)
+    runs = [(run(PageRank(epsilon=epsilon), ooc_graph, config=config,
+                 vectorized="require"),
+             run(PageRank(epsilon=epsilon), ooc_store, config=config))
+            for epsilon in (1e-1, 1e-4)]
+    mine, later = (vec.state.edge("value") for vec, _ in runs)
+    assert not np.array_equal(mine, later)
+    ooc_store.nondet_runner().close()
+    for vec, ooc in runs:
+        assert np.array_equal(ooc.state.edge("value"), vec.state.edge("value"))
+
+
+def test_slot_index_builds_without_edge_sized_temporaries(tmp_path):
+    """The first make_state() on a store writes the slot index into its
+    mapping a chunk or a shard at a time: the anonymous-memory peak
+    stays near the largest shard's int64 slots (a quarter of the edges
+    here), under half of one m-length int64 array — building it whole
+    took two."""
+    small = ShardStore.build(generators.rmat(6, 8.0, seed=3),
+                             tmp_path / "small.shards", 2)
+    warm = OutOfCoreNondetRunner(small)  # imports and caches
+    warm.make_state(WeaklyConnectedComponents())
+    warm.close()
+    graph = generators.rmat(13, 16.0, seed=3)
+    store = ShardStore.build(graph, tmp_path / "g.shards", 16)
+    runner = OutOfCoreNondetRunner(store)
+    runner.CHUNK = 1 << 12
+    tracemalloc.start()
+    try:
+        runner.make_state(WeaklyConnectedComponents())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        runner.close()
+    assert peak < 8 * graph.num_edges / 2
+
+
+def test_out_of_core_repairs_slice(tmp_path):
+    """Solo rmat-14 PageRank on 8 intervals takes the slice path where
+    the vectorized run does, and as often."""
+    graph = generators.rmat(14, 8.0, seed=3)
+    store = ShardStore.build(graph, tmp_path / "g.shards", 8)
+    try:
+        config = EngineConfig(threads=2, seed=0, jitter=0.5)
+        vec = run(PageRank(epsilon=1e-3), graph, config=config,
+                  vectorized="require")
+        ooc = run(PageRank(epsilon=1e-3), store, config=config)
+        assert vec.extra["repair_slice_passes"] > 0
+        assert (ooc.extra["repair_slice_passes"]
+                == vec.extra["repair_slice_passes"])
+        assert_bit_identical(vec, ooc)
     finally:
         store.nondet_runner().close()
 
