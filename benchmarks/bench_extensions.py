@@ -1,6 +1,6 @@
 """Benchmarks for the future-work extensions (DESIGN.md §7 additions).
 
-E1: push mode — atomic vs racy combine on delta-PageRank (the push-mode
+E1: push mode — atomic vs racy combine on delta PageRank (the push-mode
     sufficient condition's warning, quantified).
 E2: pure asynchronous model — work and fidelity vs the barriered engine.
 E3: convergence speed — Theorem 1 chain bound across a schedule grid.
@@ -11,9 +11,9 @@ E5: error envelope vs ε (precision / range of errors, future work #2).
 
 import numpy as np
 
-from repro.algorithms import BFS, PageRank, PushPageRankDelta, WeaklyConnectedComponents, reference
+from repro.algorithms import BFS, PageRank, WeaklyConnectedComponents, reference
 from repro.analysis import epsilon_error_study
-from repro.engine import AtomicityPolicy, DelayModel, EngineConfig, run, run_push
+from repro.engine import AtomicityPolicy, DelayModel, EngineConfig, run
 from repro.experiments.common import format_table
 from repro.graph import load_dataset
 
@@ -35,9 +35,9 @@ def test_e1_push_combine_atomicity(benchmark, record_table):
             ("racy combine (p=0.3)", AtomicityPolicy.NONE, 0.3),
             ("racy combine (p=0.7)", AtomicityPolicy.NONE, 0.7),
         ):
-            res = run_push(
-                PushPageRankDelta(epsilon=1e-7), graph, threads=8, seed=1,
-                atomicity=policy, torn_probability=p_lost,
+            res = run(
+                PageRank(epsilon=1e-7), graph, mode="delta", threads=8,
+                seed=1, atomicity=policy, torn_probability=p_lost,
             )
             rows.append({
                 "combine": label,

@@ -20,19 +20,20 @@ The cases: WCC, SSSP, BFS, PageRank and SpMV under ``sync``,
 4 threads; NE with ``atomicity=NONE``; DE and NE with ``fp_noise`` (these
 and the chromatic cases also run on the array engine, which must agree
 with the object engine on state, trajectory and conflicts, or the
-script fails); the push programs of extension E1 (atomic and racy
-combine); the array
+script fails); the array
 engines (NE, DE and BSP plans in RAM, NE on 2 worker processes and out
 of core); a supervised run through ``crash@2;torn@3`` with a
 checkpoint, then resumed from that checkpoint; and the delta engine
 (WCC, SSSP, PageRank; standing and across 3 mutation batches; frontier
-and priority scheduling), whose cases also hash ``extra["delta"]`` and
-the mutation log minus ``repair_seconds`` but not the telemetry.
+and priority scheduling; atomic and, as in extension E1, racy
+``atomicity=NONE`` combines), whose cases also hash ``extra["delta"]``
+and the mutation log minus ``repair_seconds`` but not the telemetry.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -42,13 +43,10 @@ from repro.algorithms import (
     BFS,
     SSSP,
     PageRank,
-    PushBFS,
-    PushMinReach,
-    PushPageRankDelta,
     SpMV,
     WeaklyConnectedComponents,
 )
-from repro.engine import AtomicityPolicy, EngineConfig, run, run_push
+from repro.engine import AtomicityPolicy, EngineConfig, run
 from repro.engine.capabilities import SCHEDULINGS
 from repro.graph import generators
 from repro.graph.mutations import batches_from_spec
@@ -64,6 +62,9 @@ PROGRAMS = {
 }
 MODES = ("sync", "deterministic", "chromatic", "nondeterministic")
 TIMING = ("wall_time_s", "phases", "peak_rss_bytes", "worker_phases")
+#: delta cases: the default atomic combine, and E1's racy one
+ATOMICITIES = {AtomicityPolicy.CACHE_LINE: "",
+               AtomicityPolicy.NONE: "/atomicity-none"}
 
 
 def _strip(record: dict) -> dict:
@@ -140,17 +141,6 @@ def cases(tmp: str):
                    traced(tmp, factory(), graph, mode=mode, config=config))
             agree(tmp, f"{name}/{mode}-fp-noise", factory, graph, mode=mode,
                   config=config)
-    for name, factory in (("PushBFS", lambda: PushBFS(source=0)),
-                          ("PushMinReach", PushMinReach),
-                          ("PushPageRankDelta",
-                           lambda: PushPageRankDelta(epsilon=1e-5))):
-        for mode in ("deterministic", "nondeterministic"):
-            for atomicity in (AtomicityPolicy.CACHE_LINE, AtomicityPolicy.NONE):
-                result = run_push(factory(), graph, mode=mode, threads=8,
-                                  seed=1, atomicity=atomicity,
-                                  torn_probability=0.3)
-                yield (f"{name}/push-{mode}-{atomicity.value}",
-                       digest(result, tmp))
     store = ShardStore.build(graph, os.path.join(tmp, "g.store"), 4)
     for name in ("WCC", "PageRank"):
         for mode in MODES[:2] + MODES[3:]:
@@ -180,16 +170,20 @@ def cases(tmp: str):
     batches = batches_from_spec(graph, {"frac": 0.02})
     for name in ("WCC", "SSSP", "PageRank"):
         for mutations in (None, batches):
-            for scheduling in SCHEDULINGS:
+            for scheduling, atomicity in itertools.product(SCHEDULINGS,
+                                                           ATOMICITIES):
                 rec = Recorder(policy="all",
                                trace_path=os.path.join(tmp, "record.jsonl"))
                 result = run(PROGRAMS[name](), graph, mode="delta",
-                             config=EngineConfig(threads=4, seed=1),
+                             config=EngineConfig(threads=4, seed=1,
+                                                 atomicity=atomicity,
+                                                 torn_probability=0.3),
                              mutations=mutations,
                              delta_scheduling=scheduling,
                              telemetry=Telemetry(), record=rec)
                 yield (f"{name}/delta-{scheduling}/"
-                       f"{'3-batches' if mutations else 'standing'}",
+                       f"{'3-batches' if mutations else 'standing'}"
+                       + ATOMICITIES[atomicity],
                        digest(result, tmp))
 
 

@@ -4,9 +4,10 @@
 §VII lists four open directions; this example walks each one as built
 in this library:
 
-1. **Push mode** — push-mode BFS and delta-PageRank with atomic
-   combines, the push-mode sufficient condition, and the lost-update
-   failure when the combine is not atomic.
+1. **Push mode** — delta BFS and delta PageRank pushing into vertex
+   accumulators with atomic combines, the push-mode sufficient
+   condition, and the lost-update failure when the combine is not
+   atomic.
 2. **Pure asynchronous model** — the barrier-free executor, compared
    against the barriered one in tasks executed and result fidelity.
 3. **Convergence speed** — measured iteration counts against the
@@ -21,9 +22,10 @@ Run:  python examples/beyond_the_paper.py
 import numpy as np
 
 from repro import EngineConfig, WeaklyConnectedComponents, run
-from repro.algorithms import BFS, PushBFS, PushPageRankDelta, reference
+from repro.algorithms import BFS, PageRank, reference
 from repro.analysis import error_report
-from repro.engine import AtomicityPolicy, DelayModel, run_push
+from repro.engine import AtomicityPolicy, DelayModel
+from repro.engine.nondet_delta import resolve_delta_kernel
 from repro.graph import generators
 from repro.theory import check_push_program, measure_convergence_speed
 
@@ -32,22 +34,24 @@ def push_mode(graph) -> None:
     print("=" * 72)
     print("1. Push mode: accumulators + atomic combines")
     print("=" * 72)
-    print(check_push_program(PushBFS(source=0)).render())
+    kernel = resolve_delta_kernel(BFS(source=0))
+    print(check_push_program(BFS(source=0).traits,
+                             {kernel.field: kernel.op}).render())
     print()
     truth = reference.bfs_reference(graph, 0)
-    res = run_push(PushBFS(source=0), graph, threads=8, seed=1)
-    print(f"PushBFS: exact={np.array_equal(res.result(), truth)} "
-          f"({res.conflicts.write_write} contended combines, all delivered)")
+    res = run(BFS(source=0), graph, mode="delta", threads=8, seed=1)
+    print(f"delta BFS: exact={np.array_equal(res.result(), truth)}")
 
     ref = reference.pagerank_reference(graph)
-    good = run_push(PushPageRankDelta(epsilon=1e-7), graph, threads=8, seed=1)
-    bad = run_push(PushPageRankDelta(epsilon=1e-7), graph, threads=8, seed=1,
-                   atomicity=AtomicityPolicy.NONE, torn_probability=0.5)
-    print(f"Delta-PageRank, atomic combine:     max error "
+    good = run(PageRank(epsilon=1e-7), graph, mode="delta", threads=8, seed=1)
+    bad = run(PageRank(epsilon=1e-7), graph, mode="delta", threads=8, seed=1,
+              atomicity=AtomicityPolicy.NONE, torn_probability=0.5)
+    print(f"delta PageRank, atomic combine:     max error "
           f"{np.max(np.abs(good.result() - ref)):.2e}")
-    print(f"Delta-PageRank, racy combine:       max error "
+    print(f"delta PageRank, racy combine:       max error "
           f"{np.max(np.abs(bad.result() - ref)):.2e} "
-          f"({bad.conflicts.lost_writes} contributions lost)")
+          f"({bad.conflicts.lost_writes} of {bad.conflicts.write_write} "
+          "racing combines lost)")
     print()
 
 

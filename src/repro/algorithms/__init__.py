@@ -6,7 +6,6 @@ from .kcore import KCoreDecomposition, kcore_reference
 from .label_propagation import MaxLabelPropagation
 from .pagerank import PageRank
 from .prioritized import PrioritizedPageRank, PrioritizedSSSP
-from .push_algorithms import PushBFS, PushMinReach, PushPageRankDelta, min_reach_reference
 from .spmv import SpMV
 from .sssp import SSSP
 from .wcc import WeaklyConnectedComponents
@@ -18,10 +17,6 @@ __all__ = [
     "SSSP",
     "BFS",
     "SpMV",
-    "PushBFS",
-    "PushPageRankDelta",
-    "PushMinReach",
-    "min_reach_reference",
     "PrioritizedSSSP",
     "PrioritizedPageRank",
     "MaxLabelPropagation",

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.nondet_delta import DeltaKernel, register_delta_kernel
-from ..engine.push import CombineOp
+from ..engine.nondet_delta import CombineOp, DeltaKernel, register_delta_kernel
 from ..graph import DiGraph
 from .pagerank import PageRank
 from .sssp import SSSP

@@ -26,7 +26,7 @@ from ..engine.nondet_core import (
     NondetPassContext,
     register_nondet_kernel,
 )
-from ..engine.push import CombineOp
+from ..engine.nondet_delta import CombineOp
 from .pagerank import PageRank
 from .spmv import SpMV
 from .sssp import SSSP

@@ -25,16 +25,9 @@ from .nondet_core import (
     register_nondet_kernel,
     resolve_nondet_kernel,
 )
+from .nondet_delta import CombineOp
 from .nondet_vectorized import VectorizedNondetEngine
 from .pure_async import PureAsyncEngine
-from .push import (
-    AccumulatorSpec,
-    CombineOp,
-    PushContext,
-    PushEngine,
-    PushProgram,
-    run_push,
-)
 from .ordering import Order, TaskSlot, classify, classify_timestamps, visible
 from .program import EdgeStore, UpdateContext, VertexProgram
 from .result import IterationStats, RunResult
@@ -72,12 +65,7 @@ __all__ = [
     "register_nondet_kernel",
     "resolve_nondet_kernel",
     "PureAsyncEngine",
-    "AccumulatorSpec",
     "CombineOp",
-    "PushContext",
-    "PushEngine",
-    "PushProgram",
-    "run_push",
     "SynchronousEngine",
     "Order",
     "TaskSlot",

@@ -77,6 +77,17 @@ _NO_DELTA_KNOBS = Cell((False,), "mutations=, delta_threshold= and "
                        "other modes recompute)")
 _RACE_FREE = Row(backend=_BACKEND, residency=_IN_RAM,
                  delta_knobs=_NO_DELTA_KNOBS)
+#: EngineConfig switches mode='delta' has nothing to apply to
+_DELTA_REFUSES = {
+    "fp_noise": "fp_noise does not apply to mode='delta': it permutes "
+                "the gather order of update(), and delta runs no update()",
+    "keep_conflict_events": "keep_conflict_events does not apply to "
+                            "mode='delta': it counts racing combines but "
+                            "records no individual conflict events",
+    "validate_scope": "validate_scope does not apply to mode='delta': it "
+                      "checks update()'s edge accesses, and delta runs no "
+                      "update()",
+}
 
 #: mode -> its row; the table itself
 ROWS = MappingProxyType({
@@ -174,6 +185,9 @@ def check(program, graph, spec, *, service: bool = False):
            delta_knobs=(spec.mutations is not None
                         or spec.delta_threshold is not None
                         or spec.delta_scheduling != "frontier"))
+    for name, reason in _DELTA_REFUSES.items():
+        if spec.mode == "delta" and getattr(spec.config, name, False):
+            raise Refused(reason)
     if spec.backend is not None and spec.vectorized:
         raise Refused("pass either backend='process' or vectorized=, not "
                       "both (the process backend runs the vectorized "

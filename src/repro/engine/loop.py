@@ -2,7 +2,7 @@
 
 The paper's system model has one iteration shape: a frontier ``S_n``,
 ``P`` threads, one barrier.  BSP, DE (chromatic is DE in colour order),
-NE and push execution differ only in what happens *inside* an iteration,
+NE and delta execution differ only in what happens *inside* an iteration,
 so each engine supplies that as a ``step`` and :func:`run_loop` does
 everything around it, once: the telemetry and recorder run brackets, the supervisor hooks,
 the frontier (a sorted int64 id array), the ``IterationStats`` list,

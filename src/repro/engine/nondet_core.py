@@ -513,7 +513,7 @@ class NondetKernel(abc.ABC):
     #: Lemma 2 has one writer to commit (DESIGN §6.0).
     writes_dst: bool = True
 
-    #: field -> :class:`~repro.engine.push.CombineOp` when every scatter
+    #: field -> :class:`~repro.engine.CombineOp` when every scatter
     #: of the kernel is an order-independent atomic combine (so the
     #: sparse push direction can re-run the same racy iteration over the
     #: frontier's touched edges only, bit for bit).  ``None`` = pull-only;
@@ -623,18 +623,6 @@ def fallback_reasons(program: VertexProgram, config: EngineConfig,
     return reasons
 
 
-class _PushShadow:
-    """Adapter presenting a pull-mode program's scatter semantics to
-    :func:`repro.theory.eligibility.check_push_program`."""
-
-    def __init__(self, traits, accumulators):
-        self.traits = traits
-        self._accumulators = accumulators
-
-    def accumulators(self):
-        return self._accumulators
-
-
 def push_fallback_reasons(program: VertexProgram) -> list[str]:
     """Why ``program`` cannot run in the sparse *push* direction.
 
@@ -642,7 +630,7 @@ def push_fallback_reasons(program: VertexProgram) -> list[str]:
 
     1. a vectorized kernel must exist (push reuses the kernel registry);
     2. the kernel must declare :attr:`NondetKernel.push_combines` — a
-       per-field :class:`~repro.engine.push.CombineOp` asserting every
+       per-field :class:`~repro.engine.CombineOp` asserting every
        scatter is an atomic combine — and the §IV push-eligibility
        checker (:func:`~repro.theory.eligibility.check_push_program`)
        must return ``ELIGIBLE_PUSH`` for those combines under the
@@ -665,13 +653,8 @@ def push_fallback_reasons(program: VertexProgram) -> list[str]:
             "(push_combines is None: its scatters are not atomic combines)"
         ]
     from ..theory.eligibility import Verdict, check_push_program
-    from .push import AccumulatorSpec
 
-    shadow = _PushShadow(
-        program.traits,
-        {f: AccumulatorSpec(op) for f, op in combines.items()},
-    )
-    report = check_push_program(shadow)
+    report = check_push_program(program.traits, combines)
     if report.verdict is not Verdict.ELIGIBLE_PUSH:
         return list(report.reasons) or [
             f"check_push_program verdict is {report.verdict.name}"

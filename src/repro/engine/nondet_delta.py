@@ -46,6 +46,7 @@ algebra on small graphs and refuses with a witness when it can.
 
 from __future__ import annotations
 
+import enum
 import time
 
 import numpy as np
@@ -54,14 +55,16 @@ from ..graph import DiGraph
 from ..graph.mutations import EdgeDiff, MutationBatch, _pair_keys, apply_batch
 from ..obs.metrics import NO_CLOCK
 from ..robust.errors import CheckpointError
+from .atomicity import AtomicityPolicy
 from .config import EngineConfig
+from .conflicts import ConflictLog
 from .loop import run_loop
 from .program import VertexProgram
-from .push import CombineOp
 from .result import IterationStats, RunResult
 from .state import FieldSpec, State
 
 __all__ = [
+    "CombineOp",
     "DeltaKernel",
     "register_delta_kernel",
     "resolve_delta_kernel",
@@ -76,6 +79,36 @@ __all__ = [
 REPAIR_CAP_FRAC = 0.5
 
 
+class CombineOp(enum.Enum):
+    """The accumulator algebra ``⊕``, folded by its NumPy ufunc:
+    ``op.ufunc(a, b)`` elementwise, ``op.ufunc.at(acc, idx, c)`` into an
+    accumulator, one contribution at a time.  ``np.minimum`` /
+    ``np.maximum`` propagate NaN symmetrically, so the fold commutes on
+    every input; ADD associates only on exactly representable sums."""
+
+    MIN = "min"
+    MAX = "max"
+    ADD = "add"
+
+    @property
+    def ufunc(self) -> np.ufunc:
+        return {"min": np.minimum, "max": np.maximum,
+                "add": np.add}[self.value]
+
+    @property
+    def commutative_associative(self) -> bool:
+        return True  # all three are; a future SUBTRACT would not be
+
+    @property
+    def idempotent(self) -> bool:
+        """Idempotent ops (min/max) tolerate duplicate delivery too."""
+        return self is not CombineOp.ADD
+
+    @property
+    def identity(self) -> float:
+        return {"min": np.inf, "max": -np.inf, "add": 0.0}[self.value]
+
+
 class DeltaKernel:
     """Maiter triple ``(⊕, identity, g_edge)`` for one vertex program.
 
@@ -86,7 +119,7 @@ class DeltaKernel:
     Attributes
     ----------
     op:
-        The abelian fold ``⊕`` (:class:`~repro.engine.push.CombineOp`).
+        The abelian fold ``⊕`` (:class:`CombineOp`).
     field:
         The vertex state field the program's result lives in.
     undirected:
@@ -209,28 +242,6 @@ def delta_fallback_reasons(program: VertexProgram) -> list[str]:
 # -- engine internals --------------------------------------------------
 
 
-def _fold_arr(op: CombineOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ``a ⊕ b`` (``CombineOp.fold`` is scalar-only; its NaN
-    guard does not vectorize).  ``np.minimum``/``maximum`` propagate NaN
-    symmetrically, matching the scalar fold's semantics."""
-    if op is CombineOp.ADD:
-        return a + b
-    if op is CombineOp.MIN:
-        return np.minimum(a, b)
-    return np.maximum(a, b)
-
-
-def _fold_at(op: CombineOp, target: np.ndarray, idx: np.ndarray,
-             contrib: np.ndarray) -> None:
-    """``target[idx] ⊕= contrib`` with unbuffered (per-element) folding."""
-    if op is CombineOp.ADD:
-        np.add.at(target, idx, contrib)
-    elif op is CombineOp.MIN:
-        np.minimum.at(target, idx, contrib)
-    else:
-        np.maximum.at(target, idx, contrib)
-
-
 def _active_ids(op: CombineOp, x: np.ndarray, delta: np.ndarray,
                 threshold: float) -> np.ndarray:
     """Vertices whose pending delta would change (or meaningfully nudge)
@@ -246,7 +257,8 @@ def _active_ids(op: CombineOp, x: np.ndarray, delta: np.ndarray,
 
 def _propagate(kernel: DeltaKernel, graph: DiGraph, order: np.ndarray,
                committed: np.ndarray, delta: np.ndarray,
-               out_deg: np.ndarray, in_deg: np.ndarray | None) -> int:
+               out_deg: np.ndarray, in_deg: np.ndarray | None,
+               race=None) -> int:
     """Scatter ``g(committed)`` from ``order`` into neighbours' Δ.
 
     Contributions fold in the order they are gathered (CSR slice order).
@@ -254,21 +266,36 @@ def _propagate(kernel: DeltaKernel, graph: DiGraph, order: np.ndarray,
     order under any stable destination-major regrouping, and the
     unbuffered fold is strictly sequential, so regrouping first would
     not change a bit.  Returns the number of edge contributions.
+
+    ``race = (thread, lose)`` makes ``⊕`` non-atomic: ``thread[i]`` is
+    the model thread committing ``order[i]``; a combine from a thread
+    above the lowest one reaching its target races, and the racing
+    combines ``lose(count)`` marks never reach Δ.
     """
+    reps = [out_deg[order]]
     eids = graph.out_edge_ids(order)
-    values = np.repeat(committed, out_deg[order])
-    contrib = kernel.gains(graph, eids, values)
+    contrib = kernel.gains(graph, eids, np.repeat(committed, reps[0]))
     targets = graph.edge_dst[eids]
     if kernel.undirected:
         # Contributions also flow against edge direction: gather the
         # in-edges of the committing vertices and land on their sources.
+        reps.append(in_deg[order])
         eids_in = graph.in_edge_ids(order)
-        values_in = np.repeat(committed, in_deg[order])
-        contrib = np.concatenate(
-            [contrib, kernel.gains(graph, eids_in, values_in)])
+        contrib = np.concatenate([contrib, kernel.gains(
+            graph, eids_in, np.repeat(committed, reps[1]))])
         targets = np.concatenate([targets, graph.edge_src[eids_in]])
-    _fold_at(kernel.op, delta, targets, contrib)
-    return int(targets.size)
+    work = int(targets.size)
+    if race is not None:
+        thread, lose = race
+        by = np.concatenate([np.repeat(thread, r) for r in reps])
+        lowest = np.full(delta.size, np.iinfo(by.dtype).max)
+        np.minimum.at(lowest, targets, by)
+        racing = np.flatnonzero(by > lowest[targets])
+        keep = np.ones(work, dtype=bool)
+        keep[racing[lose(racing.size)]] = False
+        targets, contrib = targets[keep], contrib[keep]
+    kernel.op.ufunc.at(delta, targets, contrib)
+    return work
 
 
 def _pair_eids(graph: DiGraph, pairs: np.ndarray) -> np.ndarray:
@@ -350,7 +377,7 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
     """
     op = kernel.op
     n = new.num_vertices
-    init_val = _fold_arr(op, x0, delta0)
+    init_val = op.ufunc(x0, delta0)
     affected = np.zeros(n, dtype=bool)
 
     seeds: list[int] = []
@@ -411,8 +438,8 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
         # undirected kernels, clean out-neighbours).
         for eids, near, far in _sides(kernel, new, region):
             eids = eids[~affected[far[eids]]]
-            _fold_at(op, delta, near[eids],
-                     kernel.gains(new, eids, x[far[eids]]))
+            op.ufunc.at(delta, near[eids],
+                        kernel.gains(new, eids, x[far[eids]]))
 
     # Inserted edges between clean vertices contribute directly.
     if diff.inserted.size:
@@ -420,11 +447,11 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
         keep = ~affected[ins[:, 0]] & ~affected[ins[:, 1]]
         if keep.any():
             ins_eids = _pair_eids(new, ins[keep])
-            _fold_at(op, delta, ins[keep][:, 1],
-                     kernel.gains(new, ins_eids, x[ins[keep][:, 0]]))
+            op.ufunc.at(delta, ins[keep][:, 1],
+                        kernel.gains(new, ins_eids, x[ins[keep][:, 0]]))
             if kernel.undirected:
-                _fold_at(op, delta, ins[keep][:, 0],
-                         kernel.gains(new, ins_eids, x[ins[keep][:, 1]]))
+                op.ufunc.at(delta, ins[keep][:, 0],
+                            kernel.gains(new, ins_eids, x[ins[keep][:, 1]]))
 
     return {"repair_mode": "taint", "repaired_vertices": int(region.size),
             "seeds": seeds, "region_capped": False, "taint_rounds": rounds}
@@ -463,7 +490,7 @@ def delta_state(program: VertexProgram, graph: DiGraph) -> State:
     x0, delta0 = kernel.initial(graph)
     state = State(graph, {name: FieldSpec(np.float64, op.identity) for name
                           in (kernel.field, "accum", "delta")}, {})
-    state.vertex(kernel.field)[:] = _fold_arr(op, x0, state.vertex("accum"))
+    state.vertex(kernel.field)[:] = op.ufunc(x0, state.vertex("accum"))
     state.vertex("delta")[:] = delta0
     return state
 
@@ -494,6 +521,9 @@ def run_delta(
     :func:`_propagate`); ``scheduling`` either commits the whole active
     frontier or, with ``"priority"``, only the top ``priority_frac`` by
     residual magnitude per round (Maiter's priority scheduling).
+    ``config.atomicity=NONE`` makes ``⊕`` racy (:func:`_propagate`):
+    model thread *t* commits chunk *t* of a round's order, and a racing
+    combine is lost with ``config.torn_probability``.
     """
     config = config or EngineConfig()
     kernel = _kernel(program)
@@ -509,6 +539,15 @@ def run_delta(
     cursor = {"batches": 0, "log": [], "committed": 0}
     rng = config.rng("delta")
     repair_s = 0.0  # mutate_repair seconds the next iteration's span owes
+    log = ConflictLog()
+    torn = (config.rng("torn") if config.atomicity is AtomicityPolicy.NONE
+            and config.torn_probability > 0 else None)
+
+    def lose(racing: int) -> np.ndarray:
+        lost = torn.random(racing) < config.torn_probability
+        log.write_write += racing
+        log.lost_writes += int(lost.sum())
+        return lost
 
     def frontier(iteration: int, clock=NO_CLOCK) -> np.ndarray:
         """The active set before ``iteration``; while it is empty, stream
@@ -564,19 +603,22 @@ def run_delta(
         # Commit: fold pending deltas into accum, re-derive x from the
         # accumulation identity (bit-exact by construction), clear Δ.
         committed = delta[order].copy()
-        accum[order] = _fold_arr(op, accum[order], committed)
-        x[order] = _fold_arr(op, x0[order], accum[order])
+        accum[order] = op.ufunc(accum[order], committed)
+        x[order] = op.ufunc(x0[order], accum[order])
         delta[order] = op.identity
         cursor["committed"] += int(order.size)
         clock.lap("delta_commit")
 
         out_deg = graph.out_degrees()
         in_deg = graph.in_degrees() if kernel.undirected else None
+        # Model thread t commits chunk t of the round's order.
+        chunks = np.array_split(order, config.threads)
+        race = None if torn is None else (np.repeat(
+            np.arange(len(chunks)), [c.size for c in chunks]), lose)
         edge_work = _propagate(kernel, graph, order, committed, delta,
-                               out_deg, in_deg)
+                               out_deg, in_deg, race)
         clock.lap("delta_propagate")
 
-        chunks = np.array_split(order, config.threads)
         edges_per = [int(out_deg[c].sum() + (in_deg[c].sum() if in_deg
                                              is not None else 0))
                      for c in chunks]
@@ -601,7 +643,7 @@ def run_delta(
             "threshold": float(threshold), "scheduling": scheduling,
             "committed_total": cursor["committed"],
             "accumulation_identity": bool(np.array_equal(
-                x, _fold_arr(op, x0, accum), equal_nan=True)),
+                x, op.ufunc(x0, accum), equal_nan=True)),
             "op": op.value,
         }}
         if batches:
@@ -621,7 +663,8 @@ def run_delta(
         program, base, config, state, step, mode="delta", label="delta",
         frontier=frontier(0) if fresh else _active_ids(op, x, delta,
                                                        threshold),
-        extra=extra, rngs={"delta": rng}, cursor=cursor, observer=observer,
+        extra=extra, rngs={"delta": rng, "torn": torn}, conflicts=log,
+        cursor=cursor, observer=observer,
         telemetry=telemetry, record=record, supervisor=supervisor,
         metrics=metrics, state_written=state_written,
         final_state=final_state)

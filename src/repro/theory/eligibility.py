@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..engine.push import CombineOp
 from ..engine.result import RunResult
 from ..engine.traits import AlgorithmTraits, ConflictProfile, ConvergenceKind
 
@@ -172,8 +171,13 @@ def check_program(program) -> EligibilityReport:
     return check_traits(program.traits)
 
 
-def check_push_program(program) -> EligibilityReport:
-    """The push-mode sufficient condition (the paper's future-work item).
+def check_push_program(traits: AlgorithmTraits,
+                       combines: dict) -> EligibilityReport:
+    """The push-mode sufficient condition (the paper's future-work item)
+    for a program with ``traits`` whose accumulators fold by
+    ``combines`` (field -> :class:`~repro.engine.nondet_delta.CombineOp`:
+    a delta kernel's ``{field: op}``, or a vectorized kernel's
+    ``push_combines``).
 
     *If a push-mode algorithm converges under a deterministic schedule
     and every accumulator's combine is commutative and associative, and
@@ -185,22 +189,20 @@ def check_push_program(program) -> EligibilityReport:
     combine; idempotent ones (MIN/MAX) additionally tolerate duplicate
     delivery.
     """
-    traits = program.traits
-    specs = program.accumulators()
     reasons: list[str] = []
     warnings: list[str] = []
 
-    all_ca = all(spec.op.commutative_associative for spec in specs.values())
+    all_ca = all(op.commutative_associative for op in combines.values())
     converges = traits.converges_async_deterministic or traits.converges_synchronously
     if converges and all_ca:
         verdict = Verdict.ELIGIBLE_PUSH
-        ops = ", ".join(f"{name}:{spec.op.value}" for name, spec in specs.items())
+        ops = ", ".join(f"{name}:{op.value}" for name, op in combines.items())
         reasons.append(
             "converges deterministically and every accumulator combine is "
             f"commutative and associative ({ops}): delivery order cannot "
             "change folded values (push-mode condition)"
         )
-        non_idem = [n for n, s in specs.items() if not s.op.idempotent]
+        non_idem = [n for n, op in combines.items() if not op.idempotent]
         if non_idem:
             warnings.append(
                 "non-idempotent combine(s) "
@@ -309,19 +311,19 @@ def probe_delta_algebra(kernel, graph=None) -> str | None:
     close = lambda a, b: (a == b) or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
     for a, b in itertools.combinations_with_replacement(_PROBE_VALUES, 2):
-        if not close(op.fold(a, b), op.fold(b, a)):
-            return (f"⊕ is not commutative: fold({a}, {b}) = {op.fold(a, b)} "
-                    f"but fold({b}, {a}) = {op.fold(b, a)}")
+        if not close(op.ufunc(a, b), op.ufunc(b, a)):
+            return (f"⊕ is not commutative: fold({a}, {b}) = {op.ufunc(a, b)} "
+                    f"but fold({b}, {a}) = {op.ufunc(b, a)}")
     for a, b, c in itertools.combinations_with_replacement(_PROBE_VALUES, 3):
-        lhs = op.fold(op.fold(a, b), c)
-        rhs = op.fold(a, op.fold(b, c))
+        lhs = op.ufunc(op.ufunc(a, b), c)
+        rhs = op.ufunc(a, op.ufunc(b, c))
         if not (close(lhs, rhs) or (math.isnan(lhs) and math.isnan(rhs))):
             return (f"⊕ is not associative: ({a} ⊕ {b}) ⊕ {c} = {lhs} but "
                     f"{a} ⊕ ({b} ⊕ {c}) = {rhs}")
     for a in _PROBE_VALUES:
-        if not close(op.fold(a, ident), a):
+        if not close(op.ufunc(a, ident), a):
             return (f"{ident} is not an identity for ⊕: "
-                    f"fold({a}, {ident}) = {op.fold(a, ident)}")
+                    f"fold({a}, {ident}) = {op.ufunc(a, ident)}")
 
     graph = graph if graph is not None else _probe_graph()
     eids = np.arange(graph.num_edges, dtype=np.int64)
@@ -331,10 +333,8 @@ def probe_delta_algebra(kernel, graph=None) -> str | None:
         return kernel.gains(graph, eids, np.full(eids.size, vals, dtype=np.float64))
 
     for a, b in itertools.combinations(finite, 2):
-        lhs = kernel.gains(graph, eids, np.full(eids.size, op.fold(a, b)))
-        rhs_a, rhs_b = g(a), g(b)
-        rhs = np.minimum(rhs_a, rhs_b) if op is CombineOp.MIN else (
-            np.maximum(rhs_a, rhs_b) if op is CombineOp.MAX else rhs_a + rhs_b)
+        lhs = kernel.gains(graph, eids, np.full(eids.size, op.ufunc(a, b)))
+        rhs = op.ufunc(g(a), g(b))
         bad = ~np.isclose(lhs, rhs, rtol=1e-9, atol=1e-12)
         if bad.any():
             e = int(np.flatnonzero(bad)[0])
@@ -345,7 +345,7 @@ def probe_delta_algebra(kernel, graph=None) -> str | None:
         ordered = sorted(finite)
         for a, b in zip(ordered, ordered[1:]):
             ga, gb = g(a), g(b)
-            cmp = (ga <= gb) if op is CombineOp.MIN else (ga >= gb)
+            cmp = op.ufunc(ga, gb) == ga  # g(a) ⊕ g(b) = g(a): no worse
             if not cmp.all():
                 e = int(np.flatnonzero(~cmp)[0])
                 return (f"g is not monotone on edge {e}: {a} ≤ {b} but "

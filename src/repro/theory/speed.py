@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..graph import DiGraph
 from ..engine.config import EngineConfig
 from ..engine.runner import run
@@ -128,49 +126,30 @@ def measure_convergence_speed(
     Every run takes the array path when the program has a kernel and
     the object engine otherwise; the two are bit-identical.
     """
-    probe = program_factory()
-    de = run(probe, graph, mode="deterministic", vectorized=True,
-             config=EngineConfig(max_iterations=max_iterations))
-    if not de.converged:
-        raise RuntimeError("deterministic baseline did not converge")
-    sync = run(program_factory(), graph, mode="sync", vectorized=True,
-               config=EngineConfig(max_iterations=max_iterations))
-    if not sync.converged:
-        raise RuntimeError("synchronous baseline did not converge")
-
-    report = SpeedReport(
-        algorithm=probe.traits.name,
-        conflict_profile=probe.traits.conflict_profile,
+    plans = [("deterministic", EngineConfig(max_iterations=max_iterations)),
+             ("sync", EngineConfig(max_iterations=max_iterations))]
+    plans += [("nondeterministic", EngineConfig(
+        threads=threads, delay=float(delay), seed=seed,
+        max_iterations=max_iterations))
+        for threads in threads_list for delay in delays for seed in seeds]
+    runs = []
+    for mode, config in plans:
+        res = run(program_factory(), graph, mode=mode, vectorized=True,
+                  config=config)
+        if not res.converged:
+            raise RuntimeError(
+                f"{mode} run (P={config.threads}, d={config.delay}, "
+                f"seed={config.seed}) did not converge")
+        runs.append(res)
+    de, sync, *grid = runs
+    traits = de.program.traits
+    return SpeedReport(
+        algorithm=traits.name,
+        conflict_profile=traits.conflict_profile,
         deterministic_iterations=de.num_iterations,
         synchronous_iterations=sync.num_iterations,
+        points=[SpeedPoint(threads=c.threads, delay=c.delay, seed=c.seed,
+                           iterations=r.num_iterations,
+                           updates=r.total_updates)
+                for (_, c), r in zip(plans[2:], grid)],
     )
-    for threads in threads_list:
-        for delay in delays:
-            for seed in seeds:
-                res = run(
-                    program_factory(),
-                    graph,
-                    mode="nondeterministic",
-                    vectorized=True,
-                    config=EngineConfig(
-                        threads=threads,
-                        delay=float(delay),
-                        seed=seed,
-                        max_iterations=max_iterations,
-                    ),
-                )
-                if not res.converged:
-                    raise RuntimeError(
-                        f"nondeterministic run (P={threads}, d={delay}, "
-                        f"seed={seed}) did not converge"
-                    )
-                report.points.append(
-                    SpeedPoint(
-                        threads=threads,
-                        delay=float(delay),
-                        seed=seed,
-                        iterations=res.num_iterations,
-                        updates=res.total_updates,
-                    )
-                )
-    return report

@@ -12,15 +12,15 @@ agree:
   done, but the confirming iteration never ran;
 * cap ``K-1`` → ``(converged=False, num_iterations=K-1)``.
 
-The push engine used to shortcut this with a ``while/else`` that
-recomputed ``converged`` from the next frontier, over-claiming at the
-cap; this suite pins the uniform semantics for every engine.
+An engine with its own loop once shortcut this with a ``while/else``
+that recomputed ``converged`` from the next frontier, over-claiming at
+the cap; this suite pins the uniform semantics for every engine.
 """
 
 import pytest
 
-from repro.algorithms import PushBFS, WeaklyConnectedComponents
-from repro.engine import EngineConfig, run, run_push
+from repro.algorithms import WeaklyConnectedComponents
+from repro.engine import EngineConfig, run
 from repro.graph import generators
 
 MODES = ["sync", "deterministic", "chromatic", "nondeterministic"]
@@ -34,11 +34,7 @@ def graph():
 def _capped_runner(mode, graph):
     base = EngineConfig(threads=2, seed=0, jitter=0.5)
 
-    if mode == "push":
-        def invoke(cap):
-            return run_push(PushBFS(source=0), graph,
-                            config=base.with_(max_iterations=cap))
-    elif mode == "vectorized":
+    if mode == "vectorized":
         def invoke(cap):
             return run(WeaklyConnectedComponents(), graph,
                        mode="nondeterministic", vectorized="require",
@@ -63,7 +59,7 @@ def _capped_runner(mode, graph):
 
 @pytest.mark.parametrize(
     "mode", MODES + ["vectorized", "vectorized-sync", "vectorized-push",
-                     "push"])
+                     "delta"])
 def test_at_cap_accounting(graph, mode):
     invoke = _capped_runner(mode, graph)
     free = invoke(10_000)

@@ -1,17 +1,18 @@
 """Property-based sweeps over the extension executors.
 
 The same style as ``test_engine_hypothesis.py``: for arbitrary small
-graphs and schedules, the push-mode and pure-async executors must reach
-the exact fixed points their sufficient conditions promise.
+graphs and schedules, push mode (the delta engine's accumulators) and
+the pure-async executor must reach the exact fixed points their
+sufficient conditions promise; a racy (``atomicity=NONE``) combine may
+only lose contributions, never invent one.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import PushBFS, PushMinReach, WeaklyConnectedComponents, reference
-from repro.algorithms.push_algorithms import min_reach_reference
-from repro.engine import DelayModel, EngineConfig, run, run_push
+from repro.algorithms import BFS, SSSP, WeaklyConnectedComponents, reference
+from repro.engine import AtomicityPolicy, DelayModel, EngineConfig, run
 from repro.graph import DiGraph
 
 
@@ -43,24 +44,41 @@ COMMON = dict(
 )
 
 
-@given(graph_and_config())
-@settings(**COMMON)
-def test_push_bfs_exact_on_arbitrary_graphs(data):
-    graph, config = data
-    truth = reference.bfs_reference(graph, 0)
-    res = run_push(PushBFS(source=0), graph, config=config)
+def _delta_min_kernel(program, truth, graph, config, torn):
+    """Atomic delta equals ``truth``; with ``torn_probability=torn``
+    under ``atomicity=NONE`` no value falls below it, ``lost_writes ≤
+    write_write``, and both are 0 when ``torn`` is."""
+    res = run(program(), graph, mode="delta", config=config)
     assert res.converged
     assert np.array_equal(res.result(), truth)
+    racy = run(program(), graph, mode="delta", config=config.with_(
+        atomicity=AtomicityPolicy.NONE, torn_probability=torn))
+    assert np.all(racy.result() >= truth)
+    log = racy.conflicts
+    assert log.lost_writes <= log.write_write
+    if torn == 0.0:
+        assert log.write_write == log.lost_writes == 0
+        assert np.array_equal(racy.result(), truth)
 
 
-@given(graph_and_config())
+@given(graph_and_config(), st.sampled_from([0.0, 0.3, 1.0]))
 @settings(**COMMON)
-def test_push_min_reach_exact_on_arbitrary_graphs(data):
+def test_push_bfs_exact_on_arbitrary_graphs(data, torn):
     graph, config = data
-    truth = min_reach_reference(graph)
-    res = run_push(PushMinReach(), graph, config=config)
-    assert res.converged
-    assert np.array_equal(res.result(), truth)
+    _delta_min_kernel(lambda: BFS(source=0), reference.bfs_reference(graph, 0),
+                      graph, config, torn)
+    sssp = SSSP(source=0)
+    _delta_min_kernel(lambda: SSSP(source=0), reference.sssp_reference(
+        graph, 0, sssp.make_weights(graph)), graph, config, torn)
+
+
+@given(graph_and_config(), st.sampled_from([0.0, 0.3, 1.0]))
+@settings(**COMMON)
+def test_push_min_reach_exact_on_arbitrary_graphs(data, torn):
+    """Min-label reach in both edge directions: delta WCC."""
+    graph, config = data
+    _delta_min_kernel(WeaklyConnectedComponents,
+                      reference.wcc_reference(graph), graph, config, torn)
 
 
 @given(graph_and_config())
@@ -98,7 +116,9 @@ def test_chromatic_wcc_exact_on_arbitrary_graphs(data):
 @settings(**COMMON)
 def test_push_engine_reproducible(data):
     graph, config = data
-    a = run_push(PushBFS(source=0), graph, config=config)
-    b = run_push(PushBFS(source=0), graph, config=config)
+    config = config.with_(atomicity=AtomicityPolicy.NONE,
+                          torn_probability=0.5)
+    a, b = (run(BFS(source=0), graph, mode="delta", config=config)
+            for _ in range(2))
     assert np.array_equal(a.result(), b.result())
     assert a.conflicts.summary() == b.conflicts.summary()

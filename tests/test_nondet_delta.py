@@ -13,11 +13,10 @@ Three claims are under test:
    with a concrete witness, including declared-but-false algebras that
    only small-graph search can catch.
 
-The property-based suite at the bottom mirrors the CombineOp fold suite
-for the engine's *array* fold (``_fold_arr``), whose NaN/±inf semantics
-must match the scalar algebra the eligibility check verifies, and holds
-the propagation fold in gather order bit-equal to a destination-major
-regroup-then-fold.
+The property-based suite at the bottom checks the ``CombineOp`` algebra
+on its elementwise ufunc, with NaN/±inf (the same fold the eligibility
+probe verifies), and holds the propagation fold in gather order
+bit-equal to a destination-major regroup-then-fold.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from repro.engine import CombineOp, EngineConfig, Refused, run
 from repro.engine.capabilities import ROWS
 from repro.engine.nondet_delta import (
     DeltaKernel,
-    _fold_arr,
-    _fold_at,
     _pair_eids,
     delta_fallback_reasons,
     resolve_delta_kernel,
@@ -222,6 +219,21 @@ class TestEligibilityGate:
                 direction="push")
         assert refused.value.reason == ROWS["delta"].direction.reason
 
+    def _refused_config(self, **flag):
+        with pytest.raises(Refused) as refused:
+            run(PageRank(), _graph(6), mode="delta", **flag)
+        assert refused.value.reason.startswith(f"{next(iter(flag))} does "
+                                               "not apply to mode='delta'")
+
+    def test_fp_noise_refused(self):
+        self._refused_config(fp_noise=True)
+
+    def test_keep_conflict_events_refused(self):
+        self._refused_config(keep_conflict_events=True)
+
+    def test_validate_scope_refused(self):
+        self._refused_config(validate_scope=True)
+
     def test_runner_dispatches_delta(self):
         graph = _graph(7)
         res = run(_sssp(), graph, mode="delta",
@@ -272,9 +284,9 @@ class TestDeltaTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# _fold_arr algebra (property-based, incl. NaN / ±inf) — mirrors the
-# CombineOp.fold suite in test_push_mode.py; the array fold must agree
-# with the scalar algebra the eligibility probe verifies.
+# CombineOp algebra on ``op.ufunc`` (property-based, incl. NaN / ±inf);
+# test_push_mode.py checks delivery order into an accumulator
+# (``op.ufunc.at``).
 # ---------------------------------------------------------------------------
 
 _any_float = st.floats(allow_nan=True, allow_infinity=True)
@@ -296,23 +308,23 @@ class TestFoldArrProperties:
         k = min(len(xs), len(ys))
         a, b = np.array(xs[:k]), np.array(ys[:k])
         for op in _OPS:
-            assert _aeq(_fold_arr(op, a, b), _fold_arr(op, b, a)), op
+            assert _aeq(op.ufunc(a, b), op.ufunc(b, a)), op
 
     @settings(**_FOLD_SETTINGS)
     @given(_any_float, _any_float, _any_float)
     def test_min_max_associative(self, a, b, c):
         a, b, c = np.array([a]), np.array([b]), np.array([c])
         for op in (CombineOp.MIN, CombineOp.MAX):
-            assert _aeq(_fold_arr(op, _fold_arr(op, a, b), c),
-                        _fold_arr(op, a, _fold_arr(op, b, c))), op
+            assert _aeq(op.ufunc(op.ufunc(a, b), c),
+                        op.ufunc(a, op.ufunc(b, c))), op
 
     @settings(**_FOLD_SETTINGS)
     @given(_exact_ints, _exact_ints, _exact_ints)
     def test_add_associative_on_exact_values(self, a, b, c):
         op = CombineOp.ADD
         a, b, c = np.array([a]), np.array([b]), np.array([c])
-        assert _aeq(_fold_arr(op, _fold_arr(op, a, b), c),
-                    _fold_arr(op, a, _fold_arr(op, b, c)))
+        assert _aeq(op.ufunc(op.ufunc(a, b), c),
+                    op.ufunc(a, op.ufunc(b, c)))
 
     @settings(**_FOLD_SETTINGS)
     @given(st.lists(_any_float, min_size=1, max_size=8))
@@ -320,32 +332,32 @@ class TestFoldArrProperties:
         a = np.array(xs)
         for op in _OPS:
             ident = np.full(a.shape, op.identity)
-            assert _aeq(_fold_arr(op, ident, a), a), op
+            assert _aeq(op.ufunc(ident, a), a), op
 
     @settings(**_FOLD_SETTINGS)
     @given(st.lists(_any_float, min_size=1, max_size=8))
     def test_min_max_idempotent(self, xs):
         a = np.array(xs)
         for op in (CombineOp.MIN, CombineOp.MAX):
-            assert _aeq(_fold_arr(op, a, a), a), op
+            assert _aeq(op.ufunc(a, a), a), op
 
     @settings(**_FOLD_SETTINGS)
     @given(_any_float)
     def test_matches_scalar_fold(self, v):
-        """The array fold agrees with CombineOp.fold's scalar algebra
-        (including its NaN-propagation contract) on every single value
-        paired with a finite one."""
+        """The eligibility probe folds Python floats, the engine arrays:
+        one ufunc, the same value (NaN included) paired with a finite
+        one."""
         for op in _OPS:
-            arr = float(_fold_arr(op, np.array([v]), np.array([1.0]))[0])
-            scalar = op.fold(v, 1.0)
+            arr = float(op.ufunc(np.array([v]), np.array([1.0]))[0])
+            scalar = float(op.ufunc(v, 1.0))
             assert (arr != arr and scalar != scalar) or arr == scalar, op
 
     def test_nan_symmetric(self):
         nan = np.array([np.nan])
         one = np.array([1.0])
         for op in _OPS:
-            assert np.isnan(_fold_arr(op, nan, one)[0])
-            assert np.isnan(_fold_arr(op, one, nan)[0])
+            assert np.isnan(op.ufunc(nan, one)[0])
+            assert np.isnan(op.ufunc(one, nan)[0])
 
 
 class TestAccumulationIdentityProperty:
@@ -365,7 +377,7 @@ def _regroup_then_fold(op, target, idx, contrib):
     """The fold ``_propagate`` used to run: regroup contributions
     destination-major with a stable sort, then fold."""
     regroup = np.argsort(idx, kind="stable")
-    _fold_at(op, target, idx[regroup], contrib[regroup])
+    op.ufunc.at(target, idx[regroup], contrib[regroup])
 
 
 @st.composite
@@ -392,6 +404,6 @@ class TestGatherOrderFold:
         for op in (CombineOp.ADD, CombineOp.MIN):
             got, want = target.copy(), target.copy()
             with np.errstate(all="ignore"):  # inf - inf, NaN: same bits
-                _fold_at(op, got, idx, contrib)
+                op.ufunc.at(got, idx, contrib)
                 _regroup_then_fold(op, want, idx, contrib)
             assert got.tobytes() == want.tobytes(), op

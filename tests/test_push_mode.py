@@ -1,32 +1,46 @@
-"""Tests for push-mode execution and its sufficient condition."""
+"""Push mode on the delta engine: vertex accumulators, atomic and racy
+combines, and the push-mode sufficient condition.
+
+A delta step pushes ``g(Δ)`` into its out-neighbours' accumulators with
+an atomic combine; ``atomicity=NONE`` makes the combine racy: model
+thread *t* commits chunk *t* of a round's order, and a combine from a
+thread above the lowest one reaching its target is lost with
+``torn_probability``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    PushBFS,
-    PushMinReach,
-    PushPageRankDelta,
-    min_reach_reference,
-    reference,
-)
-from repro.engine import AtomicityPolicy, CombineOp, EngineConfig, run_push
-from repro.engine.push import AccumulatorSpec
-from repro.graph import DiGraph, generators
+from repro.algorithms import BFS, PageRank, WeaklyConnectedComponents, reference
+from repro.engine import AtomicityPolicy, CombineOp, EngineConfig, Refused, run
+from repro.engine.nondet_delta import _active_ids, _propagate, resolve_delta_kernel
+from repro.graph import DiGraph
 from repro.theory import Verdict, check_push_program
+
+#: a racy (non-atomic) combine
+RACY = dict(atomicity=AtomicityPolicy.NONE, torn_probability=0.3)
+
+
+def _delta(program, graph, **kwargs):
+    return run(program, graph, mode="delta", **kwargs)
+
+
+def _combines(program) -> dict:
+    kernel = resolve_delta_kernel(program)
+    return {kernel.field: kernel.op}
 
 
 class TestCombineOp:
     def test_min_fold(self):
-        assert CombineOp.MIN.fold(3.0, 5.0) == 3.0
+        assert CombineOp.MIN.ufunc(3.0, 5.0) == 3.0
         assert CombineOp.MIN.identity == np.inf
 
     def test_max_fold(self):
-        assert CombineOp.MAX.fold(3.0, 5.0) == 5.0
+        assert CombineOp.MAX.ufunc(3.0, 5.0) == 5.0
         assert CombineOp.MAX.identity == -np.inf
 
     def test_add_fold(self):
-        assert CombineOp.ADD.fold(3.0, 5.0) == 8.0
+        assert CombineOp.ADD.ufunc(3.0, 5.0) == 8.0
         assert CombineOp.ADD.identity == 0.0
 
     def test_idempotence_classification(self):
@@ -42,50 +56,49 @@ class TestCombineOp:
 class TestPushBFS:
     @pytest.mark.parametrize("mode", ["deterministic", "nondeterministic"])
     def test_exact_levels(self, er_medium, mode):
-        res = run_push(PushBFS(source=0), er_medium, mode=mode, threads=8, seed=1)
+        threads = {"deterministic": 1, "nondeterministic": 8}[mode]
+        res = _delta(BFS(source=0), er_medium, threads=threads, seed=1)
         assert res.converged
         assert np.array_equal(res.result(), reference.bfs_reference(er_medium, 0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_schedule_independent(self, rmat_small, seed):
-        res = run_push(PushBFS(source=0), rmat_small, threads=16, seed=seed)
+        res = _delta(BFS(source=0), rmat_small, threads=16, seed=seed)
         assert np.array_equal(res.result(), reference.bfs_reference(rmat_small, 0))
 
     def test_unreachable_stay_infinite(self):
         g = DiGraph(4, [0], [1])
-        res = run_push(PushBFS(source=0), g, threads=2, seed=0)
+        res = _delta(BFS(source=0), g, threads=2, seed=0)
         assert res.result()[2] == np.inf
 
     def test_accumulator_contention_logged(self, rmat_small):
-        res = run_push(PushBFS(source=0), rmat_small, threads=8, seed=0)
+        res = _delta(BFS(source=0), rmat_small, threads=8, seed=0, **RACY)
         # vertices with several in-neighbours on different threads race
         assert res.conflicts.write_write > 0
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
-            PushBFS(source=-1)
+            BFS(source=-1)
         g = DiGraph(2, [0], [1])
         with pytest.raises(ValueError, match="out of range"):
-            PushBFS(source=5).make_state(g)
+            _delta(BFS(source=5), g)
 
 
 class TestPushPageRank:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PushPageRankDelta(epsilon=0.0)
+            PageRank(epsilon=0.0)
         with pytest.raises(ValueError):
-            PushPageRankDelta(damping=1.0)
+            PageRank(damping=1.0)
 
     def test_matches_pull_fixed_point(self, rmat_small):
-        res = run_push(PushPageRankDelta(epsilon=1e-7), rmat_small,
-                       threads=8, seed=1)
+        res = _delta(PageRank(epsilon=1e-7), rmat_small, threads=8, seed=1)
         assert res.converged
         ref = reference.pagerank_reference(rmat_small)
         assert np.max(np.abs(res.result() - ref)) < 1e-3
 
     def test_deterministic_mode_matches_too(self, rmat_small):
-        res = run_push(PushPageRankDelta(epsilon=1e-7), rmat_small,
-                       mode="deterministic")
+        res = _delta(PageRank(epsilon=1e-7), rmat_small, threads=1)
         ref = reference.pagerank_reference(rmat_small)
         assert np.max(np.abs(res.result() - ref)) < 1e-3
 
@@ -93,190 +106,138 @@ class TestPushPageRank:
         """The push-mode condition's warning, demonstrated: without the
         atomic combine, lost ADD contributions wreck the ranks."""
         ref = reference.pagerank_reference(rmat_small)
-        res = run_push(PushPageRankDelta(epsilon=1e-7), rmat_small,
-                       threads=8, seed=1,
-                       atomicity=AtomicityPolicy.NONE, torn_probability=0.5)
+        res = _delta(PageRank(epsilon=1e-7), rmat_small, threads=8, seed=1,
+                     atomicity=AtomicityPolicy.NONE, torn_probability=0.5)
         assert res.conflicts.lost_writes > 0
         assert np.max(np.abs(res.result() - ref)) > 0.01
 
     def test_min_combine_survives_lost_updates(self, rmat_small):
-        """Idempotent MIN re-pushes recover lost contributions: BFS stays
-        exact even with the racy combine, as long as runs converge."""
+        """A lost MIN contribution only leaves a value too high: every
+        finite distance is still a path length >= the truth."""
         truth = reference.bfs_reference(rmat_small, 0)
-        res = run_push(PushBFS(source=0), rmat_small, threads=8, seed=1,
-                       atomicity=AtomicityPolicy.NONE, torn_probability=0.3,
-                       max_iterations=500)
-        if res.converged:
-            # a lost push may prune an entire propagation subtree; but any
-            # *finite* distance must still be a valid path length >= truth
-            finite = np.isfinite(res.result())
-            assert np.all(res.result()[finite] >= truth[finite])
+        res = _delta(BFS(source=0), rmat_small, threads=8, seed=1, **RACY)
+        assert res.converged and res.conflicts.lost_writes > 0
+        finite = np.isfinite(res.result())
+        assert np.all(res.result()[finite] >= truth[finite])
 
 
 class TestPushMinReach:
+    """Minimum-label reach by MIN pushes: delta WCC, which pushes both
+    ways along every edge."""
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference(self, rmat_small, seed):
-        res = run_push(PushMinReach(), rmat_small, threads=8, seed=seed)
+        res = _delta(WeaklyConnectedComponents(), rmat_small, threads=8, seed=seed)
         assert res.converged
-        assert np.array_equal(res.result(), min_reach_reference(rmat_small))
+        assert np.array_equal(res.result(), reference.wcc_reference(rmat_small))
 
     def test_on_dag(self):
         g = DiGraph(5, [0, 1, 2, 3], [1, 2, 3, 4])  # chain 0->1->2->3->4
-        res = run_push(PushMinReach(), g, threads=2, seed=0)
+        res = _delta(WeaklyConnectedComponents(), g, threads=2, seed=0)
         assert res.result().tolist() == [0, 0, 0, 0, 0]
 
     def test_directional(self):
         g = DiGraph(3, [2], [1])  # only 2 -> 1
-        res = run_push(PushMinReach(), g, threads=2, seed=0)
-        # vertex 1's ancestors = {1, 2}: min is 1; vertex 0 isolated.
-        assert res.result().tolist() == [0, 1, 2]
+        res = _delta(WeaklyConnectedComponents(), g, threads=2, seed=0)
+        # the label flows against the edge too; vertex 0 isolated.
+        assert res.result().tolist() == [0, 1, 1]
 
 
 class TestPushEligibility:
     def test_push_bfs_eligible(self):
-        report = check_push_program(PushBFS(source=0))
+        bfs = BFS(source=0)
+        report = check_push_program(bfs.traits, _combines(bfs))
         assert report.verdict is Verdict.ELIGIBLE_PUSH
         assert report.results_deterministic
 
     def test_push_pagerank_eligible_with_warning(self):
-        report = check_push_program(PushPageRankDelta())
+        pr = PageRank()
+        report = check_push_program(pr.traits, _combines(pr))
         assert report.verdict is Verdict.ELIGIBLE_PUSH
         assert any("exactly once" in w for w in report.warnings)
         assert not report.results_deterministic
 
     def test_nonconvergent_push_not_established(self):
-        prog = PushBFS(source=0)
         from repro.engine import AlgorithmTraits, ConflictProfile
 
-        prog.traits = AlgorithmTraits(
+        traits = AlgorithmTraits(
             name="x",
             conflict_profile=ConflictProfile.WRITE_WRITE,
             converges_synchronously=False,
             converges_async_deterministic=False,
         )
-        assert check_push_program(prog).verdict is Verdict.NOT_ESTABLISHED
+        report = check_push_program(traits, _combines(BFS(source=0)))
+        assert report.verdict is Verdict.NOT_ESTABLISHED
 
 
 class TestRunPushApi:
     def test_bad_mode(self, path8):
-        with pytest.raises(ValueError, match="unknown push mode"):
-            run_push(PushBFS(source=0), path8, mode="sync")
+        # push mode is the delta engine, not a mode of its own
+        with pytest.raises(Refused, match="unknown mode 'push'"):
+            run(BFS(source=0), path8, mode="push")
 
     def test_config_kwargs_exclusive(self, path8):
         with pytest.raises(ValueError, match="not both"):
-            run_push(PushBFS(source=0), path8, config=EngineConfig(), threads=2)
-
-    def test_deterministic_forces_single_thread(self, path8):
-        res = run_push(PushBFS(source=0), path8, mode="deterministic",
-                       config=EngineConfig(threads=8, jitter=0.5))
-        assert res.config.threads == 1
-        assert res.config.jitter == 0.0
+            _delta(BFS(source=0), path8, config=EngineConfig(), threads=2)
 
     def test_observer_called(self, path8):
         calls = []
-        run_push(PushBFS(source=0), path8, threads=2, seed=0,
-                 observer=lambda it, state, sched: calls.append(it))
+        _delta(BFS(source=0), path8, threads=2, seed=0,
+               observer=lambda it, state, sched: calls.append(it))
         assert calls == sorted(calls)
         assert calls
 
     def test_reproducible(self, rmat_small):
-        a = run_push(PushPageRankDelta(epsilon=1e-5), rmat_small, threads=8, seed=3)
-        b = run_push(PushPageRankDelta(epsilon=1e-5), rmat_small, threads=8, seed=3)
+        a, b = (_delta(PageRank(epsilon=1e-5), rmat_small, threads=8, seed=3,
+                       **RACY) for _ in range(2))
         assert np.array_equal(a.result(), b.result())
+        assert a.conflicts.summary() == b.conflicts.summary()
 
 
 # ---------------------------------------------------------------------------
-# regression: a lost push must not fire the task-generation rule
+# a lost combine never reaches Δ, so it never activates its target
 # ---------------------------------------------------------------------------
 
-class _Slot:
-    def __init__(self, time, thread):
-        self.time = time
-        self.thread = thread
+def _push_into_2(lost: bool, src=(0, 1), values=(3.0, 0.0)):
+    """Vertices ``src`` on model threads 0, 1, ... push BFS levels
+    ``values + 1`` into vertex 2, whose committed level is 2.  Returns
+    whether vertex 2 is active afterwards and the racing counts asked."""
+    graph = DiGraph(3, list(src), [2] * len(src))
+    kernel = resolve_delta_kernel(BFS(source=0))(BFS(source=0))
+    x = np.array([0.0, 0.0, 2.0])
+    delta = np.full(3, np.inf)
+    asked = []
 
+    def lose(racing):
+        asked.append(racing)
+        return np.full(racing, lost)
 
-def _bare_engine(*, lost_p=0.0):
-    """A PushEngine wired up just enough to drive deliver/fold_visible
-    directly (no run loop)."""
-    from repro.engine.conflicts import ConflictLog
-    from repro.engine.delaymodel import DelayModel
-    from repro.engine.push import PushEngine
-
-    engine = PushEngine()
-    engine._acc_specs = {"dist": AccumulatorSpec(CombineOp.MIN)}
-    engine._pending = {"dist": {}}
-    engine._delay_model = DelayModel.uniform(2.0)
-    engine.log = ConflictLog()
-    if lost_p > 0:
-        engine._lost_rng = np.random.default_rng(0)
-        engine._lost_p = lost_p
-    return engine
+    order = np.array(src)
+    _propagate(kernel, graph, order, np.array(values), delta,
+               graph.out_degrees(), None, (np.arange(order.size), lose))
+    return 2 in _active_ids(CombineOp.MIN, x, delta, 0.0), asked
 
 
 class TestLostPushScheduling:
     def test_lost_push_does_not_schedule(self):
-        """deliver() returning False (racy non-atomic combine lost the
-        contribution) must leave the frontier unchanged: a push that
-        never landed cannot generate a task."""
-        from repro.engine.push import PushContext, _PendingPush
-
-        engine = _bare_engine(lost_p=1.0)
-        # A pending push from another thread within the delay window:
-        # the incoming combine races and, at lost_p=1, always loses.
-        engine._pending["dist"][3] = [_PendingPush(0.0, 0, sender=1, value=5.0)]
-        engine._current_slot = _Slot(time=0.5, thread=1)
-        graph = DiGraph(4, [2], [3])
-        schedule: set[int] = set()
-        ctx = PushContext(2, graph, None, engine, schedule)
-        ctx.push(3, "dist", 7.0)
-        assert schedule == set(), "a lost push fired the task-generation rule"
-        assert engine.log.lost_writes == 1
-        assert engine.log.write_write == 1
-        # The contribution really is gone — not folded in later.
-        assert len(engine._pending["dist"][3]) == 1
+        """Thread 1's level 1 races thread 0's level 4 and is lost: only
+        the 4 lands, which does not improve level 2, so vertex 2 stays
+        inactive."""
+        active, asked = _push_into_2(lost=True)
+        assert asked == [1]
+        assert not active, "a lost combine activated its target"
+        delivered, _ = _push_into_2(lost=False)
+        assert delivered
 
     def test_delivered_push_schedules(self):
-        from repro.engine.push import PushContext
-
-        engine = _bare_engine(lost_p=1.0)  # lossy, but nothing races
-        engine._current_slot = _Slot(time=0.5, thread=1)
-        schedule: set[int] = set()
-        ctx = PushContext(2, DiGraph(4, [2], [3]), None, engine, schedule)
-        ctx.push(3, "dist", 7.0)
-        assert schedule == {3}
-        assert engine.log.lost_writes == 0
-
-    # End-to-end, a lost push always has the delivered sibling it raced
-    # with, and *that* push schedules the shared target — so the bug is
-    # only observable at the deliver()/schedule seam the unit tests
-    # above drive directly.
-
-
-class TestStaleReadAccounting:
-    def test_stale_reads_counted_per_invisible_push(self):
-        """fold_visible bumps stale_reads once per in-flight push it
-        failed to observe (pull mode's per-access accounting), not once
-        per fold call."""
-        from repro.engine.push import _PendingPush
-
-        engine = _bare_engine()
-        # Two invisible pushes (other thread, inside the delay window)
-        # and one visible one (same thread, earlier time).
-        engine._pending["dist"][3] = [
-            _PendingPush(0.4, 1, sender=0, value=9.0),
-            _PendingPush(0.6, 1, sender=1, value=8.0),
-            _PendingPush(0.0, 0, sender=2, value=7.0),
-        ]
-        engine._current_slot = _Slot(time=0.5, thread=0)
-        acc = engine.fold_visible(3, "dist", consume=True)
-        assert acc == 7.0  # only the same-thread earlier push is visible
-        assert engine.log.stale_reads == 2
-        # The invisible ones stay pending for the next opportunity.
-        assert len(engine._pending["dist"][3]) == 2
+        active, asked = _push_into_2(lost=True, src=(1,), values=(0.0,))
+        assert asked == [0]  # nothing races, so nothing can be lost
+        assert active
 
 
 # ---------------------------------------------------------------------------
-# CombineOp.fold algebra (property-based, incl. NaN / +-inf)
+# delivery order into an accumulator: the unbuffered ``op.ufunc.at``
+# scatter the delta engine folds Δ with (property-based, incl. NaN / ±inf)
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402
@@ -287,9 +248,17 @@ _exact_ints = st.integers(-(2 ** 26), 2 ** 26).map(float)
 _FOLD_SETTINGS = dict(max_examples=200, deadline=None)
 
 
-def _feq(a: float, b: float) -> bool:
-    """Float equality where NaN == NaN (fold propagates NaN)."""
-    return (a != a and b != b) or a == b
+def _deliver(op: CombineOp, *values: float) -> np.ndarray:
+    """``values`` combined into one identity accumulator, in order."""
+    acc = np.full(1, op.identity)
+    with np.errstate(all="ignore"):  # inf - inf, overflow: IEEE results
+        op.ufunc.at(acc, np.zeros(len(values), dtype=np.int64),
+                    np.array(values))
+    return acc
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b, equal_nan=True)
 
 
 class TestCombineFoldProperties:
@@ -297,43 +266,45 @@ class TestCombineFoldProperties:
     @given(_any_float, _any_float)
     def test_min_max_commutative(self, a, b):
         for op in (CombineOp.MIN, CombineOp.MAX):
-            assert _feq(op.fold(a, b), op.fold(b, a)), (op, a, b)
+            assert _same(_deliver(op, a, b), _deliver(op, b, a)), (op, a, b)
 
     @settings(**_FOLD_SETTINGS)
     @given(_any_float, _any_float, _any_float)
     def test_min_max_associative(self, a, b, c):
         for op in (CombineOp.MIN, CombineOp.MAX):
-            assert _feq(op.fold(op.fold(a, b), c),
-                        op.fold(a, op.fold(b, c))), (op, a, b, c)
+            orders = [(a, b, c), (b, c, a), (c, a, b), (c, b, a)]
+            first = _deliver(op, *orders[0])
+            assert all(_same(first, _deliver(op, *o)) for o in orders), op
 
     @settings(**_FOLD_SETTINGS)
     @given(_any_float)
     def test_min_max_idempotent(self, a):
         for op in (CombineOp.MIN, CombineOp.MAX):
-            assert _feq(op.fold(a, a), a), (op, a)
+            assert _same(_deliver(op, a, a), _deliver(op, a)), (op, a)
 
     @settings(**_FOLD_SETTINGS)
     @given(_any_float, _any_float)
     def test_add_commutative(self, a, b):
-        assert _feq(CombineOp.ADD.fold(a, b), CombineOp.ADD.fold(b, a))
+        op = CombineOp.ADD
+        assert _same(_deliver(op, a, b), _deliver(op, b, a))
 
     @settings(**_FOLD_SETTINGS)
     @given(_exact_ints, _exact_ints, _exact_ints)
     def test_add_associative_on_exact_values(self, a, b, c):
         # IEEE ADD is not associative in general; the algebra only
-        # claims it on exactly-representable contributions (sums stay
-        # well under 2**53 here).
+        # claims delivery-order independence on exactly representable
+        # contributions (sums stay well under 2**53 here).
         op = CombineOp.ADD
-        assert op.fold(op.fold(a, b), c) == op.fold(a, op.fold(b, c))
+        assert _same(_deliver(op, a, b, c), _deliver(op, c, a, b))
 
     @settings(**_FOLD_SETTINGS)
     @given(_any_float)
     def test_identity_element(self, a):
-        for op in (CombineOp.MIN, CombineOp.MAX, CombineOp.ADD):
-            assert _feq(op.fold(op.identity, a), a), (op, a)
+        for op in CombineOp:
+            assert _same(_deliver(op, a), np.array([a])), (op, a)
 
     def test_nan_propagates_symmetrically(self):
         nan = float("nan")
         for op in (CombineOp.MIN, CombineOp.MAX):
-            assert op.fold(nan, 1.0) != op.fold(nan, 1.0)  # NaN out
-            assert _feq(op.fold(nan, 1.0), op.fold(1.0, nan))
+            assert np.isnan(_deliver(op, nan, 1.0)[0])
+            assert _same(_deliver(op, nan, 1.0), _deliver(op, 1.0, nan))

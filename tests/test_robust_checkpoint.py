@@ -350,11 +350,14 @@ def test_resume_across_engines_and_checkpoint_every(tmp_path):
                                       res.state.vertex("label"))
 
 
-@pytest.mark.parametrize("factory", [
+DELTA_FACTORIES = pytest.mark.parametrize("factory", [
     WeaklyConnectedComponents, lambda: SSSP(source=0),
     # damping 0.5: ~30 barriers instead of ~90, same ADD algebra
     lambda: PageRank(epsilon=1e-2, damping=0.5)],
     ids=["WCC", "SSSP", "PageRank"])
+
+
+@DELTA_FACTORIES
 def test_delta_resumes_from_every_barrier_across_mutation_batches(
         tmp_path, factory):
     """The delta cut — (x, accum, Δ), the frontier, the ``delta`` stream
@@ -362,14 +365,31 @@ def test_delta_resumes_from_every_barrier_across_mutation_batches(
     between and right after the batches; the ADD kernel (PageRank)
     included.  Both restore points: the checkpoint file after a run that
     gave up, and the in-memory token of a self-healing run."""
+    _delta_resumes_from_every_barrier(tmp_path, factory,
+                                      EngineConfig(threads=4, seed=1))
+
+
+@DELTA_FACTORIES
+def test_delta_resumes_from_every_barrier_under_racy_combines(
+        tmp_path, factory):
+    """The same with ``atomicity=NONE``: the ``torn`` stream and the
+    conflict log are part of the cut, so every resumed run loses the
+    same combines (``lost_writes``) as the uninterrupted one."""
+    config = EngineConfig(threads=4, seed=1,
+                          atomicity=AtomicityPolicy.NONE, torn_probability=0.3)
+    lost = _delta_resumes_from_every_barrier(tmp_path, factory, config)
+    assert lost > 0
+
+
+def _delta_resumes_from_every_barrier(tmp_path, factory, config) -> int:
+    """Crash and resume at every barrier; returns the run's lost writes."""
     graph = generators.rmat(7, 8.0, seed=3)
-    config = EngineConfig(threads=4, seed=1)
     kw = {"mode": "delta",
           "mutations": generate_batches(graph, 3, 0.02, 5)}
 
     def facts(res):
         return (res.result().tobytes(), res.converged, res.num_iterations,
-                res.extra["delta"], [
+                res.conflicts.summary(), res.extra["delta"], [
                     {k: v for k, v in m.items() if k != "repair_seconds"}
                     for m in res.extra["mutations"]])
 
@@ -388,6 +408,7 @@ def test_delta_resumes_from_every_barrier_across_mutation_batches(
                         faults=f"crash@{k}", **kw)):
             assert facts(res) == facts(base), k
             assert res.iterations == base.iterations[k:], k
+    return base.conflicts.lost_writes
 
 
 def test_resume_guards(rmat10, tmp_path):

@@ -1,26 +1,24 @@
 """White-box tests of the engines' store internals.
 
 These pin down behaviours the black-box suites only exercise
-indirectly: the pure-async version-history compaction, the push
-engine's visible-fold/consume semantics, and the racy store's
+indirectly: the pure-async version-history compaction, the delta
+engine's push combine (atomic, racing, lost), and the racy store's
 latest-visible-write selection.
 """
 
 import numpy as np
-import pytest
 
 from repro.engine import (
     AtomicityPolicy,
     ConflictLog,
     DelayModel,
-    EngineConfig,
     FieldSpec,
     State,
     TaskSlot,
 )
 from repro.engine.nondet_engine import _RacyStore
 from repro.engine.pure_async import _VersionedStore
-from repro.engine.push import AccumulatorSpec, CombineOp, PushEngine
+from repro.engine.nondet_delta import CombineOp, DeltaKernel, _propagate
 from repro.graph import DiGraph
 
 
@@ -116,59 +114,47 @@ class TestVersionedStoreCompaction:
         assert state.edge("e")[0] == 39.0
 
 
-class TestPushEngineFold:
-    def make_engine(self, op=CombineOp.ADD):
-        engine = PushEngine()
-        engine._acc_specs = {"acc": AccumulatorSpec(op)}
-        engine._pending = {"acc": {}}
-        engine._delay_model = DelayModel.uniform(2.0)
-        engine._lost_rng = None
-        engine.log = ConflictLog()
-        return engine
+class _Forward(DeltaKernel):
+    """``g`` forwards the committed value unchanged, folded by ``op``."""
 
-    def slot(self, thread, pi, time=None):
-        return TaskSlot(vid=0, thread=thread, pi=pi,
-                        time=float(pi if time is None else time))
+    def __init__(self, op):
+        super().__init__(None)
+        self.op = op
 
-    def test_fold_consumes_visible_only(self):
-        engine = self.make_engine()
-        engine._current_slot = self.slot(0, 0)
-        engine.deliver(9, 5, "acc", 1.0)  # push at t=0 by thread 0
-        engine._current_slot = self.slot(1, 1)  # t=1, other thread: invisible
-        assert engine.fold_visible(5, "acc", consume=True) == 0.0
-        # the in-flight push survived the consume
-        assert len(engine._pending["acc"][5]) == 1
-        engine._current_slot = self.slot(1, 4)  # t=4: propagated
-        assert engine.fold_visible(5, "acc", consume=True) == 1.0
-        assert 5 not in engine._pending["acc"]
+    def gains(self, graph, eids, values):
+        return np.asarray(values, dtype=np.float64)
+
+
+class TestPushCombineFold:
+    """The delta engine's push combine (``_propagate``): what lands in
+    vertex 5's Δ from ``src``, and which racing combines a non-atomic
+    combine is asked to lose (``thread``: model thread per source)."""
+
+    def push(self, op, src, values, thread=None, lost=False):
+        graph = DiGraph(6, list(src), [5] * len(src))
+        delta = np.full(6, op.identity)
+        asked = []
+
+        def lose(racing):
+            asked.append(racing)
+            return np.full(racing, lost)
+
+        race = None if thread is None else (np.array(thread), lose)
+        _propagate(_Forward(op), graph, np.array(src), np.array(values),
+                   delta, graph.out_degrees(), None, race)
+        return delta[5], asked
 
     def test_min_combine_folds(self):
-        engine = self.make_engine(CombineOp.MIN)
-        engine._current_slot = self.slot(0, 0)
-        engine.deliver(1, 5, "acc", 7.0)
-        engine._current_slot = self.slot(0, 1)
-        engine.deliver(2, 5, "acc", 3.0)
-        engine._current_slot = self.slot(0, 5)
-        assert engine.fold_visible(5, "acc", consume=False) == 3.0
-        # peek did not consume
-        assert len(engine._pending["acc"][5]) == 2
+        assert self.push(CombineOp.MIN, [1, 2], [7.0, 3.0]) == (3.0, [])
 
     def test_racing_combines_counted(self):
-        engine = self.make_engine()
-        engine._current_slot = self.slot(0, 0)
-        engine.deliver(1, 5, "acc", 1.0)
-        engine._current_slot = self.slot(1, 0)  # concurrent other thread
-        engine.deliver(2, 5, "acc", 1.0)
-        assert engine.log.write_write == 1
-        assert engine.log.lost_writes == 0  # atomic: nothing lost
+        # thread 1's combine races thread 0's; atomic: both land
+        assert self.push(CombineOp.ADD, [1, 2], [1.0, 1.0],
+                         thread=[0, 1]) == (2.0, [1])
+        # one thread's combines are program-ordered: no race to lose
+        assert self.push(CombineOp.ADD, [1, 2], [1.0, 1.0], thread=[0, 0],
+                         lost=True) == (2.0, [0])
 
     def test_lost_update_injection(self):
-        engine = self.make_engine()
-        engine._lost_rng = np.random.default_rng(0)
-        engine._lost_p = 1.0
-        engine._current_slot = self.slot(0, 0)
-        engine.deliver(1, 5, "acc", 1.0)
-        engine._current_slot = self.slot(1, 0)
-        engine.deliver(2, 5, "acc", 1.0)
-        assert engine.log.lost_writes == 1
-        assert len(engine._pending["acc"][5]) == 1
+        assert self.push(CombineOp.ADD, [1, 2], [1.0, 2.0], thread=[0, 1],
+                         lost=True) == (1.0, [1])
