@@ -3,11 +3,12 @@
 Two entry points:
 
 * ``python benchmarks/bench_incremental.py`` — runs the incremental
-  suite (rmat 12/14 PageRank, three 0.1%-edge mutation batches against
-  a standing delta result) and appends a timestamped entry to
-  ``BENCH_incremental.json`` at the repo root.  Each batch cell records
-  the incremental repair cost (splice + reconvergence iterations)
-  against a full vectorized recompute of the same mutated graph.
+  suite (rmat 12/14 PageRank, WCC and SSSP, three 0.1%-edge mutation
+  batches against a standing delta result) and appends a timestamped
+  entry to ``BENCH_incremental.json`` at the repo root.  Each batch cell
+  records the incremental repair cost (splice + reconvergence
+  iterations) against a full vectorized recompute of the same mutated
+  graph.
 * ``pytest benchmarks/bench_incremental.py -m perfsmoke`` — tier-2
   floor: a 0.1%-edge repair must cost at most half of a full recompute
   measured in the *same run*, so a loaded CI host cannot flake it.

@@ -16,12 +16,12 @@ The formulations:
   out-edges.  ADD has an inverse, so mutation repair is a pure reseed.
   Contraction certificate: each hop multiplies total mass by ``d < 1``.
 * **SSSP / BFS** (⊕ = MIN): ``Δ0 = 0`` at the source, ``g = Δ + w``
-  (BFS: ``w ≡ 1``).  Strictly positive weights make the gain strict —
-  support chains descend, so the delete-repair support check is sound.
+  (BFS: ``w ≡ 1``).  Strictly positive weights make the gain strict, so
+  the value itself is the delete repair's support level.
 * **WCC-as-min** (⊕ = MIN, undirected): ``Δ0[v] = v``, ``g = Δ``.  The
   identity gain admits mutual-support cycles, so the kernel declares
-  ``strict_gain = False`` and the delete repair only trusts *grounded*
-  support (see :class:`repro.engine.nondet_delta.DeltaKernel`).
+  ``strict_gain = False``: the delete repair levels vertices by a BFS
+  over same-label edges (:class:`repro.engine.nondet_delta.DeltaKernel`).
 """
 
 from __future__ import annotations

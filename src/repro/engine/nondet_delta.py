@@ -32,11 +32,13 @@ top of it this module opens the **dynamic graph** workload
   out-edge set changed are subtracted and the fresh ones added
   (``Δ += g'(x) − g(x)``), leaving ``x`` untouched;
 * non-invertible ``⊕`` (MIN): deletions may have removed the *support*
-  of downstream values, so the engine grows the affected region by a
-  bounded support-checking fixpoint (Ramalingam–Reps style), resets it
-  to initial conditions, and re-seeds its boundary from clean
-  neighbours.  If the region exceeds the cap the engine honestly falls
-  back to a full delta restart and says so in ``extra``.
+  of downstream values.  As in KickStarter (Vora et al.), a vertex keeps
+  its value only while a clean neighbour at a strictly smaller level
+  still gives it, so support is acyclic; the engine grows the affected
+  region while support fails, resets it to initial conditions, and
+  re-seeds its boundary from clean neighbours.  If the region exceeds
+  the cap the engine honestly falls back to a full delta restart and
+  says so in ``extra``.
 
 Eligibility is gated like the vectorized/push paths: a kernel must be
 registered here *and* pass
@@ -127,13 +129,10 @@ class DeltaKernel:
         (WCC-as-min treats the graph as undirected).
     strict_gain:
         True when ``g`` strictly worsens the value it forwards (SSSP/BFS:
-        positive weights).  Strict gains make the plain support check of
-        the delete repair sound (support chains strictly descend toward
-        initial conditions, so no mutual-support cycle can keep a stale
-        value alive).  Identity-gain kernels (WCC) must set this False:
-        their support is only trusted from *grounded* vertices — ones
-        whose value is their own initial condition — which over-grows
-        the region but can never keep a stale label.
+        positive weights): the value then orders support by itself and
+        serves as the delete repair's level.  Identity-gain kernels (WCC)
+        set this False; the repair then levels the vertices by a BFS over
+        tight edges (:func:`_levels`).
     contraction:
         For non-idempotent ``op`` (ADD): a certificate that total
         propagated mass shrinks geometrically — the per-step gain factor,
@@ -335,32 +334,39 @@ def _repair_invertible(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
             "seeds": [int(v) for v in sources[:32]], "region_capped": False}
 
 
-def _sides(kernel: DeltaKernel, graph: DiGraph, ids: np.ndarray) -> list:
+def _sides(kernel: DeltaKernel, graph: DiGraph, ids: np.ndarray,
+           leaving: bool = False) -> list:
     """``(eids, near, far)`` per direction a contribution reaches ``ids``
-    along: ``near[eids]`` are ``ids``' ends, ``far[eids]`` the
-    neighbours' — in-edges, plus out-edges on undirected kernels."""
-    sides = [(graph.in_edge_ids(ids), graph.edge_dst, graph.edge_src)]
-    if kernel.undirected:
-        sides.append((graph.out_edge_ids(ids), graph.edge_src,
-                      graph.edge_dst))
-    return sides
+    along — or, ``leaving``, leaves them along: ``near[eids]`` are
+    ``ids``' ends, ``far[eids]`` the neighbours'.  In-edges (out-edges
+    when ``leaving``), plus the other direction on undirected kernels."""
+    ways = [(graph.in_edge_ids, graph.edge_dst, graph.edge_src),
+            (graph.out_edge_ids, graph.edge_src, graph.edge_dst)]
+    if leaving:
+        ways.reverse()
+    return [(edges(ids), near, far)
+            for edges, near, far in ways[:1 + kernel.undirected]]
 
 
-def _support_mask(kernel: DeltaKernel, graph: DiGraph, cand: np.ndarray,
-                  x: np.ndarray, init_val: np.ndarray,
-                  affected: np.ndarray) -> np.ndarray:
-    """For each candidate, does a *clean* (unaffected) neighbour or its
-    own initial condition still justify its current value?"""
-    supported = x[cand] == init_val[cand]
-    for eids, near, far in _sides(kernel, graph, cand):
-        v, u = near[eids], far[eids]  # the candidate, its supporter
-        ok = ~affected[u] & (kernel.gains(graph, eids, x[u]) == x[v])
-        if not kernel.strict_gain:
-            ok &= x[u] == init_val[u]
-        flags = np.zeros(graph.num_vertices, dtype=bool)
-        np.logical_or.at(flags, v[ok], True)
-        supported |= flags[cand]
-    return supported
+def _levels(kernel: DeltaKernel, graph: DiGraph, x: np.ndarray,
+            init_val: np.ndarray) -> np.ndarray:
+    """KickStarter's level of each vertex of the converged ``x``: 0 where
+    ``x`` is the initial value, else the BFS depth over *tight* edges
+    (``g(x[u]) == x[v]``); ``inf`` where no tight chain reaches.  A
+    strict gain orders tight edges already, so its level is the value
+    itself."""
+    if kernel.strict_gain:
+        return x if kernel.op is CombineOp.MIN else -x
+    level = np.where(x == init_val, 0.0, np.inf)
+    ids, depth = np.flatnonzero(level == 0), 0
+    while ids.size:
+        depth += 1
+        for eids, near, far in _sides(kernel, graph, ids, leaving=True):
+            v = far[eids]
+            tight = kernel.gains(graph, eids, x[near[eids]]) == x[v]
+            level[v[tight & np.isinf(level[v])]] = depth
+        ids = np.flatnonzero(level == depth)
+    return level
 
 
 def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
@@ -370,56 +376,50 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
     """MIN/MAX repair: bounded affected-region re-expansion.
 
     ⊕ has no inverse, so a deleted edge that *supported* a downstream
-    value poisons everything derived from it.  Seed the affected set
-    with deletion targets whose value the deleted edge justified, grow
-    it along the new graph while no clean support exists, then reset the
-    region to initial conditions and re-seed its boundary.
+    value poisons everything derived from it.  A vertex keeps its value
+    while a clean neighbour at a strictly smaller level (:func:`_levels`,
+    on the old graph) still gives it along a tight edge of the new one:
+    support is acyclic, so no cycle keeps a stale value alive.  Test the
+    targets of tight deleted edges, grow the affected set along the new
+    graph while support fails, then reset the region to initial
+    conditions and re-seed its boundary.
     """
     op = kernel.op
     n = new.num_vertices
     init_val = op.ufunc(x0, delta0)
     affected = np.zeros(n, dtype=bool)
-
-    seeds: list[int] = []
-    if diff.deleted.size:
-        del_eids = _pair_eids(old, diff.deleted)
-        del_src = diff.deleted[:, 0]
-        del_dst = diff.deleted[:, 1]
-        gains = kernel.gains(old, del_eids, x[del_src])
-        hit = gains == x[del_dst]
-        affected[del_dst[hit]] = True
-        if kernel.undirected:
-            rev = kernel.gains(old, del_eids, x[del_dst])
-            rhit = rev == x[del_src]
-            affected[del_src[rhit]] = True
-        seeds = [int(v) for v in np.flatnonzero(affected)[:32]]
-
     cap = max(64, int(n * REPAIR_CAP_FRAC))
-    capped = False
-    frontier = np.flatnonzero(affected)
-    rounds = 0
-    while frontier.size:
-        rounds += 1
-        cand = new.edge_dst[new.out_edge_ids(frontier)]
-        if kernel.undirected:
-            cand = np.concatenate(
-                [cand, new.edge_src[new.in_edge_ids(frontier)]])
-        reached = np.zeros(n, dtype=bool)
-        reached[cand] = True
-        cand = np.flatnonzero(reached & ~affected & (x != init_val))
-        if not cand.size:
-            break
-        supported = _support_mask(kernel, new, cand, x, init_val, affected)
-        grew = cand[~supported]
-        if not grew.size:
-            break
-        affected[grew] = True
-        frontier = grew
-        if int(affected.sum()) > cap:
-            capped = True
-            break
+    cand = np.empty(0, dtype=np.int64)
+    if diff.deleted.size:
+        level = _levels(kernel, old, x, init_val)
+        del_eids = _pair_eids(old, diff.deleted)
+        ends = [diff.deleted.T, diff.deleted.T[::-1]][:1 + kernel.undirected]
+        cand = np.concatenate([v[kernel.gains(old, del_eids, x[u]) == x[v]]
+                               for u, v in ends])
 
-    if capped:
+    def grow(cand: np.ndarray) -> np.ndarray:
+        """Mark the candidates no clean lower-level neighbour supports."""
+        cand = np.unique(cand)
+        cand = cand[~affected[cand] & (x[cand] != init_val[cand])]
+        if not cand.size:
+            return cand
+        flags = np.zeros(n, dtype=bool)
+        for eids, near, far in _sides(kernel, new, cand):
+            v, u = near[eids], far[eids]  # the candidate, its supporter
+            flags[v[~affected[u] & (level[u] < level[v])
+                    & (kernel.gains(new, eids, x[u]) == x[v])]] = True
+        grew = cand[~flags[cand]]
+        affected[grew] = True
+        return grew
+
+    grew, rounds = grow(cand), 0
+    seeds = [int(v) for v in grew[:32]]
+    while grew.size and int(affected.sum()) <= cap:
+        rounds += 1
+        grew = grow(np.concatenate([far[eids] for eids, _, far in
+                                    _sides(kernel, new, grew, leaving=True)]))
+
+    if int(affected.sum()) > cap:
         # Honest fallback: the affected region is most of the graph —
         # restart the delta computation from initial conditions.
         x[:] = x0
@@ -442,16 +442,11 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
                         kernel.gains(new, eids, x[far[eids]]))
 
     # Inserted edges between clean vertices contribute directly.
-    if diff.inserted.size:
-        ins = diff.inserted
-        keep = ~affected[ins[:, 0]] & ~affected[ins[:, 1]]
-        if keep.any():
-            ins_eids = _pair_eids(new, ins[keep])
-            op.ufunc.at(delta, ins[keep][:, 1],
-                        kernel.gains(new, ins_eids, x[ins[keep][:, 0]]))
-            if kernel.undirected:
-                op.ufunc.at(delta, ins[keep][:, 0],
-                            kernel.gains(new, ins_eids, x[ins[keep][:, 1]]))
+    ins = diff.inserted[~affected[diff.inserted].any(axis=1)]
+    if ins.size:
+        ins_eids = _pair_eids(new, ins)
+        for u, v in [ins.T, ins.T[::-1]][:1 + kernel.undirected]:
+            op.ufunc.at(delta, v, kernel.gains(new, ins_eids, x[u]))
 
     return {"repair_mode": "taint", "repaired_vertices": int(region.size),
             "seeds": seeds, "region_capped": False, "taint_rounds": rounds}

@@ -286,7 +286,8 @@ def run_parallel_suite(scales=(10, 12), workers=(1, 2, 4, 8),
     return results
 
 
-def run_incremental_suite(scales=(12, 14), algorithms=("pagerank",),
+def run_incremental_suite(scales=(12, 14),
+                          algorithms=("pagerank", "wcc", "sssp"),
                           num_batches=3, batch_frac=0.001,
                           mutation_seed=7, progress=None) -> dict:
     """Repair-vs-recompute: the dynamic-graph payoff number.

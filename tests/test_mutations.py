@@ -182,6 +182,56 @@ class TestApplyBatchMerge:
             assert str(err.value) == message
 
 
+@st.composite
+def _graph_and_stream(draw):
+    """A small multigraph — a tree hanging from vertex 0, a cycle, extra
+    edges (parallel ones and self-loops among them) — and 1-3 batches.
+    Each batch deletes a drawn subset of the edges present at that point,
+    so tight tree edges, non-tree edges and cycle edges are all deleted
+    sooner or later, and inserts drawn pairs."""
+    n = draw(st.integers(2, 8))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    ring = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    edges += list(zip(ring, ring[1:] + ring[:1]))
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    graph = DiGraph(n, [u for u, _ in edges], [v for _, v in edges])
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        gone = set(draw(st.lists(st.sampled_from(range(len(edges))),
+                                 unique=True, max_size=5))) if edges else set()
+        inserts = draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+        batches.append(MutationBatch(
+            inserts=inserts, deletes=[edges[i] for i in sorted(gone)]))
+        edges = [e for i, e in enumerate(edges) if i not in gone] + inserts
+    return graph, batches
+
+
+class TestMinRepairProperty:
+    """Delta repair of every MIN kernel is byte-equal to a from-scratch
+    run after every batch, on graphs where cycles, self-loops and
+    parallel edges offer same-value support that must not count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graph_and_stream())
+    @example((DiGraph(4, [0, 1, 2, 3], [1, 2, 3, 1]),
+              [MutationBatch(deletes=[[0, 1]])]))
+    @example((DiGraph(2, [0, 0, 1], [1, 1, 1]),
+              [MutationBatch(deletes=[[0, 1]]),
+               MutationBatch(inserts=[[1, 0]], deletes=[[0, 1]])]))
+    def test_repair_equals_scratch_after_every_batch(self, case):
+        graph, batches = case
+        for factory in (WeaklyConnectedComponents, _sssp, BFS):
+            for k in range(1, len(batches) + 1):
+                res = run_delta(factory(), graph, EngineConfig(seed=0),
+                                mutations=batches[:k])
+                assert res.converged
+                mutated, _ = apply_batches(graph, batches[:k])
+                scratch = run(factory(), mutated, mode="deterministic",
+                              config=EngineConfig(seed=0))
+                assert res.result().tobytes() == scratch.result().tobytes()
+
+
 class TestStableWeights:
     def test_weights_keyed_by_endpoints(self):
         """An edge that survives a mutation keeps its weight even though
@@ -252,19 +302,35 @@ class TestIncrementalRepair:
         assert np.max(np.abs(res.result() - scratch.result())) <= 100 * EPS
 
     def test_wcc_full_restart_is_honest_and_exact(self):
-        """Identity gains only trust grounded support, so a batch that
-        taints the giant component exceeds the region cap; the engine
-        must say ``full_restart`` — and still be bit-exact."""
-        graph = _graph(7)
-        batches = generate_batches(graph, 1, 0.05, seed=11)
+        """Deleting every edge of a star's centre (the minimum label)
+        leaves all leaves at level 1 with no lower-level support, so the
+        region exceeds the cap: the engine must say ``full_restart`` —
+        and still be bit-exact.  A ring joins the leaves, so their
+        same-label neighbours are tight but do not count."""
+        n = 200
+        leaves = list(range(1, n))
+        graph = DiGraph(n, [0] * len(leaves) + leaves,
+                        leaves + leaves[1:] + leaves[:1])
+        batch = MutationBatch(deletes=[[0, v] for v in leaves])
+        res = run_delta(WeaklyConnectedComponents(), graph,
+                        EngineConfig(threads=4, seed=0), mutations=[batch])
+        [m] = res.extra["mutations"]
+        assert m["repair_mode"] == "full_restart"
+        assert m["region_capped"] is True
+        mutated, _ = apply_batch(graph, batch)
+        assert np.array_equal(
+            res.result(),
+            self._scratch(WeaklyConnectedComponents, mutated))
+
+    def test_wcc_small_batch_repairs_in_place(self):
+        """A 0.1%-edge batch on rmat(10) repairs a bounded region: the
+        giant component's labels are supported level by level."""
+        graph = _graph(10)
+        batches = generate_batches(graph, 3, 0.001, seed=7)
         res = run_delta(WeaklyConnectedComponents(), graph,
                         EngineConfig(threads=4, seed=0), mutations=batches)
-        modes = {m["repair_mode"] for m in res.extra["mutations"]}
-        assert modes <= {"taint", "full_restart"}
-        capped = [m for m in res.extra["mutations"]
-                  if m["repair_mode"] == "full_restart"]
-        for m in capped:
-            assert m["region_capped"] is True
+        assert [m["repair_mode"] for m in res.extra["mutations"]] == \
+            ["taint"] * 3
         mutated, _ = apply_batches(graph, batches)
         assert np.array_equal(
             res.result(),

@@ -1,13 +1,15 @@
 """Chaos: SIGKILL the whole service mid-job; nothing may be lost.
 
-The PR's headline acceptance test.  A real ``repro serve`` subprocess
-runs a throttled, recorded PageRank job; we ``kill -9`` the *service
-process* (not a worker) between barriers, restart it on the same data
-directory, and require:
+A real ``repro serve`` subprocess runs a throttled, recorded PageRank
+job next to a delta WCC job streaming mutation batches; we ``kill -9``
+the *service process* (not a worker) between barriers — after the delta
+job's first batch repair — restart it on the same data directory, and
+require:
 
-* the job finishes with ``resumed: true``;
-* its state digest and conflict counters are byte-identical to an
-  uninterrupted solo run of the same spec;
+* both jobs finish with ``resumed: true``;
+* their state digests are byte-identical to uninterrupted solo runs of
+  the same specs (PageRank's conflict counters too, the delta job's
+  facts and mutation log);
 * the killed attempt's recorder trace stitched to the resumed attempt's
   (``repro trace stitch``) is event-identical to the uninterrupted
   run's provenance trace;
@@ -32,9 +34,10 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.algorithms import PageRank
+from repro.algorithms import PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, run
 from repro.graph.datasets import load_dataset
+from repro.graph.mutations import batches_from_spec
 from repro.obs import read_trace
 from repro.service import ServiceClient
 from repro.service.scheduler import _service_namespace
@@ -112,17 +115,44 @@ JOB = {
     "record": "conflicts",
     "throttle_s": 0.25,
 }
+#: three 2% batches: each repair touches a few vertices and reactivates
+#: the run, so batch 0 lands iterations before batch 2
+DELTA_JOB = {
+    "algorithm": "WCC",
+    "graph": JOB["graph"],
+    "mode": "delta",
+    "mutations": {"frac": 0.02},
+    "config": {"seed": 4},
+    "throttle_s": 0.25,
+}
+
+
+def _sha256(result) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(result.result()).tobytes()).hexdigest()
 
 
 def test_sigkill_service_mid_job_resumes_bit_identically(tmp_path):
     data_dir = tmp_path / "svc"
     namespace = _service_namespace(str(data_dir))
+    graph = load_dataset("web-google-mini", scale=9, seed=7)
+    solo_delta = run(WeaklyConnectedComponents(), graph, mode="delta",
+                     config=EngineConfig(seed=4),
+                     mutations=batches_from_spec(graph,
+                                                 DELTA_JOB["mutations"]))
+    # the batch-0 repair runs inside iteration at_iteration - 1, before
+    # that barrier's checkpoint
+    first, last = (m["at_iteration"] for m in
+                   solo_delta.extra["mutations"][::2])
+    assert first < last
 
     proc, client = _start_service(data_dir)
     runner_pids = []
     try:
         jid = client.submit(JOB)
+        delta_jid = client.submit(DELTA_JOB)
         _wait_for_barrier(client, jid, min_iteration=1)
+        _wait_for_barrier(client, delta_jid, min_iteration=first - 1)
         runner_pids = [r["pid"] for r in client.health()["runners"]]
     finally:
         # the kill under test: the whole service, no warning, mid-job
@@ -131,7 +161,7 @@ def test_sigkill_service_mid_job_resumes_bit_identically(tmp_path):
 
     # a runner dies with its service: none may still be rewriting
     # state.ckpt when the next incarnation resumes the job
-    assert runner_pids, "the service reported no job runners"
+    assert len(runner_pids) == 2, "the service did not report two job runners"
     deadline = time.monotonic() + 2.0
     while _alive(runner_pids) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -139,19 +169,28 @@ def test_sigkill_service_mid_job_resumes_bit_identically(tmp_path):
 
     proc2, client2 = _start_service(data_dir)
     try:
-        status = client2.wait(jid, timeout=120)
-        assert status["state"] == "done"
-        assert status["resumed"], "recovery lost the in-flight flag"
-        result = client2.result(jid)
+        for job_id in (jid, delta_jid):
+            status = client2.wait(job_id, timeout=120)
+            assert status["state"] == "done"
+            assert status["resumed"], "recovery lost the in-flight flag"
+
+        # --- the delta job resumed from its cut and batch cursor ------
+        result = client2.result(delta_jid)
         assert result["resumed"]
+        assert result["state_sha256"] == _sha256(solo_delta)
+        assert result["delta"] == solo_delta.extra["delta"]
+        untimed = ("seeds", "repair_seconds")
+        assert [{k: v for k, v in m.items() if k not in untimed}
+                for m in result["mutations"]] == \
+            [{k: v for k, v in m.items() if k not in untimed}
+             for m in solo_delta.extra["mutations"]]
 
         # --- byte-identity against the uninterrupted run -------------
-        graph = load_dataset("web-google-mini", scale=9, seed=7)
+        result = client2.result(jid)
+        assert result["resumed"]
         solo = run(PageRank(), graph, mode="nondeterministic",
                    config=EngineConfig(seed=4, threads=2))
-        arr = np.ascontiguousarray(solo.result())
-        assert result["state_sha256"] == hashlib.sha256(
-            arr.tobytes()).hexdigest()
+        assert result["state_sha256"] == _sha256(solo)
         assert result["conflicts"] == solo.conflicts.summary()
 
         # --- stitched recorder trace == uninterrupted provenance -----
