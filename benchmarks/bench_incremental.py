@@ -3,12 +3,14 @@
 Two entry points:
 
 * ``python benchmarks/bench_incremental.py`` — runs the incremental
-  suite (rmat 12/14 PageRank, WCC and SSSP, three 0.1%-edge mutation
+  suite (rmat 12/14/16 PageRank, WCC and SSSP, three 0.1%-edge mutation
   batches against a standing delta result) and appends a timestamped
   entry to ``BENCH_incremental.json`` at the repo root.  Each batch cell
   records the incremental repair cost (splice + reconvergence
-  iterations) against a full vectorized recompute of the same mutated
-  graph.
+  iterations) against a full vectorized recompute and a from-scratch
+  delta run of the same mutated graph; ``fixed_batch`` repeats the
+  stream with batches of exactly 30 edges at every scale, and
+  ``large_batch`` with batches of 2% of the edges.
 * ``pytest benchmarks/bench_incremental.py -m perfsmoke`` — tier-2
   floor: a 0.1%-edge repair must cost at most half of a full recompute
   measured in the *same run*, so a loaded CI host cannot flake it.
@@ -45,8 +47,13 @@ def main() -> dict:
         for name, cell in row["algorithms"].items():
             print(f"  scale {scale} {name:9s} "
                   f"repair {cell['repair_mean_seconds']:7.4f}s  "
-                  f"recompute {cell['recompute_mean_seconds']:7.4f}s  "
-                  f"speedup {cell['speedup']:.2f}x")
+                  f"recompute {cell['recompute_mean_seconds']:7.4f}s "
+                  f"({cell['speedup']:.2f}x)  "
+                  f"delta from scratch "
+                  f"{cell['delta_scratch_mean_seconds']:7.4f}s "
+                  f"({cell['delta_speedup']:.2f}x)  30-edge batch "
+                  f"{cell['fixed_batch']['median_seconds']:7.4f}s  2% batch "
+                  f"{cell['large_batch']['median_seconds']:7.4f}s")
     return payload
 
 

@@ -20,8 +20,9 @@ The formulations:
   the value itself is the delete repair's support level.
 * **WCC-as-min** (⊕ = MIN, undirected): ``Δ0[v] = v``, ``g = Δ``.  The
   identity gain admits mutual-support cycles, so the kernel declares
-  ``strict_gain = False``: the delete repair levels vertices by a BFS
-  over same-label edges (:class:`repro.engine.nondet_delta.DeltaKernel`).
+  ``strict_gain = False``: its delta cut keeps a support level per vertex,
+  a BFS over same-label edges at the first batch, then re-levelled only
+  where labels change (:func:`repro.engine.nondet_delta._levels`).
 """
 
 from __future__ import annotations

@@ -753,8 +753,8 @@ def _main(args) -> int:
                                                  for b in cell["batches"]}))
                         print(f"  scale {scale} {name:9s} "
                               f"repair {cell['repair_mean_seconds']:7.4f}s  "
-                              f"recompute {cell['recompute_mean_seconds']:7.4f}s  "
-                              f"speedup {cell['speedup']:.2f}x  [{modes}]")
+                              f"speedup {cell['speedup']:.2f}x (vectorized), "
+                              f"{cell['delta_speedup']:.2f}x (delta)  [{modes}]")
                     else:  # nondet suite
                         spd = cell.get("speedup")
                         spd_txt = f"{spd:8.1f}x" if spd is not None else "   -"

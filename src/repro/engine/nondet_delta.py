@@ -34,11 +34,12 @@ top of it this module opens the **dynamic graph** workload
 * non-invertible ``⊕`` (MIN): deletions may have removed the *support*
   of downstream values.  As in KickStarter (Vora et al.), a vertex keeps
   its value only while a clean neighbour at a strictly smaller level
-  still gives it, so support is acyclic; the engine grows the affected
-  region while support fails, resets it to initial conditions, and
-  re-seeds its boundary from clean neighbours.  If the region exceeds
-  the cap the engine honestly falls back to a full delta restart and
-  says so in ``extra``.
+  still gives it, so support is acyclic; levels live in the cut, and a
+  batch re-levels only the vertices whose value changed since the last.
+  The engine grows the affected region while support fails, resets it
+  to initial conditions, and re-seeds its boundary from clean
+  neighbours.  If the region exceeds the cap the engine honestly falls
+  back to a full delta restart and says so in ``extra``.
 
 Eligibility is gated like the vectorized/push paths: a kernel must be
 registered here *and* pass
@@ -54,7 +55,7 @@ import time
 import numpy as np
 
 from ..graph import DiGraph
-from ..graph.mutations import EdgeDiff, MutationBatch, _pair_keys, apply_batch
+from ..graph.mutations import EdgeDiff, MutationBatch, apply_batch
 from ..obs.metrics import NO_CLOCK
 from ..robust.errors import CheckpointError
 from .atomicity import AtomicityPolicy
@@ -131,8 +132,9 @@ class DeltaKernel:
         True when ``g`` strictly worsens the value it forwards (SSSP/BFS:
         positive weights): the value then orders support by itself and
         serves as the delete repair's level.  Identity-gain kernels (WCC)
-        set this False; the repair then levels the vertices by a BFS over
-        tight edges (:func:`_levels`).
+        set this False: the cut then carries a ``level`` field, built at
+        the first batch and re-levelled where values change
+        (:func:`_levels`).
     contraction:
         For non-idempotent ``op`` (ADD): a certificate that total
         propagated mass shrinks geometrically — the per-step gain factor,
@@ -297,39 +299,19 @@ def _propagate(kernel: DeltaKernel, graph: DiGraph, order: np.ndarray,
     return work
 
 
-def _pair_eids(graph: DiGraph, pairs: np.ndarray) -> np.ndarray:
-    """Edge id of each ``(u, v)`` pair — the first of parallel edges,
-    as :meth:`DiGraph.edge_id`; ``KeyError`` if a pair is absent."""
-    n = graph.num_vertices
-    keys = _pair_keys(graph.edge_src, graph.edge_dst, n)
-    want = _pair_keys(pairs[:, 0], pairs[:, 1], n)
-    eids = np.searchsorted(keys, want)
-    found = eids < keys.size
-    found[found] = keys[eids[found]] == want[found]
-    if not found.all():
-        u, v = pairs[np.argmin(found)]
-        raise KeyError(f"no edge {u} -> {v}")
-    return eids
-
-
 def _repair_invertible(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
                        diff: EdgeDiff, x: np.ndarray,
                        delta: np.ndarray) -> dict:
     """ADD repair: ``Δ += g_new(x) − g_old(x)`` for every source whose
     out-edge multiset changed.  ``x``/``accum`` stay untouched — the
     inverse element absorbs the stale contributions."""
-    sources = diff.affected_sources
-    old_eids = old.out_edge_ids(sources)
-    old_vals = np.repeat(x[sources], old.out_degrees()[sources])
-    stale = kernel.gains(old, old_eids, old_vals)
-    np.add.at(delta, old.edge_dst[old_eids], -stale)
-
-    new_eids = new.out_edge_ids(sources)
-    new_vals = np.repeat(x[sources], new.out_degrees()[sources])
-    fresh = kernel.gains(new, new_eids, new_vals)
-    np.add.at(delta, new.edge_dst[new_eids], fresh)
-
-    touched = np.union1d(old.edge_dst[old_eids], new.edge_dst[new_eids])
+    sources, touched = diff.affected_sources, []
+    for graph, sign in ((old, -1.0), (new, 1.0)):  # stale out, fresh in
+        eids = graph.out_edge_ids(sources)
+        vals = np.repeat(x[sources], graph.out_degrees()[sources])
+        touched.append(graph.edge_dst[eids])
+        np.add.at(delta, touched[-1], sign * kernel.gains(graph, eids, vals))
+    touched = np.union1d(*touched)
     return {"repair_mode": "reseed", "repaired_vertices": int(touched.size),
             "seeds": [int(v) for v in sources[:32]], "region_capped": False}
 
@@ -349,40 +331,50 @@ def _sides(kernel: DeltaKernel, graph: DiGraph, ids: np.ndarray,
 
 
 def _levels(kernel: DeltaKernel, graph: DiGraph, x: np.ndarray,
-            init_val: np.ndarray) -> np.ndarray:
-    """KickStarter's level of each vertex of the converged ``x``: 0 where
-    ``x`` is the initial value, else the BFS depth over *tight* edges
-    (``g(x[u]) == x[v]``); ``inf`` where no tight chain reaches.  A
-    strict gain orders tight edges already, so its level is the value
-    itself."""
-    if kernel.strict_gain:
-        return x if kernel.op is CombineOp.MIN else -x
-    level = np.where(x == init_val, 0.0, np.inf)
-    ids, depth = np.flatnonzero(level == 0), 0
-    while ids.size:
-        depth += 1
-        for eids, near, far in _sides(kernel, graph, ids, leaving=True):
+            init_val: np.ndarray, level: np.ndarray) -> None:
+    """Re-level, in place, the vertices whose ``level`` is NaN: all of
+    them at the first batch, afterwards those whose value was reset or
+    changed since (the engine marks them).  KickStarter's level: 0 where
+    ``x`` is the initial value, else 1 + the lowest level among the
+    vertex's *tight* supporters (``g(x[u]) == x[v]``), by a BFS bucketed
+    by level, restricted to the marked set and seeded by the levels
+    around it; ``inf`` where no tight chain reaches.  Every other level
+    stays, and every non-initial vertex then has a tight neighbour at a
+    strictly lower level: support is acyclic."""
+    marked = np.isnan(level)
+    ids = np.flatnonzero(marked)
+    level[ids] = np.where(x[ids] == init_val[ids], 0.0, np.inf)
+    for eids, near, far in (_sides(kernel, graph, ids)
+                            if ids.size < level.size else []):
+        v, u = near[eids], far[eids]
+        tight = ~marked[u] & (kernel.gains(graph, eids, x[u]) == x[v])
+        np.minimum.at(level, v[tight], level[u[tight]] + 1)
+    while ids.size and not np.isinf(depth := level[ids].min()):
+        now = level[ids] == depth
+        ids, now = ids[~now], ids[now]
+        marked[now] = False
+        for eids, near, far in _sides(kernel, graph, now, leaving=True):
             v = far[eids]
-            tight = kernel.gains(graph, eids, x[near[eids]]) == x[v]
-            level[v[tight & np.isinf(level[v])]] = depth
-        ids = np.flatnonzero(level == depth)
-    return level
+            v = v[marked[v] & (kernel.gains(graph, eids, x[near[eids]])
+                               == x[v])]
+            level[v] = np.minimum(level[v], depth + 1)
 
 
 def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
                        diff: EdgeDiff, x: np.ndarray, x0: np.ndarray,
                        delta0: np.ndarray, accum: np.ndarray,
-                       delta: np.ndarray) -> dict:
+                       delta: np.ndarray, level: np.ndarray | None) -> dict:
     """MIN/MAX repair: bounded affected-region re-expansion.
 
     ⊕ has no inverse, so a deleted edge that *supported* a downstream
     value poisons everything derived from it.  A vertex keeps its value
-    while a clean neighbour at a strictly smaller level (:func:`_levels`,
-    on the old graph) still gives it along a tight edge of the new one:
-    support is acyclic, so no cycle keeps a stale value alive.  Test the
-    targets of tight deleted edges, grow the affected set along the new
-    graph while support fails, then reset the region to initial
-    conditions and re-seed its boundary.
+    while a clean neighbour at a strictly smaller level (the value for a
+    strict gain, else the cut's ``level``, re-levelled on the old graph
+    by :func:`_levels`) still gives it along a tight edge of the new one:
+    support is acyclic.  Test the targets of tight deleted edges, grow
+    the affected set along the new graph while support fails, then reset
+    the region to initial conditions (marking its levels) and re-seed its
+    boundary.
     """
     op = kernel.op
     n = new.num_vertices
@@ -390,12 +382,15 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
     affected = np.zeros(n, dtype=bool)
     cap = max(64, int(n * REPAIR_CAP_FRAC))
     cand = np.empty(0, dtype=np.int64)
+    support = x if op is CombineOp.MIN else -x
     if diff.deleted.size:
-        level = _levels(kernel, old, x, init_val)
-        del_eids = _pair_eids(old, diff.deleted)
+        if level is not None:
+            _levels(kernel, old, x, init_val, level)
+            support = level
         ends = [diff.deleted.T, diff.deleted.T[::-1]][:1 + kernel.undirected]
-        cand = np.concatenate([v[kernel.gains(old, del_eids, x[u]) == x[v]]
-                               for u, v in ends])
+        cand = np.concatenate([
+            v[kernel.gains(old, diff.deleted_eids, x[u]) == x[v]]
+            for u, v in ends])
 
     def grow(cand: np.ndarray) -> np.ndarray:
         """Mark the candidates no clean lower-level neighbour supports."""
@@ -406,7 +401,7 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
         flags = np.zeros(n, dtype=bool)
         for eids, near, far in _sides(kernel, new, cand):
             v, u = near[eids], far[eids]  # the candidate, its supporter
-            flags[v[~affected[u] & (level[u] < level[v])
+            flags[v[~affected[u] & (support[u] < support[v])
                     & (kernel.gains(new, eids, x[u]) == x[v])]] = True
         grew = cand[~flags[cand]]
         affected[grew] = True
@@ -419,37 +414,33 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
         grew = grow(np.concatenate([far[eids] for eids, _, far in
                                     _sides(kernel, new, grew, leaving=True)]))
 
-    if int(affected.sum()) > cap:
+    capped = int(affected.sum()) > cap
+    if capped:
         # Honest fallback: the affected region is most of the graph —
         # restart the delta computation from initial conditions.
-        x[:] = x0
-        accum[:] = op.identity
-        delta[:] = delta0
-        return {"repair_mode": "full_restart",
-                "repaired_vertices": n, "seeds": seeds,
-                "region_capped": True, "taint_rounds": rounds}
-
+        affected[:] = True
     region = np.flatnonzero(affected)
-    if region.size:
-        x[region] = x0[region]
-        accum[region] = op.identity
-        delta[region] = delta0[region]
-        # Re-seed the region boundary from clean in-neighbours (and, on
-        # undirected kernels, clean out-neighbours).
-        for eids, near, far in _sides(kernel, new, region):
-            eids = eids[~affected[far[eids]]]
-            op.ufunc.at(delta, near[eids],
-                        kernel.gains(new, eids, x[far[eids]]))
+    x[region] = x0[region]
+    accum[region] = op.identity
+    delta[region] = delta0[region]
+    if level is not None:
+        level[region] = np.nan
+    # Re-seed the region boundary from clean in-neighbours (and, on
+    # undirected kernels, clean out-neighbours).
+    for eids, near, far in [] if capped else _sides(kernel, new, region):
+        eids = eids[~affected[far[eids]]]
+        op.ufunc.at(delta, near[eids], kernel.gains(new, eids, x[far[eids]]))
 
     # Inserted edges between clean vertices contribute directly.
-    ins = diff.inserted[~affected[diff.inserted].any(axis=1)]
+    clean = ~affected[diff.inserted].any(axis=1)
+    ins, ins_eids = diff.inserted[clean], diff.inserted_eids[clean]
     if ins.size:
-        ins_eids = _pair_eids(new, ins)
         for u, v in [ins.T, ins.T[::-1]][:1 + kernel.undirected]:
             op.ufunc.at(delta, v, kernel.gains(new, ins_eids, x[u]))
 
-    return {"repair_mode": "taint", "repaired_vertices": int(region.size),
-            "seeds": seeds, "region_capped": False, "taint_rounds": rounds}
+    return {"repair_mode": "full_restart" if capped else "taint",
+            "repaired_vertices": int(region.size), "seeds": seeds,
+            "region_capped": capped, "taint_rounds": rounds}
 
 
 def _normalize_mutations(mutations) -> list[MutationBatch]:
@@ -475,16 +466,23 @@ def _kernel(program: VertexProgram) -> DeltaKernel:
     return resolve_delta_kernel(program)(program)
 
 
-def delta_state(program: VertexProgram, graph: DiGraph) -> State:
-    """The cut of a fresh delta run: ``x`` (under the program's result
-    field), ``accum`` and ``Δ``, all float64.  With the frontier and the
-    batch cursor it is everything a barrier defines (Maiter's consistent
-    cut), so checkpoints and restarts carry it like any engine state."""
-    kernel = _kernel(program)
+def delta_state(program: VertexProgram, graph: DiGraph,
+                kernel: DeltaKernel | None = None) -> State:
+    """The cut of a fresh delta run (``kernel``, when the caller has it,
+    spares a second eligibility check): ``x`` (under the program's result
+    field), ``accum``, ``Δ`` and, for an identity-gain MIN/MAX kernel,
+    the support ``level`` (NaN = to be levelled, :func:`_levels`), all
+    float64.  With the frontier and the batch cursor it is everything a
+    barrier defines (Maiter's consistent cut), so checkpoints and
+    restarts carry it; one without ``level`` gets it rebuilt."""
+    kernel = kernel or _kernel(program)
     op = kernel.op
     x0, delta0 = kernel.initial(graph)
-    state = State(graph, {name: FieldSpec(np.float64, op.identity) for name
-                          in (kernel.field, "accum", "delta")}, {})
+    fields = {name: FieldSpec(np.float64, op.identity)
+              for name in (kernel.field, "accum", "delta")}
+    if op.idempotent and not kernel.strict_gain:
+        fields["level"] = FieldSpec(np.float64, np.nan)
+    state = State(graph, fields, {})
     state.vertex(kernel.field)[:] = op.ufunc(x0, state.vertex("accum"))
     state.vertex("delta")[:] = delta0
     return state
@@ -526,8 +524,10 @@ def run_delta(
     threshold = kernel.default_threshold() if threshold is None else threshold
     batches = _normalize_mutations(mutations) if mutations else []
     if state is None:
-        state = delta_state(program, graph)
+        state = delta_state(program, graph, kernel)
     x, accum, delta = map(state.vertex, (kernel.field, "accum", "delta"))
+    level = (state.vertex("level") if "level" in state.vertex_field_names
+             else None)
     x0, delta0 = kernel.initial(graph)
     base, applied = graph, 0
     # The batch cursor: checkpointed and restored with the conflict log.
@@ -553,12 +553,10 @@ def run_delta(
                and iteration < config.max_iterations):
             t_rep = time.perf_counter()
             new_graph, diff = apply_batch(graph, batches[applied])
-            if op is CombineOp.ADD:
-                info = _repair_invertible(kernel, graph, new_graph, diff, x,
-                                          delta)
-            else:
-                info = _repair_idempotent(kernel, graph, new_graph, diff, x,
-                                          x0, delta0, accum, delta)
+            info = (_repair_invertible(kernel, graph, new_graph, diff, x, delta)
+                    if op is CombineOp.ADD else
+                    _repair_idempotent(kernel, graph, new_graph, diff, x, x0,
+                                       delta0, accum, delta, level))
             graph = new_graph
             dt = time.perf_counter() - t_rep
             clock.exclude(dt)
@@ -599,7 +597,10 @@ def run_delta(
         # accumulation identity (bit-exact by construction), clear Δ.
         committed = delta[order].copy()
         accum[order] = op.ufunc(accum[order], committed)
+        was = x[order]
         x[order] = op.ufunc(x0[order], accum[order])
+        if level is not None:  # a changed value needs a new level
+            level[order[x[order] != was]] = np.nan
         delta[order] = op.identity
         cursor["committed"] += int(order.size)
         clock.lap("delta_commit")
@@ -636,11 +637,9 @@ def run_delta(
     def extra() -> dict:
         facts = {"delta": {
             "threshold": float(threshold), "scheduling": scheduling,
-            "committed_total": cursor["committed"],
+            "committed_total": cursor["committed"], "op": op.value,
             "accumulation_identity": bool(np.array_equal(
-                x, op.ufunc(x0, accum), equal_nan=True)),
-            "op": op.value,
-        }}
+                x, op.ufunc(x0, accum), equal_nan=True))}}
         if batches:
             facts.update(mutations=cursor["log"], mutations_applied=applied,
                          final_num_edges=graph.num_edges)

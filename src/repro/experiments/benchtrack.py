@@ -40,10 +40,12 @@ not hardware parallelism, and readers must be able to tell.
 from __future__ import annotations
 
 import datetime
+import itertools
 import json
 import os
 import pathlib
 import platform
+import statistics
 import tempfile
 import time
 
@@ -286,19 +288,24 @@ def run_parallel_suite(scales=(10, 12), workers=(1, 2, 4, 8),
     return results
 
 
-def run_incremental_suite(scales=(12, 14),
+def run_incremental_suite(scales=(12, 14, 16),
                           algorithms=("pagerank", "wcc", "sssp"),
-                          num_batches=3, batch_frac=0.001,
-                          mutation_seed=7, progress=None) -> dict:
-    """Repair-vs-recompute: the dynamic-graph payoff number.
+                          num_batches=3, batch_frac=0.001, fixed_edges=30,
+                          large_frac=0.02, mutation_seed=7,
+                          progress=None) -> dict:
+    """Repair vs recompute: the dynamic-graph payoff number.
 
     Per (scale, algorithm): converge a standing delta result, stream
     ``num_batches`` seeded mutation batches (each touching
     ``batch_frac`` of the edges) through it, and compare each batch's
-    *repair* cost — the incremental splice plus the reconvergence
-    iterations it triggers — against a full vectorized recompute on the
-    same mutated graph.  ``speedup`` > 1 means repairing the standing
-    result beat recomputing it.
+    *repair* cost — the splice and repair plus the reconvergence
+    iterations it triggers — against two recomputes of the same mutated
+    graph: the vectorized engine (``speedup``) and the delta engine from
+    scratch (``delta_speedup``); > 1 means repairing won.
+    ``fixed_batch`` streams batches of exactly ``fixed_edges`` edges
+    instead, the same at every scale, so its cost shows whether a repair
+    follows the batch or the graph; ``large_batch`` streams batches of
+    ``large_frac`` of the edges, which the splice copies by masks.
 
     SSSP cells use endpoint-stable weights
     (:func:`repro.graph.mutations.stable_weights`): index-seeded weights
@@ -308,88 +315,87 @@ def run_incremental_suite(scales=(12, 14),
     from ..graph.mutations import apply_batch, generate_batches, stable_weights
     from ..obs import Telemetry
 
-    def _factory(name):
-        if name in ("sssp", "bfs"):
-            src_cls = SSSP if name == "sssp" else BFS
-            if name == "sssp":
-                return lambda: SSSP(
-                    source=0, weight_fn=lambda g: stable_weights(g, seed=5))
-            return src_cls
-        return ALGORITHMS[name]
-
+    factories = {**ALGORITHMS, "sssp": lambda: SSSP(
+        source=0, weight_fn=lambda g: stable_weights(g, seed=5))}
     config = EngineConfig(threads=8, seed=0)
-    results: dict = {"graph": GRAPH_SPEC,
-                     "config": {"threads": 8, "seed": 0},
+
+    def stream(factory, graph, batches):
+        """Run, wall, standing (iterations, seconds), and per batch (log
+        entry, repair + reconvergence seconds, reconvergence iterations)."""
+        sink = Telemetry()
+        t0 = time.perf_counter()
+        res = run(factory(), graph, mode="delta", config=config,
+                  telemetry=sink, mutations=batches)
+        total = time.perf_counter() - t0
+        walls = {s_.iteration: s_.wall_time_s for s_ in sink.spans}
+        ends = [m["at_iteration"] for m in res.extra["mutations"]]
+        ends.append(res.num_iterations)
+        per_batch = [(m, m["repair_seconds"] + sum(
+            walls.get(it, 0.0) for it in range(lo, hi)), hi - lo)
+            for m, lo, hi in zip(res.extra["mutations"], ends, ends[1:])]
+        return (res, total, ends[0],
+                sum(walls.get(it, 0.0) for it in range(ends[0])), per_batch)
+
+    results: dict = {"graph": GRAPH_SPEC, "config": {"threads": 8, "seed": 0},
                      "num_batches": int(num_batches),
                      "batch_frac": float(batch_frac),
-                     "mutation_seed": int(mutation_seed),
-                     "scales": {}}
+                     "fixed_edges": int(fixed_edges),
+                     "large_frac": float(large_frac),
+                     "mutation_seed": int(mutation_seed), "scales": {}}
     for scale in scales:
         graph = generators.rmat(scale, 8.0, seed=3)
         batches = generate_batches(graph, num_batches, batch_frac,
                                    mutation_seed)
-        snapshots = []
-        g = graph
-        for b in batches:
-            g, _ = apply_batch(g, b)
-            snapshots.append(g)
+        columns = {"fixed_batch": fixed_edges / graph.num_edges,
+                   "large_batch": large_frac}
+        snapshots = list(itertools.accumulate(
+            batches, lambda g, b: apply_batch(g, b)[0], initial=graph))[1:]
         row = {"vertices": graph.num_vertices, "edges": graph.num_edges,
-               "batch_edges": batches[0].size if batches else 0,
-               "algorithms": {}}
+               "batch_edges": batches[0].size, "algorithms": {}}
         for name in algorithms:
-            factory = _factory(name)
+            factory = factories[name]
             if progress:
-                progress(f"incremental scale {scale} {name} standing+repair")
-            sink = Telemetry()
-            t0 = time.perf_counter()
-            res = run(factory(), graph, mode="delta", config=config,
-                      telemetry=sink, mutations=batches)
-            total = time.perf_counter() - t0
-            walls = {s_.iteration: s_.wall_time_s for s_ in sink.spans}
-            muts = res.extra.get("mutations", [])
+                progress(f"incremental scale {scale} {name}")
+            res, total, iters, standing, per_batch = stream(factory, graph,
+                                                            batches)
             cells = []
-            for i, m in enumerate(muts):
-                lo = m["at_iteration"]
-                hi = (muts[i + 1]["at_iteration"] if i + 1 < len(muts)
-                      else res.num_iterations)
-                reconverge = sum(walls.get(it, 0.0) for it in range(lo, hi))
-                repair_s = m["repair_seconds"] + reconverge
-                if progress:
-                    progress(f"incremental scale {scale} {name} recompute "
-                             f"batch {i}")
-                rec = _timed(factory, snapshots[i], config,
-                             vectorized="require")
+            for (m, cost, reconverge), snap in zip(per_batch, snapshots):
+                rec = _timed(factory, snap, config, vectorized="require")
+                t0 = time.perf_counter()
+                run(factory(), snap, mode="delta", config=config)
+                scratch = time.perf_counter() - t0
                 cells.append({
-                    "inserted": m["inserted"],
-                    "deleted": m["deleted"],
-                    "repair_mode": m["repair_mode"],
-                    "repaired_vertices": m["repaired_vertices"],
-                    "reconverge_iterations": hi - lo,
-                    "repair_seconds": repair_s,
+                    **{k: m[k] for k in ("inserted", "deleted", "repair_mode",
+                                         "repaired_vertices")},
+                    "reconverge_iterations": reconverge,
+                    "repair_seconds": cost, "speedup": rec["seconds"] / cost,
                     "recompute_seconds": rec["seconds"],
                     "recompute_iterations": rec["iterations"],
-                    "speedup": (rec["seconds"] / repair_s
-                                if repair_s > 0 else float("inf")),
-                })
-            standing_iters = muts[0]["at_iteration"] if muts else res.num_iterations
-            standing_s = sum(walls.get(it, 0.0) for it in range(standing_iters))
-            repair_mean = (sum(c["repair_seconds"] for c in cells) / len(cells)
-                           if cells else 0.0)
-            rec_mean = (sum(c["recompute_seconds"] for c in cells) / len(cells)
-                        if cells else 0.0)
+                    "delta_scratch_seconds": scratch,
+                    "delta_speedup": scratch / cost})
+            mean = {f"{k}_mean_seconds": statistics.mean(
+                c[f"{k}_seconds"] for c in cells)
+                for k in ("repair", "recompute", "delta_scratch")}
             row["algorithms"][name] = {
-                "standing": {"seconds": standing_s,
-                             "iterations": standing_iters,
-                             "total_seconds": total,
-                             "converged": res.converged,
+                "standing": {"seconds": standing, "iterations": iters,
+                             "total_seconds": total, "converged": res.converged,
                              "accumulation_identity":
                                  res.extra["delta"]["accumulation_identity"]},
-                "batches": cells,
-                "repair_mean_seconds": repair_mean,
-                "recompute_mean_seconds": rec_mean,
-                "speedup": (rec_mean / repair_mean if repair_mean > 0
-                            else float("inf")),
+                "batches": cells, **mean,
+                "speedup": (mean["recompute_mean_seconds"]
+                            / mean["repair_mean_seconds"]),
+                "delta_speedup": (mean["delta_scratch_mean_seconds"]
+                                  / mean["repair_mean_seconds"]),
             }
+            for key, frac in columns.items():
+                logs, costs, _ = zip(*stream(factory, graph, generate_batches(
+                    graph, num_batches, frac, mutation_seed))[4])
+                row["algorithms"][name][key] = {
+                    "seconds": list(costs),
+                    "median_seconds": statistics.median(costs),
+                    **{k: [m[k] for m in logs] for k in (
+                        "repair_seconds", "repaired_vertices",
+                        "repair_mode")}}
         results["scales"][str(scale)] = row
     return results
 

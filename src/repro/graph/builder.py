@@ -19,6 +19,19 @@ from .digraph import DiGraph
 __all__ = ["GraphBuilder"]
 
 
+def _unique_pairs(src: np.ndarray,
+                  dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(np.stack([src, dst], 1), axis=0)``, by sorting one
+    scalar key ``src * span + dst`` instead of rows."""
+    span = int(max(src.max(), dst.max())) + 1
+    if span * span > np.iinfo(np.int64).max:
+        raise ValueError(f"vertex ids up to {span - 1} overflow the int64 "
+                         "pair key used for deduplication")
+    keys = np.sort(src * np.int64(span) + dst)  # np.unique hashes: slower
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys // span, keys % span
+
+
 class GraphBuilder:
     """Accumulates edges and produces an immutable :class:`DiGraph`.
 
@@ -107,48 +120,41 @@ class GraphBuilder:
             ``0..V-1`` (dense labels).  Incompatible with a fixed
             ``num_vertices``.
         """
-        src = np.asarray(self._src, dtype=np.int64)
-        dst = np.asarray(self._dst, dtype=np.int64)
-
-        if drop_self_loops and src.size:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-
-        if dedup and src.size:
-            pairs = np.stack([src, dst], axis=1)
-            pairs = np.unique(pairs, axis=0)
-            src, dst = pairs[:, 0], pairs[:, 1]
-
         if relabel:
             if self._fixed_n is not None:
                 raise ValueError("relabel=True conflicts with a fixed num_vertices")
-            ids = np.unique(np.concatenate([src, dst])) if src.size else np.array([], dtype=np.int64)
-            n = int(ids.size)
-            if src.size:
-                src = np.searchsorted(ids, src)
-                dst = np.searchsorted(ids, dst)
-        elif self._fixed_n is not None:
+            return self._relabeled(dedup, drop_self_loops)[0]
+        src, dst = self._edges(dedup, drop_self_loops)
+        if self._fixed_n is not None:
             n = self._fixed_n
         else:
             n = int(max(src.max(), dst.max()) + 1) if src.size else 0
-
         return DiGraph(n, src, dst)
 
     def build_relabeled(
         self, *, dedup: bool = False, drop_self_loops: bool = False
     ) -> tuple[DiGraph, Mapping[int, int]]:
         """Like ``build(relabel=True)`` but also returns old->new id map."""
+        graph, ids = self._relabeled(dedup, drop_self_loops)
+        return graph, {int(old): new for new, old in enumerate(ids.tolist())}
+
+    def _edges(self, dedup: bool, drop_self_loops: bool):
         src = np.asarray(self._src, dtype=np.int64)
         dst = np.asarray(self._dst, dtype=np.int64)
         if drop_self_loops and src.size:
             keep = src != dst
             src, dst = src[keep], dst[keep]
         if dedup and src.size:
-            pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-            src, dst = pairs[:, 0], pairs[:, 1]
-        ids = np.unique(np.concatenate([src, dst])) if src.size else np.array([], dtype=np.int64)
-        mapping = {int(old): new for new, old in enumerate(ids.tolist())}
-        if src.size:
-            src = np.searchsorted(ids, src)
-            dst = np.searchsorted(ids, dst)
-        return DiGraph(int(ids.size), src, dst), mapping
+            src, dst = _unique_pairs(src, dst)
+        return src, dst
+
+    def _relabeled(self, dedup: bool, drop_self_loops: bool):
+        """The graph on the used ids compacted to ``0..V-1``, and the ids;
+        compacting (which keeps order) first keeps the pair keys small."""
+        src, dst = self._edges(False, drop_self_loops)
+        ids = np.sort(np.concatenate([src, dst]))  # as in _unique_pairs
+        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+        if dedup and src.size:
+            src, dst = _unique_pairs(src, dst)
+        return DiGraph(int(ids.size), src, dst), ids

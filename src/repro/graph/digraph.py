@@ -105,34 +105,32 @@ class DiGraph:
         self._n = n
         self._m = int(self._src.size)
 
-        self._out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self._out_indptr, self._src + 1, 1)
-        np.cumsum(self._out_indptr, out=self._out_indptr)
+        self._out_indptr, self._in_indptr = (np.concatenate((
+            [0], np.cumsum(np.bincount(a, minlength=n)))).astype(np.int64)
+            for a in (self._src, self._dst))
         self._out_dst = self._dst  # already grouped by src
         self._out_eid = np.arange(self._m, dtype=np.int64)
 
         in_order = np.lexsort((self._src, self._dst))
-        self._in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self._in_indptr, self._dst + 1, 1)
-        np.cumsum(self._in_indptr, out=self._in_indptr)
         self._in_src = np.ascontiguousarray(self._src[in_order])
         self._in_eid = np.ascontiguousarray(in_order.astype(np.int64))
 
     @classmethod
-    def _from_canonical(cls, n: int, src: np.ndarray, dst: np.ndarray,
-                        in_src: np.ndarray, in_eid: np.ndarray) -> "DiGraph":
+    def _spliced(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                 in_src: np.ndarray, in_eid: np.ndarray,
+                 out_indptr: np.ndarray, in_indptr: np.ndarray,
+                 out_eid: np.ndarray) -> "DiGraph":
         """The graph ``__init__`` would build, from int64 arrays already
-        in its CSR (``src``, ``dst``) and CSC (``in_src``, ``in_eid``)
-        order, unchecked; only the indptrs are derived, by counting."""
+        in its CSR (``src``, ``dst``, ``out_indptr``) and CSC (``in_src``,
+        ``in_eid``, ``in_indptr``) order, unchecked; ``out_eid``, an
+        ``arange``, is shared if it is long enough."""
         g = cls.__new__(cls)
         g._n, g._m = n, int(src.size)
-        g._src = src
-        g._dst = g._out_dst = dst  # already grouped by src
-        g._out_eid = np.arange(g._m, dtype=np.int64)
+        g._src, g._dst, g._out_dst = src, dst, dst  # grouped by src
+        g._out_eid = (out_eid[:g._m] if out_eid.size >= g._m
+                      else np.arange(g._m, dtype=np.int64))
         g._in_src, g._in_eid = in_src, in_eid
-        g._out_indptr, g._in_indptr = (
-            np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n))))
-            for a in (src, dst))
+        g._out_indptr, g._in_indptr = out_indptr, in_indptr
         return g
 
     # ------------------------------------------------------------------

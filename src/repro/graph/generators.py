@@ -100,21 +100,16 @@ def rmat(
     rng = _rng(seed)
     n = 1 << scale
     m = int(round(edge_factor * n))
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
+    src, dst = np.zeros((2, m), dtype=np.int64)
     # Vectorized recursive descent: one quadrant draw per bit level.
     p_right = b + d  # probability the column bit is 1
+    # Row bit is correlated with the column bit through the quadrant
+    # probabilities: P(row=1 | col) follows from (a, b, c, d).
+    p_row1 = np.array([c / (a + c) if (a + c) > 0 else 0.0,
+                       d / (b + d) if (b + d) > 0 else 0.0])
     for level in range(scale):
-        r_col = rng.random(m)
-        col_bit = (r_col < p_right).astype(np.int64)
-        # Row bit is correlated with the column bit through the quadrant
-        # probabilities: P(row=1 | col) follows from (a, b, c, d).
-        p_row1_given_col0 = c / (a + c) if (a + c) > 0 else 0.0
-        p_row1_given_col1 = d / (b + d) if (b + d) > 0 else 0.0
-        r_row = rng.random(m)
-        row_bit = np.where(
-            col_bit == 0, r_row < p_row1_given_col0, r_row < p_row1_given_col1
-        ).astype(np.int64)
+        col_bit = (rng.random(m) < p_right).astype(np.int64)
+        row_bit = (rng.random(m) < p_row1[col_bit]).astype(np.int64)
         src = (src << 1) | row_bit
         dst = (dst << 1) | col_bit
     builder = GraphBuilder(num_vertices=n).add_edge_arrays(src, dst)
@@ -184,84 +179,57 @@ def banded(
         count = n - off
         if count <= 0:
             break
-        mask = rng.random(count) < density
-        rows = np.nonzero(mask)[0]
+        rows = np.flatnonzero(rng.random(count) < density)
         src_list.append(rows)
         dst_list.append(rows + off)
         if symmetric:
             src_list.append(rows + off)
             dst_list.append(rows)
         else:
-            mask2 = rng.random(count) < density
-            rows2 = np.nonzero(mask2)[0]
+            rows2 = np.flatnonzero(rng.random(count) < density)
             src_list.append(rows2 + off)
             dst_list.append(rows2)
-    if src_list:
-        src = np.concatenate(src_list)
-        dst = np.concatenate(dst_list)
-    else:
-        src = np.array([], dtype=np.int64)
-        dst = np.array([], dtype=np.int64)
-    return DiGraph(n, src, dst)
+    none = [np.empty(0, dtype=np.int64)]
+    return DiGraph(n, np.concatenate(src_list or none),
+                   np.concatenate(dst_list or none))
+
+
+def _from_pairs(n: int, pairs, undirected: bool) -> DiGraph:
+    """``n`` vertices, edges ``pairs``; ``undirected``: both ways (§II)."""
+    uv = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if undirected:
+        uv = np.concatenate((uv, uv[uv[:, 0] != uv[:, 1], ::-1]))
+    return DiGraph(n, uv[:, 0], uv[:, 1])
 
 
 def path_graph(n: int, *, undirected: bool = True) -> DiGraph:
     """Path ``0 - 1 - ... - n-1``; the chain topology of Theorem 1's proof."""
-    b = GraphBuilder(num_vertices=n)
-    for v in range(n - 1):
-        if undirected:
-            b.add_undirected_edge(v, v + 1)
-        else:
-            b.add_edge(v, v + 1)
-    return b.build()
+    return _from_pairs(n, [(v, v + 1) for v in range(n - 1)], undirected)
 
 
 def cycle_graph(n: int, *, undirected: bool = False) -> DiGraph:
     if n < 1:
         raise ValueError("n must be >= 1")
-    b = GraphBuilder(num_vertices=n)
-    for v in range(n):
-        u = (v + 1) % n
-        if v == u:
-            continue
-        if undirected:
-            b.add_undirected_edge(v, u)
-        else:
-            b.add_edge(v, u)
-    return b.build()
+    return _from_pairs(n, [(v, (v + 1) % n) for v in range(n if n > 1 else 0)],
+                       undirected)
 
 
 def star_graph(n: int, *, undirected: bool = True) -> DiGraph:
     """Hub vertex 0 connected to ``1..n-1`` — maximal write contention."""
-    b = GraphBuilder(num_vertices=n)
-    for v in range(1, n):
-        if undirected:
-            b.add_undirected_edge(0, v)
-        else:
-            b.add_edge(0, v)
-    return b.build()
+    return _from_pairs(n, [(0, v) for v in range(1, n)], undirected)
 
 
 def complete_graph(n: int) -> DiGraph:
-    b = GraphBuilder(num_vertices=n)
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                b.add_edge(u, v)
-    return b.build()
+    return _from_pairs(n, [(u, v) for u in range(n) for v in range(n)
+                           if u != v], False)
 
 
 def grid_graph(rows: int, cols: int) -> DiGraph:
     """Undirected 2-D grid (each undirected edge as two directed ones)."""
-    b = GraphBuilder(num_vertices=rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                b.add_undirected_edge(v, v + 1)
-            if r + 1 < rows:
-                b.add_undirected_edge(v, v + cols)
-    return b.build()
+    v = np.arange(rows * cols).reshape(rows, cols)
+    return _from_pairs(rows * cols, np.r_[
+        np.c_[v[:, :-1].ravel(), v[:, 1:].ravel()],
+        np.c_[v[:-1].ravel(), v[1:].ravel()]], True)
 
 
 def random_tree(n: int, *, seed: int | np.random.Generator | None = 0) -> DiGraph:
@@ -269,11 +237,8 @@ def random_tree(n: int, *, seed: int | np.random.Generator | None = 0) -> DiGrap
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _rng(seed)
-    b = GraphBuilder(num_vertices=n)
-    for v in range(1, n):
-        parent = int(rng.integers(0, v))
-        b.add_undirected_edge(parent, v)
-    return b.build()
+    return _from_pairs(n, [(int(rng.integers(0, v)), v) for v in range(1, n)],
+                       True)
 
 
 def two_vertex_conflict_graph() -> DiGraph:

@@ -86,33 +86,78 @@ class EdgeDiff:
     """What one applied batch changed, in repair-pass terms.
 
     ``inserted``/``deleted`` are the ``(k, 2)`` pairs that actually took
-    effect.  ``affected_sources`` is the sorted unique set of vertices
-    whose **out**-edge multiset changed (their scatter contributions are
-    stale); ``affected_targets`` the vertices whose **in**-edge multiset
-    changed (their gathered value lost or gained a contribution).
+    effect, with their edge ids in the new and the old graph.
+    ``affected_sources`` is the sorted unique set of vertices whose
+    **out**-edge multiset changed (their scatter contributions are
+    stale).
     """
 
     inserted: np.ndarray
     deleted: np.ndarray
+    inserted_eids: np.ndarray
+    deleted_eids: np.ndarray
 
     @property
     def affected_sources(self) -> np.ndarray:
-        return np.unique(np.concatenate(
-            [self.inserted[:, 0], self.deleted[:, 0]]))
-
-    @property
-    def affected_targets(self) -> np.ndarray:
-        return np.unique(np.concatenate(
-            [self.inserted[:, 1], self.deleted[:, 1]]))
-
-    @property
-    def affected_vertices(self) -> np.ndarray:
-        return np.union1d(self.affected_sources, self.affected_targets)
+        return np.unique(np.r_[self.inserted[:, 0], self.deleted[:, 0]])
 
 
-def _pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Collision-free scalar key per (src, dst) pair for set arithmetic."""
-    return src.astype(np.int64) * np.int64(n) + dst.astype(np.int64)
+def _splice(indptr: np.ndarray, col: np.ndarray, dels: np.ndarray,
+            ins: np.ndarray, arrays: list, values: list):
+    """Splice sorted ``(row, col)`` pairs out of and into a row-sorted
+    index (``indptr``, ``col``) and its parallel ``arrays``: a pair
+    deleted *r* times loses its first *r* occurrences; an insert goes
+    after every equal entry, with ``values[j][i]`` in ``arrays[j]``.  Only
+    touched rows are bisected; each array is copied once (run by run, or
+    masked for many events).  Returns the new arrays, the deleted and
+    the inserted positions, and every old position's shift, as runs."""
+    k = dels.shape[0]
+    rows, keys = np.concatenate((dels, ins)).T
+    keys = keys + (np.arange(rows.size) >= k)  # inserts: after equal ones
+    # Branchless lower bound in each row: the first entry >= key lies in
+    # [pos, pos + size]; halve size, moving pos up past entries < key.
+    pos, size = indptr[rows], indptr[rows + 1] - indptr[rows]
+    while (half := size >> 1).any():
+        pos += half * (col.take(pos + half, mode="clip") < keys)
+        size -= half
+    if col.size:
+        pos += (size > 0) & (col.take(pos, mode="clip") < keys)
+    # The i-th repeat of a pair: its run's first position + i.  (A pair
+    # with enough occurrences ends before the next pair's first one.)
+    ids = np.arange(k)
+    pos[:k] = np.maximum.accumulate(pos[:k] - ids) + ids
+    hit = pos[:k] < indptr[dels[:, 0] + 1]
+    hit[hit] = col[pos[:k][hit]] == dels[hit, 1]
+    if not hit.all():
+        u, v = dels[np.argmin(hit)]
+        raise ValueError(f"cannot delete edge ({u}, {v}): not present "
+                         "(or fewer occurrences than requested)")
+    # Events in position order, an insert before a delete at the same
+    # position; each moves what follows it by +1 or -1.
+    order = np.argsort(2 * pos + (np.arange(pos.size) < k), kind="stable")
+    is_ins = order >= k
+    at, shift = pos[order], np.r_[0, np.cumsum(np.where(is_ins, 1, -1))]
+    starts = np.r_[0, at + ~is_ins]
+    new_pos = (at + shift[1:] - 1)[is_ins]
+    m_new = col.size + ins.shape[0] - k
+    # A Python step per kept run pays off below one event per ≈400 edges
+    # (the two copies cross at 350–420 on rmat-12..16); above, masks.
+    if few := 400 * at.size < col.size:
+        runs = list(zip(starts.tolist(), at.tolist() + [col.size],
+                        (starts + shift).tolist()))
+    else:
+        kept, slot = np.ones(col.size, bool), np.ones(m_new, bool)
+        kept[pos[:k]] = slot[new_pos] = False
+    out = []
+    for a, vals in zip(arrays, values):
+        new = np.empty(m_new, dtype=a.dtype)
+        for lo, hi, to in runs if few else ():
+            new[to:to + hi - lo] = a[lo:hi]
+        if not few:
+            new[slot] = a[kept]
+        new[new_pos] = vals
+        out.append(new)
+    return out, pos[:k], new_pos, (shift, np.diff(np.r_[starts, col.size]))
 
 
 def apply_batch(graph: DiGraph, batch: MutationBatch) -> tuple[DiGraph, EdgeDiff]:
@@ -122,66 +167,52 @@ def apply_batch(graph: DiGraph, batch: MutationBatch) -> tuple[DiGraph, EdgeDiff
     ``ValueError`` if the pair is absent — silent no-op deletes would let
     a repair pass skip work the caller believes happened.
 
-    The result equals ``DiGraph(n, kept ++ inserts)`` array for array,
-    but only the batch is sorted: the kept canonical CSR and CSC orders
-    carry over, and the sorted inserts are merged into each after any
-    equal key (where the stable rebuild would place them).
+    The result equals ``DiGraph(n, kept ++ inserts)`` array for array
+    at a cost that follows the batch, plus one copy of each edge array
+    (:func:`_splice`): the indptrs move by the degree deltas and
+    ``in_eid`` is renumbered in one pass over a table of shifts.
     """
     n = graph.num_vertices
-    src, dst = graph.edge_src, graph.edge_dst
-    keys = _pair_keys(src, dst, n)  # canonical order: non-decreasing
+    deletes, inserts = _as_pairs(batch.deletes), _as_pairs(batch.inserts)
+    for pairs, what in ((deletes, "delete"), (inserts, "insert")):
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError(f"{what} endpoint out of range")
+    def by(pairs, row):  # stable order by column ``row``, then the other
+        return np.argsort(pairs[:, row] * n + pairs[:, 1 - row], kind="stable")
+    # CSR, rows by source: the inserts' new positions are their edge ids.
+    by_src = [by(p, 0) for p in (deletes, inserts)]
+    dels, ins = deletes[by_src[0]], inserts[by_src[1]]
+    (src, dst), gone, new_eid, (shift, runs) = _splice(
+        graph._out_indptr, graph._dst, dels, ins, [graph._src, graph._dst],
+        [ins[:, 0], ins[:, 1]])
+    # CSC, rows by destination, sorted by source (then edge id).  Kept
+    # edge ids move as their CSR positions did: one pass over a table of
+    # the shifts in the narrowest dtype; the inserts' slots are set after.
+    by_dst = [by(p, 1) for p in (dels, ins)]
+    (in_src, in_eid), _, c_at, _ = _splice(
+        graph._in_indptr, graph._in_src, dels[by_dst[0], ::-1],
+        ins[by_dst[1], ::-1], [graph._in_src, graph._in_eid],
+        [ins[by_dst[1], 0], np.zeros(ins.shape[0], np.int64)])
+    if graph.num_edges:
+        narrow = np.min_scalar_type(-1 - max(ins.shape[0], dels.shape[0]))
+        in_eid += np.repeat(shift.astype(narrow), runs).take(in_eid,
+                                                             mode="clip")
+    in_eid[c_at] = new_eid[by_dst[1]]
 
-    deletes = _as_pairs(batch.deletes)
-    keep = np.ones(src.size, dtype=bool)
-    if deletes.size:
-        if deletes.min(initial=0) < 0 or deletes.max(initial=-1) >= n:
-            raise ValueError("delete endpoint out of range")
-        want, want_counts = np.unique(
-            _pair_keys(deletes[:, 0], deletes[:, 1], n), return_counts=True)
-        # For each distinct wanted pair, drop the first `count` matching
-        # edge ids (canonical order makes this deterministic).
-        lo = np.searchsorted(keys, want, side="left")
-        hi = np.searchsorted(keys, want, side="right")
-        missing = want_counts > hi - lo
-        if missing.any():
-            k = int(want[missing][0])
-            raise ValueError(
-                f"cannot delete edge ({k // n}, {k % n}): not present "
-                "(or fewer occurrences than requested)")
-        for start, count in zip(lo, want_counts):
-            keep[start:start + count] = False
+    def moved(indptr, add, sub):  # + the net events in earlier rows
+        rows = np.concatenate((add, sub))
+        order = np.argsort(rows, kind="stable")
+        steps = np.r_[0, np.cumsum(np.where(order < add.size, 1, -1))]
+        return indptr + np.repeat(steps, np.diff(np.r_[0, rows[order] + 1,
+                                                      n + 1]))
 
-    inserts = _as_pairs(batch.inserts)
-    if inserts.size:
-        if inserts.min(initial=0) < 0 or inserts.max(initial=-1) >= n:
-            raise ValueError("insert endpoint out of range")
-    ins = inserts[np.lexsort((inserts[:, 1], inserts[:, 0]))]
-
-    # CSR: the sorted inserts go after equal kept keys.
-    at = np.searchsorted(keys[keep], _pair_keys(ins[:, 0], ins[:, 1], n),
-                         side="right")
-    new_src = np.insert(src[keep], at, ins[:, 0])
-    new_dst = np.insert(dst[keep], at, ins[:, 1])
-    ins_eid = at + np.arange(at.size)
-
-    # CSC: the old order's survivors, renumbered, then the inserts by
-    # (dst, src, new id) after equal (dst, src) keys.
-    renumber = np.full(src.size, -1)
-    renumber[keep] = np.delete(np.arange(new_src.size), ins_eid)
-    in_eid = renumber[graph._in_eid]
-    alive = in_eid >= 0
-    in_eid, in_src = in_eid[alive], graph._in_src[alive]
-    in_dst = np.repeat(np.arange(n), graph.in_degrees())[alive]
-    by_dst = np.lexsort((ins[:, 0], ins[:, 1]))
-    at = np.searchsorted(_pair_keys(in_dst, in_src, n),
-                         _pair_keys(ins[by_dst, 1], ins[by_dst, 0], n),
-                         side="right")
-    in_eid = np.insert(in_eid, at, ins_eid[by_dst])
-    in_src = np.insert(in_src, at, ins[by_dst, 0])
-
-    new_graph = DiGraph._from_canonical(n, new_src, new_dst, in_src, in_eid)
-    diff = EdgeDiff(inserted=inserts.copy(), deleted=deletes.copy())
-    return new_graph, diff
+    new_graph = DiGraph._spliced(
+        n, src, dst, in_src, in_eid,
+        moved(graph._out_indptr, ins[:, 0], dels[:, 0]),
+        moved(graph._in_indptr, ins[:, 1], dels[:, 1]), graph._out_eid)
+    return new_graph, EdgeDiff(inserts.copy(), deletes.copy(),
+                               new_eid[np.argsort(by_src[1])],
+                               gone[np.argsort(by_src[0])])
 
 
 def apply_batches(graph: DiGraph,
@@ -223,10 +254,9 @@ def generate_batches(graph: DiGraph, num_batches: int, frac: float,
         num_ins = int(round(size * insert_frac))
         num_del = min(size - num_ins, m)
 
-        del_ids = rng.choice(m, size=num_del, replace=False) if num_del else \
-            np.empty(0, dtype=np.int64)
-        deletes = np.stack([src[del_ids], dst[del_ids]], axis=1) if num_del \
-            else np.empty((0, 2), np.int64)
+        del_ids = (rng.choice(m, size=num_del, replace=False) if num_del
+                   else np.empty(0, dtype=np.int64))
+        deletes = np.stack([src[del_ids], dst[del_ids]], axis=1)
 
         ins_src = rng.integers(0, n, size=num_ins, dtype=np.int64)
         ins_dst = rng.integers(0, n - 1, size=num_ins, dtype=np.int64)
@@ -235,10 +265,8 @@ def generate_batches(graph: DiGraph, num_batches: int, frac: float,
 
         batches.append(MutationBatch(inserts=inserts, deletes=deletes))
 
-        keep = np.ones(m, dtype=bool)
-        keep[del_ids] = False
-        src = np.concatenate([src[keep], ins_src])
-        dst = np.concatenate([dst[keep], ins_dst])
+        src = np.concatenate([np.delete(src, del_ids), ins_src])
+        dst = np.concatenate([np.delete(dst, del_ids), ins_dst])
     return batches
 
 

@@ -66,9 +66,6 @@ class SpeedReport:
     def max_iterations(self) -> int:
         return max(p.iterations for p in self.points)
 
-    def min_iterations(self) -> int:
-        return min(p.iterations for p in self.points)
-
     def recovery_ratio(self) -> float:
         """Worst measured ``iters_NE / iters_SYNC`` (recovery overhead)."""
         return self.max_iterations() / max(1, self.synchronous_iterations)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import GraphBuilder
+from repro.graph.builder import _unique_pairs
 
 
 class TestAdd:
@@ -108,3 +111,30 @@ class TestBuild:
         g2 = b.build()
         assert g1.num_edges == 1
         assert g2.num_edges == 2
+
+
+class TestDedupKeys:
+    """Deduplication sorts one scalar key per pair; it must give what
+    the row-wise ``np.unique(..., axis=0)`` gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                    min_size=1, max_size=60))
+    @example([(3, 3), (3, 3), (0, 0)])
+    @example([(0, 7), (7, 0), (0, 7)])
+    def test_matches_row_unique(self, pairs):
+        src, dst = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+        want = np.unique(np.stack([src, dst], 1), axis=0)
+        got_src, got_dst = _unique_pairs(src, dst)
+        assert got_src.dtype == got_dst.dtype == np.int64
+        assert np.array_equal(np.stack([got_src, got_dst], 1), want)
+        g = GraphBuilder().add_edge_arrays(src, dst).build(dedup=True)
+        assert g.num_edges == want.shape[0]
+
+    def test_key_overflow_refused(self):
+        big = np.array([2**32], dtype=np.int64)
+        with pytest.raises(ValueError, match="overflow"):
+            _unique_pairs(big, np.zeros(1, dtype=np.int64))
+        src, dst = _unique_pairs(np.array([3_037_000_498]),
+                                 np.array([0]))
+        assert (src.tolist(), dst.tolist()) == ([3_037_000_498], [0])

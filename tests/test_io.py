@@ -65,6 +65,18 @@ class TestSnap:
         g, _ = io.read_snap(path)
         assert g.num_edges == 1  # duplicate removed, self-loop removed
 
+    def test_huge_ids_dedup(self, tmp_path):
+        # Ids far past the int64 pair-key range still load: they are
+        # compacted before the duplicates are found.
+        big = 2**40
+        path = tmp_path / "snap.txt"
+        path.write_text(f"{big} {2 * big}\n{big} {2 * big}\n"
+                        f"{2 * big} 7\n{2**62} {big}\n")
+        g, mapping = io.read_snap(path)
+        assert mapping == {7: 0, big: 1, 2 * big: 2, 2**62: 3}
+        assert sorted(zip(g.edge_src.tolist(), g.edge_dst.tolist())) == [
+            (1, 2), (2, 0), (3, 1)]
+
 
 class TestMatrixMarket:
     def test_roundtrip_general(self, tmp_path):

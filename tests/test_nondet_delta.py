@@ -39,12 +39,11 @@ from repro.engine import CombineOp, EngineConfig, Refused, run
 from repro.engine.capabilities import ROWS
 from repro.engine.nondet_delta import (
     DeltaKernel,
-    _pair_eids,
     delta_fallback_reasons,
     resolve_delta_kernel,
     run_delta,
 )
-from repro.graph import DiGraph, generators
+from repro.graph import generators
 from repro.graph.mutations import stable_weights
 from repro.theory import Verdict, check_delta_program, probe_delta_algebra
 
@@ -240,18 +239,6 @@ class TestEligibilityGate:
                   config=EngineConfig(threads=2, seed=0))
         assert res.mode == "delta"
         assert np.array_equal(res.result(), _recompute(_sssp, graph))
-
-    def test_pair_eids_match_edge_id(self):
-        """One searchsorted gives what edge_id gives: the first of
-        parallel edges; an absent pair raises."""
-        graph = DiGraph(4, [2, 0, 2, 1, 2, 0, 3], [1, 1, 1, 3, 0, 1, 3])
-        pairs = np.array([[2, 1], [0, 1], [3, 3], [2, 0], [1, 3], [0, 1]])
-        want = [graph.edge_id(int(u), int(v)) for u, v in pairs]
-        assert _pair_eids(graph, pairs).tolist() == want
-        for absent in ([[0, 1], [3, 2]], [[0, 0]], [[3, 3], [1, 2]]):
-            with pytest.raises(KeyError):
-                _pair_eids(graph, np.array(absent))
-        assert _pair_eids(graph, np.empty((0, 2), np.int64)).size == 0
 
     def test_resolve_kernel_walks_mro(self):
         """BFS has no kernel of its own; it inherits SSSP's because it

@@ -411,6 +411,29 @@ def _delta_resumes_from_every_barrier(tmp_path, factory, config) -> int:
     return base.conflicts.lost_writes
 
 
+def test_delta_checkpoint_without_level_resumes(tmp_path):
+    """WCC's delta cut carries the support ``level``.  A checkpoint that
+    lacks it (as one written before levels were part of the cut) still
+    resumes: the level stays unbuilt and the next batch with deletes
+    rebuilds it, so the result is the uninterrupted run's."""
+    graph = generators.rmat(7, 8.0, seed=3)
+    kw = {"mode": "delta", "mutations": generate_batches(graph, 3, 0.02, 5)}
+    config = EngineConfig(threads=4, seed=1)
+    base = run(WeaklyConnectedComponents(), graph, config=config, **kw)
+    k = base.extra["mutations"][1]["at_iteration"]  # levels are built
+    ck = str(tmp_path / "old.ckpt")
+    with pytest.raises(ConvergenceFailure):
+        run(WeaklyConnectedComponents(), graph, config=config,
+            faults=f"crash@{k}", checkpoint=ck, checkpoint_every=k,
+            policy=DegradationPolicy(max_restarts=0), **kw)
+    ckpt = load_checkpoint(ck)
+    assert not np.isnan(ckpt.vertex_arrays.pop("level")).all()
+    save_checkpoint(ck, ckpt)
+    res = run(WeaklyConnectedComponents(), graph, resume_from=ck, **kw)
+    assert res.converged and res.extra["mutations_applied"] == 3
+    assert res.result().tobytes() == base.result().tobytes()
+
+
 def test_resume_guards(rmat10, tmp_path):
     ck = str(tmp_path / "pr.ckpt")
     run(PageRank(epsilon=1e-3), rmat10, mode="nondeterministic",
