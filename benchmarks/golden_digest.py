@@ -6,7 +6,8 @@ recorder attached and hashes what a refactor of the engines must keep:
 
 * vertex and edge state bytes;
 * ``(converged, num_iterations)`` and every ``IterationStats`` row;
-* the conflict summary;
+* the conflict summary, plus its ``per_iteration`` counter and its
+  ``events`` when the log keeps events;
 * the recorder's JSONL bytes;
 * the telemetry records, minus the timing fields ``wall_time_s`` /
   ``phases`` / ``peak_rss_bytes`` / ``worker_phases``.
@@ -17,7 +18,7 @@ Run it against each tree and diff the outputs::
 
 The cases: WCC, SSSP, BFS, PageRank and SpMV under ``sync``,
 ``deterministic``, ``chromatic`` and object ``nondeterministic`` at 1 and
-4 threads; NE with ``atomicity=NONE``; DE and NE with ``fp_noise`` (these
+4 threads; NE with ``atomicity=NONE``; NE keeping conflict events; DE and NE with ``fp_noise`` (these
 and the chromatic cases also run on the array engine, which must agree
 with the object engine on state, trajectory and conflicts, or the
 script fails); the array
@@ -27,7 +28,9 @@ checkpoint, then resumed from that checkpoint; and the delta engine
 (WCC, SSSP, PageRank; standing and across 3 mutation batches; frontier
 and priority scheduling; atomic and, as in extension E1, racy
 ``atomicity=NONE`` combines), whose cases also hash ``extra["delta"]``
-and the mutation log minus ``repair_seconds`` but not the telemetry.
+and the mutation log minus ``repair_seconds`` but not the telemetry;
+and ``pure-async`` at 4 threads (every program, with ``atomicity=NONE``,
+and WCC under a NUMA delay model).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from repro.algorithms import (
     SpMV,
     WeaklyConnectedComponents,
 )
-from repro.engine import AtomicityPolicy, EngineConfig, run
+from repro.engine import AtomicityPolicy, DelayModel, EngineConfig, run
 from repro.engine.capabilities import SCHEDULINGS
 from repro.graph import generators
 from repro.graph.mutations import batches_from_spec
@@ -84,6 +87,9 @@ def digest(result, tmp: str, sink=None) -> str:
     h.update(repr((result.converged, result.num_iterations)).encode())
     h.update(repr(result.iterations).encode())
     h.update(json.dumps(result.conflicts.summary(), sort_keys=True).encode())
+    if result.conflicts.keep_events:
+        h.update(repr((sorted(result.conflicts.per_iteration.items()),
+                       result.conflicts.events)).encode())
     h.update(json.dumps([result.extra.get(k) for k in (
         "faults_fired", "degradations")], sort_keys=True).encode())
     if "delta" in result.extra:
@@ -141,6 +147,21 @@ def cases(tmp: str):
                    traced(tmp, factory(), graph, mode=mode, config=config))
             agree(tmp, f"{name}/{mode}-fp-noise", factory, graph, mode=mode,
                   config=config)
+    yield ("WCC/ne-conflict-events",
+           traced(tmp, WeaklyConnectedComponents(), graph,
+                  mode="nondeterministic",
+                  config=EngineConfig(threads=4, seed=1,
+                                      keep_conflict_events=True)))
+    for name, factory in PROGRAMS.items():
+        for atomicity, suffix in ATOMICITIES.items():
+            yield (f"{name}/pure-async/t4{suffix}",
+                   traced(tmp, factory(), graph, mode="pure-async",
+                          config=EngineConfig(threads=4, seed=1,
+                                              atomicity=atomicity)))
+    yield ("WCC/pure-async/t4/numa",
+           traced(tmp, WeaklyConnectedComponents(), graph, mode="pure-async",
+                  config=EngineConfig(threads=4, seed=1,
+                                      delay_model=DelayModel.numa(2))))
     store = ShardStore.build(graph, os.path.join(tmp, "g.store"), 4)
     for name in ("WCC", "PageRank"):
         for mode in MODES[:2] + MODES[3:]:

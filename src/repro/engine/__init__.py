@@ -3,13 +3,7 @@
 from .atomicity import AtomicityPolicy, guarantees_atomicity, tear
 from .capabilities import Refused
 from .config import EngineConfig
-from .conflicts import (
-    AccessRecord,
-    ConflictEvent,
-    ConflictLog,
-    classify_access_counts,
-    classify_accesses,
-)
+from .conflicts import ConflictEvent, ConflictLog, classify_access_counts
 from .dispatch import DispatchPlan, DispatchPolicy, make_plan, plan_arrays
 from .frontier import Frontier, initial_frontier
 from .gauss_seidel import DeterministicEngine
@@ -28,7 +22,7 @@ from .nondet_core import (
 from .nondet_delta import CombineOp
 from .nondet_vectorized import VectorizedNondetEngine
 from .pure_async import PureAsyncEngine
-from .ordering import Order, TaskSlot, classify, classify_timestamps, visible
+from .ordering import Order, TaskSlot, classify
 from .program import EdgeStore, UpdateContext, VertexProgram
 from .result import IterationStats, RunResult
 from .runner import ENGINES, run
@@ -42,10 +36,8 @@ __all__ = [
     "tear",
     "EngineConfig",
     "OutOfCoreNondetRunner",
-    "AccessRecord",
     "ConflictEvent",
     "ConflictLog",
-    "classify_accesses",
     "classify_access_counts",
     "DispatchPlan",
     "DispatchPolicy",
@@ -70,8 +62,6 @@ __all__ = [
     "Order",
     "TaskSlot",
     "classify",
-    "classify_timestamps",
-    "visible",
     "EdgeStore",
     "UpdateContext",
     "VertexProgram",

@@ -9,8 +9,10 @@ The paper calls competing same-iteration operations on one edge a
 * **write–write** — two updates write the edge; by Lemma 2 exactly one
   of the two values is committed at the end of the iteration.
 
-The nondeterministic engine records every same-iteration edge access and
-asks this module to classify them after the barrier.  The resulting
+The nondeterministic engine's edge store
+(:class:`~repro.engine.edge_history.EdgeHistory`) keeps every
+same-iteration write and a per-reader summary of the reads, and asks
+:func:`classify_access_counts` to classify them after the barrier.  The resulting
 :class:`ConflictLog` is part of every run result: it is how the library
 *verifies* an algorithm's declared conflict profile instead of trusting
 it (see :func:`repro.theory.eligibility.audit_run`).
@@ -22,24 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
-__all__ = [
-    "ConflictEvent",
-    "ConflictLog",
-    "AccessRecord",
-    "classify_accesses",
-    "classify_access_counts",
-]
-
-
-@dataclass(frozen=True)
-class AccessRecord:
-    """One edge access performed during an iteration."""
-
-    vid: int  #: the update task that performed the access
-    thread: int
-    time: float  #: effective timestamp within the iteration
-    is_write: bool
-    value: float | None = None  #: written value (writes only)
+__all__ = ["ConflictEvent", "ConflictLog", "classify_access_counts"]
 
 
 @dataclass(frozen=True)
@@ -101,20 +86,21 @@ class ConflictLog:
         }
 
 
-def classify_accesses(
+def classify_access_counts(
     log: ConflictLog,
     iteration: int,
     eid: int,
     fieldname: str,
-    accesses: list[AccessRecord],
+    write_records: list[tuple[int, int]],
+    readers: Mapping[int, list],
     winner_vid: int | None,
 ) -> None:
     """Classify all same-iteration accesses to one edge field.
 
-    ``accesses`` is every read/write performed on ``(eid, fieldname)``
-    during ``iteration``; ``winner_vid`` is the update whose write was
-    committed at the barrier (None when nothing was written).  Appends
-    conflict pairs to ``log``.
+    ``write_records`` are the edge's writes as ``(vid, thread)`` pairs in
+    issue order; ``readers`` is its read summary ``{vid: [time, thread,
+    n_reads]}`` in first-read order; ``winner_vid`` is the update whose
+    write was committed at the barrier (None when nothing was written).
 
     Following the race definition the paper builds on (Netzer & Miller:
     competing accesses with no predefined order), a pair only counts as
@@ -124,63 +110,12 @@ def classify_accesses(
     re-writing an incident edge) is never a conflict.  A single-threaded
     nondeterministic run consequently logs zero conflicts, matching its
     value-equivalence with the Gauss–Seidel sweep.
-    """
-    writes = [a for a in accesses if a.is_write]
-    reads = [a for a in accesses if not a.is_write]
-    if not writes:
-        return
-    contended = False
-    # read-write pairs: reader and writer on different threads.
-    writer_by_vid: dict[int, AccessRecord] = {}
-    for w in writes:
-        writer_by_vid.setdefault(w.vid, w)
-    for r in reads:
-        for w_vid, w in writer_by_vid.items():
-            if w_vid != r.vid and w.thread != r.thread:
-                log.record(
-                    ConflictEvent(iteration, eid, fieldname, "read-write", w_vid, r.vid)
-                )
-                contended = True
-    # write-write pairs among distinct writers on different threads.
-    distinct = sorted(writer_by_vid)
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            a, b = writer_by_vid[distinct[i]], writer_by_vid[distinct[j]]
-            if a.thread != b.thread:
-                log.record(
-                    ConflictEvent(
-                        iteration, eid, fieldname, "write-write", distinct[i], distinct[j]
-                    )
-                )
-                contended = True
-    if contended:
-        log.contended_edges += 1
-    if winner_vid is not None and winner_vid in writer_by_vid:
-        winner_thread = writer_by_vid[winner_vid].thread
-        log.lost_writes += sum(
-            1
-            for w in writes
-            if w.vid != winner_vid and w.thread != winner_thread
-        )
 
-
-def classify_access_counts(
-    log: ConflictLog,
-    iteration: int,
-    eid: int,
-    fieldname: str,
-    write_records: list[tuple[int, int]],
-    reader_counts: Mapping[int, list[int]],
-    winner_vid: int | None,
-) -> None:
-    """Counter-only sibling of :func:`classify_accesses`.
-
-    Consumes ``write_records`` as ``(vid, thread)`` pairs in issue order
-    and ``reader_counts`` as ``{vid: [thread, n_reads]}`` — the compact
-    access summary the racy store keeps when individual
-    :class:`ConflictEvent` records are not wanted — and bumps exactly the
-    aggregate counters :func:`classify_accesses` would, without
-    materializing a single event or per-access record.
+    Each read counts once per racing writer.  With ``log.keep_events``
+    every pair is also a :class:`ConflictEvent`, in access order: a
+    task's reads of one edge are contiguous (it runs to completion), so
+    each read against each writer in first-write order, then the
+    write–write pairs by vid.
     """
     if not write_records:
         return
@@ -188,22 +123,29 @@ def classify_access_counts(
     for w_vid, w_thread in write_records:
         writer_by_vid.setdefault(w_vid, w_thread)
     read_write = 0
-    write_write = 0
-    for r_vid, (r_thread, n_reads) in reader_counts.items():
+    for r_vid, (_, r_thread, n_reads) in readers.items():
         for w_vid, w_thread in writer_by_vid.items():
             if w_vid != r_vid and w_thread != r_thread:
                 read_write += n_reads
     distinct = sorted(writer_by_vid)
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            if writer_by_vid[distinct[i]] != writer_by_vid[distinct[j]]:
-                write_write += 1
-    log.read_write += read_write
-    log.write_write += write_write
-    total = read_write + write_write
-    if total:
-        log.per_iteration[iteration] += total
+    ww = [(a, b) for i, a in enumerate(distinct) for b in distinct[i + 1:]
+          if writer_by_vid[a] != writer_by_vid[b]] if len(distinct) > 1 else ()
+    if read_write + len(ww):
         log.contended_edges += 1
+        if log.keep_events:
+            for r_vid, (_, r_thread, n_reads) in readers.items():
+                racing = [w_vid for w_vid, w_thread in writer_by_vid.items()
+                          if w_vid != r_vid and w_thread != r_thread]
+                for w_vid in racing * n_reads:
+                    log.record(ConflictEvent(iteration, eid, fieldname,
+                                             "read-write", w_vid, r_vid))
+            for a, b in ww:
+                log.record(ConflictEvent(iteration, eid, fieldname,
+                                         "write-write", a, b))
+        else:
+            log.read_write += read_write
+            log.write_write += len(ww)
+            log.per_iteration[iteration] += read_write + len(ww)
     if winner_vid is not None and winner_vid in writer_by_vid:
         winner_thread = writer_by_vid[winner_vid]
         log.lost_writes += sum(

@@ -16,6 +16,10 @@ thread pair*:
   intra-machine ones, modelling a Pregel/PowerGraph-style cluster while
   keeping the same convergence semantics.
 
+The pair delay enters one scalar rule, :meth:`DelayModel.visible`,
+which both object engines' edge store
+(:class:`~repro.engine.edge_history.EdgeHistory`) reads through.
+
 Theorems 1 and 2 survive the relaxation (their proofs only require
 every write to become visible after finitely many iterations, which any
 finite pairwise delay provides); the experiments show the *cost*:
@@ -91,9 +95,22 @@ class DelayModel:
 
     def delay(self, thread_a: int, thread_b: int) -> float:
         """Propagation delay between two (distinct) threads."""
-        if self.group_size == 0 or self.group(thread_a) == self.group(thread_b):
+        g = self.group_size
+        if g == 0 or thread_a // g == thread_b // g:
             return self.intra
         return self.inter
+
+    def visible(self, t_w: float, thread_w: int, t_r: float, thread_r: int) -> bool:
+        """Defs. 1–3: has a write at ``(t_w, thread_w)`` reached a read at
+        ``(t_r, thread_r)``?  Within one thread in program order
+        (``t_w < t_r``), across threads once ``t_r − t_w ≥ delay``.
+
+        The object engines' only scalar visibility rule; the array
+        engines evaluate the same rule bulk-wise (``nondet_core._visible``).
+        """
+        if thread_w == thread_r:
+            return t_w < t_r
+        return t_r - t_w >= self.delay(thread_w, thread_r)
 
     def delays(self, thread_a: np.ndarray, thread_b: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`delay` over aligned thread-id arrays."""

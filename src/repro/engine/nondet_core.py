@@ -957,7 +957,7 @@ def count_on(bar: Barrier, ep: EdgePlan, written, out) -> None:
 
 
 def emit_provenance(record, iteration: int, rows: dict) -> None:
-    """Bulk equivalent of ``_RacyStore._record_provenance``.
+    """Bulk equivalent of ``EdgeHistory._provenance``.
 
     Emits the identical canonical event stream the object engine
     produces on the same schedule — fields alphabetically, edges

@@ -12,10 +12,14 @@ through the cache-coherence fabric):
 * ``f(v) ≻ f(u)`` — ``f(v)`` can use the results of ``f(u)``;
 * ``f(v) ∥ f(u)`` — neither sees the other within this iteration.
 
-This module gives the relation both in its pure form (Definitions 1–3,
-integer ``π``) and in the jittered form used by the nondeterministic
-engine, where effective timestamps carry seeded environmental noise
-(§V-C's "uncertainty on scheduling, random IRQs, memory stalls").
+This module gives the relation in its pure form (Definitions 1–3,
+integer ``π``) and the :class:`TaskSlot` placing a task in a schedule.
+The engines run on effective timestamps that carry seeded environmental
+noise (§V-C's "uncertainty on scheduling, random IRQs, memory stalls");
+jitter stays below one update, so within a thread time order is ``π``
+order, and "can the reader see the write" is the single scalar rule
+:meth:`~repro.engine.delaymodel.DelayModel.visible` (``≺`` of the
+writer to the reader, under a per-pair delay).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["Order", "classify", "classify_timestamps", "visible", "TaskSlot"]
+__all__ = ["Order", "classify", "TaskSlot"]
 
 
 class Order(enum.Enum):
@@ -78,33 +82,3 @@ def classify(pi_v: int, thread_v: int, pi_u: int, thread_u: int, d: int) -> Orde
     if pi_v - pi_u >= d:
         return Order.FOLLOWS
     return Order.CONCURRENT
-
-
-def classify_timestamps(a: TaskSlot, b: TaskSlot, d: float) -> Order:
-    """Relation of task ``a`` to task ``b`` under effective timestamps.
-
-    Same structure as :func:`classify` but over (possibly jittered)
-    float times; used by the nondeterministic engine.
-    """
-    if a.thread == b.thread:
-        if a.pi == b.pi:
-            return Order.SAME
-        return Order.PRECEDES if a.pi < b.pi else Order.FOLLOWS
-    if b.time - a.time >= d:
-        return Order.PRECEDES
-    if a.time - b.time >= d:
-        return Order.FOLLOWS
-    return Order.CONCURRENT
-
-
-def visible(writer: TaskSlot, reader: TaskSlot, d: float) -> bool:
-    """Can ``reader`` observe a same-iteration write by ``writer``?
-
-    This is the engine's single visibility rule: same-thread writes are
-    seen by later updates of that thread (program order); cross-thread
-    writes are seen once at least ``d`` time units old.  Equivalent to
-    ``classify_timestamps(writer, reader, d) is Order.PRECEDES``.
-    """
-    if writer.thread == reader.thread:
-        return writer.pi < reader.pi
-    return reader.time - writer.time >= d

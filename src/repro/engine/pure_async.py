@@ -10,10 +10,13 @@ discrete-event simulation:
   current clock time, and advances the clock by the task's duration
   (1 time unit + seeded jitter).
 * There are **no barriers and no committed snapshots**: every write is
-  appended to the edge's global version history, and a read by thread
-  ``t`` at time ``τ`` observes the newest version that has *propagated*
-  to ``t`` — its own writes immediately, another thread's writes once
-  ``τ − write_time ≥ delay(writer_thread, t)``.
+  appended to the edge's global history, and a read by thread ``t`` at
+  time ``τ`` observes the newest (max ``(time, vid)``) write that has
+  *propagated* to ``t`` — its own writes immediately, any other write
+  once :meth:`~repro.engine.delaymodel.DelayModel.visible` admits it.
+  The history is the nondeterministic engine's store,
+  :class:`~repro.engine.edge_history.EdgeHistory`, in its barrier-free
+  form: a long history drops writes every thread already sees.
 * Task generation follows the paper's rule — writing edge ``(v, u)``
   enqueues ``u`` — with *autonomous scheduling*: the new task goes to
   the queue of the thread that owns ``u`` (its block owner), and
@@ -31,7 +34,7 @@ discrete-event simulation:
   observation that the barriered implementation has comparable runtime
   to pure asynchrony is visible in the comparable task counts.
 
-Conflicts (reads racing un-propagated writes, overlapping writes) are
+Conflicts (reads missing un-propagated writes, overlapping writes) are
 accounted with the same :class:`~repro.engine.conflicts.ConflictLog`
 vocabulary; "iterations" in the result are redefined as the number of
 tasks executed divided by the active-thread count (a wall-clock-ish
@@ -46,213 +49,16 @@ import time
 import numpy as np
 
 from ..graph import DiGraph
-from .atomicity import AtomicityPolicy, tear
+from .atomicity import AtomicityPolicy
 from .config import EngineConfig
 from .conflicts import ConflictLog
+from .edge_history import EdgeHistory
 from .frontier import initial_frontier
 from .program import UpdateContext, VertexProgram
 from .result import IterationStats, RunResult
 from .state import State
 
 __all__ = ["PureAsyncEngine"]
-
-
-class _VersionedStore:
-    """Barrier-free edge store with per-edge version histories."""
-
-    __slots__ = (
-        "_arrays",
-        "_history",
-        "_base",
-        "_delay",
-        "_max_delay",
-        "_torn",
-        "_torn_p",
-        "_torn_rng",
-        "current_thread",
-        "current_time",
-        "stale_reads",
-        "racy_reads",
-        "overlapping_writes",
-        "recorder",
-        "_rec_reads",
-    )
-
-    #: History length that triggers compaction of fully-propagated versions.
-    PRUNE_THRESHOLD = 16
-
-    def __init__(self, state: State, delay_model, atomicity, torn_probability, torn_rng):
-        self._arrays = {f: state.edge(f) for f in state.edge_field_names}
-        # (field, eid) -> list of (time, thread, vid, value).  The engine
-        # executes tasks in nondecreasing virtual start time, so entries
-        # are appended time-sorted; any version older than
-        # ``now - max_delay`` is visible to every future reader, and all
-        # versions older than the newest such one are dead — they get
-        # compacted into `_base` so reads stay O(propagation window).
-        self._history: dict[tuple[str, int], list[tuple]] = {}
-        self._base: dict[tuple[str, int], float] = {}
-        self._delay = delay_model
-        self._max_delay = delay_model.max_delay
-        self._torn = atomicity is AtomicityPolicy.NONE
-        self._torn_p = torn_probability
-        self._torn_rng = torn_rng
-        self.current_thread = 0
-        self.current_time = 0.0
-        self.stale_reads = 0
-        self.racy_reads = 0
-        self.overlapping_writes = 0
-        # Set by the engine when a flight recorder is attached; _rec_reads
-        # additionally requires recorder.wants_reads (Lemma-1 provenance).
-        self.recorder = None
-        self._rec_reads = None
-
-    def read(self, vid: int, eid: int, field: str) -> float:
-        key = (field, eid)
-        hist = self._history.get(key)
-        if not hist:
-            return float(self._base.get(key, self._arrays[field][eid]))
-        t_r, thread_r = self.current_time, self.current_thread
-        value = self._base.get(key, self._arrays[field][eid])
-        best_t = -np.inf
-        racing_value = None
-        stale = False
-        stale_writes = None
-        for t_w, thread_w, vid_w, val_w in hist:
-            if thread_w == thread_r:
-                visible = t_w <= t_r
-            else:
-                visible = (t_r - t_w) >= self._delay.delay(thread_w, thread_r)
-            if visible:
-                if t_w > best_t:
-                    best_t = t_w
-                    value = val_w
-            elif t_w <= t_r:
-                stale = True
-                if self._rec_reads is not None:
-                    if stale_writes is None:
-                        stale_writes = []
-                    stale_writes.append((vid_w, thread_w))
-                if self._torn and thread_w != thread_r:
-                    racing_value = val_w
-        if stale:
-            self.stale_reads += 1
-            self.racy_reads += 1
-            if stale_writes is not None:
-                # A same-thread write is always visible (t_w <= t_r), so
-                # every stale pair here crosses threads: a genuine race.
-                for vid_w, thread_w in stale_writes:
-                    self._rec_reads.read_event(
-                        iteration=0,
-                        field=field,
-                        eid=eid,
-                        reader=vid,
-                        reader_thread=thread_r,
-                        writer=vid_w,
-                        writer_thread=thread_w,
-                        count=1,
-                        order="concurrent",
-                        rule="lemma1-stale",
-                        value=float(value),
-                    )
-        if racing_value is not None and self._torn_rng.random() < self._torn_p:
-            return tear(float(value), float(racing_value), self._torn_rng)
-        return float(value)
-
-    def write(self, vid: int, eid: int, field: str, value: float) -> None:
-        key = (field, eid)
-        hist = self._history.setdefault(key, [])
-        if hist:
-            last_t, last_thread, _, _ = hist[-1]
-            if (
-                last_thread != self.current_thread
-                and abs(self.current_time - last_t)
-                < self._delay.delay(last_thread, self.current_thread)
-            ):
-                self.overlapping_writes += 1
-        hist.append((self.current_time, self.current_thread, vid, float(value)))
-        # The backing array keeps the *initial* value during the run (it
-        # is the fallback readers see before any version propagates);
-        # finalize() installs the winning version at the end.
-        if len(hist) > self.PRUNE_THRESHOLD:
-            self._compact(key, hist)
-
-    def _compact(self, key: tuple[str, int], hist: list[tuple]) -> None:
-        """Fold fully-propagated versions into the base value.
-
-        Valid because global virtual time is nondecreasing: every future
-        read happens at ``t_r >= now``, so a version older than
-        ``now - max_delay`` is already visible to every thread, and only
-        the newest such version can ever be returned.
-        """
-        cutoff = self.current_time - self._max_delay
-        idx = -1
-        for i, entry in enumerate(hist):
-            if entry[0] <= cutoff:
-                idx = i
-            else:
-                break
-        if idx >= 0:
-            self._base[key] = hist[idx][3]
-            del hist[: idx + 1]
-
-    def _vis(self, t_w: float, thread_w: int, t_r: float, thread_r: int) -> bool:
-        """Had the write at (t_w, thread_w) propagated to (t_r, thread_r)?"""
-        if thread_w == thread_r:
-            return t_w <= t_r
-        return (t_r - t_w) >= self._delay.delay(thread_w, thread_r)
-
-    def finalize(self, log: ConflictLog) -> None:
-        log.stale_reads += self.stale_reads
-        # Without barriers there is no commit point; report overlapping
-        # writes as write-write conflicts and racy reads as read-write.
-        log.read_write += self.racy_reads
-        log.write_write += self.overlapping_writes
-        recorder = self.recorder
-        keys = sorted(self._history) if recorder is not None else self._history
-        for key in keys:
-            field, eid = key
-            hist = self._history[key]
-            # Final value: the maximal-time write (ties: later thread id),
-            # falling back to the compacted base when the tail is empty.
-            if hist:
-                winner = max(hist, key=lambda h: (h[0], h[1]))
-                self._arrays[field][eid] = winner[3]
-                if recorder is not None:
-                    # Provenance covers the retained (un-compacted) tail:
-                    # versions folded into _base were visible to every
-                    # thread and could not have contended with the winner.
-                    eff: dict[int, tuple] = {}
-                    for h in hist:
-                        eff[h[2]] = h
-                    lost = []
-                    for vid_w in sorted(eff):
-                        if vid_w == winner[2]:
-                            continue
-                        t_w, thread_w, _, val_w = eff[vid_w]
-                        if self._vis(t_w, thread_w, winner[0], winner[1]):
-                            order = "before"
-                        elif self._vis(winner[0], winner[1], t_w, thread_w):
-                            order = "after"
-                        else:
-                            order = "concurrent"
-                        lost.append(
-                            {"vid": vid_w, "thread": thread_w,
-                             "value": float(val_w), "order": order}
-                        )
-                    recorder.commit_event(
-                        iteration=0,
-                        field=field,
-                        eid=eid,
-                        writer=winner[2],
-                        writer_thread=winner[1],
-                        value=float(winner[3]),
-                        lost=lost,
-                        rule="lemma2" if len(eff) > 1 else "uncontended",
-                    )
-            elif key in self._base:
-                self._arrays[field][eid] = self._base[key]
-            if len({h[2] for h in hist}) > 1:
-                log.contended_edges += 1
 
 
 class PureAsyncEngine:
@@ -295,13 +101,11 @@ class PureAsyncEngine:
                 rngs={},
             )
         log = ConflictLog(keep_events=config.keep_conflict_events)
-        store = _VersionedStore(
-            state, delay_model, config.atomicity, config.torn_probability, torn_rng
-        )
-        if record is not None:
-            store.recorder = record
-            if record.wants_reads:
-                store._rec_reads = record
+        store = EdgeHistory(state, delay_model, config.atomicity,
+                            config.torn_probability, torn_rng,
+                            barrier=False, sees_own=True)
+        if record is not None and record.wants_reads:
+            store.read_recorder = record
 
         # Static block ownership: vertex v belongs to thread owner(v).
         n = graph.num_vertices
@@ -378,8 +182,7 @@ class PureAsyncEngine:
                 pending.pop(vid, None)
             if supervisor is not None:
                 supervisor.pre_iteration(tasks_executed)
-            store.current_thread = thread
-            store.current_time = best_start
+            store.time, store.thread = best_start, thread
             schedule: set[int] = set()
             ctx = UpdateContext(vid, graph, state, store, schedule,
                                 strict_scope=config.validate_scope)
@@ -410,7 +213,11 @@ class PureAsyncEngine:
                     heapq.heappush(future[target], (arrival, priority_of(u), seq, u))
                 seq += 1
 
-        store.finalize(log)
+        store.commit(0, log, recorder=record)
+        # Without barriers there is no commit point: stale reads count as
+        # read-write conflicts, overlapping writes as write-write.
+        log.read_write += store.stale_reads
+        log.write_write += store.overlapping_writes
         stats = [
             IterationStats(
                 iteration=0,

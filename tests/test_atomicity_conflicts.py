@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.engine import (
-    AccessRecord,
     AtomicityPolicy,
     ConflictEvent,
     ConflictLog,
-    classify_accesses,
+    classify_access_counts,
     guarantees_atomicity,
     tear,
 )
@@ -72,18 +71,25 @@ class TestTear:
         assert v1 == v2 or (np.isnan(v1) and np.isnan(v2))
 
 
-def W(vid, t=0.0, thread=None, value=0.0):
+def W(vid, t=0.0, thread=None):
     # Default: each task on its own thread, so distinct-vid pairs race.
-    return AccessRecord(
-        vid=vid, thread=vid if thread is None else thread, time=t,
-        is_write=True, value=value,
-    )
+    return ("w", vid, vid if thread is None else thread, t)
 
 
 def R(vid, t=0.0, thread=None):
-    return AccessRecord(
-        vid=vid, thread=vid if thread is None else thread, time=t, is_write=False
-    )
+    return ("r", vid, vid if thread is None else thread, t)
+
+
+def classify_accesses(log, iteration, eid, field, accesses, winner):
+    """Summarize an access stream as the edge store does — writes as
+    ``(vid, thread)`` in issue order, reads as ``{vid: [time, thread,
+    count]}`` in first-read order — and classify it."""
+    writes = [(vid, thread) for kind, vid, thread, _ in accesses if kind == "w"]
+    readers: dict[int, list] = {}
+    for kind, vid, thread, t in accesses:
+        if kind == "r":
+            readers.setdefault(vid, [t, thread, 0])[2] += 1
+    classify_access_counts(log, iteration, eid, field, writes, readers, winner)
 
 
 class TestClassifyAccesses:
@@ -158,6 +164,22 @@ class TestClassifyAccesses:
         log = ConflictLog()
         classify_accesses(log, 0, 0, "e", [W(1), R(2)], 1)
         assert log.events == []
+
+    def test_events_follow_access_order(self):
+        """Kept events replay the access stream: each read against each
+        writer in first-write order, then write-write pairs by vid; the
+        counters match the counter-only path."""
+        stream = [W(3), W(1), R(2), R(2), R(5, thread=3)]
+        log = ConflictLog(keep_events=True)
+        classify_accesses(log, 4, 0, "e", stream, 3)
+        assert [(e.kind, e.first_vid, e.second_vid) for e in log.events] == [
+            ("read-write", 3, 2), ("read-write", 1, 2),
+            ("read-write", 3, 2), ("read-write", 1, 2),
+            ("read-write", 1, 5), ("write-write", 1, 3)]
+        bare = ConflictLog()
+        classify_accesses(bare, 4, 0, "e", stream, 3)
+        assert bare.summary() == log.summary()
+        assert bare.per_iteration == log.per_iteration
 
     def test_unknown_kind_rejected(self):
         log = ConflictLog()

@@ -4,7 +4,7 @@ Every array engine evaluates visibility through
 ``repro.engine.nondet_core.EdgePlan`` — on all edges, on a frontier's
 touched edges, on a worker's owned edges, on an interval's slot range.
 Two properties make that sound: each edge's predicates equal the object
-engine's scalar rule (``engine.ordering.visible`` over ``TaskSlot``s),
+engines' scalar rule (``DelayModel.visible`` over ``TaskSlot``s),
 and evaluating on a subset equals slicing the whole-graph evaluation.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import DelayModel, DispatchPolicy, PlanCache, TaskSlot, visible
+from repro.engine import DelayModel, DispatchPolicy, PlanCache, TaskSlot
 from repro.engine.nondet_core import visibility
 from repro.graph import DiGraph
 
@@ -56,9 +56,11 @@ def test_edge_plan_matches_scalar_oracle_and_is_subset_invariant(case):
                      float(plan.time_v[v])) for v in range(graph.num_vertices)]
     for e, (s, d) in enumerate(zip(graph.edge_src, graph.edge_dst)):
         exchange = bool(plan.active[s] and plan.active[d] and s != d)
-        delay = dm.delay(slot[s].thread, slot[d].thread)
-        assert ep.vis_s2d[e] == (exchange and visible(slot[s], slot[d], delay))
-        assert ep.vis_d2s[e] == (exchange and visible(slot[d], slot[s], delay))
+        a, b = slot[s], slot[d]
+        assert ep.vis_s2d[e] == (exchange and dm.visible(a.time, a.thread,
+                                                         b.time, b.thread))
+        assert ep.vis_d2s[e] == (exchange and dm.visible(b.time, b.thread,
+                                                         a.time, a.thread))
         # Lemma 2: the later (time, vid) survives.
         assert ep.dst_wins[e] == ((slot[d].time, d) > (slot[s].time, s))
     sub = plan.edges(idx)

@@ -1,10 +1,15 @@
-"""Tests for the partial orders of Definitions 1-3 and the visibility rule."""
+"""Tests for the partial orders of Definitions 1-3 and the visibility rule
+(:meth:`DelayModel.visible`, the object engines' only scalar form)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine import Order, TaskSlot, classify, classify_timestamps, visible
+from repro.engine import DelayModel, Order, classify
+
+
+def visible(t_w, thread_w, t_r, thread_r, d):
+    return DelayModel.uniform(d).visible(t_w, thread_w, t_r, thread_r)
 
 
 class TestClassify:
@@ -62,41 +67,43 @@ class TestClassify:
 
 
 class TestClassifyTimestamps:
-    def slot(self, thread, pi, time=None):
-        return TaskSlot(vid=0, thread=thread, pi=pi, time=float(pi if time is None else time))
+    """The rule over (possibly jittered) float times: with jitter below
+    one update, same-thread time order is π order."""
 
     def test_pure_slots_match_classify(self):
         for pv in range(5):
             for pu in range(5):
                 for tv in range(2):
                     for tu in range(2):
-                        a = self.slot(tv, pv)
-                        b = self.slot(tu, pu)
-                        assert classify_timestamps(a, b, 2.0) is classify(
-                            pv, tv, pu, tu, 2
-                        )
+                        if (pv, tv) == (pu, tu):
+                            continue
+                        expected = classify(pv, tv, pu, tu, 2) is Order.PRECEDES
+                        assert visible(float(pv), tv, float(pu), tu, 2.0) == expected
 
     def test_jitter_shifts_window(self):
-        a = TaskSlot(vid=0, thread=0, pi=0, time=0.0)
-        b = TaskSlot(vid=1, thread=1, pi=2, time=2.4)
-        assert classify_timestamps(a, b, 2.0) is Order.PRECEDES
-        b_close = TaskSlot(vid=1, thread=1, pi=2, time=1.9)
-        assert classify_timestamps(a, b_close, 2.0) is Order.CONCURRENT
+        assert visible(0.0, 0, 2.4, 1, 2.0)
+        assert not visible(0.0, 0, 1.9, 1, 2.0)
+        # within one thread, jitter never reorders program order
+        assert visible(0.9, 0, 1.0, 0, 2.0)
+        assert not visible(1.0, 0, 0.9, 0, 2.0)
 
 
 class TestVisible:
     def test_same_thread_visibility_is_program_order(self):
-        w = TaskSlot(vid=0, thread=0, pi=1, time=1.0)
-        r = TaskSlot(vid=1, thread=0, pi=2, time=2.0)
-        assert visible(w, r, d=5.0)
-        assert not visible(r, w, d=5.0)
+        assert visible(1.0, 0, 2.0, 0, d=5.0)
+        assert not visible(2.0, 0, 1.0, 0, d=5.0)
+        # a task does not see its own write (same thread, same time)
+        assert not visible(2.0, 0, 2.0, 0, d=5.0)
 
     def test_cross_thread_requires_delay(self):
-        w = TaskSlot(vid=0, thread=0, pi=0, time=0.0)
-        r_near = TaskSlot(vid=1, thread=1, pi=1, time=1.0)
-        r_far = TaskSlot(vid=1, thread=1, pi=3, time=3.0)
-        assert not visible(w, r_near, d=2.0)
-        assert visible(w, r_far, d=2.0)
+        assert not visible(0.0, 0, 1.0, 1, d=2.0)
+        assert visible(0.0, 0, 3.0, 1, d=2.0)
+
+    def test_pair_delay(self):
+        numa = DelayModel.numa(2, intra=2.0, inter=8.0)
+        assert numa.visible(0.0, 0, 2.0, 1)  # same socket
+        assert not numa.visible(0.0, 0, 2.0, 2)  # across sockets
+        assert numa.visible(0.0, 0, 8.0, 2)
 
     @given(
         st.integers(0, 20),
@@ -106,9 +113,7 @@ class TestVisible:
         st.integers(1, 6),
     )
     def test_visible_iff_precedes(self, pw, tw, pr, tr, d):
-        w = TaskSlot(vid=0, thread=tw, pi=pw, time=float(pw))
-        r = TaskSlot(vid=1, thread=tr, pi=pr, time=float(pr))
-        if (pw, tw) == (pr, tr) or (tw == tr and pw == pr):
+        if (pw, tw) == (pr, tr):
             return  # same slot: not a meaningful writer/reader pair
         expected = classify(pw, tw, pr, tr, d) is Order.PRECEDES
-        assert visible(w, r, float(d)) == expected
+        assert visible(float(pw), tw, float(pr), tr, float(d)) == expected
