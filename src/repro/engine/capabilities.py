@@ -192,10 +192,6 @@ def check(program, graph, spec, *, service: bool = False):
         raise Refused("pass either backend='process' or vectorized=, not "
                       "both (the process backend runs the vectorized "
                       "kernels already)")
-    if residency == "ShardStore" and spec.direction != "pull":
-        raise Refused("out-of-core execution (a ShardStore graph) supports "
-                      "direction='pull' only: its interval slicing is "
-                      "already the sparse decomposition")
     for name, value in (("max_iterations", getattr(spec.config,
                                                    "max_iterations", 1)),
                         ("deadline_s", 1 if spec.deadline_s is None

@@ -55,6 +55,7 @@ import time
 import numpy as np
 
 from ..graph import DiGraph
+from ..graph.digraph import sorted_unique
 from ..graph.mutations import EdgeDiff, MutationBatch, apply_batch
 from ..obs.metrics import NO_CLOCK
 from ..robust.errors import CheckpointError
@@ -311,7 +312,7 @@ def _repair_invertible(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
         vals = np.repeat(x[sources], graph.out_degrees()[sources])
         touched.append(graph.edge_dst[eids])
         np.add.at(delta, touched[-1], sign * kernel.gains(graph, eids, vals))
-    touched = np.union1d(*touched)
+    touched = sorted_unique(np.concatenate(touched))
     return {"repair_mode": "reseed", "repaired_vertices": int(touched.size),
             "seeds": [int(v) for v in sources[:32]], "region_capped": False}
 
@@ -394,7 +395,7 @@ def _repair_idempotent(kernel: DeltaKernel, old: DiGraph, new: DiGraph,
 
     def grow(cand: np.ndarray) -> np.ndarray:
         """Mark the candidates no clean lower-level neighbour supports."""
-        cand = np.unique(cand)
+        cand = sorted_unique(cand)
         cand = cand[~affected[cand] & (x[cand] != init_val[cand])]
         if not cand.size:
             return cand

@@ -1,11 +1,11 @@
-"""Out-of-core nondeterministic execution over PSW shard stores.
+"""Out-of-core nondeterministic execution over PSW shard stores: the
+store residency of :class:`~repro.engine.nondet_parallel.SlotRunner`.
 
 :class:`~repro.engine.nondet_vectorized.VectorizedNondetEngine` holds
 every edge-indexed array (``committed``, ``seen``, ``ws/wd/wvs/wvd``,
 ``rs/rd``) fully in memory — ~10 arrays of ``m`` entries, which is what
-actually caps the graph scale, not the topology.  This module is the
-file residency of :mod:`~repro.engine.nondet_core`: the *same* racy
-iteration over a :class:`~repro.storage.shards.ShardStore`, whose
+actually caps the graph scale, not the topology.  Here the *same* racy
+iteration runs over a :class:`~repro.storage.shards.ShardStore`, whose
 interval ``k`` is one :class:`~repro.engine.nondet_core.Part` — its
 vertices, shard ``k`` (their in-edges) and windows ``(·, k)`` (their
 out-edges).  Edge-indexed data lives in a scratch file in shard-major
@@ -20,29 +20,20 @@ the §II scope rule and the source-sorted sliding windows make every
 slot range single-writer on each side across intervals (and workers),
 and the core's predicates and barrier functions are elementwise in the
 edge, so calling them on a slot range is the same arithmetic as on the
-full edge list.  ``tests/test_outofcore.py`` asserts bit-identity
-(state, trajectory, per-thread stats, conflict totals, fix-point and
-slice pass counts, recorder provenance) against both in-memory engines.
-
-**One repair loop.**  Pass 1 and repair are
-:func:`~repro.engine.nondet_core.repair`'s over the intervals with an
-active vertex (:class:`~repro.engine.nondet_parallel.Parts`): a round
-detects on every interval before any pass runs, and passes read only
-the seen buffers detection wrote (the mapped ``seen_*`` arrays), so
+full edge list.  A round detects on every interval before any pass
+runs, and passes read only the seen buffers detection wrote, so
 interval ``i``'s round-``r`` writes never reach interval ``j``'s
-round-``r`` pass.  A dirty set that passes the Beamer test takes one
-slice pass, exactly where the in-memory engine slices.
+round-``r`` pass.  ``tests/test_outofcore.py`` asserts bit-identity
+(state, trajectory, per-thread stats, conflict totals, fix-point and
+slice pass counts, recorder provenance) against both in-memory engines,
+in every direction.
 
-**Process backend.**  ``backend="process"`` runs the in-memory process
-backend's worker (:class:`~repro.engine.nondet_parallel._Worker`, paced
-by the same :func:`~repro.engine.nondet_parallel.drive`) on a
-persistent :class:`~repro.engine.workerpool.WorkerPool`: worker ``w``
-owns a BLOCK of intervals, so every scratch range keeps one writer.
-The ``O(n)`` master state is shared through the pool's segment, edge
-data through the mapped scratch.  The pool survives across ``run()``
-calls on the same (store, program) — ``extra["pool_reused"]`` — and is
-torn down by :meth:`OutOfCoreNondetRunner.close`, on worker failure,
-or when the store is dropped.
+``backend="process"`` runs the slot-order runner's pool: worker ``w``
+owns a BLOCK of intervals, so every scratch range keeps one writer.  The
+pool survives across ``run()`` calls on the same (store, program) —
+``extra["pool_reused"]`` — and is torn down by
+:meth:`~repro.engine.nondet_parallel.SlotRunner.close`, on worker
+failure, or when the store is dropped.
 """
 
 from __future__ import annotations
@@ -50,36 +41,20 @@ from __future__ import annotations
 import os
 import time
 import weakref
-from functools import partial
 
 import numpy as np
 
-from ..storage.shards import IOStats
+from ..storage.shards import ShardStore
 from ..storage.shm import ArrayLayout, SharedArrayPool
 from .config import EngineConfig
-from .nondet_core import (
-    OUTPUTS,
-    EdgePlan,
-    check_eligible,
-    commit_on,
-    count_on,
-    resolve_nondet_kernel,
-    run_array,
-)
-from .nondet_parallel import (
-    Parts,
-    _Worker,
-    drive,
-    edge_specs,
-    index_specs,
-    slot_index,
-    worker_specs,
-    zero_outputs,
-)
+from .nondet_core import check_eligible, resolve_nondet_kernel
+# Not called here (a store run commits through SlotRunner's), but every
+# residency module names its commit: tests patch each module's name.
+from .nondet_core import commit_on  # noqa: F401
+from .nondet_parallel import SlotRunner, edge_specs, index_specs, slot_index
 from .program import VertexProgram
 from .result import RunResult
 from .state import State
-from .workerpool import WorkerPool, profile_directive
 
 __all__ = ["OutOfCoreNondetRunner"]
 
@@ -100,7 +75,7 @@ class _Scratch:
     def __init__(self, store, layout: ArrayLayout):
         directory = store.path + ".scratch"
         os.makedirs(directory, exist_ok=True)
-        self.layout = layout
+        self.name, self.layout = store.path, layout
         self.maps = SharedArrayPool.map_file(
             os.path.join(directory, "arrays"), layout)
         self.index = SharedArrayPool.map_file(
@@ -114,6 +89,11 @@ class _Scratch:
                       "window_index": store.window_index,
                       **{x: self.index.array(x)
                          for x in self.index.layout.entries}}
+
+    @classmethod
+    def attach(cls, store_path: str, layout: ArrayLayout) -> "_Scratch":
+        """A pool worker's scratch of the store at ``store_path``."""
+        return cls(ShardStore(store_path), layout)
 
     def array(self, name: str) -> np.ndarray:
         named = self.named.get(name)
@@ -130,13 +110,6 @@ class _Scratch:
         self.named = {}
         self.maps.close()
         self.index.close()
-
-
-def _open_scratch(store_path: str, layout: ArrayLayout) -> _Scratch:
-    """A pool worker's :class:`_Scratch` (module-level: picklable)."""
-    from ..storage.shards import ShardStore
-
-    return _Scratch(ShardStore(store_path), layout)
 
 
 # ----------------------------------------------------------------------
@@ -186,41 +159,36 @@ class _OocState(State):
 # ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
-class OutOfCoreNondetRunner:
-    """Interval-sliced racy execution over a :class:`ShardStore`.
+class OutOfCoreNondetRunner(SlotRunner):
+    """Interval-sliced racy execution over a :class:`ShardStore`: the
+    store residency of :class:`~repro.engine.nondet_parallel.SlotRunner`.
 
     Bit-for-bit identical to
     :class:`~repro.engine.nondet_vectorized.VectorizedNondetEngine` per
-    (mode, seed) — final state, iteration/frontier trajectory,
-    per-thread stats, conflict totals, fix-point pass counts, recorder
-    provenance — while holding only ``O(n)`` vertex-indexed arrays plus
-    one interval's temporaries in anonymous memory.  Obtain one via
-    :meth:`ShardStore.nondet_runner` (cached there so supervised
-    restarts resume against the same live scratch), or pass the store
-    straight to :func:`repro.engine.run`.
+    (mode, seed, direction) — final state, iteration/frontier
+    trajectory, per-thread stats, conflict totals, fix-point pass
+    counts, recorder provenance — while holding only ``O(n)``
+    vertex-indexed arrays plus one interval's temporaries in anonymous
+    memory.  Obtain one via :meth:`ShardStore.nondet_runner` (cached
+    there so supervised restarts resume against the same live scratch),
+    or pass the store straight to :func:`repro.engine.run`.
     """
 
-    mode = "nondeterministic"
+    WORKER, IO_PHASE = "repro-ooc-worker", "shard_io"
 
     #: Slots per streaming chunk for canonical gathers/scatters.
     CHUNK = 1 << 20
 
     def __init__(self, store):
+        super().__init__()
         # A proxy: the store caches its runner, and a strong reference
         # back would make a cycle that holds the pool, its segment and
         # the scratch mapping until the cyclic GC runs.  A state keeps
         # the store itself alive (its graph view holds it).
         self.store = weakref.proxy(store)
-        self.io = IOStats()
-        self._scratch: _Scratch | None = None
-        self._pool: WorkerPool | None = None
         self._indexed = False
         #: The state whose edges the scratch holds (a weak reference).
         self._live = None
-        # Monotone per-run id shipped to pool workers with the profiling
-        # tuple: a warm pool resets its barrier epoch and reopens its
-        # trace segment when the id changes.
-        self._run_counter = 0
 
     # -- scratch management ---------------------------------------------
     def _ensure_scratch(self, program: VertexProgram, kernel) -> None:
@@ -229,11 +197,14 @@ class OutOfCoreNondetRunner:
         store = self.store
         layout = ArrayLayout.build(edge_specs(field_dtypes, kernel,
                                               store.num_edges))
-        if self._scratch is not None:
-            if self._scratch.layout == layout:
+        if self._res is not None:
+            if self._res.layout == layout:
                 return
             self.close()
-        self._scratch = scr = _Scratch(store, layout)
+        self._res = scr = _Scratch(store, layout)
+        # ``psw_eid`` stays a lazy view of the map: read only where the
+        # recorder wants rows.
+        self._eid = store.psw_eid
         if not self._indexed:  # in place: no m-sized temporaries
             slot_index(scr.array, self._chunks(), store.psw_dst,
                        store.shard_offsets, store.out_degrees,
@@ -252,7 +223,7 @@ class OutOfCoreNondetRunner:
     def _scatter_canonical(self, field: str, arr: np.ndarray) -> None:
         """Write a canonical-order ``m``-array into the committed slots."""
         t0 = time.perf_counter()
-        dest = self._scratch.array("committed:" + field)
+        dest = self._res.array("committed:" + field)
         for r, eid in self._chunks():
             dest[r] = arr[eid]
         self.io.seconds += time.perf_counter() - t0
@@ -260,17 +231,21 @@ class OutOfCoreNondetRunner:
     def _gather_canonical(self, field: str) -> np.ndarray:
         """The committed edge array for ``field`` in canonical order."""
         t0 = time.perf_counter()
-        src = self._scratch.array("committed:" + field)
+        src = self._res.array("committed:" + field)
         out = np.empty(src.size, dtype=src.dtype)
         for r, eid in self._chunks():
             out[eid] = src[r]
         self.io.seconds += time.perf_counter() - t0
         return out
 
-    def _sync_state(self, state: "_OocState") -> None:
+    def _load(self, state: "_OocState") -> None:
         """Flush cached (possibly caller-mutated) edge arrays."""
         for f, arr in state._edge.items():
             self._scatter_canonical(f, arr)
+        state._edge.clear()
+
+    def _keep(self, state: "_OocState", ranges, written) -> None:
+        # Readers regather fresh values on demand.
         state._edge.clear()
 
     def _evict(self, state=None) -> None:
@@ -285,12 +260,11 @@ class OutOfCoreNondetRunner:
                     live._edge[f] = self._gather_canonical(f)
         self._live = None if state is None else weakref.ref(state)
 
-    def _zero_outputs(self) -> None:
-        # In place, never by truncating the file: a worker touching a
-        # mapped page between two ``ftruncate`` calls would take SIGBUS.
-        t0 = time.perf_counter()
-        zero_outputs(self._scratch)
-        self.io.seconds += time.perf_counter() - t0
+    def close(self) -> None:
+        """Tear down the worker pool and unmap the scratch."""
+        if self._res is not None:
+            self._evict()
+        super().close()
 
     # -- state construction ----------------------------------------------
     def make_state(self, program: VertexProgram) -> _OocState:
@@ -317,86 +291,26 @@ class OutOfCoreNondetRunner:
                 self._scatter_canonical(
                     f, spec.materialize(view, self.store.num_edges))
             else:
-                self._scratch.array("committed:" + f).fill(spec.init)
+                self._res.array("committed:" + f).fill(spec.init)
         self._zero_outputs()
         return state
 
-    # -- pool management --------------------------------------------------
-    def _ensure_pool(self, program, state, config, workers):
-        """The warm pool if it fits this run, else a fresh one; returns
-        ``(pool, reused)``.
-
-        Shares only the ``O(n)`` master state (plan, masks, ``v0``/
-        ``vout``) and the workers' counter rows — edge data stays in the
-        mapped scratch.
-        """
-        store, scr = self.store, self._scratch
-        layout = ArrayLayout.build(worker_specs(
-            store.num_vertices, state, workers, config.threads))
-        key = WorkerPool.key_of(program, workers, config.worker_timeout_s,
-                                layout)
-        if (self._pool is not None and self._pool.alive
-                and self._pool.key == key):
-            return self._pool, True
-        self._teardown_pool()
-        edges = partial(_open_scratch, store.path, scr.layout)
-        self._pool = WorkerPool(
-            layout, workers, config.worker_timeout_s, key=key,
-            name="repro-ooc-worker", body=_Worker,
-            body_args=lambda w: (program, edges))
-        return self._pool, False
-
-    def _teardown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def close(self) -> None:
-        """Tear down the worker pool and unmap the scratch."""
-        self._teardown_pool()
-        if self._scratch is not None:
-            self._evict()
-            self._scratch.close()
-            self._scratch = None
-
-    # -- commit barrier ---------------------------------------------------
-    def _commit(self, bar, plan, dm, written, work: Parts,
-                count: bool) -> int:
-        """The commit barrier, master side, over
-        :meth:`Parts.output_ranges` — the slots that can hold an output,
-        the same ranges a pool's workers count; returns how many slots
-        it covered.  Lemma 2 commits into the mapped ``committed`` slots
-        in place; ``count`` (no pool) folds conflicts and per-thread
-        work too.
-        """
-        ctx, slots = work.ctx, 0
-        for r in work.output_ranges(plan.active):
-            ep = EdgePlan(plan, dm, ctx.src[r], ctx.dst[r])
-            out = {name: {f: a[r] for f, a in getattr(ctx, name).items()}
-                   for name in OUTPUTS}
-            # ``psw_eid`` stays a lazy view of the map: read only where
-            # the recorder wants rows.
-            commit_on(bar, ep, self.store.psw_eid[r], written, out,
-                      {f: ctx.committed[f][r] for f in written})
-            if count:
-                count_on(bar, ep, written, out)
-            slots += r.stop - r.start
-        return slots
-
-    # -- the run loop ------------------------------------------------------
+    # -- the run -----------------------------------------------------------
     def run(self, program: VertexProgram, config: EngineConfig | None = None,
             *, state: _OocState | None = None, observer=None, telemetry=None,
             record=None, supervisor=None, backend: str | None = None,
-            metrics=None) -> RunResult:
+            direction: str = "pull", metrics=None) -> RunResult:
         """Execute ``program`` out of core; mirrors the vectorized engine.
 
         ``backend="process"`` runs the parts on a persistent worker pool
-        (BLOCK interval ownership); anything else runs them in this
-        process.  Either way the result is bit-identical to the
-        in-memory vectorized engine.
+        of ``min(threads, num_intervals)`` workers (BLOCK interval
+        ownership); anything else runs them in this process.  Either way
+        the result is bit-identical to the in-memory vectorized engine
+        in the same ``direction``.
         """
         config = config or EngineConfig()
-        check_eligible(program, config, "pull", "a ShardStore graph")
+        push_ok = check_eligible(program, config, direction,
+                                 "a ShardStore graph")
         kernel = resolve_nondet_kernel(program)(program)
         if state is None:
             state = self.make_state(program)
@@ -406,75 +320,19 @@ class OutOfCoreNondetRunner:
                     "state must come from this runner's make_state()")
             self._ensure_scratch(program, kernel)
             self._evict(state)
-
-        store, K = self.store, self.store.num_intervals
-        written = tuple(kernel.written_fields)
-        vfields = tuple(state.vertex_field_names)
-        io = self.io = IOStats()
-        # Clear any outputs left behind by an aborted run.
-        self._zero_outputs()
-
-        workers = max(1, min(config.threads, K)) if backend == "process" else 0
-        # Every interval, in this process or (for IOStats) the pool's.
-        work = Parts(kernel, self._scratch, range(K), v0={}, vout={})
-        size = {f: a.itemsize for f, a in work.ctx.committed.items()}
-        row = (16 + sum(size.values()), sum(size[f] for f in written))
-        self._run_counter += 1
-        prof = profile_directive(telemetry, metrics, self._run_counter)
-        extra = {"out_of_core": True, "num_intervals": K}
-        if workers:
-            extra.update(backend="process", workers=workers,
-                         pool_reused=False)
-        pool = None
-
-        def body(bar, iteration, plan, dm, push, clock):
-            nonlocal pool
-            if workers and pool is None:
-                pool, extra["pool_reused"] = self._ensure_pool(
-                    program, state, config, workers)
-            if pool is not None:
-                clock.lap("plan_build")
-                drive(pool, bar, iteration, plan, state, dm, prof, clock,
-                      telemetry, metrics, False, config.direction_alpha)
-                bar.vout = {f: pool.arrays["vout:" + f] for f in vfields}
-                live = work.live(plan.active)
-            else:
-                work.ctx.v0 = {f: state.vertex(f) for f in vfields}
-                bar.vout = work.ctx.vout = {
-                    f: a.copy() for f, a in work.ctx.v0.items()}
-                live, passes, bar.slice_passes, _ = work.iterate(
-                    plan, dm, config.direction_alpha, clock)
-                bar.passes += passes
-                clock.lap("repair_pass")
-            # ``IOStats``: each round loads every live part's ranges; the
-            # commit reads the output ranges, and a pool's workers read
-            # them again to count.
-            io.interval_loads += bar.passes * len(live)
-            slots = bar.passes * sum(r.stop - r.start for p in live
-                                     for r in (p.in_range, *p.out_ranges))
-            out = self._commit(bar, plan, dm, written, work, pool is None)
-            io.bytes_read += (slots + out * (1 if pool is None else 2)) * row[0]
-            io.bytes_written += (slots + out) * row[1]
-            clock.lap("lemma2_commit")
-            self._zero_outputs()
-            clock.lap("shard_io")
-            state._edge.clear()
-
-        try:
-            # A restored checkpoint, a barrier's value faults or caller
-            # edits land in the state's cache: ``state_written`` pushes
-            # them to the committed slots before the next pass.
-            result = run_array(
-                program, state._graph, config, state, body,
-                label="outofcore", extra=extra, observer=observer,
-                telemetry=telemetry, record=record, supervisor=supervisor,
-                metrics=metrics, state_written=lambda: self._sync_state(state))
-        except BaseException:
-            # Leave no pool behind an exceptional exit; a clean return
-            # keeps it warm for the next run() on this runner.
-            self._teardown_pool()
-            raise
-        result.extra["io"] = io.as_dict()
+        k = self.store.num_intervals
+        # A restored checkpoint, a barrier's value faults or caller
+        # edits land in the state's cache: ``state_written`` pushes them
+        # to the committed slots before the next pass.  A clean return
+        # keeps the pool warm for the next run() on this runner.
+        result = self._run(
+            program, state._graph, kernel, config, state,
+            workers=max(1, min(config.threads, k)) if backend == "process"
+            else 0, direction=direction, push_ok=push_ok, label="outofcore",
+            extra={"out_of_core": True, "num_intervals": k},
+            observer=observer, telemetry=telemetry, record=record,
+            supervisor=supervisor, metrics=metrics)
+        result.extra["io"] = self.io.as_dict()
         # A warm runner between runs holds no resident scratch pages.
-        self._scratch.release_pages()
+        self._res.release_pages()
         return result

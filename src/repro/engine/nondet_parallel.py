@@ -1,22 +1,28 @@
-"""True multi-core nondeterministic execution: the process backend.
+"""The slot-order runner: the racy iteration over edge arrays in PSW
+slot order, in this process or on ``P`` OS processes.
 
-The shared-memory residency of :mod:`~repro.engine.nondet_core`: CSR
-topology, the published plan and every vertex/edge array of one
-iteration live in a single :class:`~repro.storage.shm.SharedArrayPool`
-segment mapped zero-copy into ``P`` OS processes
-(:class:`~repro.engine.workerpool.WorkerPool`), so the workers literally
-share memory the way the paper's racy threads share the cache-coherent
-heap.
+:class:`SlotRunner` is one master body for both residencies of
+:mod:`~repro.engine.nondet_core` whose edge arrays are laid out in PSW
+slot order over vertex blocks (:func:`~repro.storage.shards.psw_layout`):
+a persistent :class:`~repro.engine.workerpool.WorkerPool` of
+:class:`_Worker` paced by :func:`drive`, or :meth:`Parts.iterate` in
+this process, then one Lemma-2 commit over :meth:`Parts.output_ranges`.
+A *residency* says only where the arrays live, how slots map to
+canonical edge ids and how the canonical state is kept in step:
 
-**The segment is in PSW slot order** over ``P`` vertex blocks of about
-``m / P`` in-edges each (:func:`~repro.storage.shards.psw_layout`,
-computed once per pool by the master): worker ``w`` owns block ``w``,
-one :class:`~repro.engine.nondet_core.Part` — shard ``w`` (its
-in-edges) and windows ``(·, w)`` (its out-edges), ``1/P`` of the edges.
-The out-of-core pool runs the same :class:`_Worker` on intervals of the
-mapped scratch.  The result depends on the plan, not on which process
-runs a vertex, so the run is **bit-for-bit identical** to the
-single-process fast path (and hence to the object engine) at any ``P``:
+* **RAM** (:class:`ParallelEngine`, ``backend="process"``): one
+  :class:`~repro.storage.shm.SharedArrayPool` segment built from a
+  ``DiGraph`` over ``config.threads`` edge-balanced blocks, one per
+  worker; the slot map ``perm``; the caller's plain ``State``, copied
+  into the slots whenever someone else may have written it and given
+  the Lemma-2 winners over the output ranges after barrier C;
+* **store** (:class:`~repro.engine.nondet_outofcore.OutOfCoreNondetRunner`):
+  a :class:`~repro.storage.shards.ShardStore`'s mapped scratch, one
+  interval per block; the map ``psw_eid``; a lazy state facade.
+
+The result depends on the plan, not on which process runs a vertex, so
+a run is **bit-for-bit identical** to the single-process fast path (and
+hence to the object engine) at any ``P``, in either direction:
 
 * Per edge and field the §II scope rule allows at most two writers —
   the endpoints.  An edge's src-side slots (``ws/wvs/rs``) lie in a
@@ -33,11 +39,11 @@ single-process fast path (and hence to the object engine) at any ``P``:
   their union is the single-process dirty set, and the rounds (two
   barriers each: writes-visible, then change-flags) count identically.
 * Each worker counts conflicts and per-thread work on the slots of its
-  shard that can hold an output (each edge lies in one shard) by the
-  plan's ``thr_v``, into rows the master sums;
-  the master commits Lemma 2 on the slot-order arrays, with canonical
-  ids for the recorder, into plain process-local state.
-  So is ``repair_slice_passes`` (see :meth:`_Worker.any_changed`).
+  shards that can hold an output (each edge lies in one shard) by the
+  plan's ``thr_v``, into rows the master sums, and so is
+  ``repair_slice_passes`` (see :meth:`_Worker.any_changed`); the master
+  commits Lemma 2 on the slot-order arrays, with canonical ids for the
+  recorder.
 
 Telemetry spans, flight-recorder provenance and supervisor hooks
 (fault injection, watchdog, checkpoint/resume) all run master-side in
@@ -47,6 +53,7 @@ as in the single-process engines.
 
 from __future__ import annotations
 
+import time
 from functools import partial
 from types import SimpleNamespace
 
@@ -55,8 +62,8 @@ import numpy as np
 from ..graph import DiGraph
 from ..graph.digraph import ragged_ids
 from ..obs.metrics import NO_CLOCK, PhaseClock
-from ..storage.shards import edge_balanced_bounds, psw_layout
-from ..storage.shm import ArrayLayout
+from ..storage.shards import IOStats, edge_balanced_bounds, psw_layout
+from ..storage.shm import ArrayLayout, SharedArrayPool
 from .config import EngineConfig
 from .nondet_core import (
     OUTPUTS,
@@ -64,7 +71,6 @@ from .nondet_core import (
     EdgePlan,
     NondetPassContext,
     Part,
-    PlanCache,
     check_eligible,
     commit_on,
     count_on,
@@ -80,7 +86,7 @@ from .result import RunResult
 from .state import State
 from .workerpool import WorkerLink, WorkerPool, profile_directive
 
-__all__ = ["ParallelEngine"]
+__all__ = ["ParallelEngine", "SlotRunner"]
 
 #: Phase slots of the shared ``phase_w`` stat block, in row order.
 #: ``plan_build`` is the worker-side Defs. 1–3 predicate construction;
@@ -164,39 +170,6 @@ def zero_outputs(arrays) -> None:
     for group in ("ws:", "wd:", "rs:", "rd:"):
         for arr in arrays.arrays(group).values():
             arr.fill(0)
-
-
-def _build_layout(graph: DiGraph, state: State, kernel,
-                  p: int) -> ArrayLayout:
-    """One segment holding topology, plan, state, and per-worker slots;
-    every ``(m,)`` array in slot order."""
-    n, m = graph.num_vertices, graph.num_edges
-    specs = worker_specs(n, state, p, p)
-    specs.update({
-        "src": ((m,), np.int64), "dst": ((m,), np.int64),
-        "bounds": ((p + 1,), np.int64),
-        "shard_offsets": ((p + 1,), np.int64),
-        "window_index": ((p, p + 1), np.int64),
-        **index_specs(n, m),
-        **edge_specs({f: state.edge(f).dtype for f in state.edge_field_names},
-                     kernel, m)})
-    return ArrayLayout.build(specs)
-
-
-def _slot_order(graph: DiGraph, p: int) -> dict[str, np.ndarray]:
-    """The segment's topology and slot index, and ``perm`` (slot ->
-    canonical id)."""
-    n, m = graph.num_vertices, graph.num_edges
-    bounds = edge_balanced_bounds(graph.in_degrees(), p)
-    perm, offsets, windows = psw_layout(graph.edge_src, graph.edge_dst,
-                                        bounds)
-    src, dst = graph.edge_src[perm], graph.edge_dst[perm]
-    index = {x: np.empty(*spec) for x, spec in index_specs(n, m).items()}
-    slot_index(index.get, [(slice(0, m), perm)], dst, offsets,
-               graph.out_degrees(), graph.in_degrees())
-    return {"perm": perm, "src": src, "dst": dst, "bounds": bounds,
-            "shard_offsets": offsets, "window_index": windows,
-            "selfloop": src == dst, **index}
 
 
 class Parts:
@@ -300,18 +273,18 @@ class _Worker:
     """Worker ``w`` of a pool: the vertices of its :class:`Parts`, over
     their in-edges and out-edges in PSW slot order.
 
-    The edge arrays, topology and slot index come from ``edges()`` —
-    the mapped scratch and the store out of core — or, ``edges``
-    ``None``, from the pool's segment.  Of the ``K`` vertex blocks of
-    ``bounds``, worker ``w`` of ``W`` owns BLOCK ``w``, one part each:
-    one block in memory (``K = W``), a run of intervals out of core.
+    The edge arrays, topology and slot index come from ``edges()``, the
+    residency attached in this process (:class:`SlotRunner`): the shm
+    segment in memory, the mapped scratch and the store out of core.
+    Of the ``K`` vertex blocks of ``bounds``, worker ``w`` of ``W`` owns
+    BLOCK ``w``, one part each: one block in memory (``K = W``), a run
+    of intervals out of core.
     """
 
-    def __init__(self, link: WorkerLink, program: VertexProgram,
-                 edges=None):
+    def __init__(self, link: WorkerLink, program: VertexProgram, edges):
         self.link = link
         shm = link.shm
-        self.arrays = arr = shm if edges is None else edges()
+        self.arrays = arr = edges()
         w = link.wid
         # The published vertex plan (``vp`` of the core's predicates).
         for name in ("active", "thr_v", "pi_v", "time_v", "flags", "dirty",
@@ -416,30 +389,240 @@ def drive(pool: WorkerPool, bar, iteration: int, plan, state, dm, prof,
 
 
 # ----------------------------------------------------------------------
-# master side
+# master side: the one slot-order runner
 # ----------------------------------------------------------------------
-class ParallelEngine:
-    """Shared-memory process backend for the nondeterministic model.
+class SlotRunner:
+    """The racy iteration over edge arrays in PSW slot order, in this
+    process (:meth:`Parts.iterate`) or on a persistent pool of
+    :class:`_Worker` paced by :func:`drive`, then one commit over
+    :meth:`Parts.output_ranges`.
 
-    ``config.threads`` doubles as the worker count; the result is
-    bit-identical to ``vectorized=True`` (see the module docstring) at
-    *any* ``P``.
+    A subclass is a *residency*: ``_res`` holds the slot-order arrays
+    under the names of :func:`edge_specs` and :func:`index_specs` plus
+    the topology (``src``, ``dst``, ``bounds``, ``shard_offsets``,
+    ``window_index``), and ``type(_res).attach(_res.name, _res.layout)``
+    maps them in a worker; ``_eid`` maps slots to canonical edge ids;
+    ``_load(state)`` copies a state's canonical edges into the slots
+    (whenever someone else may have written them) and ``_keep(state,
+    ranges, written)`` keeps the state in step after a commit of
+    ``ranges``.  ``WORKER`` names the pool's processes, ``IO_PHASE`` the
+    phase that zeroing the outputs is charged to.
     """
 
     mode = "nondeterministic"
 
     def __init__(self):
         self._pool: WorkerPool | None = None
-        self._graph = None  # pinned for the pool's lifetime
-        self._perm: np.ndarray | None = None
+        self._res = None
+        self._eid = None
+        self.io = IOStats()
+        # Monotone per-run id shipped to pool workers with the profiling
+        # tuple: a warm pool resets its barrier epoch and reopens its
+        # trace segment when the id changes.
         self._run_counter = 0
 
-    def close(self) -> None:
-        """Tear down the persistent worker pool (workers, segment); the
-        same instance can run again on a fresh one."""
+    def _teardown_pool(self) -> None:
         if self._pool is not None:
             self._pool.close()
-        self._pool = self._graph = self._perm = None
+            self._pool = None
+
+    def close(self) -> None:
+        """Tear down the worker pool and release the residency; the same
+        instance can run again on fresh ones."""
+        self._teardown_pool()
+        if self._res is not None:
+            self._res.close()
+        self._res = self._eid = None
+
+    def _abort(self) -> None:
+        """An exceptional exit leaves no pool behind."""
+        self._teardown_pool()
+
+    def _ensure_pool(self, program, state, config, workers: int) -> bool:
+        """Make ``_pool`` a pool of ``workers`` fitting this run: the
+        warm one (returns True) if its key — program parameters, worker
+        count, timeout, segment layout — is this run's, else a fresh
+        one.  The segment holds only the ``O(n)`` master state (plan,
+        ``v0``/``vout``) and the workers' rows; each worker attaches the
+        residency itself.  Seed, jitter and delay model travel per
+        iteration."""
+        layout = ArrayLayout.build(worker_specs(
+            state.graph.num_vertices, state, workers, config.threads))
+        key = WorkerPool.key_of(program, workers, config.worker_timeout_s,
+                                layout)
+        if (self._pool is not None and self._pool.alive
+                and self._pool.key == key):
+            return True
+        self._teardown_pool()
+        edges = partial(type(self._res).attach, self._res.name,
+                        self._res.layout)
+        self._pool = WorkerPool(
+            layout, workers, config.worker_timeout_s, key=key,
+            name=self.WORKER, body=_Worker,
+            body_args=lambda w: (program, edges))
+        return False
+
+    def _commit(self, bar, plan, dm, written, work: Parts, ranges,
+                count: bool) -> None:
+        """The commit barrier, master side, over ``ranges`` (the slots
+        that can hold an output, the ranges a pool's workers count):
+        Lemma 2 into the ``committed`` slots in place, with canonical
+        ids for the recorder; ``count`` (no pool) folds conflicts and
+        per-thread work too."""
+        ctx = work.ctx
+        for r in ranges:
+            ep = EdgePlan(plan, dm, ctx.src[r], ctx.dst[r])
+            out = {name: {f: a[r] for f, a in getattr(ctx, name).items()}
+                   for name in OUTPUTS}
+            commit_on(bar, ep, self._eid[r], written, out,
+                      {f: ctx.committed[f][r] for f in written})
+            if count:
+                count_on(bar, ep, written, out)
+
+    def _zero_outputs(self) -> None:
+        # In place, never by truncating: a worker touching a mapped page
+        # between two ``ftruncate`` calls would take SIGBUS.
+        t0 = time.perf_counter()
+        zero_outputs(self._res)
+        self.io.seconds += time.perf_counter() - t0
+
+    def _run(self, program, graph, kernel, config, state, *, workers: int,
+             direction: str, push_ok: bool, label: str, extra: dict,
+             telemetry=None, metrics=None, **sinks) -> RunResult:
+        """``run_array`` of one body for every residency: ``workers``
+        pool processes, or none (this process runs every part)."""
+        written = tuple(kernel.written_fields)
+        vfields = tuple(state.vertex_field_names)
+        io = self.io = IOStats()
+        self._zero_outputs()  # what an aborted run left behind
+        k = self._res.array("bounds").size - 1
+        work = Parts(kernel, self._res, range(k), v0={}, vout={})
+        size = {f: a.itemsize for f, a in work.ctx.committed.items()}
+        row = (16 + sum(size.values()), sum(size[f] for f in written))
+        alpha = config.direction_alpha
+        self._run_counter += 1
+        prof = profile_directive(telemetry, metrics, self._run_counter)
+        if workers:
+            extra.update(backend="process", workers=workers,
+                         pool_reused=False)
+        pool = None
+
+        def body(bar, iteration, plan, dm, push, clock):
+            nonlocal pool
+            if workers and pool is None:
+                # Lazy: a run that converges at once forks no worker.
+                extra["pool_reused"] = self._ensure_pool(
+                    program, state, config, workers)
+                pool = self._pool
+            if pool is not None:
+                clock.lap("plan_build")
+                drive(pool, bar, iteration, plan, state, dm, prof, clock,
+                      telemetry, metrics, push, alpha)
+                bar.vout = {f: pool.arrays["vout:" + f] for f in vfields}
+                live = work.live(plan.active)
+            else:
+                work.ctx.v0 = {f: state.vertex(f) for f in vfields}
+                bar.vout = work.ctx.vout = {
+                    f: a.copy() for f, a in work.ctx.v0.items()}
+                live, passes, bar.slice_passes, _ = work.iterate(
+                    plan, dm, alpha, clock, push=push)
+                bar.passes += passes
+                clock.lap("repair_pass")
+            ranges = list(work.output_ranges(plan.active))
+            self._commit(bar, plan, dm, written, work, ranges, pool is None)
+            self._keep(state, ranges, written)
+            # ``IOStats``: each round loads every live part's ranges; the
+            # commit reads the output ranges, and a pool's workers read
+            # them again to count.
+            io.interval_loads += bar.passes * len(live)
+            slots = bar.passes * sum(r.stop - r.start for p in live
+                                     for r in (p.in_range, *p.out_ranges))
+            out = sum(r.stop - r.start for r in ranges)
+            io.bytes_read += (slots + out * (1 if pool is None else 2)) * row[0]
+            io.bytes_written += (slots + out) * row[1]
+            clock.lap("lemma2_commit")
+            self._zero_outputs()
+            clock.lap(self.IO_PHASE)
+
+        try:
+            return run_array(
+                program, graph, config, state, body, label=label,
+                extra=extra, direction=direction, push_ok=push_ok,
+                telemetry=telemetry, metrics=metrics,
+                state_written=partial(self._load, state), **sinks)
+        except BaseException:
+            self._abort()
+            raise
+
+
+class ParallelEngine(SlotRunner):
+    """Shared-memory process backend for the nondeterministic model: the
+    RAM residency of :class:`SlotRunner`, one shm segment in PSW slot
+    order over ``config.threads`` edge-balanced vertex blocks, one per
+    worker.
+
+    The result is bit-identical to ``vectorized=True`` (see the module
+    docstring) at *any* ``P``.  The caller's state stays plain
+    process-local memory, written only by the master's commit after
+    barrier C.
+    """
+
+    WORKER, IO_PHASE = "repro-nondet-worker", "shm_sync"
+
+    def __init__(self):
+        super().__init__()
+        self._graph = None  # pinned for the segment's lifetime
+
+    def close(self) -> None:
+        super().close()
+        self._graph = None
+
+    def _abort(self) -> None:
+        # No segment outlives an exceptional exit either.
+        self.close()
+
+    def _ensure_segment(self, graph: DiGraph, state: State, kernel,
+                        p: int) -> None:
+        """The segment of ``graph`` over ``p`` blocks, kept while the
+        graph and the layout stay; written in place, no ``m``-sized
+        temporary but the slot map ``perm`` (slot -> canonical id)."""
+        n, m = graph.num_vertices, graph.num_edges
+        layout = ArrayLayout.build({
+            "src": ((m,), np.int64), "dst": ((m,), np.int64),
+            "bounds": ((p + 1,), np.int64),
+            "shard_offsets": ((p + 1,), np.int64),
+            "window_index": ((p, p + 1), np.int64),
+            **index_specs(n, m),
+            **edge_specs({f: state.edge(f).dtype
+                          for f in state.edge_field_names}, kernel, m)})
+        if self._graph is graph and self._res.layout == layout:
+            return
+        self.close()
+        bounds = edge_balanced_bounds(graph.in_degrees(), p)
+        perm, offsets, windows = psw_layout(graph.edge_src, graph.edge_dst,
+                                            bounds)
+        self._res, self._eid, self._graph = (
+            SharedArrayPool.create(layout), perm, graph)
+        a = self._res.array
+        np.take(graph.edge_src, perm, out=a("src"))
+        np.take(graph.edge_dst, perm, out=a("dst"))
+        np.equal(a("src"), a("dst"), out=a("selfloop"))
+        a("bounds")[:], a("shard_offsets")[:] = bounds, offsets
+        a("window_index")[:] = windows
+        slot_index(a, [(slice(0, m), perm)], a("dst"), offsets,
+                   graph.out_degrees(), graph.in_degrees())
+
+    def _load(self, state: State) -> None:
+        for f in state.edge_field_names:
+            np.take(state.edge(f), self._eid,
+                    out=self._res.array("committed:" + f))
+
+    def _keep(self, state: State, ranges, written) -> None:
+        """The Lemma-2 winners back into the canonical arrays."""
+        for f in written:
+            canonical, slots = state.edge(f), self._res.array("committed:" + f)
+            for r in ranges:
+                canonical[self._eid[r]] = slots[r]
 
     def run(
         self,
@@ -459,86 +642,12 @@ class ParallelEngine:
         push_ok = check_eligible(program, config, direction,
                                  "the process backend")
         kernel = resolve_nondet_kernel(program)(program)
-        written = tuple(kernel.written_fields)
         state = state if state is not None else program.make_state(graph)
-        p = config.threads
-        timeout = config.worker_timeout_s
-        edge_fields = tuple(state.edge_field_names)
-        layout = _build_layout(graph, state, kernel, p)
-        # Pool reuse: keep the forked workers (and the segment) across
-        # run() calls on the same (graph, program, layout, P, timeout) —
-        # the per-run cost drops to array copies.  Anything else tears
-        # the old pool down first.
-        key = WorkerPool.key_of(program, p, timeout, layout)
-        preexisting = (
-            self._pool is not None and self._pool.alive
-            and self._graph is graph and self._pool.key == key
-        )
-        preload = None
-        if not preexisting:
-            self.close()
-            preload = _slot_order(graph, p)
-            self._perm = preload.pop("perm")
-        perm = self._perm
-        # The master's plan, over the segment's slot order.
-        topo = preload if preload is not None else self._pool.arrays
-        plan = PlanCache(
-            SimpleNamespace(edge_src=topo["src"], edge_dst=topo["dst"],
-                            num_vertices=graph.num_vertices),
-            p, policy=config.dispatch, jitter=config.jitter,
-            rng=config.rng("jitter") if config.jitter > 0 else None)
-        self._run_counter += 1
-        prof = profile_directive(telemetry, metrics, self._run_counter)
-        extra = {"backend": "process", "workers": p, "pool_reused": False}
-
-        def body(bar, iteration, plan, dm, push, clock):
-            nonlocal preload
-            pool = self._pool
-            if pool is None:
-                # Lazy setup: a run that converges immediately never
-                # creates a segment or forks a worker.
-                pool = self._pool = WorkerPool(
-                    layout, p, timeout, key=key, name="repro-nondet-worker",
-                    body=_Worker, body_args=lambda w: (program,),
-                    preload=preload)
-                self._graph, preload = graph, None  # the segment holds it
-            else:
-                extra["pool_reused"] = preexisting
-            sh = pool.arrays
-            # The master only commits (plan + Lemma-2 tiebreak); the
-            # full-graph visibility masks are computed only for the
-            # flight recorder — workers evaluate it on their own edges.
-            ep = plan.edges().touch(kernel.writes_dst, commit_only=True,
-                                    rows=record is not None)
-            clock.lap("plan_build")
-            # Publish the pre-iteration state snapshot (in slot order).
-            # The shared write masks are zero-filled per iteration, so
-            # the master's commit is dense in either direction; only the
-            # workers execute sparsely.
-            for f in edge_fields:
-                sh["committed:" + f][:] = state.edge(f)[perm]
-            zero_outputs(pool.shm)
-            drive(pool, bar, iteration, plan, state, dm, prof, clock,
-                  telemetry, metrics, push, config.direction_alpha)
-            # Lemma-2 winners into the slot-order snapshot, then the state.
-            new = {f: sh["committed:" + f] for f in written}
-            commit_on(bar, ep, perm, written,
-                      {name: pool.shm.arrays(name + ":") for name in OUTPUTS},
-                      new)
-            for f in written:
-                state.edge(f)[perm] = new[f]
-            bar.vout = pool.shm.arrays("vout:")
-
-        try:
-            return run_array(
-                program, graph, config, state, body, label="process",
-                extra=extra, direction=direction, push_ok=push_ok,
-                observer=observer, telemetry=telemetry, record=record,
-                supervisor=supervisor, metrics=metrics, plan=plan,
-            )
-        except BaseException:
-            # Exceptional exit: never leave workers (or the segment)
-            # behind.  A clean return keeps the pool warm for the next
-            # run() on this engine instance; GC finalizes it otherwise.
-            self.close()
-            raise
+        self._ensure_segment(graph, state, kernel, config.threads)
+        # A clean return keeps the pool and the segment warm for the
+        # next run() on this instance; GC finalizes them otherwise.
+        return self._run(
+            program, graph, kernel, config, state, workers=config.threads,
+            direction=direction, push_ok=push_ok, label="process", extra={},
+            observer=observer, telemetry=telemetry, record=record,
+            supervisor=supervisor, metrics=metrics)

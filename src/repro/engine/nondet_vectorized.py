@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import DiGraph
+from ..graph.digraph import sorted_unique
 from .config import EngineConfig
 from .nondet_core import (
     BSP,
@@ -116,7 +117,7 @@ class VectorizedNondetEngine:
             if push:
                 es_all = graph.out_edge_ids(ids)
                 ed_all = graph.in_edge_ids(ids)
-                sel = np.union1d(es_all, ed_all)
+                sel = sorted_unique(np.concatenate((es_all, ed_all)))
                 ep = plan.edges(sel)
             else:
                 sel = EVERYTHING

@@ -113,7 +113,8 @@ def dispatch(program: VertexProgram, graph, spec: RunSpec) -> RunResult:
     # backend="process" fans the intervals out to its worker pool).
     if residency_of(graph) == "ShardStore":
         return graph.nondet_runner().run(program, config,
-                                         backend=spec.backend, **sinks)
+                                         backend=spec.backend,
+                                         direction=spec.direction, **sinks)
     if spec.backend == "process":
         # Imported lazily: the backend pulls in multiprocessing + shm.
         from .nondet_parallel import ParallelEngine

@@ -1,9 +1,10 @@
 """One persistent pool of barrier-paced OS workers over one shm segment.
 
-Both process backends (``nondet_parallel``: workers own vertex blocks of
-in-memory arrays; ``nondet_outofcore``: the same worker body owns shard
-intervals) bring a shm :class:`~repro.storage.shm.ArrayLayout` and a
-worker *body*; everything else about running ``P`` processes lives here:
+The slot-order runner (``nondet_parallel.SlotRunner``, whose workers own
+vertex blocks of edge arrays that live in a shm segment or in a store's
+mapped scratch) brings a shm :class:`~repro.storage.shm.ArrayLayout` of
+its ``O(n)`` rows and a worker *body*, which attaches the edge arrays
+itself; everything else about running ``P`` processes lives here:
 
 * **master side** — :class:`WorkerPool`: the ``P + 1``-party barrier,
   one duplex pipe per worker, the per-iteration message (the delay
@@ -259,14 +260,11 @@ class WorkerPool:
     ``w``; each :meth:`broadcast` makes it run ``iterate(dm, iteration,
     *fields)``, which must cross the pool's barrier exactly as often as
     the master calls :meth:`sync` for that iteration.  ``name`` prefixes
-    the process names; ``preload`` (name -> array) is copied into the
-    segment before any worker starts, for what a body reads while it is
-    being constructed.
+    the process names.
     """
 
     def __init__(self, layout: ArrayLayout, workers: int,
-                 timeout: float | None, *, key, name: str, body, body_args,
-                 preload=None):
+                 timeout: float | None, *, key, name: str, body, body_args):
         #: :meth:`key_of` the pool was built for; reuse needs it equal.
         self.key = key
         self.workers = workers
@@ -274,8 +272,6 @@ class WorkerPool:
         self.shm = SharedArrayPool.create(layout)
         #: name -> live shm view.
         self.arrays = {n: self.shm.array(n) for n in layout.names()}
-        for n, arr in (preload or {}).items():
-            self.arrays[n][:] = arr
         ctx = process_context()
         self.barrier = ctx.Barrier(workers + 1)
         worker_timeout = (

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .digraph import DiGraph
+from .digraph import DiGraph, sorted_unique
 
 __all__ = ["GraphBuilder"]
 
@@ -27,8 +27,7 @@ def _unique_pairs(src: np.ndarray,
     if span * span > np.iinfo(np.int64).max:
         raise ValueError(f"vertex ids up to {span - 1} overflow the int64 "
                          "pair key used for deduplication")
-    keys = np.sort(src * np.int64(span) + dst)  # np.unique hashes: slower
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    keys = sorted_unique(src * np.int64(span) + dst)
     return keys // span, keys % span
 
 
@@ -152,8 +151,7 @@ class GraphBuilder:
         """The graph on the used ids compacted to ``0..V-1``, and the ids;
         compacting (which keeps order) first keeps the pair keys small."""
         src, dst = self._edges(False, drop_self_loops)
-        ids = np.sort(np.concatenate([src, dst]))  # as in _unique_pairs
-        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        ids = sorted_unique(np.concatenate([src, dst]))
         src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
         if dedup and src.size:
             src, dst = _unique_pairs(src, dst)

@@ -23,7 +23,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["DiGraph", "ragged_ids"]
+__all__ = ["DiGraph", "ragged_ids", "sorted_unique"]
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array, by a sort and an
+    adjacent-difference mask (``np.unique`` hashes integer keys, which
+    costs several times as much)."""
+    keys = np.sort(keys)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def ragged_ids(ids: np.ndarray, indptr: np.ndarray,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import DiGraph
+from .digraph import DiGraph, sorted_unique
 
 __all__ = [
     "MutationBatch",
@@ -99,7 +99,7 @@ class EdgeDiff:
 
     @property
     def affected_sources(self) -> np.ndarray:
-        return np.unique(np.r_[self.inserted[:, 0], self.deleted[:, 0]])
+        return sorted_unique(np.r_[self.inserted[:, 0], self.deleted[:, 0]])
 
 
 def _splice(indptr: np.ndarray, col: np.ndarray, dels: np.ndarray,

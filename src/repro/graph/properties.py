@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import DiGraph
+from .digraph import DiGraph, sorted_unique
 
 __all__ = [
     "GraphStats",
@@ -101,7 +101,7 @@ def weakly_connected_components(graph: DiGraph) -> np.ndarray:
 def num_weakly_connected_components(graph: DiGraph) -> int:
     if graph.num_vertices == 0:
         return 0
-    return int(np.unique(weakly_connected_components(graph)).size)
+    return int(sorted_unique(weakly_connected_components(graph)).size)
 
 
 def is_weakly_connected(graph: DiGraph) -> bool:

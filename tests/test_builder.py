@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graph import GraphBuilder
 from repro.graph.builder import _unique_pairs
+from repro.graph.digraph import sorted_unique
 
 
 class TestAdd:
@@ -130,6 +131,19 @@ class TestDedupKeys:
         assert np.array_equal(np.stack([got_src, got_dst], 1), want)
         g = GraphBuilder().add_edge_arrays(src, dst).build(dedup=True)
         assert g.num_edges == want.shape[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**62, 2**62), max_size=60).flatmap(
+        lambda xs: st.lists(st.sampled_from(xs), max_size=120) if xs
+        else st.just([])))
+    @example([])
+    @example([5, 5, 5])
+    def test_sorted_unique_is_np_unique(self, keys):
+        """The one 1-D dedup helper gives ``np.unique``'s bytes, empty
+        and duplicate-heavy arrays included."""
+        keys = np.array(keys, dtype=np.int64)
+        got, want = sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_key_overflow_refused(self):
         big = np.array([2**32], dtype=np.int64)

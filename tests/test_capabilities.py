@@ -189,7 +189,6 @@ def test_cross_axis_rules_refuse_by_name(world):
     wcc = WeaklyConnectedComponents()
     cases = [
         (graph, {"backend": "process", "vectorized": True}, "not both"),
-        (store, {"direction": "auto"}, "direction='pull' only"),
         (graph, {"config": CONFIG, "threads": 2}, "not both"),
         (graph, {"max_iterations": 0}, "max_iterations must be > 0"),
         (graph, {"deadline_s": float("nan")}, "deadline_s must be > 0"),
@@ -200,6 +199,8 @@ def test_cross_axis_rules_refuse_by_name(world):
     for target, kw, reason in cases:
         with pytest.raises(Refused, match=re.escape(reason)):
             run(wcc, target, **kw)
+    # A ShardStore takes every direction: no rule names it any more.
+    assert run(wcc, store, direction="auto").converged
 
 
 def test_object_path_direction_requires_the_array_path(world):

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro.algorithms import PageRank, WeaklyConnectedComponents
 from repro.engine import EngineConfig, OutOfCoreNondetRunner, Refused, run
 from repro.engine.dispatch import DispatchPolicy
+from repro.engine.nondet_core import push_fallback_reasons
 from repro.graph import DiGraph, generators
 from repro.obs import Recorder
 from repro.storage import ShardStore
@@ -40,6 +41,7 @@ from repro.storage.shards import edge_balanced_bounds, psw_layout
 from repro.storage.binfmt import MAGIC2, load_graph, save_graph
 
 from .test_nondet_vectorized import ALGORITHMS, assert_bit_identical
+from .test_sparse_repair import assert_same_run
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +282,8 @@ def ooc_cases(draw):
     shard is empty while its windows are not — with a kernel, a
     configuration of 1, 2 or 3 threads (``direction_alpha`` 1 makes
     repairs slice often) and the backend: in this process or a pool of
-    ``min(threads, K)`` workers."""
+    ``min(threads, K)`` workers — and the direction: pull, push or auto,
+    push only for a kernel that may push."""
     n = draw(st.integers(1, 64))
     k = draw(st.sampled_from([1, 2, 3, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -304,8 +307,11 @@ def ooc_cases(draw):
         jitter=draw(st.sampled_from([0.0, 0.5])),
         dispatch=draw(st.sampled_from(list(DispatchPolicy))),
         direction_alpha=draw(st.sampled_from([14.0, 1.0])))
-    return (draw(st.sampled_from(sorted(ALGORITHMS))), graph, k, config,
-            draw(st.sampled_from([None, "process"])))
+    algo = draw(st.sampled_from(sorted(ALGORITHMS)))
+    directions = (["pull", "auto"] if push_fallback_reasons(ALGORITHMS[algo]())
+                  else ["pull", "push", "auto"])
+    return (algo, graph, k, config, draw(st.sampled_from([None, "process"])),
+            draw(st.sampled_from(directions)))
 
 
 @settings(max_examples=40, deadline=None,
@@ -314,21 +320,24 @@ def ooc_cases(draw):
 def test_out_of_core_equals_vectorized_property(tmp_path_factory, case):
     """Generated inputs for the hand grid above: state bytes, every
     ``IterationStats`` row, the conflict summary with its per-iteration
-    counts and ``fixpoint_passes`` equal the in-memory run's, and so
-    does ``repair_slice_passes``: the vectorized run's in this process,
-    the in-memory process backend's on a pool (which counts each of
+    counts, ``fixpoint_passes`` and the recorder bytes equal the
+    in-memory run's in the same direction, and so does
+    ``repair_slice_passes``: the vectorized run's in this process, the
+    in-memory process backend's on a pool (which counts each of
     ``config.threads`` model threads' dirty share by ``thr_v``, so the
     pool's fewer workers must answer for all of them)."""
-    algo, graph, k, config, backend = case
+    algo, graph, k, config, backend, direction = case
     store = ShardStore.build(graph, tmp_path_factory.mktemp("ooc") / "g", k)
     try:
+        rec_vec, rec_ooc = Recorder(), Recorder()
         vec = run(ALGORITHMS[algo](), graph, config=config,
-                  vectorized="require")
-        ooc = run(ALGORITHMS[algo](), store, config=config, backend=backend)
-        assert_bit_identical(vec, ooc)
-        assert ooc.extra["fixpoint_passes"] == vec.extra["fixpoint_passes"]
+                  vectorized="require", direction=direction, record=rec_vec)
+        ooc = run(ALGORITHMS[algo](), store, config=config, backend=backend,
+                  direction=direction, record=rec_ooc)
+        assert_same_run(vec, rec_vec, ooc, rec_ooc)
         same = vec if backend is None else run(
-            ALGORITHMS[algo](), graph, config=config, backend="process")
+            ALGORITHMS[algo](), graph, config=config, backend="process",
+            direction=direction)
         assert (ooc.extra["repair_slice_passes"]
                 == same.extra["repair_slice_passes"])
     finally:
